@@ -4,6 +4,7 @@
 package carac
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -627,6 +628,85 @@ func BenchmarkStorageInsert(b *testing.B) {
 			}
 		})
 	}
+}
+
+// storageLayouts are the three layouts of storage.Relation, by benchmark name.
+var storageLayouts = []struct {
+	name string
+	set  func(*storage.Relation)
+}{
+	{"Flat", func(*storage.Relation) {}},
+	{"View8", func(r *storage.Relation) { r.SetShardKey(8, 0) }},
+	{"Physical8", func(r *storage.Relation) { r.SetShardKeyPhysical(8, 0) }},
+}
+
+// layerRows is the relation size of the dedup / probe layer benchmarks: a
+// mid-fixpoint delta, small enough that the table stays in cache.
+const layerRows = 30000
+
+// benchStorageLayer runs body once per arity (2 and 3) and layout over an
+// unindexed relation, pre-filled with layerRows rows when filled is set. row
+// writes the i-th row into t; rows layerRows and up are absent.
+func benchStorageLayer(b *testing.B, filled bool, body func(b *testing.B, rel *storage.Relation, t []storage.Value, row func(i int))) {
+	for _, arity := range []int{2, 3} {
+		for _, lay := range storageLayouts {
+			b.Run(fmt.Sprintf("Arity%d/%s", arity, lay.name), func(b *testing.B) {
+				rel := storage.NewRelation("bench", arity)
+				lay.set(rel)
+				t := make([]storage.Value, arity)
+				row := func(i int) { t[0], t[arity-1] = storage.Value(i%1009), storage.Value(i) }
+				if filled {
+					for i := 0; i < layerRows; i++ {
+						row(i)
+						rel.Insert(t)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				body(b, rel, t, row)
+			})
+		}
+	}
+}
+
+// BenchmarkContainsHit: one membership probe of a stored row — the set
+// difference against Derived that every derivation pays.
+func BenchmarkContainsHit(b *testing.B) {
+	benchStorageLayer(b, true, func(b *testing.B, rel *storage.Relation, t []storage.Value, row func(int)) {
+		for i := 0; i < b.N; i++ {
+			row(i % layerRows)
+			if !rel.Contains(t) {
+				b.Fatal("stored row missing")
+			}
+		}
+	})
+}
+
+// BenchmarkContainsMiss: one membership probe of an absent row.
+func BenchmarkContainsMiss(b *testing.B) {
+	benchStorageLayer(b, true, func(b *testing.B, rel *storage.Relation, t []storage.Value, row func(int)) {
+		for i := 0; i < b.N; i++ {
+			row(layerRows + i%layerRows)
+			if rel.Contains(t) {
+				b.Fatal("phantom row")
+			}
+		}
+	})
+}
+
+// BenchmarkInsertClearCycle: fill a relation with layerRows rows and Clear it
+// — one semi-naive iteration of a delta relation (derive into it, merge,
+// swap, clear). Allocated bytes per cycle are the point.
+func BenchmarkInsertClearCycle(b *testing.B) {
+	benchStorageLayer(b, false, func(b *testing.B, rel *storage.Relation, t []storage.Value, row func(int)) {
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < layerRows; j++ {
+				row(j)
+				rel.Insert(t)
+			}
+			rel.Clear()
+		}
+	})
 }
 
 // BenchmarkServeThroughput measures concurrent query serving: one warm run

@@ -95,14 +95,23 @@
 //   - internal/storage gains a physically sharded backing store
 //     (storage.Relation.SetShardKeyPhysical, behind the same SetShardKey
 //     partitioning): each delta bucket is an independent sub-relation with
-//     its own arena slab, dedup set, and hash indexes, so concurrent
+//     its own arena slab, row table, and hash indexes, so concurrent
 //     inserts into distinct buckets share no state (Relation.ShardInsert),
-//     while Derived splits its dedup set per bucket
-//     (SetShardKeySplit) so the workers' frozen set-difference probes are
-//     bucket-local. Mutation counters are accounted so drift totals are
-//     byte-identical to the flat layout for any operation sequence — mode
-//     transitions preserve the totals exactly (the shard-drift regression
-//     test pins all three layouts to one number).
+//     while Derived keeps one arena under row-id bucket views. That makes
+//     three layouts — flat, view, physical — over one duplicate-elimination
+//     structure: every arena has a row table (storage/rowtable.go), an
+//     open-addressing table of 1-byte hash tags and 4-byte row ids keyed by
+//     the rows' own bytes in the arena. Insert, Contains, the reference
+//     counts and the deletion compaction all find a tuple through it; Clear,
+//     TruncateTo and the compactions empty or rebuild it in place, so the
+//     per-iteration delta refill and the per-Run baseline rewind allocate
+//     nothing for dedup once warm; and a lookup only loads, which is why the
+//     workers' set-difference probes against the iteration-frozen Derived
+//     are race-free without any per-bucket copy. Mutation counters are
+//     accounted so drift totals are byte-identical to the flat layout for
+//     any operation sequence — mode transitions preserve the totals exactly
+//     (the shard-drift regression test pins all three layouts to one
+//     number).
 //
 //   - internal/interp rewrites the merge barrier: when sinks carry the
 //     physical store, the fold fans out as one task per (predicate, bucket)
@@ -359,7 +368,8 @@
 //
 //   - Counting for ground facts: every ground row carries an assertion
 //     count (storage.Relation.EnableCounts/IncRef/DecRef, maintained across
-//     all four storage layouts). Inserting an already-present fact bumps
+//     all three storage layouts, found through the same row table that
+//     deduplicates inserts). Inserting an already-present fact bumps
 //     its count; a deletion decrements and only a count reaching zero makes
 //     the fact a retraction candidate — redundant retractions are no-ops
 //     (ApplyResult.Deleted vs Retracted). Derived rows are not counted:

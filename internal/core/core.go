@@ -473,8 +473,8 @@ type Options struct {
 	// Implies ParallelUnions; <= 1 disables sharding.
 	//
 	// The partition always uses the physically sharded backing store
-	// (per-bucket slabs and indexes on the delta pair, bucket-local dedup on
-	// Derived), which additionally parallelizes the iteration merge barrier:
+	// (per-bucket slabs, row tables and indexes on the delta pair, bucket
+	// views over Derived), which additionally parallelizes the iteration merge barrier:
 	// worker delta buffers fold into DeltaNew as one concurrent task per
 	// bucket instead of serially. Compiled backends read the same
 	// bucket-local surface (storage.Relation.PhysSubs) and the pool's tasks

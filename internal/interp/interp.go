@@ -33,9 +33,14 @@ type Controller interface {
 // interpreter abandons the subquery and immediately offers the controller a
 // safe point — letting asynchronously compiled code take over "at the exact
 // spot the interpreter left off" instead of waiting out a badly-ordered
-// join (paper §V-B2). Abandonment is sound: the controller only yields when
-// a unit subsuming the abandoned work is ready, and the interpreter re-runs
-// the subquery itself if the controller declines after all.
+// join (paper §V-B2). Abandonment is sound for what it leaves behind: the
+// rows a plain subquery emitted before the yield are real derivations the
+// take-over unit would derive again (set semantics absorb them), and an
+// aggregate subquery emits nothing when abandoned — its groups are only
+// complete once the whole body has been scanned, so partial ones are dropped
+// (runPlanWith). The controller only yields when a unit subsuming the
+// abandoned work is ready, and the interpreter re-runs the subquery itself
+// if the controller declines after all.
 type Yielder interface {
 	ShouldYield(op ir.Op, in *Interp) bool
 }
@@ -726,7 +731,7 @@ func (in *Interp) ensureWorkers(n int) {
 
 // acquireBuf hands out a worker delta buffer for the predicate: a recycled
 // relation from the per-Interp free list when one of the right arity is
-// available (capacity — arena, dedup buckets, shard views — intact from a
+// available (capacity — arena, row table, shard views — intact from a
 // previous iteration), a fresh one otherwise. The buffer's bucket views are
 // aligned with the sink's partition so the merge barrier can drain it one
 // bucket at a time. Called from pool workers; the free list is
@@ -1449,6 +1454,12 @@ func runPlanWith(p *Plan, cat *storage.Catalog, exec Executor, insert func(t []s
 		}
 		agg.Add(head, v)
 	})
+	if p.Yielded || (p.Cancel != nil && p.Cancel()) {
+		// Abandoned mid-scan: the groups are partial, and a partial
+		// aggregate is a wrong fact, not an early one. Whoever takes over
+		// (the yielded-to unit, or execSPJ's re-run) computes them whole.
+		return
+	}
 	agg.Emit(insert)
 }
 

@@ -122,7 +122,8 @@ type Plan struct {
 	// asynchronously compiled ancestor unit becomes ready (paper §V-B2:
 	// compiled code takes over "at the exact spot the interpreter left
 	// off"); abandoning is sound because the ancestor unit recomputes the
-	// subsumed work from storage state.
+	// subsumed work from storage state, and an abandoned aggregate emits
+	// none of its partial groups.
 	Yield func() bool
 	// Yielded reports that the last Execute was abandoned via Yield.
 	Yielded bool

@@ -407,7 +407,7 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 // compileShardEmit compiles the head projection and sink write. Under the
 // parallel pool the frame's interpreter exposes a worker buffer
 // (DerivationSink): the emit applies the set difference against the
-// iteration-frozen Derived (bucket-local under the split dedup) and inserts
+// iteration-frozen Derived (a read-only row-table lookup) and inserts
 // the survivor — safe because each worker owns its buffers outright. The
 // buffer's view partition mirrors the sink's layout, so the merge barrier
 // can later drain bucket b of every worker's buffer into DeltaNew's bucket

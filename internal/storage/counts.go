@@ -20,7 +20,8 @@ package storage
 // counter — IncRef on a present row changes no relation content.
 
 // EnableCounts switches the relation to counted mode, backfilling every
-// current row with count 1 and building the row-id map. Idempotent. On a
+// current row with count 1 (rows are found through the row table every
+// relation already has, so there is nothing else to build). Idempotent. On a
 // physically sharded relation the counts live per bucket sub-relation,
 // mirroring indexes and histograms.
 func (r *Relation) EnableCounts() {
@@ -32,17 +33,11 @@ func (r *Relation) EnableCounts() {
 		for _, s := range r.subs {
 			s.EnableCounts()
 		}
-		r.countIdxReset()
 		return
 	}
-	n := r.Len()
-	r.counts = make([]uint32, n)
+	r.counts = make([]uint32, r.Len())
 	for i := range r.counts {
 		r.counts[i] = 1
-	}
-	r.countIdxReset()
-	for row := int32(0); row < int32(n); row++ {
-		r.countRecord(r.Row(row), row)
 	}
 }
 
@@ -109,53 +104,8 @@ func (r *Relation) RowOf(t []Value) (int32, bool) {
 	return r.rowLookup(t)
 }
 
-// rowLookup resolves t to its row id through the active row-id map.
-// Mutation-path discipline: uses the shared scratch buffer, so it must not
-// race an Insert (the single-writer contract every mutation already has).
+// rowLookup resolves t to its row id through the row table.
 func (r *Relation) rowLookup(t []Value) (int32, bool) {
-	if r.rowIdx64 != nil {
-		row, ok := r.rowIdx64[key64(t)]
-		return row, ok
-	}
-	if r.rowIdxS != nil {
-		row, ok := r.rowIdxS[string(r.pack(t))]
-		return row, ok
-	}
-	return -1, false
-}
-
-// countRecord maps row's dedup key to its id (called on append and rebuild;
-// the counts slice itself is maintained positionally by the caller).
-func (r *Relation) countRecord(t []Value, row int32) {
-	if r.rowIdx64 != nil {
-		r.rowIdx64[key64(t)] = row
-		return
-	}
-	r.rowIdxS[string(r.pack(t))] = row
-}
-
-// countIdxReset replaces the row-id map with an empty one of the layout's
-// key shape (uint64 keys for arity <= 2, packed strings otherwise).
-func (r *Relation) countIdxReset() {
-	if r.arity <= 2 {
-		r.rowIdx64, r.rowIdxS = make(map[uint64]int32), nil
-		return
-	}
-	r.rowIdxS, r.rowIdx64 = make(map[string]int32), nil
-}
-
-// countClear empties the count state on the relation-clearing paths. retain
-// keeps allocated capacity (in-place map clear), mirroring resetContents.
-// No-op when counting is off.
-func (r *Relation) countClear(retain bool) {
-	if !r.countsOn {
-		return
-	}
-	r.counts = r.counts[:0]
-	if retain {
-		clear(r.rowIdx64)
-		clear(r.rowIdxS)
-		return
-	}
-	r.countIdxReset()
+	row, _ := r.tab.find(r.arena, t, hashRow(t))
+	return row, row >= 0
 }

@@ -3,15 +3,14 @@ package storage
 import "testing"
 
 // layouts configures one relation per storage layout so count and deletion
-// semantics are pinned across all four (the same axis the shard-layout tests
-// use): flat, row-id view, split dedup, physical sub-relations.
+// semantics are pinned across all three (the same axis the shard-layout tests
+// use): flat, row-id view, physical sub-relations.
 var countLayouts = []struct {
 	name string
 	set  func(r *Relation)
 }{
 	{"flat", func(*Relation) {}},
 	{"view", func(r *Relation) { r.SetShardKey(4, 0) }},
-	{"split", func(r *Relation) { r.SetShardKeySplit(4, 0) }},
 	{"physical", func(r *Relation) { r.SetShardKeyPhysical(4, 0) }},
 }
 

@@ -38,8 +38,8 @@ type PredicateDB struct {
 	// partitioned into shards buckets by hash of column shardCol, the
 	// planned join key. physical selects the physically sharded backing
 	// store for the delta pair (per-bucket slabs and indexes, concurrent
-	// per-bucket inserts) plus bucket-local dedup on Derived; see shard.go
-	// and physshard.go.
+	// per-bucket inserts), Derived staying a view; see shard.go and
+	// physshard.go.
 	shards   int
 	shardCol int
 	physical bool
@@ -117,10 +117,10 @@ func (p *PredicateDB) SetShards(n, col int) {
 // sharded backing store: the delta pair becomes n independent per-bucket
 // sub-relations (so the merge barrier can fold worker buffers concurrently,
 // one task per bucket — SwapClear's pointer exchange carries the mode with
-// the structs), and Derived keeps the global arena with a per-bucket dedup
-// split (so the workers' frozen set-difference probes are bucket-local).
-// Content and predicate-level drift totals are preserved exactly, like
-// SetShards. n < 2 removes the partition.
+// the structs), and Derived keeps the global arena and its one row table
+// under the row-id bucket views (the workers' frozen set-difference probes
+// only read it). Content and predicate-level drift totals are preserved
+// exactly, like SetShards. n < 2 removes the partition.
 func (p *PredicateDB) SetShardsPhysical(n, col int) {
 	if n < 2 {
 		p.SetShards(n, col)
@@ -128,7 +128,7 @@ func (p *PredicateDB) SetShardsPhysical(n, col int) {
 	}
 	p.shards, p.shardCol = n, col
 	p.physical = true
-	p.Derived.SetShardKeySplit(n, col)
+	p.Derived.SetShardKey(n, col)
 	p.DeltaKnown.SetShardKeyPhysical(n, col)
 	p.DeltaNew.SetShardKeyPhysical(n, col)
 }

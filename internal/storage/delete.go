@@ -1,12 +1,14 @@
 package storage
 
+import "slices"
+
 // This file implements batched physical deletion — the one destructive
 // operation that removes individual rows rather than a suffix or everything.
 // It exists for incremental maintenance (core.Apply / Server.IngestTx): a
 // transaction's retractions are collected (count-gated by DecRef) and applied
 // as ONE stable compaction per relation, rebuilding the derived structures —
-// dedup set, indexes, composites, histograms, shard views, row-id map — the
-// same way TruncateTo does, and advancing the mutation counter once per batch
+// row table, indexes, composites, histograms, shard views — the same way
+// TruncateTo does, and advancing the mutation counter once per batch
 // (one logical content change, exactly like Clear).
 //
 // Epoch safety: a pinned arena (an EpochRows view references it) is never
@@ -84,72 +86,50 @@ func (r *Relation) AssertAt(tuples [][]Value, boundary int) (added [][]Value, pr
 	if boundary > n {
 		boundary = n
 	}
-	// Dedup the batch first so repeated assertions of one tuple fold into
-	// its multiplicity instead of producing duplicate rows.
-	type staged struct {
-		t   []Value
-		cnt uint32
-	}
-	var order []*staged
-	s64 := make(map[uint64]*staged)
-	sS := make(map[string]*staged)
+	// Fold the batch first, so repeated assertions of one tuple become its
+	// multiplicity instead of duplicate rows: a counted scratch relation holds
+	// the distinct tuples in first-occurrence order with their counts.
+	batch := NewRelation(r.name, r.arity)
+	batch.EnableCounts()
 	for _, t := range tuples {
-		var st *staged
-		if r.arity <= 2 {
-			st = s64[key64(t)]
-		} else {
-			st = sS[string(r.pack(t))]
-		}
-		if st == nil {
-			st = &staged{t: append([]Value(nil), t...)}
-			if r.arity <= 2 {
-				s64[key64(t)] = st
-			} else {
-				sS[string(r.pack(t))] = st
-			}
-			order = append(order, st)
-		}
-		st.cnt++
+		batch.IncRef(t)
 	}
-	// mid holds the rows entering the prefix, in batch order.
-	var mid []*staged
-	var midCounts []uint32
-	reloc := make(map[int]struct{})
-	for _, st := range order {
-		row, ok := r.rowLookup(st.t)
-		if ok && int(row) < boundary {
-			r.counts[row] += st.cnt
+	// mid lists the batch rows entering the prefix, in batch order; reloc the
+	// rows of r they replace (derived rows promoted to ground facts).
+	var mid, reloc []int32
+	for i := int32(0); i < int32(batch.Len()); i++ {
+		t := batch.Row(i)
+		row, ok := r.rowLookup(t)
+		switch {
+		case ok && int(row) < boundary:
+			r.counts[row] += batch.counts[i]
 			continue
-		}
-		if ok {
-			reloc[int(row)] = struct{}{}
-			mid = append(mid, st)
-			midCounts = append(midCounts, st.cnt)
+		case ok:
+			reloc = append(reloc, row)
 			promoted++
-			continue
+		default:
+			added = append(added, t)
 		}
-		mid = append(mid, st)
-		midCounts = append(midCounts, st.cnt)
-		added = append(added, st.t)
+		mid = append(mid, i)
 	}
 	if len(mid) == 0 {
 		return nil, 0 // pure count bumps: no content or structure change
 	}
+	slices.Sort(reloc)
 	// Rebuild onto a fresh slab — splicing always moves rows, and a fresh
 	// slab doubles as the copy-on-flip for any pinned epoch readers.
 	total := n - len(reloc) + len(mid)
 	dst := make([]Value, 0, total*r.arity)
 	cnts := make([]uint32, 0, total)
-	for i := 0; i < boundary; i++ {
-		dst = append(dst, r.Row(int32(i))...)
-		cnts = append(cnts, r.counts[i])
-	}
-	for i, st := range mid {
-		dst = append(dst, st.t...)
-		cnts = append(cnts, midCounts[i])
+	dst = append(dst, r.arena[:boundary*r.arity]...)
+	cnts = append(cnts, r.counts[:boundary]...)
+	for _, i := range mid {
+		dst = append(dst, batch.Row(i)...)
+		cnts = append(cnts, batch.counts[i])
 	}
 	for i := boundary; i < n; i++ {
-		if _, moved := reloc[i]; moved {
+		if len(reloc) > 0 && int(reloc[0]) == i {
+			reloc = reloc[1:]
 			continue
 		}
 		dst = append(dst, r.Row(int32(i))...)
@@ -158,17 +138,8 @@ func (r *Relation) AssertAt(tuples [][]Value, boundary int) (added [][]Value, pr
 	r.arena = dst
 	r.pinned = false
 	r.counts = cnts
-	r.countIdxReset()
-	r.freshDedup(total)
-	for col := range r.indexes {
-		r.indexes[col] = make(map[Value][]int32)
-	}
-	for _, ci := range r.composites {
-		ci.m = make(map[string][]int32)
-	}
-	r.histReset()
 	r.reindexRows()
-	if r.shardCount > 0 && r.subs == nil {
+	if r.shardCount > 0 {
 		r.shardRebuild()
 	}
 	if len(added) > 0 {
@@ -177,48 +148,31 @@ func (r *Relation) AssertAt(tuples [][]Value, boundary int) (added [][]Value, pr
 	return added, promoted
 }
 
-// deleteCompact performs the single-slab compaction: locate the doomed rows,
-// move the survivors down (or onto a fresh slab when pinned), and rebuild
-// every derived structure. The caller owns all mutation-counter accounting.
+// deleteCompact performs the single-slab compaction: find the doomed rows
+// through the row table (one lookup per tuple, absent ones dropped), move the
+// survivors down (or onto a fresh slab when pinned), and rebuild every
+// derived structure. The caller owns all mutation-counter accounting.
 func (r *Relation) deleteCompact(tuples [][]Value, boundary int) (removed, removedBelow int) {
-	n := r.Len()
-	if n == 0 {
-		return 0, 0
-	}
-	// Dead-row scan against a key set in the relation's dedup key shape.
-	var dead []int
-	if r.arity <= 2 {
-		del := make(map[uint64]struct{}, len(tuples))
-		for _, t := range tuples {
-			del[key64(t)] = struct{}{}
-		}
-		for i := 0; i < n; i++ {
-			if _, doomed := del[key64(r.Row(int32(i)))]; doomed {
-				dead = append(dead, i)
-			}
-		}
-	} else {
-		del := make(map[string]struct{}, len(tuples))
-		for _, t := range tuples {
-			del[string(r.pack(t))] = struct{}{}
-		}
-		for i := 0; i < n; i++ {
-			if _, doomed := del[string(r.pack(r.Row(int32(i))))]; doomed {
-				dead = append(dead, i)
-			}
+	var dead []int32
+	for _, t := range tuples {
+		if row, ok := r.rowLookup(t); ok {
+			dead = append(dead, row)
 		}
 	}
 	if len(dead) == 0 {
 		return 0, 0
 	}
+	slices.Sort(dead)
+	dead = slices.Compact(dead) // a tuple may repeat within the batch
 	removed = len(dead)
 	for _, i := range dead {
-		if i < boundary {
+		if int(i) < boundary {
 			removedBelow++
 		}
 	}
 	// Stable compaction. In place, the write offset never passes the read
 	// offset; a pinned slab flips to a fresh one and stays with its epoch.
+	n := r.Len()
 	src := r.arena
 	var dst []Value
 	if r.pinned {
@@ -227,10 +181,10 @@ func (r *Relation) deleteCompact(tuples [][]Value, boundary int) (removed, remov
 	} else {
 		dst = r.arena[:0]
 	}
-	di, cw := 0, 0
+	cw := 0
 	for i := 0; i < n; i++ {
-		if di < len(dead) && dead[di] == i {
-			di++
+		if len(dead) > 0 && int(dead[0]) == i {
+			dead = dead[1:]
 			continue
 		}
 		dst = append(dst, src[i*r.arity:(i+1)*r.arity]...)
@@ -242,18 +196,9 @@ func (r *Relation) deleteCompact(tuples [][]Value, boundary int) (removed, remov
 	r.arena = dst
 	if r.countsOn {
 		r.counts = r.counts[:cw]
-		r.countIdxReset()
 	}
-	r.freshDedup(n - removed)
-	for col := range r.indexes {
-		r.indexes[col] = make(map[Value][]int32)
-	}
-	for _, ci := range r.composites {
-		ci.m = make(map[string][]int32)
-	}
-	r.histReset()
 	r.reindexRows()
-	if r.shardCount > 0 && r.subs == nil {
+	if r.shardCount > 0 {
 		r.shardRebuild()
 	}
 	return removed, removedBelow

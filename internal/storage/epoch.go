@@ -85,8 +85,8 @@ func (e EpochRows) Each(f func(row []Value) bool) {
 // view and marks the relation pinned, so the next destructive operation
 // flips to a fresh arena instead of rewriting the slab the view references.
 //
-// The view is zero-copy in every layout. Single-slab modes (flat, view-
-// partitioned, split-dedup — Derived in every configuration) hand out one
+// The view is zero-copy in every layout. Single-slab modes (flat and view-
+// partitioned — Derived in every configuration) hand out one
 // capacity-clipped arena view. The physical mode pins each non-empty
 // bucket's slab directly and marks the sub-relations pinned, so the bucket
 // clear paths (resetContents) flip to fresh slabs under the same

@@ -111,14 +111,14 @@ func TestPinRowsAppendWhilePinned(t *testing.T) {
 	}
 }
 
-// TestPinRowsSplitDedup pins the sharded-Derived layout (split dedup keeps
-// one global arena, so the zero-copy pin applies).
-func TestPinRowsSplitDedup(t *testing.T) {
+// TestPinRowsView pins the sharded-Derived layout (bucket views over one
+// global arena, so the zero-copy pin applies).
+func TestPinRowsView(t *testing.T) {
 	r := NewRelation("t", 2)
 	for i := 0; i < 16; i++ {
 		r.Insert([]Value{Value(i), Value(i)})
 	}
-	r.SetShardKeySplit(4, 0)
+	r.SetShardKey(4, 0)
 	view := r.PinRows()
 	want := epochRowStrings(view)
 	r.TruncateTo(3)
@@ -126,7 +126,7 @@ func TestPinRowsSplitDedup(t *testing.T) {
 		r.Insert([]Value{Value(i + 300), Value(i)})
 	}
 	if got := epochRowStrings(view); !sameStrings(got, want) {
-		t.Fatalf("pinned split-dedup view changed")
+		t.Fatalf("pinned view-layout rows changed")
 	}
 }
 

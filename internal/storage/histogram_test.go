@@ -45,7 +45,7 @@ func histCheck(t *testing.T, step string, r *Relation, cols ...int) {
 
 // TestHistogramInvariants drives an identical randomized operation sequence —
 // inserts, duplicate inserts, Clear, ClearRetain, TruncateTo — through a
-// flat, a view-sharded, a split-dedup, and a physically sharded relation with
+// flat, a view-sharded, and a physically sharded relation with
 // histograms registered on both columns, asserting after every step that each
 // histogram's Total equals the relation cardinality and its distribution
 // matches an exact recount. A histogram-free twin runs the same sequence to
@@ -57,7 +57,6 @@ func TestHistogramInvariants(t *testing.T) {
 	}{
 		{"flat", func(r *Relation) {}},
 		{"view", func(r *Relation) { r.SetShardKey(4, 0) }},
-		{"split", func(r *Relation) { r.SetShardKeySplit(4, 0) }},
 		{"physical", func(r *Relation) { r.SetShardKeyPhysical(4, 0) }},
 	}
 	for _, lay := range layouts {
@@ -115,7 +114,7 @@ func TestHistogramInvariants(t *testing.T) {
 }
 
 // TestHistogramModeTransitions walks one relation through every shard-layout
-// transition — flat → view → split → physical → flat — with content present,
+// transition — flat → view → physical → flat — with content present,
 // asserting the registration and the totals survive each move.
 func TestHistogramModeTransitions(t *testing.T) {
 	r := NewRelation("p", 2)
@@ -127,8 +126,6 @@ func TestHistogramModeTransitions(t *testing.T) {
 	histCheck(t, "flat", r, 1)
 	r.SetShardKey(8, 0)
 	histCheck(t, "view", r, 1)
-	r.SetShardKeySplit(8, 0)
-	histCheck(t, "split", r, 1)
 	r.SetShardKeyPhysical(8, 0)
 	histCheck(t, "physical", r, 1)
 	// Per-shard variant: each bucket's histogram recounts that bucket alone,

@@ -1,70 +1,59 @@
 package storage
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
-// This file implements the two physically sharded storage modes behind the
-// SetShardKey partitioning (see shard.go for the row-id view mode of PR 2):
+// This file implements the physically sharded storage layout behind the
+// SetShardKey partitioning. A relation has one of three layouts:
 //
-//   - split dedup (SetShardKeySplit): the arena, indexes, and row ids stay
-//     global, but the duplicate-elimination set is split into one map per
-//     bucket, routed by the shard key. Membership probes — the set
-//     difference against the iteration-frozen Derived that every parallel
-//     worker performs per candidate tuple — touch a bucket-local map.
-//
+//   - flat: one arena, one row table;
+//   - view (SetShardKey, shard.go): flat, plus per-bucket row-id views over
+//     the shared arena — what Derived uses in every sharded configuration;
 //   - physical (SetShardKeyPhysical): every bucket is a fully independent
-//     sub-relation with its own arena slab, dedup set, scratch buffer, hash
-//     indexes, and mutation counter. Two goroutines inserting into
-//     different buckets share no state at all, which is what lets the
-//     merge barrier fold worker delta buffers into DeltaNew as one
-//     concurrent task per bucket instead of one row at a time under a
-//     single writer (the Amdahl bound this refactor removes).
+//     sub-relation with its own arena slab, row table, hash indexes, and
+//     mutation counter. Two goroutines inserting into different buckets
+//     share no state at all, which is what lets the merge barrier fold
+//     worker delta buffers into DeltaNew as one concurrent task per bucket
+//     instead of one row at a time under a single writer.
 //
-// Both modes preserve the relation-level mutation counter exactly: for any
+// Duplicate elimination is the same structure in all three — the row table
+// of rowtable.go, one per arena — and so are the reference counts, the
+// histograms and the indexes, which live wherever the rows do. A membership
+// probe only loads from the table and the arena, so the set difference
+// against the iteration-frozen Derived that every parallel worker performs
+// per candidate tuple needs no per-bucket structure to be race-free; the
+// former split-dedup layout, which existed to give each worker a bucket-local
+// Go map, is gone.
+//
+// Every layout preserves the relation-level mutation counter exactly: for any
 // operation sequence, Mutations() reports the same value the flat layout
-// would have, so the drift totals the plan cache's freshness policy
-// observes are byte-identical across {off, view, split, physical} — the
-// same invariant PR 2 established for the view mode, extended here.
-// Per-bucket counters stay monotone across arbitrary mode transitions.
+// would have, so the drift totals the plan cache's freshness policy observes
+// are byte-identical across {flat, view, physical}. Per-bucket counters stay
+// monotone across arbitrary mode transitions.
 
 // resetContents drops all tuples and index entries without touching any
-// mutation counter — the caller owns the accounting. retain keeps the
-// allocated capacity (in-place map clears, truncated slices) for consumers
-// that immediately refill, e.g. worker delta buffers. A pinned arena (an
-// epoch view references it — physical buckets are pinned individually by
-// PinRows) is detached to a fresh slab instead of truncated in place, so
-// the refill never rewrites rows the view still serves.
+// mutation counter — the caller owns the accounting. The row table and the
+// arena are always emptied in place; retain also keeps the index maps'
+// capacity (in-place map clears) for consumers that immediately refill, e.g.
+// worker delta buffers. A pinned arena (an epoch view references it —
+// physical buckets are pinned individually by PinRows) is detached to a fresh
+// slab instead of truncated in place, so the refill never rewrites rows the
+// view still serves.
 func (r *Relation) resetContents(retain bool) {
 	if !r.detachPinned(0) {
 		r.arena = r.arena[:0]
 	}
+	r.tab.reset()
 	r.histReset()
-	r.countClear(retain)
-	if retain {
-		clear(r.set)
-		clear(r.set64)
-		for s := range r.dedupShards {
-			clear(r.dedupShards[s])
-		}
-		for s := range r.dedup64Shards {
-			clear(r.dedup64Shards[s])
-		}
-		for _, idx := range r.indexes {
-			clear(idx)
-		}
-		for _, ci := range r.composites {
-			clear(ci.m)
-		}
+	r.counts = r.counts[:0]
+	if !retain {
+		r.freshIndexes()
 		return
 	}
-	r.freshDedup(0)
-	for col := range r.indexes {
-		r.indexes[col] = make(map[Value][]int32)
+	for _, idx := range r.indexes {
+		clear(idx)
 	}
 	for _, ci := range r.composites {
-		ci.m = make(map[string][]int32)
+		clear(ci.m)
 	}
 }
 
@@ -85,79 +74,6 @@ func (r *Relation) maxObservableCounter() uint64 {
 		}
 	}
 	return m
-}
-
-// SetShardKeySplit registers the split-dedup partition: the row-id bucket
-// views of SetShardKey plus a per-bucket duplicate-elimination map, so
-// Contains probes (and insert dedup) touch only the tuple's bucket.
-// Idempotent for an identical configuration; shards < 2 removes the
-// partition entirely.
-func (r *Relation) SetShardKeySplit(shards, col int) {
-	if shards < 2 {
-		r.SetShardKey(shards, col)
-		return
-	}
-	if (r.dedupShards != nil || r.dedup64Shards != nil) && r.subs == nil && r.shardCount == shards && r.shardCol == col {
-		return
-	}
-	r.SetShardKey(shards, col) // dissolves other modes, builds the views
-	// Distribute the existing dedup keys. Packed keys hold the tuple
-	// columns at fixed offsets (little-endian bytes, or uint64 halves for
-	// the arity <= 2 fast path), so the shard key column is decodable
-	// without touching the arena.
-	if r.set64 != nil {
-		r.dedup64Shards = make([]map[uint64]struct{}, shards)
-		for s := range r.dedup64Shards {
-			r.dedup64Shards[s] = make(map[uint64]struct{})
-		}
-		for key := range r.set64 {
-			v := Value(uint32(key >> (32 * uint(col))))
-			r.dedup64Shards[ShardOf(v, shards)][key] = struct{}{}
-		}
-		r.set64 = make(map[uint64]struct{})
-		return
-	}
-	r.dedupShards = make([]map[string]struct{}, shards)
-	for s := range r.dedupShards {
-		r.dedupShards[s] = make(map[string]struct{})
-	}
-	for key := range r.set {
-		v := Value(binary.LittleEndian.Uint32([]byte(key)[4*col:]))
-		r.dedupShards[ShardOf(v, shards)][key] = struct{}{}
-	}
-	r.set = make(map[string]struct{})
-}
-
-// unsplitDedup folds the per-bucket dedup maps back into the single set.
-func (r *Relation) unsplitDedup() {
-	if r.dedup64Shards != nil {
-		total := 0
-		for _, m := range r.dedup64Shards {
-			total += len(m)
-		}
-		r.set64 = make(map[uint64]struct{}, total)
-		for _, m := range r.dedup64Shards {
-			for k := range m {
-				r.set64[k] = struct{}{}
-			}
-		}
-		r.dedup64Shards = nil
-		return
-	}
-	if r.dedupShards == nil {
-		return
-	}
-	total := 0
-	for _, m := range r.dedupShards {
-		total += len(m)
-	}
-	r.set = make(map[string]struct{}, total)
-	for _, m := range r.dedupShards {
-		for k := range m {
-			r.set[k] = struct{}{}
-		}
-	}
-	r.dedupShards = nil
 }
 
 // SetShardKeyPhysical converts the relation to the physical mode: shards
@@ -181,7 +97,6 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 	if r.subs != nil {
 		r.dissolvePhys()
 	}
-	r.unsplitDedup()
 	target := r.muts
 
 	subs := make([]*Relation, shards)
@@ -224,22 +139,16 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 	// them from the parent component so the observable total is unchanged
 	// (every arena row was one successful insert in the flat history too).
 	r.muts = target - uint64(rows)
-	r.arena = nil
-	r.freshDedup(0)
-	for c := range r.indexes {
-		r.indexes[c] = make(map[Value][]int32)
-	}
-	for _, ci := range r.composites {
-		ci.m = make(map[string][]int32)
-	}
 	// The flat slab was abandoned wholesale (rows moved into the buckets),
 	// which satisfies any pinned epoch view without a copy.
-	r.pinned = false
+	r.arena, r.pinned = nil, false
+	r.tab = newRowTable()
+	r.freshIndexes()
 	// Histogram counts moved into the bucket sub-relations with the rows;
 	// the parent keeps an empty registration (HistogramOf sums the subs),
 	// and likewise the reference counts moved with them.
 	r.histReset()
-	r.countClear(false)
+	r.counts = nil
 }
 
 // dissolvePhys converts a physical relation back to the flat layout,
@@ -255,16 +164,6 @@ func (r *Relation) dissolvePhys() {
 	r.subs = nil
 	r.shardCount, r.shardCol = 0, 0
 	r.shardRows = nil
-	r.arena = r.arena[:0]
-	r.freshDedup(0)
-	for col := range r.indexes {
-		r.indexes[col] = make(map[Value][]int32)
-	}
-	for _, ci := range r.composites {
-		ci.m = make(map[string][]int32)
-	}
-	r.histReset() // the re-inserts below rebuild the parent counts
-	r.countClear(false)
 	for _, sub := range subs {
 		i := 0
 		sub.Each(func(row []Value) bool {

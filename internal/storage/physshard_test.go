@@ -32,7 +32,7 @@ func sameContent(t *testing.T, step string, a, b *Relation) {
 }
 
 // TestPhysicalShardEquivalence drives an identical randomized operation
-// sequence through a flat, a view-sharded, a split-dedup, and a physically
+// sequence through a flat, a view-sharded, and a physically
 // sharded relation: content, Len, Contains answers, and — the invariant the
 // plan cache's freshness policy rides on — the relation-level mutation
 // counter must agree at every step.
@@ -40,15 +40,13 @@ func TestPhysicalShardEquivalence(t *testing.T) {
 	flat := NewRelation("p", 2)
 	view := NewRelation("p", 2)
 	view.SetShardKey(4, 0)
-	split := NewRelation("p", 2)
-	split.SetShardKeySplit(4, 0)
 	phys := NewRelation("p", 2)
 	phys.SetShardKeyPhysical(4, 0)
-	for _, r := range []*Relation{flat, view, split, phys} {
+	for _, r := range []*Relation{flat, view, phys} {
 		r.BuildIndex(0)
 		r.BuildIndex(1)
 	}
-	all := []*Relation{flat, view, split, phys}
+	all := []*Relation{flat, view, phys}
 
 	rng := rand.New(rand.NewSource(99))
 	check := func(step string) {
@@ -143,7 +141,7 @@ func TestPhysicalShardModeTransitions(t *testing.T) {
 		{"view4", func() { r.SetShardKey(4, 0) }},
 		{"phys4", func() { r.SetShardKeyPhysical(4, 0) }},
 		{"phys8", func() { r.SetShardKeyPhysical(8, 0) }},
-		{"split4", func() { r.SetShardKeySplit(4, 0) }},
+		{"view4b", func() { r.SetShardKey(4, 0) }},
 		{"phys4b", func() { r.SetShardKeyPhysical(4, 0) }},
 		{"view8", func() { r.SetShardKey(8, 0) }},
 		{"off", func() { r.SetShardKey(0, 0) }},

@@ -10,26 +10,29 @@ import (
 // duplicate elimination and optional incremental single-column hash indexes.
 //
 // Rows live in a flat []Value arena so scans are sequential and
-// allocation-light; tuple identity is tracked with byte-packed keys in a Go
-// map. Indexes registered with BuildIndex are maintained incrementally on
-// every insert, which is how Carac builds indexes "as each rule is defined
+// allocation-light. Tuple identity has one structure, whatever the arity,
+// layout or counting mode: the row table (rowtable.go), an open-addressing
+// table of row ids keyed by the rows' own bytes in the arena. Insert,
+// Contains, the counted operations (IncRef/DecRef/Count/RowOf) and the
+// deletion compaction all resolve a tuple through its find; Clear,
+// ClearRetain, TruncateTo, DeleteRows and AssertAt empty or rebuild it in
+// place, so a relation refilled every iteration or every Run allocates
+// nothing for dedup once warm. Lookups only load, which is why concurrent
+// Contains on a relation nobody is mutating is safe in every layout.
+//
+// Indexes registered with BuildIndex are maintained incrementally on every
+// insert, which is how Carac builds indexes "as each rule is defined
 // ... incrementally before execution begins" (paper §IV, Index selection).
 type Relation struct {
 	name  string
 	arity int
 
-	arena []Value // len = count*arity
-	// Dedup set: tuples of arity <= 2 pack losslessly into uint64 keys
-	// (set64 — no per-insert allocation, the hot shape for graph and
-	// points-to workloads), wider tuples into byte-string keys (set).
-	// Exactly one of the two is active.
-	set   map[string]struct{}
-	set64 map[uint64]struct{}
+	arena []Value  // len = count*arity
+	tab   rowTable // row ids of exactly the arena's rows, by row content
 
 	indexes    map[int]map[Value][]int32  // column -> value -> row ids
 	composites map[string]*compositeIndex // column-set key -> index
 	histograms map[int]*Histogram         // column -> value-distribution histogram
-	scratch    []byte                     // reusable key buffer
 	cscratch   []byte                     // composite-key buffer
 
 	// muts counts content-changing operations (successful inserts, Clear,
@@ -45,37 +48,31 @@ type Relation struct {
 
 	// Reference-count state (counts.go): enabled per relation by
 	// EnableCounts, off everywhere else so the hot insert path pays one
-	// branch. counts[i] is row i's assertion count; rowIdx64/rowIdxS map
-	// each row's dedup key to its id (exactly one active, mirroring
-	// set/set64). Counts travel with rows through every layout transition
-	// and compaction.
+	// branch. counts[i] is row i's assertion count, found through the row
+	// table like everything else. Counts travel with rows through every
+	// layout transition and compaction.
 	countsOn bool
 	counts   []uint32
-	rowIdx64 map[uint64]int32
-	rowIdxS  map[string]int32
 
 	// Shard partition state (see shard.go and physshard.go). shardCount == 0
 	// means unpartitioned; otherwise the relation is partitioned into
 	// shardCount buckets by ShardOf(row[shardCol], shardCount) in one of
-	// three modes:
+	// two modes:
 	//
-	//   - view (PR 2): shardRows holds row-id bucket views over the shared
-	//     arena and shardMuts the per-bucket monotone mutation counters;
-	//   - split dedup: view, plus dedupShards routes the duplicate-
-	//     elimination set per bucket so membership probes touch a bucket-
-	//     local map (Derived under physical sharding);
+	//   - view: shardRows holds row-id bucket views over the shared arena
+	//     and shardMuts the per-bucket monotone mutation counters (Derived
+	//     in every sharded configuration — its frozen-iteration membership
+	//     probes go through the one row table, concurrently);
 	//   - physical: subs holds one fully independent sub-relation per bucket
-	//     (its own arena, dedup set, scratch, indexes, and mutation counter),
-	//     so two goroutines can insert into different buckets without
-	//     sharing any state (DeltaNew/DeltaKnown under physical sharding —
-	//     the parallel merge barrier).
-	shardCount    int
-	shardCol      int
-	shardRows     [][]int32
-	shardMuts     []uint64
-	dedupShards   []map[string]struct{}
-	dedup64Shards []map[uint64]struct{}
-	subs          []*Relation
+	//     (its own arena, row table, indexes, and mutation counter), so two
+	//     goroutines can insert into different buckets without sharing any
+	//     state (DeltaNew/DeltaKnown under physical sharding — the parallel
+	//     merge barrier).
+	shardCount int
+	shardCol   int
+	shardRows  [][]int32
+	shardMuts  []uint64
+	subs       []*Relation
 }
 
 // NewRelation creates an empty relation with the given name and arity.
@@ -84,26 +81,7 @@ func NewRelation(name string, arity int) *Relation {
 	if arity < 1 {
 		panic(fmt.Sprintf("storage: relation %q needs arity >= 1, got %d", name, arity))
 	}
-	r := &Relation{
-		name:    name,
-		arity:   arity,
-		scratch: make([]byte, 4*arity),
-	}
-	if arity <= 2 {
-		r.set64 = make(map[uint64]struct{})
-	} else {
-		r.set = make(map[string]struct{})
-	}
-	return r
-}
-
-// key64 packs a 1- or 2-column tuple into its uint64 dedup key.
-func key64(t []Value) uint64 {
-	k := uint64(uint32(t[0]))
-	if len(t) == 2 {
-		k |= uint64(uint32(t[1])) << 32
-	}
-	return k
+	return &Relation{name: name, arity: arity, tab: newRowTable()}
 }
 
 // Name returns the relation's name.
@@ -137,14 +115,6 @@ func (r *Relation) Empty() bool {
 	return len(r.arena) == 0
 }
 
-func (r *Relation) pack(t []Value) []byte {
-	b := r.scratch
-	for i, v := range t {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	return b
-}
-
 // Insert adds tuple t, returning true if it was not already present.
 // It panics if len(t) differs from the relation arity.
 func (r *Relation) Insert(t []Value) bool {
@@ -153,67 +123,32 @@ func (r *Relation) Insert(t []Value) bool {
 	}
 	if r.subs != nil {
 		// Physical mode: the bucket sub-relation owns the row outright (its
-		// own arena, dedup set, and counter — Mutations sums them back up).
+		// own arena, row table, and counter — Mutations sums them back up).
 		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].Insert(t)
 	}
-	if r.set64 != nil || r.dedup64Shards != nil {
-		k := key64(t)
-		set := r.set64
-		if r.dedup64Shards != nil {
-			set = r.dedup64Shards[ShardOf(t[r.shardCol], r.shardCount)]
-		}
-		if _, dup := set[k]; dup {
-			return false
-		}
-		set[k] = struct{}{}
-	} else {
-		key := r.pack(t)
-		set := r.set
-		if r.dedupShards != nil {
-			set = r.dedupShards[ShardOf(t[r.shardCol], r.shardCount)]
-		}
-		if _, dup := set[string(key)]; dup {
-			return false
-		}
-		set[string(key)] = struct{}{}
+	h := hashRow(t)
+	found, slot := r.tab.find(r.arena, t, h)
+	if found >= 0 {
+		return false
 	}
 	r.muts++
 	row := int32(r.Len())
 	r.arena = append(r.arena, t...)
+	r.tab.add(r.arena, r.arity, slot, row, h)
 	if r.countsOn {
 		r.counts = append(r.counts, 1)
-		r.countRecord(t, row)
 	}
 	if r.shardCount > 0 {
 		r.shardInsert(t, row)
 	}
-	if r.histograms != nil {
-		r.histInsert(t)
-	}
-	for col, idx := range r.indexes {
-		v := t[col]
-		idx[v] = append(idx[v], row)
-	}
-	if r.composites != nil {
-		t = r.Row(row) // arena-backed view (t may be caller-owned)
-		for _, ci := range r.composites {
-			if cap(r.cscratch) < 4*len(ci.cols) {
-				r.cscratch = make([]byte, 4*len(ci.cols))
-			}
-			b := r.cscratch[:4*len(ci.cols)]
-			for i, c := range ci.cols {
-				binary.LittleEndian.PutUint32(b[4*i:], uint32(t[c]))
-			}
-			ci.m[string(b)] = append(ci.m[string(b)], row)
-		}
-	}
+	r.indexRow(t, row)
 	return true
 }
 
-// Contains reports whether tuple t is present. Unlike the mutation paths it
-// packs into a local buffer, not the shared scratch, so concurrent Contains
-// calls on an otherwise-unmutated relation are safe — the parallel rule
-// executor's workers probe frozen Derived relations concurrently.
+// Contains reports whether tuple t is present. The lookup reads the row
+// table and the arena and writes nothing, so concurrent Contains calls on an
+// otherwise-unmutated relation are safe — the parallel rule executor's
+// workers probe frozen Derived relations concurrently.
 func (r *Relation) Contains(t []Value) bool {
 	if len(t) != r.arity {
 		return false
@@ -221,33 +156,8 @@ func (r *Relation) Contains(t []Value) bool {
 	if r.subs != nil {
 		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].Contains(t)
 	}
-	if r.set64 != nil || r.dedup64Shards != nil {
-		set := r.set64
-		if r.dedup64Shards != nil {
-			// Split-dedup mode: membership probes touch only the tuple's
-			// bucket map — the bucket-local set difference the parallel
-			// workers' frozen-Derived probes ride on.
-			set = r.dedup64Shards[ShardOf(t[r.shardCol], r.shardCount)]
-		}
-		_, ok := set[key64(t)]
-		return ok
-	}
-	var stack [64]byte
-	var b []byte
-	if n := 4 * len(t); n <= len(stack) {
-		b = stack[:n]
-	} else {
-		b = make([]byte, n)
-	}
-	for i, v := range t {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	set := r.set
-	if r.dedupShards != nil {
-		set = r.dedupShards[ShardOf(t[r.shardCol], r.shardCount)]
-	}
-	_, ok := set[string(b)]
-	return ok
+	row, _ := r.tab.find(r.arena, t, hashRow(t))
+	return row >= 0
 }
 
 // Row returns a view of row i (valid until the next Insert reallocates the
@@ -374,8 +284,20 @@ func (r *Relation) Mutations() uint64 {
 	return r.muts
 }
 
-// Clear removes all tuples but keeps index and shard registrations.
-func (r *Relation) Clear() {
+// Clear removes all tuples but keeps index and shard registrations. The arena
+// and the row table are emptied in place; the index maps are replaced (for
+// large indexes faster than deleting every key, and it returns their memory
+// to the allocator between iterations).
+func (r *Relation) Clear() { r.clear(false) }
+
+// ClearRetain removes all tuples like Clear but also keeps the index maps'
+// capacity: they are emptied in place (runtime map clear), not replaced.
+// Steady-state consumers that refill a relation every iteration — the
+// parallel executor's worker delta buffers — stop paying an allocation per
+// iteration.
+func (r *Relation) ClearRetain() { r.clear(true) }
+
+func (r *Relation) clear(retain bool) {
 	if r.subs != nil {
 		// One logical content change, regardless of how many buckets held
 		// rows — mirrors the unsharded counter exactly (per-bucket counters
@@ -386,7 +308,7 @@ func (r *Relation) Clear() {
 				cleared = true
 				r.shardMuts[s]++
 			}
-			sub.resetContents(false)
+			sub.resetContents(retain)
 		}
 		if cleared {
 			r.muts++
@@ -399,92 +321,20 @@ func (r *Relation) Clear() {
 	if r.shardCount > 0 {
 		r.shardClear()
 	}
-	if !r.detachPinned(0) {
-		r.arena = r.arena[:0]
-	}
-	// Replacing the maps is faster than deleting every key for large sets
-	// and returns memory to the allocator between iterations.
-	r.freshDedup(0)
+	r.resetContents(retain)
+}
+
+// freshIndexes replaces every hash and composite index with an empty one.
+func (r *Relation) freshIndexes() {
 	for col := range r.indexes {
 		r.indexes[col] = make(map[Value][]int32)
 	}
 	for _, ci := range r.composites {
 		ci.m = make(map[string][]int32)
 	}
-	r.histReset()
-	r.countClear(false)
 }
 
-// freshDedup replaces the active dedup structure with an empty one
-// (returning memory to the allocator; resetContents clears in place).
-func (r *Relation) freshDedup(sizeHint int) {
-	switch {
-	case r.dedup64Shards != nil:
-		for s := range r.dedup64Shards {
-			r.dedup64Shards[s] = make(map[uint64]struct{})
-		}
-	case r.dedupShards != nil:
-		for s := range r.dedupShards {
-			r.dedupShards[s] = make(map[string]struct{})
-		}
-	case r.set64 != nil:
-		r.set64 = make(map[uint64]struct{}, sizeHint)
-	default:
-		r.set = make(map[string]struct{}, sizeHint)
-	}
-}
-
-// dedupAdd records t in the active dedup structure without a duplicate
-// check (rebuild paths whose source is already duplicate-free).
-func (r *Relation) dedupAdd(t []Value) {
-	if r.set64 != nil || r.dedup64Shards != nil {
-		k := key64(t)
-		if r.dedup64Shards != nil {
-			r.dedup64Shards[ShardOf(t[r.shardCol], r.shardCount)][k] = struct{}{}
-		} else {
-			r.set64[k] = struct{}{}
-		}
-		return
-	}
-	key := r.pack(t)
-	if r.dedupShards != nil {
-		r.dedupShards[ShardOf(t[r.shardCol], r.shardCount)][string(key)] = struct{}{}
-	} else {
-		r.set[string(key)] = struct{}{}
-	}
-}
-
-// ClearRetain removes all tuples like Clear but keeps the allocated
-// capacity: dedup and index maps are emptied in place (runtime map clear)
-// and the arena is truncated, not released. Steady-state consumers that
-// refill a relation every iteration — the parallel executor's worker delta
-// buffers — stop paying an allocation per iteration.
-func (r *Relation) ClearRetain() {
-	if r.subs != nil {
-		cleared := false
-		for s, sub := range r.subs {
-			if len(sub.arena) > 0 {
-				cleared = true
-				r.shardMuts[s]++
-			}
-			sub.resetContents(true)
-		}
-		if cleared {
-			r.muts++
-		}
-		return
-	}
-	if len(r.arena) > 0 {
-		r.muts++
-	}
-	if r.shardCount > 0 {
-		r.shardClear()
-	}
-	r.detachPinned(0) // retain-capacity contract yields to a pinned epoch view
-	r.resetContents(true)
-}
-
-// TruncateTo discards all but the first n tuples, rebuilding the dedup set
+// TruncateTo discards all but the first n tuples, rebuilding the row table
 // and indexes. It supports resetting a relation to its ground-fact baseline
 // between repeated runs (ground facts are always inserted before any
 // derivation, so they occupy the arena prefix).
@@ -506,50 +356,47 @@ func (r *Relation) TruncateTo(n int) {
 	if r.shardCount > 0 {
 		r.shardRebuild()
 	}
-	r.freshDedup(n)
-	for col := range r.indexes {
-		r.indexes[col] = make(map[Value][]int32)
-	}
-	for _, ci := range r.composites {
-		ci.m = make(map[string][]int32)
-	}
-	r.histReset()
 	if r.countsOn {
 		r.counts = r.counts[:n]
-		r.countIdxReset()
 	}
 	r.reindexRows()
 }
 
-// reindexRows rebuilds every derived per-row structure — dedup set, registered
-// histograms, hash and composite indexes, and (when counting is enabled) the
-// row-id map — from the current arena, which the caller has just emptied or
-// replaced with fresh containers. Shared by the prefix rewind (TruncateTo) and
-// the batch deletion compaction (DeleteRows); counts themselves are positional
+// reindexRows rebuilds every derived per-row structure — row table,
+// registered histograms, hash and composite indexes — from the current arena.
+// Shared by the prefix rewind (TruncateTo), the batch deletion compaction
+// (DeleteRows) and the ground-prefix splice (AssertAt); counts are positional
 // and compacted by the caller alongside the arena.
 func (r *Relation) reindexRows() {
+	r.tab.reset()
+	r.tab.fill(r.arena, r.arity)
+	r.freshIndexes()
+	r.histReset()
 	n := int32(r.Len())
 	for row := int32(0); row < n; row++ {
-		t := r.Row(row)
-		r.dedupAdd(t)
+		r.indexRow(r.Row(row), row)
+	}
+}
+
+// indexRow enters arena row `row`, whose content is t, into the registered
+// histograms and hash and composite indexes.
+func (r *Relation) indexRow(t []Value, row int32) {
+	if r.histograms != nil {
 		r.histInsert(t)
-		if r.countsOn {
-			r.countRecord(t, row)
+	}
+	for col, idx := range r.indexes {
+		v := t[col]
+		idx[v] = append(idx[v], row)
+	}
+	for _, ci := range r.composites {
+		if cap(r.cscratch) < 4*len(ci.cols) {
+			r.cscratch = make([]byte, 4*len(ci.cols))
 		}
-		for col, idx := range r.indexes {
-			v := t[col]
-			idx[v] = append(idx[v], row)
+		b := r.cscratch[:4*len(ci.cols)]
+		for i, c := range ci.cols {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(t[c]))
 		}
-		for _, ci := range r.composites {
-			if cap(r.cscratch) < 4*len(ci.cols) {
-				r.cscratch = make([]byte, 4*len(ci.cols))
-			}
-			b := r.cscratch[:4*len(ci.cols)]
-			for i, c := range ci.cols {
-				binary.LittleEndian.PutUint32(b[4*i:], uint32(t[c]))
-			}
-			ci.m[string(b)] = append(ci.m[string(b)], row)
-		}
+		ci.m[string(b)] = append(ci.m[string(b)], row)
 	}
 }
 

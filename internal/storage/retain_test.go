@@ -6,19 +6,15 @@ import (
 	"testing"
 )
 
-// TestPackedDedupBoundaryValues pins the uint64-packed dedup fast path
-// (arity <= 2 tuples key as one uint64, no per-insert allocation) at the
-// domain boundaries of storage.Value: negative values, MinInt32, MaxInt32,
-// and zero must pack losslessly — duplicate detection, membership, and
-// cross-pair distinctness all exact.
-func TestPackedDedupBoundaryValues(t *testing.T) {
+// TestDedupBoundaryValues pins duplicate elimination for the arity <= 2 hot
+// shape (hashed as one packed uint64) at the domain boundaries of
+// storage.Value: negative values, MinInt32, MaxInt32, and zero — duplicate
+// detection, membership, and cross-pair distinctness all exact.
+func TestDedupBoundaryValues(t *testing.T) {
 	boundary := []Value{0, -1, 1, math.MinInt32, math.MaxInt32, math.MinInt32 + 1, math.MaxInt32 - 1}
 
 	t.Run("arity1", func(t *testing.T) {
 		r := NewRelation("b1", 1)
-		if r.set64 == nil || r.set != nil {
-			t.Fatal("arity 1 must use the packed uint64 dedup set")
-		}
 		for _, v := range boundary {
 			if !r.Insert([]Value{v}) {
 				t.Fatalf("first insert of %d rejected as duplicate", v)
@@ -37,9 +33,6 @@ func TestPackedDedupBoundaryValues(t *testing.T) {
 
 	t.Run("arity2", func(t *testing.T) {
 		r := NewRelation("b2", 2)
-		if r.set64 == nil {
-			t.Fatal("arity 2 must use the packed uint64 dedup set")
-		}
 		seen := 0
 		for _, a := range boundary {
 			for _, b := range boundary {
@@ -65,19 +58,13 @@ func TestPackedDedupBoundaryValues(t *testing.T) {
 	})
 }
 
-// TestDedupArityTransition pins the representation switch at arity 3: the
-// packed path serves arities 1 and 2 only, wider tuples fall back to
-// byte-string keys — with the same exactness at value boundaries.
+// TestDedupArityTransition pins the hash's switch at arity 3 (one multiply
+// for a packed pair below it, one per column from it on): the same exactness
+// at value boundaries on both sides, including tuples that differ in one
+// column only.
 func TestDedupArityTransition(t *testing.T) {
-	for arity := 1; arity <= 4; arity++ {
+	for arity := 1; arity <= 5; arity++ {
 		r := NewRelation(fmt.Sprintf("a%d", arity), arity)
-		packed := r.set64 != nil
-		if want := arity <= 2; packed != want {
-			t.Fatalf("arity %d: packed dedup = %v, want %v", arity, packed, want)
-		}
-		if packed == (r.set != nil) {
-			t.Fatalf("arity %d: exactly one dedup structure must be active", arity)
-		}
 		tuple := make([]Value, arity)
 		for i := range tuple {
 			tuple[i] = Value(math.MinInt32 + i)
@@ -91,6 +78,22 @@ func TestDedupArityTransition(t *testing.T) {
 		}
 		if r.Len() != 2 {
 			t.Fatalf("arity %d: Len = %d, want 2", arity, r.Len())
+		}
+		// One-column differences, each column in turn.
+		base := make([]Value, arity)
+		r.Insert(base)
+		for c := 0; c < arity; c++ {
+			tuple := make([]Value, arity)
+			tuple[c] = 1
+			if r.Contains(tuple) {
+				t.Fatalf("arity %d: phantom membership of %v", arity, tuple)
+			}
+			if !r.Insert(tuple) || !r.Contains(tuple) || r.Insert(tuple) {
+				t.Fatalf("arity %d: dedup wrong for %v", arity, tuple)
+			}
+		}
+		if r.Len() != 3+arity {
+			t.Fatalf("arity %d: Len = %d, want %d", arity, r.Len(), 3+arity)
 		}
 	}
 }

@@ -1,0 +1,160 @@
+package storage
+
+import "math/bits"
+
+// rowTable is the one duplicate-elimination and row-id structure of a
+// Relation: an open-addressing hash table whose slots hold a 1-byte hash tag
+// and a 4-byte row id — and no key. A slot's key is the row it names, read
+// from the relation's arena, so the table serves any arity at 5 bytes a slot,
+// wide tuples allocate no key on insert, and a counted relation's row-id map
+// is this same table (find returns the row id).
+//
+// Collisions resolve by linear probing over the tag bytes; the table holds
+// exactly the rows of the arena (no tombstones — compactions rebuild it), is
+// kept at most 5/8 full, and grows by doubling and re-entering the arena's
+// rows in order. reset empties it in place, which is what lets a relation
+// that is refilled every iteration (the semi-naive deltas) or every Run
+// (Derived past its ground-fact baseline) stop allocating: capacity is given
+// back only when a fill used less than an eighth of it, one halving per
+// reset.
+//
+// find performs only loads, so any number of goroutines may probe a relation
+// no one is mutating — the parallel executor's workers probing the
+// iteration-frozen Derived.
+type rowTable struct {
+	tags  []uint8 // 0 = empty slot, otherwise tagOf(hash of the slot's row)
+	rows  []int32 // row id per occupied slot
+	shift uint8   // 64 - log2(len(tags)): a slot index is the hash's high bits
+	used  int     // occupied slots == rows in the arena
+}
+
+const (
+	hashMul      = 0x9E3779B97F4A7C15 // 2^64 / golden ratio, odd
+	minTableSize = 8
+)
+
+// noTags backs every table without slots of its own (newRowTable), so find
+// needs no nil check. A one-slot table is over the load limit before its
+// first add, which keeps the shared slot empty.
+var noTags [1]uint8
+
+func newRowTable() rowTable { return rowTable{tags: noTags[:]} }
+
+// hashRow hashes a tuple with one multiply per 64 bits of it (arity <= 2,
+// the hot shape) or per column (wider). Slot indexes come from the high bits,
+// which depend on every input bit.
+func hashRow(t []Value) uint64 {
+	if len(t) <= 2 {
+		k := uint64(uint32(t[0]))
+		if len(t) == 2 {
+			k |= uint64(uint32(t[1])) << 32
+		}
+		return k * hashMul
+	}
+	var h uint64
+	for _, v := range t {
+		h = (h ^ uint64(uint32(v))) * hashMul
+	}
+	return h
+}
+
+// tagOf is the slot tag of hash h: seven bits the slot index does not use
+// (for tables below 2^25 slots), with the top bit marking the slot occupied.
+func tagOf(h uint64) uint8 { return uint8(h>>32) | 0x80 }
+
+func sameRow(a, t []Value) bool {
+	if len(t) == 2 {
+		return a[0] == t[0] && a[1] == t[1]
+	}
+	for i, v := range t {
+		if a[i] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// find looks tuple t (hash h) up among arena's rows. It returns t's row id,
+// or -1 and the empty slot that ends t's probe sequence.
+func (tb *rowTable) find(arena []Value, t []Value, h uint64) (row int32, slot int) {
+	tags := tb.tags
+	mask := len(tags) - 1
+	tag := tagOf(h)
+	for i := int(h>>(tb.shift&63)) & mask; ; i = (i + 1) & mask {
+		c := tags[i]
+		if c == 0 {
+			return -1, i
+		}
+		if c == tag {
+			row := tb.rows[i]
+			off := int(row) * len(t)
+			if sameRow(arena[off:off+len(t)], t) {
+				return tb.rows[i], i
+			}
+		}
+	}
+}
+
+// add enters row (hash h), which the arena already holds, at slot — the
+// empty slot find returned for it — growing the table first when it is full.
+func (tb *rowTable) add(arena []Value, arity int, slot int, row int32, h uint64) {
+	if (tb.used+1)*8 > len(tb.tags)*5 {
+		// The arena already ends with the new row, so the refill enters it.
+		tb.alloc(max(2*len(tb.tags), minTableSize))
+		tb.fill(arena, arity)
+		return
+	}
+	tb.tags[slot] = tagOf(h)
+	tb.rows[slot] = row
+	tb.used++
+}
+
+func (tb *rowTable) alloc(slots int) {
+	tb.tags = make([]uint8, slots)
+	tb.rows = make([]int32, slots)
+	tb.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
+	tb.used = 0
+}
+
+// fill enters every row of arena into the empty table in arena order,
+// allocating once if they would not fit under the load limit.
+func (tb *rowTable) fill(arena []Value, arity int) {
+	n := len(arena) / arity
+	slots := max(len(tb.tags), minTableSize)
+	for n*8 > slots*5 {
+		slots *= 2
+	}
+	if slots != len(tb.tags) {
+		if n == 0 {
+			return
+		}
+		tb.alloc(slots)
+	}
+	tags, rows, mask := tb.tags, tb.rows, slots-1
+	for row, off := 0, 0; row < n; row, off = row+1, off+arity {
+		h := hashRow(arena[off : off+arity])
+		i := int(h>>(tb.shift&63)) & mask
+		for tags[i] != 0 {
+			i = (i + 1) & mask
+		}
+		tags[i] = tagOf(h)
+		rows[i] = int32(row)
+	}
+	tb.used = n
+}
+
+// reset empties the table in place. A table whose last fill used under an
+// eighth of its slots is halved first (released entirely at the minimum
+// size), so one large iteration does not pin its capacity for the rest of a
+// run while a steady refill never reallocates.
+func (tb *rowTable) reset() {
+	switch {
+	case tb.used*8 >= len(tb.tags):
+		clear(tb.tags)
+		tb.used = 0
+	case len(tb.tags) > minTableSize:
+		tb.alloc(len(tb.tags) / 2)
+	default:
+		*tb = newRowTable()
+	}
+}

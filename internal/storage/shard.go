@@ -39,14 +39,13 @@ func ShardOf(v Value, shards int) int {
 // keeps per-bucket observations monotone across arbitrary off/on cycles).
 // shards < 2 removes the partition.
 //
-// SetShardKey always selects the view mode: a physical or split-dedup
-// relation (see physshard.go) is dissolved back to the flat layout first,
-// preserving content and the observable mutation total.
+// SetShardKey always selects the view mode: a physical relation (see
+// physshard.go) is dissolved back to the flat layout first, preserving
+// content and the observable mutation total.
 func (r *Relation) SetShardKey(shards, col int) {
 	if r.subs != nil {
 		r.dissolvePhys()
 	}
-	r.unsplitDedup()
 	if shards < 2 {
 		r.shardCount, r.shardRows = 0, nil
 		return
