@@ -709,6 +709,91 @@ func BenchmarkInsertClearCycle(b *testing.B) {
 	})
 }
 
+// benchIndexLayer runs body once per layout over an arity-2 relation indexed
+// on both columns, pre-filled with layerRows rows of perKey rows per column-0
+// key when perKey > 0. row writes the i-th row into t.
+func benchIndexLayer(b *testing.B, perKey int, body func(b *testing.B, rel *storage.Relation, t []storage.Value, row func(i int))) {
+	for _, lay := range storageLayouts {
+		b.Run(lay.name, func(b *testing.B) {
+			rel := storage.NewRelation("bench", 2)
+			rel.BuildIndex(0)
+			rel.BuildIndex(1)
+			lay.set(rel)
+			keys := layerRows / max(perKey, 1)
+			t := make([]storage.Value, 2)
+			row := func(i int) { t[0], t[1] = storage.Value(i%keys), storage.Value(i) }
+			if perKey > 0 {
+				for i := 0; i < layerRows; i++ {
+					row(i)
+					rel.Insert(t)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			body(b, rel, t, row)
+		})
+	}
+}
+
+// BenchmarkIndexedInsert: one insert of a new row into a relation with two
+// indexes — what every derivation pays twice, in δ′ and again in Derived.
+func BenchmarkIndexedInsert(b *testing.B) {
+	benchIndexLayer(b, 0, func(b *testing.B, rel *storage.Relation, t []storage.Value, row func(int)) {
+		for i := 0; i < b.N; i++ {
+			t[0], t[1] = storage.Value(i%1009), storage.Value(i)
+			rel.Insert(t)
+		}
+	})
+}
+
+// BenchmarkProbeHit: one index probe visiting every row of its key — about
+// one row per key, a CSPA-like hundred and a TC-like six hundred. The long
+// chain is the one to watch: a chain walk is a dependent load per row where a
+// posting list was sequential. ns/row is the per-visited-row cost.
+func BenchmarkProbeHit(b *testing.B) {
+	for _, perKey := range []int{1, 100, 600} {
+		b.Run(fmt.Sprintf("PerKey%d", perKey), func(b *testing.B) {
+			benchIndexLayer(b, perKey, func(b *testing.B, rel *storage.Relation, _ []storage.Value, _ func(int)) {
+				keys, visited := layerRows/perKey, 0
+				for i := 0; i < b.N; i++ {
+					rel.EachProbe(0, storage.Value(i%keys), func([]storage.Value) bool { visited++; return true })
+				}
+				if visited != b.N*perKey {
+					b.Fatalf("visited %d rows, want %d", visited, b.N*perKey)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/row")
+			})
+		})
+	}
+}
+
+// BenchmarkProbeMiss: one index probe of an absent key.
+func BenchmarkProbeMiss(b *testing.B) {
+	benchIndexLayer(b, 100, func(b *testing.B, rel *storage.Relation, _ []storage.Value, _ func(int)) {
+		for i := 0; i < b.N; i++ {
+			rel.EachProbe(0, storage.Value(layerRows+i%layerRows), func([]storage.Value) bool {
+				b.Fatal("phantom row")
+				return false
+			})
+		}
+	})
+}
+
+// BenchmarkIndexedInsertClearCycle: BenchmarkInsertClearCycle with the two
+// indexes a delta relation of a join rule carries. Allocated bytes per cycle
+// are the point.
+func BenchmarkIndexedInsertClearCycle(b *testing.B) {
+	benchIndexLayer(b, 0, func(b *testing.B, rel *storage.Relation, t []storage.Value, _ func(int)) {
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < layerRows; j++ {
+				t[0], t[1] = storage.Value(j%1009), storage.Value(j)
+				rel.Insert(t)
+			}
+			rel.Clear()
+		}
+	})
+}
+
 // BenchmarkServeThroughput measures concurrent query serving: one warm run
 // populates the program-lifetime plan store, then 4 snapshot-isolated
 // sessions issue fixpoint queries concurrently through the server's shared

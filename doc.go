@@ -95,7 +95,7 @@
 //   - internal/storage gains a physically sharded backing store
 //     (storage.Relation.SetShardKeyPhysical, behind the same SetShardKey
 //     partitioning): each delta bucket is an independent sub-relation with
-//     its own arena slab, row table, and hash indexes, so concurrent
+//     its own arena slab, row table, and indexes, so concurrent
 //     inserts into distinct buckets share no state (Relation.ShardInsert),
 //     while Derived keeps one arena under row-id bucket views. That makes
 //     three layouts — flat, view, physical — over one duplicate-elimination
@@ -107,11 +107,29 @@
 //     per-iteration delta refill and the per-Run baseline rewind allocate
 //     nothing for dedup once warm; and a lookup only loads, which is why the
 //     workers' set-difference probes against the iteration-frozen Derived
-//     are race-free without any per-bucket copy. Mutation counters are
-//     accounted so drift totals are byte-identical to the flat layout for
-//     any operation sequence — mode transitions preserve the totals exactly
-//     (the shard-drift regression test pins all three layouts to one
-//     number).
+//     are race-free without any per-bucket copy. Join indexes are one
+//     structure in the same spirit (storage/chainindex.go), whether over one
+//     column or a column set: an open-addressing table with one keyless
+//     8-byte slot per distinct key — the first and last row of the key's
+//     chain, the key itself read from the first row in the arena — and one
+//     int32 array parallel to the arena linking each row to the next row
+//     with its key, in insertion order. Indexing a row is two stores with no
+//     allocation per key and no key built for a column set; a probe returns
+//     the chain (storage.Chain: first row plus the link array) and performs
+//     only loads, so frozen relations are probed concurrently like they are
+//     tested for membership; chains run in insertion order, so derivation
+//     order is what posting lists gave. The capacity rule has no option:
+//     ClearRetain, TruncateTo, the deletion compactions and SwapClear on a
+//     predicate that is still producing facts empty the index in place and
+//     keep its memory for the refill that follows, while Clear — which is
+//     what both deltas of a predicate get from SwapClear once an iteration
+//     derived nothing for it, and at the start of every Run — gives it back,
+//     because two deltas per predicate holding their peak iteration's links
+//     between Runs was measured as a 17 % larger live heap on CSPA for no
+//     reader. Mutation counters are accounted so drift totals are
+//     byte-identical to the flat layout for any operation sequence — mode
+//     transitions preserve the totals exactly (the shard-drift regression
+//     test pins all three layouts to one number).
 //
 //   - internal/interp rewrites the merge barrier: when sinks carry the
 //     physical store, the fold fans out as one task per (predicate, bucket)
@@ -271,15 +289,14 @@
 //     (the same PinRows/copy-on-flip machinery as ground facts; physical
 //     catalogs pin per-bucket arenas zero-copy), together with a
 //     post-fixpoint statistics snapshot stamped with the epoch generation.
-//     The result is also memoized in the plan store's memo class under the
-//     query's structural fingerprint qualified by the epoch generation
-//     (plancache.KeyAt), and Server.Stats counts MemoHits,
+//     The epoch is the fixpoint's only owner (Epoch.mat) — a superseded
+//     epoch's rows are collectable once its sessions close and the next
+//     epoch's warm start has let go of them. Server.Stats counts MemoHits,
 //     MaterializedEpochs, WarmStarts, and Derivations.
 //
 //   - When invalidation happens: at the epoch flip, structurally. Ingest
-//     alone changes nothing visible; Publish advances the generation, so the
-//     next epoch's first query misses the memo (its key embeds the new
-//     generation) and recomputes. Sessions pinned to an older epoch keep
+//     alone changes nothing visible; Publish installs a new Epoch, which has
+//     no fixpoint yet, so its first query recomputes. Sessions pinned to an older epoch keep
 //     answering from that epoch's materialization forever — snapshot
 //     isolation extends to derived state. Sessions opened on an already
 //     materialized epoch are seeded with the pinned fixpoint directly and
@@ -338,9 +355,9 @@
 //     Program is flat and pointer-free by construction). Lambda and quotes
 //     closures and span-parameterized shard task units cannot leave the
 //     process; they persist as recompile hints (entry recorded, artifact
-//     absent) and count as disk misses on load. The memo class is never
-//     persisted — memoized results are epoch-qualified and epochs die with
-//     the server.
+//     absent) and count as disk misses on load. Materialized fixpoints are
+//     never persisted — they belong to epochs, and epochs die with the
+//     server.
 //
 //   - Invalidation rules: any envelope mismatch — magic, format version,
 //     engine/codec tag, CRC, or a mid-entry decode error — makes the file a
@@ -402,8 +419,8 @@
 //     window marks the next published epoch, which refuses the
 //     materialization warm start and derives cold — warm seeding can only
 //     add. Pinned epochs keep serving their snapshot verbatim across the
-//     deletion compaction, and the post-delete Publish flips the memo
-//     generation so no session answers from a stale fixpoint.
+//     deletion compaction, and the post-delete Publish installs a fresh
+//     epoch, so no session answers from a stale fixpoint.
 //     ServeStats{IngestBatches, IngestedRows, RowsRetracted, IngestLatency}
 //     count the ingest side.
 //

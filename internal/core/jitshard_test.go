@@ -328,3 +328,25 @@ func FuzzJITShardRouting(f *testing.F) {
 		}
 	})
 }
+
+// TestJITReordersCounted: every backend that reorders a clone before
+// compiling it — not only irgen's in-place regeneration — reports the
+// subqueries whose order it changed. The adversarial CSPA formulation is
+// repaired by exactly those reorders, so the counter cannot read zero there.
+func TestJITReordersCounted(t *testing.T) {
+	for name, opts := range map[string]core.Options{
+		"lambda":   {Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}},
+		"bytecode": {Indexed: true, JIT: jit.Config{Backend: jit.BackendBytecode, Granularity: jit.GranUnionAll}},
+		"quotes":   {Indexed: true, JIT: jit.Config{Backend: jit.BackendQuotes, Granularity: jit.GranUnionAll}},
+		"shard":    {Indexed: true, Shards: 4, Workers: 4, JIT: lambdaSPJ},
+	} {
+		built := analysis.CSPA(analysis.Unoptimized, datagen.CSPAGraph(80, 42))
+		res, err := built.P.Run(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.JIT.Compilations == 0 || res.JIT.Reorders == 0 {
+			t.Errorf("%s: %d compilations reordered %d subqueries of the adversarial order", name, res.JIT.Compilations, res.JIT.Reorders)
+		}
+	}
+}

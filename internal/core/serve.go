@@ -207,17 +207,15 @@ type Server struct {
 	mu    sync.Mutex
 	epoch atomic.Pointer[Epoch]
 
-	// Materialized-epoch serving state (Options.Materialize). memoKey is the
-	// structural fingerprint of the lowered query program; per-epoch memo
-	// entries live in the shared plan store's memo class under
-	// plancache.KeyAt(memoKey, epoch generation), so Ingest/Publish
-	// invalidates by key flip rather than eviction. warmOK gates the
-	// warm-start path on program monotonicity.
-	memoKey  plancache.Key
-	memo     *plancache.Cache[*epochMat]
+	// Materialized-epoch serving state (Options.Materialize). An epoch's
+	// fixpoint has one owner, Epoch.mat: a superseded epoch's rows go when
+	// its last session and the next epoch's prevMat let go of it, and
+	// Publish invalidates by installing a new Epoch. flights holds the
+	// single-flight derivation of each epoch that has one running. warmOK
+	// gates the warm-start path on program monotonicity.
 	warmOK   bool
 	flightMu sync.Mutex
-	flights  map[plancache.Key]*matFlight
+	flights  map[*Epoch]*matFlight
 
 	memoHits    atomic.Int64
 	matEpochs   atomic.Int64
@@ -280,7 +278,7 @@ func (p *Program) Serve(opts Options) (*Server, error) {
 	if opts.Histograms {
 		opts.JIT.Optimizer.UseHistograms = true
 	}
-	prog, root, err := p.lowered(opts) // validate lowering before accepting sessions
+	prog, _, err := p.lowered(opts) // validate lowering before accepting sessions
 	if err != nil {
 		return nil, err
 	}
@@ -320,10 +318,8 @@ func (p *Program) Serve(opts Options) (*Server, error) {
 		pool: newWorkerPool(effectiveWorkers(opts)),
 	}
 	if opts.Materialize {
-		s.memoKey = plancache.KeyForOp(root)
-		s.memo = plancache.View[*epochMat](p.sharedStore(opts), plancache.ViewConfig{Class: plancache.ClassMemos})
 		s.warmOK = monotoneProgram(prog) && !opts.Naive
-		s.flights = make(map[plancache.Key]*matFlight)
+		s.flights = make(map[*Epoch]*matFlight)
 	}
 	s.publishLocked()
 	return s, nil
@@ -628,9 +624,8 @@ func (sess *Session) rewind() {
 
 // queryMaterialized answers a query on a materialize-enabled server. In
 // order of preference: the session already holds the fixpoint (lookup); the
-// epoch or the shared memo has it (adopt + lookup); a neighbor is deriving
-// it right now (wait + adopt); nobody is (derive as the single-flight
-// winner, pin, publish).
+// epoch has it (adopt + lookup); a neighbor is deriving it right now (wait +
+// adopt); nobody is (derive as the single-flight winner, pin, publish).
 func (sess *Session) queryMaterialized() (*Result, error) {
 	t0 := time.Now()
 	srv, e := sess.srv, sess.epoch
@@ -638,20 +633,18 @@ func (sess *Session) queryMaterialized() (*Result, error) {
 		srv.memoHits.Add(1)
 		return &Result{Duration: time.Since(t0), TotalFacts: sess.mat.total}, nil
 	}
-	key := plancache.KeyAt(srv.memoKey, e.gen)
-	if m := e.mat.Load(); m != nil {
-		srv.memoHits.Add(1)
-		sess.adoptMat(m)
-		return &Result{Duration: time.Since(t0), TotalFacts: m.total}, nil
-	}
-	if m, ok, _ := srv.memo.Lookup(key, nil, nil); ok && m != nil {
-		srv.memoHits.Add(1)
-		sess.adoptMat(m)
-		return &Result{Duration: time.Since(t0), TotalFacts: m.total}, nil
-	}
 	for {
 		srv.flightMu.Lock()
-		if f, ok := srv.flights[key]; ok {
+		// Under the flight lock: a leader publishes e.mat before it retires
+		// its flight, so an epoch without a flight either has its fixpoint
+		// or nobody deriving it.
+		if m := e.mat.Load(); m != nil {
+			srv.flightMu.Unlock()
+			srv.memoHits.Add(1)
+			sess.adoptMat(m)
+			return &Result{Duration: time.Since(t0), TotalFacts: m.total}, nil
+		}
+		if f, ok := srv.flights[e]; ok {
 			// A neighbor session is deriving this epoch's fixpoint; wait for
 			// it rather than duplicating the work.
 			srv.flightMu.Unlock()
@@ -664,12 +657,11 @@ func (sess *Session) queryMaterialized() (*Result, error) {
 			return &Result{Duration: time.Since(t0), TotalFacts: f.mat.total}, nil
 		}
 		f := &matFlight{done: make(chan struct{})}
-		srv.flights[key] = f
+		srv.flights[e] = f
 		srv.flightMu.Unlock()
 
 		res, m, err := sess.derive()
 		if err == nil {
-			srv.memo.Store(key, nil, nil, m)
 			if e.mat.CompareAndSwap(nil, m) {
 				srv.matEpochs.Add(1)
 				if m.warm {
@@ -681,7 +673,7 @@ func (sess *Session) queryMaterialized() (*Result, error) {
 		}
 		f.err = err
 		srv.flightMu.Lock()
-		delete(srv.flights, key)
+		delete(srv.flights, e)
 		srv.flightMu.Unlock()
 		close(f.done)
 		return res, err
@@ -861,12 +853,6 @@ func (s *Server) PlanStats() plancache.Stats {
 // UnitStats returns the shared store's cumulative compiled-unit counters.
 func (s *Server) UnitStats() plancache.Stats {
 	return s.p.sharedStore(s.opts).ClassStats(plancache.ClassUnits)
-}
-
-// MemoStats returns the shared store's cumulative memo-class counters
-// (materialized-epoch lookups that went through the plan store).
-func (s *Server) MemoStats() plancache.Stats {
-	return s.p.sharedStore(s.opts).ClassStats(plancache.ClassMemos)
 }
 
 // DiskStats returns the persistent cache's traffic counters; ok is false

@@ -714,7 +714,10 @@ func (in *Interp) poolSize(tasks int) int {
 func (in *Interp) ensureWorkers(n int) {
 	for len(in.workers) < n {
 		ws := &workerState{
-			sub:  &Interp{Cat: in.Cat, Executor: in.Executor, Plans: in.Plans, Reopt: in.Reopt, Estimate: in.Estimate, cancelHook: in.Cancelled},
+			// No Reopt: a task may not reorder a subquery its sibling tasks
+			// are reading; the coordinator does it before the fan-out
+			// (reoptStale).
+			sub:  &Interp{Cat: in.Cat, Executor: in.Executor, Plans: in.Plans, Estimate: in.Estimate, cancelHook: in.Cancelled},
 			bufs: make(map[storage.PredID]*storage.Relation),
 		}
 		ws.sub.bufSink = func(pid storage.PredID) *storage.Relation {
@@ -1079,6 +1082,7 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, dec fanoutDecision, pending
 				t.unit = lastUnit
 			}
 		}
+		in.reoptStale(*pending)
 		in.ensureWorkers(w)
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -1168,6 +1172,39 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, dec fanoutDecision, pending
 		}
 	}
 	return flush()
+}
+
+// reoptStale is planFor's adaptive policy for a task batch, run by the
+// coordinator before the pool starts: every subquery the tasks will interpret
+// whose cached plan the drift policy no longer serves gets its join order
+// reconsidered once, here, because the subquery is shared by all of the
+// rule's tasks and reordering rewrites it in place. The workers then find the
+// stale entry, rebuild the plan for the order they are given and store it.
+// The probe is Contains+Peek, which leave the cache's statistics and
+// hysteresis to the workers' own lookups.
+func (in *Interp) reoptStale(tasks []shardTask) {
+	if in.Plans == nil || in.Reopt == nil {
+		return
+	}
+	src := stats.Catalog{Cat: in.Cat}
+	var last *ir.UnionRuleOp
+	for _, t := range tasks {
+		if t.rule == last || t.unit != nil {
+			continue
+		}
+		last = t.rule
+		for _, spj := range t.rule.Subqueries {
+			key := in.keyFor(spj)
+			if !in.Plans.Contains(key) {
+				continue
+			}
+			in.scratch.cards = stats.AppendCardVector(in.scratch.cards[:0], spj, src)
+			if _, fresh := in.Plans.Peek(key, in.scratch.cards); !fresh {
+				in.Stats.Reopts++
+				in.Reopt(spj)
+			}
+		}
+	}
 }
 
 // runStealTask drains one rule's stealable buckets from worker wid's seat:
@@ -1281,7 +1318,6 @@ func (in *Interp) mergeWorkers(w int) error {
 		in.Stats.SPJRuns += s.SPJRuns
 		in.Stats.PlanBuilds += s.PlanBuilds
 		in.Stats.PlanReuses += s.PlanReuses
-		in.Stats.Reopts += s.Reopts
 		in.Stats.Compiled += s.Compiled
 		in.Stats.Steals += s.Steals
 		in.Stats.EstimatedRows += s.EstimatedRows

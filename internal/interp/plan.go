@@ -513,7 +513,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 							})
 							continue
 						}
-						for _, ri := range rows {
+						for ri := rows.First(); ri >= 0; ri = rows.Next(ri) {
 							if stop() {
 								return
 							}
@@ -547,7 +547,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 							})
 							continue
 						}
-						for _, ri := range rows {
+						for ri := rows.First(); ri >= 0; ri = rows.Next(ri) {
 							if stop() {
 								return
 							}
@@ -581,7 +581,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 					})
 					return
 				}
-				for _, ri := range rows {
+				for ri := rows.First(); ri >= 0; ri = rows.Next(ri) {
 					if stop() {
 						return
 					}
@@ -611,7 +611,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 					})
 					return
 				}
-				for _, ri := range rows {
+				for ri := rows.First(); ri >= 0; ri = rows.Next(ri) {
 					if stop() {
 						return
 					}

@@ -21,14 +21,105 @@ type pullNode interface {
 	Next() bool
 }
 
-// relSeg is one contiguous slice of a relational step's input: a row-id
-// list into rel (probe result or bucket view), or all of rel when rows is
-// nil. A step's input is a sequence of segments — one for a flat relation,
-// one per bucket for a physically sharded relation or a bucket-span
-// restriction — iterated by relPull's cursor.
-type relSeg struct {
-	rel  *storage.Relation
-	rows []int32 // nil = scan all of rel
+// rowSeg is one contiguous piece of a relational step's input: a probe's
+// chain in rel, a row-id list into rel (bucket view or degraded-path filter),
+// or all of rel.
+type rowSeg struct {
+	rel   *storage.Relation
+	chain storage.Chain // probe result, when probe is set
+	rows  []int32       // row-id list; nil (and probe unset) = scan all of rel
+	probe bool
+}
+
+// start returns the position of the segment's first row.
+func (s *rowSeg) start() int {
+	if s.probe {
+		return int(s.chain.First())
+	}
+	return 0
+}
+
+// at returns the row at position pos and the position after it; ok is false
+// when pos is past the segment's end.
+func (s *rowSeg) at(pos int) (row []storage.Value, after int, ok bool) {
+	switch {
+	case s.probe:
+		if pos < 0 {
+			return nil, 0, false
+		}
+		return s.rel.Row(int32(pos)), int(s.chain.Next(int32(pos))), true
+	case s.rows != nil:
+		if pos >= len(s.rows) {
+			return nil, 0, false
+		}
+		return s.rel.Row(s.rows[pos]), pos + 1, true
+	default:
+		if pos >= s.rel.Len() {
+			return nil, 0, false
+		}
+		return s.rel.Row(int32(pos)), pos + 1, true
+	}
+}
+
+// SegCursor iterates a relational step's input as a sequence of segments —
+// one for a flat relation, one per bucket for a physically sharded relation
+// (whose per-bucket row ids are meaningless to the parent) or a bucket-span
+// restriction. Reset, add the segments, then Next until it reports the end.
+// The pull executor and the bytecode VM share it; its buffers are reused
+// across Resets.
+type SegCursor struct {
+	segs    []rowSeg
+	si, pos int
+	ids     []int32 // backing of AddMatching's lists
+}
+
+// Reset empties the cursor for a fresh set of segments.
+func (c *SegCursor) Reset() {
+	c.segs, c.ids, c.si = c.segs[:0], c.ids[:0], -1
+}
+
+// AddScan adds all of rel's rows.
+func (c *SegCursor) AddScan(rel *storage.Relation) { c.segs = append(c.segs, rowSeg{rel: rel}) }
+
+// AddList adds rel's rows named by the non-empty list rows.
+func (c *SegCursor) AddList(rel *storage.Relation, rows []int32) {
+	c.segs = append(c.segs, rowSeg{rel: rel, rows: rows})
+}
+
+// AddChain adds a probe result on rel.
+func (c *SegCursor) AddChain(rel *storage.Relation, chain storage.Chain) {
+	c.segs = append(c.segs, rowSeg{rel: rel, chain: chain, probe: true})
+}
+
+// AddMatching adds rel's rows that satisfy keep — the degraded path when an
+// expected index is missing at runtime.
+func (c *SegCursor) AddMatching(rel *storage.Relation, keep func(row []storage.Value) bool) {
+	start := len(c.ids)
+	total := int32(rel.Len())
+	for i := int32(0); i < total; i++ {
+		if keep(rel.Row(i)) {
+			c.ids = append(c.ids, i)
+		}
+	}
+	if len(c.ids) > start {
+		c.AddList(rel, c.ids[start:len(c.ids):len(c.ids)])
+	}
+}
+
+// Next returns the next row, or false when the segments are exhausted.
+func (c *SegCursor) Next() ([]storage.Value, bool) {
+	for c.si < len(c.segs) {
+		if c.si >= 0 {
+			if row, after, ok := c.segs[c.si].at(c.pos); ok {
+				c.pos = after
+				return row, true
+			}
+		}
+		if c.si++; c.si < len(c.segs) {
+			c.pos = c.segs[c.si].start()
+		}
+	}
+	return nil, false
 }
 
 // relPull iterates a relational step (scan or probe) under the current
@@ -49,16 +140,13 @@ type relPull struct {
 	shardKeyCol int
 	hashFilter  bool
 
-	segs    []relSeg // reused across Opens
-	si, pos int
-	scratch []int32 // degraded-path row materialization
+	in SegCursor
 }
 
+// Open collects the step's input segments under the current bindings.
 func (r *relPull) Open() {
+	r.in.Reset()
 	rel := SourceRel(r.cat, r.st.Pred, r.st.Src)
-	r.segs = r.segs[:0]
-	r.scratch = r.scratch[:0]
-	r.si, r.pos = 0, 0
 	r.hashFilter = r.shardCount > 1
 	subs := rel.PhysSubs()
 	// Bucket range to serve: everything, narrowed to the task's span when
@@ -72,7 +160,7 @@ func (r *relPull) Open() {
 			} else if r.st.Kind == StepScan {
 				for s := r.shard; s < r.shard+r.shardSpan; s++ {
 					if rows := rel.ShardRows(s); len(rows) > 0 {
-						r.segs = append(r.segs, relSeg{rel: rel, rows: rows})
+						r.in.AddList(rel, rows)
 					}
 				}
 				return
@@ -91,26 +179,20 @@ func (r *relPull) Open() {
 			plo, phi := rel.ProbeSpan(r.st.ProbeCol, key)
 			lo, hi = max(lo, plo), min(hi, phi)
 			for s := lo; s < hi; s++ {
-				if rows, ok := subs[s].Probe(r.st.ProbeCol, key); ok {
-					if len(rows) > 0 {
-						r.segs = append(r.segs, relSeg{rel: subs[s], rows: rows})
-					}
+				if c, ok := subs[s].Probe(r.st.ProbeCol, key); ok {
+					r.in.AddChain(subs[s], c)
 				} else {
-					r.materialize(subs[s], func(row []storage.Value) bool { return row[r.st.ProbeCol] == key })
+					r.in.AddMatching(subs[s], func(row []storage.Value) bool { return row[r.st.ProbeCol] == key })
 				}
 			}
 			return
 		}
-		if rows, ok := rel.Probe(r.st.ProbeCol, key); ok {
-			// A probe miss yields a nil list — never a scan-all segment
-			// (rows == nil marks scans only).
-			if len(rows) > 0 {
-				r.segs = append(r.segs, relSeg{rel: rel, rows: rows})
-			}
+		if c, ok := rel.Probe(r.st.ProbeCol, key); ok {
+			r.in.AddChain(rel, c)
 			return
 		}
 		// No index at runtime: materialize matching rows (degraded path).
-		r.materialize(rel, func(row []storage.Value) bool { return row[r.st.ProbeCol] == key })
+		r.in.AddMatching(rel, func(row []storage.Value) bool { return row[r.st.ProbeCol] == key })
 	case StepProbeN:
 		vals := make([]storage.Value, len(r.st.ProbeKeys))
 		for ki, k := range r.st.ProbeKeys {
@@ -130,78 +212,46 @@ func (r *relPull) Open() {
 			plo, phi := rel.ProbeSpanComposite(r.st.ProbeCols, vals)
 			lo, hi = max(lo, plo), min(hi, phi)
 			for s := lo; s < hi; s++ {
-				if rows, ok := subs[s].ProbeComposite(r.st.ProbeCols, vals); ok {
-					if len(rows) > 0 {
-						r.segs = append(r.segs, relSeg{rel: subs[s], rows: rows})
-					}
+				if c, ok := subs[s].ProbeComposite(r.st.ProbeCols, vals); ok {
+					r.in.AddChain(subs[s], c)
 				} else {
-					r.materialize(subs[s], covers)
+					r.in.AddMatching(subs[s], covers)
 				}
 			}
 			return
 		}
-		if rows, ok := rel.ProbeComposite(r.st.ProbeCols, vals); ok {
-			if len(rows) > 0 {
-				r.segs = append(r.segs, relSeg{rel: rel, rows: rows})
-			}
+		if c, ok := rel.ProbeComposite(r.st.ProbeCols, vals); ok {
+			r.in.AddChain(rel, c)
 			return
 		}
-		r.materialize(rel, covers)
+		r.in.AddMatching(rel, covers)
 	default:
 		if subs != nil {
 			for s := lo; s < hi; s++ {
 				if subs[s].Len() > 0 {
-					r.segs = append(r.segs, relSeg{rel: subs[s]})
+					r.in.AddScan(subs[s])
 				}
 			}
 			return
 		}
-		r.segs = append(r.segs, relSeg{rel: rel})
-	}
-}
-
-// materialize appends a row-id segment holding rel's rows that satisfy
-// keep — the degraded path when an expected index is missing at runtime.
-func (r *relPull) materialize(rel *storage.Relation, keep func(row []storage.Value) bool) {
-	start := len(r.scratch)
-	total := int32(rel.Len())
-	for i := int32(0); i < total; i++ {
-		if keep(rel.Row(i)) {
-			r.scratch = append(r.scratch, i)
-		}
-	}
-	if len(r.scratch) > start {
-		r.segs = append(r.segs, relSeg{rel: rel, rows: r.scratch[start:len(r.scratch):len(r.scratch)]})
+		r.in.AddScan(rel)
 	}
 }
 
 func (r *relPull) Next() bool {
-	for r.si < len(r.segs) {
-		seg := &r.segs[r.si]
-		n := len(seg.rows)
-		if seg.rows == nil {
-			n = seg.rel.Len()
+	for {
+		row, ok := r.in.Next()
+		if !ok {
+			return false
 		}
-		for r.pos < n {
-			var row []storage.Value
-			if seg.rows != nil {
-				row = seg.rel.Row(seg.rows[r.pos])
-			} else {
-				row = seg.rel.Row(int32(r.pos))
-			}
-			r.pos++
-			if !r.matches(row) {
-				continue
-			}
-			for _, b := range r.st.Binds {
-				r.bind[b.Var] = row[b.Col]
-			}
-			return true
+		if !r.matches(row) {
+			continue
 		}
-		r.si++
-		r.pos = 0
+		for _, b := range r.st.Binds {
+			r.bind[b.Var] = row[b.Col]
+		}
+		return true
 	}
-	return false
 }
 
 func (r *relPull) matches(row []storage.Value) bool {

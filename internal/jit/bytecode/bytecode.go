@@ -133,88 +133,33 @@ func (p *Program) getState() *runState {
 	return st
 }
 
-// iterSeg is one contiguous slice of an iterator's input: a row-id list
-// into rel (probe result or materialized filter), or all of rel when rows is
-// nil. A level's input is a sequence of segments — one for a flat relation,
-// one per bucket of a physically sharded relation, whose per-bucket row ids
-// are meaningless to the parent (global Row lookups would walk the bucket
-// lengths per row).
-type iterSeg struct {
-	rel  *storage.Relation
-	rows []int32
-	n    int // row count, frozen at init (relations are iteration-frozen)
-}
-
+// iterState is one iterator level: its input segments (one for a flat
+// relation, one per bucket of a physically sharded relation) and the row the
+// level currently stands on.
 type iterState struct {
-	segs []iterSeg // reused across inits
-	seg  int
-	pos  int
-	row  []storage.Value
-	mat  []int32 // degraded-path row materialization, owned per level
+	in  interp.SegCursor
+	row []storage.Value
 }
 
-// reset prepares the iterator for a fresh init.
-func (it *iterState) reset() {
-	it.segs = it.segs[:0]
-	it.mat = it.mat[:0]
-	it.seg, it.pos = 0, 0
-}
-
-// addScan appends rel's scan segments: one per non-empty bucket for a
-// physically sharded relation, a single whole-relation segment otherwise.
+// addScan adds rel's scan segments: one per bucket for a physically sharded
+// relation, a single whole-relation segment otherwise.
 func (it *iterState) addScan(rel *storage.Relation) {
 	if subs := rel.PhysSubs(); subs != nil {
 		for _, sub := range subs {
-			if n := sub.Len(); n > 0 {
-				it.segs = append(it.segs, iterSeg{rel: sub, n: n})
-			}
+			it.in.AddScan(sub)
 		}
 		return
 	}
-	it.segs = append(it.segs, iterSeg{rel: rel, n: rel.Len()})
-}
-
-// addRows appends a probe-result segment (empty lists are skipped).
-func (it *iterState) addRows(rel *storage.Relation, rows []int32) {
-	if len(rows) > 0 {
-		it.segs = append(it.segs, iterSeg{rel: rel, rows: rows, n: len(rows)})
-	}
-}
-
-// materialize appends a segment of rel's row ids passing keep — the
-// degraded path when an expected index is missing at runtime (the VM has no
-// validation pass to catch it earlier).
-func (it *iterState) materialize(rel *storage.Relation, keep func(row []storage.Value) bool) {
-	start := len(it.mat)
-	n := int32(rel.Len())
-	for i := int32(0); i < n; i++ {
-		if keep(rel.Row(i)) {
-			it.mat = append(it.mat, i)
-		}
-	}
-	if len(it.mat) > start {
-		rows := it.mat[start:len(it.mat):len(it.mat)]
-		it.segs = append(it.segs, iterSeg{rel: rel, rows: rows, n: len(rows)})
-	}
+	it.in.AddScan(rel)
 }
 
 // next advances to the next row, reporting false when exhausted.
 func (it *iterState) next() bool {
-	for it.seg < len(it.segs) {
-		seg := &it.segs[it.seg]
-		if it.pos < seg.n {
-			if seg.rows != nil {
-				it.row = seg.rel.Row(seg.rows[it.pos])
-			} else {
-				it.row = seg.rel.Row(int32(it.pos))
-			}
-			it.pos++
-			return true
-		}
-		it.seg++
-		it.pos = 0
+	row, ok := it.in.Next()
+	if ok {
+		it.row = row
 	}
-	return false
+	return ok
 }
 
 // Run executes the program to completion.
@@ -264,7 +209,7 @@ func (p *Program) Run(in *interp.Interp) error {
 		case OpInitScan:
 			r := p.rels[ins.B]
 			it := &iters[ins.A]
-			it.reset()
+			it.in.Reset()
 			it.addScan(interp.SourceRel(cat, r.pred, r.src))
 			pc++
 
@@ -273,7 +218,7 @@ func (p *Program) Run(in *interp.Interp) error {
 			sp := &p.nprobes[ins.C]
 			vals := st.nvals[ins.C]
 			it := &iters[ins.A]
-			it.reset()
+			it.in.Reset()
 			rel := interp.SourceRel(cat, r.pred, r.src)
 			for ki, k := range sp.keys {
 				vals[ki] = resolveTmpl(k, bind)
@@ -291,16 +236,16 @@ func (p *Program) Run(in *interp.Interp) error {
 				// shard key column routes to exactly one bucket.
 				lo, hi := rel.ProbeSpanComposite(sp.cols, vals)
 				for s := lo; s < hi; s++ {
-					if rows, ok := subs[s].ProbeComposite(sp.cols, vals); ok {
-						it.addRows(subs[s], rows)
+					if c, ok := subs[s].ProbeComposite(sp.cols, vals); ok {
+						it.in.AddChain(subs[s], c)
 					} else {
-						it.materialize(subs[s], covers)
+						it.in.AddMatching(subs[s], covers)
 					}
 				}
-			} else if rows, ok := rel.ProbeComposite(sp.cols, vals); ok {
-				it.addRows(rel, rows)
+			} else if c, ok := rel.ProbeComposite(sp.cols, vals); ok {
+				it.in.AddChain(rel, c)
 			} else {
-				it.materialize(rel, covers)
+				it.in.AddMatching(rel, covers)
 			}
 			pc++
 
@@ -308,7 +253,7 @@ func (p *Program) Run(in *interp.Interp) error {
 			r := p.rels[ins.B]
 			sp := &p.probes[ins.C]
 			it := &iters[ins.A]
-			it.reset()
+			it.in.Reset()
 			rel := interp.SourceRel(cat, r.pred, r.src)
 			key := resolveTmpl(sp.key, bind)
 			col := int(sp.col)
@@ -317,19 +262,19 @@ func (p *Program) Run(in *interp.Interp) error {
 				// probe on the shard key column touches exactly one bucket.
 				lo, hi := rel.ProbeSpan(col, key)
 				for s := lo; s < hi; s++ {
-					if rows, ok := subs[s].Probe(col, key); ok {
-						it.addRows(subs[s], rows)
+					if c, ok := subs[s].Probe(col, key); ok {
+						it.in.AddChain(subs[s], c)
 					} else {
-						it.materialize(subs[s], func(row []storage.Value) bool { return row[col] == key })
+						it.in.AddMatching(subs[s], func(row []storage.Value) bool { return row[col] == key })
 					}
 				}
-			} else if rows, ok := rel.Probe(col, key); ok {
-				it.addRows(rel, rows)
+			} else if c, ok := rel.Probe(col, key); ok {
+				it.in.AddChain(rel, c)
 			} else {
 				// Index missing at runtime: degrade to a filtered scan by
 				// pre-materializing matching row ids (no validation pass
 				// exists to catch this earlier).
-				it.materialize(rel, func(row []storage.Value) bool { return row[col] == key })
+				it.in.AddMatching(rel, func(row []storage.Value) bool { return row[col] == key })
 			}
 			pc++
 

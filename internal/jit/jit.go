@@ -594,16 +594,25 @@ func (c *Controller) worker() {
 }
 
 // reorderClone reorders every subquery of the cloned subtree with the
-// request's frozen statistics, returning the first planning error.
+// request's frozen statistics, counting the ones whose order changed in
+// Stats.Reorders and returning the first planning error.
 func (c *Controller) reorderClone(req compileReq) error {
 	var firstErr error
+	var reorders int64
 	ir.Walk(req.clone, func(o ir.Op) {
 		if spj, ok := o.(*ir.SPJOp); ok {
-			if _, err := optimizer.Reorder(spj, req.stats, c.cfg.Optimizer); err != nil && firstErr == nil {
+			changed, err := optimizer.Reorder(spj, req.stats, c.cfg.Optimizer)
+			if err != nil && firstErr == nil {
 				firstErr = err
+			}
+			if changed {
+				reorders++
 			}
 		}
 	})
+	if reorders > 0 {
+		c.bump(func(s *Stats) { s.Reorders += reorders })
+	}
 	return firstErr
 }
 

@@ -235,18 +235,6 @@ func KeyForOp(op ir.Op, tag ...byte) Key {
 	return Key{Sig: string(f.b)}
 }
 
-// KeyAt qualifies a structural key with an epoch generation: the memo-class
-// key shape, (structural query fingerprint, epoch id). Two epochs of one
-// program never share a memo entry, which is exactly the invalidation the
-// serving layer wants from Ingest/Publish.
-func KeyAt(k Key, epoch uint64) Key {
-	var f fp
-	f.b = append(f.b, k.Sig...)
-	f.put32(uint32(epoch >> 32))
-	f.put32(uint32(epoch))
-	return Key{Sig: string(f.b)}
-}
-
 // Class partitions the store's key space between artifact kinds, so an
 // interpreter plan and a compiled unit with coincidentally equal signatures
 // can never serve each other.
@@ -257,12 +245,6 @@ const (
 	ClassPlans Class = iota
 	// ClassUnits is the JIT compiled-unit view.
 	ClassUnits
-	// ClassMemos is the serving layer's query-result memo view: entries are
-	// per-epoch materializations keyed by KeyAt(query fingerprint, epoch
-	// generation). An epoch flip changes the key, so invalidation is
-	// structural — stale epochs' entries simply stop being addressed and
-	// age out through the store's LRU bound.
-	ClassMemos
 	numClasses
 )
 

@@ -1,0 +1,397 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// chainRows reads a probe's chain out as a row-id list, for the tests that
+// assert on whole results.
+func chainRows(c Chain) (rows []int32) {
+	for row := c.First(); row >= 0; row = c.Next(row) {
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+func probeRows(r *Relation, col int, v Value) ([]int32, bool) {
+	c, ok := r.Probe(col, v)
+	return chainRows(c), ok
+}
+
+func probeCompositeRows(r *Relation, cols []int, vals []Value) ([]int32, bool) {
+	c, ok := r.ProbeComposite(cols, vals)
+	return chainRows(c), ok
+}
+
+func project(row []Value, cols []int) []Value {
+	out := make([]Value, len(cols))
+	for i, c := range cols {
+		out[i] = row[c]
+	}
+	return out
+}
+
+// buildIndex registers an index chosen by b over whatever the relation holds:
+// one column, or a column set handed over in descending order (registration
+// sorts it).
+func (m *tableModel) buildIndex(b int) {
+	cols := []int{(b / 2) % m.arity}
+	if b%2 == 1 && m.arity > 1 {
+		cols = cols[:0]
+		for c := 0; c < m.arity; c++ {
+			if (b/2)>>c&1 == 1 {
+				cols = append(cols, c)
+			}
+		}
+		if len(cols) < 2 {
+			cols = []int{0, m.arity - 1}
+		}
+		desc := slices.Clone(cols)
+		slices.Reverse(desc)
+		m.r.BuildCompositeIndex(desc)
+	} else {
+		m.r.BuildIndex(cols[0])
+	}
+	if !slices.ContainsFunc(m.sets, func(s []int) bool { return slices.Equal(s, cols) }) {
+		m.sets = append(m.sets, cols)
+	}
+}
+
+// checkIndexes holds every registered index to the model: the registrations
+// themselves, and per index (per bucket in the physical layout, whose row ids
+// are bucket-local) the exact chain of every key, misses, the distinct count
+// and the structure's own invariants.
+func (m *tableModel) checkIndexes() {
+	if m.sets == nil {
+		return
+	}
+	m.t.Helper()
+	r := m.r
+	var single []int
+	var multi [][]int
+	for _, cols := range m.sets {
+		if len(cols) == 1 {
+			single = append(single, cols[0])
+		} else {
+			multi = append(multi, cols)
+		}
+	}
+	slices.Sort(single)
+	if got := r.IndexedColumns(); !slices.Equal(got, single) {
+		m.fail("IndexedColumns = %v, want %v", got, single)
+	}
+	if got := r.CompositeIndexes(); len(got) != len(multi) {
+		m.fail("CompositeIndexes = %v, want the sets %v", got, multi)
+	}
+	for c := 0; c < m.arity; c++ {
+		if r.HasIndex(c) != slices.Contains(single, c) {
+			m.fail("HasIndex(%d) = %v", c, r.HasIndex(c))
+		}
+		if !slices.Contains(single, c) {
+			if _, ok := r.Probe(c, 0); ok || r.DistinctCount(c) != -1 {
+				m.fail("unindexed column %d answers a probe or a distinct count", c)
+			}
+		}
+	}
+	subs := r.PhysSubs()
+	shards, shardCol := r.ShardConfig()
+	for _, cols := range m.sets {
+		if len(cols) > 1 && !r.HasCompositeIndex(cols) {
+			m.fail("HasCompositeIndex(%v) = false", cols)
+		}
+		if subs == nil {
+			m.checkIndex(r, cols, m.rows)
+			continue
+		}
+		if _, ok := r.ProbeComposite(cols, make([]Value, len(cols))); ok {
+			m.fail("physical parent answers a probe on %v", cols)
+		}
+		parts := make([][][]Value, shards)
+		for _, row := range m.rows {
+			b := ShardOf(row[shardCol], shards)
+			parts[b] = append(parts[b], row)
+		}
+		sum, most := 0, 0
+		for s, sub := range subs {
+			d := m.checkIndex(sub, cols, parts[s])
+			sum, most = sum+d, max(most, d)
+		}
+		if len(cols) == 1 {
+			want := most
+			if cols[0] == shardCol {
+				want = sum
+			}
+			if got := r.DistinctCount(cols[0]); got != want {
+				m.fail("physical DistinctCount(%d) = %d, want %d", cols[0], got, want)
+			}
+		}
+	}
+	// The routed surface, whatever the layout: the rows of a key in the
+	// relation's own order.
+	for _, cols := range m.sets {
+		for _, probe := range m.rows[:min(len(m.rows), 6)] {
+			vals := project(probe, cols)
+			var want, got [][]Value
+			for _, row := range m.rows {
+				if slices.Equal(project(row, cols), vals) {
+					want = append(want, row)
+				}
+			}
+			r.EachProbeComposite(cols, vals, func(row []Value) bool {
+				got = append(got, slices.Clone(row))
+				return true
+			})
+			if !reflect.DeepEqual(got, want) {
+				m.fail("EachProbeComposite(%v, %v) = %v, want %v", cols, vals, got, want)
+			}
+		}
+	}
+}
+
+// checkIndex holds the index over cols of the single-slab relation r to
+// rows, the content r must have in order, and returns its distinct-key count.
+func (m *tableModel) checkIndex(r *Relation, cols []int, rows [][]Value) int {
+	m.t.Helper()
+	oracle := map[string][]int32{}
+	var keys [][]Value
+	for i, row := range rows {
+		k := project(row, cols)
+		if _, seen := oracle[key(k)]; !seen {
+			keys = append(keys, k)
+		}
+		oracle[key(k)] = append(oracle[key(k)], int32(i))
+	}
+	for _, k := range keys {
+		got, ok := probeCompositeRows(r, cols, k)
+		if !ok || !slices.Equal(got, oracle[key(k)]) {
+			m.fail("%s: ProbeComposite(%v, %v) = %v,%v, want %v", r.name, cols, k, got, ok, oracle[key(k)])
+		}
+		if len(cols) == 1 {
+			if got, ok := probeRows(r, cols[0], k[0]); !ok || !slices.Equal(got, oracle[key(k)]) {
+				m.fail("%s: Probe(%d, %v) = %v,%v, want %v", r.name, cols[0], k[0], got, ok, oracle[key(k)])
+			}
+		}
+		// A near miss: the key with one column moved out of the domain.
+		miss := slices.Clone(k)
+		miss[len(miss)-1] ^= 1 << 20
+		if _, stored := oracle[key(miss)]; !stored {
+			if c, ok := r.ProbeComposite(cols, miss); !ok || c.First() != -1 {
+				m.fail("%s: ProbeComposite(%v, %v) hit row %d", r.name, cols, miss, c.First())
+			}
+		}
+	}
+	if len(cols) == 1 {
+		if got := r.DistinctCount(cols[0]); got != len(oracle) {
+			m.fail("%s: DistinctCount(%d) = %d, want %d", r.name, cols[0], got, len(oracle))
+		}
+	}
+	ix := r.indexOn(cols)
+	occupied := 0
+	for _, s := range ix.slots {
+		if s.first != 0 {
+			occupied++
+		}
+	}
+	if occupied != len(oracle) || ix.used != len(oracle) || len(ix.next) != len(rows) {
+		m.fail("%s: index %v has %d occupied slots, used=%d, %d links for %d keys, %d rows",
+			r.name, cols, occupied, ix.used, len(ix.next), len(oracle), len(rows))
+	}
+	if len(oracle)*8 > len(ix.slots)*5 {
+		m.fail("%s: index %v holds %d keys in %d slots, over the 5/8 load limit", r.name, cols, len(oracle), len(ix.slots))
+	}
+	return len(oracle)
+}
+
+// driveChainIndex is the row-table driver with the index model switched on:
+// the same Insert / IncRef / Clear / ClearRetain / TruncateTo / DeleteRows /
+// AssertAt / layout-transition sequences, plus BuildIndex and
+// BuildCompositeIndex over loaded content, every index checked after every
+// operation.
+func driveChainIndex(t *testing.T, arity int, counted bool, layout int, data []byte) {
+	t.Helper()
+	driveRowTable(t, arity, counted, layout, data, true)
+}
+
+// TestChainIndexModel drives random operation sequences against the
+// map[string][]int32 oracle for arity 1-5, counted and uncounted, starting
+// from each of the three layouts, comparing probe results including order.
+func TestChainIndexModel(t *testing.T) {
+	for arity := 1; arity <= 5; arity++ {
+		for _, counted := range []bool{false, true} {
+			for layout := 0; layout < 3; layout++ {
+				rng := rand.New(rand.NewSource(int64(1000 + 100*arity + 10*layout + len(fmt.Sprint(counted)))))
+				data := make([]byte, 1200)
+				rng.Read(data)
+				driveChainIndex(t, arity, counted, layout, data)
+			}
+		}
+	}
+}
+
+// FuzzChainIndex is TestChainIndexModel over fuzzer-chosen sequences. Short-fuzz
+// CI job: go test -fuzz=FuzzChainIndex -fuzztime=20s ./internal/storage/
+func FuzzChainIndex(f *testing.F) {
+	f.Add(uint8(2), true, uint8(0), []byte{5, 0, 0, 1, 2, 0, 1, 3, 5, 3, 0, 1, 2, 12, 2, 1, 1, 3, 3, 0, 13, 3, 5, 0, 0, 9, 0, 1, 1})
+	f.Add(uint8(3), false, uint8(2), []byte{8, 1, 2, 3, 4, 5, 5, 11, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3, 5, 2})
+	f.Add(uint8(1), true, uint8(1), []byte{5, 0, 8, 8, 8, 8, 10, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
+	f.Add(uint8(5), false, uint8(0), []byte{0, 233, 234, 235, 236, 237, 5, 31, 0, 233, 234, 235, 236, 238, 11, 1, 5, 4, 0, 1, 2, 3, 4, 5})
+	f.Fuzz(func(t *testing.T, arity uint8, counted bool, layout uint8, data []byte) {
+		driveChainIndex(t, 1+int(arity)%5, counted, int(layout), data)
+	})
+}
+
+// TestConcurrentProbeFrozen: probing only loads, so any number of goroutines
+// may probe a relation nobody mutates, in every layout — the parallel
+// executor's workers joining against the iteration-frozen Derived and
+// DeltaKnown. Meaningful under -race.
+func TestConcurrentProbeFrozen(t *testing.T) {
+	for layout := 0; layout < 3; layout++ {
+		r := NewRelation("frozen", 3)
+		r.BuildIndex(0)
+		r.BuildCompositeIndex([]int{0, 1})
+		switch layout {
+		case 1:
+			r.SetShardKey(4, 0)
+		case 2:
+			r.SetShardKeyPhysical(4, 0)
+		}
+		const rows, keys = 6000, 97
+		for i := 0; i < rows; i++ {
+			r.Insert([]Value{Value(i % keys), Value(i % 3), Value(i)})
+		}
+		var wg sync.WaitGroup
+		bad := make([]int, 4)
+		for g := range bad {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 2*keys; k++ {
+					n := 0
+					r.EachProbe(0, Value(k), func(row []Value) bool { n++; return row[0] == Value(k) })
+					want := 0
+					if k < keys {
+						want = (rows - k + keys - 1) / keys
+					}
+					if n != want {
+						bad[g]++
+					}
+					n = 0
+					r.EachProbeComposite([]int{0, 1}, []Value{Value(k), Value(k % 3)}, func([]Value) bool { n++; return true })
+					if (n > 0) != (k < keys) {
+						bad[g]++
+					}
+					if c, ok := r.Probe(0, Value(k)); layout < 2 && (!ok || (c.First() >= 0) != (k < keys)) {
+						bad[g]++
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for g, n := range bad {
+			if n != 0 {
+				t.Fatalf("layout %d: goroutine %d saw %d wrong answers", layout, g, n)
+			}
+		}
+	}
+}
+
+// TestChainIndexAllocations guards what the index exists for: once warm, an
+// indexed insert allocates nothing — no posting list, and no key for the
+// composite — and neither does a refill after ClearRetain or TruncateTo, nor
+// any probe.
+func TestChainIndexAllocations(t *testing.T) {
+	const rows = 1000
+	r := NewRelation("warm", 3)
+	r.BuildIndex(1)
+	r.BuildCompositeIndex([]int{0, 2})
+	tp := make([]Value, 3)
+	fill := func(from int) {
+		for i := from; i < rows; i++ {
+			tp[0], tp[1], tp[2] = Value(i%31), Value(i%7), Value(i)
+			r.Insert(tp)
+		}
+	}
+	fill(0)
+	r.ClearRetain()
+	if a := testing.AllocsPerRun(10, func() { fill(0); r.ClearRetain() }); a != 0 {
+		t.Errorf("refill after ClearRetain allocates %.0f times, want 0", a)
+	}
+	fill(0)
+	if a := testing.AllocsPerRun(10, func() { r.TruncateTo(10); fill(10) }); a != 0 {
+		t.Errorf("refill after TruncateTo allocates %.0f times, want 0", a)
+	}
+	r.ClearRetain()
+	i := 0
+	if a := testing.AllocsPerRun(rows-1, func() {
+		tp[0], tp[1], tp[2] = Value(i%31), Value(i%7), Value(i)
+		r.Insert(tp)
+		i++
+	}); a != 0 {
+		t.Errorf("indexed Insert allocates %.2f times per row, want 0", a)
+	}
+	hits := 0
+	count := func([]Value) bool { hits++; return true }
+	cols, vals := []int{0, 2}, []Value{3, 3}
+	if a := testing.AllocsPerRun(100, func() {
+		r.Probe(1, 3)
+		r.ProbeComposite(cols, vals)
+		r.EachProbe(1, 3, count)
+		r.EachProbeComposite(cols, vals, count)
+	}); a != 0 || hits == 0 {
+		t.Errorf("probing allocates %.2f times (%d hits), want 0", a, hits)
+	}
+}
+
+// TestChainIndexCapacityRule pins which operations keep an index's memory and
+// which give it back: ClearRetain and TruncateTo keep it for the refill,
+// Clear releases it, and SwapClear keeps δ′'s while the predicate still
+// produces facts and releases both deltas' once an iteration produced none.
+func TestChainIndexCapacityRule(t *testing.T) {
+	held := func(r *Relation) int { return cap(r.indexes[0].next) + len(r.indexes[0].slots) - len(noSlots) }
+	fill := func(r *Relation, n int) {
+		for i := 0; i < n; i++ {
+			r.Insert([]Value{Value(i % 50), Value(i)})
+		}
+	}
+	r := NewRelation("r", 2)
+	r.BuildIndex(0)
+	fill(r, 1000)
+	before := held(r)
+	r.ClearRetain()
+	if held(r) != before {
+		t.Fatalf("ClearRetain changed the index capacity %d -> %d", before, held(r))
+	}
+	fill(r, 1000)
+	r.TruncateTo(10)
+	if held(r) != before {
+		t.Fatalf("TruncateTo changed the index capacity %d -> %d", before, held(r))
+	}
+	r.Clear()
+	if held(r) != 0 {
+		t.Fatalf("Clear left %d index words", held(r))
+	}
+	fill(r, 10)
+	if rows, _ := probeRows(r, 0, 3); !slices.Equal(rows, []int32{3}) {
+		t.Fatalf("index unusable after Clear: %v", rows)
+	}
+
+	c := NewCatalog()
+	p := c.Pred(c.Declare("p", 2))
+	p.BuildIndexes([]int{0})
+	fill(p.DeltaNew, 1000)
+	p.SwapClear() // δ = 1000 rows, δ′ empty
+	fill(p.DeltaNew, 500)
+	p.SwapClear() // δ = 500 rows; δ′ is the relation that held 1000
+	if held(p.DeltaNew) == 0 || held(p.DeltaKnown) == 0 {
+		t.Fatal("a producing predicate's δ′ gave its index capacity back mid-fixpoint")
+	}
+	p.SwapClear() // nothing new: converged
+	if held(p.DeltaNew) != 0 || held(p.DeltaKnown) != 0 {
+		t.Fatalf("converged deltas still hold %d and %d index words", held(p.DeltaKnown), held(p.DeltaNew))
+	}
+}

@@ -1,9 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Composite (multi-column) hash indexes. The paper's Carac builds one index
@@ -12,26 +11,10 @@ import (
 // simplified form: indexes over column *sets*, chosen from the bound-column
 // signatures that actually occur in rule bodies, so multi-key joins probe
 // once instead of probing one column and filtering the rest.
-
-type compositeIndex struct {
-	cols []int // ascending
-	m    map[string][]int32
-}
-
-func colsKey(cols []int) string {
-	b := make([]byte, 2*len(cols))
-	for i, c := range cols {
-		binary.LittleEndian.PutUint16(b[2*i:], uint16(c))
-	}
-	return string(b)
-}
-
-func (ci *compositeIndex) keyFor(vals []Value, scratch []byte) []byte {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(scratch[4*i:], uint32(v))
-	}
-	return scratch[:4*len(vals)]
-}
+//
+// A composite index is the same chainIndex as a single-column one, over more
+// columns: keys are hashed column by column and compared in the arena, never
+// built. This file is the column-set surface of the API.
 
 // BuildCompositeIndex registers (and backfills) a hash index over the given
 // column set (order-insensitive; at least two columns — use BuildIndex for
@@ -40,8 +23,7 @@ func (r *Relation) BuildCompositeIndex(cols []int) {
 	if len(cols) < 2 {
 		panic(fmt.Sprintf("storage: composite index on %q needs >= 2 columns, got %v", r.name, cols))
 	}
-	sorted := append([]int(nil), cols...)
-	sort.Ints(sorted)
+	sorted := slices.Sorted(slices.Values(cols))
 	for i, c := range sorted {
 		if c < 0 || c >= r.arity {
 			panic(fmt.Sprintf("storage: composite index column %d out of range for %q/%d", c, r.name, r.arity))
@@ -50,80 +32,46 @@ func (r *Relation) BuildCompositeIndex(cols []int) {
 			panic(fmt.Sprintf("storage: duplicate composite index column %d for %q", c, r.name))
 		}
 	}
-	key := colsKey(sorted)
-	if r.composites == nil {
-		r.composites = make(map[string]*compositeIndex)
-	}
-	if _, ok := r.composites[key]; ok {
-		return
-	}
-	if r.subs != nil {
-		// Physical mode: per-bucket registration, empty parent entry for
-		// bookkeeping (as in BuildIndex).
-		for _, s := range r.subs {
-			s.BuildCompositeIndex(sorted)
-		}
-		r.composites[key] = &compositeIndex{cols: sorted, m: make(map[string][]int32)}
-		return
-	}
-	ci := &compositeIndex{cols: sorted, m: make(map[string][]int32)}
-	vals := make([]Value, len(sorted))
-	scratch := make([]byte, 4*len(sorted))
-	n := int32(r.Len())
-	for row := int32(0); row < n; row++ {
-		t := r.Row(row)
-		for i, c := range sorted {
-			vals[i] = t[c]
-		}
-		k := string(ci.keyFor(vals, scratch))
-		ci.m[k] = append(ci.m[k], row)
-	}
-	r.composites[key] = ci
+	r.buildIndex(sorted)
 }
 
-// HasCompositeIndex reports whether an index over exactly this column set is
-// registered.
+// HasCompositeIndex reports whether an index over exactly cols is registered.
 func (r *Relation) HasCompositeIndex(cols []int) bool {
-	sorted := append([]int(nil), cols...)
-	sort.Ints(sorted)
-	_, ok := r.composites[colsKey(sorted)]
-	return ok
+	return r.indexOn(slices.Sorted(slices.Values(cols))) != nil
 }
 
-// CompositeIndexes returns the registered column sets.
+// CompositeIndexes returns the registered multi-column sets in a fixed order.
 func (r *Relation) CompositeIndexes() [][]int {
-	out := make([][]int, 0, len(r.composites))
-	for _, ci := range r.composites {
-		out = append(out, append([]int(nil), ci.cols...))
+	var out [][]int
+	for i := range r.indexes {
+		if c := r.indexes[i].cols; len(c) > 1 {
+			out = append(out, slices.Clone(c))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
+	slices.SortFunc(out, func(a, b []int) int {
+		if len(a) != len(b) {
+			return len(a) - len(b)
 		}
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
+		return slices.Compare(a, b)
 	})
 	return out
 }
 
-// ProbeComposite returns the rows whose columns cols (ascending) equal vals
-// (in the same order). ok is false when no such composite index exists —
-// including on physically sharded relations (bucket-local row ids; see
-// Probe), where executors probe the PhysSubs individually.
-func (r *Relation) ProbeComposite(cols []int, vals []Value) ([]int32, bool) {
+// ProbeComposite returns the chain of rows whose columns cols (ascending)
+// equal vals (in the same order). ok is false when no index over exactly cols
+// exists — including on physically sharded relations (see Probe).
+func (r *Relation) ProbeComposite(cols []int, vals []Value) (Chain, bool) {
+	if len(cols) == 1 {
+		return r.Probe(cols[0], vals[0])
+	}
 	if r.subs != nil {
-		return nil, false
+		return Chain{}, false
 	}
-	ci, ok := r.composites[colsKey(cols)]
-	if !ok {
-		return nil, false
+	ix := r.indexOn(cols)
+	if ix == nil {
+		return Chain{}, false
 	}
-	scratch := make([]byte, 4*len(vals))
-	return ci.m[string(ci.keyFor(vals, scratch))], true
+	return Chain{head: ix.slots[ix.find(r.arena, r.arity, vals, ix.ident)].first, next: ix.next}, true
 }
 
 // DistinctCount returns the number of distinct values in column col as
@@ -131,8 +79,8 @@ func (r *Relation) ProbeComposite(cols []int, vals []Value) ([]int32, bool) {
 // the cheap "online statistics" alternative the paper mentions (§IV,
 // Selectivity): no extra maintenance cost because the index already exists.
 func (r *Relation) DistinctCount(col int) int {
-	idx, ok := r.indexes[col]
-	if !ok {
+	ix := r.indexOn([]int{col})
+	if ix == nil {
 		return -1
 	}
 	if r.subs != nil {
@@ -151,5 +99,5 @@ func (r *Relation) DistinctCount(col int) int {
 		}
 		return n
 	}
-	return len(idx)
+	return ix.used
 }

@@ -13,15 +13,15 @@ func TestCompositeIndexBasic(t *testing.T) {
 	r.Insert([]Value{1, 9, 2})
 	r.Insert([]Value{1, 8, 2})
 	r.Insert([]Value{1, 9, 3})
-	rows, ok := r.ProbeComposite([]int{0, 2}, []Value{1, 2})
+	rows, ok := probeCompositeRows(r, []int{0, 2}, []Value{1, 2})
 	if !ok || len(rows) != 2 {
 		t.Fatalf("probe = %v, %v", rows, ok)
 	}
-	rows, ok = r.ProbeComposite([]int{0, 2}, []Value{1, 3})
+	rows, ok = probeCompositeRows(r, []int{0, 2}, []Value{1, 3})
 	if !ok || len(rows) != 1 || rows[0] != 2 {
 		t.Fatalf("probe = %v, %v", rows, ok)
 	}
-	if _, ok := r.ProbeComposite([]int{0, 1}, []Value{1, 9}); ok {
+	if _, ok := probeCompositeRows(r, []int{0, 1}, []Value{1, 9}); ok {
 		t.Fatal("unregistered column set answered a probe")
 	}
 }
@@ -34,7 +34,7 @@ func TestCompositeIndexColumnOrderInsensitive(t *testing.T) {
 	}
 	r.Insert([]Value{5, 0, 7})
 	// Probe columns must be ascending; vals parallel.
-	rows, ok := r.ProbeComposite([]int{0, 2}, []Value{5, 7})
+	rows, ok := probeCompositeRows(r, []int{0, 2}, []Value{5, 7})
 	if !ok || len(rows) != 1 {
 		t.Fatalf("probe = %v, %v", rows, ok)
 	}
@@ -53,8 +53,8 @@ func TestCompositeIndexBackfillVsIncremental(t *testing.T) {
 	back.BuildCompositeIndex([]int{0, 1})
 	for a := Value(0); a < 10; a++ {
 		for b := Value(0); b < 10; b++ {
-			ra, _ := inc.ProbeComposite([]int{0, 1}, []Value{a, b})
-			rb, _ := back.ProbeComposite([]int{0, 1}, []Value{a, b})
+			ra, _ := probeCompositeRows(inc, []int{0, 1}, []Value{a, b})
+			rb, _ := probeCompositeRows(back, []int{0, 1}, []Value{a, b})
 			if !reflect.DeepEqual(ra, rb) {
 				t.Fatalf("key (%d,%d): incremental %v != backfill %v", a, b, ra, rb)
 			}
@@ -68,16 +68,16 @@ func TestCompositeIndexSurvivesClearAndTruncate(t *testing.T) {
 	r.Insert([]Value{1, 2})
 	r.Clear()
 	r.Insert([]Value{3, 4})
-	rows, ok := r.ProbeComposite([]int{0, 1}, []Value{3, 4})
+	rows, ok := probeCompositeRows(r, []int{0, 1}, []Value{3, 4})
 	if !ok || len(rows) != 1 {
 		t.Fatalf("after Clear: %v %v", rows, ok)
 	}
 	r.Insert([]Value{5, 6})
 	r.TruncateTo(1)
-	if rows, _ := r.ProbeComposite([]int{0, 1}, []Value{5, 6}); len(rows) != 0 {
+	if rows, _ := probeCompositeRows(r, []int{0, 1}, []Value{5, 6}); len(rows) != 0 {
 		t.Fatal("TruncateTo left stale composite entries")
 	}
-	if rows, _ := r.ProbeComposite([]int{0, 1}, []Value{3, 4}); len(rows) != 1 {
+	if rows, _ := probeCompositeRows(r, []int{0, 1}, []Value{3, 4}); len(rows) != 1 {
 		t.Fatal("TruncateTo dropped surviving composite entries")
 	}
 }
@@ -130,7 +130,7 @@ func TestCompositeProbeMatchesScanProperty(t *testing.T) {
 		for _, tp := range tuples {
 			r.Insert([]Value{Value(tp[0]), Value(tp[1])})
 		}
-		rows, ok := r.ProbeComposite([]int{0, 1}, []Value{Value(a), Value(b)})
+		rows, ok := probeCompositeRows(r, []int{0, 1}, []Value{Value(a), Value(b)})
 		if !ok {
 			return false
 		}

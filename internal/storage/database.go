@@ -72,7 +72,9 @@ func (p *PredicateDB) SeedDeltas() {
 // SwapClear implements SwapClearOp for one predicate: merge the facts
 // discovered this iteration into Derived, swap the read-only and write-only
 // delta databases, and clear the relation that will become the next
-// write-only delta (paper §V-B1).
+// write-only delta (paper §V-B1). A predicate that is still producing facts
+// keeps δ′'s index capacity for the refill; once an iteration produced none,
+// both deltas give theirs back (chainIndex's capacity rule).
 func (p *PredicateDB) SwapClear() {
 	p.swaps++
 	p.Derived.InsertAll(p.DeltaNew)
@@ -80,7 +82,12 @@ func (p *PredicateDB) SwapClear() {
 	// Relation names travel with the structs; swap them back so Derived/δ/δ'
 	// naming stays meaningful in debug output.
 	p.DeltaKnown.name, p.DeltaNew.name = p.Name+"δ", p.Name+"δ'"
-	p.DeltaNew.Clear()
+	if p.DeltaKnown.Empty() {
+		p.DeltaKnown.Clear()
+		p.DeltaNew.Clear()
+	} else {
+		p.DeltaNew.ClearRetain()
+	}
 }
 
 // DriftCounter returns a monotone counter that advances on every mutation of

@@ -63,7 +63,7 @@ func TestPredicateDBIndexesOnAllThree(t *testing.T) {
 	p.DeltaKnown.Insert([]Value{1, 3})
 	p.DeltaNew.Insert([]Value{1, 4})
 	for _, rel := range []*Relation{p.Derived, p.DeltaKnown, p.DeltaNew} {
-		rows, ok := rel.Probe(0, 1)
+		rows, ok := probeRows(rel, 0, 1)
 		if !ok || len(rows) != 1 {
 			t.Fatalf("%s probe = %v,%v", rel.Name(), rows, ok)
 		}

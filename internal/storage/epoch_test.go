@@ -206,7 +206,7 @@ func TestPinnedTruncatePreservesLiveInvariants(t *testing.T) {
 	if r.Insert([]Value{0, 0}) { // row 0 is (0,0): still deduped
 		t.Fatal("dedup lost after flip")
 	}
-	rows, ok := r.Probe(0, 0)
+	rows, ok := probeRows(r, 0, 0)
 	if !ok || len(rows) != 2 { // rows 0 and 3 have key 0 in the 4-row prefix
 		t.Fatalf("index wrong after flip: ok=%v rows=%v", ok, rows)
 	}

@@ -47,31 +47,21 @@ func UnionInto(dst *Relation, srcs ...*Relation) *Relation {
 // It probes r's hash index on rcol when one exists, otherwise builds a
 // transient one, so the cost is O(|l| + |r| + |out|).
 func JoinInto(dst *Relation, l, r *Relation, lcol, rcol int) *Relation {
+	if !r.HasIndex(rcol) && r.subs == nil {
+		// Transient build side: a read-only shadow of r carrying this index.
+		build := NewRelation(r.name, r.arity)
+		build.arena = r.arena
+		build.BuildIndex(rcol)
+		r = build
+	}
 	out := make([]Value, l.Arity()+r.Arity())
-	probe := func(v Value) []int32 {
-		rows, ok := r.Probe(rcol, v)
-		if ok {
-			return rows
-		}
-		return nil
-	}
-	if !r.HasIndex(rcol) {
-		// Transient build side.
-		tmp := make(map[Value][]int32, r.Len())
-		n := int32(r.Len())
-		for i := int32(0); i < n; i++ {
-			v := r.Row(i)[rcol]
-			tmp[v] = append(tmp[v], i)
-		}
-		probe = func(v Value) []int32 { return tmp[v] }
-	}
 	l.Each(func(lrow []Value) bool {
-		for _, ri := range probe(lrow[lcol]) {
-			rrow := r.Row(ri)
-			copy(out, lrow)
+		copy(out, lrow)
+		r.EachProbe(rcol, lrow[lcol], func(rrow []Value) bool {
 			copy(out[len(lrow):], rrow)
 			dst.Insert(out)
-		}
+			return true
+		})
 		return true
 	})
 	return dst

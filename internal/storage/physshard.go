@@ -9,7 +9,7 @@ import "fmt"
 //   - view (SetShardKey, shard.go): flat, plus per-bucket row-id views over
 //     the shared arena — what Derived uses in every sharded configuration;
 //   - physical (SetShardKeyPhysical): every bucket is a fully independent
-//     sub-relation with its own arena slab, row table, hash indexes, and
+//     sub-relation with its own arena slab, row table, indexes, and
 //     mutation counter. Two goroutines inserting into different buckets
 //     share no state at all, which is what lets the merge barrier fold
 //     worker delta buffers into DeltaNew as one concurrent task per bucket
@@ -32,12 +32,11 @@ import "fmt"
 
 // resetContents drops all tuples and index entries without touching any
 // mutation counter — the caller owns the accounting. The row table and the
-// arena are always emptied in place; retain also keeps the index maps'
-// capacity (in-place map clears) for consumers that immediately refill, e.g.
-// worker delta buffers. A pinned arena (an epoch view references it —
-// physical buckets are pinned individually by PinRows) is detached to a fresh
-// slab instead of truncated in place, so the refill never rewrites rows the
-// view still serves.
+// arena are always emptied in place; retain also keeps the indexes' capacity
+// for consumers that immediately refill (chainIndex's rule). A pinned arena
+// (an epoch view references it — physical buckets are pinned individually by
+// PinRows) is detached to a fresh slab instead of truncated in place, so the
+// refill never rewrites rows the view still serves.
 func (r *Relation) resetContents(retain bool) {
 	if !r.detachPinned(0) {
 		r.arena = r.arena[:0]
@@ -45,15 +44,8 @@ func (r *Relation) resetContents(retain bool) {
 	r.tab.reset()
 	r.histReset()
 	r.counts = r.counts[:0]
-	if !retain {
-		r.freshIndexes()
-		return
-	}
-	for _, idx := range r.indexes {
-		clear(idx)
-	}
-	for _, ci := range r.composites {
-		clear(ci.m)
+	for i := range r.indexes {
+		r.indexes[i].reset(retain)
 	}
 }
 
@@ -102,11 +94,8 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 	subs := make([]*Relation, shards)
 	for s := range subs {
 		sub := NewRelation(fmt.Sprintf("%s·%d", r.name, s), r.arity)
-		for c := range r.indexes {
-			sub.BuildIndex(c)
-		}
-		for _, ci := range r.composites {
-			sub.BuildCompositeIndex(ci.cols)
+		for i := range r.indexes {
+			sub.buildIndex(r.indexes[i].cols)
 		}
 		for c := range r.histograms {
 			sub.BuildHistogram(c)
@@ -143,7 +132,9 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 	// which satisfies any pinned epoch view without a copy.
 	r.arena, r.pinned = nil, false
 	r.tab = newRowTable()
-	r.freshIndexes()
+	for i := range r.indexes {
+		r.indexes[i].reset(false)
+	}
 	// Histogram counts moved into the bucket sub-relations with the rows;
 	// the parent keeps an empty registration (HistogramOf sums the subs),
 	// and likewise the reference counts moved with them.
@@ -202,14 +193,7 @@ func (r *Relation) PhysSubs() []*Relation { return r.subs }
 // executor and compiled backend shares one implementation. Meaningless when
 // PhysSubs() is nil.
 func (r *Relation) ProbeSpan(col int, v Value) (lo, hi int) {
-	if r.subs == nil {
-		return 0, 0
-	}
-	if col == r.shardCol {
-		b := ShardOf(v, r.shardCount)
-		return b, b + 1
-	}
-	return 0, len(r.subs)
+	return r.ProbeSpanComposite([]int{col}, []Value{v})
 }
 
 // ProbeSpanComposite is ProbeSpan for a composite probe: when any probed
@@ -235,25 +219,7 @@ func (r *Relation) ProbeSpanComposite(cols []int, vals []Value) (lo, hi int) {
 // implementation, so the index-miss degradation and the bucket routing
 // cannot drift apart between engines.
 func (r *Relation) EachProbe(col int, v Value, f func(row []Value) bool) {
-	if r.subs != nil {
-		lo, hi := r.ProbeSpan(col, v)
-		r.EachShardRangeProbe(lo, hi, col, v, f)
-		return
-	}
-	if rows, ok := r.Probe(col, v); ok {
-		for _, ri := range rows {
-			if !f(r.Row(ri)) {
-				return
-			}
-		}
-		return
-	}
-	r.Each(func(row []Value) bool {
-		if row[col] == v {
-			return f(row)
-		}
-		return true
-	})
+	r.EachProbeComposite([]int{col}, []Value{v}, f)
 }
 
 // EachShardRangeProbe is EachProbe restricted to buckets [lo, hi) of a
@@ -261,87 +227,47 @@ func (r *Relation) EachProbe(col int, v Value, f func(row []Value) bool) {
 // (callers intersect ProbeSpan with their task span). On a non-physical
 // relation it falls back to the unrestricted EachProbe.
 func (r *Relation) EachShardRangeProbe(lo, hi, col int, v Value, f func(row []Value) bool) {
-	if r.subs == nil {
-		r.EachProbe(col, v, f)
-		return
-	}
-	for s := lo; s < hi; s++ {
-		sub := r.subs[s]
-		rows, ok := sub.Probe(col, v)
-		if !ok {
-			stopped := false
-			sub.Each(func(row []Value) bool {
-				if row[col] == v && !f(row) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped {
-				return
-			}
-			continue
-		}
-		for _, ri := range rows {
-			if !f(sub.Row(ri)) {
-				return
-			}
-		}
-	}
+	r.EachShardRangeProbeComposite(lo, hi, []int{col}, []Value{v}, f)
 }
 
 // EachProbeComposite is EachProbe for a composite key over cols/vals.
 func (r *Relation) EachProbeComposite(cols []int, vals []Value, f func(row []Value) bool) {
-	if r.subs != nil {
-		lo, hi := r.ProbeSpanComposite(cols, vals)
-		r.EachShardRangeProbeComposite(lo, hi, cols, vals, f)
-		return
-	}
-	if rows, ok := r.ProbeComposite(cols, vals); ok {
-		for _, ri := range rows {
-			if !f(r.Row(ri)) {
-				return
-			}
-		}
-		return
-	}
-	r.Each(func(row []Value) bool {
-		if coversKey(row, cols, vals) {
-			return f(row)
-		}
-		return true
-	})
+	lo, hi := r.ProbeSpanComposite(cols, vals)
+	r.EachShardRangeProbeComposite(lo, hi, cols, vals, f)
 }
 
 // EachShardRangeProbeComposite is EachShardRangeProbe for a composite key.
 func (r *Relation) EachShardRangeProbeComposite(lo, hi int, cols []int, vals []Value, f func(row []Value) bool) {
 	if r.subs == nil {
-		r.EachProbeComposite(cols, vals, f)
+		r.eachWithKey(cols, vals, f)
 		return
 	}
 	for s := lo; s < hi; s++ {
-		sub := r.subs[s]
-		rows, ok := sub.ProbeComposite(cols, vals)
-		if !ok {
-			stopped := false
-			sub.Each(func(row []Value) bool {
-				if coversKey(row, cols, vals) && !f(row) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped {
-				return
-			}
-			continue
-		}
-		for _, ri := range rows {
-			if !f(sub.Row(ri)) {
-				return
-			}
+		if !r.subs[s].eachWithKey(cols, vals, f) {
+			return
 		}
 	}
+}
+
+// eachWithKey visits the rows of a single-slab relation whose columns cols
+// equal vals — the key's chain when an index over cols exists, a filtered
+// scan otherwise — and reports whether f let it finish.
+func (r *Relation) eachWithKey(cols []int, vals []Value, f func(row []Value) bool) bool {
+	if c, ok := r.ProbeComposite(cols, vals); ok {
+		for row := c.First(); row >= 0; row = c.Next(row) {
+			if !f(r.Row(row)) {
+				return false
+			}
+		}
+		return true
+	}
+	for off := 0; off < len(r.arena); off += r.arity {
+		row := r.arena[off : off+r.arity : off+r.arity]
+		if coversKey(row, cols, vals) && !f(row) {
+			return false
+		}
+	}
+	return true
 }
 
 // coversKey reports whether row matches the composite equality key.
@@ -380,14 +306,10 @@ func (r *Relation) EachShardRange(lo, hi int, f func(row []Value) bool) {
 		return
 	}
 	stopped := false
-	g := func(row []Value) bool {
-		if !f(row) {
-			stopped = true
-			return false
-		}
-		return true
-	}
 	for s := lo; s < hi && !stopped; s++ {
-		r.EachShard(s, g)
+		r.EachShard(s, func(row []Value) bool {
+			stopped = !f(row)
+			return !stopped
+		})
 	}
 }

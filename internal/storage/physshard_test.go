@@ -176,13 +176,13 @@ func TestPhysicalShardModeTransitions(t *testing.T) {
 			got := 0
 			if subs := r.PhysSubs(); subs != nil {
 				for _, sub := range subs {
-					rows, ok := sub.Probe(0, v)
+					rows, ok := probeRows(sub, 0, v)
 					if !ok {
 						t.Fatalf("%s: sub lost index", st.name)
 					}
 					got += len(rows)
 				}
-			} else if rows, ok := r.Probe(0, v); ok {
+			} else if rows, ok := probeRows(r, 0, v); ok {
 				got = len(rows)
 			} else {
 				t.Fatalf("%s: index lost", st.name)

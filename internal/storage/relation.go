@@ -1,13 +1,13 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Relation stores a set of fixed-arity tuples in insertion order with exact
-// duplicate elimination and optional incremental single-column hash indexes.
+// duplicate elimination and optional incremental hash indexes over one column
+// or several.
 //
 // Rows live in a flat []Value arena so scans are sequential and
 // allocation-light. Tuple identity has one structure, whatever the arity,
@@ -20,9 +20,12 @@ import (
 // nothing for dedup once warm. Lookups only load, which is why concurrent
 // Contains on a relation nobody is mutating is safe in every layout.
 //
-// Indexes registered with BuildIndex are maintained incrementally on every
-// insert, which is how Carac builds indexes "as each rule is defined
-// ... incrementally before execution begins" (paper §IV, Index selection).
+// Join indexes have one structure too, over one column or several: the
+// chained hash index (chainindex.go, which also states which destructive
+// operations keep an index's memory). Indexes registered with BuildIndex or
+// BuildCompositeIndex are maintained incrementally on every insert, which is
+// how Carac builds indexes "as each rule is defined ... incrementally before
+// execution begins" (paper §IV, Index selection); probes only load.
 type Relation struct {
 	name  string
 	arity int
@@ -30,10 +33,8 @@ type Relation struct {
 	arena []Value  // len = count*arity
 	tab   rowTable // row ids of exactly the arena's rows, by row content
 
-	indexes    map[int]map[Value][]int32  // column -> value -> row ids
-	composites map[string]*compositeIndex // column-set key -> index
-	histograms map[int]*Histogram         // column -> value-distribution histogram
-	cscratch   []byte                     // composite-key buffer
+	indexes    []chainIndex       // one per registered column set, in registration order
+	histograms map[int]*Histogram // column -> value-distribution histogram
 
 	// muts counts content-changing operations (successful inserts, Clear,
 	// TruncateTo) monotonically — it is never reset, so equal observations
@@ -103,17 +104,7 @@ func (r *Relation) Len() int {
 }
 
 // Empty reports whether the relation holds no tuples.
-func (r *Relation) Empty() bool {
-	if r.subs != nil {
-		for _, s := range r.subs {
-			if len(s.arena) > 0 {
-				return false
-			}
-		}
-		return true
-	}
-	return len(r.arena) == 0
-}
+func (r *Relation) Empty() bool { return r.Len() == 0 }
 
 // Insert adds tuple t, returning true if it was not already present.
 // It panics if len(t) differs from the relation arity.
@@ -208,61 +199,66 @@ func (r *Relation) BuildIndex(col int) {
 	if col < 0 || col >= r.arity {
 		panic(fmt.Sprintf("storage: index column %d out of range for %q/%d", col, r.name, r.arity))
 	}
-	if r.indexes == nil {
-		r.indexes = make(map[int]map[Value][]int32)
-	}
-	if _, ok := r.indexes[col]; ok {
+	r.buildIndex([]int{col})
+}
+
+// buildIndex registers (and backfills) an index over the ascending set cols.
+func (r *Relation) buildIndex(cols []int) {
+	if r.indexOn(cols) != nil {
 		return
 	}
+	r.indexes = append(r.indexes, newChainIndex(cols))
 	if r.subs != nil {
-		// Physical mode: the registration lives on every bucket (row ids are
-		// bucket-local); the parent keeps an empty entry so HasIndex and
-		// IndexedColumns keep answering, and mode transitions re-register.
+		// Physical mode: rows and index entries live in the buckets; the
+		// parent's empty registration answers HasIndex and survives transitions.
 		for _, s := range r.subs {
-			s.BuildIndex(col)
+			s.buildIndex(cols)
 		}
-		r.indexes[col] = make(map[Value][]int32)
 		return
 	}
-	idx := make(map[Value][]int32)
-	n := int32(r.Len())
-	for row := int32(0); row < n; row++ {
-		v := r.Row(row)[col]
-		idx[v] = append(idx[v], row)
+	ix := &r.indexes[len(r.indexes)-1]
+	ix.next = make([]int32, 0, r.Len()) // the backfill is sized once
+	for row := int32(0); row < int32(r.Len()); row++ {
+		ix.add(r.arena, r.arity, row)
 	}
-	r.indexes[col] = idx
+}
+
+// indexOn returns the index over exactly the ascending set cols, or nil.
+func (r *Relation) indexOn(cols []int) *chainIndex {
+	for i := range r.indexes {
+		if slices.Equal(r.indexes[i].cols, cols) {
+			return &r.indexes[i]
+		}
+	}
+	return nil
 }
 
 // HasIndex reports whether an index is registered on column col.
-func (r *Relation) HasIndex(col int) bool {
-	_, ok := r.indexes[col]
-	return ok
-}
+func (r *Relation) HasIndex(col int) bool { return r.indexOn([]int{col}) != nil }
 
-// IndexedColumns returns the registered index columns in ascending order.
+// IndexedColumns returns the single-column index columns in ascending order.
 func (r *Relation) IndexedColumns() []int {
-	cols := make([]int, 0, len(r.indexes))
-	for c := range r.indexes {
-		cols = append(cols, c)
+	var cols []int
+	for i := range r.indexes {
+		if c := r.indexes[i].cols; len(c) == 1 {
+			cols = append(cols, c[0])
+		}
 	}
-	sort.Ints(cols)
+	slices.Sort(cols)
 	return cols
 }
 
-// Probe returns the row ids whose column col equals v, using the hash index.
-// It returns (nil, false) if no index is registered on col — including on a
-// physically sharded relation, whose row ids are bucket-local: executors
-// take the PhysSubs path there (probing each bucket's own index), and a
-// caller that does not degrades to a filtered scan, which stays correct.
-func (r *Relation) Probe(col int, v Value) ([]int32, bool) {
-	if r.subs != nil {
-		return nil, false
+// Probe returns the chain of rows whose column col equals v. ok is false if no
+// index is registered on col — including on a physically sharded relation,
+// whose row ids are bucket-local: executors take the PhysSubs path there, and
+// a caller that does not degrades to a filtered scan, which stays correct.
+func (r *Relation) Probe(col int, v Value) (Chain, bool) {
+	for i := range r.indexes {
+		if ix := &r.indexes[i]; len(ix.cols) == 1 && ix.cols[0] == col && r.subs == nil {
+			return ix.probe1(r.arena, r.arity, v), true
+		}
 	}
-	idx, ok := r.indexes[col]
-	if !ok {
-		return nil, false
-	}
-	return idx[v], true
+	return Chain{}, false
 }
 
 // Mutations returns the relation's monotone mutation counter: it advances on
@@ -284,17 +280,14 @@ func (r *Relation) Mutations() uint64 {
 	return r.muts
 }
 
-// Clear removes all tuples but keeps index and shard registrations. The arena
-// and the row table are emptied in place; the index maps are replaced (for
-// large indexes faster than deleting every key, and it returns their memory
-// to the allocator between iterations).
+// Clear removes all tuples but keeps index and shard registrations. Arena and
+// row table are emptied in place, the indexes' memory is given back: Clear is
+// for a relation that stays empty for a while.
 func (r *Relation) Clear() { r.clear(false) }
 
-// ClearRetain removes all tuples like Clear but also keeps the index maps'
-// capacity: they are emptied in place (runtime map clear), not replaced.
-// Steady-state consumers that refill a relation every iteration — the
-// parallel executor's worker delta buffers — stop paying an allocation per
-// iteration.
+// ClearRetain is Clear with the indexes emptied in place too, for a relation
+// that is refilled at once — the workers' delta buffers, δ′ inside a running
+// fixpoint — and then allocates nothing (chainIndex's capacity rule).
 func (r *Relation) ClearRetain() { r.clear(true) }
 
 func (r *Relation) clear(retain bool) {
@@ -322,16 +315,6 @@ func (r *Relation) clear(retain bool) {
 		r.shardClear()
 	}
 	r.resetContents(retain)
-}
-
-// freshIndexes replaces every hash and composite index with an empty one.
-func (r *Relation) freshIndexes() {
-	for col := range r.indexes {
-		r.indexes[col] = make(map[Value][]int32)
-	}
-	for _, ci := range r.composites {
-		ci.m = make(map[string][]int32)
-	}
 }
 
 // TruncateTo discards all but the first n tuples, rebuilding the row table
@@ -363,14 +346,16 @@ func (r *Relation) TruncateTo(n int) {
 }
 
 // reindexRows rebuilds every derived per-row structure — row table,
-// registered histograms, hash and composite indexes — from the current arena.
+// registered histograms and indexes — from the current arena, in place.
 // Shared by the prefix rewind (TruncateTo), the batch deletion compaction
 // (DeleteRows) and the ground-prefix splice (AssertAt); counts are positional
 // and compacted by the caller alongside the arena.
 func (r *Relation) reindexRows() {
 	r.tab.reset()
 	r.tab.fill(r.arena, r.arity)
-	r.freshIndexes()
+	for i := range r.indexes {
+		r.indexes[i].reset(true)
+	}
 	r.histReset()
 	n := int32(r.Len())
 	for row := int32(0); row < n; row++ {
@@ -379,24 +364,13 @@ func (r *Relation) reindexRows() {
 }
 
 // indexRow enters arena row `row`, whose content is t, into the registered
-// histograms and hash and composite indexes.
+// histograms and indexes.
 func (r *Relation) indexRow(t []Value, row int32) {
 	if r.histograms != nil {
 		r.histInsert(t)
 	}
-	for col, idx := range r.indexes {
-		v := t[col]
-		idx[v] = append(idx[v], row)
-	}
-	for _, ci := range r.composites {
-		if cap(r.cscratch) < 4*len(ci.cols) {
-			r.cscratch = make([]byte, 4*len(ci.cols))
-		}
-		b := r.cscratch[:4*len(ci.cols)]
-		for i, c := range ci.cols {
-			binary.LittleEndian.PutUint32(b[4*i:], uint32(t[c]))
-		}
-		ci.m[string(b)] = append(ci.m[string(b)], row)
+	for i := range r.indexes {
+		r.indexes[i].add(r.arena, r.arity, row)
 	}
 }
 

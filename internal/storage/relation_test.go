@@ -94,8 +94,8 @@ func TestRelationIndexIncrementalVsBackfill(t *testing.T) {
 	back.BuildIndex(0)
 
 	for k := Value(0); k < 20; k++ {
-		a, okA := inc.Probe(0, k)
-		b, okB := back.Probe(0, k)
+		a, okA := probeRows(inc, 0, k)
+		b, okB := probeRows(back, 0, k)
 		if !okA || !okB {
 			t.Fatalf("probe not ok: %v %v", okA, okB)
 		}
@@ -113,7 +113,7 @@ func TestRelationProbeMatchesScan(t *testing.T) {
 		r.Insert([]Value{Value(rng.Intn(100)), Value(rng.Intn(10))})
 	}
 	for k := Value(0); k < 10; k++ {
-		rows, ok := r.Probe(1, k)
+		rows, ok := probeRows(r, 1, k)
 		if !ok {
 			t.Fatal("index missing")
 		}
@@ -132,7 +132,7 @@ func TestRelationProbeMatchesScan(t *testing.T) {
 func TestRelationProbeWithoutIndex(t *testing.T) {
 	r := NewRelation("r", 2)
 	r.Insert([]Value{1, 2})
-	if _, ok := r.Probe(0, 1); ok {
+	if _, ok := probeRows(r, 0, 1); ok {
 		t.Fatal("Probe reported ok without an index")
 	}
 	if r.HasIndex(0) {
@@ -152,7 +152,7 @@ func TestRelationClearKeepsIndexRegistration(t *testing.T) {
 		t.Fatal("Clear dropped index registration")
 	}
 	r.Insert([]Value{3, 4})
-	rows, ok := r.Probe(0, 3)
+	rows, ok := probeRows(r, 0, 3)
 	if !ok || len(rows) != 1 {
 		t.Fatalf("index not maintained after Clear: %v %v", rows, ok)
 	}

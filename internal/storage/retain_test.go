@@ -144,7 +144,7 @@ func TestClearRetainKeepsCapacity(t *testing.T) {
 			t.Fatalf("cycle %d: refill found %d rows, want %d (dedup residue?)", cycle, r.Len(), rows)
 		}
 		// The retained index must keep answering exactly.
-		if ids, ok := r.Probe(0, 7); !ok || len(ids) == 0 {
+		if ids, ok := probeRows(r, 0, 7); !ok || len(ids) == 0 {
 			t.Fatalf("cycle %d: index lost after ClearRetain (ok=%v hits=%d)", cycle, ok, len(ids))
 		}
 	}

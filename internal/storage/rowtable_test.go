@@ -27,6 +27,9 @@ type tableModel struct {
 	// order after comparing contents as sets.
 	orderKnown bool
 	step       int
+	// sets lists the column sets the index model registered (chainindex_test.go);
+	// nil in the row-table tests, whose indexes are only carried along.
+	sets [][]int
 }
 
 func key(t []Value) string { return fmt.Sprint(t) }
@@ -128,6 +131,7 @@ func (m *tableModel) check() {
 	} else {
 		m.checkTable(r)
 	}
+	m.checkIndexes()
 }
 
 func (m *tableModel) insert(t []Value) {
@@ -300,18 +304,26 @@ func (m *tableModel) relayout(kind, shards, col int) {
 // driveRowTable decodes data into an operation sequence over one relation
 // and checks it against the model after every operation. layout picks the
 // starting layout (0 flat, 1 view, 2 physical); later operations move the
-// relation between all three with content loaded.
-func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byte) {
+// relation between all three with content loaded. With midStream the relation
+// starts without indexes, an extra operation registers them over loaded
+// content, and every check also holds each index to the model
+// (driveChainIndex).
+func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byte, midStream bool) {
 	t.Helper()
 	r := NewRelation("model", arity)
-	r.BuildIndex(0)
-	if arity > 1 {
-		r.BuildCompositeIndex([]int{0, arity - 1})
+	if !midStream {
+		r.BuildIndex(0)
+		if arity > 1 {
+			r.BuildCompositeIndex([]int{0, arity - 1})
+		}
 	}
 	if counted {
 		r.EnableCounts()
 	}
 	m := &tableModel{t: t, r: r, arity: arity, counted: counted, cnt: map[string]uint32{}, orderKnown: true}
+	if midStream {
+		m.sets = [][]int{}
+	}
 	m.relayout(layout%3, 4, 0)
 
 	pos := 0
@@ -359,6 +371,12 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 	for pos < len(data) {
 		m.step++
 		switch op := next() % 16; op {
+		case 5:
+			if midStream {
+				m.buildIndex(next())
+			} else {
+				m.insert(tuple())
+			}
 		case 6:
 			if counted {
 				m.incRef(stored())
@@ -419,7 +437,7 @@ func TestRowTableModel(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*arity + 10*layout + len(fmt.Sprint(counted)))))
 				data := make([]byte, 1500)
 				rng.Read(data)
-				driveRowTable(t, arity, counted, layout, data)
+				driveRowTable(t, arity, counted, layout, data, false)
 			}
 		}
 	}
@@ -433,7 +451,7 @@ func FuzzRowTable(f *testing.F) {
 	f.Add(uint8(1), true, uint8(1), []byte{8, 8, 8, 8, 9, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
 	f.Add(uint8(5), true, uint8(0), []byte{0, 233, 234, 235, 236, 237, 0, 233, 234, 235, 236, 238, 13, 2, 1, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, arity uint8, counted bool, layout uint8, data []byte) {
-		driveRowTable(t, 1+int(arity)%5, counted, int(layout), data)
+		driveRowTable(t, 1+int(arity)%5, counted, int(layout), data, false)
 	})
 }
 

@@ -22,11 +22,11 @@ func TestTruncateToBasic(t *testing.T) {
 		t.Fatal("surviving tuple lost")
 	}
 	// Index consistent after truncate.
-	rows, ok := r.Probe(0, 3)
+	rows, ok := probeRows(r, 0, 3)
 	if !ok || len(rows) != 1 || rows[0] != 3 {
 		t.Fatalf("probe after truncate = %v, %v", rows, ok)
 	}
-	if rows, _ := r.Probe(0, 7); len(rows) != 0 {
+	if rows, _ := probeRows(r, 0, 7); len(rows) != 0 {
 		t.Fatal("index kept truncated rows")
 	}
 	// Reinsert a truncated tuple: must be new again.
@@ -88,8 +88,8 @@ func TestTruncateEquivalentToFreshProperty(t *testing.T) {
 			return false
 		}
 		for v := -128; v < 128; v++ {
-			a, _ := full.Probe(1, Value(v))
-			b, _ := fresh.Probe(1, Value(v))
+			a, _ := probeRows(full, 1, Value(v))
+			b, _ := probeRows(fresh, 1, Value(v))
 			if len(a) != len(b) {
 				return false
 			}
