@@ -393,19 +393,44 @@
 //     recursive closures make exact derivation counting quadratic in the
 //     worst case, which is exactly why the derived side uses DRed instead.
 //
-//   - DRed for derived state: zero-count seeds drive an over-delete
-//     closure (interp.Interp.OverDelete over ir.LowerRetract's per-rule
-//     delta variants) that marks everything transitively derivable from the
-//     deleted facts, protecting still-asserted ground rows; doomed rows are
-//     removed in one batched compaction per relation
-//     (storage.Relation.DeleteRows — pinned epoch views detach copy-on-flip
-//     first, so serving sessions never observe the compaction); one
-//     rederivation round re-inserts over-deleted rows with surviving
-//     alternative derivations; and the monotone continuation (the same
-//     ir.LowerWarm + SeedDelta machinery materialized warm start uses)
-//     cascades rederivation and co-batched insertions to the new fixpoint.
-//     Post-removal state under-approximates the new fixpoint, so the
-//     monotone re-run is sound.
+//   - DRed for derived state, executed at join speed: zero-count seeds
+//     drive an over-delete closure (interp.Interp.OverDelete over
+//     ir.LowerRetract's per-rule delta variants) that marks everything
+//     transitively derivable from the deleted facts, protecting
+//     still-asserted ground rows. Its rounds are delta-driven and
+//     optimizer-ordered: before each round every variant whose frontier is
+//     non-empty is reordered against live cardinalities by the same
+//     optimizer.Reorder every other subquery gets, so the small frontier
+//     drives and Derived is index-probed, and a variant with an empty
+//     frontier builds no plan. Doomed sets are row ids: a candidate head is
+//     resolved once through Derived's row table, membership is a bitset over
+//     Derived's rows, the next frontier is written straight into the
+//     predicate's DeltaNew, the count protection is asked about the row (the
+//     ground watermark and the counts are positional), and the rows are
+//     removed by id in one batched compaction per relation
+//     (storage.Relation.DeleteRowIDs — pinned epoch views detach
+//     copy-on-flip first, so serving sessions never observe the
+//     compaction). Rederivation is head-driven: the doomed rows are staged
+//     in the head predicate's delta before the compaction and join the
+//     rule's body as one more atom (ir.RetractRule.Rederive), so the round
+//     visits only bodies that produce a candidate, and an atom that arrives
+//     fully bound is answered by the row table (interp.StepMember). The
+//     monotone continuation (the same ir.LowerWarm + SeedDelta machinery
+//     materialized warm start uses) then cascades rederivation and
+//     co-batched insertions to the new fixpoint. Post-removal state
+//     under-approximates the new fixpoint, so the monotone re-run is sound.
+//     It stays delete-and-REderive on purpose: facts that support each other
+//     in a cycle all have "another derivation" until the whole cycle is
+//     doomed, so pruning the over-delete needs a backward proof search, not
+//     a one-step check (the CyclicSupport scenario pins this).
+//
+//   - Failure: Options.Timeout bounds the whole Apply. Until the closure is
+//     complete only counts have changed; a cancellation there rolls them
+//     back and returns interp.ErrCancelled with the standing fixpoint
+//     valid, and a retraction subquery with no executable plan demotes the
+//     batch to the cold path the same way. After removal a failure leaves
+//     the ground facts carrying the whole batch and the next Apply or Run
+//     recomputes.
 //
 //   - When Apply is warm: a standing fixpoint exists, the program is
 //     monotone (no negation — a deletion can create a negation-guarded
@@ -426,9 +451,11 @@
 //
 // The delete-oracle differential matrix (TestDeleteOracleMatrix: scripted
 // insert/delete batches across {sequential, parallel, sharded, adaptive,
-// steal} × {jit} on TC and CSPA, byte-compared against a
-// recompute-from-scratch oracle each step, race-checked in CI),
-// FuzzRetraction (random batches vs the oracle), and
+// steal} × {jit} on TC, CSPA, non-linear TC, a triangle rule, a head with a
+// constant and a repeated variable, comparison guards and mutual recursion
+// with cyclic support, byte-compared against a recompute-from-scratch
+// oracle each step, race-checked in CI), FuzzRetraction (random batches on
+// a fuzzer-picked program of those vs the oracle), and
 // BenchmarkStreamingIngest (the BENCH_stream.json CI artifact: incremental
 // churn batches vs forced recompute) pin the path down.
 //

@@ -92,6 +92,10 @@ type Program struct {
 	// every successful shared Run and on each serve epoch publication. See
 	// persist.go.
 	persist *plancache.Persister
+	// retractOrder, when non-nil, replaces the optimizer as the order of
+	// Apply's retraction subqueries. Tests set it to force an illegal order;
+	// nothing else does.
+	retractOrder func(spj *ir.SPJOp) error
 }
 
 // PlanStore returns the program-lifetime plan store, creating it (with
@@ -634,7 +638,8 @@ func (p *Program) runLocked(prog *ast.Program, root *ir.ProgramOp, opts Options)
 	// plans decoded from disk revalidate their probe choices against the
 	// live registrations before entering the store.
 	p.ensurePersistLocked(opts)
-	res, err := eng.query(opts.Timeout, true)
+	defer eng.arm(opts.Timeout)()
+	res, err := eng.query(true)
 	if err == nil {
 		p.haveFixpoint = true
 		// Flush-on-close: persist what this run built (and re-persist what

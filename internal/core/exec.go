@@ -102,9 +102,13 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 	in.AdaptiveFanout = opts.AdaptiveFanout
 	in.FanoutThreshold = opts.FanoutThreshold
 	in.StealThreshold = opts.StealThreshold
+	live := stats.Catalog{Cat: cat}
+	oopts := opts.JIT.Optimizer
+	in.Reorder = func(spj *ir.SPJOp) error {
+		_, err := optimizer.Reorder(spj, live, oopts)
+		return err
+	}
 	if opts.Histograms {
-		live := stats.Catalog{Cat: cat}
-		oopts := opts.JIT.Optimizer
 		in.Estimate = func(spj *ir.SPJOp) float64 {
 			return optimizer.EstimateRows(spj, live, oopts)
 		}
@@ -146,8 +150,6 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 		}
 		in.Plans = plans
 		if opts.AdaptivePlans {
-			live := stats.Catalog{Cat: cat}
-			oopts := opts.JIT.Optimizer
 			in.Reopt = func(spj *ir.SPJOp) bool {
 				changed, err := optimizer.Reorder(spj, live, oopts)
 				return err == nil && changed
@@ -155,6 +157,19 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 		}
 	}
 	return &execEngine{cat: cat, root: root, opts: opts, store: store, ctrl: ctrl, in: in, plans: plans}, nil
+}
+
+// arm clears a stale cancellation (sessions reuse one interpreter, and a
+// timed-out query must not poison the next) and starts the deadline for
+// whatever the caller runs on the engine until it calls disarm: a query, or
+// the whole of an Apply — retraction included. timeout <= 0 sets no deadline.
+func (e *execEngine) arm(timeout time.Duration) (disarm func()) {
+	e.in.ResetCancel()
+	if timeout <= 0 {
+		return func() {}
+	}
+	timer := time.AfterFunc(timeout, e.in.Cancel)
+	return func() { timer.Stop() }
 }
 
 // query runs the engine's program to fixpoint once and assembles the
@@ -168,7 +183,7 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 // neighbors' store activity (the counters are store-cumulative and
 // monotone), so per-query attribution is approximate there — exact totals
 // live on the store's ClassStats.
-func (e *execEngine) query(timeout time.Duration, oneShot bool) (*Result, error) {
+func (e *execEngine) query(oneShot bool) (*Result, error) {
 	var planBase, unitBase plancache.Stats
 	if e.store != nil {
 		planBase = e.store.ClassStats(plancache.ClassPlans)
@@ -178,12 +193,6 @@ func (e *execEngine) query(timeout time.Duration, oneShot bool) (*Result, error)
 	if e.ctrl != nil && !oneShot {
 		jitBase = e.ctrl.Stats()
 	}
-	e.in.ResetCancel()
-	if timeout > 0 {
-		timer := time.AfterFunc(timeout, e.in.Cancel)
-		defer timer.Stop()
-	}
-
 	t0 := time.Now()
 	if err := e.in.Run(e.root); err != nil {
 		return nil, err

@@ -610,7 +610,8 @@ func (sess *Session) Query() (*Result, error) {
 	granted := sess.srv.pool.acquire(queryWants(sess.srv.opts))
 	defer sess.srv.pool.release(granted)
 	sess.eng.in.Workers = granted
-	return sess.eng.query(sess.srv.opts.Timeout, false)
+	defer sess.eng.arm(sess.srv.opts.Timeout)()
+	return sess.eng.query(false)
 }
 
 // rewind restores the session catalog to the epoch's ground rows.
@@ -740,7 +741,9 @@ func (sess *Session) derive() (*Result, *epochMat, error) {
 	granted := srv.pool.acquire(queryWants(srv.opts))
 	defer srv.pool.release(granted)
 	eng.in.Workers = granted
-	res, err := eng.query(srv.opts.Timeout, false)
+	disarm := eng.arm(srv.opts.Timeout)
+	res, err := eng.query(false)
+	disarm()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,15 +9,26 @@ package core
 // (storage.EnableCounts): a deletion only becomes real when a count reaches
 // zero, so redundant assertions never trigger derived work at all. The facts
 // that do disappear seed the over-delete closure (interp.OverDelete over
-// ir.LowerRetract shapes, evaluated against the OLD database), the candidate
-// rows are removed in one batched compaction per relation
-// (storage.DeleteRows), one naive rederivation round resurrects candidates
-// that still hold (interp.Rederive), and a single monotone warm-start
-// continuation (ir.LowerWarm + SeedDelta) carries both cascading
-// rederivations and the transaction's insertions to the new fixpoint. This
-// is sound because after removal the database under-approximates the new
-// fixpoint and every removed-but-still-derivable or newly inserted tuple is
-// in the seeded deltas.
+// ir.LowerRetract shapes, evaluated against the OLD database): delta-driven
+// rounds whose subqueries the optimizer orders against live cardinalities
+// like any other join, over doomed sets kept as Derived row ids — which is
+// why the count protection is asked about a row, not a tuple. The doomed rows
+// are removed by id in one batched compaction per relation
+// (storage.DeleteRowIDs), one rederivation round driven by the removed
+// candidates resurrects those that still hold (interp.Rederive), and a
+// single monotone warm-start continuation (ir.LowerWarm + SeedDelta) carries
+// both cascading rederivations and the transaction's insertions to the new
+// fixpoint. This is sound because after removal the database
+// under-approximates the new fixpoint and every removed-but-still-derivable
+// or newly inserted tuple is in the seeded deltas. A deletion therefore costs
+// about what re-deriving the same rows costs.
+//
+// Options.Timeout covers the whole of it. Up to the end of the closure only
+// counts have changed, and a cancellation there (or a retraction subquery
+// with no executable plan, which demotes to the cold path) rolls them back
+// and leaves the standing fixpoint valid; afterwards a failure leaves the
+// ground facts carrying the whole transaction and the fixpoint marked for
+// recomputation.
 //
 // The incremental path requires a standing fixpoint and a monotone program.
 // Everything else — first Apply, stratified negation or aggregation, Naive
@@ -28,11 +39,12 @@ package core
 // property the differential harness pins.
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"carac/internal/ast"
+	"carac/internal/interp"
 	"carac/internal/ir"
 	"carac/internal/plancache"
 	"carac/internal/stats"
@@ -168,12 +180,17 @@ func (p *Program) Apply(tx *Tx, opts Options) (*ApplyResult, error) {
 		rules, rerr := ir.LowerRetract(prog)
 		if werr == nil && rerr == nil {
 			r, err := p.applyWarmLocked(tx, prog, warmRoot, rules, opts, res)
-			if err != nil {
+			if err == nil {
+				res.Result = r
+				res.Latency = time.Since(start)
+				return res, nil
+			}
+			if !errors.Is(err, errNoRetractPlan) {
 				return nil, err
 			}
-			res.Result = r
-			res.Latency = time.Since(start)
-			return res, nil
+			// Demoted with the standing fixpoint and every count as they
+			// were; the cold path applies the transaction from scratch.
+			*res = ApplyResult{}
 		}
 	}
 
@@ -217,8 +234,18 @@ func (p *Program) Apply(tx *Tx, opts Options) (*ApplyResult, error) {
 	return res, nil
 }
 
+// errNoRetractPlan marks an incremental Apply that gave up before changing
+// anything because a retraction subquery has no executable plan; Apply
+// answers it with the cold path.
+var errNoRetractPlan = errors.New("core: retraction plan failed")
+
 // applyWarmLocked is the incremental path. Derived currently holds a full
 // fixpoint; afterwards it holds the fixpoint of the post-transaction facts.
+// opts.Timeout bounds all of it. Until the over-delete closure is complete
+// nothing but assertion counts has changed, so an error from there —
+// interp.ErrCancelled, or errNoRetractPlan — restores the counts and leaves
+// the standing fixpoint valid; an error after rows were removed leaves
+// haveFixpoint false and the next Apply or Run recomputes.
 func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.ProgramOp, rules []ir.RetractRule, opts Options, res *ApplyResult) (*Result, error) {
 	// Epoch discipline matches Run: each applied transaction is a boundary.
 	p.cat.AdvanceEpoch()
@@ -232,51 +259,63 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 		return nil, err
 	}
 	defer eng.close()
+	if p.retractOrder != nil {
+		eng.in.Reorder = p.retractOrder
+	}
+	defer eng.arm(opts.Timeout)()
 	p.ensurePersistLocked(opts)
-
-	// From here on Derived is mutated away from the old fixpoint; only a
-	// completed continuation restores the invariant.
-	p.haveFixpoint = false
 
 	// 1. Count-gated retraction: only assertions that reach count zero seed
 	// the over-delete. Non-ground tuples (absent, or present only as derived
-	// rows beyond the ground watermark) are no-ops by definition.
-	seeds := make(map[storage.PredID][][]storage.Value)
+	// rows beyond the ground watermark) are no-ops by definition. undone
+	// lists the decrements that took effect, for the roll-back.
+	seeds := make([][]int32, p.cat.NumPreds())
+	type decrement struct {
+		der *storage.Relation
+		t   []storage.Value
+	}
+	var undone []decrement
 	for _, pid := range tx.delOrder {
-		pd := p.cat.Pred(pid)
+		der := p.cat.Pred(pid).Derived
 		for _, t := range tx.dels[pid] {
-			row, ok := pd.Derived.RowOf(t)
+			row, ok := der.RowOf(t)
 			if !ok || int(row) >= p.baseLens[pid] {
 				continue
 			}
-			rem, ok := pd.Derived.DecRef(t)
-			if !ok {
-				continue
-			}
 			res.Deleted++
-			if rem == 0 {
-				seeds[pid] = append(seeds[pid], t)
+			if der.CountAt(row) == 0 {
+				continue // retracted to zero earlier in this batch
+			}
+			undone = append(undone, decrement{der, t})
+			if rem, _ := der.DecRef(t); rem == 0 {
+				seeds[pid] = append(seeds[pid], row)
 			}
 		}
 	}
 
 	// 2. Over-delete closure against the old database. Ground facts whose
 	// count is still positive are self-supporting: never candidates.
-	doomed := eng.in.OverDelete(rules, seeds, func(pid storage.PredID, t []storage.Value) bool {
-		pd := p.cat.Pred(pid)
-		row, ok := pd.Derived.RowOf(t)
-		return ok && int(row) < p.baseLens[pid] && pd.Derived.Count(t) > 0
+	doomed, err := eng.in.OverDelete(rules, seeds, func(pid storage.PredID, row int32) bool {
+		return int(row) < p.baseLens[pid] && p.cat.Pred(pid).Derived.CountAt(row) > 0
 	})
+	if err != nil {
+		for _, u := range undone {
+			u.der.IncRef(u.t)
+		}
+		if errors.Is(err, interp.ErrCancelled) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: %v", errNoRetractPlan, err)
+	}
+
+	// From here on Derived is mutated away from the old fixpoint; only a
+	// completed continuation restores the invariant.
+	p.haveFixpoint = false
 
 	// 3. Physical removal, one batched compaction per relation, shrinking
 	// the ground watermark by the prefix rows that died.
-	pids := make([]storage.PredID, 0, len(doomed))
-	for pid := range doomed {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	for _, pid := range pids {
-		removed, below := p.cat.Pred(pid).Derived.DeleteRows(doomed[pid], p.baseLens[pid])
+	for pid, rows := range doomed.Rows {
+		removed, below := p.cat.Pred(storage.PredID(pid)).Derived.DeleteRowIDs(rows, p.baseLens[pid])
 		p.baseLens[pid] -= below
 		res.Retracted += removed
 		eng.in.Stats.Retracted += int64(removed)
@@ -284,38 +323,54 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 
 	// 4. Rederivation round over the reduced database: candidates that still
 	// have an all-surviving one-step derivation come back (as derived rows —
-	// their ground assertions, if any, are gone).
-	seedRows := make(map[storage.PredID][][]storage.Value)
-	for pid, ts := range eng.in.Rederive(rules, doomed) {
-		pd := p.cat.Pred(pid)
-		for _, t := range ts {
-			pd.Derived.Insert(t)
-			res.Rederived++
-		}
-		seedRows[pid] = append(seedRows[pid], ts...)
-	}
+	// their ground assertions, if any, are gone). seedRows collects, per
+	// predicate and flat, the rows the continuation starts from.
+	seedRows := make([][]storage.Value, p.cat.NumPreds())
+	rederiveErr := eng.in.Rederive(doomed, func(pid storage.PredID, t []storage.Value) {
+		p.cat.Pred(pid).Derived.Insert(t)
+		res.Rederived++
+		seedRows[pid] = append(seedRows[pid], t...)
+	})
 
 	// 5. Insertions: splice new assertions into the ground prefix
 	// (promoting already-derived tuples), keeping the arena prefix
-	// invariant the cold path's rewind depends on.
+	// invariant the cold path's rewind depends on. Also when the rederivation
+	// was cancelled: the deletions are in the ground facts by now, and the
+	// recompute that follows a failed Apply must see the whole transaction.
 	for _, pid := range tx.insOrder {
 		batch := tx.ins[pid]
 		added, promoted := p.cat.Pred(pid).Derived.AssertAt(batch, p.baseLens[pid])
 		p.baseLens[pid] += len(added) + promoted
 		res.Inserted += len(batch)
-		seedRows[pid] = append(seedRows[pid], added...)
+		for _, t := range added {
+			seedRows[pid] = append(seedRows[pid], t...)
+		}
+	}
+	if rederiveErr != nil {
+		return nil, rederiveErr
 	}
 
 	// 6. One monotone continuation: the rederived and newly inserted rows
 	// seed the deltas; semi-naive evaluation carries cascading
-	// rederivations and insertion consequences to the new fixpoint.
+	// rederivations and insertion consequences to the new fixpoint. A later
+	// stratum is also seeded with what the continuation itself derived in
+	// the strata before it: those rows are the ones past Derived's length
+	// as of now.
+	mark := make([]int, p.cat.NumPreds())
+	for i, pd := range p.cat.Preds() {
+		mark[i] = pd.Derived.Len()
+	}
 	eng.setSeedDelta(func(pid storage.PredID, dst *storage.Relation) bool {
-		for _, t := range seedRows[pid] {
-			dst.Insert(t)
+		for rows, ar := seedRows[pid], dst.Arity(); len(rows) > 0; rows = rows[ar:] {
+			dst.Insert(rows[:ar])
+		}
+		der := p.cat.Pred(pid).Derived
+		for row := mark[pid]; row < der.Len(); row++ {
+			dst.Insert(der.Row(int32(row)))
 		}
 		return true
 	})
-	r, err := eng.query(opts.Timeout, true)
+	r, err := eng.query(true)
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,17 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"carac/internal/analysis"
 	"carac/internal/core"
 	"carac/internal/datagen"
+	"carac/internal/interp"
 	"carac/internal/jit"
 	"carac/internal/storage"
 	"carac/internal/workloads"
@@ -39,6 +44,9 @@ type streamScenario struct {
 	name  string
 	build func() *core.Program
 	steps [][]streamOp
+	// bases names the binary ground relations, for the fuzzer to draw
+	// operations on.
+	bases []string
 }
 
 // tcRules builds the transitive-closure rules with no facts.
@@ -67,6 +75,7 @@ func tcScenario() streamScenario {
 	return streamScenario{
 		name:  "TransitiveClosure",
 		build: tcRules,
+		bases: []string{"edge"},
 		steps: [][]streamOp{
 			step0,
 			// edge(1,2) dies; 0 still reaches 2 via the chord. edge(3,4)
@@ -99,12 +108,146 @@ func cspaScenario() streamScenario {
 	return streamScenario{
 		name:  "CSPA",
 		build: cspaRules,
+		bases: []string{"Assign", "Derefr"},
 		steps: [][]streamOp{
 			step0,
 			{del("Assign", 100, 101), ins("Derefr", 100, 101)},
 			{del("Assign", facts.Assign[0].Src, facts.Assign[0].Dst), del("Derefr", 100, 101)},
 			{ins("Assign", 100, 101), del("Assign", 100, 102)},
 		},
+	}
+}
+
+// The scenarios below are the rule shapes retraction's own plans depend on:
+// each forces a different step of the candidate-driven rederive plan or of
+// the reordered propagate variants.
+
+// nonLinearTCScenario is TC with the doubly recursive rule: the head predicate
+// occurs twice in the body and a third time as the staged candidate atom.
+func nonLinearTCScenario() streamScenario {
+	sc := tcScenario()
+	sc.name = "NonLinearTC"
+	sc.build = func() *core.Program {
+		p := core.NewProgram()
+		edge, tc := p.Relation("edge", 2), p.Relation("tc", 2)
+		x, y, z := core.NewVar("x"), core.NewVar("y"), core.NewVar("z")
+		p.MustRule(tc.A(x, y), edge.A(x, y))
+		p.MustRule(tc.A(x, y), tc.A(x, z), tc.A(z, y))
+		return p
+	}
+	return sc
+}
+
+// triangleScenario closes a triangle with an atom that arrives fully bound
+// (the membership step), and projects the middle node away so one head has
+// several derivations: tri(0,2) holds through 1 and through 3.
+func triangleScenario() streamScenario {
+	return streamScenario{
+		name:  "Triangle",
+		bases: []string{"e"},
+		build: func() *core.Program {
+			p := core.NewProgram()
+			e, tri, hub := p.Relation("e", 2), p.Relation("tri", 2), p.Relation("hub", 2)
+			x, y, z := core.NewVar("x"), core.NewVar("y"), core.NewVar("z")
+			p.MustRule(tri.A(x, z), e.A(x, y), e.A(y, z), e.A(z, x))
+			p.MustRule(hub.A(x, y), tri.A(x, z), tri.A(z, y))
+			return p
+		},
+		steps: [][]streamOp{
+			{ins("e", 0, 1), ins("e", 1, 2), ins("e", 2, 0), ins("e", 0, 3), ins("e", 3, 2), ins("e", 2, 4), ins("e", 4, 0)},
+			{del("e", 0, 1)},                 // tri(0,2) survives through 3; tri(1,0), tri(2,1) die
+			{del("e", 0, 3), ins("e", 0, 1)}, // and now through 1 again
+			{del("e", 2, 0)},                 // the edge every triangle but 2→4→0 closes with
+		},
+	}
+}
+
+// constHeadScenario has a head with a constant and a repeated variable, so
+// the candidate atom carries a constant check and a same-row check, and a
+// body atom that reads it back the same way.
+func constHeadScenario() streamScenario {
+	return streamScenario{
+		name:  "ConstHead",
+		bases: []string{"e"},
+		build: func() *core.Program {
+			p := core.NewProgram()
+			e, loop, out := p.Relation("e", 2), p.Relation("loop", 3), p.Relation("out", 2)
+			x, y := core.NewVar("x"), core.NewVar("y")
+			p.MustRule(loop.A(x, x, 7), e.A(x, y), e.A(y, x))
+			p.MustRule(out.A(x, y), loop.A(x, x, 7), e.A(x, y))
+			return p
+		},
+		steps: [][]streamOp{
+			{ins("e", 0, 1), ins("e", 1, 0), ins("e", 0, 2), ins("e", 2, 0), ins("e", 2, 3)},
+			{del("e", 0, 1)}, // loop(0,0,7) survives through 2; loop(1,1,7) dies
+			{del("e", 2, 0), ins("e", 3, 2)},
+			{del("e", 0, 2), del("e", 1, 0)},
+		},
+	}
+}
+
+// guardScenario carries a comparison in every rule, which reordering must
+// re-place after the atoms that bind it: up is reachability along increasing
+// edges only.
+func guardScenario() streamScenario {
+	return streamScenario{
+		name:  "BuiltinGuard",
+		bases: []string{"e"},
+		build: func() *core.Program {
+			p := core.NewProgram()
+			e, up := p.Relation("e", 2), p.Relation("up", 2)
+			x, y, z := core.NewVar("x"), core.NewVar("y"), core.NewVar("z")
+			p.MustRule(up.A(x, y), e.A(x, y), core.Lt(x, y))
+			p.MustRule(up.A(x, y), up.A(x, z), e.A(z, y), core.Lt(z, y))
+			return p
+		},
+		steps: [][]streamOp{
+			{ins("e", 0, 1), ins("e", 1, 3), ins("e", 0, 2), ins("e", 2, 3), ins("e", 3, 1), ins("e", 3, 5), ins("e", 5, 4)},
+			{del("e", 1, 3)}, // up(0,3) survives through 2
+			{del("e", 2, 3), ins("e", 1, 4), ins("e", 4, 5)},
+			{del("e", 0, 1), del("e", 3, 5)},
+		},
+	}
+}
+
+// cycleScenario is mutual recursion whose derived facts support each other
+// in a cycle: ra(1) → rb(2) → rc(3) → ra(1), entered from outside through
+// entry. Once the last entry is retracted the whole cycle must go although
+// every member still has a derivation from another member — which is why the
+// maintenance scheme is delete-and-REderive: asking of each over-delete
+// candidate whether one other derivation survives would keep the cycle
+// alive; only a backward search for a proof that avoids the doomed set
+// could prune here.
+func cycleScenario() streamScenario {
+	return streamScenario{
+		name:  "CyclicSupport",
+		bases: []string{"entry", "ab", "bc", "ca"},
+		build: func() *core.Program {
+			p := core.NewProgram()
+			entry, ab, bc, ca := p.Relation("entry", 2), p.Relation("ab", 2), p.Relation("bc", 2), p.Relation("ca", 2)
+			ra, rb, rc := p.Relation("ra", 1), p.Relation("rb", 1), p.Relation("rc", 1)
+			x, y := core.NewVar("x"), core.NewVar("y")
+			p.MustRule(ra.A(y), entry.A(x, y))
+			p.MustRule(ra.A(y), rc.A(x), ca.A(x, y))
+			p.MustRule(rb.A(y), ra.A(x), ab.A(x, y))
+			p.MustRule(rc.A(y), rb.A(x), bc.A(x, y))
+			return p
+		},
+		steps: [][]streamOp{
+			{ins("entry", 0, 1), ins("entry", 5, 1), ins("ab", 1, 2), ins("bc", 2, 3), ins("ca", 3, 1)},
+			{del("entry", 0, 1)}, // ra(1) is rederived from the second entry
+			{del("entry", 5, 1)}, // no entry left: the cycle supports only itself
+			{ins("entry", 0, 1)},
+		},
+	}
+}
+
+// streamScenarios is the delete-oracle matrix's workload axis, and the set
+// FuzzRetraction draws its program from.
+func streamScenarios() []streamScenario {
+	return []streamScenario{
+		tcScenario(), cspaScenario(), nonLinearTCScenario(), triangleScenario(),
+		constHeadScenario(), guardScenario(), cycleScenario(),
 	}
 }
 
@@ -174,13 +317,15 @@ func toTx(t *testing.T, p *core.Program, step []streamOp) *core.Tx {
 // deletions included — must take the incremental path, with the DRed
 // counters proving retraction and rederivation actually happened.
 func TestDeleteOracleMatrix(t *testing.T) {
-	for _, sc := range []streamScenario{tcScenario(), cspaScenario()} {
+	for _, sc := range streamScenarios() {
 		want := oracleSnapshots(t, sc)
 		for _, mode := range execModes {
 			for _, withJIT := range []bool{false, true} {
+				// With the JIT the cell also runs indexed, so retraction's
+				// probe-driven plans and its scan-only ones are both covered.
 				name := fmt.Sprintf("%s/%s/jit=%v", sc.name, mode.name, withJIT)
 				t.Run(name, func(t *testing.T) {
-					opts := core.Options{}
+					opts := core.Options{Indexed: withJIT}
 					mode.set(&opts)
 					if withJIT {
 						opts.JIT = jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
@@ -383,15 +528,133 @@ func TestApplyInteropWithRun(t *testing.T) {
 	}
 }
 
+// TestApplyTinyTimeoutLargeClosure retracts a third of a graph's edges from a
+// standing closure of tens of thousands of rows under a deadline that has
+// passed before the work starts. Wherever the cancellation lands — during the
+// over-delete (nothing may have changed, and the same batch then applies
+// incrementally), after the removal (the next Apply recomputes), or not at
+// all — the next unhurried Apply must end on the recompute oracle's fixpoint.
+func TestApplyTinyTimeoutLargeClosure(t *testing.T) {
+	const nodes, edges = 200, 700
+	opts := core.Options{Indexed: true}
+	p := workloads.TransitiveClosure(analysis.HandOptimized, nodes, edges, 11).P
+	edge := p.Relation("edge", 2)
+	var all [][]storage.Value
+	edge.Each(func(t []storage.Value) bool {
+		all = append(all, append([]storage.Value(nil), t...))
+		return true
+	})
+	if _, err := p.Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Relation("tc", 2).Len(); n < 30000 {
+		t.Fatalf("fixture: closure has %d rows, want a large one", n)
+	}
+	standing := snapshotAll(p)
+	batch := func() *core.Tx {
+		tx := p.NewTx()
+		for i := 0; i < len(all); i += 3 {
+			tx.DeleteTuple(edge, all[i])
+		}
+		return tx
+	}
+
+	hurried := opts
+	hurried.Timeout = time.Nanosecond
+	_, err := p.Apply(batch(), hurried)
+	switch {
+	case errors.Is(err, interp.ErrCancelled):
+		// Either no row has been touched yet, or the ground facts already
+		// carry the batch and the fixpoint is marked for recomputation; the
+		// batch asserts nothing twice, so applying it again is right in both.
+		untouched := reflect.DeepEqual(standing, snapshotAll(p))
+		res, err := p.Apply(batch(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cold == untouched {
+			t.Errorf("cancelled with the fixpoint untouched = %v, yet the next Apply ran cold = %v", untouched, res.Cold)
+		}
+	case err != nil:
+		t.Fatal(err)
+	default:
+		t.Log("Apply finished before the timer fired")
+	}
+
+	oracle := tcRules()
+	for i, e := range all {
+		if i%3 != 0 {
+			oracle.Relation("edge", 2).FactTuple(e)
+		}
+	}
+	if _, err := oracle.Run(core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	diffSnapshots(t, "after the unhurried Apply", snapshotAll(oracle), snapshotAll(p))
+}
+
+// TestApplySmallDeleteAllocatesLittle is the proportionality guard: deleting
+// one edge whose closure is ten rows from a standing fixpoint of more than
+// 50k rows allocates a fixed engine set-up plus one bit per Derived row (the
+// doomed set) — under a byte per row — where a tuple or a slice header per
+// row examined would be sixteen times that.
+func TestApplySmallDeleteAllocatesLittle(t *testing.T) {
+	p := workloads.TransitiveClosure(analysis.HandOptimized, 250, 750, 42).P
+	edge, tc := p.Relation("edge", 2), p.Relation("tc", 2)
+	for i := int32(0); i < 10; i++ { // a chain apart from the graph
+		edge.FactTuple([]storage.Value{5000 + i, 5001 + i})
+	}
+	opts := core.Options{Indexed: true}
+	if _, err := p.Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	rows := tc.Len()
+	if rows < 50000 {
+		t.Fatalf("fixture: closure has %d rows, want >= 50000", rows)
+	}
+	apply := func(del bool) (allocated uint64, res *core.ApplyResult) {
+		tx := p.NewTx()
+		if del {
+			tx.DeleteTuple(edge, []storage.Value{5009, 5010})
+		} else {
+			tx.InsertTuple(edge, []storage.Value{5009, 5010})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := p.Apply(tx, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil || res.Cold {
+			t.Fatalf("Apply: err = %v, Cold = %v", err, res != nil && res.Cold)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	apply(true) // first use sizes the relations' scratch
+	apply(false)
+	allocated, res := apply(true)
+	if res.Retracted != 11 { // the edge and tc(5000..5009, 5010)
+		t.Fatalf("Retracted = %d, want 11", res.Retracted)
+	}
+	const setup = 64 << 10
+	if limit := uint64(setup + rows); allocated > limit {
+		t.Errorf("deleting an 11-row closure from %d rows allocated %d B, want <= %d", rows, allocated, limit)
+	}
+}
+
 // FuzzRetraction cross-checks random batch sequences against the recompute
-// oracle on the TC rules: edges over a small node domain keep collision —
-// and therefore rederivation — frequent. The corpus seeds cover the three
-// interesting regimes (sparse, dense, delete-heavy).
+// oracle on a program the fuzzer picks from the delete-oracle matrix's
+// scenarios: operations over a small node domain keep collision — and
+// therefore rederivation — frequent. The corpus seeds cover the three
+// interesting regimes (sparse, dense, delete-heavy) and every program.
 func FuzzRetraction(f *testing.F) {
-	f.Add(uint64(1), uint8(3))
-	f.Add(uint64(42), uint8(5))
-	f.Add(uint64(0xdeadbeef), uint8(8))
-	f.Fuzz(func(t *testing.T, seed uint64, nBatches uint8) {
+	f.Add(uint64(1), uint8(3), uint8(0))
+	f.Add(uint64(42), uint8(5), uint8(0))
+	f.Add(uint64(0xdeadbeef), uint8(8), uint8(0))
+	for prog := range streamScenarios() {
+		f.Add(uint64(7+prog), uint8(4), uint8(prog))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nBatches, prog uint8) {
+		scs := streamScenarios()
+		sc := scs[int(prog)%len(scs)]
 		batches := int(nBatches%6) + 2
 		s := seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 		next := func() uint64 {
@@ -401,52 +664,55 @@ func FuzzRetraction(f *testing.F) {
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			return z ^ (z >> 31)
 		}
-		p := tcRules()
-		edge := p.Relation("edge", 2)
-		net := make(map[[2]int32]int)
+		p := sc.build()
+		type fact struct {
+			rel string
+			t   [2]int32
+		}
+		net := make(map[fact]int)
 		for b := 0; b < batches; b++ {
 			tx := p.NewTx()
 			nOps := int(next()%12) + 1
 			type op struct {
-				t   [2]int32
+				fact
 				del bool
 			}
 			var ops []op
 			for i := 0; i < nOps; i++ {
+				rel := sc.bases[next()%uint64(len(sc.bases))]
 				a, c := int32(next()%8), int32(next()%8)
 				if a == c {
 					continue
 				}
-				ops = append(ops, op{t: [2]int32{a, c}, del: next()%3 == 0})
+				ops = append(ops, op{fact{rel, [2]int32{a, c}}, next()%3 == 0})
 			}
 			for _, o := range ops { // deletions first: Tx semantics
 				if o.del {
-					tx.DeleteTuple(edge, []storage.Value{o.t[0], o.t[1]})
-					if net[o.t] > 0 {
-						net[o.t]--
+					tx.DeleteTuple(p.Relation(o.rel, 2), []storage.Value{o.t[0], o.t[1]})
+					if net[o.fact] > 0 {
+						net[o.fact]--
 					}
 				}
 			}
 			for _, o := range ops {
 				if !o.del {
-					tx.InsertTuple(edge, []storage.Value{o.t[0], o.t[1]})
-					net[o.t]++
+					tx.InsertTuple(p.Relation(o.rel, 2), []storage.Value{o.t[0], o.t[1]})
+					net[o.fact]++
 				}
 			}
-			if _, err := p.Apply(tx, core.Options{Shards: 2, Workers: 2}); err != nil {
-				t.Fatalf("batch %d: %v", b, err)
+			if _, err := p.Apply(tx, core.Options{Indexed: seed%2 == 0, Shards: 2, Workers: 2}); err != nil {
+				t.Fatalf("%s batch %d: %v", sc.name, b, err)
 			}
-			oracle := tcRules()
-			oEdge := oracle.Relation("edge", 2)
-			for tu, c := range net {
+			oracle := sc.build()
+			for f, c := range net {
 				if c > 0 {
-					oEdge.FactTuple([]storage.Value{tu[0], tu[1]})
+					oracle.Relation(f.rel, 2).FactTuple([]storage.Value{f.t[0], f.t[1]})
 				}
 			}
 			if _, err := oracle.Run(core.Options{}); err != nil {
-				t.Fatalf("oracle batch %d: %v", b, err)
+				t.Fatalf("%s oracle batch %d: %v", sc.name, b, err)
 			}
-			diffSnapshots(t, fmt.Sprintf("seed %d batch %d", seed, b), snapshotAll(oracle), snapshotAll(p))
+			diffSnapshots(t, fmt.Sprintf("%s seed %d batch %d", sc.name, seed, b), snapshotAll(oracle), snapshotAll(p))
 		}
 	})
 }

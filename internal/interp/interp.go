@@ -162,6 +162,13 @@ type Interp struct {
 	// adaptive policy of paper §IV, without any JIT attached). It returns
 	// whether the atom order changed.
 	Reopt func(spj *ir.SPJOp) bool
+	// Reorder, when non-nil, puts a retraction subquery's atoms into the
+	// optimizer's order for the live cardinalities (retract.go calls it on
+	// every variant before every round, unconditionally — unlike Reopt it is
+	// not a drift response). An error means no legal order exists and fails
+	// the retraction. It is a hook because the optimizer's tests import this
+	// package.
+	Reorder func(spj *ir.SPJOp) error
 	// Estimate, when non-nil, returns the caller's join-output size estimate
 	// for a subquery (histogram-based when the catalog maintains histograms).
 	// The interpreter records it on every freshly built plan (Plan.EstRows —

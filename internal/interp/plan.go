@@ -63,6 +63,12 @@ const (
 	// StepBuiltin evaluates a builtin: pure filter if Out < 0, otherwise it
 	// solves and binds the output term.
 	StepBuiltin
+	// StepMember asserts the presence of a fully bound tuple: StepNegCheck's
+	// positive twin, one row-table lookup where a probe would walk a chain
+	// and filter it. BuildPlan never emits it; retraction rewrites its own
+	// plans (memberSteps), which only Plan.Execute runs — the pull executor
+	// and the compiled backends do not know the kind.
+	StepMember
 )
 
 // TmplElem is one position of a negation tuple template.
@@ -86,7 +92,7 @@ type Step struct {
 	Checks    []ColCheck
 	Binds     []ColBind
 
-	// StepNegCheck.
+	// StepNegCheck, StepMember.
 	Tmpl []TmplElem
 
 	// StepBuiltin.
@@ -294,6 +300,23 @@ func selectProbe(st *Step, idxRel *storage.Relation) {
 	}
 }
 
+// memberSteps turns every relational step that binds nothing — its atom
+// arrives fully bound — into a StepMember: without it tc(x,z) with both
+// columns bound probes one column's chain and filters it row by row.
+func memberSteps(p *Plan, spj *ir.SPJOp) {
+	for i := range p.Steps {
+		st, a := &p.Steps[i], spj.Atoms[i]
+		if a.Kind != ast.AtomRelation || len(st.Binds) > 0 {
+			continue
+		}
+		m := Step{Kind: StepMember, Pred: st.Pred, Src: st.Src}
+		for _, t := range a.Terms {
+			m.Tmpl = append(m.Tmpl, TmplElem{IsConst: t.Kind == ast.TermConst, Const: t.Val, Var: t.Var})
+		}
+		*st = m
+	}
+}
+
 // demoteProbe converts a probe step back into the scan it was selected
 // from, restoring the consumed probe-key check(s), so a subsequent
 // selectProbe can pick whatever access path the rebind target supports.
@@ -415,6 +438,14 @@ func (t TmplElem) resolve(bind []storage.Value) storage.Value {
 func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Value)) {
 	bind := make([]storage.Value, p.NumVars)
 	head := make([]storage.Value, len(p.Head))
+	// One tuple buffer serves every membership test: a step is done with it
+	// before the next step runs.
+	var tuple []storage.Value
+	for i := range p.Steps {
+		if n := len(p.Steps[i].Tmpl); n > len(tuple) {
+			tuple = make([]storage.Value, n)
+		}
+	}
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(p.Steps) {
@@ -642,13 +673,13 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				return true
 			})
 
-		case StepNegCheck:
+		case StepNegCheck, StepMember:
 			rel := SourceRel(cat, st.Pred, st.Src)
-			tuple := make([]storage.Value, len(st.Tmpl))
+			t := tuple[:len(st.Tmpl)]
 			for ti, tm := range st.Tmpl {
-				tuple[ti] = tm.resolve(bind)
+				t[ti] = tm.resolve(bind)
 			}
-			if !rel.Contains(tuple) {
+			if rel.Contains(t) == (st.Kind == StepMember) {
 				rec(i + 1)
 			}
 

@@ -1,258 +1,266 @@
 package interp
 
 import (
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"carac/internal/ir"
 	"carac/internal/storage"
 )
 
 // This file is the execution half of DRed-style retraction (lowered by
-// ir.LowerRetract): given the ground facts a transaction deletes, OverDelete
-// computes the over-approximate set of derived tuples that might lose
-// support — the delta-driven closure of the deletions through every rule,
-// evaluated against the OLD database — and, after the caller physically
-// removes those rows, Rederive runs one naive round over the reduced
-// database to resurrect the candidates that still have an all-surviving
-// one-step derivation. Cascading rederivations (a resurrected tuple
-// re-supporting another candidate) and co-batched insertions then ride the
-// ordinary monotone warm-start continuation (ir.LowerWarm + SeedDelta),
-// which is sound because after removal the database under-approximates the
-// new fixpoint and the rederived/inserted rows seed its deltas.
+// ir.LowerRetract). Given the ground rows a transaction deletes, OverDelete
+// computes the over-approximate set of derived rows that might lose support —
+// the closure of the deletions through every rule, evaluated against the OLD
+// database — and, after the caller physically removes those rows, Rederive
+// resurrects the candidates that still have an all-surviving one-step
+// derivation. Cascading rederivations and co-batched insertions then ride the
+// monotone warm-start continuation (ir.LowerWarm + SeedDelta): after removal
+// the database under-approximates the new fixpoint and the rederived and
+// inserted rows seed its deltas.
 //
-// Both phases reuse the engine's execution substrate directly: each
-// propagation variant is a plain SPJ whose SrcDelta atom reads DeltaKnown
-// (SourceRel), so placing the round's doomed tuples there lets BuildPlan +
-// Plan.Execute drive the join with the same probe selection, composite
-// routing, and physical-bucket iteration as fixpoint evaluation — and the
-// independent (rule × variant) executions of a round fan out across the
-// worker pool exactly like an iteration's subqueries (readers are frozen for
-// the round; each task writes a private buffer merged at the barrier).
+// A deletion is executed the way the equivalent insertion is:
+//
+//   - Rounds are delta-driven and optimizer-ordered. A propagate variant is a
+//     plain SPJ whose SrcDelta atom reads the round's frontier in DeltaKnown;
+//     before each round it is reordered against live cardinalities (Reorder),
+//     so the small frontier drives and Derived is index-probed, and a variant
+//     whose frontier is empty builds no plan at all.
+//   - Doomed sets are row ids. A candidate head is resolved once through
+//     Derived's row table; membership is a bitset over Derived's row ids, the
+//     next frontier is written into the predicate's DeltaNew and rotated in
+//     at the barrier, and the caller removes the rows by id, read off the
+//     bitset. No tuple is copied to the heap or looked up twice.
+//   - Rederivation is head-driven. The doomed rows are staged in the head
+//     predicate's DeltaKnown before the caller compacts Derived (row ids do
+//     not survive that) and join the rule's body as one more atom, so only
+//     bodies that produce a candidate are visited; an atom that arrives fully
+//     bound is answered by the row table (StepMember).
+//
+// A round's plans fan out across the worker pool like an iteration's
+// subqueries: readers and the doomed bitset are frozen for the round, each
+// task fills a private buffer, and the barrier commits the buffers in plan
+// order, so the doom order does not depend on scheduling.
 
-// retractTask is one propagation execution of a round: a rule variant whose
-// delta position reads the doomed tuples.
-type retractTask struct {
-	spj  *ir.SPJOp
-	sink storage.PredID
+// Doomed is an over-delete closure, valid until Derived is mutated.
+type Doomed struct {
+	// Rows holds, per PredID, the Derived row ids that lost their support,
+	// seeds included, ascending.
+	Rows     [][]int32
+	bits     [][]uint64 // the same set while it grows: one bit per Derived row
+	rederive []*Plan    // candidate-driven plans, fixed while the row ids held
 }
 
-// OverDelete computes the over-delete closure of seeds (per-predicate ground
-// tuples being retracted; the caller has verified presence). It returns the
-// full per-predicate candidate sets — seeds included — in deterministic
-// order. The catalog's delta relations are used as the round's working state
-// and are left cleared; Derived is read but never written (the caller
-// removes the returned rows afterwards, via storage.DeleteRows).
+func (d *Doomed) has(pid storage.PredID, row int32) bool {
+	b := d.bits[pid]
+	return b != nil && b[row>>6]&(1<<(row&63)) != 0
+}
+
+// OverDelete computes the over-delete closure of seeds (per PredID, the
+// Derived row ids of the ground facts whose last assertion the transaction
+// retracts). Derived is read but never written: on any error — a plan that
+// cannot be built, ErrCancelled — the standing fixpoint is intact and the
+// caller may recompute instead. On success the caller removes d.Rows
+// (storage.DeleteRowIDs) and then calls Rederive, for which the doomed rows
+// are left staged in DeltaKnown.
 //
-// protect, when non-nil, exempts tuples from ever becoming candidates — the
+// protect, when non-nil, exempts rows from ever becoming candidates — the
 // counting half of the maintenance scheme: a ground fact whose assertion
 // count is still positive keeps its own support no matter how many of its
 // derivations collapse, so it neither gets deleted nor propagates deletion.
-func (in *Interp) OverDelete(rules []ir.RetractRule, seeds map[storage.PredID][][]storage.Value, protect func(storage.PredID, []storage.Value) bool) map[storage.PredID][][]storage.Value {
+// It takes the row id because that is what the closure holds, and the
+// caller's ground watermark and counts are positional too.
+func (in *Interp) OverDelete(rules []ir.RetractRule, seeds [][]int32, protect func(storage.PredID, int32) bool) (d *Doomed, err error) {
 	cat := in.Cat
-	for _, pd := range cat.Preds() {
-		pd.DeltaKnown.Clear()
-		pd.DeltaNew.Clear()
-	}
-	// doomed is the closure's membership set; out its deterministic order.
-	doomed := make(map[storage.PredID]*storage.Relation)
-	out := make(map[storage.PredID][][]storage.Value)
-	mark := func(pid storage.PredID, t []storage.Value) bool {
-		d := doomed[pid]
-		if d == nil {
-			d = storage.NewRelation("doomed", cat.Pred(pid).Arity)
-			doomed[pid] = d
+	d = &Doomed{Rows: make([][]int32, cat.NumPreds()), bits: make([][]uint64, cat.NumPreds())}
+	in.clearDeltas()
+	defer func() {
+		if err != nil {
+			in.clearDeltas()
 		}
-		if !d.Insert(t) {
-			return false
+	}()
+	doom := func(pd *storage.PredicateDB, row int32) {
+		if d.bits[pd.ID] == nil {
+			d.bits[pd.ID] = make([]uint64, (pd.Derived.Len()+63)/64)
 		}
-		cp := append([]storage.Value(nil), t...)
-		out[pid] = append(out[pid], cp)
-		return true
+		d.bits[pd.ID][row>>6] |= 1 << (row & 63)
+		pd.DeltaNew.Insert(pd.Derived.Row(row))
 	}
-	for pid, ts := range seeds {
-		for _, t := range ts {
-			if mark(pid, t) {
-				cat.Pred(pid).DeltaKnown.Insert(t)
+	for pid, rows := range seeds {
+		for _, row := range rows {
+			if !d.has(storage.PredID(pid), row) {
+				doom(cat.Pred(storage.PredID(pid)), row)
 			}
 		}
 	}
-
-	var tasks []retractTask
+	var variants, naive []*ir.SPJOp
 	for _, rr := range rules {
-		for _, spj := range rr.Propagate {
-			tasks = append(tasks, retractTask{spj: spj, sink: rr.Head})
+		variants = append(variants, rr.Propagate...)
+		naive = append(naive, rr.Rederive)
+	}
+	// A head that is absent from the old database, already doomed, or
+	// protected is not a candidate. Pool tasks apply the read-only part
+	// (fresh) against the round-frozen bitset; the barrier decides.
+	fresh := func(pid storage.PredID, head []storage.Value) (int32, bool) {
+		row, ok := cat.Pred(pid).Derived.RowOf(head)
+		return row, ok && !d.has(pid, row)
+	}
+	keep := func(pid storage.PredID, head []storage.Value) bool {
+		_, ok := fresh(pid, head)
+		return ok
+	}
+	commit := func(pid storage.PredID, head []storage.Value) {
+		if row, ok := fresh(pid, head); ok && (protect == nil || !protect(pid, row)) {
+			doom(cat.Pred(pid), row)
 		}
 	}
-
 	for {
-		any := false
+		// Barrier: what the last round doomed is this round's frontier.
+		more := false
 		for _, pd := range cat.Preds() {
-			if !pd.DeltaKnown.Empty() {
-				any = true
-				break
-			}
+			pd.SwapDeltas()
+			more = more || !pd.DeltaKnown.Empty()
 		}
-		if !any {
+		if !more {
 			break
 		}
-		// One propagation round: every variant joins the doomed deltas
-		// against the old database; candidate heads that exist in Derived
-		// and are not yet doomed enter the next round's delta.
-		found := in.runRetractRound(tasks, func(sink storage.PredID, head []storage.Value) bool {
-			if d := doomed[sink]; d != nil && d.Contains(head) {
-				return false
-			}
-			if !cat.Pred(sink).Derived.Contains(head) {
-				return false
-			}
-			return protect == nil || !protect(sink, head)
-		})
-		for _, pd := range cat.Preds() {
-			pd.DeltaKnown.Clear()
+		plans, err := in.retractPlans(variants)
+		if err == nil {
+			err = in.runRetractPlans(plans, keep, commit)
 		}
-		for pid, ts := range found {
-			for _, t := range ts {
-				if mark(pid, t) {
-					cat.Pred(pid).DeltaKnown.Insert(t)
-				}
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
+	// Read the row ids off the bitsets, stage the candidates for Rederive and
+	// fix its plans now: a plan that cannot be built must surface before the
+	// caller removes anything.
+	for pid, set := range d.bits {
+		n := 0
+		for _, w := range set {
+			n += bits.OnesCount64(w)
+		}
+		rows, pd := make([]int32, 0, n), cat.Pred(storage.PredID(pid))
+		for wi, w := range set {
+			for ; w != 0; w &= w - 1 {
+				row := int32(wi<<6 + bits.TrailingZeros64(w))
+				rows = append(rows, row)
+				pd.DeltaKnown.Insert(pd.Derived.Row(row))
+			}
+		}
+		d.Rows[pid] = rows
+	}
+	if d.rederive, err = in.retractPlans(naive); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Rederive runs the rederivation round over the reduced database — the
+// caller has removed d.Rows — and hands emit every candidate that still has a
+// one-step derivation, once each (row is a view, valid for the call). They
+// must be re-inserted; emit may do so, the round is over by then. Counted
+// into Stats.Rederived. The delta relations are left released.
+func (in *Interp) Rederive(d *Doomed, emit func(pid storage.PredID, row []storage.Value)) error {
+	cat := in.Cat
+	defer in.clearDeltas()
+	// The candidate atom makes every emitted head a candidate; DeltaNew
+	// dedups the ones two rules (or two bodies) rederive.
+	err := in.runRetractPlans(d.rederive, nil, func(pid storage.PredID, head []storage.Value) {
+		cat.Pred(pid).DeltaNew.Insert(head)
+	})
+	if err != nil {
+		return err
+	}
 	for _, pd := range cat.Preds() {
+		in.Stats.Rederived += int64(pd.DeltaNew.Len())
+		pd.DeltaNew.Each(func(row []storage.Value) bool {
+			emit(pd.ID, row)
+			return true
+		})
+	}
+	return nil
+}
+
+// clearDeltas releases both delta relations of every predicate (retraction
+// borrows them as working state and must not leave capacity behind).
+func (in *Interp) clearDeltas() {
+	for _, pd := range in.Cat.Preds() {
 		pd.DeltaKnown.Clear()
 		pd.DeltaNew.Clear()
 	}
-	return out
 }
 
-// Rederive runs the rederivation round: for every candidate set in deleted
-// (whose rows the caller has already physically removed), execute each
-// rule's naive variant over the reduced database and return the candidates
-// that were rederived — they still hold and must be re-inserted. Counted
-// into Stats.Rederived.
-func (in *Interp) Rederive(rules []ir.RetractRule, deleted map[storage.PredID][][]storage.Value) map[storage.PredID][][]storage.Value {
-	cat := in.Cat
-	// Membership sets of the removed candidates, per sink.
-	want := make(map[storage.PredID]*storage.Relation, len(deleted))
-	for pid, ts := range deleted {
-		r := storage.NewRelation("cand", cat.Pred(pid).Arity)
-		for _, t := range ts {
-			r.Insert(t)
-		}
-		want[pid] = r
-	}
-	var tasks []retractTask
-	for _, rr := range rules {
-		if want[rr.Head] == nil {
+// retractPlans prepares one round on the coordinating goroutine: every
+// variant whose delta relation holds rows is reordered against the live
+// cardinalities and compiled; the others cost nothing.
+func (in *Interp) retractPlans(variants []*ir.SPJOp) ([]*Plan, error) {
+	var plans []*Plan
+	for _, spj := range variants {
+		if delta := spj.Atoms[spj.DeltaIdx]; SourceRel(in.Cat, delta.Pred, ir.SrcDelta).Empty() {
 			continue
 		}
-		tasks = append(tasks, retractTask{spj: rr.Rederive, sink: rr.Head})
-	}
-	if len(tasks) == 0 {
-		return nil
-	}
-	seen := make(map[storage.PredID]*storage.Relation)
-	found := in.runRetractRound(tasks, func(sink storage.PredID, head []storage.Value) bool {
-		return want[sink].Contains(head)
-	})
-	out := make(map[storage.PredID][][]storage.Value)
-	for pid, ts := range found {
-		s := seen[pid]
-		if s == nil {
-			s = storage.NewRelation("rederived", cat.Pred(pid).Arity)
-			seen[pid] = s
-		}
-		for _, t := range ts {
-			if s.Insert(t) {
-				out[pid] = append(out[pid], t)
-				in.Stats.Rederived++
+		if in.Reorder != nil {
+			if err := in.Reorder(spj); err != nil {
+				return nil, err
 			}
 		}
-	}
-	return out
-}
-
-// runRetractRound executes every task once against the current catalog and
-// returns the emitted head tuples that pass keep, per sink, deduplicated
-// within each task but not across tasks (the caller's merge dedups). Tasks
-// fan out across the worker pool when parallel execution is configured —
-// sound for the same reason iteration fan-out is: Derived and DeltaKnown are
-// frozen for the round and every task writes only its private buffer.
-func (in *Interp) runRetractRound(tasks []retractTask, keep func(sink storage.PredID, head []storage.Value) bool) map[storage.PredID][][]storage.Value {
-	run := func(t retractTask, sink func(storage.PredID, []storage.Value)) {
-		plan, err := BuildPlan(t.spj, in.Cat)
+		plan, err := BuildPlan(spj, in.Cat)
 		if err != nil {
-			// The lowering only emits orders the optimizer validated; an
-			// unbound order here would also have failed the cold run. Skip —
-			// the caller's cold-path fallback covers it.
-			return
+			return nil, err
 		}
+		memberSteps(plan, spj)
 		plan.Cancel = in.Cancelled
 		in.Stats.SPJRuns++
 		in.Stats.PlanBuilds++
-		plan.Execute(in.Cat, func(head, _ []storage.Value) {
-			if keep(t.sink, head) {
-				sink(t.sink, append([]storage.Value(nil), head...))
-			}
-		})
+		plans = append(plans, plan)
 	}
+	return plans, nil
+}
 
+// runRetractPlans executes one round's plans and passes every emitted head to
+// commit, in plan order. With parallel execution configured the plans fan out
+// across the worker pool — sound as iteration fan-out is: Derived and
+// DeltaKnown are frozen for the round — each task buffering the heads that
+// pass keep (nil keeps all; it may only read state the round leaves alone)
+// in a private flat slice, committed at the barrier.
+func (in *Interp) runRetractPlans(plans []*Plan, keep func(storage.PredID, []storage.Value) bool, commit func(storage.PredID, []storage.Value)) error {
 	workers := 1
-	if in.Parallel && len(tasks) > 1 {
-		workers = in.workerCount()
-		if workers > len(tasks) {
-			workers = len(tasks)
-		}
+	if in.Parallel {
+		workers = in.poolSize(len(plans))
 	}
 	if workers <= 1 {
-		out := make(map[storage.PredID][][]storage.Value)
-		for _, t := range tasks {
-			run(t, func(pid storage.PredID, row []storage.Value) {
-				out[pid] = append(out[pid], row)
-			})
+		for _, p := range plans {
+			p.Execute(in.Cat, func(head, _ []storage.Value) { commit(p.Sink, head) })
 		}
-		return out
-	}
-	// Parallel: one private result list per task, merged in task order so
-	// the round's output order is deterministic regardless of scheduling.
-	results := make([]map[storage.PredID][][]storage.Value, len(tasks))
-	var wg sync.WaitGroup
-	next := make(chan int, len(tasks))
-	for i := range tasks {
-		next <- i
-	}
-	close(next)
-	// Stats from worker goroutines would race; count the round's executions
-	// up front and leave per-plan stats to the sequential path.
-	in.Stats.SPJRuns += int64(len(tasks))
-	in.Stats.PlanBuilds += int64(len(tasks))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				t := tasks[i]
-				buf := make(map[storage.PredID][][]storage.Value)
-				plan, err := BuildPlan(t.spj, in.Cat)
-				if err != nil {
-					continue
+	} else {
+		bufs := make([][]storage.Value, len(plans))
+		var next atomic.Int32
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
+					p := plans[i]
+					p.Execute(in.Cat, func(head, _ []storage.Value) {
+						if keep == nil || keep(p.Sink, head) {
+							bufs[i] = append(bufs[i], head...)
+						}
+					})
 				}
-				plan.Cancel = in.Cancelled
-				plan.Execute(in.Cat, func(head, _ []storage.Value) {
-					if keep(t.sink, head) {
-						buf[t.sink] = append(buf[t.sink], append([]storage.Value(nil), head...))
-					}
-				})
-				results[i] = buf
+			}()
+		}
+		wg.Wait()
+		for i, buf := range bufs {
+			for ar := len(plans[i].Head); len(buf) > 0; buf = buf[ar:] {
+				commit(plans[i].Sink, buf[:ar])
 			}
-		}()
-	}
-	wg.Wait()
-	out := make(map[storage.PredID][][]storage.Value)
-	for _, buf := range results {
-		for pid, ts := range buf {
-			out[pid] = append(out[pid], ts...)
 		}
 	}
-	return out
+	if in.Cancelled() {
+		return ErrCancelled
+	}
+	return nil
 }

@@ -1,0 +1,199 @@
+package interp
+
+import (
+	"reflect"
+	"testing"
+
+	"carac/internal/ir"
+	"carac/internal/optimizer"
+	"carac/internal/parser"
+	"carac/internal/stats"
+	"carac/internal/storage"
+)
+
+// retractFixture runs src to fixpoint with join-key indexes and returns an
+// interpreter wired the way core wires one for Apply (counted Derived, the
+// optimizer as Reorder) plus the program's retraction table.
+func retractFixture(t *testing.T, src string) (*Interp, []ir.RetractRule) {
+	t.Helper()
+	cat := storage.NewCatalog()
+	res, err := parser.Parse(src, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := ir.Lower(res.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid, cols := range ir.JoinKeyColumns(res.Program) {
+		cat.Pred(pid).BuildIndexes(cols)
+	}
+	if err := New(cat, nil).Run(root); err != nil {
+		t.Fatal(err)
+	}
+	rules, err := ir.LowerRetract(res.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pd := range cat.Preds() {
+		pd.Derived.EnableCounts()
+		pd.DeltaKnown.Clear()
+		pd.DeltaNew.Clear()
+	}
+	in := New(cat, nil)
+	live := stats.Catalog{Cat: cat}
+	in.Reorder = func(spj *ir.SPJOp) error {
+		_, err := optimizer.Reorder(spj, live, optimizer.DefaultOptions())
+		return err
+	}
+	return in, rules
+}
+
+func pred(t *testing.T, cat *storage.Catalog, name string) *storage.PredicateDB {
+	t.Helper()
+	pd, ok := cat.PredByName(name)
+	if !ok {
+		t.Fatalf("predicate %q missing", name)
+	}
+	return pd
+}
+
+// TestRetractEmptyDeltaBuildsNoPlan pins the delta-driven round: a variant
+// whose delta relation is empty is not planned, not run and not counted, so a
+// closure costs one plan per (round, variant with a frontier) and no more.
+func TestRetractEmptyDeltaBuildsNoPlan(t *testing.T) {
+	in, rules := retractFixture(t, tcChain)
+	var variants []*ir.SPJOp
+	for _, rr := range rules {
+		variants = append(variants, rr.Propagate...)
+		variants = append(variants, rr.Rederive)
+	}
+	plans, err := in.retractPlans(variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plans) != 0 || in.Stats != (Stats{}) {
+		t.Fatalf("empty deltas: %d plans, stats %+v; want none", len(plans), in.Stats)
+	}
+
+	// Retract edge(3,4) from 1→2→3→4. Round 1 has a frontier on edge only
+	// (two variants read it), round 2 on tc only (one variant), and both
+	// rederive plans have candidates: five plans, where running every variant
+	// every round takes eleven.
+	edge := pred(t, in.Cat, "edge")
+	row, ok := edge.Derived.RowOf([]storage.Value{3, 4})
+	if !ok {
+		t.Fatal("edge(3,4) missing")
+	}
+	seeds := make([][]int32, in.Cat.NumPreds())
+	seeds[edge.ID] = []int32{row}
+	d, err := in.OverDelete(rules, seeds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d.Rows[pred(t, in.Cat, "tc").ID]); got != 3 {
+		t.Fatalf("doomed %d tc rows, want tc(3,4), tc(2,4), tc(1,4)", got)
+	}
+	if in.Stats.PlanBuilds != 5 || in.Stats.SPJRuns != 5 {
+		t.Fatalf("PlanBuilds = %d, SPJRuns = %d, want 5 and 5", in.Stats.PlanBuilds, in.Stats.SPJRuns)
+	}
+}
+
+// TestRetractPlanShapes pins what the optimizer-ordered retraction plans
+// look like when the delta is small against Derived: the delta drives and
+// Derived is probed; and the rederive plan reaches the head predicate's
+// Derived relation only through membership tests.
+func TestRetractPlanShapes(t *testing.T) {
+	src := ".decl edge(x:number, y:number)\n.decl tc(x:number, y:number)\n"
+	for i := 0; i < 40; i++ {
+		src += "edge(" + itoa(i) + "," + itoa(i+1) + ").\n"
+	}
+	src += "tc(x,y) :- edge(x,y).\ntc(x,y) :- tc(x,z), edge(z,y).\n"
+	in, rules := retractFixture(t, src)
+	edge, tc := pred(t, in.Cat, "edge"), pred(t, in.Cat, "tc")
+	if tc.Derived.Len() < 10*edge.Derived.Len() {
+		t.Fatalf("fixture: |tc| = %d is not large against |edge| = %d", tc.Derived.Len(), edge.Derived.Len())
+	}
+
+	// tc(x,z), δedge(z,y) in source order, with one doomed edge.
+	recursive := rules[1]
+	var variant *ir.SPJOp
+	for _, spj := range recursive.Propagate {
+		if spj.Atoms[spj.DeltaIdx].Pred == edge.ID {
+			variant = spj
+		}
+	}
+	if variant == nil || variant.DeltaIdx != 1 {
+		t.Fatalf("fixture: no tc(x,z), δedge(z,y) variant in source order")
+	}
+	edge.DeltaKnown.Insert([]storage.Value{20, 21})
+	plans, err := in.retractPlans([]*ir.SPJOp{variant})
+	if err != nil || len(plans) != 1 {
+		t.Fatalf("retractPlans = %d plans, %v", len(plans), err)
+	}
+	steps := plans[0].Steps
+	if steps[0].Pred != edge.ID || steps[0].Src != ir.SrcDelta {
+		t.Errorf("first step reads pred %d src %v, want the edge delta", steps[0].Pred, steps[0].Src)
+	}
+	if steps[1].Pred != tc.ID || steps[1].Kind != StepProbe {
+		t.Errorf("tc step has kind %v, want an index probe", steps[1].Kind)
+	}
+
+	// Rederive plans with a handful of candidates staged.
+	tc.DeltaKnown.Insert([]storage.Value{0, 21})
+	tc.DeltaKnown.Insert([]storage.Value{20, 21})
+	plans, err = in.retractPlans([]*ir.SPJOp{rules[0].Rederive, recursive.Rederive})
+	if err != nil || len(plans) != 2 {
+		t.Fatalf("retractPlans(rederive) = %d plans, %v", len(plans), err)
+	}
+	for pi, p := range plans {
+		members := 0
+		for _, st := range p.Steps {
+			if st.Kind == StepMember {
+				members++
+			} else if st.Pred == tc.ID && st.Src == ir.SrcDerived {
+				t.Errorf("rederive plan %d reads tc's Derived with step kind %v, want membership only", pi, st.Kind)
+			}
+		}
+		if members == 0 {
+			t.Errorf("rederive plan %d has no membership step: %+v", pi, p.Steps)
+		}
+	}
+}
+
+// TestOverDeletePooledMatchesSequential pins the barrier: with the round's
+// plans fanned out across the pool the closure is the same rows in the same
+// doom order as on one goroutine.
+func TestOverDeletePooledMatchesSequential(t *testing.T) {
+	src := `
+.decl e(x:number, y:number)
+.decl a(x:number, y:number)
+.decl b(x:number, y:number)
+a(x,y) :- e(x,y).
+a(x,y) :- b(x,z), e(z,y).
+b(x,y) :- a(x,z), e(z,y).
+b(x,y) :- a(x,y), e(y,x).
+`
+	for i := 0; i < 30; i++ {
+		src += "e(" + itoa(i) + "," + itoa((i+1)%30) + ").\ne(" + itoa(i) + "," + itoa((i*7+3)%30) + ").\n"
+	}
+	closure := func(parallel bool) [][]int32 {
+		in, rules := retractFixture(t, src)
+		in.Parallel, in.Workers = parallel, 4
+		e := pred(t, in.Cat, "e")
+		seeds := make([][]int32, in.Cat.NumPreds())
+		seeds[e.ID] = []int32{0, 7, 19}
+		d, err := in.OverDelete(rules, seeds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Rows
+	}
+	seq, pooled := closure(false), closure(true)
+	if len(seq[1]) == 0 || len(seq[2]) == 0 {
+		t.Fatalf("fixture: closure reached %d a rows and %d b rows", len(seq[1]), len(seq[2]))
+	}
+	if !reflect.DeepEqual(seq, pooled) {
+		t.Fatalf("pooled closure differs from sequential:\n%v\n%v", pooled, seq)
+	}
+}

@@ -12,11 +12,12 @@ import (
 // (internal/interp, OverDelete/Rederive) first computes the over-approximate
 // set of derived tuples that MIGHT lose support — the delta-driven closure of
 // the deletions through every rule — then physically removes them and runs
-// one naive rederivation round over the reduced database to resurrect tuples
-// that still have an all-surviving derivation. Cascading rederivations and
-// any co-batched insertions then ride the ordinary monotone warm-start
-// continuation (ir.LowerWarm + SeedDelta), which is sound because after the
-// removal the database is an under-approximation of the new fixpoint.
+// one rederivation round over the reduced database, driven by the removed
+// candidates, to resurrect tuples that still have an all-surviving
+// derivation. Cascading rederivations and any co-batched insertions then ride
+// the ordinary monotone warm-start continuation (ir.LowerWarm + SeedDelta),
+// which is sound because after the removal the database is an
+// under-approximation of the new fixpoint.
 //
 // The lowering itself only produces the SPJ shapes; the driver owns the loop
 // structure, so — unlike Lower/LowerWarm — the output is a flat per-rule
@@ -32,8 +33,12 @@ type RetractRule struct {
 	// the LowerWarm shape, with SrcDelta reading the deletion delta: a head
 	// tuple joining a doomed tuple at that position might lose support.
 	Propagate []*SPJOp
-	// Rederive is the fully naive variant (DeltaIdx -1), run over the
-	// reduced database and sink-filtered to the over-deleted candidates.
+	// Rederive is the naive variant driven by the over-deleted candidates:
+	// the rule's body over the reduced database plus one more atom, reading
+	// SrcDelta on the head predicate with the head's own terms (DeltaIdx
+	// points at it). The driver stages the candidates in the head's delta, so
+	// the join only ever visits bodies whose head is a candidate, and the
+	// optimizer orders that atom like any other.
 	Rederive *SPJOp
 }
 
@@ -66,6 +71,13 @@ func LowerRetract(prog *ast.Program) ([]RetractRule, error) {
 		if err != nil {
 			return nil, err
 		}
+		naive.DeltaIdx = len(naive.Atoms)
+		naive.Atoms = append(naive.Atoms, Atom{
+			Kind:  ast.AtomRelation,
+			Pred:  r.Head.Pred,
+			Terms: append([]ast.Term(nil), r.Head.Terms...),
+			Src:   SrcDelta,
+		})
 		rr.Rederive = naive
 		out = append(out, rr)
 	}

@@ -60,6 +60,9 @@ func (r *Relation) Count(t []Value) uint32 {
 	return r.counts[row]
 }
 
+// CountAt is Count for a caller that already holds t's row id (RowOf).
+func (r *Relation) CountAt(row int32) uint32 { return r.counts[row] }
+
 // IncRef asserts tuple t once: a present row's count is bumped (returning
 // false — no content change), an absent tuple is inserted with count 1
 // (returning true, exactly like Insert). Requires counted mode.

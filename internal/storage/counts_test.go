@@ -1,6 +1,10 @@
 package storage
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 // layouts configures one relation per storage layout so count and deletion
 // semantics are pinned across all three (the same axis the shard-layout tests
@@ -214,5 +218,98 @@ func TestTruncateKeepsCounts(t *testing.T) {
 	r.Clear()
 	if c := r.Count([]Value{1, 1}); c != 0 {
 		t.Fatalf("count survived Clear: %d", c)
+	}
+}
+
+// TestDeleteRowIDsMatchesDeleteRows is the model test of the row-id deletion
+// entry: on twin relations built by the same random history, deleting a batch
+// by row id (duplicates, any order, ids on both sides of the boundary) must
+// leave exactly what DeleteRows leaves given the same rows as tuples — rows
+// in order, counts, indexes, bucket views, mutation counter and return values
+// — in the flat and view layouts, and must not touch a pinned epoch's rows.
+func TestDeleteRowIDsMatchesDeleteRows(t *testing.T) {
+	for _, lo := range countLayouts {
+		if lo.name == "physical" {
+			continue // row ids are bucket-local there; DeleteRowIDs refuses
+		}
+		t.Run(lo.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			for round := 0; round < 200; round++ {
+				build := func() *Relation {
+					r := NewRelation("twin", 2)
+					r.BuildIndex(1)
+					lo.set(r)
+					r.EnableCounts()
+					return r
+				}
+				byTuple, byID := build(), build()
+				n := 1 + rng.Intn(60)
+				for i := 0; i < n; i++ {
+					row := []Value{Value(rng.Intn(12)), Value(rng.Intn(12))}
+					byTuple.IncRef(row)
+					byID.IncRef(row)
+				}
+				n = byID.Len()
+				boundary := rng.Intn(n + 1)
+				var ids []int32
+				var tuples [][]Value
+				for k := rng.Intn(n + 4); k > 0; k-- {
+					id := int32(rng.Intn(n))
+					ids = append(ids, id)
+					tuples = append(tuples, append([]Value(nil), byID.Row(id)...))
+				}
+				pin := byID.PinRows()
+				before := byID.Snapshot()
+				muts := byID.Mutations()
+
+				wantRemoved, wantBelow := byTuple.DeleteRows(tuples, boundary)
+				removed, below := byID.DeleteRowIDs(ids, boundary)
+				if removed != wantRemoved || below != wantBelow {
+					t.Fatalf("round %d: DeleteRowIDs = (%d, %d), DeleteRows = (%d, %d)", round, removed, below, wantRemoved, wantBelow)
+				}
+				if got, want := byID.Mutations()-muts, uint64(min(removed, 1)); got != want {
+					t.Fatalf("round %d: mutation counter advanced by %d, want %d", round, got, want)
+				}
+				if got, want := byID.Snapshot(), byTuple.Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: rows %v, want %v", round, got, want)
+				}
+				for i := int32(0); i < int32(byID.Len()); i++ {
+					row := byID.Row(i)
+					if got, ok := byID.RowOf(row); !ok || got != i {
+						t.Fatalf("round %d: RowOf(%v) = (%d, %v), want %d", round, row, got, ok, i)
+					}
+					if got, want := byID.CountAt(i), byTuple.Count(row); got != want {
+						t.Fatalf("round %d: count of %v = %d, want %d", round, row, got, want)
+					}
+				}
+				for v := Value(0); v < 12; v++ {
+					got, _ := byID.Probe(1, v)
+					want, _ := byTuple.Probe(1, v)
+					for g, w := got.First(), want.First(); g >= 0 || w >= 0; g, w = got.Next(g), want.Next(w) {
+						if g != w {
+							t.Fatalf("round %d: probe(col 1 = %d) chains differ: row %d vs %d", round, v, g, w)
+						}
+					}
+				}
+				if lo.name == "view" {
+					for s := 0; s < 4; s++ {
+						var got, want [][]Value
+						byID.EachShardRange(s, s+1, func(row []Value) bool { got = append(got, append([]Value(nil), row...)); return true })
+						byTuple.EachShardRange(s, s+1, func(row []Value) bool { want = append(want, append([]Value(nil), row...)); return true })
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d: bucket %d = %v, want %v", round, s, got, want)
+						}
+					}
+				}
+				if pin.Len() != len(before) {
+					t.Fatalf("round %d: pinned view has %d rows, had %d", round, pin.Len(), len(before))
+				}
+				for i, row := range before {
+					if !reflect.DeepEqual(append([]Value(nil), pin.Row(i)...), row) {
+						t.Fatalf("round %d: pinned row %d rewritten to %v, was %v", round, i, pin.Row(i), row)
+					}
+				}
+			}
+		})
 	}
 }

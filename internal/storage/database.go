@@ -76,8 +76,16 @@ func (p *PredicateDB) SeedDeltas() {
 // keeps δ′'s index capacity for the refill; once an iteration produced none,
 // both deltas give theirs back (chainIndex's capacity rule).
 func (p *PredicateDB) SwapClear() {
-	p.swaps++
 	p.Derived.InsertAll(p.DeltaNew)
+	p.SwapDeltas()
+}
+
+// SwapDeltas is SwapClear without the merge into Derived: δ′ becomes the
+// next round's δ and the old δ is emptied under the same capacity rule.
+// Retraction's over-delete rounds rotate their frontier with it — the
+// frontier's rows are already in Derived, on their way out.
+func (p *PredicateDB) SwapDeltas() {
+	p.swaps++
 	p.DeltaKnown, p.DeltaNew = p.DeltaNew, p.DeltaKnown
 	// Relation names travel with the structs; swap them back so Derived/δ/δ'
 	// naming stays meaningful in debug output.

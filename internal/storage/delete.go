@@ -1,15 +1,19 @@
 package storage
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements batched physical deletion — the one destructive
 // operation that removes individual rows rather than a suffix or everything.
 // It exists for incremental maintenance (core.Apply / Server.IngestTx): a
 // transaction's retractions are collected (count-gated by DecRef) and applied
-// as ONE stable compaction per relation, rebuilding the derived structures —
-// row table, indexes, composites, histograms, shard views — the same way
-// TruncateTo does, and advancing the mutation counter once per batch
-// (one logical content change, exactly like Clear).
+// — as tuples (DeleteRows) or, when the caller already resolved them, as row
+// ids (DeleteRowIDs) — in ONE stable compaction per relation, rebuilding the
+// derived structures — row table, indexes, composites, histograms, shard
+// views — the same way TruncateTo does, and advancing the mutation counter
+// once per batch (one logical content change, exactly like Clear).
 //
 // Epoch safety: a pinned arena (an EpochRows view references it) is never
 // compacted in place — the survivors move to a fresh slab and the old one is
@@ -148,10 +152,27 @@ func (r *Relation) AssertAt(tuples [][]Value, boundary int) (added [][]Value, pr
 	return added, promoted
 }
 
-// deleteCompact performs the single-slab compaction: find the doomed rows
-// through the row table (one lookup per tuple, absent ones dropped), move the
-// survivors down (or onto a fresh slab when pinned), and rebuild every
-// derived structure. The caller owns all mutation-counter accounting.
+// DeleteRowIDs is DeleteRows for a caller that already holds the doomed
+// tuples' row ids (RowOf) — retraction resolves every candidate through the
+// row table once and keeps the id — so no tuple is looked up a second time.
+// rows may repeat and arrive in any order (it is sorted in place); every id
+// must be a current row of r. Row ids are global insertion positions, which
+// physical sharding does not track: like TruncateTo this is for Derived,
+// which is never physical, and reaching it on a physical relation is an
+// engine-wiring bug.
+func (r *Relation) DeleteRowIDs(rows []int32, boundary int) (removed, removedBelow int) {
+	if r.subs != nil {
+		panic(fmt.Sprintf("storage: DeleteRowIDs on physically sharded %q", r.name))
+	}
+	removed, removedBelow = r.compactRows(rows, boundary)
+	if removed > 0 {
+		r.muts++
+	}
+	return removed, removedBelow
+}
+
+// deleteCompact resolves the doomed tuples through the row table (one lookup
+// per tuple, absent ones dropped) and compacts them away.
 func (r *Relation) deleteCompact(tuples [][]Value, boundary int) (removed, removedBelow int) {
 	var dead []int32
 	for _, t := range tuples {
@@ -159,11 +180,18 @@ func (r *Relation) deleteCompact(tuples [][]Value, boundary int) (removed, remov
 			dead = append(dead, row)
 		}
 	}
+	return r.compactRows(dead, boundary)
+}
+
+// compactRows performs the single-slab compaction: move the survivors of the
+// dead row ids down (or onto a fresh slab when pinned) and rebuild every
+// derived structure. The caller owns all mutation-counter accounting.
+func (r *Relation) compactRows(dead []int32, boundary int) (removed, removedBelow int) {
 	if len(dead) == 0 {
 		return 0, 0
 	}
 	slices.Sort(dead)
-	dead = slices.Compact(dead) // a tuple may repeat within the batch
+	dead = slices.Compact(dead) // a row may repeat within the batch
 	removed = len(dead)
 	for _, i := range dead {
 		if int(i) < boundary {
