@@ -114,7 +114,7 @@ func runCmd(args []string) error {
 	workers := fs.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "hash-shard each relation into this many buckets and split single rules across workers (implies -parallel)")
 	adaptiveFanout := fs.Bool("adaptive-fanout", false, "re-decide the parallel fan-out each iteration from live delta statistics, with a sequential fast path for small-delta iterations (implies -shards 8 when -shards is unset)")
-	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration runs sequentially under -adaptive-fanout, and the minimum buffered volume for a parallel bucketed merge when -shards > 1 (0 = default)")
+	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration runs sequentially under -adaptive-fanout (0 = default)")
 	histograms := fs.Bool("histograms", false, "maintain per-column histograms on join columns and order atoms by estimated join-output size (histogram overlap) instead of cardinality alone")
 	stealThreshold := fs.Float64("steal-threshold", 0, "skew ratio (hottest delta bucket / mean occupied bucket) at which a fanned-out iteration switches to work-stealing per-bucket claims; 0 disables, 3.0 recommended")
 	sharedPlans := fs.Bool("shared-plans", false, "key plan and compiled-unit caches into the program-lifetime plan store so repeated runs start warm (implies -plancache)")
@@ -218,7 +218,7 @@ func runCmd(args []string) error {
 			res.Duration.Round(time.Microsecond), res.TotalFacts,
 			res.Interp.Iterations, res.Interp.Derivations, res.Interp.SPJRuns)
 		if *parallel || *shards > 1 || *adaptiveFanout {
-			fmt.Fprintf(os.Stderr, "fanout: sequential-iterations=%d/%d merge-tasks=%d\n",
+			fmt.Fprintf(os.Stderr, "fanout: sequential-iterations=%d/%d workers-folded=%d\n",
 				res.Interp.SeqIters, res.Interp.Iterations, res.Interp.MergeTasks)
 		}
 		if *stealThreshold > 0 || *histograms {

@@ -47,8 +47,8 @@
 //     each iteration concurrently on a bounded, GOMAXPROCS-aware worker
 //     pool (core.Options.ParallelUnions / Workers): workers share the
 //     iteration-frozen catalog read-only, sink derivations into private
-//     delta buffers, and merge them into the real delta relations at the
-//     iteration barrier. ParallelUnions=false is the sequential fallback.
+//     delta buffers, and the buffers are folded through the sinks' Emit at
+//     the iteration barrier. ParallelUnions=false is the sequential fallback.
 //
 // # The sharded catalog
 //
@@ -84,30 +84,36 @@
 //     hops the key's band quantization widens a step, so one plan rides the
 //     climb instead of re-planning per band.
 //
-// # The sharded delta merge and adaptive fan-out
+// # The delta merge and adaptive fan-out
 //
-// PR 2's fan-out still funneled every iteration through a sequential merge
-// barrier — worker delta buffers folded into DeltaNew one row at a time —
-// which bounds output-heavy fixpoints by Amdahl's law, and its static
-// fan-out taxed the small-delta tail iterations every recursive query ends
-// in. Two layers remove both costs:
+// The parallel fan-out has every worker derive into a private buffer and
+// folds the buffers at an iteration barrier; a static fan-out also taxed
+// the small-delta tail iterations every recursive query ends in. Two layers
+// decide what that costs:
 //
 //   - internal/storage gains a physically sharded backing store
 //     (storage.Relation.SetShardKeyPhysical, behind the same SetShardKey
 //     partitioning): each delta bucket is an independent sub-relation with
-//     its own arena slab, row table, and indexes, so concurrent
-//     inserts into distinct buckets share no state (Relation.ShardInsert),
-//     while Derived keeps one arena under row-id bucket views. That makes
+//     its own arena slab and indexes, so a bucket task scans and probes one
+//     slab, while Derived keeps one arena under row-id bucket views. That makes
 //     three layouts — flat, view, physical — over one duplicate-elimination
-//     structure: every arena has a row table (storage/rowtable.go), an
+//     structure: every set has a row table (storage/rowtable.go), an
 //     open-addressing table of 1-byte hash tags and 4-byte row ids keyed by
 //     the rows' own bytes in the arena. Insert, Contains, the reference
 //     counts and the deletion compaction all find a tuple through it; Clear,
 //     TruncateTo and the compactions empty or rebuild it in place, so the
-//     per-iteration delta refill and the per-Run baseline rewind allocate
-//     nothing for dedup once warm; and a lookup only loads, which is why the
-//     workers' set-difference probes against the iteration-frozen Derived
-//     are race-free without any per-bucket copy. Join indexes are one
+//     per-Run baseline rewind allocates nothing for dedup once warm; and a
+//     lookup only loads, which is why the workers' set-difference probes
+//     against the iteration-frozen Derived are race-free without any
+//     per-bucket copy. Derived's row table is the only duplicate elimination
+//     of semi-naive evaluation (storage.PredicateDB.Emit): a new fact is
+//     staged in it — entered in the table and written past the arena's
+//     length, so Contains sees it at once and no reader does — and appended
+//     to δ′, a list with no table of its own; SwapClear publishes the staged
+//     rows (chains, bucket views, histograms) without probing again. On the
+//     sequential path each new fact is hashed and probed once (the pool
+//     adds its workers' test against the frozen Derived and their buffers').
+//     Join indexes are one
 //     structure in the same spirit (storage/chainindex.go), whether over one
 //     column or a column set: an open-addressing table with one keyless
 //     8-byte slot per distinct key — the first and last row of the key's
@@ -131,11 +137,16 @@
 //     transitions preserve the totals exactly (the shard-drift regression
 //     test pins all three layouts to one number).
 //
-//   - internal/interp rewrites the merge barrier: when sinks carry the
-//     physical store, the fold fans out as one task per (predicate, bucket)
-//     over the worker pool — task (p, b) drains bucket b of every worker's
-//     buffer (partitioned with the identical key) into DeltaNew's bucket b,
-//     with derivation counting in per-task counters summed at the join.
+//   - internal/interp folds the workers' buffers at the iteration barrier
+//     through the sinks' Emit, in predicate and worker order: one probe of
+//     Derived per buffered row deduplicates across workers and counts the
+//     derivation (Stats.MergeTasks adds the pool size at every pooled
+//     barrier: the workers whose buffers it folded). The fold is
+//     sequential because deduplication happens in Derived's one row table;
+//     a bucketed fold would have only δ′'s appends to split.
+//     Each worker's buffer keeps a row table: it drops the worker's own
+//     repeats before they reach the barrier, where a rule that finds one
+//     fact many times over (CSPA's) would otherwise carry every repeat.
 //     The fixpoint driver re-decides the fan-out every iteration from
 //     stats.Catalog.ShardCard (core.Options.AdaptiveFanout): iterations
 //     under FanoutThreshold total delta run on a zero-overhead sequential
@@ -185,9 +196,8 @@
 //     [shard, shard+span) restriction chooseFanout hands interpreted tasks,
 //     thread all mutable state through per-invocation frames so distinct
 //     workers run one unit concurrently, and write derivations into the
-//     worker's private bucket-partitioned buffers, which the merge barrier
-//     drains into DeltaNew as one race-free ShardInsert task per bucket —
-//     exactly the parallel merge interpretation uses;
+//     worker's private buffers, which the merge barrier folds through the
+//     sinks' Emit — exactly the fold interpretation uses;
 //
 //   - task units live in the Program-lifetime store under rule-subtree
 //     fingerprints tagged with the shard layout: warm reruns at one layout
@@ -197,9 +207,10 @@
 //     it resolves relations and layout at invocation time.
 //
 // Under core.Options.Shards with a JIT backend the engine therefore keeps
-// the physical delta store, the bucketed merge (Stats.MergeTasks), and the
-// adaptive fan-out — benchmarked end to end by BenchmarkShardedSpeedup's
-// *JIT entries and engines.RunCaracAdaptiveJIT in Table II.
+// the physical delta store, the pool and its merge barrier
+// (Stats.MergeTasks), and the adaptive fan-out — benchmarked end to end by
+// BenchmarkShardedSpeedup's *JIT entries and engines.RunCaracAdaptiveJIT in
+// Table II.
 //
 // # The program-lifetime plan store
 //

@@ -68,7 +68,7 @@ type Sizes struct {
 // superlinearly in input edges (hand-optimized n=400 derives ~54k facts;
 // unoptimized is 10-30x slower and climbing), so the input counts are far
 // below the paper's 20k-tuple httpd sample while still exhibiting the same
-// blow-up; EXPERIMENTS.md records the mapping.
+// blow-up.
 func SizesFor(s Scale) Sizes {
 	switch s {
 	case ScaleSmall:

@@ -477,14 +477,13 @@ type Options struct {
 	// Implies ParallelUnions; <= 1 disables sharding.
 	//
 	// The partition always uses the physically sharded backing store
-	// (per-bucket slabs, row tables and indexes on the delta pair, bucket
-	// views over Derived), which additionally parallelizes the iteration merge barrier:
-	// worker delta buffers fold into DeltaNew as one concurrent task per
-	// bucket instead of serially. Compiled backends read the same
-	// bucket-local surface (storage.Relation.PhysSubs) and the pool's tasks
-	// run span-parameterized compiled units when a JIT is attached, so
-	// sharded + JIT runs keep both the physical store and the parallel
-	// merge instead of degrading to the row-id view.
+	// (per-bucket slabs and indexes on the delta pair, bucket views over
+	// Derived). Compiled backends read the same bucket-local surface
+	// (storage.Relation.PhysSubs) and the pool's tasks run
+	// span-parameterized compiled units when a JIT is attached, so sharded
+	// + JIT runs keep the physical store instead of degrading to the row-id
+	// view. Worker buffers fold at each iteration barrier through the
+	// sinks' Emit, sequentially: one probe of Derived per buffered row.
 	Shards int
 	// AdaptiveFanout re-decides the parallel fan-out every fixpoint
 	// iteration from live per-shard delta statistics instead of always
@@ -496,8 +495,7 @@ type Options struct {
 	// Implies ParallelUnions and, when Shards is unset, an 8-way partition.
 	AdaptiveFanout bool
 	// FanoutThreshold is the sequential-fast-path delta bound for
-	// AdaptiveFanout (and the minimum buffered volume for a parallel
-	// merge); <= 0 selects the interpreter default (256).
+	// AdaptiveFanout; <= 0 selects the interpreter default (256).
 	FanoutThreshold int
 	// Histograms maintains per-column value-distribution histograms on every
 	// planned join column (incrementally, inside the storage mutation paths,

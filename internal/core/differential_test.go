@@ -34,10 +34,10 @@ var execModes = []execMode{
 	{"parallel", func(o *core.Options) { o.ParallelUnions = true }},
 	{"sharded", func(o *core.Options) { o.Shards = 4 }},
 	// Low threshold so the toy workloads exercise BOTH adaptive regimes:
-	// bucketed fan-out plus parallel merge on the big early iterations,
+	// bucketed fan-out plus the buffer fold on the big early iterations,
 	// sequential fast path on the tail.
 	{"adaptive", func(o *core.Options) { o.Shards = 4; o.AdaptiveFanout = true; o.FanoutThreshold = 8 }},
-	// Explicit pool sizes so the task fan-out, the bucketed merge and — in
+	// Explicit pool sizes so the task fan-out, the buffer fold and — in
 	// the ×JIT cells — span-parameterized compiled units over the physical
 	// delta store all engage regardless of the host's core count (the
 	// Workers-less modes degrade to in-place evaluation on 1-CPU runners).
@@ -127,9 +127,19 @@ func diffDriftIncrements(t *testing.T, config string, base, before, after map[st
 	}
 }
 
+// checkDerivations pins the derivation counter to what it counts: the rows a
+// Run added to Derived beyond the ground facts — each once, whichever
+// executor, pool worker, compiled unit, yield or aggregate found it.
+func checkDerivations(t *testing.T, config string, res *core.Result, ground int) {
+	t.Helper()
+	if got, want := res.Interp.Derivations, int64(res.TotalFacts-ground); got != want {
+		t.Errorf("%s: %d derivations, but the run added %d rows to Derived", config, got, want)
+	}
+}
+
 // TestDifferentialMatrix runs each workload once sequentially (the baseline)
 // and then under every other cell of the option matrix, asserting identical
-// sorted result sets.
+// sorted result sets and derivation counts equal to the rows each Run added.
 func TestDifferentialMatrix(t *testing.T) {
 	builds := []struct {
 		name  string
@@ -147,9 +157,12 @@ func TestDifferentialMatrix(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			t.Parallel()
 			built := w.build()
-			if _, err := built.P.Run(core.Options{Indexed: true}); err != nil {
+			ground := built.P.Catalog().TotalDerived()
+			res, err := built.P.Run(core.Options{Indexed: true})
+			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
+			checkDerivations(t, "baseline", res, ground)
 			baseline := snapshotAll(built.P)
 			if n := len(baseline[built.Output.Name()]); n == 0 {
 				t.Fatalf("baseline derived no %s tuples — workload too small to differentiate", built.Output.Name())
@@ -158,9 +171,11 @@ func TestDifferentialMatrix(t *testing.T) {
 			// fingerprint every matrix cell must reproduce (the first run
 			// starts from a never-run Program and is not comparable).
 			preBase := driftTotals(built.P)
-			if _, err := built.P.Run(core.Options{Indexed: true}); err != nil {
+			res, err = built.P.Run(core.Options{Indexed: true})
+			if err != nil {
 				t.Fatalf("baseline rerun: %v", err)
 			}
+			checkDerivations(t, "sequential-rerun", res, ground)
 			baseDrift := driftTotals(built.P)
 			for name, before := range preBase {
 				baseDrift[name] -= before
@@ -177,9 +192,11 @@ func TestDifferentialMatrix(t *testing.T) {
 							}
 							config := fmt.Sprintf("%s/plancache=%v/adaptive=%v/jit=%v", em.name, plancache, adaptive, useJIT)
 							before := driftTotals(built.P)
-							if _, err := built.P.Run(opts); err != nil {
+							res, err := built.P.Run(opts)
+							if err != nil {
 								t.Fatalf("%s: %v", config, err)
 							}
+							checkDerivations(t, config, res, ground)
 							diffSnapshots(t, config, baseline, snapshotAll(built.P))
 							diffDriftIncrements(t, config, baseDrift, before, driftTotals(built.P))
 						}
@@ -242,6 +259,7 @@ func TestDifferentialIncremental(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		edge.MustFact(59, i)
 	}
+	ground := built.P.Catalog().TotalDerived() // the batch rewound Derived to its ground facts
 	if _, err := built.P.Run(core.Options{Indexed: true}); err != nil {
 		t.Fatalf("baseline after batch: %v", err)
 	}
@@ -262,9 +280,11 @@ func TestDifferentialIncremental(t *testing.T) {
 	} {
 		config := fmt.Sprintf("shards=%d/parallel=%v/exec=%v/jit=%v",
 			opts.Shards, opts.ParallelUnions, opts.Executor, opts.JIT.Backend)
-		if _, err := built.P.Run(opts); err != nil {
+		res, err := built.P.Run(opts)
+		if err != nil {
 			t.Fatalf("%s: %v", config, err)
 		}
+		checkDerivations(t, config, res, ground)
 		diffSnapshots(t, config, baseline, snapshotAll(built.P))
 	}
 }
@@ -302,15 +322,18 @@ func TestDifferentialWarmRerun(t *testing.T) {
 					}
 					config := fmt.Sprintf("%s/jit=%v", em.name, useJIT)
 					built := w.build()
+					ground := built.P.Catalog().TotalDerived()
 					res1, err := built.P.Run(opts)
 					if err != nil {
 						t.Fatalf("%s run 1: %v", config, err)
 					}
+					checkDerivations(t, config+"/run1", res1, ground)
 					diffSnapshots(t, config+"/run1", baseline, snapshotAll(built.P))
 					res2, err := built.P.Run(opts)
 					if err != nil {
 						t.Fatalf("%s run 2: %v", config, err)
 					}
+					checkDerivations(t, config+"/run2", res2, ground)
 					diffSnapshots(t, config+"/run2", baseline, snapshotAll(built.P))
 					if res1.Plans.CrossRunHits+res1.Units.CrossRunHits != 0 {
 						t.Errorf("%s: first run claims cross-run hits (%+v / %+v)", config, res1.Plans, res1.Units)

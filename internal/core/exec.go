@@ -127,11 +127,11 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 				keyCols[pid] = cols[0]
 			}
 		}
-		// Physical backing store for every sharded run: the merge barrier
-		// runs bucketed, Derived membership probes are bucket-local, and the
-		// compiled backends read the same bucket-local surface (PhysSubs) —
-		// with a JIT attached the pool's tasks execute span-parameterized
-		// compiled units, so sharding and compilation compose.
+		// Physical backing store for every sharded run: bucket tasks scan
+		// and probe one delta slab each, and the compiled backends read the
+		// same bucket-local surface (PhysSubs) — with a JIT attached the
+		// pool's tasks execute span-parameterized compiled units, so
+		// sharding and compilation compose.
 		cat.ConfigureShardsPhysical(shards, keyCols)
 		in.Parallel = true
 		in.Shards = shards
@@ -232,7 +232,7 @@ func (e *execEngine) query(oneShot bool) (*Result, error) {
 // pushing the whole pre-seeded Derived database through the first iteration.
 // The serving layer pairs it with an ir.LowerWarm root when materializing an
 // epoch from the previous epoch's fixpoint.
-func (e *execEngine) setSeedDelta(fn func(storage.PredID, *storage.Relation) bool) {
+func (e *execEngine) setSeedDelta(fn func(storage.PredID, func([]storage.Value)) bool) {
 	e.in.SeedDelta = fn
 }
 

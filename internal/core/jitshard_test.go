@@ -1,7 +1,7 @@
 // Tests for the shard-native JIT: with a Controller attached and Shards > 1
-// the run must keep the physically sharded delta store and the parallel
-// merge barrier (the pre-PR-5 engine silently degraded to the row-id view
-// and a sequential loop), span-parameterized compiled units must execute the
+// the run must keep the physically sharded delta store and the worker pool
+// with its merge barrier (an earlier engine silently degraded to the row-id
+// view and a sequential loop), span-parameterized compiled units must execute the
 // bucket tasks, the unit cache must survive warm reruns at one shard layout
 // while never serving a unit across layouts, and all of it must hold under
 // -race (the CI core job runs this package with the race detector).
@@ -37,15 +37,15 @@ func runJITTC(t *testing.T, opts core.Options) *core.Result {
 
 // TestJITShardedUsesPhysicalStore is the acceptance pin: a sharded run with
 // a Controller attached uses the physically sharded delta store end to end —
-// the merge barrier fans out (Stats.MergeTasks > 0), the pool's tasks
-// execute compiled units (Stats.Compiled > 0 via ShardUnits, Compilations
-// recorded), and the result set and iteration schedule match the sequential
-// oracle exactly.
+// the pool runs and its barrier folds worker buffers (Stats.MergeTasks > 0),
+// the pool's tasks execute compiled units (Stats.Compiled > 0 via
+// ShardUnits, Compilations recorded), and the result set and iteration
+// schedule match the sequential oracle exactly.
 func TestJITShardedUsesPhysicalStore(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
 	res := runJITTC(t, core.Options{
 		Indexed: true, Shards: 4, Workers: 4, PlanCache: true,
-		FanoutThreshold: 1, // every buffered merge runs bucketed
+		FanoutThreshold: 1, // every iteration fans out
 		JIT:             lambdaSPJ,
 	})
 	if res.TotalFacts != seq.TotalFacts {
@@ -55,7 +55,7 @@ func TestJITShardedUsesPhysicalStore(t *testing.T) {
 		t.Fatalf("sharded+JIT ran %d iterations, sequential %d", res.Interp.Iterations, seq.Interp.Iterations)
 	}
 	if res.Interp.MergeTasks == 0 {
-		t.Fatal("merge barrier never ran bucketed: the physical delta store is not engaged")
+		t.Fatal("the barrier never folded a worker buffer: the pool did not run")
 	}
 	if res.JIT.Compilations == 0 {
 		t.Fatalf("no task units compiled: %+v", res.JIT)
@@ -70,8 +70,8 @@ func TestJITShardedUsesPhysicalStore(t *testing.T) {
 
 // TestJITShardedAdaptiveFanout: the adaptive driver's two regimes compose
 // with compilation — fanned-out iterations run compiled bucket tasks and
-// bucketed merges, tail iterations take the sequential fast path — without
-// changing the derived fixpoint.
+// fold their buffers, tail iterations take the sequential fast path —
+// without changing the derived fixpoint.
 func TestJITShardedAdaptiveFanout(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
 	res := runJITTC(t, core.Options{
@@ -86,7 +86,7 @@ func TestJITShardedAdaptiveFanout(t *testing.T) {
 		t.Fatalf("adaptive sharded+JIT derived %d facts, sequential %d", res.TotalFacts, seq.TotalFacts)
 	}
 	if res.Interp.MergeTasks == 0 {
-		t.Fatal("adaptive sharded+JIT never merged bucketed")
+		t.Fatal("adaptive sharded+JIT never folded a worker buffer")
 	}
 	if res.Interp.SeqIters == 0 {
 		t.Fatal("adaptive sharded+JIT never took the sequential fast path on the tail")
@@ -219,10 +219,10 @@ func TestJITShardLayoutChangeRecompiles(t *testing.T) {
 	}
 }
 
-// TestJITShardMergeStress hammers concurrent compiled bucket tasks and
-// per-bucket merges through the full engine with a threshold of 1, so every
+// TestJITShardMergeStress hammers concurrent compiled bucket tasks and the
+// merge barrier through the full engine with a threshold of 1, so every
 // iteration — including one-tuple tails — fans out, runs ShardUnit bodies on
-// the pool, and merges bucketed; repeated Programs and reruns stress the
+// the pool, and folds their buffers; repeated Programs and reruns stress the
 // partition-mode transitions underneath. Run under -race by the CI core job.
 func TestJITShardMergeStress(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
@@ -264,7 +264,7 @@ func TestJITShardedAsyncAndBackends(t *testing.T) {
 				t.Errorf("%s: %d facts, sequential %d", name, res.TotalFacts, seq.TotalFacts)
 			}
 			if res.Interp.MergeTasks == 0 {
-				t.Errorf("%s: merge never ran bucketed", name)
+				t.Errorf("%s: the barrier never folded a worker buffer", name)
 			}
 		}
 	}

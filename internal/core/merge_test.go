@@ -1,11 +1,13 @@
-// Tests for the parallel merge barrier and the adaptive fan-out driver:
-// determinism of the derivation counters across every execution strategy, a
-// mechanical pin that the bucketed merge and the sequential fast path each
-// engage exactly when the statistics say so, and a -race stress run that
-// hammers concurrent per-bucket merges through the full engine.
+// Tests for the semi-naive sink, the merge barrier and the adaptive fan-out
+// driver: determinism of the derivation counters across every execution
+// strategy, a mechanical pin that the pooled merge and the sequential fast
+// path each engage exactly when the statistics say so, a -race stress run
+// that hammers the merge barrier through the full engine, and a bound on
+// what a warm Run allocates.
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"carac/internal/analysis"
@@ -24,10 +26,10 @@ func runTC(t *testing.T, opts core.Options) *core.Result {
 	return res
 }
 
-// TestMergeDerivationsDeterminism pins that Derivations — counted per-bucket
-// and summed under the parallel merge — equals the sequential count under
-// every execution strategy and across repeated adaptive runs (scheduling
-// must not leak into the counters: per-bucket dedup is content-based).
+// TestMergeDerivationsDeterminism pins that Derivations — counted where the
+// merge barrier stages worker buffers in Derived — equals the sequential
+// count under every execution strategy and across repeated adaptive runs
+// (scheduling must not leak into the counters: dedup is content-based).
 func TestMergeDerivationsDeterminism(t *testing.T) {
 	seq := runTC(t, core.Options{Indexed: true})
 	configs := []struct {
@@ -57,10 +59,10 @@ func TestMergeDerivationsDeterminism(t *testing.T) {
 
 // TestAdaptiveFanoutEngages is the mechanical acceptance pin for the
 // adaptive driver, testable on any machine regardless of core count:
-// (a) with a tiny threshold every iteration fans out and the merge runs
-// bucketed (MergeTasks advance, no sequential iterations); (b) with a huge
-// threshold every iteration takes the sequential fast path — zero merge
-// tasks, zero parallelism tax, and exactly the sequential SPJ schedule.
+// (a) with a tiny threshold every iteration fans out and the barrier folds
+// worker buffers (MergeTasks advance, no sequential iterations); (b) with a
+// huge threshold every iteration takes the sequential fast path — no buffer
+// folded, zero parallelism tax, and exactly the sequential SPJ schedule.
 func TestAdaptiveFanoutEngages(t *testing.T) {
 	seq := runTC(t, core.Options{Indexed: true})
 
@@ -69,7 +71,7 @@ func TestAdaptiveFanoutEngages(t *testing.T) {
 		t.Errorf("threshold=1: %d sequential iterations, want 0", fanned.Interp.SeqIters)
 	}
 	if fanned.Interp.MergeTasks == 0 {
-		t.Error("threshold=1: merge never ran bucketed")
+		t.Error("threshold=1: the barrier never folded a worker buffer")
 	}
 	if fanned.Interp.SPJRuns <= seq.Interp.SPJRuns {
 		t.Errorf("threshold=1: fan-out did not engage (%d <= %d SPJ runs)", fanned.Interp.SPJRuns, seq.Interp.SPJRuns)
@@ -83,7 +85,7 @@ func TestAdaptiveFanoutEngages(t *testing.T) {
 		t.Errorf("huge threshold: %d/%d iterations sequential, want all", tail.Interp.SeqIters, tail.Interp.Iterations)
 	}
 	if tail.Interp.MergeTasks != 0 {
-		t.Errorf("huge threshold: %d merge tasks, want 0", tail.Interp.MergeTasks)
+		t.Errorf("huge threshold: %d worker buffers folded, want 0", tail.Interp.MergeTasks)
 	}
 	if tail.Interp.SPJRuns != seq.Interp.SPJRuns {
 		t.Errorf("huge threshold: %d SPJ runs, sequential schedule has %d", tail.Interp.SPJRuns, seq.Interp.SPJRuns)
@@ -93,10 +95,10 @@ func TestAdaptiveFanoutEngages(t *testing.T) {
 	}
 }
 
-// TestParallelMergeStress hammers concurrent per-bucket merges through the
-// full engine: many workers, more buckets than workers, and a threshold of
-// 1 so every iteration — including one-tuple tails — goes through task
-// fan-out and bucketed merge. Run under -race by the CI core job.
+// TestParallelMergeStress hammers the merge barrier through the full
+// engine: many workers, more buckets than workers, and a threshold of 1 so
+// every iteration — including one-tuple tails — goes through task fan-out
+// and the buffer fold. Run under -race by the CI core job.
 func TestParallelMergeStress(t *testing.T) {
 	seq := runTC(t, core.Options{Indexed: true})
 	for round := 0; round < 3; round++ {
@@ -115,5 +117,34 @@ func TestParallelMergeStress(t *testing.T) {
 				t.Fatalf("round %d rerun %d: %d derivations, want %d", round, rerun, res.Interp.Derivations, seq.Interp.Derivations)
 			}
 		}
+	}
+}
+
+// TestWarmRunAllocatesLittle bounds what a warm Run of a TC fixpoint
+// allocates per derivation. Derived keeps its arena, row table and chains
+// across the baseline rewind and is the only duplicate elimination of the
+// fixpoint, so what a Run still allocates is δ′'s chain links, given back
+// when the deltas converge: about 5 B per derivation. A delta that
+// deduplicated through a row table of its own regrew it every Run, at
+// about 19 B.
+func TestWarmRunAllocatesLittle(t *testing.T) {
+	built := workloads.TransitiveClosure(analysis.HandOptimized, 200, 600, 42)
+	opts := core.Options{Indexed: true}
+	res, err := built.P.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		if _, err := built.P.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perDerivation := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(res.Interp.Derivations)
+	if perDerivation > 10 {
+		t.Errorf("a warm Run allocates %.1f B per derivation (%d derivations), want at most 10", perDerivation, res.Interp.Derivations)
 	}
 }

@@ -724,14 +724,16 @@ func (sess *Session) derive() (*Result, *epochMat, error) {
 		for i, pd := range sess.cat.Preds() {
 			wm[i] = pd.Derived.Len()
 		}
-		eng.setSeedDelta(func(pid storage.PredID, dst *storage.Relation) bool {
+		// The two row sets are disjoint: the ingested ground rows were in
+		// Derived before the watermark was taken.
+		eng.setSeedDelta(func(pid storage.PredID, seed func([]storage.Value)) bool {
 			g := e.rows[pid]
 			for j := e.prevLens[pid]; j < g.Len(); j++ {
-				dst.Insert(g.Row(j))
+				seed(g.Row(j))
 			}
 			der := sess.cat.Pred(pid).Derived
 			for j := wm[pid]; j < der.Len(); j++ {
-				dst.Insert(der.Row(int32(j)))
+				seed(der.Row(int32(j)))
 			}
 			return true
 		})

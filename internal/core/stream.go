@@ -360,13 +360,16 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 	for i, pd := range p.cat.Preds() {
 		mark[i] = pd.Derived.Len()
 	}
-	eng.setSeedDelta(func(pid storage.PredID, dst *storage.Relation) bool {
-		for rows, ar := seedRows[pid], dst.Arity(); len(rows) > 0; rows = rows[ar:] {
-			dst.Insert(rows[:ar])
-		}
+	// Each seed row is a row of Derived once: rederived rows are distinct,
+	// an inserted tuple that was rederived is promoted rather than added, and
+	// the rows past the mark are new since.
+	eng.setSeedDelta(func(pid storage.PredID, seed func([]storage.Value)) bool {
 		der := p.cat.Pred(pid).Derived
+		for rows, ar := seedRows[pid], der.Arity(); len(rows) > 0; rows = rows[ar:] {
+			seed(rows[:ar])
+		}
 		for row := mark[pid]; row < der.Len(); row++ {
-			dst.Insert(der.Row(int32(row)))
+			seed(der.Row(int32(row)))
 		}
 		return true
 	})

@@ -49,8 +49,8 @@ type Yielder interface {
 // evaluates the rule's subqueries with each delta read restricted to the
 // contiguous bucket range [shard, shard+span) of an nshards-way partition
 // (span <= 0 or nshards <= 1 evaluates the whole delta), writing derivations
-// through DerivationSink — the worker's private bucket-partitioned delta
-// buffer under the parallel pool, the real DeltaNew otherwise. Units resolve
+// through DerivationSink — the worker's private delta buffer under the
+// parallel pool, the predicate's Emit otherwise. Units resolve
 // relations and their partition layout at invocation time (SwapClear swaps
 // relation structs between iterations), carry no mutable compile-time state,
 // and must be safe to invoke concurrently from distinct pool workers.
@@ -77,14 +77,14 @@ type ShardCompiler interface {
 // Stats collects execution counters.
 type Stats struct {
 	Iterations    int64 // DoWhile loop passes
-	Derivations   int64 // tuples newly inserted into DeltaNew
+	Derivations   int64 // new facts staged in Derived (PredicateDB.Emit): the rows a run adds
 	SPJRuns       int64 // subquery executions
 	PlanBuilds    int64 // access plans constructed by the interpreter
 	PlanReuses    int64 // subquery executions served from the plan cache
 	Reopts        int64 // drift-triggered join-order re-optimizations
 	Compiled      int64 // subtrees executed via a Controller thunk
 	SeqIters      int64 // iterations the adaptive driver ran on the sequential fast path
-	MergeTasks    int64 // per-bucket merge tasks run at iteration barriers
+	MergeTasks    int64 // workers whose delta buffers a merge barrier folded: the pool size, per pooled barrier
 	Steals        int64 // buckets claimed through the shared steal cursor (not via affinity)
 	SkewIters     int64 // iterations executed with work-stealing bucket claims
 	EstimatedRows int64 // summed histogram-based join-size estimates recorded at plan builds
@@ -107,8 +107,8 @@ type Interp struct {
 	// Parallel evaluates the independent rules of each DoWhile iteration
 	// concurrently on a bounded worker pool — sound because the delta split
 	// makes readers (Derived, DeltaKnown) frozen for the iteration and each
-	// worker writes only its private delta buffer, merged into the real
-	// DeltaNew relations at the iteration barrier (§V-D). Honored without a
+	// worker writes only its private delta buffer, folded through the
+	// predicates' Emit at the iteration barrier (§V-D). Honored without a
 	// Controller, or with one implementing ShardCompiler (the JIT's
 	// controller does: pool tasks then run span-parameterized compiled units
 	// where one is ready, interpretation otherwise); any other Controller
@@ -179,21 +179,23 @@ type Interp struct {
 	// SeedDelta, when non-nil, replaces ScanOp's full Derived→DeltaNew
 	// seeding for the predicates it handles (returns true): instead of
 	// pushing every Derived row through the first iteration, the caller
-	// inserts only the rows that are new relative to an already-known
+	// passes seed only the rows that are new relative to an already-known
 	// fixpoint — the warm-start path of materialized-epoch serving, where
 	// Derived is pre-seeded with the previous epoch's fixpoint and only the
-	// ingested delta needs to re-enter semi-naive evaluation. Sound only for
-	// monotone programs under additions-only deltas; the serving layer gates
-	// it on that. Predicates the hook declines (returns false) seed fully.
-	SeedDelta func(pid storage.PredID, dst *storage.Relation) bool
+	// ingested delta needs to re-enter semi-naive evaluation. Each row must
+	// be a row of Derived, handed over once (PredicateDB.Seed). Sound only
+	// for monotone programs under additions-only deltas; the serving layer
+	// gates it on that. Predicates the hook declines (returns false) seed
+	// fully. Every backend's ScanOp consults it, through Seed.
+	SeedDelta func(pid storage.PredID, seed func(row []storage.Value)) bool
 
 	cancel atomic.Bool
 	// cancelHook chains a parent interpreter's cancellation into workers
 	// spawned by parallel rule evaluation.
 	cancelHook func() bool
 	// bufSink, when non-nil, redirects subquery derivations into a private
-	// per-worker buffer relation instead of the sink's DeltaNew (parallel
-	// rule evaluation; merged at the iteration barrier).
+	// per-worker buffer relation instead of the sink's Emit (parallel rule
+	// evaluation; folded at the iteration barrier).
 	bufSink func(pred storage.PredID) *storage.Relation
 	// shard/shardSpan/shardTotal restrict this (sub-)interpreter's subquery
 	// executions to the contiguous bucket range [shard, shard+shardSpan) of
@@ -210,18 +212,13 @@ type Interp struct {
 	// into the predicate, so steady-state iterations allocate nothing.
 	bufMu   sync.Mutex
 	bufFree map[int][]*storage.Relation
-	// fanBuckets, fanCounts, mergePids, mergeTasks, and mergeCounts are
-	// driver-owned scratch reused across iterations by the adaptive fan-out
-	// decision and the merge barrier (both run at sequential points).
-	fanBuckets  []bool
-	fanCounts   []int
-	mergePids   []storage.PredID
-	mergeTasks  []mergeTask
-	mergeCounts []int64
-	// stealOcc is the iteration's bucket-occupancy snapshot the steal claim
-	// loops read (fanBuckets is scratch the merge barrier reuses mid-
-	// iteration, so stealing keeps its own copy; only chooseFanout writes it,
-	// at a sequential point). affinity remembers, per rule, which worker
+	// fanBuckets and fanCounts are driver-owned scratch the adaptive fan-out
+	// decision reuses across iterations (it runs at a sequential point).
+	fanBuckets []bool
+	fanCounts  []int
+	// stealOcc is the iteration's bucket occupancy the steal claim loops
+	// read: fanBuckets with bucket 0 forced occupied, written by chooseFanout
+	// only, once per iteration. affinity remembers, per rule, which worker
 	// claimed each bucket in the last stealing iteration — the bucket→worker
 	// assignment that biases the next iteration's initial claims so hot
 	// sub-relations stay on one worker across iterations.
@@ -307,16 +304,36 @@ func New(cat *storage.Catalog, ctrl Controller) *Interp {
 
 // NewBuffered returns an interpreter whose subquery derivations are
 // redirected into the relations sink hands out per predicate instead of the
-// real DeltaNew — the worker shape of the parallel pool (set difference
-// against Derived still applies; cross-buffer dedup and derivation counting
-// happen when the caller folds the buffers). Exposed for drivers and tests
-// that execute compiled ShardUnits outside the built-in pool.
+// predicates' Emit — the worker shape of the parallel pool (set difference
+// against Derived still applies; deduplication across buffers and
+// derivation counting happen when the caller folds each buffered row
+// through PredicateDB.Emit). Exposed for drivers and tests that execute
+// compiled ShardUnits outside the built-in pool.
 func NewBuffered(cat *storage.Catalog, sink func(pred storage.PredID) *storage.Relation) *Interp {
 	return &Interp{Cat: cat, bufSink: sink}
 }
 
-// Run executes the IR program to fixpoint.
-func (in *Interp) Run(root ir.Op) error { return in.Exec(root) }
+// Run executes the IR program to fixpoint. A run that stops mid-iteration
+// leaves no staged rows behind (storage.Catalog.DropStaged).
+func (in *Interp) Run(root ir.Op) error {
+	err := in.Exec(root)
+	if err != nil {
+		in.Cat.DropStaged()
+	}
+	return err
+}
+
+// Seed is every backend's ScanOp: it seeds each predicate's δ′ for a
+// stratum's first iteration with what the SeedDelta hook hands over, or with
+// all of Derived where the hook declines or is unset.
+func (in *Interp) Seed(preds []storage.PredID) {
+	for _, pid := range preds {
+		p := in.Cat.Pred(pid)
+		if in.SeedDelta == nil || !in.SeedDelta(pid, p.Seed) {
+			p.SeedAll()
+		}
+	}
+}
 
 // Exec executes one IROp subtree, honoring controller safe points.
 func (in *Interp) Exec(op ir.Op) error {
@@ -348,13 +365,7 @@ func (in *Interp) interpret(op ir.Op) error {
 		return nil
 
 	case *ir.ScanOp:
-		for _, pid := range n.Preds {
-			p := in.Cat.Pred(pid)
-			if in.SeedDelta != nil && in.SeedDelta(pid, p.DeltaNew) {
-				continue
-			}
-			p.DeltaNew.InsertAll(p.Derived)
-		}
+		in.Seed(n.Preds)
 		return nil
 
 	case *ir.SwapClearOp:
@@ -411,12 +422,11 @@ func (in *Interp) shardCtrl() ShardCompiler {
 }
 
 // DerivationSink returns the relation subquery derivations for pred must be
-// written to in this (sub-)interpreter's context: the worker's private
-// bucket-partitioned delta buffer under parallel buffered evaluation, or nil
-// when derivations go to the predicate's real DeltaNew (with set difference
-// against Derived and per-insert Stats.Derivations counting). Compiled
-// ShardUnits consult it so their emits feed the same merge barrier the
-// interpreted tasks feed.
+// written to in this (sub-)interpreter's context: the worker's private delta
+// buffer under parallel buffered evaluation, or nil when derivations go
+// through the predicate's Emit (counted into Stats.Derivations when new).
+// Compiled ShardUnits consult it so their emits feed the same merge barrier
+// the interpreted tasks feed.
 func (in *Interp) DerivationSink(pred storage.PredID) *storage.Relation {
 	if in.bufSink == nil {
 		return nil
@@ -741,28 +751,19 @@ func (in *Interp) ensureWorkers(n int) {
 
 // acquireBuf hands out a worker delta buffer for the predicate: a recycled
 // relation from the per-Interp free list when one of the right arity is
-// available (capacity — arena, row table, shard views — intact from a
-// previous iteration), a fresh one otherwise. The buffer's bucket views are
-// aligned with the sink's partition so the merge barrier can drain it one
-// bucket at a time. Called from pool workers; the free list is
-// mutex-guarded, one lock operation per worker×predicate per iteration.
+// available (capacity — arena, row table — intact from a previous
+// iteration), a fresh one otherwise. A buffer is a set: its own row table
+// drops a worker's repeats before they reach the barrier. Called from pool
+// workers; the free list is mutex-guarded, one lock operation per
+// worker×predicate per iteration.
 func (in *Interp) acquireBuf(pd *storage.PredicateDB) *storage.Relation {
-	var r *storage.Relation
 	in.bufMu.Lock()
+	defer in.bufMu.Unlock()
 	if list := in.bufFree[pd.Arity]; len(list) > 0 {
-		r = list[len(list)-1]
 		in.bufFree[pd.Arity] = list[:len(list)-1]
+		return list[len(list)-1]
 	}
-	in.bufMu.Unlock()
-	if r == nil {
-		r = storage.NewRelation(pd.Name+"~buf", pd.Arity)
-	}
-	if pd.Physical() {
-		r.SetShardKey(pd.Shards(), pd.ShardKeyCol())
-	} else {
-		r.SetShardKey(0, 0)
-	}
-	return r
+	return storage.NewRelation(pd.Name+"~buf", pd.Arity)
 }
 
 // releaseBuffers empties every worker's delta buffers (capacity retained)
@@ -960,9 +961,8 @@ func (in *Interp) chooseFanout(n *ir.DoWhileOp) fanoutDecision {
 
 // applySteal upgrades a fan-out decision to work-stealing bucket claims when
 // stealing is enabled and the iteration's delta is skewed (see chooseFanout's
-// doc for the formula). It snapshots the bucket occupancy for the claim
-// loops: fanBuckets is scratch the merge barrier overwrites mid-iteration,
-// and bucket 0 is forced occupied because the fan-out contract runs
+// doc for the formula). It hands the claim loops the bucket occupancy with
+// bucket 0 forced occupied, because the fan-out contract runs
 // whole-relation subqueries (no delta atom) on the bucket-0 task only.
 func (in *Interp) applySteal(dec *fanoutDecision, phys, total, occupied, maxc int) {
 	if in.StealThreshold <= 0 || phys < 2 || occupied < 2 || in.workerCount() < 2 {
@@ -976,11 +976,7 @@ func (in *Interp) applySteal(dec *fanoutDecision, phys, total, occupied, maxc in
 	if dec.parts > occupied {
 		dec.parts = occupied
 	}
-	if cap(in.stealOcc) < phys {
-		in.stealOcc = make([]bool, phys)
-	}
-	in.stealOcc = in.stealOcc[:phys]
-	copy(in.stealOcc, in.fanBuckets[:phys])
+	in.stealOcc = in.fanBuckets[:phys]
 	in.stealOcc[0] = true
 }
 
@@ -991,9 +987,9 @@ func (in *Interp) applySteal(dec *fanoutDecision, phys, total, occupied, maxc in
 // iteration. Every worker reads only Derived/DeltaKnown relations — frozen
 // for the duration of the iteration — and writes only its own private delta
 // buffers, so the fan-out is race-free by construction; the buffers are
-// merged into the real DeltaNew relations (with set-difference against
-// Derived and duplicate elimination across workers) at the iteration
-// barrier, and SwapClearOps stay sequential there.
+// folded through the predicates' Emit (one probe of Derived deduplicating
+// across workers) at the iteration barrier, and SwapClearOps stay
+// sequential there.
 //
 // With AdaptiveFanout the task count is re-decided every iteration from the
 // live delta statistics, and small-delta iterations bypass the machinery
@@ -1293,27 +1289,12 @@ func (in *Interp) foldAffinity(pending []shardTask, nshards int) {
 	}
 }
 
-// mergeTask is one unit of parallel merge work: one bucket of one sink
-// predicate, drained across every worker's buffer.
-type mergeTask struct {
-	pid    storage.PredID
-	bucket int
-}
-
-// mergeWorkers folds every worker's private delta buffers into the real
-// DeltaNew relations (counting derivations exactly like the sequential
-// sink: new to both Derived and DeltaNew) and accumulates worker execution
-// counters. Runs at the iteration barrier.
-//
-// When the sinks carry the physically sharded backing store, the fold fans
-// out as one task per (predicate, bucket) over the pool: task (p, b) drains
-// bucket b of every worker's p-buffer into bucket b of p's DeltaNew — the
-// buffers are partitioned with the identical key, so distinct tasks write
-// disjoint sub-relations and the merge is race-free without a lock.
-// Derivation counting moves into per-task counters summed after the join,
-// removing the serial merge that bounded output-heavy fixpoints by Amdahl's
-// law. Small merges (and non-physical sinks) keep the sequential fold, and
-// buffers return to the free list either way.
+// mergeWorkers folds every worker's private delta buffers into the sinks
+// through PredicateDB.Emit — staging each new row in Derived, which is also
+// what deduplicates across workers — counting derivations exactly like the
+// sequential sink, and accumulates worker execution counters. Runs at the
+// iteration barrier, in predicate and worker order, so δ′'s row order does
+// not depend on scheduling; every buffer returns to the free list.
 func (in *Interp) mergeWorkers(w int) error {
 	var firstErr error
 	for i := 0; i < w; i++ {
@@ -1330,149 +1311,26 @@ func (in *Interp) mergeWorkers(w int) error {
 		in.Stats.EstimatedRows += s.EstimatedRows
 		ws.sub.Stats = Stats{}
 	}
-	if firstErr != nil {
-		in.releaseBuffers(w)
-		return firstErr
-	}
-	// Sink predicates with buffered derivations in dense id order, and the
-	// total buffered volume steering the sequential-vs-bucketed decision.
-	pids := in.mergePids[:0]
-	total := 0
-	for pid := storage.PredID(0); int(pid) < in.Cat.NumPreds(); pid++ {
-		has := false
-		for i := 0; i < w; i++ {
-			if buf := in.workers[i].bufs[pid]; buf != nil && !buf.Empty() {
-				total += buf.Len()
-				has = true
-			}
-		}
-		if has {
-			pids = append(pids, pid)
-		}
-	}
-	in.mergePids = pids
-	threshold := in.FanoutThreshold
-	if threshold <= 0 {
-		threshold = DefaultFanoutThreshold
-	}
-	if in.Shards > 1 && total >= threshold && in.poolSize(2) > 1 {
-		if tasks := in.bucketMergeTasks(pids, w); tasks != nil {
-			in.runBucketMerge(tasks, w)
-			in.releaseBuffers(w)
-			return nil
-		}
-	}
-	for _, pid := range pids {
-		sink := in.Cat.Pred(pid)
-		for i := 0; i < w; i++ {
-			buf := in.workers[i].bufs[pid]
-			if buf == nil || buf.Empty() {
-				continue
-			}
-			// Workers already filtered buffered tuples against Derived, and
-			// Derived is frozen from task fan-out through this merge (only
-			// the sequential SwapClearOp after the barrier mutates it), so
-			// the only remaining duplicates are across workers — DeltaNew's
-			// own insert dedup handles those without re-probing Derived.
-			buf.Each(func(row []storage.Value) bool {
-				if sink.DeltaNew.Insert(row) {
-					in.Stats.Derivations++
+	if firstErr == nil {
+		in.Stats.MergeTasks += int64(w)
+		for pid := storage.PredID(0); int(pid) < in.Cat.NumPreds(); pid++ {
+			sink := in.Cat.Pred(pid)
+			for i := 0; i < w; i++ {
+				buf := in.workers[i].bufs[pid]
+				if buf == nil {
+					continue
 				}
-				return true
-			})
+				buf.Each(func(row []storage.Value) bool {
+					if sink.Emit(row) {
+						in.Stats.Derivations++
+					}
+					return true
+				})
+			}
 		}
 	}
 	in.releaseBuffers(w)
-	return nil
-}
-
-// bucketMergeTasks builds the per-bucket merge task list, or nil when any
-// buffered sink cannot be merged bucket-locally (not physically sharded, or
-// a buffer's partition does not mirror the sink's — the conservative
-// fallback is the sequential fold). Empty buckets get no task.
-func (in *Interp) bucketMergeTasks(pids []storage.PredID, w int) []mergeTask {
-	in.mergeTasks = in.mergeTasks[:0]
-	for _, pid := range pids {
-		pd := in.Cat.Pred(pid)
-		if !pd.Physical() || pd.DeltaNew.PhysSubs() == nil {
-			return nil
-		}
-		shards, col := pd.Shards(), pd.ShardKeyCol()
-		if cap(in.fanBuckets) < shards {
-			in.fanBuckets = make([]bool, shards)
-		}
-		occupied := in.fanBuckets[:shards]
-		for s := range occupied {
-			occupied[s] = false
-		}
-		for i := 0; i < w; i++ {
-			buf := in.workers[i].bufs[pid]
-			if buf == nil || buf.Empty() {
-				continue
-			}
-			if bs, bc := buf.ShardConfig(); bs != shards || bc != col {
-				return nil
-			}
-			for s := 0; s < shards; s++ {
-				if buf.ShardLen(s) > 0 {
-					occupied[s] = true
-				}
-			}
-		}
-		for s, occ := range occupied {
-			if occ {
-				in.mergeTasks = append(in.mergeTasks, mergeTask{pid: pid, bucket: s})
-			}
-		}
-	}
-	return in.mergeTasks
-}
-
-// runBucketMerge drains the merge tasks over the pool. Each task owns one
-// disjoint DeltaNew bucket outright, so the only shared state is the atomic
-// task cursor; per-task derivation counts land in a dense slice and are
-// summed once the pool quiesces.
-func (in *Interp) runBucketMerge(tasks []mergeTask, w int) {
-	if cap(in.mergeCounts) < len(tasks) {
-		in.mergeCounts = make([]int64, len(tasks))
-	}
-	counts := in.mergeCounts[:len(tasks)]
-	mw := in.poolSize(len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < mw; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ti := int(next.Add(1) - 1)
-				if ti >= len(tasks) {
-					return
-				}
-				t := tasks[ti]
-				sink := in.Cat.Pred(t.pid).DeltaNew
-				var derived int64
-				for i := 0; i < w; i++ {
-					buf := in.workers[i].bufs[t.pid]
-					if buf == nil {
-						continue
-					}
-					buf.EachShard(t.bucket, func(row []storage.Value) bool {
-						if sink.ShardInsert(t.bucket, row) {
-							derived++
-						}
-						return true
-					})
-				}
-				counts[ti] = derived
-			}
-		}()
-	}
-	wg.Wait()
-	for _, c := range counts {
-		in.Stats.Derivations += c
-	}
-	in.Stats.MergeTasks += int64(len(tasks))
+	return firstErr
 }
 
 // runPlanWith executes the plan with the chosen executor, routing every
@@ -1506,17 +1364,13 @@ func runPlanWith(p *Plan, cat *storage.Catalog, exec Executor, insert func(t []s
 	agg.Emit(insert)
 }
 
-// runPlanSink executes the plan against the standard semi-naive sink: set
-// difference against Derived inlined at the insert into DeltaNew, returning
-// the number of new tuples derived.
+// runPlanSink executes the plan against the standard semi-naive sink, the
+// predicate's Emit, returning the number of new tuples derived.
 func runPlanSink(p *Plan, cat *storage.Catalog, exec Executor) int64 {
 	sink := cat.Pred(p.Sink)
 	var derived int64
 	runPlanWith(p, cat, exec, func(t []storage.Value) {
-		if sink.Derived.Contains(t) {
-			return
-		}
-		if sink.DeltaNew.Insert(t) {
+		if sink.Emit(t) {
 			derived++
 		}
 	})
@@ -1524,10 +1378,10 @@ func runPlanSink(p *Plan, cat *storage.Catalog, exec Executor) int64 {
 }
 
 // runPlanBuffered executes the plan with derivations landing in a private
-// buffer relation instead of the sink's DeltaNew (parallel rule evaluation).
+// buffer relation instead of the sink's Emit (parallel rule evaluation).
 // Set difference against the iteration-frozen Derived still applies here to
-// keep buffers small; duplicate elimination across workers and against
-// DeltaNew happens at the merge barrier.
+// keep buffers small; duplicate elimination across workers and against the
+// iteration's other finds happens at the merge barrier.
 func runPlanBuffered(p *Plan, cat *storage.Catalog, exec Executor, buf *storage.Relation) {
 	sink := cat.Pred(p.Sink)
 	runPlanWith(p, cat, exec, func(t []storage.Value) {

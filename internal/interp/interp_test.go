@@ -457,6 +457,59 @@ func (c *countingController) Enter(op ir.Op, in *Interp) func() error {
 	return nil
 }
 
+// failingController lets the n-th subquery run — staging what it derives —
+// and then fails it, the way a cancellation or a plan error stops a run
+// mid-iteration.
+type failingController struct{ n int }
+
+func (c *failingController) Enter(op ir.Op, in *Interp) func() error {
+	if _, ok := op.(*ir.SPJOp); !ok {
+		return nil
+	}
+	if c.n--; c.n != 0 {
+		return nil
+	}
+	return func() error {
+		if err := in.Interpret(op); err != nil {
+			return err
+		}
+		return ErrCancelled
+	}
+}
+
+// TestRunErrorDropsStaged: a run that stops mid-iteration leaves Derived
+// holding exactly its published rows, so the rewind that precedes the next
+// run works and that run reaches the full fixpoint.
+func TestRunErrorDropsStaged(t *testing.T) {
+	cat := storage.NewCatalog()
+	res, err := parser.Parse(tcChain, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := ir.Lower(res.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, _ := cat.PredByName("tc")
+	if err := New(cat, &failingController{n: 3}).Run(root); err != ErrCancelled {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	if tc.Derived.Len() == 0 || tc.Derived.Len() == 6 {
+		t.Fatalf("the run stopped with |tc| = %d; the test wants it stopped mid-fixpoint", tc.Derived.Len())
+	}
+	tc.Derived.TruncateTo(0)
+	for _, pd := range cat.Preds() {
+		pd.DeltaKnown.Clear()
+		pd.DeltaNew.Clear()
+	}
+	if err := New(cat, nil).Run(root); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(derived(t, cat, "tc")); got != 6 {
+		t.Fatalf("|tc| = %d after the rerun, want 6", got)
+	}
+}
+
 func TestPlanErrorOnIllegalOrder(t *testing.T) {
 	cat := storage.NewCatalog()
 	n := cat.Declare("n", 1)

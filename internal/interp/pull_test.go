@@ -122,7 +122,7 @@ func TestPullExecutorEmptyBody(t *testing.T) {
 	if n := RunPlanPull(plan, cat); n != 1 {
 		t.Fatalf("derived = %d, want 1", n)
 	}
-	if !cat.Pred(out).DeltaNew.Contains([]storage.Value{7}) {
+	if pd := cat.Pred(out); pd.DeltaNew.Len() != 1 || pd.DeltaNew.Row(0)[0] != 7 || !pd.Derived.Contains([]storage.Value{7}) {
 		t.Fatal("constant head not emitted")
 	}
 }

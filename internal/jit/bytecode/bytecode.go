@@ -33,7 +33,7 @@ type Opcode uint8
 
 const (
 	OpHalt       Opcode = iota
-	OpSeed              // A = preds pool idx: Derived -> DeltaNew
+	OpSeed              // A = preds pool idx: interp.Interp.Seed
 	OpSwapClear         // A = preds pool idx
 	OpLoopBack          // A = target, B = preds pool idx: jump A while any delta nonempty
 	OpSPJBegin          // statistics marker
@@ -179,10 +179,7 @@ func (p *Program) Run(in *interp.Interp) error {
 			return nil
 
 		case OpSeed:
-			for _, pid := range p.preds[ins.A] {
-				pd := cat.Pred(pid)
-				pd.DeltaNew.InsertAll(pd.Derived)
-			}
+			in.Seed(p.preds[ins.A])
 			pc++
 
 		case OpSwapClear:
@@ -343,8 +340,7 @@ func (p *Program) Run(in *interp.Interp) error {
 			for _, tm := range h.tmpl {
 				st.buf = append(st.buf, resolveTmpl(tm, bind))
 			}
-			sink := cat.Pred(h.sink)
-			if !sink.Derived.Contains(st.buf) && sink.DeltaNew.Insert(st.buf) {
+			if cat.Pred(h.sink).Emit(st.buf) {
 				in.Stats.Derivations++
 			}
 			pc++

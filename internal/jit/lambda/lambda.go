@@ -46,10 +46,7 @@ func (c Compiler) compileFull(op ir.Op, cat *storage.Catalog) (Unit, error) {
 	case *ir.ScanOp:
 		preds := n.Preds
 		return func(in *interp.Interp) error {
-			for _, pid := range preds {
-				p := in.Cat.Pred(pid)
-				p.DeltaNew.InsertAll(p.Derived)
-			}
+			in.Seed(preds)
 			return nil
 		}, nil
 
@@ -269,7 +266,7 @@ func CompilePlan(plan *interp.Plan) Unit {
 		cchain(in, bind)
 		sink := in.Cat.Pred(sinkPred)
 		a.Emit(func(t []storage.Value) {
-			if !sink.Derived.Contains(t) && sink.DeltaNew.Insert(t) {
+			if sink.Emit(t) {
 				in.Stats.Derivations++
 			}
 		})
@@ -291,8 +288,7 @@ func compileEmit(plan *interp.Plan) stepFn {
 				tuple[hi] = bind[h.Var]
 			}
 		}
-		sink := in.Cat.Pred(sinkPred)
-		if !sink.Derived.Contains(tuple) && sink.DeltaNew.Insert(tuple) {
+		if in.Cat.Pred(sinkPred).Emit(tuple) {
 			in.Stats.Derivations++
 		}
 	}

@@ -14,11 +14,8 @@
 // delta step's span restriction narrows the iteration to the task's bucket
 // range instead of hashing every row. Derivations flow through
 // interp.Interp.DerivationSink: under the parallel pool that is the
-// worker's private buffer relation — bucket-partitioned to mirror the sink
-// (view-mode bucket lists maintained by Insert), private to one worker, and
-// drained by the merge barrier as one race-free ShardInsert task per
-// (predicate, bucket); standalone invocations fall back to the classic
-// DeltaNew sink.
+// worker's private buffer relation, folded by the merge barrier through the
+// sink's PredicateDB.Emit; standalone invocations emit directly.
 package lambda
 
 import (
@@ -408,11 +405,9 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 // parallel pool the frame's interpreter exposes a worker buffer
 // (DerivationSink): the emit applies the set difference against the
 // iteration-frozen Derived (a read-only row-table lookup) and inserts
-// the survivor — safe because each worker owns its buffers outright. The
-// buffer's view partition mirrors the sink's layout, so the merge barrier
-// can later drain bucket b of every worker's buffer into DeltaNew's bucket
-// b as concurrent race-free ShardInsert tasks. Without a buffer
-// (standalone execution) it is the classic counted DeltaNew sink.
+// the survivor — safe because each worker owns its buffers outright — for
+// the merge barrier to fold through the sink's Emit. Without a buffer
+// (standalone execution) it is the counted Emit itself.
 func compileShardEmit(plan *interp.Plan) sstep {
 	head := plan.Head
 	sinkPred := plan.Sink
@@ -432,7 +427,7 @@ func compileShardEmit(plan *interp.Plan) sstep {
 			}
 			return
 		}
-		if !pd.Derived.Contains(f.buf) && pd.DeltaNew.Insert(f.buf) {
+		if pd.Emit(f.buf) {
 			f.in.Stats.Derivations++
 		}
 	}

@@ -97,9 +97,9 @@ func TestShardUnitSpanCoverage(t *testing.T) {
 }
 
 // TestShardUnitConcurrentSpans: invocations over disjoint spans are safe to
-// run concurrently — per-invocation frames, bucket-local reads, disjoint
-// ShardInsert targets. Derivations land in per-goroutine buffer relations
-// (the pool's shape) and are folded afterwards.
+// run concurrently — per-invocation frames, bucket-local reads, private
+// buffers. Derivations land in per-goroutine buffer relations (the pool's
+// shape) and are folded through Emit afterwards, as the merge barrier does.
 func TestShardUnitConcurrentSpans(t *testing.T) {
 	const shards = 8
 	refCat, refUnit := shardFixture(t, shards)
@@ -118,7 +118,6 @@ func TestShardUnitConcurrentSpans(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			buf := storage.NewRelation("buf", 2)
-			buf.SetShardKey(shards, tc.ShardKeyCol())
 			bufs[s] = buf
 			sub := interp.NewBuffered(cat, func(storage.PredID) *storage.Relation { return buf })
 			errs[s] = unit(sub, s, 1, shards)
@@ -131,7 +130,10 @@ func TestShardUnitConcurrentSpans(t *testing.T) {
 		}
 	}
 	for _, buf := range bufs {
-		tc.DeltaNew.InsertAll(buf)
+		buf.Each(func(row []storage.Value) bool {
+			tc.Emit(row)
+			return true
+		})
 	}
 	got := deltaNew(cat, "tc")
 	if fmt.Sprint(got) != fmt.Sprint(want) {

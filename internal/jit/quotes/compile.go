@@ -350,8 +350,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			for _, ev := range elems {
 				f.buf = append(f.buf, ev(f))
 			}
-			pd := f.in.Cat.Pred(sink)
-			if !pd.Derived.Contains(f.buf) && pd.DeltaNew.Insert(f.buf) {
+			if f.in.Cat.Pred(sink).Emit(f.buf) {
 				f.in.Stats.Derivations++
 			}
 			return nil
@@ -360,10 +359,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 	case SeedE:
 		preds := n.Preds
 		return func(f *frame) error {
-			for _, pid := range preds {
-				pd := f.in.Cat.Pred(pid)
-				pd.DeltaNew.InsertAll(pd.Derived)
-			}
+			f.in.Seed(preds)
 			return nil
 		}, nil
 

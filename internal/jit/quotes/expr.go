@@ -153,17 +153,17 @@ type SolveE struct {
 	Body Expr
 }
 
-// EmitE projects Elems into Sink's DeltaNew with set difference against
-// Derived inlined.
+// EmitE projects Elems into Sink through its Emit: the set difference
+// against Derived and this iteration's finds, in one probe.
 type EmitE struct {
 	Sink  storage.PredID
 	Elems []Expr
 }
 
-// SeedE copies Derived into DeltaNew for each predicate.
+// SeedE seeds DeltaNew for each predicate (interp.Interp.Seed).
 type SeedE struct{ Preds []storage.PredID }
 
-// SwapClearE merges, swaps and clears the delta databases.
+// SwapClearE publishes, swaps and clears the delta databases.
 type SwapClearE struct{ Preds []storage.PredID }
 
 // LoopE repeats Body until every predicate's DeltaKnown is empty.

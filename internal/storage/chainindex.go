@@ -22,12 +22,15 @@ import (
 //
 // Capacity rule (reset): a relation that is refilled at once — the worker
 // delta buffers (ClearRetain), Derived rewound to its ground-fact baseline
-// (TruncateTo), the deletion compactions, δ′ between two iterations of a
-// running fixpoint (SwapClear) — keeps next and empties slots in place under
-// the row table's hysteresis, so the refill allocates nothing. Clear gives
-// both back; a converged predicate's deltas get it, because kept chains there
-// measured as a 17 % larger live heap on CSPA: two deltas per predicate each
-// pinning their peak iteration until the next Run.
+// (TruncateTo), the deletion compactions, the old δ that the delta rotation
+// (SwapDeltas) hands back as the next δ′ of a predicate still producing
+// facts — keeps next and empties slots in place under the row table's
+// hysteresis, so the refill allocates nothing. Clear gives both back; a
+// converged predicate's deltas get it, because kept chains there measured as
+// a 17 % larger live heap on CSPA: two deltas per predicate each pinning
+// their peak iteration until the next Run. next grows with the rows it
+// links, never past the arena's capacity, and a Derived publishing staged
+// rows sizes it exactly for the batch (reserve).
 type chainIndex struct {
 	cols  []int       // indexed columns, ascending
 	ident []int       // 0..len(cols)-1: where a probe's key values sit
@@ -130,6 +133,16 @@ func (ix *chainIndex) add(arena []Value, arity int, row int32) {
 		ix.next[s.last-1] = row + 1
 	}
 	s.last = row + 1
+}
+
+// reserve gives next room for rows links, exactly, when it has less: a
+// Derived publishing a batch of staged rows grows it to the rows it links,
+// not against the arena capacity staging left behind, which would pin that
+// slack for as long as the relation lives.
+func (ix *chainIndex) reserve(rows int) {
+	if cap(ix.next) < rows {
+		ix.next = append(make([]int32, 0, rows), ix.next...)
+	}
 }
 
 // rehash moves every chain to a fresh table of size slots; next is untouched.

@@ -109,6 +109,9 @@ func (r *Relation) RowOf(t []Value) (int32, bool) {
 
 // rowLookup resolves t to its row id through the row table.
 func (r *Relation) rowLookup(t []Value) (int32, bool) {
+	if r.staged != 0 || !r.covered() {
+		r.misuse("row lookup")
+	}
 	row, _ := r.tab.find(r.arena, t, hashRow(t))
 	return row, row >= 0
 }

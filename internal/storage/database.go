@@ -69,14 +69,41 @@ func (p *PredicateDB) SeedDeltas() {
 	p.DeltaKnown.InsertAll(p.Derived)
 }
 
-// SwapClear implements SwapClearOp for one predicate: merge the facts
-// discovered this iteration into Derived, swap the read-only and write-only
-// delta databases, and clear the relation that will become the next
-// write-only delta (paper §V-B1). A predicate that is still producing facts
-// keeps δ′'s index capacity for the refill; once an iteration produced none,
-// both deltas give theirs back (chainIndex's capacity rule).
+// Emit is the sink of semi-naive evaluation: t is a new fact unless Derived
+// holds it or this iteration found it already, and one probe of Derived's
+// row table answers both (paper §V-B1: δ′ is write-only, so nobody asks it).
+// A new fact is staged in Derived — visible to Contains, invisible to every
+// reader until SwapClear — and appended to δ′, which keeps no row table.
+// Emit reports whether t was new: the derivation count.
+func (p *PredicateDB) Emit(t []Value) bool {
+	if !p.Derived.stage(t) {
+		return false
+	}
+	p.DeltaNew.appendRow(t)
+	return true
+}
+
+// Seed appends t, a row of Derived, to δ′ unchecked: the seeding of a
+// stratum's first iteration with facts already known, which the caller
+// hands over once each.
+func (p *PredicateDB) Seed(t []Value) { p.DeltaNew.appendRow(t) }
+
+// SeedAll seeds δ′ with every row of Derived.
+func (p *PredicateDB) SeedAll() {
+	p.Derived.Each(func(row []Value) bool {
+		p.Seed(row)
+		return true
+	})
+}
+
+// SwapClear implements SwapClearOp for one predicate: publish the facts
+// staged in Derived this iteration, swap the read-only and write-only delta
+// databases, and clear the relation that will become the next write-only
+// delta (paper §V-B1). A predicate that is still producing facts keeps δ′'s
+// index capacity for the refill; once an iteration produced none, both
+// deltas give theirs back (chainIndex's capacity rule).
 func (p *PredicateDB) SwapClear() {
-	p.Derived.InsertAll(p.DeltaNew)
+	p.Derived.publish()
 	p.SwapDeltas()
 }
 
@@ -130,12 +157,11 @@ func (p *PredicateDB) SetShards(n, col int) {
 
 // SetShardsPhysical partitions like SetShards but with the physically
 // sharded backing store: the delta pair becomes n independent per-bucket
-// sub-relations (so the merge barrier can fold worker buffers concurrently,
-// one task per bucket — SwapClear's pointer exchange carries the mode with
-// the structs), and Derived keeps the global arena and its one row table
-// under the row-id bucket views (the workers' frozen set-difference probes
-// only read it). Content and predicate-level drift totals are preserved
-// exactly, like SetShards. n < 2 removes the partition.
+// sub-relations (SwapClear's pointer exchange carries the mode with the
+// structs), and Derived keeps the global arena and its one row table under
+// the row-id bucket views (the workers' frozen set-difference probes only
+// read it, and Emit stages in it). Content and predicate-level drift totals
+// are preserved exactly, like SetShards. n < 2 removes the partition.
 func (p *PredicateDB) SetShardsPhysical(n, col int) {
 	if n < 2 {
 		p.SetShards(n, col)
@@ -260,6 +286,15 @@ func (c *Catalog) ResetFacts() {
 	}
 }
 
+// DropStaged forgets the rows staged in every Derived since its last
+// SwapClear — the cleanup of an evaluation that stopped mid-iteration, after
+// which Derived holds exactly its published rows again.
+func (c *Catalog) DropStaged() {
+	for _, p := range c.preds {
+		p.Derived.unstage()
+	}
+}
+
 // ConfigureShards partitions every predicate into n buckets, keyed by the
 // predicate's entry in keyCols (its planned join key; column 0 when absent).
 // n < 2 removes all partitions.
@@ -274,11 +309,10 @@ func (c *Catalog) ConfigureShards(n int, keyCols map[PredID]int) {
 }
 
 // ConfigureShardsPhysical is ConfigureShards with the physically sharded
-// backing store (SetShardsPhysical) — the layout the parallel merge barrier
-// requires. Every execution engine reads it: the interpreter's executors and
-// all compiled backends iterate the bucket-local surface (Relation.PhysSubs
-// / EachShardRange), so it is safe — and the default — for sharded runs
-// with a JIT controller attached.
+// backing store (SetShardsPhysical). Every execution engine reads it: the
+// interpreter's executors and all compiled backends iterate the bucket-local
+// surface (Relation.PhysSubs / EachShardRange), so it is safe — and the
+// default — for sharded runs with a JIT controller attached.
 func (c *Catalog) ConfigureShardsPhysical(n int, keyCols map[PredID]int) {
 	for _, p := range c.preds {
 		col := keyCols[p.ID]

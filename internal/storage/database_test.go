@@ -10,12 +10,16 @@ func TestPredicateDBSwapClearMergesIntoDerived(t *testing.T) {
 	id := c.Declare("tc", 2)
 	p := c.Pred(id)
 
-	p.DeltaNew.Insert([]Value{1, 2})
-	p.DeltaNew.Insert([]Value{3, 4})
+	if !p.Emit([]Value{1, 2}) || !p.Emit([]Value{3, 4}) || p.Emit([]Value{1, 2}) {
+		t.Fatal("Emit misjudged which facts are new")
+	}
+	if p.Derived.Len() != 0 || p.DeltaNew.Len() != 2 {
+		t.Fatalf("before SwapClear: Derived %d rows, DeltaNew %d, want 0 and 2", p.Derived.Len(), p.DeltaNew.Len())
+	}
 	p.SwapClear()
 
-	if !p.Derived.Contains([]Value{1, 2}) || !p.Derived.Contains([]Value{3, 4}) {
-		t.Fatal("SwapClear did not merge DeltaNew into Derived")
+	if p.Derived.Len() != 2 || !p.Derived.Contains([]Value{1, 2}) || !p.Derived.Contains([]Value{3, 4}) {
+		t.Fatal("SwapClear did not publish the emitted facts into Derived")
 	}
 	if p.DeltaKnown.Len() != 2 {
 		t.Fatalf("DeltaKnown should hold the previous iteration's facts, len=%d", p.DeltaKnown.Len())
@@ -28,19 +32,64 @@ func TestPredicateDBSwapClearMergesIntoDerived(t *testing.T) {
 func TestPredicateDBSwapClearTwice(t *testing.T) {
 	c := NewCatalog()
 	p := c.Pred(c.Declare("r", 1))
-	p.DeltaNew.Insert([]Value{1})
+	p.Emit([]Value{1})
 	p.SwapClear()
-	p.DeltaNew.Insert([]Value{2})
+	if p.Emit([]Value{1}) {
+		t.Fatal("a published fact was emitted as new")
+	}
+	p.Emit([]Value{2})
 	p.SwapClear()
 	if p.Derived.Len() != 2 {
 		t.Fatalf("Derived = %d, want 2", p.Derived.Len())
 	}
-	if p.DeltaKnown.Len() != 1 || !p.DeltaKnown.Contains([]Value{2}) {
+	if p.DeltaKnown.Len() != 1 || p.DeltaKnown.Row(0)[0] != 2 {
 		t.Fatal("second swap lost iteration isolation")
 	}
 	p.SwapClear()
 	if p.DeltaKnown.Len() != 0 {
 		t.Fatal("empty iteration should leave empty DeltaKnown (fixpoint signal)")
+	}
+}
+
+// TestEmitContract pins what Emit leaves mid-iteration and how it is left:
+// δ′ is a list its row table does not answer for, Derived's staged rows
+// block every operation but Contains until SwapClear publishes them, and
+// DropStaged — the cleanup of an interrupted evaluation — forgets them.
+func TestEmitContract(t *testing.T) {
+	c := NewCatalog()
+	p := c.Pred(c.Declare("r", 2))
+	p.Derived.EnableCounts()
+	p.AddFact([]Value{0, 0})
+	p.Emit([]Value{1, 2})
+	for name, op := range map[string]func(){
+		"δ′ Insert":           func() { p.DeltaNew.Insert([]Value{3, 4}) },
+		"δ′ Contains":         func() { p.DeltaNew.Contains([]Value{1, 2}) },
+		"Derived Insert":      func() { p.Derived.Insert([]Value{3, 4}) },
+		"Derived RowOf":       func() { p.Derived.RowOf([]Value{0, 0}) },
+		"Derived TruncateTo":  func() { p.Derived.TruncateTo(0) },
+		"Derived Clear":       p.Derived.Clear,
+		"Catalog ResetFacts":  c.ResetFacts,
+		"Derived DeleteRowID": func() { p.Derived.DeleteRowIDs([]int32{0}, 1) },
+	} {
+		if !panics(op) {
+			t.Errorf("%s mid-iteration did not panic", name)
+		}
+	}
+	if !p.Derived.Contains([]Value{1, 2}) || p.Derived.Len() != 1 {
+		t.Fatal("a staged fact must answer Contains and nothing else")
+	}
+	c.DropStaged()
+	if p.Derived.Contains([]Value{1, 2}) || p.Derived.Len() != 1 {
+		t.Fatal("DropStaged kept the staged fact")
+	}
+	p.Derived.TruncateTo(0)
+	p.DeltaNew.Clear() // a list may always be emptied
+	if !p.Emit([]Value{1, 2}) || p.DeltaNew.Len() != 1 {
+		t.Fatal("Emit after DropStaged")
+	}
+	p.SwapClear()
+	if row, ok := p.Derived.RowOf([]Value{1, 2}); !ok || row != 0 {
+		t.Fatalf("published row: RowOf = %d,%v", row, ok)
 	}
 }
 
@@ -124,29 +173,34 @@ func TestCatalogResetFacts(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of DeltaNew inserts and SwapClears, Derived
-// equals the union of everything ever inserted, and DeltaKnown equals the
-// genuinely-new facts of the last batch.
+// Property: after any sequence of Emits and SwapClears, Emit calls a fact
+// new exactly once, Derived equals the union of everything ever emitted, and
+// DeltaKnown equals the genuinely-new facts of the last batch in emit order.
 func TestSwapClearInvariantProperty(t *testing.T) {
 	f := func(batches [][]int8) bool {
 		c := NewCatalog()
 		p := c.Pred(c.Declare("r", 1))
 		all := map[Value]bool{}
-		var lastNew map[Value]bool
+		var lastNew []Value
 		for _, batch := range batches {
-			lastNew = map[Value]bool{}
+			lastNew = nil
 			for _, v := range batch {
-				tu := []Value{Value(v)}
-				if !p.Derived.Contains(tu) {
-					if p.DeltaNew.Insert(tu) {
-						lastNew[Value(v)] = true
-					}
-					all[Value(v)] = true
+				if p.Emit([]Value{Value(v)}) == all[Value(v)] {
+					return false
 				}
+				if !all[Value(v)] {
+					lastNew = append(lastNew, Value(v))
+				}
+				all[Value(v)] = true
 			}
 			p.SwapClear()
 			if p.DeltaKnown.Len() != len(lastNew) {
 				return false
+			}
+			for i, v := range lastNew {
+				if p.DeltaKnown.Row(int32(i))[0] != v {
+					return false
+				}
 			}
 		}
 		if p.Derived.Len() != len(all) {

@@ -187,6 +187,9 @@ func (r *Relation) deleteCompact(tuples [][]Value, boundary int) (removed, remov
 // dead row ids down (or onto a fresh slab when pinned) and rebuild every
 // derived structure. The caller owns all mutation-counter accounting.
 func (r *Relation) compactRows(dead []int32, boundary int) (removed, removedBelow int) {
+	if r.staged != 0 {
+		r.misuse("DeleteRowIDs")
+	}
 	if len(dead) == 0 {
 		return 0, 0
 	}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -168,31 +167,4 @@ func TestHistogramSwapClear(t *testing.T) {
 	if h.Total != 0 {
 		t.Fatalf("DeltaNew histogram not reset: Total %d", h.Total)
 	}
-}
-
-// TestHistogramConcurrentShardInsert stress-tests the race contract under
-// -race: concurrent ShardInserts into distinct buckets of a physically
-// sharded relation update bucket-local histograms without synchronization,
-// and the summed parent histogram still satisfies the invariant.
-func TestHistogramConcurrentShardInsert(t *testing.T) {
-	const shards = 8
-	r := NewRelation("p", 2)
-	r.SetShardKeyPhysical(shards, 0)
-	r.BuildHistogram(0)
-	r.BuildHistogram(1)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for v := Value(0); v < 4000; v++ {
-				if ShardOf(v, shards) != s {
-					continue
-				}
-				r.ShardInsert(s, []Value{v, v % 17})
-			}
-		}(s)
-	}
-	wg.Wait()
-	histCheck(t, "concurrent", r, 0, 1)
 }

@@ -10,10 +10,8 @@ import "fmt"
 //     the shared arena — what Derived uses in every sharded configuration;
 //   - physical (SetShardKeyPhysical): every bucket is a fully independent
 //     sub-relation with its own arena slab, row table, indexes, and
-//     mutation counter. Two goroutines inserting into different buckets
-//     share no state at all, which is what lets the merge barrier fold
-//     worker delta buffers into DeltaNew as one concurrent task per bucket
-//     instead of one row at a time under a single writer.
+//     mutation counter — the delta pair of a sharded run, whose bucket
+//     tasks then scan and probe one slab each.
 //
 // Duplicate elimination is the same structure in all three — the row table
 // of rowtable.go, one per arena — and so are the reference counts, the
@@ -278,21 +276,6 @@ func coversKey(row []Value, cols []int, vals []Value) bool {
 		}
 	}
 	return true
-}
-
-// ShardInsert inserts t into bucket s of a physically sharded relation,
-// returning true if it was not already present. The caller must route
-// consistently — s == ShardOf(t[shard key column], shard count) — which the
-// merge barrier guarantees by draining bucket s of worker buffers
-// partitioned with the identical key. Distinct buckets share no state, so
-// concurrent ShardInserts into different buckets are race-free; two
-// goroutines must never target the same bucket. Falls back to a routed
-// Insert when the relation is not physical.
-func (r *Relation) ShardInsert(s int, t []Value) bool {
-	if r.subs == nil {
-		return r.Insert(t)
-	}
-	return r.subs[s].Insert(t)
 }
 
 // EachShardRange calls f for every tuple of buckets [lo, hi) until f

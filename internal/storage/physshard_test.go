@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -189,69 +188,6 @@ func TestPhysicalShardModeTransitions(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("%s: probe(%d) = %d rows, want %d", st.name, v, got, want)
-			}
-		}
-	}
-}
-
-// TestPhysicalShardConcurrentInsert hammers the property the parallel merge
-// barrier is built on: goroutines inserting into disjoint buckets of one
-// physically sharded relation share no state. Run under -race (the CI
-// storage test job does), with overlapping tuple streams so per-bucket
-// dedup is exercised concurrently too.
-func TestPhysicalShardConcurrentInsert(t *testing.T) {
-	const shards = 8
-	for round := 0; round < 5; round++ {
-		r := NewRelation("c", 2)
-		r.BuildIndex(0)
-		r.SetShardKeyPhysical(shards, 0)
-		// Pre-route tuples: every goroutine owns exactly one bucket.
-		routed := make([][][]Value, shards)
-		total := map[string]bool{}
-		for i := 0; i < 4000; i++ {
-			tpl := []Value{Value(i % 97), Value(i % 53)}
-			s := ShardOf(tpl[0], shards)
-			routed[s] = append(routed[s], tpl)
-			total[fmt.Sprint(tpl)] = true
-		}
-		var wg sync.WaitGroup
-		counts := make([]int, shards)
-		for s := 0; s < shards; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for _, tpl := range routed[s] {
-					if r.ShardInsert(s, tpl) {
-						counts[s]++
-					}
-				}
-				// Double-pass: every re-insert must dedup.
-				for _, tpl := range routed[s] {
-					if r.ShardInsert(s, tpl) {
-						t.Errorf("bucket %d accepted duplicate %v", s, tpl)
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-		if r.Len() != len(total) {
-			t.Fatalf("round %d: %d tuples, want %d", round, r.Len(), len(total))
-		}
-		sum := 0
-		for s, c := range counts {
-			if c != r.ShardLen(s) {
-				t.Fatalf("round %d: bucket %d count %d, ShardLen %d", round, s, c, r.ShardLen(s))
-			}
-			sum += c
-		}
-		if sum != len(total) {
-			t.Fatalf("round %d: per-bucket counts sum to %d, want %d", round, sum, len(total))
-		}
-		for k := range total {
-			var a, b Value
-			fmt.Sscanf(k, "[%d %d]", &a, &b)
-			if !r.Contains([]Value{a, b}) {
-				t.Fatalf("round %d: tuple %s missing after concurrent insert", round, k)
 			}
 		}
 	}

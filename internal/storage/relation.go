@@ -26,12 +26,23 @@ import (
 // BuildCompositeIndex are maintained incrementally on every insert, which is
 // how Carac builds indexes "as each rule is defined ... incrementally before
 // execution begins" (paper §IV, Index selection); probes only load.
+//
+// Semi-naive evaluation uses the row table of Derived as its only duplicate
+// elimination (PredicateDB.Emit): a row found in an iteration is staged —
+// entered in the row table and written into the arena's spare capacity past
+// its length — so Contains sees it at once while Len, Each, Row, the probes,
+// the bucket views and PinRows keep seeing the rows of the iteration's start
+// until publish (SwapClear) makes it a row. δ′ is then an append-only list
+// (appendRow) whose arena its row table does not cover. Insert, Contains,
+// RowOf, TruncateTo and Clear panic on a relation in a state they would
+// answer wrongly (misuse).
 type Relation struct {
 	name  string
 	arity int
 
-	arena []Value  // len = count*arity
-	tab   rowTable // row ids of exactly the arena's rows, by row content
+	arena  []Value  // len = count*arity; staged rows follow in the spare capacity
+	staged int      // rows staged past len(arena) (stage / publish)
+	tab    rowTable // row ids of the arena's rows, published and staged, by row content
 
 	indexes    []chainIndex       // one per registered column set, in registration order
 	histograms map[int]*Histogram // column -> value-distribution histogram
@@ -65,10 +76,8 @@ type Relation struct {
 	//     in every sharded configuration — its frozen-iteration membership
 	//     probes go through the one row table, concurrently);
 	//   - physical: subs holds one fully independent sub-relation per bucket
-	//     (its own arena, row table, indexes, and mutation counter), so two
-	//     goroutines can insert into different buckets without sharing any
-	//     state (DeltaNew/DeltaKnown under physical sharding — the parallel
-	//     merge barrier).
+	//     (its own arena, row table, indexes, and mutation counter) —
+	//     DeltaNew/DeltaKnown under physical sharding, read bucket-locally.
 	shardCount int
 	shardCol   int
 	shardRows  [][]int32
@@ -117,29 +126,25 @@ func (r *Relation) Insert(t []Value) bool {
 		// own arena, row table, and counter — Mutations sums them back up).
 		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].Insert(t)
 	}
+	if r.staged != 0 || !r.covered() {
+		r.misuse("Insert")
+	}
 	h := hashRow(t)
 	found, slot := r.tab.find(r.arena, t, h)
 	if found >= 0 {
 		return false
 	}
-	r.muts++
-	row := int32(r.Len())
+	row := int32(r.tab.used)
 	r.arena = append(r.arena, t...)
 	r.tab.add(r.arena, r.arity, slot, row, h)
-	if r.countsOn {
-		r.counts = append(r.counts, 1)
-	}
-	if r.shardCount > 0 {
-		r.shardInsert(t, row)
-	}
-	r.indexRow(t, row)
+	r.added(t, row)
 	return true
 }
 
-// Contains reports whether tuple t is present. The lookup reads the row
-// table and the arena and writes nothing, so concurrent Contains calls on an
-// otherwise-unmutated relation are safe — the parallel rule executor's
-// workers probe frozen Derived relations concurrently.
+// Contains reports whether tuple t is present or staged. The lookup reads
+// the row table and the arena and writes nothing, so concurrent Contains
+// calls on an otherwise-unmutated relation are safe — the parallel rule
+// executor's workers probe frozen Derived relations concurrently.
 func (r *Relation) Contains(t []Value) bool {
 	if len(t) != r.arity {
 		return false
@@ -147,8 +152,108 @@ func (r *Relation) Contains(t []Value) bool {
 	if r.subs != nil {
 		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].Contains(t)
 	}
-	row, _ := r.tab.find(r.arena, t, hashRow(t))
+	arena := r.arena
+	if r.staged != 0 {
+		arena = arena[:len(arena)+r.staged*r.arity]
+	}
+	if r.tab.used*r.arity != len(arena) {
+		r.misuse("Contains")
+	}
+	row, _ := r.tab.find(arena, t, hashRow(t))
 	return row >= 0
+}
+
+// stage enters t, unless it is a row or staged already, into the row table
+// under the next row id past the staged rows and writes it into the arena's
+// spare capacity, leaving the arena's length alone; it reports whether t was
+// new. A table that grows re-enters the staged rows with the rest.
+func (r *Relation) stage(t []Value) bool {
+	if len(t) != r.arity || r.subs != nil || !r.covered() {
+		r.misuse("stage")
+	}
+	n := len(r.arena)
+	ext := r.arena[:n+r.staged*r.arity]
+	h := hashRow(t)
+	found, slot := r.tab.find(ext, t, h)
+	if found >= 0 {
+		return false
+	}
+	ext = append(ext, t...)
+	r.arena = ext[:n]
+	r.staged++
+	r.tab.add(ext, r.arity, slot, int32(r.tab.used), h) // covered: used is the next row id
+	return true
+}
+
+// publish makes the staged rows rows, in staging order: the arena's length
+// covers them and added does the rest of what Insert would have — nothing
+// is looked up again. A batch sizes the index links to the rows they will
+// link, once (chainIndex.reserve).
+func (r *Relation) publish() {
+	to := r.tab.used
+	from := to - r.staged
+	r.arena = r.arena[:to*r.arity]
+	if r.staged > 1 {
+		for i := range r.indexes {
+			r.indexes[i].reserve(to)
+		}
+	}
+	r.staged = 0
+	for row := from; row < to; row++ {
+		r.added(r.Row(int32(row)), int32(row))
+	}
+}
+
+// unstage forgets the staged rows: the row table is rebuilt over the
+// published ones.
+func (r *Relation) unstage() {
+	if r.staged == 0 {
+		return
+	}
+	r.staged = 0
+	r.tab.reset()
+	r.tab.fill(r.arena, r.arity)
+}
+
+// appendRow appends t without consulting or filling the row table: δ′'s
+// write, whose rows were deduplicated where they were staged. It leaves the
+// relation a list that only Clear, the scans and the probes accept.
+func (r *Relation) appendRow(t []Value) {
+	if r.subs != nil {
+		r.subs[ShardOf(t[r.shardCol], r.shardCount)].appendRow(t)
+		return
+	}
+	row := int32(len(r.arena) / r.arity)
+	r.arena = append(r.arena, t...)
+	r.added(t, row)
+}
+
+// added accounts for arena row row, content t, which the caller has just
+// made a row: a mutation, a count of 1, its bucket view, histograms and
+// index chains.
+func (r *Relation) added(t []Value, row int32) {
+	r.muts++
+	if r.countsOn {
+		r.counts = append(r.counts, 1)
+	}
+	if r.shardCount > 0 {
+		r.shardInsert(t, row)
+	}
+	r.indexRow(t, row)
+}
+
+// covered reports whether the row table holds exactly the arena's rows,
+// published and staged.
+func (r *Relation) covered() bool {
+	return r.tab.used*r.arity == len(r.arena)+r.staged*r.arity
+}
+
+// misuse panics for an operation the relation's state would make answer
+// wrongly: a lookup on a list (appendRow), or anything but Contains on a
+// relation with staged rows.
+func (r *Relation) misuse(op string) {
+	panic(fmt.Sprintf("storage: %s on %q: its row table holds %d entries for %d rows and %d staged",
+		op, r.name, r.tab.used, r.Len(), r.staged))
 }
 
 // Row returns a view of row i (valid until the next Insert reallocates the
@@ -168,6 +273,7 @@ func (r *Relation) Row(i int32) []Value {
 		panic(fmt.Sprintf("storage: row %d out of range for physical %q", i, r.name))
 	}
 	off := int(i) * r.arity
+	_ = r.arena[off+r.arity-1] // a staged row is past the length, not a row
 	return r.arena[off : off+r.arity : off+r.arity]
 }
 
@@ -291,6 +397,9 @@ func (r *Relation) Clear() { r.clear(false) }
 func (r *Relation) ClearRetain() { r.clear(true) }
 
 func (r *Relation) clear(retain bool) {
+	if r.staged != 0 {
+		r.misuse("Clear")
+	}
 	if r.subs != nil {
 		// One logical content change, regardless of how many buckets held
 		// rows — mirrors the unsharded counter exactly (per-bucket counters
@@ -328,6 +437,9 @@ func (r *Relation) TruncateTo(n int) {
 		// fact baseline rewind) and Derived is never physical, so reaching
 		// this is an engine-wiring bug, not a data-dependent condition.
 		panic(fmt.Sprintf("storage: TruncateTo on physically sharded %q", r.name))
+	}
+	if r.staged != 0 || !r.covered() {
+		r.misuse("TruncateTo")
 	}
 	if n < 0 || n >= r.Len() {
 		return

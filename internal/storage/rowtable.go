@@ -12,11 +12,14 @@ import "math/bits"
 // Collisions resolve by linear probing over the tag bytes; the table holds
 // exactly the rows of the arena (no tombstones — compactions rebuild it), is
 // kept at most 5/8 full, and grows by doubling and re-entering the arena's
-// rows in order. reset empties it in place, which is what lets a relation
-// that is refilled every iteration (the semi-naive deltas) or every Run
-// (Derived past its ground-fact baseline) stop allocating: capacity is given
-// back only when a fill used less than an eighth of it, one halving per
-// reset.
+// rows in order. The arena a caller passes may run past the relation's
+// length: a Derived mid-iteration keeps its staged rows there, under the row
+// ids that follow, so a growth step re-enters them like any other. reset
+// empties the table in place, which is what lets a relation that is refilled
+// every iteration (the pool's worker buffers) or every Run (Derived past its
+// ground-fact baseline, which refills by staging) stop allocating: capacity
+// is given back only when a fill used less than an eighth of it, one halving
+// per reset. The semi-naive deltas have no table to refill — δ′ is a list.
 //
 // find performs only loads, so any number of goroutines may probe a relation
 // no one is mutating — the parallel executor's workers probing the

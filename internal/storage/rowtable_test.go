@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -301,6 +302,225 @@ func (m *tableModel) relayout(kind, shards, col int) {
 	}
 }
 
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// emptyLike returns an empty relation with r's index, histogram and count
+// registrations and its layout.
+func emptyLike(r *Relation) *Relation {
+	tw := NewRelation(r.name+"~twin", r.arity)
+	for i := range r.indexes {
+		tw.buildIndex(r.indexes[i].cols)
+	}
+	for c := range r.histograms {
+		tw.BuildHistogram(c)
+	}
+	if r.countsOn {
+		tw.EnableCounts()
+	}
+	if shards, col := r.ShardConfig(); r.subs != nil {
+		tw.SetShardKeyPhysical(shards, col)
+	} else {
+		tw.SetShardKey(shards, col)
+	}
+	return tw
+}
+
+// sameStructure fails unless a and b hold the same rows in the same order
+// with the same index chains, bucket views and histograms.
+func (m *tableModel) sameStructure(a, b *Relation) {
+	m.t.Helper()
+	if sa, sb := a.Snapshot(), b.Snapshot(); !reflect.DeepEqual(sa, sb) {
+		m.fail("%s rows %v\n%s rows %v", a.name, sa, b.name, sb)
+	}
+	for c := range a.histograms {
+		ha, _ := a.HistogramOf(c)
+		hb, _ := b.HistogramOf(c)
+		if ha != hb {
+			m.fail("%s and %s disagree on the histogram of column %d", a.name, b.name, c)
+		}
+	}
+	shards, _ := a.ShardConfig()
+	for s := 0; s < shards; s++ {
+		if a.ShardLen(s) != b.ShardLen(s) || !slices.Equal(a.ShardRows(s), b.ShardRows(s)) {
+			m.fail("bucket %d: %s rows %v, %s rows %v", s, a.name, a.ShardRows(s), b.name, b.ShardRows(s))
+		}
+	}
+	slabsA, slabsB := []*Relation{a}, []*Relation{b}
+	if a.subs != nil {
+		slabsA, slabsB = a.subs, b.subs
+	}
+	for i, x := range slabsA {
+		for ix := range x.indexes {
+			cols := x.indexes[ix].cols
+			x.Each(func(row []Value) bool {
+				k := project(row, cols)
+				ca, _ := probeCompositeRows(x, cols, k)
+				cb, _ := probeCompositeRows(slabsB[i], cols, k)
+				if !slices.Equal(ca, cb) {
+					m.fail("%s index %v chain of %v = %v, %s has %v", x.name, cols, k, ca, slabsB[i].name, cb)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// stageBatch stages batch the way PredicateDB.Emit stages in Derived. Until
+// the batch is published its rows answer Contains and deduplicate later
+// stages — through any growth of the row table — and nothing else sees them:
+// not Len, Each, Row, the bucket views, the probes, a pinned view or the
+// mutation counter, and Insert, RowOf, TruncateTo and Clear refuse to run.
+// Publishing must leave the relation exactly as Inserting the batch leaves a
+// twin; unstaging, exactly as it was.
+func (m *tableModel) stageBatch(batch [][]Value, publish bool) {
+	m.t.Helper()
+	r := m.r
+	if m.physical() {
+		if len(batch) > 0 && !panics(func() { r.stage(batch[0]) }) {
+			m.fail("stage on a physical relation did not panic")
+		}
+		return
+	}
+	tw := emptyLike(r)
+	r.Each(func(row []Value) bool {
+		tw.Insert(row)
+		return true
+	})
+	muts, twMuts := r.Mutations(), tw.Mutations()
+	n, snap, pin := r.Len(), r.Snapshot(), r.PinRows()
+	var staged [][]Value
+	seen := map[string]bool{}
+	for _, t := range batch {
+		_, had := m.cnt[key(t)]
+		fresh := !had && !seen[key(t)]
+		if got := r.stage(t); got != fresh {
+			m.fail("stage(%v) = %v, want %v", t, got, fresh)
+		}
+		tw.Insert(t)
+		if fresh {
+			seen[key(t)] = true
+			staged = append(staged, append([]Value(nil), t...))
+		}
+	}
+	if r.staged != len(staged) || r.tab.used != n+len(staged) {
+		m.fail("%d staged, table holds %d, want %d staged over %d rows", r.staged, r.tab.used, len(staged), n)
+	}
+	ext := r.arena[:(n+len(staged))*r.arity]
+	for i, t := range staged {
+		if id, _ := r.tab.find(ext, t, hashRow(t)); int(id) != n+i || !r.Contains(t) || r.stage(t) {
+			m.fail("staged %v: row id %d (want %d), Contains %v, staged again", t, id, n+i, r.Contains(t))
+		}
+	}
+	visible := 0
+	r.EachShardRange(0, max(1, r.shardCount), func([]Value) bool {
+		visible++
+		return true
+	})
+	if r.Len() != n || visible != n || pin.Len() != n || r.Mutations() != muts || !reflect.DeepEqual(r.Snapshot(), snap) {
+		m.fail("staged rows leaked: Len %d, bucket scan %d, pinned %d, want %d; mutations %d, want %d", r.Len(), visible, pin.Len(), n, r.Mutations(), muts)
+	}
+	for i := range r.indexes {
+		cols := r.indexes[i].cols
+		for _, t := range staged {
+			ids, _ := probeCompositeRows(r, cols, project(t, cols))
+			for _, id := range ids {
+				if int(id) >= n {
+					m.fail("index %v probe for staged %v returned row %d of %d", cols, t, id, n)
+				}
+			}
+		}
+	}
+	if len(staged) > 0 {
+		t := staged[0]
+		ops := map[string]func(){
+			"Row":         func() { r.Row(int32(n)) },
+			"Insert":      func() { r.Insert(t) },
+			"TruncateTo":  func() { r.TruncateTo(0) },
+			"Clear":       r.Clear,
+			"ClearRetain": r.ClearRetain,
+		}
+		if m.counted {
+			ops["RowOf"] = func() { r.RowOf(t) }
+		}
+		for name, op := range ops {
+			if !panics(op) {
+				m.fail("%s with %d rows staged did not panic", name, len(staged))
+			}
+		}
+	}
+	if !publish {
+		r.unstage()
+		return
+	}
+	r.publish()
+	for _, t := range staged {
+		m.appendRow(t, 1)
+		m.muts++
+	}
+	if r.Mutations()-muts != tw.Mutations()-twMuts {
+		m.fail("publish advanced Mutations by %d, Insert by %d", r.Mutations()-muts, tw.Mutations()-twMuts)
+	}
+	m.sameStructure(r, tw)
+	got := make([][]Value, 0, pin.Len())
+	pin.Each(func(row []Value) bool {
+		got = append(got, append([]Value(nil), row...))
+		return true
+	})
+	if len(got) != len(snap) || (len(got) > 0 && !reflect.DeepEqual(got, snap)) {
+		m.fail("publish rewrote the pinned rows: %v, want %v", got, snap)
+	}
+}
+
+// appendList appends batch's distinct tuples to an empty relation of the
+// model's registrations and layout the way δ′ is written (appendRow) and
+// holds it to a twin fed by Insert. The list's row table covers none of its
+// rows, so Insert, Contains, RowOf and TruncateTo refuse to run on it until
+// a Clear makes it a set again.
+func (m *tableModel) appendList(batch [][]Value) {
+	m.t.Helper()
+	list, tw := emptyLike(m.r), emptyLike(m.r)
+	seen := map[string]bool{}
+	for _, t := range batch {
+		if !seen[key(t)] {
+			seen[key(t)] = true
+			list.appendRow(t)
+			tw.Insert(t)
+		}
+	}
+	if list.Mutations() != tw.Mutations() {
+		m.fail("appendRow counted %d mutations, Insert %d", list.Mutations(), tw.Mutations())
+	}
+	m.sameStructure(list, tw)
+	if len(seen) == 0 {
+		return
+	}
+	t := batch[0]
+	ops := map[string]func(){
+		"Insert":   func() { list.Insert(t) },
+		"Contains": func() { list.Contains(t) },
+	}
+	if !m.physical() {
+		ops["TruncateTo"] = func() { list.TruncateTo(0) }
+		if m.counted {
+			ops["RowOf"] = func() { list.RowOf(t) }
+		}
+	}
+	for name, op := range ops {
+		if !panics(op) {
+			m.fail("%s on a list did not panic", name)
+		}
+	}
+	list.ClearRetain()
+	if !list.Insert(t) || !list.Contains(t) {
+		m.fail("a cleared list is not a set again")
+	}
+}
+
 // driveRowTable decodes data into an operation sequence over one relation
 // and checks it against the model after every operation. layout picks the
 // starting layout (0 flat, 1 view, 2 physical); later operations move the
@@ -311,6 +531,7 @@ func (m *tableModel) relayout(kind, shards, col int) {
 func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byte, midStream bool) {
 	t.Helper()
 	r := NewRelation("model", arity)
+	r.BuildHistogram(arity - 1)
 	if !midStream {
 		r.BuildIndex(0)
 		if arity > 1 {
@@ -370,7 +591,7 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 
 	for pos < len(data) {
 		m.step++
-		switch op := next() % 16; op {
+		switch op := next() % 18; op {
 		case 5:
 			if midStream {
 				m.buildIndex(next())
@@ -419,6 +640,21 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 					m.fail("Contains(%v) = %v", tp, r.Contains(tp))
 				}
 			}
+		case 16:
+			// A batch of stored and fresh tuples, or a run of fresh keys
+			// long enough to grow the table while rows are staged.
+			b := next()
+			tuples := append(batch(), tuple(), tuple())
+			if b%3 == 0 {
+				for j := 0; j < 40; j++ {
+					tp := tuple()
+					tp[0] = Value(2000 + 40*next() + j)
+					tuples = append(tuples, tp)
+				}
+			}
+			m.stageBatch(tuples, b%5 != 0)
+		case 17:
+			m.appendList(append(batch(), tuple(), tuple()))
 		default:
 			m.insert(tuple())
 		}
@@ -427,9 +663,10 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 }
 
 // TestRowTableModel drives random operation sequences — Insert, Contains,
-// IncRef, DecRef, Clear, ClearRetain, TruncateTo, DeleteRows, AssertAt and
-// the layout transitions — against the map oracle for arity 1-5, counted and
-// uncounted, starting from each of the three layouts.
+// IncRef, DecRef, Clear, ClearRetain, TruncateTo, DeleteRows, AssertAt, the
+// layout transitions, staged batches published or dropped, and appended
+// lists — against the map oracle for arity 1-5, counted and uncounted,
+// starting from each of the three layouts.
 func TestRowTableModel(t *testing.T) {
 	for arity := 1; arity <= 5; arity++ {
 		for _, counted := range []bool{false, true} {
@@ -532,6 +769,35 @@ func TestRowTableAllocations(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(100, func() { r.Contains(tp) }); a != 0 {
 			t.Errorf("arity %d: Contains allocates %.2f times, want 0", arity, a)
+		}
+
+		// A fixpoint's refill of Derived — staged and published iteration by
+		// iteration over a ground prefix, rewound by TruncateTo — and of δ′,
+		// appended and rotated by ClearRetain: warm, neither allocates.
+		derived, delta := NewRelation("derived", arity), NewRelation("delta", arity)
+		derived.BuildIndex(0)
+		delta.BuildIndex(0)
+		for i := 0; i < 10; i++ {
+			tp[0], tp[arity-1] = Value(i%31), Value(-i)
+			derived.Insert(tp)
+		}
+		refill := func() {
+			for it := 0; it < 4; it++ {
+				for i := it * rows / 4; i < (it+1)*rows/4; i++ {
+					tp[0], tp[arity-1] = Value(i%31), Value(i)
+					if derived.stage(tp) {
+						delta.appendRow(tp)
+					}
+					derived.stage(tp)
+				}
+				derived.publish()
+				delta.ClearRetain()
+			}
+			derived.TruncateTo(10)
+		}
+		refill()
+		if a := testing.AllocsPerRun(10, refill); a != 0 {
+			t.Errorf("arity %d: a warm stage/publish/append refill allocates %.0f times, want 0", arity, a)
 		}
 	}
 }

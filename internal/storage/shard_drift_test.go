@@ -108,9 +108,9 @@ func TestShardDriftAggregationRegression(t *testing.T) {
 
 	// Two fixpoint-style delta rotations with fresh derivations in between.
 	apply(func(p *PredicateDB) { p.SeedDeltas() })
-	apply(func(p *PredicateDB) { p.DeltaNew.Insert([]Value{skewKey, 500}) })
+	apply(func(p *PredicateDB) { p.Emit([]Value{skewKey, 500}) })
 	apply(func(p *PredicateDB) { p.SwapClear() })
-	apply(func(p *PredicateDB) { p.DeltaNew.Insert([]Value{Value(101), 501}) })
+	apply(func(p *PredicateDB) { p.Emit([]Value{Value(101), 501}) })
 	apply(func(p *PredicateDB) { p.SwapClear() })
 
 	// Incremental-batch rewind: truncate to the ground baseline and reload.
