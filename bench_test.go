@@ -13,7 +13,6 @@ import (
 	"carac/internal/core"
 	"carac/internal/datagen"
 	"carac/internal/engines"
-	"carac/internal/interp"
 	"carac/internal/ir"
 	"carac/internal/jit"
 	"carac/internal/jit/bytecode"
@@ -313,14 +312,6 @@ func BenchmarkTable2_Engines(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/Carac-Adaptive", func(b *testing.B) {
-			built := bf()
-			for i := 0; i < b.N; i++ {
-				if _, err := engines.RunCaracAdaptive(built, 8, 0, time.Minute); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(name+"/Carac-AdaptiveJIT", func(b *testing.B) {
 			built := bf()
 			for i := 0; i < b.N; i++ {
@@ -338,24 +329,12 @@ func BenchmarkTable2_Engines(b *testing.B) {
 			}
 		})
 	}
-	// Skewed-graph row: the hub-and-spoke workload whose hot delta buckets
-	// static spans straggle on, measured under the skew-aware configuration
-	// (histograms + work stealing) against the static sharded engine.
-	skew := func() *analysis.Built {
-		return workloads.SkewedGraph(analysis.HandOptimized, 400, 900, 3, int(benchSizes.Seed))
-	}
+	// Skewed-graph row: the hub-and-spoke workload whose delta concentrates
+	// in a few hot hash buckets, under the sharded engine.
 	b.Run("SkewedTC/Carac-Sharded", func(b *testing.B) {
-		built := skew()
+		built := workloads.SkewedGraph(analysis.HandOptimized, 400, 900, 3, int(benchSizes.Seed))
 		for i := 0; i < b.N; i++ {
 			if _, err := engines.RunCaracSharded(built, 8, 0, time.Minute); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("SkewedTC/Carac-Skew", func(b *testing.B) {
-		built := skew()
-		for i := 0; i < b.N; i++ {
-			if _, err := engines.RunCaracSkew(built, 8, 0, time.Minute); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -522,7 +501,6 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 		{"ParallelAdaptive", core.Options{Indexed: true, ParallelUnions: true, AdaptivePlans: true}},
 		{"Sharded8", core.Options{Indexed: true, Shards: 8}},
 		{"Sharded8PlanCache", core.Options{Indexed: true, Shards: 8, PlanCache: true}},
-		{"Adaptive8", core.Options{Indexed: true, Shards: 8, AdaptiveFanout: true}},
 	}
 	for _, w := range builds {
 		for _, c := range configs {
@@ -541,8 +519,7 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 // rule's delta into hash buckets, the same workload scales with the worker
 // count. Compare Parallel/W* (flat) against Sharded8/W* (scaling). The
 // *JIT entries run the same fan-out with span-parameterized compiled units
-// executing the bucket tasks — the fan-out × compilation interaction,
-// archived by CI as BENCH_jitshard.json.
+// executing the bucket tasks — the fan-out × compilation interaction.
 func BenchmarkShardedSpeedup(b *testing.B) {
 	build := func() *analysis.Built {
 		return workloads.TransitiveClosure(analysis.HandOptimized, 600, 1500, int(benchSizes.Seed))
@@ -558,11 +535,8 @@ func BenchmarkShardedSpeedup(b *testing.B) {
 		{"Sharded8/W1", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 1}},
 		{"Sharded8/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2}},
 		{"Sharded8/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4}},
-		{"Adaptive8/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2, AdaptiveFanout: true}},
-		{"Adaptive8/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4, AdaptiveFanout: true}},
 		{"Sharded8JIT/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2, JIT: lambdaSPJ}},
 		{"Sharded8JIT/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4, JIT: lambdaSPJ}},
-		{"Adaptive8JIT/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4, AdaptiveFanout: true, JIT: lambdaSPJ}},
 	}
 	for _, c := range configs {
 		c := c
@@ -574,30 +548,20 @@ func BenchmarkShardedSpeedup(b *testing.B) {
 
 // BenchmarkSkewedSpeedup isolates the skew story BenchmarkShardedSpeedup's
 // uniform graph cannot show: on the hub-and-spoke SkewedGraph the delta
-// concentrates in a few hash buckets, so static contiguous bucket spans
-// serialize each iteration behind the span holding the hubs — adding workers
-// stops helping. The Steal* entries run the same fan-out with work-stealing
-// per-bucket claims (plus histogram-fed ordering); compare Static*/W* against
-// Steal*/W*. Archived by CI as BENCH_skew.json; the steal entries also run
-// once under -race.
+// concentrates in a few hash buckets, so the contiguous bucket span holding
+// the hubs straggles and adding workers stops helping. Compare Sharded8/W*
+// against Sequential: the skew crossover of the sharded fan-out.
 func BenchmarkSkewedSpeedup(b *testing.B) {
 	build := func() *analysis.Built {
 		return workloads.SkewedGraph(analysis.HandOptimized, 600, 1400, 3, int(benchSizes.Seed))
 	}
-	lambdaSPJ := jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
 	configs := []struct {
 		name string
 		opts core.Options
 	}{
 		{"Sequential", core.Options{Indexed: true, PlanCache: true}},
-		{"Static8/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2, AdaptiveFanout: true}},
-		{"Static8/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4, AdaptiveFanout: true}},
-		{"Steal8/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2, AdaptiveFanout: true,
-			Histograms: true, StealThreshold: interp.DefaultStealThreshold}},
-		{"Steal8/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4, AdaptiveFanout: true,
-			Histograms: true, StealThreshold: interp.DefaultStealThreshold}},
-		{"Steal8JIT/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4, AdaptiveFanout: true,
-			Histograms: true, StealThreshold: interp.DefaultStealThreshold, JIT: lambdaSPJ}},
+		{"Sharded8/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2}},
+		{"Sharded8/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4}},
 	}
 	for _, c := range configs {
 		c := c

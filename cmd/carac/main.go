@@ -5,7 +5,7 @@
 //	    [-granularity program|dowhile|unionall|union|spj] [-async] [-snippet]
 //	    [-indexed] [-naive] [-aot none|rules|facts] [-print rel1,rel2] [-stats]
 //	    [-plancache] [-adaptive] [-parallel] [-workers n] [-shards n]
-//	    [-shared-plans] [-repeat n] [-histograms] [-steal-threshold r]
+//	    [-fanout-threshold n] [-shared-plans] [-repeat n] [-histograms]
 //
 // or drives a concurrent serving load against it — one warm run, then
 // -clients snapshot-isolated sessions each issuing -queries fixpoint
@@ -14,7 +14,7 @@
 //
 //	carac serve prog.dl [-facts dir] [-clients n] [-queries n] [-qps r]
 //	    [-backend ...] [-granularity ...] [-workers n] [-shards n]
-//	    [-adaptive-fanout] [-histograms] [-timeout d] [-stats]
+//	    [-histograms] [-timeout d] [-stats]
 //
 // Fact files are TSV: one tuple per line, tab-separated, named <relation>.facts
 // inside -facts dir; numeric columns are integers, everything else is interned
@@ -113,10 +113,8 @@ func runCmd(args []string) error {
 	parallel := fs.Bool("parallel", false, "evaluate independent rules on a bounded worker pool")
 	workers := fs.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "hash-shard each relation into this many buckets and split single rules across workers (implies -parallel)")
-	adaptiveFanout := fs.Bool("adaptive-fanout", false, "re-decide the parallel fan-out each iteration from live delta statistics, with a sequential fast path for small-delta iterations (implies -shards 8 when -shards is unset)")
-	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration runs sequentially under -adaptive-fanout (0 = default)")
+	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration of a parallel run (-parallel or -shards) runs sequentially (0 = default 256; 1 fans out every iteration)")
 	histograms := fs.Bool("histograms", false, "maintain per-column histograms on join columns and order atoms by estimated join-output size (histogram overlap) instead of cardinality alone")
-	stealThreshold := fs.Float64("steal-threshold", 0, "skew ratio (hottest delta bucket / mean occupied bucket) at which a fanned-out iteration switches to work-stealing per-bucket claims; 0 disables, 3.0 recommended")
 	sharedPlans := fs.Bool("shared-plans", false, "key plan and compiled-unit caches into the program-lifetime plan store so repeated runs start warm (implies -plancache)")
 	cacheDir := fs.String("cache-dir", "", "persist plans, bytecode compiled units, and the statistics profile to this directory and reload them on the next start, so a restarted process skips cold planning/compilation (implies -shared-plans)")
 	repeat := fs.Int("repeat", 1, "run the program this many times on one Program (pair with -shared-plans to observe warm-run behavior)")
@@ -129,6 +127,9 @@ func runCmd(args []string) error {
 	}
 	if err := requirePositive(fs, "repeat", "workers", "shards"); err != nil {
 		return err
+	}
+	if *fanoutThreshold < 0 {
+		return fmt.Errorf("-fanout-threshold must be >= 0 (0 = default), got %d", *fanoutThreshold)
 	}
 
 	be, err := jit.ParseBackend(*backend)
@@ -162,10 +163,8 @@ func runCmd(args []string) error {
 		ParallelUnions:  *parallel,
 		Workers:         *workers,
 		Shards:          *shards,
-		AdaptiveFanout:  *adaptiveFanout,
 		FanoutThreshold: *fanoutThreshold,
 		Histograms:      *histograms,
-		StealThreshold:  *stealThreshold,
 		CacheDir:        *cacheDir,
 		JIT: jit.Config{
 			Backend:     be,
@@ -217,13 +216,12 @@ func runCmd(args []string) error {
 		fmt.Fprintf(os.Stderr, "time: %v  facts: %d  iterations: %d  derivations: %d  subqueries: %d\n",
 			res.Duration.Round(time.Microsecond), res.TotalFacts,
 			res.Interp.Iterations, res.Interp.Derivations, res.Interp.SPJRuns)
-		if *parallel || *shards > 1 || *adaptiveFanout {
+		if *parallel || *shards > 1 {
 			fmt.Fprintf(os.Stderr, "fanout: sequential-iterations=%d/%d workers-folded=%d\n",
 				res.Interp.SeqIters, res.Interp.Iterations, res.Interp.MergeTasks)
 		}
-		if *stealThreshold > 0 || *histograms {
-			fmt.Fprintf(os.Stderr, "skew: skew-iterations=%d steals=%d estimated-rows=%d\n",
-				res.Interp.SkewIters, res.Interp.Steals, res.Interp.EstimatedRows)
+		if *histograms {
+			fmt.Fprintf(os.Stderr, "histograms: estimated-rows=%d\n", res.Interp.EstimatedRows)
 		}
 		if be != jit.BackendOff {
 			fmt.Fprintf(os.Stderr, "jit: compilations=%d compile-time=%v cache-hits=%d stale=%d reorders=%d switchovers=%d\n",
@@ -300,7 +298,6 @@ func serveCmd(args []string) error {
 	indexed := fs.Bool("indexed", true, "build join/filter indexes")
 	workers := fs.Int("workers", 0, "worker-pool size shared by all sessions (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "hash-shard relations and split rules across workers")
-	adaptiveFanout := fs.Bool("adaptive-fanout", false, "re-decide parallel fan-out per iteration from live delta statistics")
 	histograms := fs.Bool("histograms", false, "histogram-driven atom ordering (frozen per epoch for sessions)")
 	clients := fs.Int("clients", 4, "concurrent client sessions")
 	queries := fs.Int("queries", 8, "queries per client")
@@ -335,16 +332,15 @@ func serveCmd(args []string) error {
 		return err
 	}
 	opts := core.Options{
-		Indexed:        *indexed,
-		SharedPlans:    true,
-		Materialize:    *materialize,
-		CacheDir:       *cacheDir,
-		Workers:        *workers,
-		Shards:         *shards,
-		AdaptiveFanout: *adaptiveFanout,
-		Histograms:     *histograms,
-		Timeout:        *timeout,
-		JIT:            jit.Config{Backend: be, Granularity: gr},
+		Indexed:     *indexed,
+		SharedPlans: true,
+		Materialize: *materialize,
+		CacheDir:    *cacheDir,
+		Workers:     *workers,
+		Shards:      *shards,
+		Histograms:  *histograms,
+		Timeout:     *timeout,
+		JIT:         jit.Config{Backend: be, Granularity: gr},
 	}
 	// Warm run: serving is the steady state the plan store exists for.
 	if _, err := p.Run(opts); err != nil {

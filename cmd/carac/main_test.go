@@ -143,6 +143,7 @@ func TestFlagValidation(t *testing.T) {
 		{"run", prog, "-workers", "-1"},
 		{"run", prog, "-shards", "0"},
 		{"run", prog, "-shards", "-4"},
+		{"run", prog, "-fanout-threshold", "-1"},
 		{"serve", prog, "-clients", "-1"},
 		{"serve", prog, "-queries", "-3"},
 		{"serve", prog, "-qps", "0"},
@@ -160,9 +161,12 @@ func TestFlagValidation(t *testing.T) {
 			t.Errorf("run(%v): unexpected error %v", args, err)
 		}
 	}
-	// The unset defaults stay legal: workers/shards 0 means GOMAXPROCS/off.
+	// The unset defaults stay legal: workers/shards 0 means GOMAXPROCS/off,
+	// fanout-threshold 0 the default threshold.
 	for _, args := range [][]string{
 		{"run", prog, "-stats=false"},
+		{"run", prog, "-fanout-threshold", "0", "-stats=false"},
+		{"run", prog, "-shards", "4", "-workers", "2", "-fanout-threshold", "1", "-histograms"},
 		{"serve", prog, "-clients", "1", "-queries", "1", "-stats=false"},
 	} {
 		if err := run(args); err != nil {

@@ -147,34 +147,26 @@
 //     Each worker's buffer keeps a row table: it drops the worker's own
 //     repeats before they reach the barrier, where a rule that finds one
 //     fact many times over (CSPA's) would otherwise carry every repeat.
-//     The fixpoint driver re-decides the fan-out every iteration from
-//     stats.Catalog.ShardCard (core.Options.AdaptiveFanout): iterations
-//     under FanoutThreshold total delta run on a zero-overhead sequential
-//     path (no tasks, no buffers, no merge), and larger ones size the task
-//     count to delta volume vs. worker count, handing each task a
-//     contiguous bucket span. Worker buffers recycle through a per-Interp
-//     free list with capacity retained (storage.Relation.ClearRetain), so
-//     steady-state iterations allocate nothing.
+//     Worker buffers recycle through a per-Interp free list with capacity
+//     retained (storage.Relation.ClearRetain), so steady-state iterations
+//     allocate nothing.
 //
-//   - Skew-aware work stealing (core.Options.StealThreshold): contiguous
-//     bucket spans assume the delta spreads evenly, but hub-dominated graphs
-//     concentrate it in a few hash buckets, so the span holding the hot
-//     bucket straggles and the iteration serializes behind one task. With
-//     maxc the hottest bucket's delta count and mean the average over
-//     occupied buckets, an iteration with maxc/mean >= StealThreshold
-//     switches to per-bucket claims: each rule gets one shared atomic claim
-//     table, min(workers, occupied) participation tasks race CAS-claims over
-//     single buckets, and each claimed bucket runs as a span-1 restriction
-//     through the same interpreted or compiled ShardUnit path a static span
-//     uses. A bucket-to-worker affinity table (remembered from the previous
-//     iteration's claims) biases each worker to re-claim its own buckets
-//     first, so hot-bucket state stays on one worker; only claims taken
-//     beyond the remembered assignment count as Stats.Steals, and skewed
-//     iterations count as Stats.SkewIters. The static fan-out also clamps
-//     its task count to the occupied bucket count, so mostly-empty deltas no
-//     longer pay dispatch for empty spans. engines.RunCaracSkew and
-//     BenchmarkSkewedSpeedup measure the configuration end to end over the
-//     hub-and-spoke workloads.SkewedGraph.
+//   - One fan-out policy decides every parallel iteration, whether the run
+//     is parallel through core.Options.ParallelUnions or Shards > 1: the
+//     fixpoint driver reads the live delta statistics (total delta and
+//     occupied buckets, O(1) through stats.Catalog.ShardCard) and runs an
+//     iteration whose total delta is under core.Options.FanoutThreshold
+//     (default 256) on the sequential path — no tasks, no buffers, no merge,
+//     the small-delta tail every recursive query ends in — while a larger
+//     one gets one task per ~threshold/4 delta rows, capped at 4x the worker
+//     count, the occupied buckets and Shards, each task a contiguous bucket
+//     span (Stats.SeqIters counts the sequential iterations). The threshold
+//     is the one escape hatch, for tests and ablations: at 1 every non-empty
+//     iteration fans out to min(occupied buckets, Shards) tasks whenever
+//     Shards <= 4 x the worker count — the static fan-out of earlier
+//     engines, as a setting. BenchmarkShardedSpeedup and
+//     BenchmarkSkewedSpeedup (the hub-and-spoke workloads.SkewedGraph, whose
+//     delta concentrates in a few buckets) measure the policy end to end.
 //
 // # The shard-native JIT
 //
@@ -208,7 +200,7 @@
 //
 // Under core.Options.Shards with a JIT backend the engine therefore keeps
 // the physical delta store, the pool and its merge barrier
-// (Stats.MergeTasks), and the adaptive fan-out — benchmarked end to end by
+// (Stats.MergeTasks), and the fan-out policy — benchmarked end to end by
 // BenchmarkShardedSpeedup's *JIT entries and engines.RunCaracAdaptiveJIT in
 // Table II.
 //
@@ -285,8 +277,8 @@
 // through per-invocation pooled state (lambda chain instances, the bytecode
 // VM's runState, quotes frames) rather than compile-time buffers. The
 // serving load path is driven by engines.RunCaracServe, the carac serve
-// subcommand (N clients x QPS), and BenchmarkServeThroughput (the
-// BENCH_serve.json CI artifact); the concurrent-session differential matrix
+// subcommand (N clients x QPS), and BenchmarkServeThroughput (race-checked
+// in CI at one iteration); the concurrent-session differential matrix
 // in internal/core checks every backend against the sequential oracle under
 // the race detector.
 //
@@ -327,8 +319,8 @@
 //
 // The materialized load path is driven by engines.RunCaracServe
 // (ServeConfig.Materialize/Repeat), carac serve -materialize -repeat, and
-// BenchmarkMaterializedServe (the BENCH_materialize.json CI artifact,
-// race-checked), which compares repeat-heavy and repeat-free drives against
+// BenchmarkMaterializedServe (race-checked in CI at one iteration), which
+// compares repeat-heavy and repeat-free drives against
 // the re-derive baseline.
 //
 // # Persistent cache
@@ -342,8 +334,7 @@
 // the cached entries were built against, and the disk-warm first query
 // builds zero plans and — on the bytecode backend — recompiles zero units
 // (pinned by TestPersistColdWarmRoundTrip across the execution-mode matrix,
-// measured by BenchmarkColdStart / the BENCH_coldstart.json CI artifact and
-// engines.RunCaracColdStart).
+// measured by BenchmarkColdStart and engines.RunCaracColdStart).
 //
 //   - Entry format: one file per (class, structural key), named
 //     c<class>-<sha256(key)>.cce — content addressing by the same canonical
@@ -461,13 +452,14 @@
 //     count the ingest side.
 //
 // The delete-oracle differential matrix (TestDeleteOracleMatrix: scripted
-// insert/delete batches across {sequential, parallel, sharded, adaptive,
-// steal} × {jit} on TC, CSPA, non-linear TC, a triangle rule, a head with a
+// insert/delete batches across {sequential, parallel, sharded,
+// sharded-pool, plus threshold-2/8 and 8-shard/2-worker fan-out cells} ×
+// {jit} on TC, CSPA, non-linear TC, a triangle rule, a head with a
 // constant and a repeated variable, comparison guards and mutual recursion
 // with cyclic support, byte-compared against a recompute-from-scratch
 // oracle each step, race-checked in CI), FuzzRetraction (random batches on
 // a fuzzer-picked program of those vs the oracle), and
-// BenchmarkStreamingIngest (the BENCH_stream.json CI artifact: incremental
+// BenchmarkStreamingIngest (race-checked in CI at one iteration: incremental
 // churn batches vs forced recompute) pin the path down.
 //
 // Post-Run mutation contract (and cache lifecycle): the rule set freezes at

@@ -501,10 +501,6 @@ func (s *Suite) Ablation() *Table {
 		JIT: jit.Config{Backend: jit.BackendIRGen, Granularity: jit.GranSPJ}}), s.Opts)
 	t.Add("irgen + composite indexes", Cell(composite), "auto-index selection")
 
-	pull := Measure(s.runner("pull", build, core.Options{Indexed: true, Executor: interp.ExecPull,
-		JIT: jit.Config{Backend: jit.BackendIRGen, Granularity: jit.GranSPJ}}), s.Opts)
-	t.Add("irgen + pull executor", Cell(pull), "iterator vs push engine")
-
 	par := Measure(s.runner("parallel", build, core.Options{Indexed: true, ParallelUnions: true}), s.Opts)
 	t.Add("interp + parallel unions", Cell(par), "Union* fan-out")
 	return t

@@ -456,25 +456,28 @@ type Options struct {
 	// interp.ErrCancelled (benchmarks report the configuration as DNF).
 	// Zero means no limit.
 	Timeout time.Duration
-	// Executor selects push- (default) or pull-based leaf-join execution
-	// (paper §V-D: the relational layer is pluggable).
-	Executor interp.Executor
 	// ParallelUnions evaluates each iteration's independent rules
 	// concurrently on a bounded worker pool with per-worker delta buffers
 	// merged at iteration barriers — the parallelization the Known/New delta
-	// split enables (§V-D). With a JIT backend attached the pool's tasks run
+	// split enables (§V-D). Each iteration decides its own fan-out from the
+	// live delta statistics: one whose total delta is under FanoutThreshold
+	// runs on the sequential path (no task spawn, no buffer merge — the
+	// small-delta tail every recursive query ends in), a larger one sizes its
+	// task count to the delta volume, the worker count and, under Shards,
+	// the occupied buckets. With a JIT backend attached the pool's tasks run
 	// span-parameterized compiled units where the controller has one ready
 	// and interpret otherwise; false is the sequential fallback.
 	ParallelUnions bool
 	// Workers bounds the parallel pool; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Shards partitions every predicate's relations into this many hash
-	// buckets keyed by the predicate's planned join column, and fans each
-	// rule of a parallel iteration out as one task per bucket of its delta
-	// relation. Rule-granular parallelism is bounded by rule count; with
-	// Shards > 1 a single huge recursive rule (the transitive-closure shape)
-	// also saturates the worker pool — parallelism bounded by data size.
-	// Implies ParallelUnions; <= 1 disables sharding.
+	// buckets keyed by the predicate's planned join column, and lets each
+	// rule of a parallel iteration fan out as tasks over contiguous spans of
+	// its delta relation's buckets. Rule-granular parallelism is bounded by
+	// rule count; with Shards > 1 a single huge recursive rule (the
+	// transitive-closure shape) also saturates the worker pool — parallelism
+	// bounded by data size. Implies ParallelUnions, and with it the
+	// per-iteration fan-out decision; <= 1 disables sharding.
 	//
 	// The partition always uses the physically sharded backing store
 	// (per-bucket slabs and indexes on the delta pair, bucket views over
@@ -485,17 +488,15 @@ type Options struct {
 	// view. Worker buffers fold at each iteration barrier through the
 	// sinks' Emit, sequentially: one probe of Derived per buffered row.
 	Shards int
-	// AdaptiveFanout re-decides the parallel fan-out every fixpoint
-	// iteration from live per-shard delta statistics instead of always
-	// fanning out to Shards tasks: iterations whose total delta is under
-	// FanoutThreshold run on a zero-overhead sequential path (no task
-	// spawn, no buffer merge — the small-delta tail every recursive query
-	// ends in), and larger iterations size the task count to the delta
-	// volume and worker count, handing each task a contiguous bucket span.
-	// Implies ParallelUnions and, when Shards is unset, an 8-way partition.
+	// AdaptiveFanout's one remaining effect is to select an 8-way partition
+	// (and with it a parallel run) when Shards is unset: every parallel run
+	// takes the per-iteration fan-out decision. Prefer Shards: 8.
 	AdaptiveFanout bool
-	// FanoutThreshold is the sequential-fast-path delta bound for
-	// AdaptiveFanout; <= 0 selects the interpreter default (256).
+	// FanoutThreshold is the sequential-path delta bound of the fan-out
+	// decision every parallel run takes; <= 0 selects the interpreter
+	// default (256). It is the escape hatch for tests and ablations: at 1
+	// every non-empty iteration fans out, to min(occupied buckets, Shards)
+	// tasks whenever Shards <= 4 x the worker count.
 	FanoutThreshold int
 	// Histograms maintains per-column value-distribution histograms on every
 	// planned join column (incrementally, inside the storage mutation paths,
@@ -505,14 +506,6 @@ type Options struct {
 	// pairs. The estimate is recorded on each built plan
 	// (interp.Plan.EstRows) and totalled in Result.Interp.EstimatedRows.
 	Histograms bool
-	// StealThreshold enables skew-aware work stealing in the sharded
-	// parallel fan-out: when the hottest delta bucket exceeds this multiple
-	// of the mean occupied bucket, the iteration switches from static
-	// contiguous bucket spans to per-bucket claims off a shared cursor, with
-	// bucket-to-worker affinity carried across iterations. <= 0 (the
-	// default) disables stealing; interp.DefaultStealThreshold (3.0) is the
-	// recommended ratio.
-	StealThreshold float64
 	// PlanCache caches compiled access plans across subquery executions,
 	// keyed by (rule, atom order, cardinality band) and served while
 	// observed cardinality drift stays under PlanCacheDrift — re-planning

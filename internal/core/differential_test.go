@@ -17,55 +17,49 @@ import (
 
 	"carac/internal/analysis"
 	"carac/internal/core"
-	"carac/internal/interp"
 	"carac/internal/jit"
 	"carac/internal/storage"
 	"carac/internal/workloads"
 )
 
-// execMode is the execution-strategy axis of the matrix.
+// execMode is the execution-strategy axis of the matrix. A pooled mode
+// forces the worker pool, and every cell run under it must show the merge
+// barrier folded worker buffers (Stats.MergeTasks > 0), so no cell silently
+// degrades to sequential evaluation under the default fan-out threshold.
 type execMode struct {
-	name string
-	set  func(*core.Options)
+	name   string
+	set    func(*core.Options)
+	pooled bool
 }
 
 var execModes = []execMode{
-	{"sequential", func(*core.Options) {}},
-	{"parallel", func(o *core.Options) { o.ParallelUnions = true }},
-	{"sharded", func(o *core.Options) { o.Shards = 4 }},
-	// Low threshold so the toy workloads exercise BOTH adaptive regimes:
-	// bucketed fan-out plus the buffer fold on the big early iterations,
-	// sequential fast path on the tail.
-	{"adaptive", func(o *core.Options) { o.Shards = 4; o.AdaptiveFanout = true; o.FanoutThreshold = 8 }},
-	// Explicit pool sizes so the task fan-out, the buffer fold and — in
-	// the ×JIT cells — span-parameterized compiled units over the physical
-	// delta store all engage regardless of the host's core count (the
-	// Workers-less modes degrade to in-place evaluation on 1-CPU runners).
-	{"sharded-pool", func(o *core.Options) { o.Shards = 4; o.Workers = 4 }},
-	{"adaptive-pool", func(o *core.Options) {
+	{"sequential", func(*core.Options) {}, false},
+	// The production fan-out policy at its default threshold: the toy
+	// workloads run mostly on the sequential path.
+	{"parallel", func(o *core.Options) { o.ParallelUnions = true }, false},
+	{"sharded", func(o *core.Options) { o.Shards = 4 }, false},
+	// Explicit pool size and threshold 1 so every non-empty iteration fans
+	// out: the task fan-out, the buffer fold and — in the ×JIT cells —
+	// span-parameterized compiled units over the physical delta store all
+	// engage regardless of the host's core count, also on the one-row deltas
+	// of CyclicSupport (a threshold of 2 would run those sequentially).
+	// Histograms exercises the incremental maintenance paths under the
+	// drift-increment assertion (maintenance never perturbs drift totals).
+	{"sharded-pool", func(o *core.Options) {
 		o.Shards = 4
 		o.Workers = 4
-		o.AdaptiveFanout = true
-		o.FanoutThreshold = 2
-	}},
-	// Work-stealing cells: a threshold barely above 1 flips nearly every
-	// fanned-out iteration to per-bucket claims, and Histograms exercises the
-	// incremental maintenance paths under the drift-increment assertion (the
-	// histogram invariant says maintenance never perturbs drift totals).
-	{"sharded-steal", func(o *core.Options) {
-		o.Shards = 4
-		o.Workers = 4
-		o.StealThreshold = 1.01
+		o.FanoutThreshold = 1
 		o.Histograms = true
-	}},
-	{"adaptive-steal", func(o *core.Options) {
-		o.Shards = 4
-		o.Workers = 4
-		o.AdaptiveFanout = true
-		o.FanoutThreshold = 2
-		o.StealThreshold = 1.01
-		o.Histograms = true
-	}},
+	}, true},
+}
+
+// checkPooled fails a pooled cell whose merge barrier never ran, unless the
+// program has no fixpoint loop to run on the pool (Primes).
+func checkPooled(t *testing.T, config string, em execMode, res *core.Result) {
+	t.Helper()
+	if em.pooled && res.Interp.Iterations > 0 && res.Interp.MergeTasks == 0 {
+		t.Errorf("%s: pooled cell never folded a worker buffer (MergeTasks = 0)", config)
+	}
 }
 
 // snapshotAll captures every predicate's derived set as sorted row strings,
@@ -197,6 +191,7 @@ func TestDifferentialMatrix(t *testing.T) {
 								t.Fatalf("%s: %v", config, err)
 							}
 							checkDerivations(t, config, res, ground)
+							checkPooled(t, config, em, res)
 							diffSnapshots(t, config, baseline, snapshotAll(built.P))
 							diffDriftIncrements(t, config, baseDrift, before, driftTotals(built.P))
 						}
@@ -220,9 +215,12 @@ func TestShardFanoutEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
-	rh, err := sh.P.Run(core.Options{Indexed: true, Shards: 4, Workers: 4})
+	rh, err := sh.P.Run(core.Options{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rh.Interp.MergeTasks == 0 {
+		t.Fatal("sharded run never folded a worker buffer")
 	}
 	if rh.Interp.SPJRuns <= rs.Interp.SPJRuns {
 		t.Fatalf("sharded run did not fan out: %d <= %d SPJ runs", rh.Interp.SPJRuns, rs.Interp.SPJRuns)
@@ -268,21 +266,22 @@ func TestDifferentialIncremental(t *testing.T) {
 	for _, opts := range []core.Options{
 		{Indexed: true, ParallelUnions: true, PlanCache: true},
 		{Indexed: true, Shards: 4, PlanCache: true},
-		{Indexed: true, Shards: 8, AdaptivePlans: true, Workers: 2},
-		{Indexed: true, Shards: 4, Workers: 2, Executor: interp.ExecPull},
-		{Indexed: true, Shards: 3, Workers: 2, Executor: interp.ExecPull, PlanCache: true},
-		{Indexed: true, Shards: 4, Workers: 2, AdaptiveFanout: true, FanoutThreshold: 4},
-		{Indexed: true, Shards: 8, Workers: 4, AdaptiveFanout: true, FanoutThreshold: 1, Executor: interp.ExecPull},
+		{Indexed: true, Shards: 8, AdaptivePlans: true, Workers: 2, FanoutThreshold: 1},
+		{Indexed: true, Shards: 3, Workers: 2, PlanCache: true, FanoutThreshold: 1},
+		{Indexed: true, Shards: 4, Workers: 2, FanoutThreshold: 4},
 		// Physical × JIT cells: compiled bucket-span units over a partition
 		// skewed by the incremental hub batch.
-		{Indexed: true, Shards: 4, Workers: 4, PlanCache: true, JIT: lambdaSPJ},
-		{Indexed: true, Shards: 8, Workers: 4, AdaptiveFanout: true, FanoutThreshold: 4, JIT: lambdaSPJ},
+		{Indexed: true, Shards: 4, Workers: 4, PlanCache: true, FanoutThreshold: 1, JIT: lambdaSPJ},
+		{Indexed: true, Shards: 8, Workers: 4, FanoutThreshold: 4, JIT: lambdaSPJ},
 	} {
-		config := fmt.Sprintf("shards=%d/parallel=%v/exec=%v/jit=%v",
-			opts.Shards, opts.ParallelUnions, opts.Executor, opts.JIT.Backend)
+		config := fmt.Sprintf("shards=%d/workers=%d/threshold=%d/parallel=%v/jit=%v",
+			opts.Shards, opts.Workers, opts.FanoutThreshold, opts.ParallelUnions, opts.JIT.Backend)
 		res, err := built.P.Run(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", config, err)
+		}
+		if opts.Workers > 1 && res.Interp.MergeTasks == 0 {
+			t.Errorf("%s: pooled cell never folded a worker buffer (MergeTasks = 0)", config)
 		}
 		checkDerivations(t, config, res, ground)
 		diffSnapshots(t, config, baseline, snapshotAll(built.P))
@@ -328,12 +327,14 @@ func TestDifferentialWarmRerun(t *testing.T) {
 						t.Fatalf("%s run 1: %v", config, err)
 					}
 					checkDerivations(t, config+"/run1", res1, ground)
+					checkPooled(t, config+"/run1", em, res1)
 					diffSnapshots(t, config+"/run1", baseline, snapshotAll(built.P))
 					res2, err := built.P.Run(opts)
 					if err != nil {
 						t.Fatalf("%s run 2: %v", config, err)
 					}
 					checkDerivations(t, config+"/run2", res2, ground)
+					checkPooled(t, config+"/run2", em, res2)
 					diffSnapshots(t, config+"/run2", baseline, snapshotAll(built.P))
 					if res1.Plans.CrossRunHits+res1.Units.CrossRunHits != 0 {
 						t.Errorf("%s: first run claims cross-run hits (%+v / %+v)", config, res1.Plans, res1.Units)

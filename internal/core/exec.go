@@ -96,12 +96,9 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 		ictrl = ctrl
 	}
 	in := interp.New(cat, ictrl)
-	in.Executor = opts.Executor
 	in.Parallel = opts.ParallelUnions
 	in.Workers = opts.Workers
-	in.AdaptiveFanout = opts.AdaptiveFanout
 	in.FanoutThreshold = opts.FanoutThreshold
-	in.StealThreshold = opts.StealThreshold
 	live := stats.Catalog{Cat: cat}
 	oopts := opts.JIT.Optimizer
 	in.Reorder = func(spj *ir.SPJOp) error {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"carac/internal/interp"
 	"carac/internal/jit"
 	"carac/internal/optimizer"
 )
@@ -70,16 +69,6 @@ func TestCompositeIndexesAcrossBackends(t *testing.T) {
 		if out.Len() != 144 {
 			t.Fatalf("%v: |reach| = %d, want 144", b, out.Len())
 		}
-	}
-}
-
-func TestPullExecutorViaOptions(t *testing.T) {
-	p1, o1 := buildTC(t, 12)
-	if _, err := p1.Run(Options{Indexed: true, Executor: interp.ExecPull}); err != nil {
-		t.Fatal(err)
-	}
-	if o1.Len() != 78 {
-		t.Fatalf("pull executor |tc| = %d, want 78", o1.Len())
 	}
 }
 
@@ -161,18 +150,14 @@ func TestDistinctStatsOptimizer(t *testing.T) {
 }
 
 func TestExecutorsAgreeOnAnalysisWorkload(t *testing.T) {
-	mk := func(executor interp.Executor, parallel bool) int {
+	mk := func(parallel bool) int {
 		p, out := buildMultiKey(t)
-		if _, err := p.Run(Options{Indexed: true, Executor: executor, ParallelUnions: parallel}); err != nil {
+		if _, err := p.Run(Options{Indexed: true, ParallelUnions: parallel, Workers: 4, FanoutThreshold: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return out.Len()
 	}
-	push := mk(interp.ExecPush, false)
-	if pull := mk(interp.ExecPull, false); pull != push {
-		t.Fatalf("pull %d != push %d", pull, push)
-	}
-	if par := mk(interp.ExecPush, true); par != push {
-		t.Fatalf("parallel %d != sequential %d", par, push)
+	if seq, par := mk(false), mk(true); par != seq {
+		t.Fatalf("parallel %d != sequential %d", par, seq)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"carac/internal/interp"
 	"carac/internal/jit"
 	"carac/internal/optimizer"
 	"carac/internal/storage"
@@ -110,14 +109,12 @@ func TestKitchenSinkAllConfigurations(t *testing.T) {
 		cfg{"naive", Options{Naive: true}},
 		cfg{"indexed", Options{Indexed: true}},
 		cfg{"composite", Options{Indexed: true, CompositeIndexes: true}},
-		cfg{"pull", Options{Indexed: true, Executor: interp.ExecPull}},
-		cfg{"parallel", Options{Indexed: true, ParallelUnions: true}},
-		cfg{"parallel-pull", Options{Indexed: true, ParallelUnions: true, Executor: interp.ExecPull}},
-		cfg{"parallel-2workers", Options{Indexed: true, ParallelUnions: true, Workers: 2}},
+		cfg{"parallel", Options{Indexed: true, ParallelUnions: true, FanoutThreshold: 1}},
+		cfg{"parallel-2workers", Options{Indexed: true, ParallelUnions: true, Workers: 2, FanoutThreshold: 1}},
 		cfg{"plancache", Options{Indexed: true, PlanCache: true}},
 		cfg{"plancache-adaptive", Options{Indexed: true, AdaptivePlans: true}},
-		cfg{"plancache-parallel", Options{Indexed: true, PlanCache: true, ParallelUnions: true}},
-		cfg{"plancache-parallel-adaptive", Options{Indexed: true, AdaptivePlans: true, ParallelUnions: true}},
+		cfg{"plancache-parallel", Options{Indexed: true, PlanCache: true, ParallelUnions: true, FanoutThreshold: 1}},
+		cfg{"plancache-parallel-adaptive", Options{Indexed: true, AdaptivePlans: true, ParallelUnions: true, FanoutThreshold: 1}},
 		cfg{"plancache-jit-irgen", Options{Indexed: true, PlanCache: true,
 			JIT: jit.Config{Backend: jit.BackendIRGen, Granularity: jit.GranSPJ}}},
 		cfg{"aot-rules", Options{Indexed: true, AOT: AOTRulesOnly}},

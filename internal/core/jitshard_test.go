@@ -79,8 +79,8 @@ func TestJITShardedAdaptiveFanout(t *testing.T) {
 		// High enough that this workload's tail iterations dip under it
 		// (TC(80,200) tails at ~15 delta tuples), low enough that the early
 		// iterations still fan out.
-		AdaptiveFanout: true, FanoutThreshold: 64,
-		JIT: lambdaSPJ,
+		FanoutThreshold: 64,
+		JIT:             lambdaSPJ,
 	})
 	if res.TotalFacts != seq.TotalFacts {
 		t.Fatalf("adaptive sharded+JIT derived %d facts, sequential %d", res.TotalFacts, seq.TotalFacts)
@@ -125,7 +125,7 @@ func TestJITDegeneratePoolStillCompiles(t *testing.T) {
 func TestJITShardedWarmRerun(t *testing.T) {
 	built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
 	opts := core.Options{
-		Indexed: true, SharedPlans: true, Shards: 4, Workers: 4,
+		Indexed: true, SharedPlans: true, Shards: 4, Workers: 4, FanoutThreshold: 1,
 		JIT: lambdaSPJ,
 	}
 	res1, err := built.P.Run(opts)
@@ -145,6 +145,9 @@ func TestJITShardedWarmRerun(t *testing.T) {
 	if res2.Units.CrossRunHits == 0 {
 		t.Fatalf("warm rerun served no cross-run unit hits: %+v", res2.Units)
 	}
+	if res1.Interp.MergeTasks == 0 || res2.Interp.MergeTasks == 0 {
+		t.Fatal("a run never folded a worker buffer: the pool did not run")
+	}
 	if res2.TotalFacts != res1.TotalFacts {
 		t.Fatalf("warm rerun changed the result: %d vs %d facts", res2.TotalFacts, res1.TotalFacts)
 	}
@@ -156,7 +159,7 @@ func TestJITShardedWarmRerun(t *testing.T) {
 func TestJITShardedWarmRerunCSPA(t *testing.T) {
 	built := analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(80, 42))
 	opts := core.Options{
-		Indexed: true, SharedPlans: true, Shards: 4, Workers: 4,
+		Indexed: true, SharedPlans: true, Shards: 4, Workers: 4, FanoutThreshold: 1,
 		JIT: lambdaSPJ,
 	}
 	res1, err := built.P.Run(opts)
@@ -173,6 +176,9 @@ func TestJITShardedWarmRerunCSPA(t *testing.T) {
 	if res2.JIT.Compilations != 0 {
 		t.Fatalf("CSPA warm rerun recompiled %d units", res2.JIT.Compilations)
 	}
+	if res1.Interp.MergeTasks == 0 || res2.Interp.MergeTasks == 0 {
+		t.Fatal("a CSPA run never folded a worker buffer: the pool did not run")
+	}
 	if res2.TotalFacts != res1.TotalFacts {
 		t.Fatalf("CSPA warm rerun changed the result: %d vs %d facts", res2.TotalFacts, res1.TotalFacts)
 	}
@@ -186,7 +192,7 @@ func TestJITShardLayoutChangeRecompiles(t *testing.T) {
 	built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
 	at := func(shards int) core.Options {
 		return core.Options{
-			Indexed: true, SharedPlans: true, Shards: shards, Workers: 4,
+			Indexed: true, SharedPlans: true, Shards: shards, Workers: 4, FanoutThreshold: 1,
 			JIT: lambdaSPJ,
 		}
 	}
@@ -217,6 +223,11 @@ func TestJITShardLayoutChangeRecompiles(t *testing.T) {
 	if back4.TotalFacts != res4.TotalFacts {
 		t.Fatalf("layout return altered the result: %d vs %d facts", back4.TotalFacts, res4.TotalFacts)
 	}
+	for _, r := range []*core.Result{res4, res8, back4} {
+		if r.Interp.MergeTasks == 0 {
+			t.Fatal("a run never folded a worker buffer: the pool did not run")
+		}
+	}
 }
 
 // TestJITShardMergeStress hammers concurrent compiled bucket tasks and the
@@ -231,8 +242,8 @@ func TestJITShardMergeStress(t *testing.T) {
 		for rerun := 0; rerun < 2; rerun++ {
 			res, err := built.P.Run(core.Options{
 				Indexed: true, Shards: 8, Workers: 8, SharedPlans: true,
-				AdaptiveFanout: true, FanoutThreshold: 1,
-				JIT: lambdaSPJ,
+				FanoutThreshold: 1,
+				JIT:             lambdaSPJ,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -242,6 +253,9 @@ func TestJITShardMergeStress(t *testing.T) {
 			}
 			if res.Interp.Derivations != seq.Interp.Derivations {
 				t.Fatalf("round %d rerun %d: %d derivations, want %d", round, rerun, res.Interp.Derivations, seq.Interp.Derivations)
+			}
+			if res.Interp.MergeTasks == 0 {
+				t.Fatalf("round %d rerun %d: the pool never folded a worker buffer", round, rerun)
 			}
 		}
 	}
@@ -338,7 +352,7 @@ func TestJITReordersCounted(t *testing.T) {
 		"lambda":   {Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}},
 		"bytecode": {Indexed: true, JIT: jit.Config{Backend: jit.BackendBytecode, Granularity: jit.GranUnionAll}},
 		"quotes":   {Indexed: true, JIT: jit.Config{Backend: jit.BackendQuotes, Granularity: jit.GranUnionAll}},
-		"shard":    {Indexed: true, Shards: 4, Workers: 4, JIT: lambdaSPJ},
+		"shard":    {Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1, JIT: lambdaSPJ},
 	} {
 		built := analysis.CSPA(analysis.Unoptimized, datagen.CSPAGraph(80, 42))
 		res, err := built.P.Run(opts)
@@ -347,6 +361,9 @@ func TestJITReordersCounted(t *testing.T) {
 		}
 		if res.JIT.Compilations == 0 || res.JIT.Reorders == 0 {
 			t.Errorf("%s: %d compilations reordered %d subqueries of the adversarial order", name, res.JIT.Compilations, res.JIT.Reorders)
+		}
+		if opts.Shards > 1 && res.Interp.MergeTasks == 0 {
+			t.Errorf("%s: the pool never folded a worker buffer", name)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"carac/internal/analysis"
 	"carac/internal/core"
-	"carac/internal/interp"
 	"carac/internal/workloads"
 )
 
@@ -37,11 +36,11 @@ func TestMergeDerivationsDeterminism(t *testing.T) {
 		opts core.Options
 	}{
 		{"parallel", core.Options{Indexed: true, ParallelUnions: true, Workers: 4}},
-		{"sharded", core.Options{Indexed: true, Shards: 4, Workers: 4}},
-		{"sharded8", core.Options{Indexed: true, Shards: 8, Workers: 2}},
-		{"adaptive", core.Options{Indexed: true, Shards: 4, Workers: 4, AdaptiveFanout: true, FanoutThreshold: 8}},
-		{"adaptive-again", core.Options{Indexed: true, Shards: 4, Workers: 4, AdaptiveFanout: true, FanoutThreshold: 8}},
-		{"adaptive-pull", core.Options{Indexed: true, Shards: 4, Workers: 4, AdaptiveFanout: true, FanoutThreshold: 8, Executor: interp.ExecPull}},
+		{"sharded", core.Options{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1}},
+		{"sharded8", core.Options{Indexed: true, Shards: 8, Workers: 2, FanoutThreshold: 1}},
+		{"adaptive", core.Options{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 8}},
+		{"adaptive-again", core.Options{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 8}},
+		{"histograms", core.Options{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1, Histograms: true}},
 	}
 	for _, c := range configs {
 		res := runTC(t, c.opts)
@@ -53,6 +52,12 @@ func TestMergeDerivationsDeterminism(t *testing.T) {
 		}
 		if res.Interp.Iterations != seq.Interp.Iterations {
 			t.Errorf("%s: %d iterations, sequential %d", c.name, res.Interp.Iterations, seq.Interp.Iterations)
+		}
+		if c.opts.Shards > 1 && res.Interp.MergeTasks == 0 {
+			t.Errorf("%s: the pool never folded a worker buffer", c.name)
+		}
+		if c.opts.Histograms && res.Interp.EstimatedRows == 0 {
+			t.Errorf("%s: histograms on but no join-size estimate recorded", c.name)
 		}
 	}
 }
@@ -66,7 +71,7 @@ func TestMergeDerivationsDeterminism(t *testing.T) {
 func TestAdaptiveFanoutEngages(t *testing.T) {
 	seq := runTC(t, core.Options{Indexed: true})
 
-	fanned := runTC(t, core.Options{Indexed: true, Shards: 4, Workers: 4, AdaptiveFanout: true, FanoutThreshold: 1})
+	fanned := runTC(t, core.Options{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1})
 	if fanned.Interp.SeqIters != 0 {
 		t.Errorf("threshold=1: %d sequential iterations, want 0", fanned.Interp.SeqIters)
 	}
@@ -80,7 +85,7 @@ func TestAdaptiveFanoutEngages(t *testing.T) {
 		t.Errorf("threshold=1: %d facts, sequential %d", fanned.TotalFacts, seq.TotalFacts)
 	}
 
-	tail := runTC(t, core.Options{Indexed: true, Shards: 4, Workers: 4, AdaptiveFanout: true, FanoutThreshold: 1 << 30})
+	tail := runTC(t, core.Options{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1 << 30})
 	if tail.Interp.SeqIters != tail.Interp.Iterations {
 		t.Errorf("huge threshold: %d/%d iterations sequential, want all", tail.Interp.SeqIters, tail.Interp.Iterations)
 	}
@@ -95,6 +100,21 @@ func TestAdaptiveFanoutEngages(t *testing.T) {
 	}
 }
 
+// TestShardedRunTakesSequentialPath: a sharded run with no fan-out option set
+// takes the same per-iteration decision as every parallel run, so the
+// small-delta tail of TC runs on the sequential path at the default
+// threshold — a sharded run used to fan out every iteration, tails included.
+func TestShardedRunTakesSequentialPath(t *testing.T) {
+	seq := runTC(t, core.Options{Indexed: true})
+	res := runTC(t, core.Options{Indexed: true, Shards: 4, Workers: 4})
+	if res.Interp.SeqIters == 0 {
+		t.Errorf("no iteration of %d took the sequential path", res.Interp.Iterations)
+	}
+	if res.TotalFacts != seq.TotalFacts {
+		t.Errorf("%d facts, sequential %d", res.TotalFacts, seq.TotalFacts)
+	}
+}
+
 // TestParallelMergeStress hammers the merge barrier through the full
 // engine: many workers, more buckets than workers, and a threshold of 1 so
 // every iteration — including one-tuple tails — goes through task fan-out
@@ -106,7 +126,7 @@ func TestParallelMergeStress(t *testing.T) {
 		// Repeated runs of one Program rewind to the ground baseline and
 		// re-partition, stressing mode transitions along with the merges.
 		for rerun := 0; rerun < 2; rerun++ {
-			res, err := built.P.Run(core.Options{Indexed: true, Shards: 8, Workers: 8, AdaptiveFanout: true, FanoutThreshold: 1})
+			res, err := built.P.Run(core.Options{Indexed: true, Shards: 8, Workers: 8, FanoutThreshold: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,6 +55,7 @@ func TestPersistColdWarmRoundTrip(t *testing.T) {
 						t.Fatalf("%s cold: %v", config, err)
 					}
 					want := snapshotAll(cold.P)
+					checkPooled(t, config+" cold", em, res1)
 					if res1.Interp.PlanBuilds == 0 && res1.JIT.Compilations == 0 {
 						t.Fatalf("%s: cold run built nothing — nothing to persist (%+v)", config, res1.Interp)
 					}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"carac/internal/interp"
 	"carac/internal/jit"
 	"carac/internal/plancache"
 )
@@ -38,7 +37,7 @@ func snapshotRel(r *Relation) map[[2]int32]bool {
 
 // TestPlanCacheMatchesColdPlanning is the cache-correctness property test:
 // across random graphs, every plan-cache configuration (plain, adaptive,
-// parallel, pull) must derive exactly the same facts as cold per-execution
+// parallel) must derive exactly the same facts as cold per-execution
 // planning, while actually reusing plans across fixpoint iterations.
 func TestPlanCacheMatchesColdPlanning(t *testing.T) {
 	for trial := int64(0); trial < 6; trial++ {
@@ -60,9 +59,8 @@ func TestPlanCacheMatchesColdPlanning(t *testing.T) {
 			{"plancache", Options{Indexed: true, PlanCache: true}, true},
 			{"adaptive", Options{Indexed: true, AdaptivePlans: true}, true},
 			{"tight-drift", Options{Indexed: true, AdaptivePlans: true, PlanCacheDrift: 0.01}, false},
-			{"parallel", Options{Indexed: true, PlanCache: true, ParallelUnions: true}, true},
-			{"parallel-adaptive", Options{Indexed: true, AdaptivePlans: true, ParallelUnions: true}, true},
-			{"pull", Options{Indexed: true, PlanCache: true, Executor: interp.ExecPull}, true},
+			{"parallel", Options{Indexed: true, PlanCache: true, ParallelUnions: true, FanoutThreshold: 1}, true},
+			{"parallel-adaptive", Options{Indexed: true, AdaptivePlans: true, ParallelUnions: true, FanoutThreshold: 1}, true},
 		}
 		for _, c := range cfgs {
 			p, reach := buildRandomGraph(t, nodes, nodes*3, trial)
@@ -142,7 +140,7 @@ func TestParallelWorkerPool(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 2, 3, runtime.GOMAXPROCS(0) * 2} {
 		p, reach := buildRandomGraph(t, 40, 120, 99)
-		res, err := p.Run(Options{Indexed: true, ParallelUnions: true, Workers: workers, PlanCache: true})
+		res, err := p.Run(Options{Indexed: true, ParallelUnions: true, Workers: workers, PlanCache: true, FanoutThreshold: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -195,7 +193,7 @@ func TestParallelRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	par, parReach := build()
-	if _, err := par.Run(Options{Indexed: true, ParallelUnions: true, PlanCache: true}); err != nil {
+	if _, err := par.Run(Options{Indexed: true, ParallelUnions: true, PlanCache: true, FanoutThreshold: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if seqReach.Len() != parReach.Len() {
@@ -225,7 +223,7 @@ func TestParallelAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, deg2 := build()
-	if _, err := p2.Run(Options{Indexed: true, ParallelUnions: true, PlanCache: true}); err != nil {
+	if _, err := p2.Run(Options{Indexed: true, ParallelUnions: true, PlanCache: true, FanoutThreshold: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if deg1.Len() != deg2.Len() {
@@ -401,11 +399,10 @@ func TestUnitBandReturnReuses(t *testing.T) {
 }
 
 // TestSharedPlansMixedConfigs: one Program's store serves runs under
-// DIFFERENT execution configurations — sequential, parallel, sharded, pull,
-// JIT — without poisoning results: cached plans carry no per-run state
-// (shard restrictions live on per-execution copies, executors share the
-// Plan shape, unit keys are backend-tagged), so every mixed run must still
-// derive the cold baseline's facts.
+// DIFFERENT execution configurations — sequential, parallel, sharded, JIT —
+// without poisoning results: cached plans carry no per-run state (shard
+// restrictions live on per-execution copies, unit keys are backend-tagged),
+// so every mixed run must still derive the cold baseline's facts.
 func TestSharedPlansMixedConfigs(t *testing.T) {
 	cold, coldReach := buildRandomGraph(t, 30, 90, 21)
 	if _, err := cold.Run(Options{Indexed: true}); err != nil {
@@ -416,15 +413,18 @@ func TestSharedPlansMixedConfigs(t *testing.T) {
 	p, reach := buildRandomGraph(t, 30, 90, 21)
 	runs := []Options{
 		{Indexed: true, SharedPlans: true},
-		{Indexed: true, SharedPlans: true, ParallelUnions: true, Workers: 2},
-		{Indexed: true, SharedPlans: true, Shards: 4, Workers: 2},
-		{Indexed: true, SharedPlans: true, Executor: interp.ExecPull},
+		{Indexed: true, SharedPlans: true, ParallelUnions: true, Workers: 2, FanoutThreshold: 1},
+		{Indexed: true, SharedPlans: true, Shards: 4, Workers: 2, FanoutThreshold: 1},
 		{Indexed: true, SharedPlans: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}},
 		{Indexed: true, SharedPlans: true, AdaptivePlans: true},
 	}
 	for i, opts := range runs {
-		if _, err := p.Run(opts); err != nil {
+		res, err := p.Run(opts)
+		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
+		}
+		if opts.Shards > 1 && res.Interp.MergeTasks == 0 {
+			t.Fatalf("run %d: the pool never folded a worker buffer", i)
 		}
 		got := snapshotRel(reach)
 		if len(got) != len(want) {

@@ -362,10 +362,24 @@ func TestServeSharded(t *testing.T) {
 
 	b := workloads.TransitiveClosure(analysis.HandOptimized, 60, 120, 19)
 	srv, err := b.P.Serve(core.Options{
-		Indexed: true, ParallelUnions: true, Shards: 8, Workers: 4, AdaptiveFanout: true,
+		Indexed: true, ParallelUnions: true, Shards: 8, Workers: 4, FanoutThreshold: 1,
 	})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
+	}
+	// A lone session on an idle server is granted the whole pool, so its
+	// query must fan out and fold worker buffers.
+	lone, err := srv.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lone.Query()
+	lone.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Interp.MergeTasks == 0 {
+		t.Fatal("a lone sharded session never folded a worker buffer")
 	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, 4)

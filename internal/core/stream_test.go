@@ -310,6 +310,36 @@ func toTx(t *testing.T, p *core.Program, step []streamOp) *core.Tx {
 	return tx
 }
 
+// deleteOracleModes is the shared exec-mode axis plus four cells that sweep
+// the fan-out decision under retraction: a low threshold that mixes fanned-out
+// and sequential iterations within one batch, and the 8-shard / 2-worker
+// geometry (more buckets than workers, as in the skew benchmarks), once
+// selected by Shards and once by AdaptiveFanout's 8-shard default. The cell
+// names are stable test IDs; the "-steal" pair keeps the names of the
+// geometry cells that work stealing once targeted.
+var deleteOracleModes = append(append([]execMode(nil), execModes...),
+	execMode{"adaptive", func(o *core.Options) { o.Shards = 4; o.FanoutThreshold = 8 }, false},
+	// Threshold 2 runs CyclicSupport's one-row deltas sequentially, so this
+	// cell's pool use is checked only on the scenarios whose deltas grow.
+	execMode{"adaptive-pool", func(o *core.Options) {
+		o.Shards = 4
+		o.Workers = 4
+		o.FanoutThreshold = 2
+	}, false},
+	execMode{"sharded-steal", func(o *core.Options) {
+		o.Shards = 8
+		o.Workers = 2
+		o.FanoutThreshold = 1
+		o.Histograms = true
+	}, true},
+	execMode{"adaptive-steal", func(o *core.Options) {
+		o.AdaptiveFanout = true
+		o.Workers = 2
+		o.FanoutThreshold = 1
+		o.Histograms = true
+	}, true},
+)
+
 // TestDeleteOracleMatrix is the acceptance matrix: every execution mode,
 // with and without the JIT, applies each scenario's batch sequence
 // incrementally and must match the recompute oracle byte-for-byte after
@@ -319,7 +349,7 @@ func toTx(t *testing.T, p *core.Program, step []streamOp) *core.Tx {
 func TestDeleteOracleMatrix(t *testing.T) {
 	for _, sc := range streamScenarios() {
 		want := oracleSnapshots(t, sc)
-		for _, mode := range execModes {
+		for _, mode := range deleteOracleModes {
 			for _, withJIT := range []bool{false, true} {
 				// With the JIT the cell also runs indexed, so retraction's
 				// probe-driven plans and its scan-only ones are both covered.
@@ -331,7 +361,7 @@ func TestDeleteOracleMatrix(t *testing.T) {
 						opts.JIT = jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
 					}
 					p := sc.build()
-					var retracted, rederived int64
+					var retracted, rederived, merged int64
 					for si, step := range sc.steps {
 						res, err := p.Apply(toTx(t, p, step), opts)
 						if err != nil {
@@ -346,6 +376,10 @@ func TestDeleteOracleMatrix(t *testing.T) {
 						diffSnapshots(t, fmt.Sprintf("%s step %d", name, si), want[si], snapshotAll(p))
 						retracted += res.Interp.Retracted
 						rederived += res.Interp.Rederived
+						merged += res.Interp.MergeTasks
+					}
+					if mode.pooled && merged == 0 {
+						t.Error("pooled cell: no batch folded a worker buffer (MergeTasks = 0)")
 					}
 					if retracted == 0 {
 						t.Error("no batch reported Stats.Retracted > 0")
@@ -700,7 +734,10 @@ func FuzzRetraction(f *testing.F) {
 					net[o.fact]++
 				}
 			}
-			if _, err := p.Apply(tx, core.Options{Indexed: seed%2 == 0, Shards: 2, Workers: 2}); err != nil {
+			// Threshold 1: every batch whose delta spans both buckets runs
+			// on the pool (a fuzzer-picked batch may derive nothing, so
+			// MergeTasks is not asserted here; the delete-oracle matrix does).
+			if _, err := p.Apply(tx, core.Options{Indexed: seed%2 == 0, Shards: 2, Workers: 2, FanoutThreshold: 1}); err != nil {
 				t.Fatalf("%s batch %d: %v", sc.name, b, err)
 			}
 			oracle := sc.build()

@@ -70,11 +70,6 @@ type Report struct {
 	// TotalFacts is the derived-tuple count (validation that all engines
 	// agree).
 	TotalFacts int
-	// Steals and SkewIters report the skew-aware fan-out's engagement
-	// (cursor-path bucket claims and skewed iterations; nonzero only under
-	// RunCaracSkew on a skewed workload with Workers >= 2).
-	Steals    int64
-	SkewIters int64
 }
 
 // DefaultCompileLatency approximates the one-time external C++ compile cost
@@ -139,9 +134,11 @@ func RunSouffle(b *analysis.Built, mode SouffleMode, cxxLatency, timeout time.Du
 
 // RunCaracSharded executes the built program under Carac's sharded parallel
 // configuration: the semi-naive fixpoint with every relation hash-partitioned
-// into shards buckets, single rules split across workers, and the drift-gated
-// plan cache on — the production-scale configuration the baseline comparison
-// measures Carac at beyond the paper's single-threaded numbers.
+// into shards buckets, single rules split across workers, the parallelism
+// degree re-decided every iteration from live delta statistics (small-delta
+// tail iterations run on the sequential path), and the drift-gated plan cache
+// on — the production-scale configuration the baseline comparison measures
+// Carac at beyond the paper's single-threaded numbers.
 func RunCaracSharded(b *analysis.Built, shards, workers int, timeout time.Duration) (*Report, error) {
 	res, err := b.P.Run(core.Options{
 		Indexed:        true,
@@ -154,31 +151,12 @@ func RunCaracSharded(b *analysis.Built, shards, workers int, timeout time.Durati
 	return report(res, 0, err)
 }
 
-// RunCaracAdaptive is RunCaracSharded with the adaptive fan-out driver: the
-// parallelism degree is re-decided every iteration from live delta
-// statistics, small-delta tail iterations run on the sequential fast path,
-// and the merge barrier folds worker buffers one concurrent task per
-// bucket — the configuration that adds the execution-strategy half of
-// adaptive re-optimization to the plan half the cache provides.
-func RunCaracAdaptive(b *analysis.Built, shards, workers int, timeout time.Duration) (*Report, error) {
-	res, err := b.P.Run(core.Options{
-		Indexed:        true,
-		PlanCache:      true,
-		ParallelUnions: true,
-		Shards:         shards,
-		Workers:        workers,
-		AdaptiveFanout: true,
-		Timeout:        timeout,
-	})
-	return report(res, 0, err)
-}
-
-// RunCaracAdaptiveJIT is RunCaracAdaptive with a JIT attached: the adaptive
-// driver's bucket-span tasks execute span-parameterized compiled units over
-// the physically sharded delta store (bucket-local reads, race-free
-// per-bucket buffer writes, parallel merge), while small-delta tail
-// iterations run compiled sequentially — the fan-out × compilation
-// interaction the paper's adaptive claim is about, measured end to end.
+// RunCaracAdaptiveJIT is RunCaracSharded with a JIT attached: the fan-out's
+// bucket-span tasks execute span-parameterized compiled units over the
+// physically sharded delta store (bucket-local reads, race-free per-worker
+// buffer writes, one merge barrier), while small-delta tail iterations run
+// compiled sequentially — the fan-out × compilation interaction the paper's
+// adaptive claim is about, measured end to end.
 func RunCaracAdaptiveJIT(b *analysis.Built, shards, workers int, timeout time.Duration) (*Report, error) {
 	res, err := b.P.Run(core.Options{
 		Indexed:        true,
@@ -186,29 +164,7 @@ func RunCaracAdaptiveJIT(b *analysis.Built, shards, workers int, timeout time.Du
 		ParallelUnions: true,
 		Shards:         shards,
 		Workers:        workers,
-		AdaptiveFanout: true,
 		JIT:            jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ},
-		Timeout:        timeout,
-	})
-	return report(res, 0, err)
-}
-
-// RunCaracSkew is RunCaracAdaptive with the skew-aware machinery on:
-// per-column histograms feed the optimizer's join-size estimates, and
-// iterations whose delta concentrates in a few hot buckets switch from
-// static contiguous bucket spans to work-stealing per-bucket claims
-// (Report.Steals / SkewIters expose the engagement) — the configuration
-// Table II's skewed-graph row measures.
-func RunCaracSkew(b *analysis.Built, shards, workers int, timeout time.Duration) (*Report, error) {
-	res, err := b.P.Run(core.Options{
-		Indexed:        true,
-		PlanCache:      true,
-		ParallelUnions: true,
-		Shards:         shards,
-		Workers:        workers,
-		AdaptiveFanout: true,
-		Histograms:     true,
-		StealThreshold: interp.DefaultStealThreshold,
 		Timeout:        timeout,
 	})
 	return report(res, 0, err)
@@ -499,7 +455,5 @@ func report(res *core.Result, profile time.Duration, err error) (*Report, error)
 		Duration:    res.Duration,
 		ProfileTime: profile,
 		TotalFacts:  res.TotalFacts,
-		Steals:      res.Interp.Steals,
-		SkewIters:   res.Interp.SkewIters,
 	}, nil
 }

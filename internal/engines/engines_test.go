@@ -96,7 +96,7 @@ func TestCaracShardedAndAdaptiveAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := RunCaracAdaptive(analysis.InvFuns(analysis.HandOptimized, facts), 4, 2, time.Minute)
+	ad, err := RunCaracAdaptiveJIT(analysis.InvFuns(analysis.HandOptimized, facts), 4, 2, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCaracShardedAndAdaptiveAgree(t *testing.T) {
 		t.Fatal("unexpected DNF")
 	}
 	if ref.TotalFacts != ad.TotalFacts {
-		t.Fatalf("adaptive fan-out disagrees: %d vs %d facts", ad.TotalFacts, ref.TotalFacts)
+		t.Fatalf("compiled fan-out disagrees: %d vs %d facts", ad.TotalFacts, ref.TotalFacts)
 	}
 }
 

@@ -83,10 +83,8 @@ type Stats struct {
 	PlanReuses    int64 // subquery executions served from the plan cache
 	Reopts        int64 // drift-triggered join-order re-optimizations
 	Compiled      int64 // subtrees executed via a Controller thunk
-	SeqIters      int64 // iterations the adaptive driver ran on the sequential fast path
+	SeqIters      int64 // parallel-run iterations the fan-out decision ran on the sequential path
 	MergeTasks    int64 // workers whose delta buffers a merge barrier folded: the pool size, per pooled barrier
-	Steals        int64 // buckets claimed through the shared steal cursor (not via affinity)
-	SkewIters     int64 // iterations executed with work-stealing bucket claims
 	EstimatedRows int64 // summed histogram-based join-size estimates recorded at plan builds
 	Retracted     int64 // rows physically removed by retraction batches (seeds + over-deletes that stayed dead)
 	Rederived     int64 // over-deleted rows resurrected by the DRed rederivation round
@@ -101,54 +99,39 @@ type Interp struct {
 	Ctrl  Controller
 	Stats Stats
 
-	// Executor selects push- or pull-based leaf-join execution (§V-D).
-	Executor Executor
-
 	// Parallel evaluates the independent rules of each DoWhile iteration
 	// concurrently on a bounded worker pool — sound because the delta split
 	// makes readers (Derived, DeltaKnown) frozen for the iteration and each
 	// worker writes only its private delta buffer, folded through the
-	// predicates' Emit at the iteration barrier (§V-D). Honored without a
-	// Controller, or with one implementing ShardCompiler (the JIT's
-	// controller does: pool tasks then run span-parameterized compiled units
-	// where one is ready, interpretation otherwise); any other Controller
-	// forces the sequential loop. Parallel=false is the sequential fallback.
+	// predicates' Emit at the iteration barrier (§V-D). Every iteration
+	// decides its own fan-out from the live delta statistics (chooseFanout):
+	// an iteration whose total delta is under FanoutThreshold runs on the
+	// sequential path (no task spawn, no worker buffers, no merge), so
+	// fixpoint tails — many iterations, tiny deltas — pay no parallelism tax.
+	// Honored without a Controller, or with one implementing ShardCompiler
+	// (the JIT's controller does: pool tasks then run span-parameterized
+	// compiled units where one is ready, interpretation otherwise); any other
+	// Controller forces the sequential loop. Parallel=false is the sequential
+	// fallback.
 	Parallel bool
 	// Workers bounds the pool; <= 0 selects GOMAXPROCS.
 	Workers int
 
 	// Shards > 1 additionally fans each rule of a parallel iteration out as
-	// one task per hash bucket of its delta relation (configured via
-	// storage.PredicateDB.SetShards), so a single huge recursive rule — the
-	// common shape in transitive-closure-style workloads — no longer
-	// serializes the iteration: parallelism becomes bounded by data size,
-	// not rule count. Only honored together with Parallel.
+	// tasks over contiguous spans of hash buckets of its delta relation
+	// (configured via storage.PredicateDB.SetShards), so a single huge
+	// recursive rule — the common shape in transitive-closure-style
+	// workloads — no longer serializes the iteration: parallelism becomes
+	// bounded by data size, not rule count. Only honored together with
+	// Parallel.
 	Shards int
 
-	// AdaptiveFanout replaces the static fan-out of Shards with a per-
-	// iteration decision read from the live per-shard delta cardinalities
-	// (stats.Catalog.ShardCard): an iteration whose total delta is under
-	// FanoutThreshold runs on the zero-overhead sequential path (no task
-	// spawn, no worker buffers, no merge), and larger iterations pick an
-	// effective task count from delta size vs. worker count, handing each
-	// task a contiguous span of buckets. Fixpoint tails — many iterations,
-	// tiny deltas — stop paying parallelism tax, the regime the paper's
-	// adaptive re-optimization targets for plans, applied here to execution
-	// strategy.
-	AdaptiveFanout bool
-	// FanoutThreshold is the sequential-path delta bound; <= 0 selects
-	// DefaultFanoutThreshold.
+	// FanoutThreshold is the sequential-path delta bound of the fan-out
+	// decision; <= 0 selects DefaultFanoutThreshold. At 1 every non-empty
+	// iteration fans out to min(occupied buckets, Shards) tasks whenever
+	// Shards <= 4 x the worker count — the escape hatch tests and ablations
+	// use to force the pool.
 	FanoutThreshold int
-
-	// StealThreshold > 0 enables skew-aware work-stealing: an iteration
-	// whose per-bucket delta distribution is skewed past this ratio (max
-	// bucket / mean occupied bucket, see chooseFanout) abandons static
-	// contiguous bucket spans and lets the pool workers claim buckets one at
-	// a time from a shared atomic cursor per rule, so idle workers drain a
-	// hot bucket's neighbors instead of idling at the merge barrier.
-	// DefaultStealThreshold is the recommended value; <= 0 (the default)
-	// keeps static spans.
-	StealThreshold float64
 
 	// Plans, when non-nil, caches access plans across subquery executions
 	// keyed by (rule, atom order, cardinality band): the repeated per-
@@ -212,18 +195,9 @@ type Interp struct {
 	// into the predicate, so steady-state iterations allocate nothing.
 	bufMu   sync.Mutex
 	bufFree map[int][]*storage.Relation
-	// fanBuckets and fanCounts are driver-owned scratch the adaptive fan-out
-	// decision reuses across iterations (it runs at a sequential point).
+	// fanBuckets is driver-owned scratch the fan-out decision reuses across
+	// iterations (it runs at a sequential point).
 	fanBuckets []bool
-	fanCounts  []int
-	// stealOcc is the iteration's bucket occupancy the steal claim loops
-	// read: fanBuckets with bucket 0 forced occupied, written by chooseFanout
-	// only, once per iteration. affinity remembers, per rule, which worker
-	// claimed each bucket in the last stealing iteration — the bucket→worker
-	// assignment that biases the next iteration's initial claims so hot
-	// sub-relations stay on one worker across iterations.
-	stealOcc []bool
-	affinity map[*ir.UnionRuleOp][]int32
 	// keyMemo caches each subquery's structural plan-cache key, invalidated
 	// via ir.SPJOp.OrderGen so the atoms are re-hashed only after a reorder
 	// rather than per execution.
@@ -656,7 +630,7 @@ func (in *Interp) applyShard(plan *Plan) {
 
 // execSPJ interprets one subquery: it resolves an access plan for the
 // current atom order (cached or freshly built) and streams matches into the
-// sink via the configured executor.
+// sink through Plan.Execute.
 func (in *Interp) execSPJ(spj *ir.SPJOp) error {
 	if in.shardTotal > 1 && in.shardSkip(spj) {
 		return nil
@@ -677,9 +651,7 @@ func (in *Interp) execSPJ(spj *ir.SPJOp) error {
 		if in.bufSink != nil {
 			// Parallel rule evaluation: derivations land in this worker's
 			// private buffer and are counted at the merge barrier.
-			runPlanBuffered(plan, in.Cat, in.Executor, in.bufSink(plan.Sink))
-		} else if in.Executor == ExecPull {
-			in.Stats.Derivations += RunPlanPull(plan, in.Cat)
+			runPlanBuffered(plan, in.Cat, in.bufSink(plan.Sink))
 		} else {
 			in.Stats.Derivations += RunPlan(plan, in.Cat)
 		}
@@ -734,7 +706,7 @@ func (in *Interp) ensureWorkers(n int) {
 			// No Reopt: a task may not reorder a subquery its sibling tasks
 			// are reading; the coordinator does it before the fan-out
 			// (reoptStale).
-			sub:  &Interp{Cat: in.Cat, Executor: in.Executor, Plans: in.Plans, Estimate: in.Estimate, cancelHook: in.Cancelled},
+			sub:  &Interp{Cat: in.Cat, Plans: in.Plans, Estimate: in.Estimate, cancelHook: in.Cancelled},
 			bufs: make(map[storage.PredID]*storage.Relation),
 		}
 		ws.sub.bufSink = func(pid storage.PredID) *storage.Relation {
@@ -795,87 +767,33 @@ type shardTask struct {
 	shard int
 	span  int
 	unit  ShardUnit
-	// steal, when non-nil, marks a work-stealing participation task: the
-	// worker ignores shard/span and instead claims single buckets through
-	// the rule's shared steal state (affinity pass first, cursor pass
-	// second), running each claimed bucket as a span-1 restriction through
-	// the same interpreted or compiled path a static span task uses.
-	steal *stealState
 }
 
-// stealState coordinates one rule's work-stealing bucket claims for one
-// iteration. cursor hands out candidate bucket indices; claims[b] is 0 while
-// bucket b is unclaimed and worker+1 once a worker won it (CAS), so every
-// bucket is executed exactly once no matter how affinity and cursor claims
-// interleave. After the barrier the driver folds claims into the rule's
-// affinity table.
-type stealState struct {
-	cursor atomic.Int64
-	claims []atomic.Int32
-}
-
-// DefaultFanoutThreshold is the sequential-fast-path delta bound of the
-// adaptive fan-out: iterations with fewer total delta tuples than this run
-// in place, since at that size the per-task scheduling plus buffer-merge
-// overhead exceeds the join work itself on every workload measured.
+// DefaultFanoutThreshold is the sequential-path delta bound of the fan-out
+// decision: iterations with fewer total delta tuples than this run in place,
+// since at that size the per-task scheduling plus buffer-merge overhead
+// exceeds the join work itself on every workload measured.
 const DefaultFanoutThreshold = 256
 
-// DefaultStealThreshold is the recommended skew ratio for
-// Interp.StealThreshold: static contiguous spans tolerate the hottest delta
-// bucket holding up to 3x the mean occupied bucket before the straggler-span
-// wait exceeds the cost of per-bucket claim traffic.
-const DefaultStealThreshold = 3.0
-
-// fanoutDecision is the per-iteration execution strategy of the adaptive
-// driver.
-type fanoutDecision struct {
-	sequential bool // run the iteration in place: no tasks, no buffers, no merge
-	tasks      int  // shard tasks per rule (1 = rule-granular, unrestricted)
-	steal      bool // work-stealing bucket claims instead of static contiguous spans
-	parts      int  // participation tasks per rule when stealing (min(workers, occupied))
-}
-
-// chooseFanout picks the iteration's strategy from the live delta
-// statistics — total delta cardinality, per-bucket occupancy, and per-bucket
-// counts of the loop's predicates, all O(1) reads via
-// stats.Catalog.ShardCard. Without AdaptiveFanout it keeps the static PR 2
-// behaviour (fan out every iteration), though the task count is clamped to
-// the occupied bucket count so a mostly-empty delta no longer pays dispatch
-// overhead for empty spans; with AdaptiveFanout the statistics additionally
-// select between the sequential fast path, rule-granular parallelism, and a
-// bucket fan-out sized to the data and the worker count.
-//
-// Skew detection (StealThreshold > 0): with maxc the hottest bucket's delta
-// count and mean = total/occupied the average over non-empty buckets, an
-// iteration is skewed when maxc/mean >= StealThreshold. A skewed iteration
-// switches from static contiguous spans to work-stealing bucket claims
-// (dec.steal): any span containing the hot bucket would serialize the
-// iteration behind one straggler task, while per-bucket claims let the
-// workers that finish early drain the remaining buckets. Affinity heuristic:
-// the driver remembers which worker claimed each bucket last iteration
-// (Interp.affinity, folded from the claim table after the barrier) and each
-// worker claims its previous buckets first, so a hot bucket's sub-relations
-// stay on one worker across iterations instead of migrating with the
-// arbitrary cursor order; only claims made through the shared cursor —
-// work taken beyond the remembered assignment — count as Stats.Steals.
-func (in *Interp) chooseFanout(n *ir.DoWhileOp) fanoutDecision {
-	phys := in.Shards
-	if phys < 2 {
-		phys = 1
-	}
+// chooseFanout picks the iteration's strategy from the live delta statistics
+// of the loop's predicates — total delta cardinality and per-bucket
+// occupancy, O(1) reads via stats.Catalog.ShardCard — and returns the number
+// of tasks per rule: 0 runs the iteration on the sequential path (no tasks,
+// no buffers, no merge), 1 is rule-granular parallelism, more hands each
+// task a contiguous span of buckets. An iteration under the threshold runs
+// sequentially; a larger one gets one task per ~threshold/4 delta rows,
+// never more than 4x the pool (diminishing balance returns), the occupied
+// buckets (empty-bucket tasks are pure overhead) or Shards. So at
+// FanoutThreshold 1 every non-empty iteration fans out to min(occupied,
+// Shards) tasks whenever Shards <= 4 x workers.
+func (in *Interp) chooseFanout(n *ir.DoWhileOp) int {
+	phys := max(in.Shards, 1)
 	if cap(in.fanBuckets) < phys {
 		in.fanBuckets = make([]bool, phys)
 	}
 	occ := in.fanBuckets[:phys]
 	for s := range occ {
 		occ[s] = false
-	}
-	if cap(in.fanCounts) < phys {
-		in.fanCounts = make([]int, phys)
-	}
-	counts := in.fanCounts[:phys]
-	for s := range counts {
-		counts[s] = 0
 	}
 	src := stats.Catalog{Cat: in.Cat}
 	total := 0
@@ -884,105 +802,38 @@ func (in *Interp) chooseFanout(n *ir.DoWhileOp) fanoutDecision {
 			for s := 0; s < phys; s++ {
 				if c := src.ShardCard(pid, ir.SrcDelta, s); c > 0 {
 					total += c
-					counts[s] += c
 					occ[s] = true
 				}
 			}
 		} else if c := src.Card(pid, ir.SrcDelta); c > 0 {
 			// No per-bucket statistics for this predicate: count it whole
-			// and treat every bucket as occupied (it also contributes no
-			// per-bucket counts, so it cannot fake a skew signal).
+			// and treat every bucket as occupied.
 			total += c
 			for s := range occ {
 				occ[s] = true
 			}
 		}
 	}
-	occupied, maxc := 0, 0
-	for s, o := range occ {
-		if o {
-			occupied++
-		}
-		if counts[s] > maxc {
-			maxc = counts[s]
-		}
-	}
-	if !in.AdaptiveFanout {
-		// Static fan-out, clamped to the occupied buckets: Workers (or the
-		// bucket count) exceeding the non-empty buckets used to emit empty
-		// spans that still paid task dispatch. Spans always cover all
-		// buckets, so fewer, wider spans lose no work.
-		tasks := phys
-		if tasks > occupied {
-			tasks = occupied
-		}
-		if tasks < 1 {
-			tasks = 1
-		}
-		dec := fanoutDecision{tasks: tasks}
-		in.applySteal(&dec, phys, total, occupied, maxc)
-		return dec
-	}
 	threshold := in.FanoutThreshold
 	if threshold <= 0 {
 		threshold = DefaultFanoutThreshold
 	}
 	if total < threshold {
-		return fanoutDecision{sequential: true}
+		return 0
 	}
-	if phys < 2 {
-		return fanoutDecision{tasks: 1}
+	occupied := 0
+	for _, o := range occ {
+		if o {
+			occupied++
+		}
 	}
-	// Effective fan-out: one task per ~grain delta rows, never more than
-	// 4x the pool (diminishing balance returns) or the occupied buckets
-	// (empty-bucket tasks are pure overhead).
-	grain := threshold / 4
-	if grain < 1 {
-		grain = 1
-	}
-	w := in.workerCount()
-	eff := total / grain
-	if lim := 4 * w; eff > lim {
-		eff = lim
-	}
-	if eff > occupied {
-		eff = occupied
-	}
-	if eff > phys {
-		eff = phys
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	dec := fanoutDecision{tasks: eff}
-	in.applySteal(&dec, phys, total, occupied, maxc)
-	return dec
-}
-
-// applySteal upgrades a fan-out decision to work-stealing bucket claims when
-// stealing is enabled and the iteration's delta is skewed (see chooseFanout's
-// doc for the formula). It hands the claim loops the bucket occupancy with
-// bucket 0 forced occupied, because the fan-out contract runs
-// whole-relation subqueries (no delta atom) on the bucket-0 task only.
-func (in *Interp) applySteal(dec *fanoutDecision, phys, total, occupied, maxc int) {
-	if in.StealThreshold <= 0 || phys < 2 || occupied < 2 || in.workerCount() < 2 {
-		return
-	}
-	if float64(maxc)*float64(occupied) < in.StealThreshold*float64(total) {
-		return
-	}
-	dec.steal = true
-	dec.parts = in.workerCount()
-	if dec.parts > occupied {
-		dec.parts = occupied
-	}
-	in.stealOcc = in.fanBuckets[:phys]
-	in.stealOcc[0] = true
+	eff := total / max(threshold/4, 1)
+	return max(min(eff, 4*in.workerCount(), occupied, phys), 1)
 }
 
 // runLoopParallel evaluates one stratum loop with the independent rules of
 // each iteration distributed over a bounded worker pool; with Shards > 1
-// each rule additionally fans out as one task per delta bucket span, so a
+// each rule additionally fans out as tasks over delta bucket spans, so a
 // single large rule saturates the pool instead of serializing the
 // iteration. Every worker reads only Derived/DeltaKnown relations — frozen
 // for the duration of the iteration — and writes only its own private delta
@@ -991,28 +842,22 @@ func (in *Interp) applySteal(dec *fanoutDecision, phys, total, occupied, maxc in
 // across workers) at the iteration barrier, and SwapClearOps stay
 // sequential there.
 //
-// With AdaptiveFanout the task count is re-decided every iteration from the
-// live delta statistics, and small-delta iterations bypass the machinery
+// The task count is re-decided every iteration from the live delta
+// statistics (chooseFanout), and small-delta iterations bypass the machinery
 // entirely: they interpret the body in place exactly like the sequential
 // driver, spawning no tasks and touching no buffers.
 func (in *Interp) runLoopParallel(n *ir.DoWhileOp) error {
 	var pending []shardTask
 	for {
-		dec := in.chooseFanout(n)
-		if dec.sequential {
+		if tasks := in.chooseFanout(n); tasks == 0 {
 			in.Stats.SeqIters++
 			for _, c := range n.Body {
 				if err := in.Exec(c); err != nil {
 					return err
 				}
 			}
-		} else {
-			if dec.steal {
-				in.Stats.SkewIters++
-			}
-			if err := in.runIterationTasks(n, dec, &pending); err != nil {
-				return err
-			}
+		} else if err := in.runIterationTasks(n, tasks, &pending); err != nil {
+			return err
 		}
 		in.Stats.Iterations++
 		if in.Cancelled() {
@@ -1025,22 +870,18 @@ func (in *Interp) runLoopParallel(n *ir.DoWhileOp) error {
 }
 
 // runIterationTasks executes one iteration's body with rule evaluation
-// fanned out over the pool: dec.tasks bucket-span tasks per rule (or, in a
-// stealing iteration, dec.parts claim-participation tasks per rule), flushed
-// at every non-union op so cross-rule ordering is preserved.
-func (in *Interp) runIterationTasks(n *ir.DoWhileOp, dec fanoutDecision, pending *[]shardTask) error {
+// fanned out over the pool, tasks bucket-span tasks per rule, flushed at
+// every non-union op so cross-rule ordering is preserved.
+func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shardTask) error {
 	nshards := in.Shards
-	if nshards < 2 || (dec.tasks < 2 && !dec.steal) {
+	if nshards < 2 || tasks < 2 {
 		nshards = 1
 	}
-	if nshards < 2 {
-		dec.steal = false
-	}
-	// Distribute the buckets over dec.tasks contiguous spans (span 0 marks
+	// Distribute the buckets over the tasks' contiguous spans (span 0 marks
 	// the unrestricted rule-granular task).
 	span := 0
 	if nshards > 1 {
-		span = (nshards + dec.tasks - 1) / dec.tasks
+		span = (nshards + tasks - 1) / tasks
 	}
 	flush := func() error {
 		if len(*pending) == 0 {
@@ -1054,11 +895,10 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, dec fanoutDecision, pending
 			// through Exec, so a Controller's safe point still fires at the
 			// rule node and sequential compiled units run exactly as they
 			// did under the pre-shard-native sequential loop. Tasks of one
-			// rule are contiguous; run the rule at its first task only
-			// (participation tasks all carry shard 0).
+			// rule are contiguous; run the rule at its first task only.
 			var last *ir.UnionRuleOp
 			for _, t := range *pending {
-				if t.rule == last || t.shard != 0 {
+				if t.rule == last {
 					continue
 				}
 				last = t.rule
@@ -1091,7 +931,6 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, dec fanoutDecision, pending
 		var wg sync.WaitGroup
 		for i := 0; i < w; i++ {
 			ws := in.workers[i]
-			wid := i
 			ws.err = nil
 			wg.Add(1)
 			go func() {
@@ -1102,13 +941,6 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, dec fanoutDecision, pending
 						return
 					}
 					t := (*pending)[ti]
-					if t.steal != nil {
-						if err := in.runStealTask(ws, wid, t, nshards); err != nil {
-							ws.err = err
-							return
-						}
-						continue
-					}
 					if t.unit != nil {
 						// Compiled task body: the unit applies the task's
 						// bucket-span restriction itself and emits through
@@ -1135,34 +967,17 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, dec fanoutDecision, pending
 			}()
 		}
 		wg.Wait()
-		in.foldAffinity(*pending, nshards)
 		return in.mergeWorkers(w)
 	}
 	for _, c := range n.Body {
 		if ua, ok := c.(*ir.UnionAllOp); ok {
 			for _, r := range ua.Rules {
-				if dec.steal {
-					// One shared claim table per rule; dec.parts identical
-					// participation tasks keep the pool saturated while the
-					// workers race over single-bucket claims. Participation
-					// tasks carry shard 0 so the degenerate (w<=1) path's
-					// run-each-rule-once contract holds unchanged.
-					st := &stealState{claims: make([]atomic.Int32, nshards)}
-					for p := 0; p < dec.parts; p++ {
-						*pending = append(*pending, shardTask{rule: r, steal: st})
-					}
-					continue
-				}
 				if span == 0 {
 					*pending = append(*pending, shardTask{rule: r})
 					continue
 				}
 				for lo := 0; lo < nshards; lo += span {
-					s := span
-					if lo+s > nshards {
-						s = nshards - lo
-					}
-					*pending = append(*pending, shardTask{rule: r, shard: lo, span: s})
+					*pending = append(*pending, shardTask{rule: r, shard: lo, span: min(span, nshards-lo)})
 				}
 			}
 			continue
@@ -1210,85 +1025,6 @@ func (in *Interp) reoptStale(tasks []shardTask) {
 	}
 }
 
-// runStealTask drains one rule's stealable buckets from worker wid's seat:
-// an affinity pass over the buckets this worker won last iteration, then a
-// cursor pass over the rest. Every claim is won by CAS on the rule's shared
-// claim table, so however the concurrent participation tasks interleave each
-// bucket runs exactly once, as a span-1 restriction through the same
-// interpreted or compiled path a static span task uses. Only cursor-pass
-// wins — work taken beyond the remembered assignment — count as
-// Stats.Steals.
-func (in *Interp) runStealTask(ws *workerState, wid int, t shardTask, nshards int) error {
-	runBucket := func(b int) error {
-		if t.unit != nil {
-			ws.sub.Stats.Compiled++
-			return t.unit(ws.sub, b, 1, nshards)
-		}
-		ws.sub.shard = b
-		ws.sub.shardSpan = 1
-		ws.sub.shardTotal = nshards
-		return ws.sub.interpret(t.rule)
-	}
-	if aff := in.affinity[t.rule]; len(aff) == nshards {
-		for b := 0; b < nshards; b++ {
-			if int(aff[b]) != wid || !in.stealOcc[b] {
-				continue
-			}
-			if !t.steal.claims[b].CompareAndSwap(0, int32(wid)+1) {
-				continue
-			}
-			if ws.sub.Cancelled() {
-				return nil
-			}
-			if err := runBucket(b); err != nil {
-				return err
-			}
-		}
-	}
-	for {
-		b := int(t.steal.cursor.Add(1) - 1)
-		if b >= nshards {
-			return nil
-		}
-		if !in.stealOcc[b] || !t.steal.claims[b].CompareAndSwap(0, int32(wid)+1) {
-			continue
-		}
-		if ws.sub.Cancelled() {
-			return nil
-		}
-		ws.sub.Stats.Steals++
-		if err := runBucket(b); err != nil {
-			return err
-		}
-	}
-}
-
-// foldAffinity records, after the barrier, which worker won each bucket of
-// each stealing rule this iteration (claims[b]-1; unclaimed buckets read -1),
-// so the next skewed iteration's affinity pass re-claims the same buckets and
-// a hot bucket's sub-relations stay on one worker instead of migrating with
-// the arbitrary cursor order. No-op for batches without steal tasks.
-func (in *Interp) foldAffinity(pending []shardTask, nshards int) {
-	var last *stealState
-	for _, t := range pending {
-		if t.steal == nil || t.steal == last {
-			continue
-		}
-		last = t.steal
-		if in.affinity == nil {
-			in.affinity = make(map[*ir.UnionRuleOp][]int32)
-		}
-		aff := in.affinity[t.rule]
-		if len(aff) != nshards {
-			aff = make([]int32, nshards)
-			in.affinity[t.rule] = aff
-		}
-		for b := 0; b < nshards; b++ {
-			aff[b] = t.steal.claims[b].Load() - 1
-		}
-	}
-}
-
 // mergeWorkers folds every worker's private delta buffers into the sinks
 // through PredicateDB.Emit — staging each new row in Derived, which is also
 // what deduplicates across workers — counting derivations exactly like the
@@ -1307,7 +1043,6 @@ func (in *Interp) mergeWorkers(w int) error {
 		in.Stats.PlanBuilds += s.PlanBuilds
 		in.Stats.PlanReuses += s.PlanReuses
 		in.Stats.Compiled += s.Compiled
-		in.Stats.Steals += s.Steals
 		in.Stats.EstimatedRows += s.EstimatedRows
 		ws.sub.Stats = Stats{}
 	}
@@ -1333,22 +1068,15 @@ func (in *Interp) mergeWorkers(w int) error {
 	return firstErr
 }
 
-// runPlanWith executes the plan with the chosen executor, routing every
-// match (through the aggregation path when configured) into insert.
-func runPlanWith(p *Plan, cat *storage.Catalog, exec Executor, insert func(t []storage.Value)) {
-	execute := func(emit func(head, bind []storage.Value)) {
-		if exec == ExecPull {
-			NewPullExecutor(p, cat).Execute(emit)
-		} else {
-			p.Execute(cat, emit)
-		}
-	}
+// runPlanWith executes the plan, routing every match (through the
+// aggregation path when configured) into insert.
+func runPlanWith(p *Plan, cat *storage.Catalog, insert func(t []storage.Value)) {
 	if p.Agg.Kind == ast.AggNone {
-		execute(func(head, _ []storage.Value) { insert(head) })
+		p.Execute(cat, func(head, _ []storage.Value) { insert(head) })
 		return
 	}
 	agg := eval.NewAggregator(p.Agg.Kind, len(p.Head), p.Agg.HeadPos)
-	execute(func(head, bind []storage.Value) {
+	p.Execute(cat, func(head, bind []storage.Value) {
 		var v storage.Value
 		if p.Agg.Kind != ast.AggCount {
 			v = bind[p.Agg.OverVar]
@@ -1364,12 +1092,14 @@ func runPlanWith(p *Plan, cat *storage.Catalog, exec Executor, insert func(t []s
 	agg.Emit(insert)
 }
 
-// runPlanSink executes the plan against the standard semi-naive sink, the
-// predicate's Emit, returning the number of new tuples derived.
-func runPlanSink(p *Plan, cat *storage.Catalog, exec Executor) int64 {
+// RunPlan executes a built plan against the standard semi-naive sink, the
+// predicate's Emit, sinking matches (via the aggregation path when
+// configured) and returning the number of new tuples derived. Shared by the
+// interpreter and the lambda/quote backends.
+func RunPlan(p *Plan, cat *storage.Catalog) int64 {
 	sink := cat.Pred(p.Sink)
 	var derived int64
-	runPlanWith(p, cat, exec, func(t []storage.Value) {
+	runPlanWith(p, cat, func(t []storage.Value) {
 		if sink.Emit(t) {
 			derived++
 		}
@@ -1382,18 +1112,11 @@ func runPlanSink(p *Plan, cat *storage.Catalog, exec Executor) int64 {
 // Set difference against the iteration-frozen Derived still applies here to
 // keep buffers small; duplicate elimination across workers and against the
 // iteration's other finds happens at the merge barrier.
-func runPlanBuffered(p *Plan, cat *storage.Catalog, exec Executor, buf *storage.Relation) {
+func runPlanBuffered(p *Plan, cat *storage.Catalog, buf *storage.Relation) {
 	sink := cat.Pred(p.Sink)
-	runPlanWith(p, cat, exec, func(t []storage.Value) {
+	runPlanWith(p, cat, func(t []storage.Value) {
 		if !sink.Derived.Contains(t) {
 			buf.Insert(t)
 		}
 	})
-}
-
-// RunPlan executes a built plan with the push engine, sinking matches (via
-// the aggregation path when configured) and returning the number of new
-// tuples derived. Shared by the interpreter and the lambda/quote backends.
-func RunPlan(p *Plan, cat *storage.Catalog) int64 {
-	return runPlanSink(p, cat, ExecPush)
 }

@@ -577,41 +577,38 @@ func (c *yieldingController) Enter(op ir.Op, in *Interp) func() error {
 // TestYieldedAggregateEmitsNoPartialGroups: an aggregate subquery abandoned
 // through Yielder after it has scanned part of its body must not insert the
 // groups it has so far — deg(1,2) beside the true deg(1,3) — whether the
-// controller then takes over or declines, and under both executors.
+// controller then takes over or declines.
 func TestYieldedAggregateEmitsNoPartialGroups(t *testing.T) {
-	for _, exec := range []Executor{ExecPush, ExecPull} {
-		for _, takeOver := range []bool{false, true} {
-			for yieldAt := 1; yieldAt <= 4; yieldAt++ {
-				cat := storage.NewCatalog()
-				edge := cat.Declare("edge", 2)
-				deg := cat.Declare("deg", 2)
-				p := ast.NewProgram(cat)
-				p.MustAddRule(&ast.Rule{
-					Head:    ast.Rel(deg, ast.V(0), ast.V(2)),
-					Body:    []ast.Atom{ast.Rel(edge, ast.V(0), ast.V(1))},
-					Agg:     ast.AggSpec{Kind: ast.AggCount, HeadPos: 1},
-					NumVars: 3,
-				})
-				for _, e := range [][2]storage.Value{{1, 2}, {1, 3}, {1, 4}, {2, 3}} {
-					cat.Pred(edge).AddFact([]storage.Value{e[0], e[1]})
-				}
-				root, err := ir.Lower(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctrl := &yieldingController{yieldAt: yieldAt, takeOver: takeOver}
-				in := New(cat, ctrl)
-				in.Executor = exec
-				if err := in.Run(root); err != nil {
-					t.Fatal(err)
-				}
-				if !ctrl.yielded {
-					t.Fatalf("exec=%v yieldAt=%d: the subquery never polled that often", exec, yieldAt)
-				}
-				d := cat.Pred(deg).Derived
-				if d.Len() != 2 || !d.Contains([]storage.Value{1, 3}) || !d.Contains([]storage.Value{2, 1}) {
-					t.Fatalf("exec=%v takeOver=%v yieldAt=%d: deg = %v, want [[1 3] [2 1]]", exec, takeOver, yieldAt, d.Snapshot())
-				}
+	for _, takeOver := range []bool{false, true} {
+		for yieldAt := 1; yieldAt <= 4; yieldAt++ {
+			cat := storage.NewCatalog()
+			edge := cat.Declare("edge", 2)
+			deg := cat.Declare("deg", 2)
+			p := ast.NewProgram(cat)
+			p.MustAddRule(&ast.Rule{
+				Head:    ast.Rel(deg, ast.V(0), ast.V(2)),
+				Body:    []ast.Atom{ast.Rel(edge, ast.V(0), ast.V(1))},
+				Agg:     ast.AggSpec{Kind: ast.AggCount, HeadPos: 1},
+				NumVars: 3,
+			})
+			for _, e := range [][2]storage.Value{{1, 2}, {1, 3}, {1, 4}, {2, 3}} {
+				cat.Pred(edge).AddFact([]storage.Value{e[0], e[1]})
+			}
+			root, err := ir.Lower(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl := &yieldingController{yieldAt: yieldAt, takeOver: takeOver}
+			in := New(cat, ctrl)
+			if err := in.Run(root); err != nil {
+				t.Fatal(err)
+			}
+			if !ctrl.yielded {
+				t.Fatalf("yieldAt=%d: the subquery never polled that often", yieldAt)
+			}
+			d := cat.Pred(deg).Derived
+			if d.Len() != 2 || !d.Contains([]storage.Value{1, 3}) || !d.Contains([]storage.Value{2, 1}) {
+				t.Fatalf("takeOver=%v yieldAt=%d: deg = %v, want [[1 3] [2 1]]", takeOver, yieldAt, d.Snapshot())
 			}
 		}
 	}

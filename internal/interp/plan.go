@@ -66,8 +66,8 @@ const (
 	// StepMember asserts the presence of a fully bound tuple: StepNegCheck's
 	// positive twin, one row-table lookup where a probe would walk a chain
 	// and filter it. BuildPlan never emits it; retraction rewrites its own
-	// plans (memberSteps), which only Plan.Execute runs — the pull executor
-	// and the compiled backends do not know the kind.
+	// plans (memberSteps), which only Plan.Execute runs — the compiled
+	// backends do not know the kind.
 	StepMember
 )
 

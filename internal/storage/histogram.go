@@ -2,8 +2,7 @@ package storage
 
 // This file implements incrementally maintained per-column value-distribution
 // histograms — the skew statistic behind histogram-overlap join-size
-// estimation (internal/optimizer) and the skew-aware work-stealing fan-out
-// (internal/interp). A histogram is registered per column like a hash index
+// estimation (internal/optimizer). A histogram is registered per column like a hash index
 // (BuildHistogram / PredicateDB.BuildHistograms) and maintained in the same
 // mutation paths that maintain cardinality and drift counters: Insert
 // increments the inserted value's bucket, Clear/ClearRetain/TruncateTo reset

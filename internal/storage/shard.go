@@ -119,18 +119,6 @@ func (r *Relation) EachShard(s int, f func(row []Value) bool) {
 	}
 }
 
-// ShardRows returns bucket s's row ids in insertion order — the exact-bucket
-// fast path for iterator-style executors (valid until the next mutation;
-// callers must not mutate it, like Probe's result). It returns nil for
-// unpartitioned and physically sharded relations (physical bucket rows live
-// in the sub-relations — use PhysSubs).
-func (r *Relation) ShardRows(s int) []int32 {
-	if r.shardCount == 0 || r.subs != nil {
-		return nil
-	}
-	return r.shardRows[s]
-}
-
 // ShardMutations returns bucket s's monotone mutation counter: it advances
 // whenever a content change touches the bucket (an insert routed to it, or a
 // relation-wide Clear/TruncateTo) and survives SetShardKey rebuilds that keep

@@ -152,10 +152,10 @@ func TransitiveClosure(form analysis.Formulation, nodes, edges, seed int) *analy
 // (node i → hub i%hubs), and a power-law background of extra edges piles onto
 // the low-numbered nodes. The derived tc facts concentrate on the hubs'
 // delta buckets — tc is sharded on its join column z in tc(x,z), edge(z,y) —
-// so a static contiguous bucket span containing a hub bucket serializes the
-// iteration behind one straggler task. This is the workload skew detection
-// and work-stealing bucket claims exist for; the hub ring plus background
-// edges keep several buckets occupied, so there is always work to steal.
+// so the contiguous bucket span containing a hub bucket serializes the
+// iteration behind one straggler task, while the hub ring plus background
+// edges keep several buckets occupied. BenchmarkSkewedSpeedup measures the
+// sharded fan-out's crossover on it.
 func SkewedGraph(form analysis.Formulation, nodes, edges, hubs, seed int) *analysis.Built {
 	p := core.NewProgram()
 	edge := p.Relation("edge", 2)
