@@ -100,9 +100,10 @@
 //     structure: every set has a row table (storage/rowtable.go), an
 //     open-addressing table of 1-byte hash tags and 4-byte row ids keyed by
 //     the rows' own bytes in the arena. Insert, Contains, the reference
-//     counts and the deletion compaction all find a tuple through it; Clear,
-//     TruncateTo and the compactions empty or rebuild it in place, so the
-//     per-Run baseline rewind allocates nothing for dedup once warm; and a
+//     counts and the deletion compaction all find a tuple through it;
+//     ClearRetain, TruncateTo and the compactions empty or rebuild it in
+//     place, so the per-Run baseline rewind allocates nothing for dedup once
+//     warm, while Clear gives it back like the indexes' memory; and a
 //     lookup only loads, which is why the workers' set-difference probes
 //     against the iteration-frozen Derived are race-free without any
 //     per-bucket copy. Derived's row table is the only duplicate elimination
@@ -129,7 +130,8 @@
 //     predicate that is still producing facts empty the index in place and
 //     keep its memory for the refill that follows, while Clear — which is
 //     what both deltas of a predicate get from SwapClear once an iteration
-//     derived nothing for it, and at the start of every Run — gives it back,
+//     derived nothing for it, at the start of every Run and at the end of a
+//     retraction — gives it back, with the row table,
 //     because two deltas per predicate holding their peak iteration's links
 //     between Runs was measured as a 17 % larger live heap on CSPA for no
 //     reader. Mutation counters are accounted so drift totals are
@@ -404,19 +406,26 @@
 //     non-empty is reordered against live cardinalities by the same
 //     optimizer.Reorder every other subquery gets, so the small frontier
 //     drives and Derived is index-probed, and a variant with an empty
-//     frontier builds no plan. Doomed sets are row ids: a candidate head is
-//     resolved once through Derived's row table, membership is a bitset over
-//     Derived's rows, the next frontier is written straight into the
-//     predicate's DeltaNew, the count protection is asked about the row (the
-//     ground watermark and the counts are positional), and the rows are
-//     removed by id in one batched compaction per relation
-//     (storage.Relation.DeleteRowIDs — pinned epoch views detach
-//     copy-on-flip first, so serving sessions never observe the
-//     compaction). Rederivation is head-driven: the doomed rows are staged
-//     in the head predicate's delta before the compaction and join the
-//     rule's body as one more atom (ir.RetractRule.Rederive), so the round
-//     visits only bodies that produce a candidate, and an atom that arrives
-//     fully bound is answered by the row table (interp.StepMember). The
+//     frontier builds no plan. The doomed set is the only set: a candidate
+//     head is resolved once through Derived's row table, membership is a
+//     bitset over Derived's rows, and the count protection is asked about
+//     the row (the ground watermark and the counts are positional). The
+//     bitset already makes every doomed row distinct, so nothing else
+//     deduplicates: the next frontier is appended to the predicate's
+//     DeltaNew as a list (storage.Relation.AppendDistinct), and only a
+//     frontier a round's plan reads fully bound gets a row table, built in
+//     one sized pass (storage.Relation.Seal). The bitset itself is the
+//     removal batch: one compaction per relation moves the survivors down
+//     run by run (storage.Relation.DeleteRowIDs — pinned epoch views detach
+//     copy-on-flip first, so serving sessions never observe the compaction).
+//     Rederivation is head-driven: the doomed rows are bulk-loaded into the
+//     head predicate's delta before the compaction — sized once from the
+//     bitset's popcount (storage.Relation.Reserve), appended off the bits —
+//     and join the rule's body as one more atom (ir.RetractRule.Rederive),
+//     so the round visits only bodies that produce a candidate, and an atom
+//     that arrives fully bound is answered by the row table
+//     (interp.StepMember). Retraction hands its deltas back with Clear,
+//     which releases their row tables and indexes. The
 //     monotone continuation (the same ir.LowerWarm + SeedDelta machinery
 //     materialized warm start uses) then cascades rederivation and
 //     co-batched insertions to the new fixpoint. Post-removal state

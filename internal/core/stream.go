@@ -11,10 +11,10 @@ package core
 // that do disappear seed the over-delete closure (interp.OverDelete over
 // ir.LowerRetract shapes, evaluated against the OLD database): delta-driven
 // rounds whose subqueries the optimizer orders against live cardinalities
-// like any other join, over doomed sets kept as Derived row ids — which is
-// why the count protection is asked about a row, not a tuple. The doomed rows
-// are removed by id in one batched compaction per relation
-// (storage.DeleteRowIDs), one rederivation round driven by the removed
+// like any other join, over doomed sets kept as bitsets over Derived row ids
+// — which is why the count protection is asked about a row, not a tuple. The
+// doomed rows are removed by that bitset in one batched compaction per
+// relation (storage.DeleteRowIDs), one rederivation round driven by the removed
 // candidates resurrects those that still hold (interp.Rederive), and a
 // single monotone warm-start continuation (ir.LowerWarm + SeedDelta) carries
 // both cascading rederivations and the transaction's insertions to the new
@@ -314,8 +314,8 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 
 	// 3. Physical removal, one batched compaction per relation, shrinking
 	// the ground watermark by the prefix rows that died.
-	for pid, rows := range doomed.Rows {
-		removed, below := p.cat.Pred(storage.PredID(pid)).Derived.DeleteRowIDs(rows, p.baseLens[pid])
+	for pid, dead := range doomed.Bits {
+		removed, below := p.cat.Pred(storage.PredID(pid)).Derived.DeleteRowIDs(dead, p.baseLens[pid])
 		p.baseLens[pid] -= below
 		res.Retracted += removed
 		eng.in.Stats.Retracted += int64(removed)

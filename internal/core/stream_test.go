@@ -242,12 +242,43 @@ func cycleScenario() streamScenario {
 	}
 }
 
+// boundFrontierScenario has an over-delete that reads its frontier fully
+// bound: e is smaller than each batch of deleted f rows, so the optimizer
+// scans e and tests every pair against δf — a membership step on the
+// frontier, which the round must seal before it runs. both(1,1) also holds
+// through g, so the rederivation round has work.
+func boundFrontierScenario() streamScenario {
+	step0 := []streamOp{ins("e", 0, 0), ins("e", 1, 1), ins("g", 1, 1)}
+	for i := int32(0); i < 8; i++ {
+		step0 = append(step0, ins("f", i, i))
+	}
+	return streamScenario{
+		name:  "BoundFrontier",
+		bases: []string{"e", "f", "g"},
+		build: func() *core.Program {
+			p := core.NewProgram()
+			e, f, g, both := p.Relation("e", 2), p.Relation("f", 2), p.Relation("g", 2), p.Relation("both", 2)
+			x, y := core.NewVar("x"), core.NewVar("y")
+			p.MustRule(both.A(x, y), e.A(x, y), f.A(x, y))
+			p.MustRule(both.A(x, y), g.A(x, y))
+			return p
+		},
+		steps: [][]streamOp{
+			step0,
+			// both(0,0) dies; both(1,1) is over-deleted and rederived via g.
+			{del("f", 0, 0), del("f", 1, 1), del("f", 2, 2), del("f", 3, 3), del("f", 4, 4)},
+			{ins("f", 0, 0), ins("f", 1, 1), del("g", 1, 1)},
+			{del("f", 0, 0), del("f", 1, 1), del("f", 5, 5), del("f", 6, 6)},
+		},
+	}
+}
+
 // streamScenarios is the delete-oracle matrix's workload axis, and the set
 // FuzzRetraction draws its program from.
 func streamScenarios() []streamScenario {
 	return []streamScenario{
 		tcScenario(), cspaScenario(), nonLinearTCScenario(), triangleScenario(),
-		constHeadScenario(), guardScenario(), cycleScenario(),
+		constHeadScenario(), guardScenario(), cycleScenario(), boundFrontierScenario(),
 	}
 }
 
@@ -671,6 +702,69 @@ func TestApplySmallDeleteAllocatesLittle(t *testing.T) {
 	const setup = 64 << 10
 	if limit := uint64(setup + rows); allocated > limit {
 		t.Errorf("deleting an 11-row closure from %d rows allocated %d B, want <= %d", rows, allocated, limit)
+	}
+}
+
+// TestApplyChurnDeleteAllocations bounds what a delete batch of the
+// streaming benchmark's shape allocates per retracted row: a standing TC
+// fixpoint over workloads.TransitiveClosure's graph plus churn edges from
+// fresh nodes into it, every second one with a permanent two-hop detour, and
+// a transaction retracting all the churn edges. Half the over-deleted closure
+// is removed, half comes back through the rederivation round and the
+// continuation. On amd64 it reads 55 B per retracted row with the doomed
+// bitset as retraction's only set, and read 115 B while frontiers and
+// candidates were deduplicated through row tables of their own, grown by
+// doubling, and the deltas' tables decayed one halving per rotation.
+func TestApplyChurnDeleteAllocations(t *testing.T) {
+	const nodes, edges, churn = 120, 360, 24
+	p := workloads.TransitiveClosure(analysis.HandOptimized, nodes, edges, 42).P
+	edge := p.Relation("edge", 2)
+	var batch [][]storage.Value
+	for i := int32(0); i < churn; i++ {
+		src, dst := nodes+i, (i*37)%nodes
+		batch = append(batch, []storage.Value{src, dst})
+		edge.FactTuple([]storage.Value{src, dst})
+		if i%2 == 0 {
+			via := nodes + churn + i
+			edge.FactTuple([]storage.Value{src, via})
+			edge.FactTuple([]storage.Value{via, dst})
+		}
+	}
+	opts := core.Options{Indexed: true}
+	if _, err := p.Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(del bool) (allocated uint64, res *core.ApplyResult) {
+		tx := p.NewTx()
+		for _, e := range batch {
+			if del {
+				tx.DeleteTuple(edge, e)
+			} else {
+				tx.InsertTuple(edge, e)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := p.Apply(tx, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil || res.Cold {
+			t.Fatalf("Apply: err = %v, Cold = %v", err, res != nil && res.Cold)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	for i := 0; i < 2; i++ { // warm the relations' capacity
+		apply(true)
+		apply(false)
+	}
+	allocated, res := apply(true)
+	if res.Retracted < 1000 || res.Rederived < churn/2 {
+		t.Fatalf("fixture: retracted %d and rederived %d rows, want a closure of both kinds", res.Retracted, res.Rederived)
+	}
+	perRow := allocated / uint64(res.Retracted)
+	t.Logf("%d B for %d retracted rows (%d rederived): %d B a row", allocated, res.Retracted, res.Rederived, perRow)
+	const limit = 85
+	if perRow > limit {
+		t.Errorf("a churn delete allocated %d B per retracted row, want <= %d", perRow, limit)
 	}
 }
 

@@ -27,16 +27,23 @@ import (
 //     before each round it is reordered against live cardinalities (Reorder),
 //     so the small frontier drives and Derived is index-probed, and a variant
 //     whose frontier is empty builds no plan at all.
-//   - Doomed sets are row ids. A candidate head is resolved once through
-//     Derived's row table; membership is a bitset over Derived's row ids, the
-//     next frontier is written into the predicate's DeltaNew and rotated in
-//     at the barrier, and the caller removes the rows by id, read off the
-//     bitset. No tuple is copied to the heap or looked up twice.
-//   - Rederivation is head-driven. The doomed rows are staged in the head
-//     predicate's DeltaKnown before the caller compacts Derived (row ids do
-//     not survive that) and join the rule's body as one more atom, so only
-//     bodies that produce a candidate are visited; an atom that arrives fully
-//     bound is answered by the row table (StepMember).
+//   - The doomed set is the only set. A candidate head is resolved once
+//     through Derived's row table; membership is a bitset over Derived's row
+//     ids, which already makes every doomed row distinct, so nothing else
+//     deduplicates: the next frontier is a list appended to the predicate's
+//     DeltaNew (storage.Relation.AppendDistinct) and rotated in at the
+//     barrier, and only a frontier that one of the round's plans reads fully
+//     bound (a StepMember on SrcDelta) gets a row table, built in one sized
+//     pass (Seal). The caller removes the rows by handing the bitset itself
+//     to storage.Relation.DeleteRowIDs. No tuple is copied to the heap or
+//     looked up twice, and no row id is sorted.
+//   - Rederivation is head-driven. The doomed rows are bulk-loaded into the
+//     head predicate's DeltaKnown before the caller compacts Derived (row ids
+//     do not survive that) — sized once from the bitset's popcount, appended
+//     off the bits, sealed if a plan tests membership in them — and join the
+//     rule's body as one more atom, so only bodies that produce a candidate
+//     are visited; an atom that arrives fully bound is answered by the row
+//     table (StepMember).
 //
 // A round's plans fan out across the worker pool like an iteration's
 // subqueries: readers and the doomed bitset are frozen for the round, each
@@ -45,15 +52,15 @@ import (
 
 // Doomed is an over-delete closure, valid until Derived is mutated.
 type Doomed struct {
-	// Rows holds, per PredID, the Derived row ids that lost their support,
-	// seeds included, ascending.
-	Rows     [][]int32
-	bits     [][]uint64 // the same set while it grows: one bit per Derived row
-	rederive []*Plan    // candidate-driven plans, fixed while the row ids held
+	// Bits holds, per PredID, one bit per Derived row, set for the rows that
+	// lost their support, seeds included; nil where none did. It is the batch
+	// storage.Relation.DeleteRowIDs takes.
+	Bits     [][]uint64
+	rederive []*Plan // candidate-driven plans, fixed while the row ids held
 }
 
 func (d *Doomed) has(pid storage.PredID, row int32) bool {
-	b := d.bits[pid]
+	b := d.Bits[pid]
 	return b != nil && b[row>>6]&(1<<(row&63)) != 0
 }
 
@@ -61,7 +68,7 @@ func (d *Doomed) has(pid storage.PredID, row int32) bool {
 // Derived row ids of the ground facts whose last assertion the transaction
 // retracts). Derived is read but never written: on any error — a plan that
 // cannot be built, ErrCancelled — the standing fixpoint is intact and the
-// caller may recompute instead. On success the caller removes d.Rows
+// caller may recompute instead. On success the caller removes d.Bits
 // (storage.DeleteRowIDs) and then calls Rederive, for which the doomed rows
 // are left staged in DeltaKnown.
 //
@@ -73,7 +80,7 @@ func (d *Doomed) has(pid storage.PredID, row int32) bool {
 // caller's ground watermark and counts are positional too.
 func (in *Interp) OverDelete(rules []ir.RetractRule, seeds [][]int32, protect func(storage.PredID, int32) bool) (d *Doomed, err error) {
 	cat := in.Cat
-	d = &Doomed{Rows: make([][]int32, cat.NumPreds()), bits: make([][]uint64, cat.NumPreds())}
+	d = &Doomed{Bits: make([][]uint64, cat.NumPreds())}
 	in.clearDeltas()
 	defer func() {
 		if err != nil {
@@ -81,11 +88,11 @@ func (in *Interp) OverDelete(rules []ir.RetractRule, seeds [][]int32, protect fu
 		}
 	}()
 	doom := func(pd *storage.PredicateDB, row int32) {
-		if d.bits[pd.ID] == nil {
-			d.bits[pd.ID] = make([]uint64, (pd.Derived.Len()+63)/64)
+		if d.Bits[pd.ID] == nil {
+			d.Bits[pd.ID] = make([]uint64, (pd.Derived.Len()+63)/64)
 		}
-		d.bits[pd.ID][row>>6] |= 1 << (row & 63)
-		pd.DeltaNew.Insert(pd.Derived.Row(row))
+		d.Bits[pd.ID][row>>6] |= 1 << (row & 63)
+		pd.DeltaNew.AppendDistinct(pd.Derived.Row(row))
 	}
 	for pid, rows := range seeds {
 		for _, row := range rows {
@@ -133,23 +140,21 @@ func (in *Interp) OverDelete(rules []ir.RetractRule, seeds [][]int32, protect fu
 			return nil, err
 		}
 	}
-	// Read the row ids off the bitsets, stage the candidates for Rederive and
-	// fix its plans now: a plan that cannot be built must surface before the
-	// caller removes anything.
-	for pid, set := range d.bits {
+	// Stage the candidates for Rederive off the bitsets — distinct by
+	// construction, their number known — and fix its plans now: a plan that
+	// cannot be built must surface before the caller removes anything.
+	for pid, set := range d.Bits {
 		n := 0
 		for _, w := range set {
 			n += bits.OnesCount64(w)
 		}
-		rows, pd := make([]int32, 0, n), cat.Pred(storage.PredID(pid))
+		pd := cat.Pred(storage.PredID(pid))
+		pd.DeltaKnown.Reserve(n)
 		for wi, w := range set {
 			for ; w != 0; w &= w - 1 {
-				row := int32(wi<<6 + bits.TrailingZeros64(w))
-				rows = append(rows, row)
-				pd.DeltaKnown.Insert(pd.Derived.Row(row))
+				pd.DeltaKnown.AppendDistinct(pd.Derived.Row(int32(wi<<6 + bits.TrailingZeros64(w))))
 			}
 		}
-		d.Rows[pid] = rows
 	}
 	if d.rederive, err = in.retractPlans(naive); err != nil {
 		return nil, err
@@ -158,7 +163,7 @@ func (in *Interp) OverDelete(rules []ir.RetractRule, seeds [][]int32, protect fu
 }
 
 // Rederive runs the rederivation round over the reduced database — the
-// caller has removed d.Rows — and hands emit every candidate that still has a
+// caller has removed d.Bits — and hands emit every candidate that still has a
 // one-step derivation, once each (row is a view, valid for the call). They
 // must be re-inserted; emit may do so, the round is over by then. Counted
 // into Stats.Rederived. The delta relations are left released.
@@ -194,7 +199,9 @@ func (in *Interp) clearDeltas() {
 
 // retractPlans prepares one round on the coordinating goroutine: every
 // variant whose delta relation holds rows is reordered against the live
-// cardinalities and compiled; the others cost nothing.
+// cardinalities and compiled; the others cost nothing. A delta relation —
+// a frontier or the candidates, appended as a list — that a plan reads fully
+// bound is sealed, once, so its membership steps have a row table to ask.
 func (in *Interp) retractPlans(variants []*ir.SPJOp) ([]*Plan, error) {
 	var plans []*Plan
 	for _, spj := range variants {
@@ -211,6 +218,11 @@ func (in *Interp) retractPlans(variants []*ir.SPJOp) ([]*Plan, error) {
 			return nil, err
 		}
 		memberSteps(plan, spj)
+		for _, st := range plan.Steps {
+			if st.Kind == StepMember && st.Src == ir.SrcDelta {
+				in.Cat.Pred(st.Pred).DeltaKnown.Seal()
+			}
+		}
 		plan.Cancel = in.Cancelled
 		in.Stats.SPJRuns++
 		in.Stats.PlanBuilds++

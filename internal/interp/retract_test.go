@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestRetractEmptyDeltaBuildsNoPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.Rows[pred(t, in.Cat, "tc").ID]); got != 3 {
+	if got := doomedRows(d, pred(t, in.Cat, "tc").ID); got != 3 {
 		t.Fatalf("doomed %d tc rows, want tc(3,4), tc(2,4), tc(1,4)", got)
 	}
 	if in.Stats.PlanBuilds != 5 || in.Stats.SPJRuns != 5 {
@@ -162,8 +163,8 @@ func TestRetractPlanShapes(t *testing.T) {
 }
 
 // TestOverDeletePooledMatchesSequential pins the barrier: with the round's
-// plans fanned out across the pool the closure is the same rows in the same
-// doom order as on one goroutine.
+// plans fanned out across the pool the closure is the same rows as on one
+// goroutine.
 func TestOverDeletePooledMatchesSequential(t *testing.T) {
 	src := `
 .decl e(x:number, y:number)
@@ -177,7 +178,7 @@ b(x,y) :- a(x,y), e(y,x).
 	for i := 0; i < 30; i++ {
 		src += "e(" + itoa(i) + "," + itoa((i+1)%30) + ").\ne(" + itoa(i) + "," + itoa((i*7+3)%30) + ").\n"
 	}
-	closure := func(parallel bool) [][]int32 {
+	closure := func(parallel bool) [][]uint64 {
 		in, rules := retractFixture(t, src)
 		in.Parallel, in.Workers = parallel, 4
 		e := pred(t, in.Cat, "e")
@@ -187,13 +188,116 @@ b(x,y) :- a(x,y), e(y,x).
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d.Rows
+		return d.Bits
 	}
 	seq, pooled := closure(false), closure(true)
-	if len(seq[1]) == 0 || len(seq[2]) == 0 {
-		t.Fatalf("fixture: closure reached %d a rows and %d b rows", len(seq[1]), len(seq[2]))
+	if seq[1] == nil || seq[2] == nil {
+		t.Fatalf("fixture: closure reached a: %v, b: %v", seq[1] != nil, seq[2] != nil)
 	}
 	if !reflect.DeepEqual(seq, pooled) {
 		t.Fatalf("pooled closure differs from sequential:\n%v\n%v", pooled, seq)
 	}
+}
+
+// doomedRows counts the rows of pid the closure doomed.
+func doomedRows(d *Doomed, pid storage.PredID) int {
+	n := 0
+	for _, w := range d.Bits[pid] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// memberFrontierSrc has one rule whose over-delete reads its frontier fully
+// bound — e is far smaller than a batch of deleted f rows, so the optimizer
+// scans e and tests each pair against δf — and one that scans its frontier:
+// δg drives and h is probed.
+const memberFrontierSrc = `
+.decl e(x:number, y:number)
+.decl f(x:number, y:number)
+.decl g(x:number, y:number)
+.decl h(x:number, y:number)
+.decl both(x:number, y:number)
+.decl out(x:number, z:number)
+both(x,y) :- e(x,y), f(x,y).
+out(x,z) :- g(x,y), h(y,z).
+e(0,0). e(1,1).
+`
+
+// TestRetractRoundSealsMemberFrontiers pins the conditional seal: a frontier
+// is a list, and a round gives a row table to exactly the frontiers one of
+// its plans reads through a StepMember on SrcDelta. Without the seal the
+// membership step asks a list and the closure dies of the storage misuse
+// panic.
+func TestRetractRoundSealsMemberFrontiers(t *testing.T) {
+	src := memberFrontierSrc
+	for i := 0; i < 20; i++ {
+		src += "f(" + itoa(i) + "," + itoa(i) + ").\ng(" + itoa(i) + "," + itoa(i+1) + ").\nh(" + itoa(i+1) + "," + itoa(i+2) + ").\n"
+	}
+	seeds := func(in *Interp) [][]int32 {
+		s := make([][]int32, in.Cat.NumPreds())
+		for _, name := range []string{"f", "g"} {
+			pd := pred(t, in.Cat, name)
+			for i := int32(0); i < 10; i++ {
+				s[pd.ID] = append(s[pd.ID], i)
+			}
+		}
+		return s
+	}
+
+	in, rules := retractFixture(t, src)
+	d, err := in.OverDelete(rules, seeds(in), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doomedRows(d, pred(t, in.Cat, "both").ID); got != 2 {
+		t.Fatalf("doomed %d both rows, want both(0,0) and both(1,1)", got)
+	}
+	if got := doomedRows(d, pred(t, in.Cat, "out").ID); got != 10 {
+		t.Fatalf("doomed %d out rows, want 10", got)
+	}
+
+	// The first round by hand: the seeds are the frontier.
+	in, rules = retractFixture(t, src)
+	for pid, rows := range seeds(in) {
+		pd := in.Cat.Pred(storage.PredID(pid))
+		for _, row := range rows {
+			pd.DeltaKnown.AppendDistinct(pd.Derived.Row(row))
+		}
+	}
+	var variants []*ir.SPJOp
+	for _, rr := range rules {
+		variants = append(variants, rr.Propagate...)
+	}
+	plans, err := in.retractPlans(variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := map[storage.PredID]bool{}
+	for _, p := range plans {
+		for _, st := range p.Steps {
+			if st.Kind == StepMember && st.Src == ir.SrcDelta {
+				member[st.Pred] = true
+			}
+		}
+	}
+	if f, g := pred(t, in.Cat, "f").ID, pred(t, in.Cat, "g").ID; !member[f] || member[g] {
+		t.Fatalf("fixture: plans test membership in δf %v, in δg %v; want true, false", member[f], member[g])
+	}
+	for _, pd := range in.Cat.Preds() {
+		if pd.DeltaKnown.Empty() {
+			continue
+		}
+		sealed := !panics(func() { pd.DeltaKnown.Contains(pd.DeltaKnown.Row(0)) })
+		if sealed != member[pd.ID] {
+			t.Errorf("frontier of %s sealed = %v, its plans test membership in it = %v", pd.Name, sealed, member[pd.ID])
+		}
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

@@ -147,7 +147,8 @@ func TestShardStatsAggregateToTotals(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pd.AddFact([]storage.Value{storage.Value(i % 13), storage.Value(i)})
 	}
-	pd.SeedDeltas()
+	pd.SeedAll()
+	pd.SwapClear()
 	src := Catalog{Cat: cat}
 	for _, ir2 := range []ir.Source{ir.SrcDerived, ir.SrcDelta} {
 		sum := 0

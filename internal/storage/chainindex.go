@@ -29,8 +29,9 @@ import (
 // converged predicate's deltas get it, because kept chains there measured as
 // a 17 % larger live heap on CSPA: two deltas per predicate each pinning
 // their peak iteration until the next Run. next grows with the rows it
-// links, never past the arena's capacity, and a Derived publishing staged
-// rows sizes it exactly for the batch (reserve).
+// links, never past the arena's capacity; a Derived publishing staged rows
+// and a bulk load of known size (Relation.Reserve) size it exactly for the
+// batch (reserve).
 type chainIndex struct {
 	cols  []int       // indexed columns, ascending
 	ident []int       // 0..len(cols)-1: where a probe's key values sit
@@ -136,9 +137,9 @@ func (ix *chainIndex) add(arena []Value, arity int, row int32) {
 }
 
 // reserve gives next room for rows links, exactly, when it has less: a
-// Derived publishing a batch of staged rows grows it to the rows it links,
-// not against the arena capacity staging left behind, which would pin that
-// slack for as long as the relation lives.
+// Derived publishing a batch of staged rows, or a bulk load, grows it to the
+// rows it links, not against the arena capacity left behind, which would pin
+// that slack for as long as the relation lives.
 func (ix *chainIndex) reserve(rows int) {
 	if cap(ix.next) < rows {
 		ix.next = append(make([]int32, 0, rows), ix.next...)

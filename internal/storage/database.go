@@ -57,16 +57,9 @@ func newPredicateDB(id PredID, name string, arity int) *PredicateDB {
 }
 
 // AddFact inserts a ground fact into Derived, returning true if new.
-// Facts become visible to the first iteration via SeedDeltas.
+// Facts become visible to the first iteration via Seed or SeedAll.
 func (p *PredicateDB) AddFact(t []Value) bool {
 	return p.Derived.Insert(t)
-}
-
-// SeedDeltas copies Derived into DeltaKnown, making every initial fact
-// "newly discovered" for the first semi-naive iteration.
-func (p *PredicateDB) SeedDeltas() {
-	p.DeltaKnown.Clear()
-	p.DeltaKnown.InsertAll(p.Derived)
 }
 
 // Emit is the sink of semi-naive evaluation: t is a new fact unless Derived
@@ -79,14 +72,14 @@ func (p *PredicateDB) Emit(t []Value) bool {
 	if !p.Derived.stage(t) {
 		return false
 	}
-	p.DeltaNew.appendRow(t)
+	p.DeltaNew.AppendDistinct(t)
 	return true
 }
 
 // Seed appends t, a row of Derived, to δ′ unchecked: the seeding of a
 // stratum's first iteration with facts already known, which the caller
 // hands over once each.
-func (p *PredicateDB) Seed(t []Value) { p.DeltaNew.appendRow(t) }
+func (p *PredicateDB) Seed(t []Value) { p.DeltaNew.AppendDistinct(t) }
 
 // SeedAll seeds δ′ with every row of Derived.
 func (p *PredicateDB) SeedAll() {
@@ -110,7 +103,8 @@ func (p *PredicateDB) SwapClear() {
 // SwapDeltas is SwapClear without the merge into Derived: δ′ becomes the
 // next round's δ and the old δ is emptied under the same capacity rule.
 // Retraction's over-delete rounds rotate their frontier with it — the
-// frontier's rows are already in Derived, on their way out.
+// frontier's rows are already in Derived, on their way out, and a frontier
+// sealed for a membership test keeps its row table for the next one.
 func (p *PredicateDB) SwapDeltas() {
 	p.swaps++
 	p.DeltaKnown, p.DeltaNew = p.DeltaNew, p.DeltaKnown

@@ -62,14 +62,15 @@ func TestEmitContract(t *testing.T) {
 	p.AddFact([]Value{0, 0})
 	p.Emit([]Value{1, 2})
 	for name, op := range map[string]func(){
-		"δ′ Insert":           func() { p.DeltaNew.Insert([]Value{3, 4}) },
-		"δ′ Contains":         func() { p.DeltaNew.Contains([]Value{1, 2}) },
-		"Derived Insert":      func() { p.Derived.Insert([]Value{3, 4}) },
-		"Derived RowOf":       func() { p.Derived.RowOf([]Value{0, 0}) },
-		"Derived TruncateTo":  func() { p.Derived.TruncateTo(0) },
-		"Derived Clear":       p.Derived.Clear,
-		"Catalog ResetFacts":  c.ResetFacts,
-		"Derived DeleteRowID": func() { p.Derived.DeleteRowIDs([]int32{0}, 1) },
+		"δ′ Insert":            func() { p.DeltaNew.Insert([]Value{3, 4}) },
+		"δ′ Contains":          func() { p.DeltaNew.Contains([]Value{1, 2}) },
+		"Derived Insert":       func() { p.Derived.Insert([]Value{3, 4}) },
+		"Derived RowOf":        func() { p.Derived.RowOf([]Value{0, 0}) },
+		"Derived TruncateTo":   func() { p.Derived.TruncateTo(0) },
+		"Derived Clear":        p.Derived.Clear,
+		"Catalog ResetFacts":   c.ResetFacts,
+		"Derived DeleteRowIDs": func() { p.Derived.DeleteRowIDs([]uint64{1}, 1) },
+		"Derived DeleteRows":   func() { p.Derived.DeleteRows([][]Value{{0, 0}}, 1) },
 	} {
 		if !panics(op) {
 			t.Errorf("%s mid-iteration did not panic", name)
@@ -93,14 +94,20 @@ func TestEmitContract(t *testing.T) {
 	}
 }
 
-func TestPredicateDBSeedDeltas(t *testing.T) {
+// TestPredicateDBSeedAll pins first-iteration seeding: every ground fact is
+// appended to δ′ and becomes δ at the rotation.
+func TestPredicateDBSeedAll(t *testing.T) {
 	c := NewCatalog()
 	p := c.Pred(c.Declare("edge", 2))
 	p.AddFact([]Value{1, 2})
 	p.AddFact([]Value{2, 3})
-	p.SeedDeltas()
-	if p.DeltaKnown.Len() != 2 {
-		t.Fatalf("SeedDeltas copied %d facts, want 2", p.DeltaKnown.Len())
+	p.SeedAll()
+	if p.DeltaNew.Len() != 2 {
+		t.Fatalf("SeedAll appended %d facts, want 2", p.DeltaNew.Len())
+	}
+	p.SwapClear()
+	if p.DeltaKnown.Len() != 2 || p.Derived.Len() != 2 {
+		t.Fatalf("after the rotation δ holds %d facts and Derived %d, want 2 and 2", p.DeltaKnown.Len(), p.Derived.Len())
 	}
 }
 
@@ -162,7 +169,8 @@ func TestCatalogResetFacts(t *testing.T) {
 	p := c.Pred(c.Declare("r", 1))
 	p.BuildIndexes([]int{0})
 	p.AddFact([]Value{1})
-	p.SeedDeltas()
+	p.SeedAll()
+	p.SwapClear()
 	p.DeltaNew.Insert([]Value{2})
 	c.ResetFacts()
 	if c.TotalDerived() != 0 || p.DeltaKnown.Len() != 0 || p.DeltaNew.Len() != 0 {

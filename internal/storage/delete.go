@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -9,11 +10,12 @@ import (
 // operation that removes individual rows rather than a suffix or everything.
 // It exists for incremental maintenance (core.Apply / Server.IngestTx): a
 // transaction's retractions are collected (count-gated by DecRef) and applied
-// — as tuples (DeleteRows) or, when the caller already resolved them, as row
-// ids (DeleteRowIDs) — in ONE stable compaction per relation, rebuilding the
-// derived structures — row table, indexes, composites, histograms, shard
-// views — the same way TruncateTo does, and advancing the mutation counter
-// once per batch (one logical content change, exactly like Clear).
+// — as tuples (DeleteRows) or, when the caller already holds them as a bitset
+// over row ids (DeleteRowIDs), as that bitset — in ONE stable compaction per
+// relation, rebuilding the derived structures — row table, indexes,
+// composites, histograms, shard views — the same way TruncateTo does, and
+// advancing the mutation counter once per batch (one logical content change,
+// exactly like Clear).
 //
 // Epoch safety: a pinned arena (an EpochRows view references it) is never
 // compacted in place — the survivors move to a fresh slab and the old one is
@@ -52,6 +54,9 @@ func (r *Relation) DeleteRows(tuples [][]Value, boundary int) (removed, removedB
 			r.muts++
 		}
 		return removed, 0
+	}
+	if r.staged != 0 {
+		r.misuse("DeleteRows")
 	}
 	removed, removedBelow = r.deleteCompact(tuples, boundary)
 	if removed > 0 {
@@ -152,19 +157,22 @@ func (r *Relation) AssertAt(tuples [][]Value, boundary int) (added [][]Value, pr
 	return added, promoted
 }
 
-// DeleteRowIDs is DeleteRows for a caller that already holds the doomed
-// tuples' row ids (RowOf) — retraction resolves every candidate through the
-// row table once and keeps the id — so no tuple is looked up a second time.
-// rows may repeat and arrive in any order (it is sorted in place); every id
-// must be a current row of r. Row ids are global insertion positions, which
-// physical sharding does not track: like TruncateTo this is for Derived,
-// which is never physical, and reaching it on a physical relation is an
-// engine-wiring bug.
-func (r *Relation) DeleteRowIDs(rows []int32, boundary int) (removed, removedBelow int) {
+// DeleteRowIDs is DeleteRows for a caller that already holds the doomed rows
+// as a bitset over row ids — retraction's doomed set, bit i for row i — so no
+// tuple is looked up a second time and no id is sorted: the bits are the
+// batch, distinct and in order. Bits past dead's length are clear; every set
+// bit must name a current row of r. removedBelow is the popcount under
+// boundary. Row ids are global insertion positions, which physical sharding
+// does not track: like TruncateTo this is for Derived, which is never
+// physical, and reaching it on a physical relation is an engine-wiring bug.
+func (r *Relation) DeleteRowIDs(dead []uint64, boundary int) (removed, removedBelow int) {
 	if r.subs != nil {
 		panic(fmt.Sprintf("storage: DeleteRowIDs on physically sharded %q", r.name))
 	}
-	removed, removedBelow = r.compactRows(rows, boundary)
+	if r.staged != 0 {
+		r.misuse("DeleteRowIDs")
+	}
+	removed, removedBelow = r.compactRows(dead, boundary)
 	if removed > 0 {
 		r.muts++
 	}
@@ -172,58 +180,65 @@ func (r *Relation) DeleteRowIDs(rows []int32, boundary int) (removed, removedBel
 }
 
 // deleteCompact resolves the doomed tuples through the row table (one lookup
-// per tuple, absent ones dropped) and compacts them away.
+// per tuple, absent ones dropped) into a bitset and compacts them away.
 func (r *Relation) deleteCompact(tuples [][]Value, boundary int) (removed, removedBelow int) {
-	var dead []int32
+	var dead []uint64
 	for _, t := range tuples {
 		if row, ok := r.rowLookup(t); ok {
-			dead = append(dead, row)
+			if dead == nil {
+				dead = make([]uint64, (r.Len()+63)/64)
+			}
+			dead[row>>6] |= 1 << (row & 63) // a row may repeat within the batch
 		}
 	}
 	return r.compactRows(dead, boundary)
 }
 
 // compactRows performs the single-slab compaction: move the survivors of the
-// dead row ids down (or onto a fresh slab when pinned) and rebuild every
-// derived structure. The caller owns all mutation-counter accounting.
-func (r *Relation) compactRows(dead []int32, boundary int) (removed, removedBelow int) {
-	if r.staged != 0 {
-		r.misuse("DeleteRowIDs")
-	}
-	if len(dead) == 0 {
-		return 0, 0
-	}
-	slices.Sort(dead)
-	dead = slices.Compact(dead) // a row may repeat within the batch
-	removed = len(dead)
-	for _, i := range dead {
-		if int(i) < boundary {
-			removedBelow++
+// dead rows (a bitset over row ids) down in runs (or onto a fresh slab when
+// pinned) and rebuild every derived structure. The caller owns all
+// mutation-counter accounting.
+func (r *Relation) compactRows(dead []uint64, boundary int) (removed, removedBelow int) {
+	for wi, w := range dead {
+		n := bits.OnesCount64(w)
+		removed += n
+		switch lo := wi << 6; {
+		case lo+64 <= boundary:
+			removedBelow += n
+		case lo < boundary:
+			removedBelow += bits.OnesCount64(w & (1<<(boundary-lo) - 1))
 		}
 	}
-	// Stable compaction. In place, the write offset never passes the read
-	// offset; a pinned slab flips to a fresh one and stays with its epoch.
-	n := r.Len()
+	if removed == 0 {
+		return 0, 0
+	}
+	// Stable compaction, one run of survivors at a time. In place, the write
+	// offset never passes the read offset; a pinned slab flips to a fresh one
+	// and stays with its epoch.
+	n, ar := r.Len(), r.arity
 	src := r.arena
 	var dst []Value
 	if r.pinned {
 		r.pinned = false
-		dst = make([]Value, 0, (n-removed)*r.arity)
+		dst = make([]Value, 0, (n-removed)*ar)
 	} else {
 		dst = r.arena[:0]
 	}
-	cw := 0
-	for i := 0; i < n; i++ {
-		if len(dead) > 0 && int(dead[0]) == i {
-			dead = dead[1:]
-			continue
-		}
-		dst = append(dst, src[i*r.arity:(i+1)*r.arity]...)
+	cw, from := 0, 0
+	keep := func(to int) {
+		dst = append(dst, src[from*ar:to*ar]...)
 		if r.countsOn {
-			r.counts[cw] = r.counts[i]
-			cw++
+			cw += copy(r.counts[cw:], r.counts[from:to])
 		}
 	}
+	for wi, w := range dead {
+		for ; w != 0; w &= w - 1 {
+			row := wi<<6 + bits.TrailingZeros64(w)
+			keep(row)
+			from = row + 1
+		}
+	}
+	keep(n)
 	r.arena = dst
 	if r.countsOn {
 		r.counts = r.counts[:cw]

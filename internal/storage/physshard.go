@@ -29,17 +29,22 @@ import "fmt"
 // monotone across arbitrary mode transitions.
 
 // resetContents drops all tuples and index entries without touching any
-// mutation counter — the caller owns the accounting. The row table and the
-// arena are always emptied in place; retain also keeps the indexes' capacity
-// for consumers that immediately refill (chainIndex's rule). A pinned arena
+// mutation counter — the caller owns the accounting. The arena is always
+// emptied in place; retain keeps the row table's and the indexes' capacity
+// for consumers that immediately refill (the capacity rules of rowTable and
+// chainIndex), otherwise both are given back. A pinned arena
 // (an epoch view references it — physical buckets are pinned individually by
 // PinRows) is detached to a fresh slab instead of truncated in place, so the
 // refill never rewrites rows the view still serves.
 func (r *Relation) resetContents(retain bool) {
+	if retain {
+		r.tab.reset()
+	} else {
+		r.tab = newRowTable()
+	}
 	if !r.detachPinned(0) {
 		r.arena = r.arena[:0]
 	}
-	r.tab.reset()
 	r.histReset()
 	r.counts = r.counts[:0]
 	for i := range r.indexes {

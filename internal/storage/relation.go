@@ -33,9 +33,21 @@ import (
 // its length — so Contains sees it at once while Len, Each, Row, the probes,
 // the bucket views and PinRows keep seeing the rows of the iteration's start
 // until publish (SwapClear) makes it a row. δ′ is then an append-only list
-// (appendRow) whose arena its row table does not cover. Insert, Contains,
-// RowOf, TruncateTo and Clear panic on a relation in a state they would
-// answer wrongly (misuse).
+// (AppendDistinct) whose arena its row table does not cover. Insert,
+// Contains, RowOf, TruncateTo and Clear panic on a relation in a state they
+// would answer wrongly (misuse).
+//
+// AppendDistinct is also the one bulk load for rows a caller already knows
+// to be distinct — retraction's frontiers and candidates, deduplicated by
+// its doomed bitset: Reserve sizes the arena and the index links for a batch
+// of known size once, the rows are appended without a probe, and Seal, only
+// if something will ask the list for membership, builds its row table in one
+// sized pass.
+//
+// Capacity: Clear gives the row table and the indexes' memory back — it is
+// for a relation that stays empty for a while; ClearRetain keeps both under
+// the row table's hysteresis for one refilled at once (rowtable.go,
+// chainindex.go).
 type Relation struct {
 	name  string
 	arity int
@@ -215,17 +227,51 @@ func (r *Relation) unstage() {
 	r.tab.fill(r.arena, r.arity)
 }
 
-// appendRow appends t without consulting or filling the row table: δ′'s
-// write, whose rows were deduplicated where they were staged. It leaves the
-// relation a list that only Clear, the scans and the probes accept.
-func (r *Relation) appendRow(t []Value) {
+// AppendDistinct appends t without consulting or filling the row table, for
+// a caller that guarantees t is not in the relation: δ′'s write, whose rows
+// were deduplicated where they were staged, and retraction's, deduplicated by
+// its doomed bitset. It leaves the relation a list that only Clear, the
+// scans, the probes and Seal accept.
+func (r *Relation) AppendDistinct(t []Value) {
 	if r.subs != nil {
-		r.subs[ShardOf(t[r.shardCol], r.shardCount)].appendRow(t)
+		r.subs[ShardOf(t[r.shardCol], r.shardCount)].AppendDistinct(t)
 		return
 	}
 	row := int32(len(r.arena) / r.arity)
 	r.arena = append(r.arena, t...)
 	r.added(t, row)
+}
+
+// Reserve makes room for n more rows of a bulk load: the arena and every
+// index's links grow once, to size (chainIndex.reserve), instead of by steps.
+// A physical relation's buckets grow as their rows arrive.
+func (r *Relation) Reserve(n int) {
+	if r.subs != nil || n <= 0 {
+		return
+	}
+	r.arena = slices.Grow(r.arena, n*r.arity)
+	for i := range r.indexes {
+		r.indexes[i].reserve(r.Len() + n)
+	}
+}
+
+// Seal makes a list (AppendDistinct) a set: its row table is built over the
+// arena in one sized pass (rowTable.fill), after which Contains, Insert and
+// RowOf accept it. A physical relation seals per bucket; a set is left as
+// it is. Rows staged or a table covering only part of the rows panic.
+func (r *Relation) Seal() {
+	if r.subs != nil {
+		for _, s := range r.subs {
+			s.Seal()
+		}
+		return
+	}
+	if r.staged != 0 || (r.tab.used != 0 && !r.covered()) {
+		r.misuse("Seal")
+	}
+	if r.tab.used == 0 {
+		r.tab.fill(r.arena, r.arity)
+	}
 }
 
 // added accounts for arena row row, content t, which the caller has just
@@ -249,7 +295,7 @@ func (r *Relation) covered() bool {
 }
 
 // misuse panics for an operation the relation's state would make answer
-// wrongly: a lookup on a list (appendRow), or anything but Contains on a
+// wrongly: a lookup on a list (AppendDistinct), or anything but Contains on a
 // relation with staged rows.
 func (r *Relation) misuse(op string) {
 	panic(fmt.Sprintf("storage: %s on %q: its row table holds %d entries for %d rows and %d staged",
@@ -386,14 +432,15 @@ func (r *Relation) Mutations() uint64 {
 	return r.muts
 }
 
-// Clear removes all tuples but keeps index and shard registrations. Arena and
-// row table are emptied in place, the indexes' memory is given back: Clear is
-// for a relation that stays empty for a while.
+// Clear removes all tuples but keeps index and shard registrations. The arena
+// is emptied in place; the row table and the indexes' memory are given back:
+// Clear is for a relation that stays empty for a while.
 func (r *Relation) Clear() { r.clear(false) }
 
-// ClearRetain is Clear with the indexes emptied in place too, for a relation
-// that is refilled at once — the workers' delta buffers, δ′ inside a running
-// fixpoint — and then allocates nothing (chainIndex's capacity rule).
+// ClearRetain is Clear with the row table and the indexes emptied in place,
+// for a relation that is refilled at once — the workers' delta buffers, δ′
+// inside a running fixpoint, a retraction frontier — and then allocates
+// nothing (the capacity rules of rowTable and chainIndex).
 func (r *Relation) ClearRetain() { r.clear(true) }
 
 func (r *Relation) clear(retain bool) {

@@ -14,12 +14,19 @@ import "math/bits"
 // kept at most 5/8 full, and grows by doubling and re-entering the arena's
 // rows in order. The arena a caller passes may run past the relation's
 // length: a Derived mid-iteration keeps its staged rows there, under the row
-// ids that follow, so a growth step re-enters them like any other. reset
-// empties the table in place, which is what lets a relation that is refilled
-// every iteration (the pool's worker buffers) or every Run (Derived past its
+// ids that follow, so a growth step re-enters them like any other.
+//
+// Capacity rule: reset (ClearRetain, TruncateTo, the compactions) empties the
+// table in place, which is what lets a relation that is refilled every
+// iteration (the pool's worker buffers) or every Run (Derived past its
 // ground-fact baseline, which refills by staging) stop allocating: capacity
 // is given back only when a fill used less than an eighth of it, one halving
-// per reset. The semi-naive deltas have no table to refill — δ′ is a list.
+// per reset. Clear gives the whole table back at once, for a relation that
+// stays empty — retraction's deltas when it is done — which would otherwise
+// pay one allocating halving per reset on its way down. The semi-naive
+// deltas have no table to refill — δ′ is a list — and a retraction frontier,
+// also a list, gets one only when it is sealed: fill, one sized pass, into
+// the table a ClearRetain kept.
 //
 // find performs only loads, so any number of goroutines may probe a relation
 // no one is mutating — the parallel executor's workers probing the

@@ -451,6 +451,7 @@ func (m *tableModel) stageBatch(batch [][]Value, publish bool) {
 			"TruncateTo":  func() { r.TruncateTo(0) },
 			"Clear":       r.Clear,
 			"ClearRetain": r.ClearRetain,
+			"Seal":        r.Seal,
 		}
 		if m.counted {
 			ops["RowOf"] = func() { r.RowOf(t) }
@@ -485,26 +486,31 @@ func (m *tableModel) stageBatch(batch [][]Value, publish bool) {
 }
 
 // appendList appends batch's distinct tuples to an empty relation of the
-// model's registrations and layout the way δ′ is written (appendRow) and
-// holds it to a twin fed by Insert. The list's row table covers none of its
-// rows, so Insert, Contains, RowOf and TruncateTo refuse to run on it until
-// a Clear makes it a set again.
+// model's registrations and layout the way δ′ and a retraction frontier are
+// written (AppendDistinct) and holds it to a twin fed by Insert. The list's
+// row table covers none of its rows, so Insert, Contains, RowOf and
+// TruncateTo refuse to run on it until Seal or a Clear makes it a set. It
+// then runs a frontier's cycle — seal, ClearRetain, append again, seal —
+// holding the list to the twin after each step.
 func (m *tableModel) appendList(batch [][]Value) {
 	m.t.Helper()
 	list, tw := emptyLike(m.r), emptyLike(m.r)
-	seen := map[string]bool{}
-	for _, t := range batch {
-		if !seen[key(t)] {
-			seen[key(t)] = true
-			list.appendRow(t)
-			tw.Insert(t)
+	fill := func(batch [][]Value) {
+		seen := map[string]bool{}
+		for _, t := range batch {
+			if !seen[key(t)] {
+				seen[key(t)] = true
+				list.AppendDistinct(t)
+				tw.Insert(t)
+			}
 		}
+		if list.Mutations() != tw.Mutations() {
+			m.fail("AppendDistinct counted %d mutations, Insert %d", list.Mutations(), tw.Mutations())
+		}
+		m.sameStructure(list, tw)
 	}
-	if list.Mutations() != tw.Mutations() {
-		m.fail("appendRow counted %d mutations, Insert %d", list.Mutations(), tw.Mutations())
-	}
-	m.sameStructure(list, tw)
-	if len(seen) == 0 {
+	fill(batch)
+	if len(batch) == 0 {
 		return
 	}
 	t := batch[0]
@@ -523,10 +529,84 @@ func (m *tableModel) appendList(batch [][]Value) {
 			m.fail("%s on a list did not panic", name)
 		}
 	}
+	m.sealed(list, tw)
+	list.ClearRetain()
+	tw.ClearRetain()
+	fill(batch[len(batch)/2:])
+	m.sealed(list, tw)
 	list.ClearRetain()
 	if !list.Insert(t) || !list.Contains(t) {
 		m.fail("a cleared list is not a set again")
 	}
+}
+
+// sealed seals list and holds it to its Insert-fed twin as a set: the same
+// rows, chains and histograms, tables covering exactly its rows, every row a
+// member (under its row id, when counted), the same answer for a miss, and
+// no mutation for the seal.
+func (m *tableModel) sealed(list, tw *Relation) {
+	m.t.Helper()
+	muts := list.Mutations()
+	list.Seal()
+	if list.Mutations() != muts {
+		m.fail("Seal advanced Mutations by %d", list.Mutations()-muts)
+	}
+	m.sameStructure(list, tw)
+	slabs := []*Relation{list}
+	if list.subs != nil {
+		slabs = list.subs
+	}
+	for _, s := range slabs {
+		m.checkTable(s)
+	}
+	var i int32
+	tw.Each(func(row []Value) bool {
+		if !list.Contains(row) {
+			m.fail("sealed list: Contains(%v) = false", row)
+		}
+		if id, ok := list.RowOf(row); m.counted && !m.physical() && (!ok || id != i) {
+			m.fail("sealed list: RowOf(%v) = %d,%v, want %d", row, id, ok, i)
+		}
+		i++
+		return true
+	})
+	miss := make([]Value, list.arity)
+	miss[0] = -7
+	if list.Contains(miss) != tw.Contains(miss) {
+		m.fail("sealed list: Contains(%v) = %v", miss, list.Contains(miss))
+	}
+}
+
+// bulkLoad empties the relation and loads batch's distinct tuples the way
+// retraction stages its candidates: Reserve for their number, AppendDistinct
+// each, Seal. The relation must come out as a twin fed by Insert does — rows
+// in order, chains per key, histograms, mutation count; check adds Contains
+// and the table — and the model carries on from it as from any other set.
+func (m *tableModel) bulkLoad(batch [][]Value, retain bool) {
+	m.t.Helper()
+	m.clear(retain)
+	r, tw := m.r, emptyLike(m.r)
+	var rows [][]Value
+	seen := map[string]bool{}
+	for _, t := range batch {
+		if !seen[key(t)] {
+			seen[key(t)] = true
+			rows = append(rows, t)
+		}
+	}
+	muts := r.Mutations()
+	r.Reserve(len(rows))
+	for _, t := range rows {
+		r.AppendDistinct(t)
+		tw.Insert(t)
+		m.appendRow(t, 1)
+		m.muts++
+	}
+	r.Seal()
+	if r.Mutations()-muts != tw.Mutations() {
+		m.fail("bulk load advanced Mutations by %d, Insert by %d", r.Mutations()-muts, tw.Mutations())
+	}
+	m.sameStructure(r, tw)
 }
 
 // driveRowTable decodes data into an operation sequence over one relation
@@ -599,7 +679,7 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 
 	for pos < len(data) {
 		m.step++
-		switch op := next() % 18; op {
+		switch op := next() % 19; op {
 		case 5:
 			if midStream {
 				m.buildIndex(next())
@@ -663,6 +743,17 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 			m.stageBatch(tuples, b%5 != 0)
 		case 17:
 			m.appendList(append(batch(), tuple(), tuple()))
+		case 18:
+			// A bulk load large enough, now and then, to size the table past
+			// its first growth steps.
+			b := next()
+			tuples := append(batch(), tuple())
+			for j := 0; j < b%3*20; j++ {
+				tp := tuple()
+				tp[0] = Value(3000 + 40*next() + j)
+				tuples = append(tuples, tp)
+			}
+			m.bulkLoad(tuples, b%2 == 0)
 		default:
 			m.insert(tuple())
 		}
@@ -672,9 +763,10 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 
 // TestRowTableModel drives random operation sequences — Insert, Contains,
 // IncRef, DecRef, Clear, ClearRetain, TruncateTo, DeleteRows, AssertAt, the
-// layout transitions, staged batches published or dropped, and appended
-// lists — against the map oracle for arity 1-5, counted and uncounted,
-// starting from each of the three layouts.
+// layout transitions, staged batches published or dropped, appended lists
+// through their seal / ClearRetain cycle, and bulk loads — against the map
+// oracle for arity 1-5, counted and uncounted, starting from each of the
+// three layouts.
 func TestRowTableModel(t *testing.T) {
 	for arity := 1; arity <= 5; arity++ {
 		for _, counted := range []bool{false, true} {
@@ -745,8 +837,8 @@ func TestConcurrentContainsFrozen(t *testing.T) {
 }
 
 // TestRowTableAllocations guards what the table exists for: once a relation
-// is warm, refilling it after Clear or ClearRetain allocates nothing, and
-// inserting a wide row allocates no key.
+// is warm, refilling it after ClearRetain allocates nothing — Clear gives the
+// table back instead — and inserting a wide row allocates no key.
 func TestRowTableAllocations(t *testing.T) {
 	const rows = 1000
 	for _, arity := range []int{2, 3} {
@@ -759,12 +851,17 @@ func TestRowTableAllocations(t *testing.T) {
 			}
 		}
 		fill()
-		for name, clear := range map[string]func(){"Clear": r.Clear, "ClearRetain": r.ClearRetain} {
-			clear()
-			if a := testing.AllocsPerRun(10, func() { fill(); clear() }); a != 0 {
-				t.Errorf("arity %d: refill after %s allocates %.0f times, want 0", arity, name, a)
-			}
+		r.ClearRetain()
+		if a := testing.AllocsPerRun(10, func() { fill(); r.ClearRetain() }); a != 0 {
+			t.Errorf("arity %d: refill after ClearRetain allocates %.0f times, want 0", arity, a)
 		}
+		fill()
+		r.Clear()
+		if len(r.tab.rows) != 0 || len(r.tab.tags) > len(noTags) {
+			t.Errorf("arity %d: Clear left %d slots behind", arity, len(r.tab.tags))
+		}
+		fill()
+		r.ClearRetain()
 		// Single inserts, new and duplicate, into warm capacity.
 		i := 0
 		if a := testing.AllocsPerRun(rows/2, func() {
@@ -794,7 +891,7 @@ func TestRowTableAllocations(t *testing.T) {
 				for i := it * rows / 4; i < (it+1)*rows/4; i++ {
 					tp[0], tp[arity-1] = Value(i%31), Value(i)
 					if derived.stage(tp) {
-						delta.appendRow(tp)
+						delta.AppendDistinct(tp)
 					}
 					derived.stage(tp)
 				}
@@ -807,13 +904,31 @@ func TestRowTableAllocations(t *testing.T) {
 		if a := testing.AllocsPerRun(10, refill); a != 0 {
 			t.Errorf("arity %d: a warm stage/publish/append refill allocates %.0f times, want 0", arity, a)
 		}
+
+		// A retraction frontier's cycle: appended, sealed for a membership
+		// test, emptied by ClearRetain at the rotation. Warm, it allocates
+		// nothing either.
+		frontier := func() {
+			for i := 0; i < rows; i++ {
+				tp[0], tp[arity-1] = Value(i%31), Value(i)
+				delta.AppendDistinct(tp)
+			}
+			delta.Seal()
+			delta.Contains(tp)
+			delta.ClearRetain()
+		}
+		frontier()
+		if a := testing.AllocsPerRun(10, frontier); a != 0 {
+			t.Errorf("arity %d: a warm append/seal/ClearRetain cycle allocates %.0f times, want 0", arity, a)
+		}
 	}
 }
 
-// TestRowTableHysteresis pins the capacity policy: a steady refill keeps its
-// slots, TruncateTo keeps them for the regrowth that follows a baseline
-// rewind, and a relation whose fills collapse gives capacity back one halving
-// per reset, down to nothing.
+// TestRowTableHysteresis pins the capacity policy: a steady refill after
+// ClearRetain keeps its slots, TruncateTo keeps them for the regrowth that
+// follows a baseline rewind, a relation whose fills collapse gives capacity
+// back one halving per ClearRetain, down to nothing, and Clear gives it all
+// back at once.
 func TestRowTableHysteresis(t *testing.T) {
 	r := NewRelation("h", 2)
 	fill := func(n int) {
@@ -832,25 +947,30 @@ func TestRowTableHysteresis(t *testing.T) {
 	}
 	fill(10000)
 	for i := 0; i < 3; i++ {
-		r.Clear()
+		r.ClearRetain()
 		fill(slots / 8) // exactly the fill that still holds the capacity
 		if len(r.tab.tags) != slots {
 			t.Fatalf("refill %d: capacity %d -> %d", i, slots, len(r.tab.tags))
 		}
 	}
-	r.Clear()
+	r.ClearRetain()
 	fill(1)
 	for want := slots / 2; want >= minTableSize; want /= 2 {
-		r.Clear()
+		r.ClearRetain()
 		fill(1)
 		if len(r.tab.tags) != want {
 			t.Fatalf("capacity %d, want %d", len(r.tab.tags), want)
 		}
 	}
-	r.Clear()
-	r.Clear()
+	r.ClearRetain()
+	r.ClearRetain()
 	if len(r.tab.rows) != 0 {
 		t.Fatalf("an emptied relation still owns %d slots", len(r.tab.rows))
+	}
+	fill(10000)
+	r.Clear()
+	if len(r.tab.rows) != 0 {
+		t.Fatalf("Clear left %d slots behind", len(r.tab.rows))
 	}
 	if !r.Insert([]Value{1, 2}) || !r.Contains([]Value{1, 2}) || r.Contains([]Value{2, 1}) {
 		t.Fatal("relation unusable after releasing its table")
