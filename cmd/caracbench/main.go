@@ -9,7 +9,7 @@
 //	caracbench fig8              # Fig 8   : macro speedups over hand-optimized
 //	caracbench fig9              # Fig 9   : micro speedups over hand-optimized
 //	caracbench fig10             # Fig 10  : AOT (macro staging) vs online
-//	caracbench ablation          # design-choice sweeps (DESIGN.md)
+//	caracbench ablation          # design-choice sweeps: ordering, freshness, granularity
 //	caracbench all               # everything above
 //
 // Shared flags: -scale small|medium|full, -reps N, -warmups N, -timeout D,

@@ -4,8 +4,7 @@
 // optimization and repeated re-optimization of recursive queries through
 // staged code generation.
 //
-// The engine lives under internal/ (see DESIGN.md for the module map); the
-// public entry points are:
+// The engine lives under internal/; the public entry points are:
 //
 //   - internal/core — the embedded Datalog DSL and execution engine;
 //   - cmd/carac — run .dl programs from the command line;
@@ -121,7 +120,13 @@
 //     chain, the key itself read from the first row in the arena — and one
 //     int32 array parallel to the arena linking each row to the next row
 //     with its key, in insertion order. Indexing a row is two stores with no
-//     allocation per key and no key built for a column set; a probe returns
+//     allocation per key and no key built for a column set. Derived indexes
+//     every row as it is inserted; the two deltas of a predicate keep their
+//     registrations but link no row as it arrives: right before a plan that
+//     probes δ starts — and, for the pool, before the fan-out — the
+//     coordinating goroutine brings that index up to date in one pass sized
+//     once (storage.Relation.EnsureIndex, interp.EnsureDeltaIndexes), and a
+//     probe of an index that has not caught up panics. A probe returns
 //     the chain (storage.Chain: first row plus the link array) and performs
 //     only loads, so frozen relations are probed concurrently like they are
 //     tested for membership; chains run in insertion order, so derivation
@@ -414,7 +419,8 @@
 //     deduplicates: the next frontier is appended to the predicate's
 //     DeltaNew as a list (storage.Relation.AppendDistinct), and only a
 //     frontier a round's plan reads fully bound gets a row table, built in
-//     one sized pass (storage.Relation.Seal). The bitset itself is the
+//     one sized pass (storage.Relation.Seal), and only one it probes gets the
+//     index it probes (storage.Relation.EnsureIndex). The bitset itself is the
 //     removal batch: one compaction per relation moves the survivors down
 //     run by run (storage.Relation.DeleteRowIDs — pinned epoch views detach
 //     copy-on-flip first, so serving sessions never observe the compaction).

@@ -458,9 +458,9 @@ func (s *Suite) Fig5() *Table {
 	return t
 }
 
-// Ablation runs the design-choice sweeps DESIGN.md calls out: sort vs greedy
-// ordering, freshness-threshold sweep, and the granularity ladder, all on
-// the unoptimized CSPA workload.
+// Ablation runs the design-choice sweeps: sort vs greedy ordering,
+// freshness-threshold sweep, and the granularity ladder, all on the
+// unoptimized CSPA workload.
 func (s *Suite) Ablation() *Table {
 	facts := datagen.CSPAGraph(s.Sizes.CSPA, s.Sizes.Seed)
 	build := func() *analysis.Built { return analysis.CSPA(analysis.Unoptimized, facts) }

@@ -12,6 +12,8 @@ import (
 
 	"carac/internal/analysis"
 	"carac/internal/core"
+	"carac/internal/datagen"
+	"carac/internal/jit"
 	"carac/internal/workloads"
 )
 
@@ -166,5 +168,35 @@ func TestWarmRunAllocatesLittle(t *testing.T) {
 	perDerivation := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(res.Interp.Derivations)
 	if perDerivation > 10 {
 		t.Errorf("a warm Run allocates %.1f B per derivation (%d derivations), want at most 10", perDerivation, res.Interp.Derivations)
+	}
+}
+
+// TestWarmCSPARunAllocations bounds what a warm Run of CSPA in the
+// adversarial atom order — the benchmark's headline program, reordered at
+// runtime by the lambda backend — allocates per derivation. A delta links its
+// rows into an index only when a plan is about to probe it, so the bytes left
+// are mostly the few delta indexes some plan does probe, sized once each. On
+// amd64 it reads 13.5 B per derivation, and read 26.2 B while both deltas of
+// every predicate grew a chain index on every append.
+func TestWarmCSPARunAllocations(t *testing.T) {
+	built := analysis.CSPA(analysis.Unoptimized, datagen.CSPAGraph(300, 7))
+	opts := core.Options{Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}}
+	res, err := built.P.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		if _, err := built.P.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perDerivation := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(res.Interp.Derivations)
+	t.Logf("%.1f B per derivation (%d derivations)", perDerivation, res.Interp.Derivations)
+	if perDerivation > 20 {
+		t.Errorf("a warm CSPA Run allocates %.1f B per derivation (%d derivations), want at most 20", perDerivation, res.Interp.Derivations)
 	}
 }

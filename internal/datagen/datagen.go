@@ -1,5 +1,5 @@
 // Package datagen provides the seeded synthetic fact generators that stand
-// in for the paper's proprietary datasets (see DESIGN.md §2, Substitutions):
+// in for the paper's proprietary datasets:
 //
 //   - CSPAGraph / CSDAGraph replace the Graspan httpd extractions (~1.5M
 //     facts in the paper). The generators produce program-shaped edge sets —

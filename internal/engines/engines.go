@@ -13,8 +13,6 @@
 //   - DLX-like commercial baseline: naive (non-semi-naive) interpreted
 //     evaluation, the role the anonymized engine plays in Table II (slow,
 //     DNF on the largest workload).
-//
-// See DESIGN.md §2 for why these substitutions preserve Table II's shape.
 package engines
 
 import (

@@ -926,6 +926,10 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 			}
 		}
 		in.reoptStale(*pending)
+		// Tasks build their plans but never an index: ensure every delta's.
+		for _, pid := range n.Preds {
+			in.Cat.Pred(pid).DeltaKnown.EnsureIndexes()
+		}
 		in.ensureWorkers(w)
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -1095,8 +1099,10 @@ func runPlanWith(p *Plan, cat *storage.Catalog, insert func(t []storage.Value)) 
 // RunPlan executes a built plan against the standard semi-naive sink, the
 // predicate's Emit, sinking matches (via the aggregation path when
 // configured) and returning the number of new tuples derived. Shared by the
-// interpreter and the lambda/quote backends.
+// interpreter and the bytecode/quote backends, on the coordinating goroutine:
+// it ensures the delta indexes the plan probes first.
 func RunPlan(p *Plan, cat *storage.Catalog) int64 {
+	EnsureDeltaIndexes(p, cat)
 	sink := cat.Pred(p.Sink)
 	var derived int64
 	runPlanWith(p, cat, func(t []storage.Value) {

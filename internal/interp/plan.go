@@ -164,6 +164,24 @@ func SourceRel(cat *storage.Catalog, pred storage.PredID, src ir.Source) *storag
 	return p.Derived
 }
 
+// EnsureDeltaIndexes brings up to date the delta index of every probe step of
+// the plan (storage.Relation.EnsureIndex). It runs on the coordinating
+// goroutine where a plan starts executing, never in a pool task.
+func EnsureDeltaIndexes(p *Plan, cat *storage.Catalog) {
+	for i := range p.Steps {
+		st := &p.Steps[i]
+		if st.Src != ir.SrcDelta {
+			continue
+		}
+		switch st.Kind {
+		case StepProbe:
+			cat.Pred(st.Pred).DeltaKnown.EnsureIndex([]int{st.ProbeCol})
+		case StepProbeN:
+			cat.Pred(st.Pred).DeltaKnown.EnsureIndex(st.ProbeCols)
+		}
+	}
+}
+
 // BuildPlan compiles the SPJ's current atom order into a Plan. It returns an
 // error if the order violates binding constraints (builtin inputs or negated
 // atoms unbound when reached) — compiled backends rely on this as their
@@ -600,7 +618,8 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				key := st.ProbeKey.resolve(bind)
 				rows, ok := rel.Probe(st.ProbeCol, key)
 				if !ok {
-					// Index vanished (should not happen); degrade to scan.
+					// No index registered (a plan bound where the builder's
+					// registration is absent): filtered scan.
 					rel.Each(func(row []storage.Value) bool {
 						if stop() {
 							return false
@@ -627,7 +646,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				}
 				rows, ok := rel.ProbeComposite(st.ProbeCols, vals)
 				if !ok {
-					// Composite index missing at runtime: filtered scan.
+					// No composite index registered: filtered scan.
 					rel.Each(func(row []storage.Value) bool {
 						if stop() {
 							return false

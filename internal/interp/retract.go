@@ -34,16 +34,17 @@ import (
 //     DeltaNew (storage.Relation.AppendDistinct) and rotated in at the
 //     barrier, and only a frontier that one of the round's plans reads fully
 //     bound (a StepMember on SrcDelta) gets a row table, built in one sized
-//     pass (Seal). The caller removes the rows by handing the bitset itself
-//     to storage.Relation.DeleteRowIDs. No tuple is copied to the heap or
-//     looked up twice, and no row id is sorted.
+//     pass (Seal); only one a plan probes gets that index (EnsureDeltaIndexes).
+//     The caller removes the rows by handing the bitset itself to
+//     storage.Relation.DeleteRowIDs. No tuple is copied to the heap or looked
+//     up twice, and no row id is sorted.
 //   - Rederivation is head-driven. The doomed rows are bulk-loaded into the
 //     head predicate's DeltaKnown before the caller compacts Derived (row ids
 //     do not survive that) — sized once from the bitset's popcount, appended
-//     off the bits, sealed if a plan tests membership in them — and join the
-//     rule's body as one more atom, so only bodies that produce a candidate
-//     are visited; an atom that arrives fully bound is answered by the row
-//     table (StepMember).
+//     off the bits, sealed if a plan tests membership in them and indexed if
+//     one probes them — and join the rule's body as one more atom, so only
+//     bodies that produce a candidate are visited; an atom that arrives fully
+//     bound is answered by the row table (StepMember).
 //
 // A round's plans fan out across the worker pool like an iteration's
 // subqueries: readers and the doomed bitset are frozen for the round, each
@@ -199,9 +200,10 @@ func (in *Interp) clearDeltas() {
 
 // retractPlans prepares one round on the coordinating goroutine: every
 // variant whose delta relation holds rows is reordered against the live
-// cardinalities and compiled; the others cost nothing. A delta relation —
-// a frontier or the candidates, appended as a list — that a plan reads fully
-// bound is sealed, once, so its membership steps have a row table to ask.
+// cardinalities and compiled; the others cost nothing. A delta relation — a
+// frontier or the candidates, appended as a list — that a plan reads fully
+// bound is sealed, once, so its membership steps have a row table to ask, and
+// one a plan probes gets that index ensured.
 func (in *Interp) retractPlans(variants []*ir.SPJOp) ([]*Plan, error) {
 	var plans []*Plan
 	for _, spj := range variants {
@@ -223,6 +225,7 @@ func (in *Interp) retractPlans(variants []*ir.SPJOp) ([]*Plan, error) {
 				in.Cat.Pred(st.Pred).DeltaKnown.Seal()
 			}
 		}
+		EnsureDeltaIndexes(plan, in.Cat)
 		plan.Cancel = in.Cancelled
 		in.Stats.SPJRuns++
 		in.Stats.PlanBuilds++

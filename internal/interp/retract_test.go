@@ -301,3 +301,69 @@ func panics(f func()) (did bool) {
 	f()
 	return false
 }
+
+// probeFrontierSrc has a rule whose over-delete probes its frontier: e is far
+// smaller than a batch of deleted f rows, so the optimizer scans e and probes
+// δf on the column e binds.
+const probeFrontierSrc = `
+.decl e(x:number, y:number)
+.decl f(x:number, y:number)
+.decl out(x:number, z:number)
+out(x,z) :- e(x,y), f(y,z).
+e(0,0). e(1,1).
+`
+
+// TestRetractRoundEnsuresProbedFrontiers pins the round's other preparation:
+// a frontier links its rows into an index only on demand, and a round ensures
+// the index of every probe step its plans take on SrcDelta. Without the
+// ensure the probe finds a stale index and the closure dies of the storage
+// panic.
+func TestRetractRoundEnsuresProbedFrontiers(t *testing.T) {
+	src := probeFrontierSrc
+	for i := 0; i < 20; i++ {
+		src += "f(" + itoa(i%2) + "," + itoa(i) + ").\n"
+	}
+	seeds := func(in *Interp) [][]int32 {
+		s := make([][]int32, in.Cat.NumPreds())
+		f := pred(t, in.Cat, "f")
+		for i := int32(0); i < 10; i++ {
+			s[f.ID] = append(s[f.ID], i)
+		}
+		return s
+	}
+	in, rules := retractFixture(t, src)
+	d, err := in.OverDelete(rules, seeds(in), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doomedRows(d, pred(t, in.Cat, "out").ID); got != 10 {
+		t.Fatalf("doomed %d out rows, want 10", got)
+	}
+
+	// The first round by hand: the seeds are the frontier, and the plan
+	// probes it.
+	in, rules = retractFixture(t, src)
+	f := pred(t, in.Cat, "f")
+	for _, row := range seeds(in)[f.ID] {
+		f.DeltaKnown.AppendDistinct(f.Derived.Row(row))
+	}
+	if f.DeltaKnown.DistinctCount(0) != -1 {
+		t.Fatal("fixture: the frontier's index is current before the round")
+	}
+	plans, err := in.retractPlans(rules[0].Propagate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed := false
+	for _, p := range plans {
+		for _, st := range p.Steps {
+			probed = probed || (st.Kind == StepProbe && st.Src == ir.SrcDelta && st.Pred == f.ID)
+		}
+	}
+	if !probed {
+		t.Fatal("fixture: no plan probes δf")
+	}
+	if got := f.DeltaKnown.DistinctCount(0); got != 2 {
+		t.Fatalf("after the round's preparation δf's index sees %d keys, want 2", got)
+	}
+}

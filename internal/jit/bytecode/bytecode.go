@@ -217,6 +217,9 @@ func (p *Program) Run(in *interp.Interp) error {
 			it := &iters[ins.A]
 			it.in.Reset()
 			rel := interp.SourceRel(cat, r.pred, r.src)
+			if r.src == ir.SrcDelta { // the VM runs on the coordinator only
+				rel.EnsureIndex(sp.cols)
+			}
 			for ki, k := range sp.keys {
 				vals[ki] = resolveTmpl(k, bind)
 			}
@@ -254,6 +257,9 @@ func (p *Program) Run(in *interp.Interp) error {
 			rel := interp.SourceRel(cat, r.pred, r.src)
 			key := resolveTmpl(sp.key, bind)
 			col := int(sp.col)
+			if r.src == ir.SrcDelta {
+				rel.EnsureIndex([]int{col})
+			}
 			if subs := rel.PhysSubs(); subs != nil {
 				// Bucket-local probes through each bucket's own index; a
 				// probe on the shard key column touches exactly one bucket.
@@ -268,9 +274,8 @@ func (p *Program) Run(in *interp.Interp) error {
 			} else if c, ok := rel.Probe(col, key); ok {
 				it.in.AddChain(rel, c)
 			} else {
-				// Index missing at runtime: degrade to a filtered scan by
-				// pre-materializing matching row ids (no validation pass
-				// exists to catch this earlier).
+				// No index registered on the column: degrade to a filtered
+				// scan by pre-materializing matching row ids.
 				it.in.AddMatching(rel, func(row []storage.Value) bool { return row[col] == key })
 			}
 			pc++

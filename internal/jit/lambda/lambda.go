@@ -212,7 +212,8 @@ type chainInst struct {
 // in the shared store and may be invoked concurrently by engines serving
 // different sessions, so each concurrent execution draws its own stitched
 // chain — scratch buffers and all — from a pool, the same frame discipline
-// shard units use.
+// shard units use. A unit runs on the coordinating goroutine and ensures the
+// delta indexes its plan probes.
 func CompilePlan(plan *interp.Plan) Unit {
 	numVars := plan.NumVars
 	agg := plan.Agg
@@ -227,6 +228,7 @@ func CompilePlan(plan *interp.Plan) Unit {
 		}}
 		return func(in *interp.Interp) error {
 			in.Stats.SPJRuns++
+			interp.EnsureDeltaIndexes(plan, in.Cat)
 			ci := pool.Get().(*chainInst)
 			for i := range ci.bind {
 				ci.bind[i] = 0
@@ -241,6 +243,7 @@ func CompilePlan(plan *interp.Plan) Unit {
 	head := plan.Head
 	return func(in *interp.Interp) error {
 		in.Stats.SPJRuns++
+		interp.EnsureDeltaIndexes(plan, in.Cat)
 		a := eval.NewAggregator(agg.Kind, headLen, agg.HeadPos)
 		bind := make([]storage.Value, numVars)
 		tmp := make([]storage.Value, headLen)

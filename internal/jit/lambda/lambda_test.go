@@ -1,8 +1,10 @@
 package lambda
 
 import (
+	"reflect"
 	"testing"
 
+	"carac/internal/ast"
 	"carac/internal/interp"
 	"carac/internal/ir"
 	"carac/internal/parser"
@@ -157,5 +159,53 @@ prime(p) :- num(p), !composite(p).
 	want := []storage.Value{2, 3, 5, 7, 11}
 	if p.Derived.Len() != len(want) {
 		t.Fatalf("primes = %v", p.Derived.Snapshot())
+	}
+}
+
+// TestCompilePlanEnsuresDeltaIndexes: a delta links its rows into an index
+// only on demand, so a unit — plain or aggregating — ensures the indexes its
+// plan probes on δ before it starts. A lowered program never aggregates over
+// a delta (aggregation is stratified), so the aggregating unit is handed such
+// a plan directly.
+func TestCompilePlanEnsuresDeltaIndexes(t *testing.T) {
+	for _, agg := range []ast.AggKind{ast.AggNone, ast.AggCount} {
+		cat := storage.NewCatalog()
+		e := cat.Pred(cat.Declare("e", 2))
+		r := cat.Pred(cat.Declare("r", 2))
+		out := cat.Pred(cat.Declare("out", 2))
+		r.BuildIndexes([]int{0})
+		e.AddFact([]storage.Value{1, 2})
+		e.AddFact([]storage.Value{2, 3})
+		for _, row := range [][]storage.Value{{2, 5}, {2, 6}, {3, 7}} {
+			r.Emit(row)
+		}
+		r.SwapClear() // δr holds the three rows, linked into no index
+		x, y, z := ast.VarID(0), ast.VarID(1), ast.VarID(2)
+		spj := &ir.SPJOp{Sink: out.ID, NumVars: 3, DeltaIdx: 1,
+			Atoms: []ir.Atom{
+				{Kind: ast.AtomRelation, Pred: e.ID, Terms: []ast.Term{ast.V(x), ast.V(y)}},
+				{Kind: ast.AtomRelation, Pred: r.ID, Src: ir.SrcDelta, Terms: []ast.Term{ast.V(y), ast.V(z)}},
+			},
+			Head: []ir.ProjElem{{Var: x}, {Var: z}},
+			Agg:  ast.AggSpec{Kind: agg, HeadPos: 1},
+		}
+		plan, err := interp.BuildPlan(spj, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Steps[1].Kind != interp.StepProbe {
+			t.Fatalf("%v: the plan scans δr instead of probing it", agg)
+		}
+		if err := CompilePlan(plan)(interp.New(cat, nil)); err != nil {
+			t.Fatal(err)
+		}
+		out.SwapClear()
+		want := [][]storage.Value{{1, 5}, {1, 6}, {2, 7}}
+		if agg == ast.AggCount {
+			want = [][]storage.Value{{1, 2}, {2, 1}}
+		}
+		if got := out.Derived.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: out = %v, want %v", agg, got, want)
+		}
 	}
 }

@@ -222,8 +222,12 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			return nil, err
 		}
 		pred, src, level, col := n.Rel.Pred, n.Rel.Src, n.Level, n.Col
+		cols := []int{col}
 		return func(f *frame) error {
 			rel := interp.SourceRel(f.in.Cat, pred, src)
+			if src == ir.SrcDelta { // quotes run on the coordinator only
+				rel.EnsureIndex(cols)
+			}
 			k := key(f)
 			// EachProbe owns the access-path choice, including the
 			// bucket-local indexes of a physically sharded relation.
@@ -252,6 +256,9 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 		pred, src, level, cols := n.Rel.Pred, n.Rel.Src, n.Level, n.Cols
 		return func(f *frame) error {
 			rel := interp.SourceRel(f.in.Cat, pred, src)
+			if src == ir.SrcDelta {
+				rel.EnsureIndex(cols)
+			}
 			// Stack discipline on the frame's key scratch: the keys live
 			// past the descent into body (probe visits run per outer row),
 			// so nested ProbeNE levels append after this segment.

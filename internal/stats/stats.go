@@ -50,7 +50,7 @@ type HistogramSource interface {
 }
 
 // Catalog reads statistics straight from the storage catalog. All of its
-// reads are O(1): cardinalities and distinct counts are maintained
+// reads are O(1): cardinalities and Derived's distinct counts are maintained
 // incrementally by the storage mutation paths, and drift counters are bumped
 // on every insert, swap, and truncate.
 type Catalog struct {
@@ -67,7 +67,8 @@ func (s Catalog) Card(pred storage.PredID, src ir.Source) int {
 }
 
 // Distinct returns the observed distinct count of a column, or -1 when the
-// column carries no index.
+// column carries no index or, on a delta, one not yet ensured for a probe
+// (storage.Relation.EnsureIndex).
 func (s Catalog) Distinct(pred storage.PredID, src ir.Source, col int) int {
 	p := s.Cat.Pred(pred)
 	if src == ir.SrcDelta {

@@ -18,20 +18,23 @@ import (
 // next (Chain), and the distinct keys are the table's fill. Rows are named by
 // links, row id + 1, so that zeroed memory means "none". Probing only loads,
 // so any number of goroutines may probe a relation no one is mutating: the
-// parallel workers on the frozen Derived and DeltaKnown.
+// parallel workers on the frozen Derived and DeltaKnown. Derived links every
+// row as it is inserted; a delta none as they arrive, until EnsureIndex
+// enters the rows it lacks, in order, right before a plan probes it.
 //
 // Capacity rule (reset): a relation that is refilled at once — the worker
 // delta buffers (ClearRetain), Derived rewound to its ground-fact baseline
 // (TruncateTo), the deletion compactions, the old δ that the delta rotation
 // (SwapDeltas) hands back as the next δ′ of a predicate still producing
 // facts — keeps next and empties slots in place under the row table's
-// hysteresis, so the refill allocates nothing. Clear gives both back; a
+// hysteresis, so the refill allocates nothing; on a delta that is what its
+// last EnsureIndex sized, room for the next ensure. Clear gives both back; a
 // converged predicate's deltas get it, because kept chains there measured as
 // a 17 % larger live heap on CSPA: two deltas per predicate each pinning
 // their peak iteration until the next Run. next grows with the rows it
-// links, never past the arena's capacity; a Derived publishing staged rows
-// and a bulk load of known size (Relation.Reserve) size it exactly for the
-// batch (reserve).
+// links, never past the arena's capacity; a Derived publishing staged rows,
+// a bulk load of known size (Relation.Reserve) and EnsureIndex size it
+// exactly for the batch (reserve).
 type chainIndex struct {
 	cols  []int       // indexed columns, ascending
 	ident []int       // 0..len(cols)-1: where a probe's key values sit

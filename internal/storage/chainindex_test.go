@@ -217,31 +217,209 @@ func driveChainIndex(t *testing.T, arity int, counted bool, layout int, data []b
 	driveRowTable(t, arity, counted, layout, data, true)
 }
 
+// driveOnDemand holds a predicate's deltas, whose indexes link rows only when
+// EnsureIndex asks, to an eager twin predicate whose deltas link every row as
+// it arrives. Both take the same operations, decoded from data: appends
+// (AppendDistinct as δ′ and retraction write, Insert into a delta that is a
+// set), ensures of one index or all, probes, Clear, ClearRetain and the
+// SwapDeltas rotation. After each one the deltas hold the same rows and
+// mutation counts; an index ensured since its relation's last append has the
+// twin's chains per key, in insertion order, and its distinct count; one that
+// is not panics on a probe of a row it lacks and reads as unobserved (-1).
+func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
+	t.Helper()
+	sets := [][]int{{0}}
+	if arity > 1 {
+		sets = append(sets, []int{0, arity - 1})
+	}
+	c := NewCatalog()
+	lazy, eager := c.Pred(c.Declare("lazy", arity)), c.Pred(c.Declare("eager", arity))
+	eager.DeltaKnown.lazy, eager.DeltaNew.lazy = false, false
+	for _, p := range []*PredicateDB{lazy, eager} {
+		p.BuildIndexes(sets[0])
+		p.BuildCompositeIndexes(sets[1:])
+		switch layout % 3 {
+		case 1:
+			p.SetShards(4, 0)
+		case 2:
+			p.SetShardsPhysical(4, 0)
+		}
+	}
+	// Per lazy delta: the rows it holds, whether it was written as a list
+	// since its last clear, and per index a row appended since its last
+	// ensure (nil when the index is current). Keyed by the relation, so the
+	// state travels with it through SwapDeltas.
+	held := map[*Relation]map[string]bool{lazy.DeltaKnown: {}, lazy.DeltaNew: {}}
+	list := map[*Relation]bool{}
+	unlinked := map[*Relation][][]Value{lazy.DeltaKnown: make([][]Value, len(sets)), lazy.DeltaNew: make([][]Value, len(sets))}
+	step := 0
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("step %d (arity %d layout %d): %s", step, arity, layout, fmt.Sprintf(format, args...))
+	}
+	pos := 0
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1])
+	}
+	dom := []int{0, 60, 12, 6, 4, 3}[arity]
+	tuple := func() []Value {
+		tp := make([]Value, arity)
+		for i := range tp {
+			tp[i] = Value(next() % dom)
+		}
+		return tp
+	}
+	pair := func(b int) (*Relation, *Relation) {
+		if b%2 == 0 {
+			return lazy.DeltaNew, eager.DeltaNew
+		}
+		return lazy.DeltaKnown, eager.DeltaKnown
+	}
+	cleared := func(r *Relation) {
+		held[r], list[r] = map[string]bool{}, false
+		clear(unlinked[r])
+	}
+	write := func(r, tw *Relation, tp []Value, insert bool) {
+		if insert && !list[r] {
+			if got, want := r.Insert(tp), tw.Insert(tp); got != want {
+				fail("%s: Insert(%v) = %v, twin %v", r.name, tp, got, want)
+			}
+		} else if !held[r][key(tp)] {
+			r.AppendDistinct(tp)
+			tw.AppendDistinct(tp)
+			list[r] = true
+		} else {
+			return
+		}
+		if !held[r][key(tp)] {
+			held[r][key(tp)] = true
+			for si := range sets {
+				if unlinked[r][si] == nil {
+					unlinked[r][si] = tp
+				}
+			}
+		}
+	}
+	check := func(r, tw *Relation) {
+		t.Helper()
+		if sa, sb := r.Snapshot(), tw.Snapshot(); !reflect.DeepEqual(sa, sb) {
+			fail("%s rows %v, twin %v", r.name, sa, sb)
+		}
+		if r.Mutations() != tw.Mutations() {
+			fail("%s: Mutations = %d, twin %d", r.name, r.Mutations(), tw.Mutations())
+		}
+		for si, cols := range sets {
+			if w := unlinked[r][si]; w != nil {
+				vals := project(w, cols)
+				if !panics(func() { r.EachProbeComposite(cols, vals, func([]Value) bool { return true }) }) {
+					fail("%s: a probe of %v on %v before EnsureIndex did not panic", r.name, vals, cols)
+				}
+				if len(cols) == 1 && r.DistinctCount(cols[0]) != -1 {
+					fail("%s: DistinctCount(%d) = %d before EnsureIndex, want -1", r.name, cols[0], r.DistinctCount(cols[0]))
+				}
+				continue
+			}
+			if len(cols) == 1 && r.DistinctCount(cols[0]) != tw.DistinctCount(cols[0]) {
+				fail("%s: DistinctCount(%d) = %d, twin %d", r.name, cols[0], r.DistinctCount(cols[0]), tw.DistinctCount(cols[0]))
+			}
+			keys := append(tw.Snapshot(), make([]Value, arity))
+			keys[len(keys)-1][0] = -5 // a miss
+			for _, k := range keys {
+				vals := project(k, cols)
+				var got, want [][]Value
+				r.EachProbeComposite(cols, vals, func(row []Value) bool { got = append(got, slices.Clone(row)); return true })
+				tw.EachProbeComposite(cols, vals, func(row []Value) bool { want = append(want, slices.Clone(row)); return true })
+				if !reflect.DeepEqual(got, want) {
+					fail("%s: EachProbeComposite(%v, %v) = %v, twin %v", r.name, cols, vals, got, want)
+				}
+				if r.PhysSubs() == nil {
+					a, _ := probeCompositeRows(r, cols, vals)
+					b, _ := probeCompositeRows(tw, cols, vals)
+					if !slices.Equal(a, b) {
+						fail("%s: chain of %v on %v = %v, twin %v", r.name, vals, cols, a, b)
+					}
+				}
+			}
+		}
+	}
+	for pos < len(data) {
+		step++
+		b := next()
+		r, tw := pair(b / 8)
+		switch b % 8 {
+		case 0, 1:
+			write(r, tw, tuple(), b%16 < 8)
+		case 2:
+			// A run of fresh keys: pushes the index through its growth steps
+			// at the next ensure.
+			tp := tuple()
+			for j := 0; j < 30; j++ {
+				tp[0] = Value(100 + 30*next() + j)
+				write(r, tw, slices.Clone(tp), false)
+			}
+		case 3:
+			if si := next() % (len(sets) + 1); si == len(sets) {
+				r.EnsureIndexes()
+				clear(unlinked[r])
+			} else {
+				r.EnsureIndex(sets[si])
+				unlinked[r][si] = nil
+			}
+		case 4:
+			r.Clear()
+			tw.Clear()
+			cleared(r)
+		case 5:
+			r.ClearRetain()
+			tw.ClearRetain()
+			cleared(r)
+		case 6, 7:
+			lazy.SwapDeltas()
+			eager.SwapDeltas()
+			cleared(lazy.DeltaNew)
+		}
+		check(lazy.DeltaKnown, eager.DeltaKnown)
+		check(lazy.DeltaNew, eager.DeltaNew)
+	}
+}
+
 // TestChainIndexModel drives random operation sequences against the
 // map[string][]int32 oracle for arity 1-5, counted and uncounted, starting
-// from each of the three layouts, comparing probe results including order.
+// from each of the three layouts, comparing probe results including order;
+// and a predicate's on-demand deltas against an eager twin (driveOnDemand).
 func TestChainIndexModel(t *testing.T) {
 	for arity := 1; arity <= 5; arity++ {
-		for _, counted := range []bool{false, true} {
-			for layout := 0; layout < 3; layout++ {
+		for layout := 0; layout < 3; layout++ {
+			for _, counted := range []bool{false, true} {
 				rng := rand.New(rand.NewSource(int64(1000 + 100*arity + 10*layout + len(fmt.Sprint(counted)))))
 				data := make([]byte, 1200)
 				rng.Read(data)
 				driveChainIndex(t, arity, counted, layout, data)
 			}
+			rng := rand.New(rand.NewSource(int64(2000 + 100*arity + 10*layout)))
+			data := make([]byte, 600)
+			rng.Read(data)
+			driveOnDemand(t, arity, layout, data)
 		}
 	}
 }
 
-// FuzzChainIndex is TestChainIndexModel over fuzzer-chosen sequences. Short-fuzz
-// CI job: go test -fuzz=FuzzChainIndex -fuzztime=20s ./internal/storage/
+// FuzzChainIndex is TestChainIndexModel over fuzzer-chosen sequences, each
+// driven through both models. Short-fuzz CI job: go test -fuzz=FuzzChainIndex
+// -fuzztime=20s ./internal/storage/
 func FuzzChainIndex(f *testing.F) {
 	f.Add(uint8(2), true, uint8(0), []byte{5, 0, 0, 1, 2, 0, 1, 3, 5, 3, 0, 1, 2, 12, 2, 1, 1, 3, 3, 0, 13, 3, 5, 0, 0, 9, 0, 1, 1})
 	f.Add(uint8(3), false, uint8(2), []byte{8, 1, 2, 3, 4, 5, 5, 11, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3, 5, 2})
 	f.Add(uint8(1), true, uint8(1), []byte{5, 0, 8, 8, 8, 8, 10, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
 	f.Add(uint8(5), false, uint8(0), []byte{0, 233, 234, 235, 236, 237, 5, 31, 0, 233, 234, 235, 236, 238, 11, 1, 5, 4, 0, 1, 2, 3, 4, 5})
+	f.Add(uint8(2), false, uint8(2), []byte{0, 1, 2, 8, 3, 4, 9, 5, 6, 2, 7, 3, 11, 14, 0, 6, 3, 2, 1, 0, 7, 16, 1, 2, 19, 3, 4, 11, 0})
 	f.Fuzz(func(t *testing.T, arity uint8, counted bool, layout uint8, data []byte) {
 		driveChainIndex(t, 1+int(arity)%5, counted, int(layout), data)
+		driveOnDemand(t, 1+int(arity)%5, int(layout), data)
 	})
 }
 
@@ -302,8 +480,8 @@ func TestConcurrentProbeFrozen(t *testing.T) {
 
 // TestChainIndexAllocations guards what the index exists for: once warm, an
 // indexed insert allocates nothing — no posting list, and no key for the
-// composite — and neither does a refill after ClearRetain or TruncateTo, nor
-// any probe.
+// composite — and neither does a refill after ClearRetain or TruncateTo, a
+// delta's refill-ensure-ClearRetain cycle, nor any probe.
 func TestChainIndexAllocations(t *testing.T) {
 	const rows = 1000
 	r := NewRelation("warm", 3)
@@ -334,6 +512,24 @@ func TestChainIndexAllocations(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("indexed Insert allocates %.2f times per row, want 0", a)
 	}
+	// A delta's warm cycle: refill, ensure, ClearRetain.
+	d := NewRelation("warmδ", 3)
+	d.lazy = true
+	d.BuildIndex(1)
+	d.BuildCompositeIndex([]int{0, 2})
+	refill := func() {
+		for i := 0; i < rows; i++ {
+			tp[0], tp[1], tp[2] = Value(i%31), Value(i%7), Value(i)
+			d.AppendDistinct(tp)
+		}
+		d.EnsureIndexes()
+		d.EnsureIndex([]int{1}) // already current
+		d.ClearRetain()
+	}
+	refill()
+	if a := testing.AllocsPerRun(10, refill); a != 0 {
+		t.Errorf("a warm delta's refill, ensure and ClearRetain allocate %.0f times, want 0", a)
+	}
 	hits := 0
 	count := func([]Value) bool { hits++; return true }
 	cols, vals := []int{0, 2}, []Value{3, 3}
@@ -349,8 +545,9 @@ func TestChainIndexAllocations(t *testing.T) {
 
 // TestChainIndexCapacityRule pins which operations keep an index's memory and
 // which give it back: ClearRetain and TruncateTo keep it for the refill,
-// Clear releases it, and SwapClear keeps δ′'s while the predicate still
-// produces facts and releases both deltas' once an iteration produced none.
+// Clear releases it, and SwapClear keeps δ′'s — what its last EnsureIndex
+// sized — while the predicate still produces facts and releases both deltas'
+// once an iteration produced none.
 func TestChainIndexCapacityRule(t *testing.T) {
 	held := func(r *Relation) int { return cap(r.indexes[0].next) + len(r.indexes[0].slots) - len(noSlots) }
 	fill := func(r *Relation, n int) {
@@ -380,15 +577,37 @@ func TestChainIndexCapacityRule(t *testing.T) {
 		t.Fatalf("index unusable after Clear: %v", rows)
 	}
 
+	// A delta links nothing as it fills; what ClearRetain keeps is what the
+	// last EnsureIndex sized, and convergence gives it back.
 	c := NewCatalog()
 	p := c.Pred(c.Declare("p", 2))
 	p.BuildIndexes([]int{0})
-	fill(p.DeltaNew, 1000)
+	appendRows := func(r *Relation, n int) {
+		for i := 0; i < n; i++ {
+			r.AppendDistinct([]Value{Value(i % 50), Value(i)})
+		}
+	}
+	appendRows(p.DeltaNew, 1000)
+	if held(p.DeltaNew) != 0 {
+		t.Fatalf("δ′ grew %d index words as it filled", held(p.DeltaNew))
+	}
 	p.SwapClear() // δ = 1000 rows, δ′ empty
-	fill(p.DeltaNew, 500)
-	p.SwapClear() // δ = 500 rows; δ′ is the relation that held 1000
-	if held(p.DeltaNew) == 0 || held(p.DeltaKnown) == 0 {
-		t.Fatal("a producing predicate's δ′ gave its index capacity back mid-fixpoint")
+	p.DeltaKnown.EnsureIndexes()
+	sized := held(p.DeltaKnown)
+	if links := cap(p.DeltaKnown.indexes[0].next); links != 1000 {
+		t.Fatalf("EnsureIndex sized %d links for 1000 rows", links)
+	}
+	appendRows(p.DeltaNew, 500)
+	p.SwapClear() // δ = 500 unlinked rows; δ′ is the relation ensured at 1000
+	if held(p.DeltaNew) != sized || held(p.DeltaKnown) != 0 {
+		t.Fatalf("mid-fixpoint δ′ holds %d index words, want the %d its ensure sized; δ holds %d", held(p.DeltaNew), sized, held(p.DeltaKnown))
+	}
+	p.DeltaKnown.EnsureIndexes()
+	appendRows(p.DeltaNew, 800)
+	p.SwapClear() // δ = 800 rows in the relation ensured at 1000
+	p.DeltaKnown.EnsureIndexes()
+	if held(p.DeltaKnown) != sized {
+		t.Fatalf("ensuring 800 rows where 1000 were sized moved the index from %d to %d words", sized, held(p.DeltaKnown))
 	}
 	p.SwapClear() // nothing new: converged
 	if held(p.DeltaNew) != 0 || held(p.DeltaKnown) != 0 {

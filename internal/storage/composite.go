@@ -14,11 +14,12 @@ import (
 //
 // A composite index is the same chainIndex as a single-column one, over more
 // columns: keys are hashed column by column and compared in the arena, never
-// built. This file is the column-set surface of the API.
+// built, and maintained like one (on Derived's inserts, a delta's EnsureIndex).
+// This file is the column-set surface of the API.
 
-// BuildCompositeIndex registers (and backfills) a hash index over the given
-// column set (order-insensitive; at least two columns — use BuildIndex for
-// one). Maintained incrementally on insert; registration survives Clear.
+// BuildCompositeIndex registers (and backfills, but on a delta) a hash index
+// over the given column set (order-insensitive; at least two columns — use
+// BuildIndex for one). Registration survives Clear.
 func (r *Relation) BuildCompositeIndex(cols []int) {
 	if len(cols) < 2 {
 		panic(fmt.Sprintf("storage: composite index on %q needs >= 2 columns, got %v", r.name, cols))
@@ -59,7 +60,8 @@ func (r *Relation) CompositeIndexes() [][]int {
 
 // ProbeComposite returns the chain of rows whose columns cols (ascending)
 // equal vals (in the same order). ok is false when no index over exactly cols
-// exists — including on physically sharded relations (see Probe).
+// exists — including on physically sharded relations (see Probe). A stale
+// index panics.
 func (r *Relation) ProbeComposite(cols []int, vals []Value) (Chain, bool) {
 	if len(cols) == 1 {
 		return r.Probe(cols[0], vals[0])
@@ -71,13 +73,17 @@ func (r *Relation) ProbeComposite(cols []int, vals []Value) (Chain, bool) {
 	if ix == nil {
 		return Chain{}, false
 	}
+	if !r.current(ix) {
+		r.stale("ProbeComposite", ix)
+	}
 	return Chain{head: ix.slots[ix.find(r.arena, r.arity, vals, ix.ident)].first, next: ix.next}, true
 }
 
 // DistinctCount returns the number of distinct values in column col as
-// observed by its incremental index, or -1 when col is unindexed. This is
-// the cheap "online statistics" alternative the paper mentions (§IV,
-// Selectivity): no extra maintenance cost because the index already exists.
+// observed by its index, or -1 when col is unindexed or its index has not
+// caught up with the rows (a delta not yet ensured). This is the cheap
+// "online statistics" alternative the paper mentions (§IV, Selectivity): no
+// extra maintenance cost because the index already exists.
 func (r *Relation) DistinctCount(col int) int {
 	ix := r.indexOn([]int{col})
 	if ix == nil {
@@ -91,6 +97,9 @@ func (r *Relation) DistinctCount(col int) int {
 		n := 0
 		for _, s := range r.subs {
 			d := s.DistinctCount(col)
+			if d < 0 {
+				return -1
+			}
 			if col == r.shardCol {
 				n += d
 			} else if d > n {
@@ -98,6 +107,9 @@ func (r *Relation) DistinctCount(col int) int {
 			}
 		}
 		return n
+	}
+	if !r.current(ix) {
+		return -1
 	}
 	return ix.used
 }

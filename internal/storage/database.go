@@ -46,7 +46,7 @@ type PredicateDB struct {
 }
 
 func newPredicateDB(id PredID, name string, arity int) *PredicateDB {
-	return &PredicateDB{
+	p := &PredicateDB{
 		ID:         id,
 		Name:       name,
 		Arity:      arity,
@@ -54,6 +54,8 @@ func newPredicateDB(id PredID, name string, arity int) *PredicateDB {
 		DeltaKnown: NewRelation(name+"δ", arity),
 		DeltaNew:   NewRelation(name+"δ'", arity),
 	}
+	p.DeltaKnown.lazy, p.DeltaNew.lazy = true, true
+	return p
 }
 
 // AddFact inserts a ground fact into Derived, returning true if new.
@@ -188,7 +190,8 @@ func (p *PredicateDB) ShardDriftCounter(s int) uint64 {
 }
 
 // BuildIndexes registers indexes on the given columns across all three
-// relations, so probes work regardless of which database an atom reads.
+// relations, so an atom can probe whichever database it reads: Derived's
+// link every insert, the deltas' only what EnsureIndex asks before a probe.
 func (p *PredicateDB) BuildIndexes(cols []int) {
 	for _, c := range cols {
 		p.Derived.BuildIndex(c)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -111,17 +112,53 @@ func TestPredicateDBSeedAll(t *testing.T) {
 	}
 }
 
+// TestPredicateDBIndexesOnAllThree: BuildIndexes registers on all three
+// relations. Derived answers a probe at once; a delta, whose indexes link no
+// row as it arrives, refuses every probe and reads as unobserved until
+// EnsureIndex catches the index up, and then answers exactly as Derived does.
 func TestPredicateDBIndexesOnAllThree(t *testing.T) {
 	c := NewCatalog()
-	p := c.Pred(c.Declare("r", 2))
+	p := c.Pred(c.Declare("r", 3))
 	p.BuildIndexes([]int{0})
-	p.Derived.Insert([]Value{1, 2})
-	p.DeltaKnown.Insert([]Value{1, 3})
-	p.DeltaNew.Insert([]Value{1, 4})
-	for _, rel := range []*Relation{p.Derived, p.DeltaKnown, p.DeltaNew} {
-		rows, ok := probeRows(rel, 0, 1)
-		if !ok || len(rows) != 1 {
-			t.Fatalf("%s probe = %v,%v", rel.Name(), rows, ok)
+	p.BuildCompositeIndexes([][]int{{2, 0}})
+	for _, row := range [][]Value{{1, 2, 5}, {1, 3, 5}, {2, 4, 6}, {1, 4, 6}} {
+		p.Derived.Insert(row)
+		p.DeltaKnown.Insert(row)
+		p.DeltaNew.AppendDistinct(row)
+	}
+	comp := []int{0, 2}
+	for _, rel := range []*Relation{p.DeltaKnown, p.DeltaNew} {
+		if !rel.HasIndex(0) || !rel.HasCompositeIndex(comp) {
+			t.Fatalf("%s lacks a registration", rel.Name())
+		}
+		visit := func([]Value) bool { return true }
+		for name, probe := range map[string]func(){
+			"Probe":              func() { rel.Probe(0, 1) },
+			"ProbeComposite":     func() { rel.ProbeComposite(comp, []Value{1, 5}) },
+			"EachProbe":          func() { rel.EachProbe(0, 1, visit) },
+			"EachProbeComposite": func() { rel.EachProbeComposite(comp, []Value{1, 5}, visit) },
+		} {
+			if !panics(probe) {
+				t.Errorf("%s: %s before EnsureIndex did not panic", rel.Name(), name)
+			}
+		}
+		if d := rel.DistinctCount(0); d != -1 {
+			t.Errorf("%s: DistinctCount before EnsureIndex = %d, want -1", rel.Name(), d)
+		}
+		rel.EnsureIndex([]int{0})
+		rel.EnsureIndex(comp)
+		for v := Value(0); v <= 3; v++ {
+			want, _ := probeRows(p.Derived, 0, v)
+			if got, ok := probeRows(rel, 0, v); !ok || !slices.Equal(got, want) {
+				t.Errorf("%s: Probe(0, %d) = %v,%v, want %v", rel.Name(), v, got, ok, want)
+			}
+			want, _ = probeCompositeRows(p.Derived, comp, []Value{v, 5})
+			if got, ok := probeCompositeRows(rel, comp, []Value{v, 5}); !ok || !slices.Equal(got, want) {
+				t.Errorf("%s: ProbeComposite(%v, %d 5) = %v,%v, want %v", rel.Name(), comp, v, got, ok, want)
+			}
+		}
+		if got, want := rel.DistinctCount(0), p.Derived.DistinctCount(0); got != want {
+			t.Errorf("%s: DistinctCount = %d, want %d", rel.Name(), got, want)
 		}
 	}
 }

@@ -97,6 +97,7 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 	subs := make([]*Relation, shards)
 	for s := range subs {
 		sub := NewRelation(fmt.Sprintf("%s·%d", r.name, s), r.arity)
+		sub.lazy = r.lazy
 		for i := range r.indexes {
 			sub.buildIndex(r.indexes[i].cols)
 		}
@@ -220,7 +221,8 @@ func (r *Relation) ProbeSpanComposite(cols []int, vals []Value) (lo, hi int) {
 // view-partitioned relation, per-bucket indexes routed by ProbeSpan on a
 // physical one. Every executor and compiled backend probes through this one
 // implementation, so the index-miss degradation and the bucket routing
-// cannot drift apart between engines.
+// cannot drift apart between engines. Like Probe, it panics on a registered
+// index that has not caught up with the rows (EnsureIndex).
 func (r *Relation) EachProbe(col int, v Value, f func(row []Value) bool) {
 	r.EachProbeComposite([]int{col}, []Value{v}, f)
 }
@@ -253,8 +255,8 @@ func (r *Relation) EachShardRangeProbeComposite(lo, hi int, cols []int, vals []V
 }
 
 // eachWithKey visits the rows of a single-slab relation whose columns cols
-// equal vals — the key's chain when an index over cols exists, a filtered
-// scan otherwise — and reports whether f let it finish.
+// equal vals — the key's chain when an index over cols is registered, a
+// filtered scan otherwise — and reports whether f let it finish.
 func (r *Relation) eachWithKey(cols []int, vals []Value, f func(row []Value) bool) bool {
 	if c, ok := r.ProbeComposite(cols, vals); ok {
 		for row := c.First(); row >= 0; row = c.Next(row) {

@@ -22,10 +22,13 @@ import (
 //
 // Join indexes have one structure too, over one column or several: the
 // chained hash index (chainindex.go, which also states which destructive
-// operations keep an index's memory). Indexes registered with BuildIndex or
-// BuildCompositeIndex are maintained incrementally on every insert, which is
-// how Carac builds indexes "as each rule is defined ... incrementally before
-// execution begins" (paper §IV, Index selection); probes only load.
+// operations keep an index's memory). On Derived, indexes registered with
+// BuildIndex or BuildCompositeIndex are maintained incrementally on every
+// insert, which is how Carac builds indexes "as each rule is defined ...
+// incrementally before execution begins" (paper §IV, Index selection); a
+// delta links no row as it arrives, and EnsureIndex catches an index up in
+// one sized pass right before a plan probes it. Probes only load; one of an
+// index that has not caught up panics.
 //
 // Semi-naive evaluation uses the row table of Derived as its only duplicate
 // elimination (PredicateDB.Emit): a row found in an iteration is staged —
@@ -58,6 +61,10 @@ type Relation struct {
 
 	indexes    []chainIndex       // one per registered column set, in registration order
 	histograms map[int]*Histogram // column -> value-distribution histogram
+
+	// lazy marks a delta (δ, δ′): its indexes link rows only on EnsureIndex.
+	// It travels with the struct through SwapDeltas and into physical buckets.
+	lazy bool
 
 	// muts counts content-changing operations (successful inserts, Clear,
 	// TruncateTo) monotonically — it is never reset, so equal observations
@@ -205,7 +212,7 @@ func (r *Relation) publish() {
 	to := r.tab.used
 	from := to - r.staged
 	r.arena = r.arena[:to*r.arity]
-	if r.staged > 1 {
+	if r.staged > 1 && !r.lazy {
 		for i := range r.indexes {
 			r.indexes[i].reserve(to)
 		}
@@ -243,13 +250,17 @@ func (r *Relation) AppendDistinct(t []Value) {
 }
 
 // Reserve makes room for n more rows of a bulk load: the arena and every
-// index's links grow once, to size (chainIndex.reserve), instead of by steps.
-// A physical relation's buckets grow as their rows arrive.
+// index's links (a delta's wait for EnsureIndex) grow once, to size
+// (chainIndex.reserve), instead of by steps. A physical relation's buckets
+// grow as their rows arrive.
 func (r *Relation) Reserve(n int) {
 	if r.subs != nil || n <= 0 {
 		return
 	}
 	r.arena = slices.Grow(r.arena, n*r.arity)
+	if r.lazy {
+		return
+	}
 	for i := range r.indexes {
 		r.indexes[i].reserve(r.Len() + n)
 	}
@@ -345,8 +356,9 @@ func (r *Relation) Each(f func(row []Value) bool) {
 	}
 }
 
-// BuildIndex registers (and backfills) a hash index on column col. Indexes
-// persist across Clear: the registration survives, the entries are dropped.
+// BuildIndex registers (and, except on a delta, backfills) a hash index on
+// column col. Indexes persist across Clear: the registration survives, the
+// entries are dropped.
 func (r *Relation) BuildIndex(col int) {
 	if col < 0 || col >= r.arity {
 		panic(fmt.Sprintf("storage: index column %d out of range for %q/%d", col, r.name, r.arity))
@@ -368,11 +380,51 @@ func (r *Relation) buildIndex(cols []int) {
 		}
 		return
 	}
-	ix := &r.indexes[len(r.indexes)-1]
-	ix.next = make([]int32, 0, r.Len()) // the backfill is sized once
-	for row := int32(0); row < int32(r.Len()); row++ {
+	if !r.lazy {
+		r.catchUp(&r.indexes[len(r.indexes)-1])
+	}
+}
+
+// EnsureIndex links the rows the index over cols (ascending) lacks, in order,
+// into links sized once: its chains are then those of an index maintained on
+// every append. Physical relations ensure per bucket; a current index or no
+// registration costs nothing. Only the relation's mutating goroutine calls it.
+func (r *Relation) EnsureIndex(cols []int) {
+	if r.subs != nil {
+		for _, s := range r.subs {
+			s.EnsureIndex(cols)
+		}
+	} else if ix := r.indexOn(cols); ix != nil {
+		r.catchUp(ix)
+	}
+}
+
+// EnsureIndexes is EnsureIndex for every registered index.
+func (r *Relation) EnsureIndexes() {
+	for i := range r.indexes {
+		r.EnsureIndex(r.indexes[i].cols)
+	}
+}
+
+// catchUp links the rows of a single-slab relation that ix does not link yet.
+func (r *Relation) catchUp(ix *chainIndex) {
+	n := r.Len()
+	if len(ix.next) == n {
+		return
+	}
+	ix.reserve(n)
+	for row := int32(len(ix.next)); row < int32(n); row++ {
 		ix.add(r.arena, r.arity, row)
 	}
+}
+
+// current reports whether ix links every row of the single-slab relation.
+func (r *Relation) current(ix *chainIndex) bool { return len(ix.next)*r.arity == len(r.arena) }
+
+// stale panics for a probe of an index that misses rows (EnsureIndex).
+func (r *Relation) stale(op string, ix *chainIndex) {
+	panic(fmt.Sprintf("storage: %s on %q: its index on %v links %d of %d rows (EnsureIndex)",
+		op, r.name, ix.cols, len(ix.next), r.Len()))
 }
 
 // indexOn returns the index over exactly the ascending set cols, or nil.
@@ -403,10 +455,14 @@ func (r *Relation) IndexedColumns() []int {
 // Probe returns the chain of rows whose column col equals v. ok is false if no
 // index is registered on col — including on a physically sharded relation,
 // whose row ids are bucket-local: executors take the PhysSubs path there, and
-// a caller that does not degrades to a filtered scan, which stays correct.
+// a caller that does not degrades to a filtered scan, which stays correct. A
+// stale index panics (EnsureIndex).
 func (r *Relation) Probe(col int, v Value) (Chain, bool) {
 	for i := range r.indexes {
 		if ix := &r.indexes[i]; len(ix.cols) == 1 && ix.cols[0] == col && r.subs == nil {
+			if !r.current(ix) {
+				r.stale("Probe", ix)
+			}
 			return ix.probe1(r.arena, r.arity, v), true
 		}
 	}
@@ -523,10 +579,13 @@ func (r *Relation) reindexRows() {
 }
 
 // indexRow enters arena row `row`, whose content is t, into the registered
-// histograms and indexes.
+// histograms and, except on a delta, indexes.
 func (r *Relation) indexRow(t []Value, row int32) {
 	if r.histograms != nil {
 		r.histInsert(t)
+	}
+	if r.lazy {
+		return
 	}
 	for i := range r.indexes {
 		r.indexes[i].add(r.arena, r.arity, row)
