@@ -45,9 +45,9 @@
 //   - The semi-naive fixpoint driver evaluates the independent rules of
 //     each iteration concurrently on a bounded, GOMAXPROCS-aware worker
 //     pool (core.Options.ParallelUnions / Workers): workers share the
-//     iteration-frozen catalog read-only, sink derivations into private
-//     delta buffers, and the buffers are folded through the sinks' Emit at
-//     the iteration barrier. ParallelUnions=false is the sequential fallback.
+//     iteration-frozen catalog read-only, append derivations to private
+//     append-only lists, and the barrier folds the lists through the sinks'
+//     Emit. ParallelUnions=false is the sequential fallback.
 //
 // # The sharded catalog
 //
@@ -69,8 +69,8 @@
 //     task per delta bucket: a task's plan copy restricts the subquery's
 //     delta read to its bucket (exact bucket lists on the scan fast path,
 //     per-row hash otherwise), tasks with empty buckets are skipped via the
-//     O(1) per-shard cardinality statistic, and the per-worker delta
-//     buffers merge at the same iteration barrier as before. The union of
+//     O(1) per-shard cardinality statistic, and the per-worker lists
+//     merge at the same iteration barrier as before. The union of
 //     the buckets is exactly the delta (FuzzShardRouting), so the fan-out
 //     derives the same fixpoint — a differential harness in internal/core
 //     checks every engine configuration against the sequential baseline.
@@ -85,8 +85,8 @@
 //
 // # The delta merge and adaptive fan-out
 //
-// The parallel fan-out has every worker derive into a private buffer and
-// folds the buffers at an iteration barrier; a static fan-out also taxed
+// The parallel fan-out has every worker derive into a private list and
+// folds the lists at an iteration barrier; a static fan-out also taxed
 // the small-delta tail iterations every recursive query ends in. Two layers
 // decide what that costs:
 //
@@ -112,7 +112,8 @@
 //     to δ′, a list with no table of its own; SwapClear publishes the staged
 //     rows (chains, bucket views, histograms) without probing again. On the
 //     sequential path each new fact is hashed and probed once (the pool
-//     adds its workers' test against the frozen Derived and their buffers').
+//     adds its workers' test against the frozen Derived — twice — and the
+//     worker list's repeat filter, below).
 //     Join indexes are one
 //     structure in the same spirit (storage/chainindex.go), whether over one
 //     column or a column set: an open-addressing table with one keyless
@@ -144,26 +145,36 @@
 //     transitions preserve the totals exactly (the shard-drift regression
 //     test pins all three layouts to one number).
 //
-//   - internal/interp folds the workers' buffers at the iteration barrier
-//     through the sinks' Emit, in predicate and worker order: one probe of
-//     Derived per buffered row deduplicates across workers and counts the
-//     derivation (Stats.MergeTasks adds the pool size at every pooled
-//     barrier: the workers whose buffers it folded). The fold is
-//     sequential because deduplication happens in Derived's one row table;
-//     a bucketed fold would have only δ′'s appends to split.
-//     Each worker's buffer keeps a row table: it drops the worker's own
-//     repeats before they reach the barrier, where a rule that finds one
-//     fact many times over (CSPA's) would otherwise carry every repeat.
-//     Worker buffers recycle through a per-Interp free list with capacity
-//     retained (storage.Relation.ClearRetain), so steady-state iterations
-//     allocate nothing.
+//   - internal/interp folds the workers' output at the iteration barrier
+//     through the sinks' Emit, in task order whichever worker ran a task,
+//     so δ′'s row order does not depend on scheduling: one probe of Derived
+//     per listed row deduplicates — within a worker, across workers and
+//     against the iteration's other finds — and counts the derivation
+//     (Stats.MergeTasks adds the pool size at every pooled barrier). The
+//     fold is sequential because deduplication happens in Derived's one row
+//     table; a bucketed fold would have only δ′'s appends to split.
+//     A worker's output is an append-only interp.RowList per predicate,
+//     with no row table, in fixed-size chunks taken from a per-Interp free
+//     list: a list never copies as it grows, each task's rows are recorded
+//     as a segment of its worker's list, and every chunk returns to the
+//     free list at the barrier, so an iteration no larger than an earlier
+//     one allocates nothing. A list is not a set, but it keeps a repeat
+//     filter in one more chunk — the positions of recently appended rows,
+//     four to a hash set — that drops most of a worker's repeats before
+//     they reach the sequential fold: CSPA's rules find each new fact about
+//     twenty times over, and the filter keeps nine in ten of those finds
+//     off the barrier, where TC, whose finds are nearly all distinct, pays
+//     its chunk and a hash per find. Dropping a row equal to one the worker
+//     listed earlier cannot move a first occurrence: a worker takes its
+//     tasks in task order. Retraction's pooled over-delete rounds write the
+//     same lists, unfiltered, and commit them in plan order.
 //
 //   - One fan-out policy decides every parallel iteration, whether the run
 //     is parallel through core.Options.ParallelUnions or Shards > 1: the
 //     fixpoint driver reads the live delta statistics (total delta and
 //     occupied buckets, O(1) through stats.Catalog.ShardCard) and runs an
 //     iteration whose total delta is under core.Options.FanoutThreshold
-//     (default 256) on the sequential path — no tasks, no buffers, no merge,
+//     (default 256) on the sequential path — no tasks, no lists, no merge,
 //     the small-delta tail every recursive query ends in — while a larger
 //     one gets one task per ~threshold/4 delta rows, capped at 4x the worker
 //     count, the occupied buckets and Shards, each task a contiguous bucket
@@ -194,8 +205,8 @@
 //     interp.ShardCompiler): entry points take the same contiguous
 //     [shard, shard+span) restriction chooseFanout hands interpreted tasks,
 //     thread all mutable state through per-invocation frames so distinct
-//     workers run one unit concurrently, and write derivations into the
-//     worker's private buffers, which the merge barrier folds through the
+//     workers run one unit concurrently, and append derivations to the
+//     worker's private lists, which the merge barrier folds through the
 //     sinks' Emit — exactly the fold interpretation uses;
 //
 //   - task units live in the Program-lifetime store under rule-subtree

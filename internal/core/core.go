@@ -457,11 +457,11 @@ type Options struct {
 	// Zero means no limit.
 	Timeout time.Duration
 	// ParallelUnions evaluates each iteration's independent rules
-	// concurrently on a bounded worker pool with per-worker delta buffers
+	// concurrently on a bounded worker pool with per-worker append-only lists
 	// merged at iteration barriers — the parallelization the Known/New delta
 	// split enables (§V-D). Each iteration decides its own fan-out from the
 	// live delta statistics: one whose total delta is under FanoutThreshold
-	// runs on the sequential path (no task spawn, no buffer merge — the
+	// runs on the sequential path (no task spawn, no list merge — the
 	// small-delta tail every recursive query ends in), a larger one sizes its
 	// task count to the delta volume, the worker count and, under Shards,
 	// the occupied buckets. With a JIT backend attached the pool's tasks run
@@ -485,8 +485,9 @@ type Options struct {
 	// (storage.Relation.PhysSubs) and the pool's tasks run
 	// span-parameterized compiled units when a JIT is attached, so sharded
 	// + JIT runs keep the physical store instead of degrading to the row-id
-	// view. Worker buffers fold at each iteration barrier through the
-	// sinks' Emit, sequentially: one probe of Derived per buffered row.
+	// view. Worker lists fold at each iteration barrier through the sinks'
+	// Emit, sequentially and in task order: one probe of Derived per listed
+	// row, the pool's only exact deduplication.
 	Shards int
 	// AdaptiveFanout's one remaining effect is to select an 8-way partition
 	// (and with it a parallel run) when Shards is unset: every parallel run

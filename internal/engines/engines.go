@@ -152,7 +152,7 @@ func RunCaracSharded(b *analysis.Built, shards, workers int, timeout time.Durati
 // RunCaracAdaptiveJIT is RunCaracSharded with a JIT attached: the fan-out's
 // bucket-span tasks execute span-parameterized compiled units over the
 // physically sharded delta store (bucket-local reads, race-free per-worker
-// buffer writes, one merge barrier), while small-delta tail iterations run
+// list appends, one merge barrier), while small-delta tail iterations run
 // compiled sequentially — the fan-out × compilation interaction the paper's
 // adaptive claim is about, measured end to end.
 func RunCaracAdaptiveJIT(b *analysis.Built, shards, workers int, timeout time.Duration) (*Report, error) {

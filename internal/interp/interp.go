@@ -49,7 +49,7 @@ type Yielder interface {
 // evaluates the rule's subqueries with each delta read restricted to the
 // contiguous bucket range [shard, shard+span) of an nshards-way partition
 // (span <= 0 or nshards <= 1 evaluates the whole delta), writing derivations
-// through DerivationSink — the worker's private delta buffer under the
+// through DerivationSink — the worker's private append-only list under the
 // parallel pool, the predicate's Emit otherwise. Units resolve
 // relations and their partition layout at invocation time (SwapClear swaps
 // relation structs between iterations), carry no mutable compile-time state,
@@ -84,7 +84,7 @@ type Stats struct {
 	Reopts        int64 // drift-triggered join-order re-optimizations
 	Compiled      int64 // subtrees executed via a Controller thunk
 	SeqIters      int64 // parallel-run iterations the fan-out decision ran on the sequential path
-	MergeTasks    int64 // workers whose delta buffers a merge barrier folded: the pool size, per pooled barrier
+	MergeTasks    int64 // workers whose lists a merge barrier folded: the pool size, per pooled barrier
 	EstimatedRows int64 // summed histogram-based join-size estimates recorded at plan builds
 	Retracted     int64 // rows physically removed by retraction batches (seeds + over-deletes that stayed dead)
 	Rederived     int64 // over-deleted rows resurrected by the DRed rederivation round
@@ -102,11 +102,11 @@ type Interp struct {
 	// Parallel evaluates the independent rules of each DoWhile iteration
 	// concurrently on a bounded worker pool — sound because the delta split
 	// makes readers (Derived, DeltaKnown) frozen for the iteration and each
-	// worker writes only its private delta buffer, folded through the
+	// worker appends only to its private lists, folded through the
 	// predicates' Emit at the iteration barrier (§V-D). Every iteration
 	// decides its own fan-out from the live delta statistics (chooseFanout):
 	// an iteration whose total delta is under FanoutThreshold runs on the
-	// sequential path (no task spawn, no worker buffers, no merge), so
+	// sequential path (no task spawn, no worker lists, no merge), so
 	// fixpoint tails — many iterations, tiny deltas — pay no parallelism tax.
 	// Honored without a Controller, or with one implementing ShardCompiler
 	// (the JIT's controller does: pool tasks then run span-parameterized
@@ -177,9 +177,9 @@ type Interp struct {
 	// spawned by parallel rule evaluation.
 	cancelHook func() bool
 	// bufSink, when non-nil, redirects subquery derivations into a private
-	// per-worker buffer relation instead of the sink's Emit (parallel rule
-	// evaluation; folded at the iteration barrier).
-	bufSink func(pred storage.PredID) *storage.Relation
+	// per-worker list instead of the sink's Emit (parallel rule evaluation;
+	// folded at the iteration barrier).
+	bufSink func(pred storage.PredID) *RowList
 	// shard/shardSpan/shardTotal restrict this (sub-)interpreter's subquery
 	// executions to the contiguous bucket range [shard, shard+shardSpan) of
 	// each delta relation's shardTotal-way partition; shardTotal == 0 means
@@ -187,14 +187,16 @@ type Interp struct {
 	shard      int
 	shardSpan  int
 	shardTotal int
-	// workers holds the lazily built pool state of runLoopParallel.
+	// workers holds the lazily built pool state of runLoopParallel and
+	// runRetractPlans.
 	workers []*workerState
-	// bufMu guards bufFree, the per-Interp free list of worker delta buffer
-	// relations keyed by arity: buffers are released here (capacity intact)
-	// at every merge barrier and reacquired by whichever worker next derives
-	// into the predicate, so steady-state iterations allocate nothing.
-	bufMu   sync.Mutex
-	bufFree map[int][]*storage.Relation
+	// chunks is the free list the workers' output lists take their chunks
+	// from; every chunk comes back at the barrier, so an iteration no larger
+	// than an earlier one allocates nothing.
+	chunks chunkPool
+	// taskSegs holds, per task of the running batch, the segments of the
+	// workers' lists it wrote: the barrier folds them in task order.
+	taskSegs [][]segment
 	// fanBuckets is driver-owned scratch the fan-out decision reuses across
 	// iterations (it runs at a sequential point).
 	fanBuckets []bool
@@ -277,13 +279,13 @@ func New(cat *storage.Catalog, ctrl Controller) *Interp {
 }
 
 // NewBuffered returns an interpreter whose subquery derivations are
-// redirected into the relations sink hands out per predicate instead of the
-// predicates' Emit — the worker shape of the parallel pool (set difference
-// against Derived still applies; deduplication across buffers and
-// derivation counting happen when the caller folds each buffered row
-// through PredicateDB.Emit). Exposed for drivers and tests that execute
-// compiled ShardUnits outside the built-in pool.
-func NewBuffered(cat *storage.Catalog, sink func(pred storage.PredID) *storage.Relation) *Interp {
+// appended to the lists sink hands out per predicate instead of going
+// through the predicates' Emit — the worker shape of the parallel pool (set
+// difference against Derived and the list's repeat filter still apply;
+// exact deduplication and derivation counting happen when the caller folds
+// each listed row through PredicateDB.Emit). Exposed for drivers and tests that execute compiled
+// ShardUnits outside the built-in pool.
+func NewBuffered(cat *storage.Catalog, sink func(pred storage.PredID) *RowList) *Interp {
 	return &Interp{Cat: cat, bufSink: sink}
 }
 
@@ -395,13 +397,13 @@ func (in *Interp) shardCtrl() ShardCompiler {
 	return nil
 }
 
-// DerivationSink returns the relation subquery derivations for pred must be
-// written to in this (sub-)interpreter's context: the worker's private delta
-// buffer under parallel buffered evaluation, or nil when derivations go
-// through the predicate's Emit (counted into Stats.Derivations when new).
-// Compiled ShardUnits consult it so their emits feed the same merge barrier
-// the interpreted tasks feed.
-func (in *Interp) DerivationSink(pred storage.PredID) *storage.Relation {
+// DerivationSink returns the list subquery derivations for pred must be
+// appended to in this (sub-)interpreter's context: the worker's private list
+// under parallel buffered evaluation, or nil when derivations go through the
+// predicate's Emit (counted into Stats.Derivations when new). Compiled
+// ShardUnits consult it so their emits feed the same merge barrier the
+// interpreted tasks feed.
+func (in *Interp) DerivationSink(pred storage.PredID) *RowList {
 	if in.bufSink == nil {
 		return nil
 	}
@@ -650,7 +652,7 @@ func (in *Interp) execSPJ(spj *ir.SPJOp) error {
 	run := func() {
 		if in.bufSink != nil {
 			// Parallel rule evaluation: derivations land in this worker's
-			// private buffer and are counted at the merge barrier.
+			// private list and are counted at the merge barrier.
 			runPlanBuffered(plan, in.Cat, in.bufSink(plan.Sink))
 		} else {
 			in.Stats.Derivations += RunPlan(plan, in.Cat)
@@ -671,13 +673,13 @@ func (in *Interp) execSPJ(spj *ir.SPJOp) error {
 	return nil
 }
 
-// workerState is the persistent per-worker state of the parallel rule pool:
-// a sub-interpreter (sharing the read-only catalog and the plan cache) and
-// the private delta buffers its derivations land in between barriers.
+// workerState is the persistent per-worker state of the parallel pools: a
+// sub-interpreter (sharing the read-only catalog and the plan cache) and the
+// private lists its derivations land in between barriers.
 type workerState struct {
-	sub  *Interp
-	bufs map[storage.PredID]*storage.Relation
-	err  error
+	sub *Interp
+	out workerOut
+	err error
 }
 
 // workerCount resolves the configured pool bound: Workers, or GOMAXPROCS
@@ -706,55 +708,35 @@ func (in *Interp) ensureWorkers(n int) {
 			// No Reopt: a task may not reorder a subquery its sibling tasks
 			// are reading; the coordinator does it before the fan-out
 			// (reoptStale).
-			sub:  &Interp{Cat: in.Cat, Plans: in.Plans, Estimate: in.Estimate, cancelHook: in.Cancelled},
-			bufs: make(map[storage.PredID]*storage.Relation),
+			sub: &Interp{Cat: in.Cat, Plans: in.Plans, Estimate: in.Estimate, cancelHook: in.Cancelled},
 		}
-		ws.sub.bufSink = func(pid storage.PredID) *storage.Relation {
-			r := ws.bufs[pid]
-			if r == nil {
-				r = in.acquireBuf(in.Cat.Pred(pid))
-				ws.bufs[pid] = r
-			}
-			return r
+		ws.sub.bufSink = func(pid storage.PredID) *RowList {
+			return ws.out.sink(pid, in.Cat.Pred(pid).Arity, &in.chunks)
 		}
 		in.workers = append(in.workers, ws)
 	}
 }
 
-// acquireBuf hands out a worker delta buffer for the predicate: a recycled
-// relation from the per-Interp free list when one of the right arity is
-// available (capacity — arena, row table — intact from a previous
-// iteration), a fresh one otherwise. A buffer is a set: its own row table
-// drops a worker's repeats before they reach the barrier. Called from pool
-// workers; the free list is mutex-guarded, one lock operation per
-// worker×predicate per iteration.
-func (in *Interp) acquireBuf(pd *storage.PredicateDB) *storage.Relation {
-	in.bufMu.Lock()
-	defer in.bufMu.Unlock()
-	if list := in.bufFree[pd.Arity]; len(list) > 0 {
-		in.bufFree[pd.Arity] = list[:len(list)-1]
-		return list[len(list)-1]
+// startTasks readies the per-task segment slots for a batch of n tasks.
+func (in *Interp) startTasks(n int) [][]segment {
+	for len(in.taskSegs) < n {
+		in.taskSegs = append(in.taskSegs, nil)
 	}
-	return storage.NewRelation(pd.Name+"~buf", pd.Arity)
+	for i := range n {
+		in.taskSegs[i] = in.taskSegs[i][:0]
+	}
+	return in.taskSegs[:n]
 }
 
-// releaseBuffers empties every worker's delta buffers (capacity retained)
-// back onto the free list. Runs at the merge barrier, after the pool has
-// quiesced.
-func (in *Interp) releaseBuffers(w int) {
-	in.bufMu.Lock()
-	if in.bufFree == nil {
-		in.bufFree = make(map[int][]*storage.Relation)
+// endTasks folds the batch's rows through f in task order and gives every
+// one of the w workers' chunks back to the free list: the barrier.
+func (in *Interp) endTasks(segs [][]segment, w int, f func(pred storage.PredID, row []storage.Value)) {
+	if f != nil {
+		foldSegments(segs, f)
 	}
-	for i := 0; i < w; i++ {
-		ws := in.workers[i]
-		for pid, buf := range ws.bufs {
-			buf.ClearRetain()
-			in.bufFree[buf.Arity()] = append(in.bufFree[buf.Arity()], buf)
-			delete(ws.bufs, pid)
-		}
+	for _, ws := range in.workers[:w] {
+		ws.out.release()
 	}
-	in.bufMu.Unlock()
 }
 
 // shardTask is one unit of parallel work: a rule, restricted to a
@@ -771,7 +753,7 @@ type shardTask struct {
 
 // DefaultFanoutThreshold is the sequential-path delta bound of the fan-out
 // decision: iterations with fewer total delta tuples than this run in place,
-// since at that size the per-task scheduling plus buffer-merge overhead
+// since at that size the per-task scheduling plus list-merge overhead
 // exceeds the join work itself on every workload measured.
 const DefaultFanoutThreshold = 256
 
@@ -779,7 +761,7 @@ const DefaultFanoutThreshold = 256
 // of the loop's predicates — total delta cardinality and per-bucket
 // occupancy, O(1) reads via stats.Catalog.ShardCard — and returns the number
 // of tasks per rule: 0 runs the iteration on the sequential path (no tasks,
-// no buffers, no merge), 1 is rule-granular parallelism, more hands each
+// no lists, no merge), 1 is rule-granular parallelism, more hands each
 // task a contiguous span of buckets. An iteration under the threshold runs
 // sequentially; a larger one gets one task per ~threshold/4 delta rows,
 // never more than 4x the pool (diminishing balance returns), the occupied
@@ -836,16 +818,16 @@ func (in *Interp) chooseFanout(n *ir.DoWhileOp) int {
 // each rule additionally fans out as tasks over delta bucket spans, so a
 // single large rule saturates the pool instead of serializing the
 // iteration. Every worker reads only Derived/DeltaKnown relations — frozen
-// for the duration of the iteration — and writes only its own private delta
-// buffers, so the fan-out is race-free by construction; the buffers are
-// folded through the predicates' Emit (one probe of Derived deduplicating
-// across workers) at the iteration barrier, and SwapClearOps stay
-// sequential there.
+// for the duration of the iteration — and appends only to its own private
+// lists, so the fan-out is race-free by construction; the lists are folded
+// through the predicates' Emit (one probe of Derived, the only exact
+// deduplication) at the iteration barrier, and SwapClearOps stay sequential
+// there.
 //
 // The task count is re-decided every iteration from the live delta
 // statistics (chooseFanout), and small-delta iterations bypass the machinery
 // entirely: they interpret the body in place exactly like the sequential
-// driver, spawning no tasks and touching no buffers.
+// driver, spawning no tasks and touching no lists.
 func (in *Interp) runLoopParallel(n *ir.DoWhileOp) error {
 	var pending []shardTask
 	for {
@@ -931,6 +913,7 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 			in.Cat.Pred(pid).DeltaKnown.EnsureIndexes()
 		}
 		in.ensureWorkers(w)
+		segs := in.startTasks(len(*pending))
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for i := 0; i < w; i++ {
@@ -945,33 +928,33 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 						return
 					}
 					t := (*pending)[ti]
+					var err error
 					if t.unit != nil {
 						// Compiled task body: the unit applies the task's
 						// bucket-span restriction itself and emits through
-						// the worker's DerivationSink buffers.
+						// the worker's DerivationSink lists.
 						ws.sub.Stats.Compiled++
-						if err := t.unit(ws.sub, t.shard, t.span, nshards); err != nil {
-							ws.err = err
-							return
-						}
-						continue
-					}
-					ws.sub.shard = t.shard
-					ws.sub.shardSpan = t.span
-					if t.span > 0 {
-						ws.sub.shardTotal = nshards
+						err = t.unit(ws.sub, t.shard, t.span, nshards)
 					} else {
-						ws.sub.shardTotal = 0
+						ws.sub.shard = t.shard
+						ws.sub.shardSpan = t.span
+						if t.span > 0 {
+							ws.sub.shardTotal = nshards
+						} else {
+							ws.sub.shardTotal = 0
+						}
+						err = ws.sub.interpret(t.rule)
 					}
-					if err := ws.sub.interpret(t.rule); err != nil {
+					if err != nil {
 						ws.err = err
 						return
 					}
+					segs[ti] = ws.out.endTask(segs[ti])
 				}
 			}()
 		}
 		wg.Wait()
-		return in.mergeWorkers(w)
+		return in.mergeWorkers(segs, w)
 	}
 	for _, c := range n.Body {
 		if ua, ok := c.(*ir.UnionAllOp); ok {
@@ -1029,16 +1012,16 @@ func (in *Interp) reoptStale(tasks []shardTask) {
 	}
 }
 
-// mergeWorkers folds every worker's private delta buffers into the sinks
-// through PredicateDB.Emit — staging each new row in Derived, which is also
-// what deduplicates across workers — counting derivations exactly like the
-// sequential sink, and accumulates worker execution counters. Runs at the
-// iteration barrier, in predicate and worker order, so δ′'s row order does
-// not depend on scheduling; every buffer returns to the free list.
-func (in *Interp) mergeWorkers(w int) error {
+// mergeWorkers folds the rows the tasks wrote into the workers' lists into
+// the sinks through PredicateDB.Emit — staging each new row in Derived, the
+// pool's only exact deduplication, as it is the sequential path's — counting
+// derivations exactly like the sequential sink, and accumulates worker
+// execution counters. Runs at the iteration barrier and folds in task order,
+// whichever worker ran a task, so δ′'s row order does not depend on
+// scheduling; every chunk returns to the free list.
+func (in *Interp) mergeWorkers(segs [][]segment, w int) error {
 	var firstErr error
-	for i := 0; i < w; i++ {
-		ws := in.workers[i]
+	for _, ws := range in.workers[:w] {
 		if ws.err != nil && firstErr == nil {
 			firstErr = ws.err
 		}
@@ -1050,25 +1033,16 @@ func (in *Interp) mergeWorkers(w int) error {
 		in.Stats.EstimatedRows += s.EstimatedRows
 		ws.sub.Stats = Stats{}
 	}
+	var emit func(storage.PredID, []storage.Value)
 	if firstErr == nil {
 		in.Stats.MergeTasks += int64(w)
-		for pid := storage.PredID(0); int(pid) < in.Cat.NumPreds(); pid++ {
-			sink := in.Cat.Pred(pid)
-			for i := 0; i < w; i++ {
-				buf := in.workers[i].bufs[pid]
-				if buf == nil {
-					continue
-				}
-				buf.Each(func(row []storage.Value) bool {
-					if sink.Emit(row) {
-						in.Stats.Derivations++
-					}
-					return true
-				})
+		emit = func(pred storage.PredID, row []storage.Value) {
+			if in.Cat.Pred(pred).Emit(row) {
+				in.Stats.Derivations++
 			}
 		}
 	}
-	in.releaseBuffers(w)
+	in.endTasks(segs, w, emit)
 	return firstErr
 }
 
@@ -1113,16 +1087,17 @@ func RunPlan(p *Plan, cat *storage.Catalog) int64 {
 	return derived
 }
 
-// runPlanBuffered executes the plan with derivations landing in a private
-// buffer relation instead of the sink's Emit (parallel rule evaluation).
-// Set difference against the iteration-frozen Derived still applies here to
-// keep buffers small; duplicate elimination across workers and against the
-// iteration's other finds happens at the merge barrier.
-func runPlanBuffered(p *Plan, cat *storage.Catalog, buf *storage.Relation) {
+// runPlanBuffered executes the plan with derivations appended to a private
+// list instead of going through the sink's Emit (parallel rule evaluation).
+// Set difference against the iteration-frozen Derived and the list's repeat
+// filter (AppendNew) still apply here to keep lists short; exact duplicate
+// elimination — within the list, across workers and against the iteration's
+// other finds — happens at the merge barrier.
+func runPlanBuffered(p *Plan, cat *storage.Catalog, buf *RowList) {
 	sink := cat.Pred(p.Sink)
 	runPlanWith(p, cat, func(t []storage.Value) {
 		if !sink.Derived.Contains(t) {
-			buf.Insert(t)
+			buf.AppendNew(t)
 		}
 	})
 }

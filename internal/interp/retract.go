@@ -48,8 +48,8 @@ import (
 //
 // A round's plans fan out across the worker pool like an iteration's
 // subqueries: readers and the doomed bitset are frozen for the round, each
-// task fills a private buffer, and the barrier commits the buffers in plan
-// order, so the doom order does not depend on scheduling.
+// task appends to its worker's lists (RowList), and the barrier commits the
+// rows in plan order, so the doom order does not depend on scheduling.
 
 // Doomed is an over-delete closure, valid until Derived is mutated.
 type Doomed struct {
@@ -237,9 +237,9 @@ func (in *Interp) retractPlans(variants []*ir.SPJOp) ([]*Plan, error) {
 // runRetractPlans executes one round's plans and passes every emitted head to
 // commit, in plan order. With parallel execution configured the plans fan out
 // across the worker pool — sound as iteration fan-out is: Derived and
-// DeltaKnown are frozen for the round — each task buffering the heads that
+// DeltaKnown are frozen for the round — each task appending the heads that
 // pass keep (nil keeps all; it may only read state the round leaves alone)
-// in a private flat slice, committed at the barrier.
+// to its worker's lists, committed at the barrier in plan order.
 func (in *Interp) runRetractPlans(plans []*Plan, keep func(storage.PredID, []storage.Value) bool, commit func(storage.PredID, []storage.Value)) error {
 	workers := 1
 	if in.Parallel {
@@ -250,29 +250,28 @@ func (in *Interp) runRetractPlans(plans []*Plan, keep func(storage.PredID, []sto
 			p.Execute(in.Cat, func(head, _ []storage.Value) { commit(p.Sink, head) })
 		}
 	} else {
-		bufs := make([][]storage.Value, len(plans))
+		in.ensureWorkers(workers)
+		segs := in.startTasks(len(plans))
 		var next atomic.Int32
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, ws := range in.workers[:workers] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
 					p := plans[i]
+					out := ws.out.sink(p.Sink, len(p.Head), &in.chunks)
 					p.Execute(in.Cat, func(head, _ []storage.Value) {
 						if keep == nil || keep(p.Sink, head) {
-							bufs[i] = append(bufs[i], head...)
+							out.Append(head)
 						}
 					})
+					segs[i] = ws.out.endTask(segs[i])
 				}
 			}()
 		}
 		wg.Wait()
-		for i, buf := range bufs {
-			for ar := len(plans[i].Head); len(buf) > 0; buf = buf[ar:] {
-				commit(plans[i].Sink, buf[:ar])
-			}
-		}
+		in.endTasks(segs, workers, commit)
 	}
 	if in.Cancelled() {
 		return ErrCancelled

@@ -1,0 +1,146 @@
+package interp
+
+import (
+	"testing"
+
+	"carac/internal/storage"
+)
+
+// TestRowListChunks appends across chunk boundaries at arities 1–4 and reads
+// the rows back in append order, whole and by segment; at the barrier every
+// chunk goes back to the free list, and a second fill of the same size takes
+// no new chunk.
+func TestRowListChunks(t *testing.T) {
+	for arity := 1; arity <= 4; arity++ {
+		var pool chunkPool
+		per := chunkValues / arity
+		n := 2*per + per/2 // three chunks, the last half full
+		row := func(i int) []storage.Value {
+			r := make([]storage.Value, arity)
+			for c := range r {
+				r[c] = storage.Value(i*arity + c)
+			}
+			return r
+		}
+		var out workerOut
+		for fill := 0; fill < 2; fill++ {
+			l := out.sink(storage.PredID(arity), arity, &pool)
+			for i := 0; i < n; i++ {
+				l.Append(row(i))
+			}
+			if l.Len() != n {
+				t.Fatalf("arity %d: Len %d, want %d", arity, l.Len(), n)
+			}
+			i := 0
+			l.Each(func(r []storage.Value) bool {
+				for c, v := range r {
+					if v != row(i)[c] {
+						t.Fatalf("arity %d: row %d reads %v, want %v", arity, i, r, row(i))
+					}
+				}
+				i++
+				return true
+			})
+			if i != n {
+				t.Fatalf("arity %d: Each visited %d rows, want %d", arity, i, n)
+			}
+			// Two tasks' segments, split inside the second chunk.
+			seg := out.endTask(nil)
+			if len(seg) != 1 || seg[0].lo != 0 || seg[0].hi != n {
+				t.Fatalf("arity %d: segment %+v, want [0, %d)", arity, seg, n)
+			}
+			seg[0].hi = per + 3
+			rest := segment{pred: seg[0].pred, list: l, lo: per + 3, hi: n}
+			i = 0
+			foldSegments([][]segment{seg, {rest}}, func(_ storage.PredID, r []storage.Value) {
+				if r[0] != row(i)[0] {
+					t.Fatalf("arity %d: fold row %d reads %v, want %v", arity, i, r, row(i))
+				}
+				i++
+			})
+			if i != n {
+				t.Fatalf("arity %d: fold visited %d rows, want %d", arity, i, n)
+			}
+			out.release()
+			// Three chunks free after the second fill too: it took the
+			// first fill's.
+			if len(pool.free) != 3 {
+				t.Fatalf("arity %d fill %d: %d chunks free, want 3", arity, fill, len(pool.free))
+			}
+			if l.Len() != 0 {
+				t.Fatalf("arity %d: released list holds %d rows", arity, l.Len())
+			}
+		}
+	}
+}
+
+// TestRowListTaskOrder: segments credit each task with the rows it appended,
+// so tasks that two workers interleave fold in task order.
+func TestRowListTaskOrder(t *testing.T) {
+	var pool chunkPool
+	var a, b workerOut
+	segs := make([][]segment, 4)
+	// Worker a runs tasks 3 and 0, worker b tasks 1 and 2 (task 2 derives
+	// nothing).
+	for _, task := range []struct {
+		w  *workerOut
+		ti int
+	}{{&a, 3}, {&b, 1}, {&a, 0}, {&b, 2}} {
+		if task.ti != 2 {
+			task.w.sink(0, 1, &pool).Append([]storage.Value{storage.Value(task.ti)})
+			task.w.sink(0, 1, &pool).Append([]storage.Value{storage.Value(task.ti)})
+		}
+		segs[task.ti] = task.w.endTask(segs[task.ti])
+	}
+	var got []storage.Value
+	foldSegments(segs, func(_ storage.PredID, r []storage.Value) { got = append(got, r[0]) })
+	want := []storage.Value{0, 0, 1, 1, 3, 3}
+	if len(got) != len(want) {
+		t.Fatalf("folded %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("folded %v, want %v", got, want)
+		}
+	}
+}
+
+// TestRowListAppendNew: the repeat filter drops a row appended again while
+// its set still remembers it, never drops a new row — also once there are
+// more rows than slots — and its chunk goes back to the free list with the
+// list's, so a second fill takes no new chunk.
+func TestRowListAppendNew(t *testing.T) {
+	var pool chunkPool
+	const n = 3 * chunkValues // rows: three times the filter's slots
+	chunks := n/(chunkValues/2) + 1
+	for fill := 0; fill < 2; fill++ {
+		l := newRowList(2, &pool)
+		for i := 0; i < n; i++ {
+			r := []storage.Value{storage.Value(i), storage.Value(i / 7)}
+			if !l.AppendNew(r) {
+				t.Fatalf("fill %d: new row %v dropped", fill, r)
+			}
+			if l.AppendNew(r) {
+				t.Fatalf("fill %d: repeat of %v appended", fill, r)
+			}
+		}
+		if last := []storage.Value{n - 1, (n - 1) / 7}; l.AppendNew(last) {
+			t.Fatalf("fill %d: repeat of the last row appended", fill)
+		}
+		if l.Len() != n {
+			t.Fatalf("fill %d: Len %d, want %d", fill, l.Len(), n)
+		}
+		i := 0
+		l.Each(func(r []storage.Value) bool {
+			if r[0] != storage.Value(i) || r[1] != storage.Value(i/7) {
+				t.Fatalf("fill %d: row %d reads %v", fill, i, r)
+			}
+			i++
+			return true
+		})
+		l.release()
+		if len(pool.free) != chunks {
+			t.Fatalf("fill %d: %d chunks free, want %d (the rows' and the filter's)", fill, len(pool.free), chunks)
+		}
+	}
+}

@@ -18,8 +18,8 @@
 // parallel sharded driver (core.Options.Shards with a JIT attached) each
 // iteration's bucket-span tasks run span-parameterized compiled units over
 // the physically sharded delta store — bucket-local scans and probes, with
-// derivations buffered per worker and folded at the merge barrier through
-// the sinks' Emit — so attaching a JIT does not forfeit the sharded
+// derivations appended to per-worker lists and folded at the merge barrier
+// through the sinks' Emit — so attaching a JIT does not forfeit the sharded
 // execution machinery.
 package jit
 

@@ -14,7 +14,7 @@
 // delta step's span restriction narrows the iteration to the task's bucket
 // range instead of hashing every row. Derivations flow through
 // interp.Interp.DerivationSink: under the parallel pool that is the
-// worker's private buffer relation, folded by the merge barrier through the
+// worker's private append-only list, folded by the merge barrier through the
 // sink's PredicateDB.Emit; standalone invocations emit directly.
 package lambda
 
@@ -76,6 +76,11 @@ type sframe struct {
 	// resolved per invocation for the row-hash fallback.
 	shard, span, total int
 	keyCol             int
+
+	// The sink, resolved per invocation: its predicate and the list the
+	// emit appends to (nil outside the pool).
+	sinkPD   *storage.PredicateDB
+	sinkList *interp.RowList
 }
 
 // restricted reports whether the frame carries an active span restriction.
@@ -164,6 +169,7 @@ func compileShardSPJ(spj *ir.SPJOp, cat *storage.Catalog) (interp.ShardUnit, err
 		in.Stats.SPJRuns++
 		f := pool.Get().(*sframe)
 		f.in = in
+		f.sinkPD, f.sinkList = in.Cat.Pred(plan.Sink), in.DerivationSink(plan.Sink)
 		for i := range f.bind {
 			f.bind[i] = 0
 		}
@@ -174,7 +180,7 @@ func compileShardSPJ(spj *ir.SPJOp, cat *storage.Catalog) (interp.ShardUnit, err
 			f.shard, f.span, f.total = 0, 0, 0
 		}
 		chain(f)
-		f.in = nil
+		f.in, f.sinkPD, f.sinkList = nil, nil, nil
 		pool.Put(f)
 		if in.Cancelled() {
 			return interp.ErrCancelled
@@ -402,15 +408,15 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 }
 
 // compileShardEmit compiles the head projection and sink write. Under the
-// parallel pool the frame's interpreter exposes a worker buffer
-// (DerivationSink): the emit applies the set difference against the
-// iteration-frozen Derived (a read-only row-table lookup) and inserts
-// the survivor — safe because each worker owns its buffers outright — for
-// the merge barrier to fold through the sink's Emit. Without a buffer
-// (standalone execution) it is the counted Emit itself.
+// parallel pool the frame holds a worker list (the interpreter's
+// DerivationSink): the emit applies the set difference against the
+// iteration-frozen Derived (a read-only row-table lookup) and appends the
+// survivor through the list's repeat filter — safe because each worker owns
+// its lists outright — for the merge barrier to fold through the sink's Emit,
+// the only exact deduplication. Without a list (standalone execution) it is
+// the counted Emit itself.
 func compileShardEmit(plan *interp.Plan) sstep {
 	head := plan.Head
-	sinkPred := plan.Sink
 	return func(f *sframe) {
 		f.buf = f.buf[:0]
 		for _, h := range head {
@@ -420,10 +426,10 @@ func compileShardEmit(plan *interp.Plan) sstep {
 				f.buf = append(f.buf, f.bind[h.Var])
 			}
 		}
-		pd := f.in.Cat.Pred(sinkPred)
-		if buf := f.in.DerivationSink(sinkPred); buf != nil {
+		pd := f.sinkPD
+		if buf := f.sinkList; buf != nil {
 			if !pd.Derived.Contains(f.buf) {
-				buf.Insert(f.buf)
+				buf.AppendNew(f.buf)
 			}
 			return
 		}

@@ -98,7 +98,7 @@ func TestShardUnitSpanCoverage(t *testing.T) {
 
 // TestShardUnitConcurrentSpans: invocations over disjoint spans are safe to
 // run concurrently — per-invocation frames, bucket-local reads, private
-// buffers. Derivations land in per-goroutine buffer relations (the pool's
+// lists. Derivations land in per-goroutine append-only lists (the pool's
 // shape) and are folded through Emit afterwards, as the merge barrier does.
 func TestShardUnitConcurrentSpans(t *testing.T) {
 	const shards = 8
@@ -112,14 +112,14 @@ func TestShardUnitConcurrentSpans(t *testing.T) {
 	tc, _ := cat.PredByName("tc")
 	var wg sync.WaitGroup
 	errs := make([]error, shards)
-	bufs := make([]*storage.Relation, shards)
+	bufs := make([]*interp.RowList, shards)
 	for s := 0; s < shards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			buf := storage.NewRelation("buf", 2)
+			buf := interp.NewRowList(2)
 			bufs[s] = buf
-			sub := interp.NewBuffered(cat, func(storage.PredID) *storage.Relation { return buf })
+			sub := interp.NewBuffered(cat, func(storage.PredID) *interp.RowList { return buf })
 			errs[s] = unit(sub, s, 1, shards)
 		}(s)
 	}

@@ -22,8 +22,8 @@ import (
 // row as it is inserted; a delta none as they arrive, until EnsureIndex
 // enters the rows it lacks, in order, right before a plan probes it.
 //
-// Capacity rule (reset): a relation that is refilled at once — the worker
-// delta buffers (ClearRetain), Derived rewound to its ground-fact baseline
+// Capacity rule (reset): a relation that is refilled at once — a retraction
+// frontier (ClearRetain), Derived rewound to its ground-fact baseline
 // (TruncateTo), the deletion compactions, the old δ that the delta rotation
 // (SwapDeltas) hands back as the next δ′ of a predicate still producing
 // facts — keeps next and empties slots in place under the row table's

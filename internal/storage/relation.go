@@ -494,9 +494,9 @@ func (r *Relation) Mutations() uint64 {
 func (r *Relation) Clear() { r.clear(false) }
 
 // ClearRetain is Clear with the row table and the indexes emptied in place,
-// for a relation that is refilled at once — the workers' delta buffers, δ′
-// inside a running fixpoint, a retraction frontier — and then allocates
-// nothing (the capacity rules of rowTable and chainIndex).
+// for a relation that is refilled at once — δ′ inside a running fixpoint, a
+// retraction frontier — and then allocates nothing (the capacity rules of
+// rowTable and chainIndex).
 func (r *Relation) ClearRetain() { r.clear(true) }
 
 func (r *Relation) clear(retain bool) {

@@ -18,7 +18,7 @@ import "math/bits"
 //
 // Capacity rule: reset (ClearRetain, TruncateTo, the compactions) empties the
 // table in place, which is what lets a relation that is refilled every
-// iteration (the pool's worker buffers) or every Run (Derived past its
+// iteration (a sealed retraction frontier) or every Run (Derived past its
 // ground-fact baseline, which refills by staging) stop allocating: capacity
 // is given back only when a fill used less than an eighth of it, one halving
 // per reset. Clear gives the whole table back at once, for a relation that
@@ -67,6 +67,10 @@ func hashRow(t []Value) uint64 {
 	}
 	return h
 }
+
+// HashRow is hashRow for structures outside the package that key rows the
+// way the row tables do (a pool worker's repeat filter, interp.RowList).
+func HashRow(t []Value) uint64 { return hashRow(t) }
 
 // tagOf is the slot tag of hash h: seven bits the slot index does not use
 // (for tables below 2^25 slots), with the top bit marking the slot occupied.
