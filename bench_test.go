@@ -594,13 +594,12 @@ func BenchmarkStorageInsert(b *testing.B) {
 	}
 }
 
-// storageLayouts are the three layouts of storage.Relation, by benchmark name.
+// storageLayouts are the two layouts of storage.Relation, by benchmark name.
 var storageLayouts = []struct {
 	name string
 	set  func(*storage.Relation)
 }{
 	{"Flat", func(*storage.Relation) {}},
-	{"View8", func(r *storage.Relation) { r.SetShardKey(8, 0) }},
 	{"Physical8", func(r *storage.Relation) { r.SetShardKeyPhysical(8, 0) }},
 }
 

@@ -24,9 +24,9 @@
 //     and the plan cache — never re-derived ad hoc. Histograms
 //     (core.Options.Histograms) are fixed-width hash histograms on the
 //     planned join columns, registered like indexes
-//     (storage.Relation.BuildHistogram) and carried through every shard
-//     layout (per-bucket counts under the physical store,
-//     stats.Catalog.ShardHistogram); the optimizer's atom ordering uses the
+//     (storage.Relation.BuildHistogram) and carried through both storage
+//     layouts (per-bucket counts under the physical store, summed by
+//     Relation.HistogramOf); the optimizer's atom ordering uses the
 //     measured overlap of two join columns' histograms in place of the
 //     constant join-key selectivity (optimizer.Options.UseHistograms), and
 //     the resulting join-output estimate is recorded on each built plan
@@ -56,19 +56,18 @@
 // serializes every iteration. core.Options.Shards lifts that bound to data
 // size:
 //
-//   - internal/storage hash-partitions every relation into Shards buckets
-//     keyed by the predicate's planned join column (storage.ShardOf,
-//     Relation.SetShardKey). Buckets are row-id views maintained
-//     incrementally beside the hash indexes — registering them changes
-//     neither relation content nor the mutation counters, so the drift
-//     totals the plan cache's freshness policy compares are identical with
-//     and without sharding (per-shard counters refine the predicate counter;
-//     a regression test pins the totals).
+//   - internal/storage hash-partitions every predicate's delta pair into
+//     Shards buckets keyed by the predicate's planned join column
+//     (storage.ShardOf, Catalog.ConfigureShardsPhysical); Derived stays
+//     flat. Partitioning changes neither relation content nor the
+//     relation-level mutation counters, so the drift totals the plan
+//     cache's freshness policy compares are identical with and without
+//     sharding (a regression test pins the totals).
 //
 //   - internal/interp fans each rule of a parallel iteration out as one
 //     task per delta bucket: a task's plan copy restricts the subquery's
-//     delta read to its bucket (exact bucket lists on the scan fast path,
-//     per-row hash otherwise), tasks with empty buckets are skipped via the
+//     delta read to its bucket's sub-relation (a delta without the task's
+//     partition is a wiring bug and panics), tasks with empty buckets are skipped via the
 //     O(1) per-shard cardinality statistic, and the per-worker lists
 //     merge at the same iteration barrier as before. The union of
 //     the buckets is exactly the delta (FuzzShardRouting), so the fan-out
@@ -91,15 +90,16 @@
 // decide what that costs:
 //
 //   - internal/storage gains a physically sharded backing store
-//     (storage.Relation.SetShardKeyPhysical, behind the same SetShardKey
-//     partitioning): each delta bucket is an independent sub-relation with
-//     its own arena slab and indexes, so a bucket task scans and probes one
-//     slab, while Derived keeps one arena under row-id bucket views. That makes
-//     three layouts — flat, view, physical — over one duplicate-elimination
-//     structure: every set has a row table (storage/rowtable.go), an
-//     open-addressing table of 1-byte hash tags and 4-byte row ids keyed by
-//     the rows' own bytes in the arena. Insert, Contains, the reference
-//     counts and the deletion compaction all find a tuple through it;
+//     (storage.Relation.SetShardKeyPhysical): each delta bucket is an
+//     independent sub-relation with its own arena slab and indexes, so a
+//     bucket task scans and probes one slab, while Derived keeps its one
+//     arena, flat: no task reads it by bucket. That makes two layouts —
+//     flat and physical, flat ↔ physical the only transition — over one
+//     duplicate-elimination structure: every set has a row table
+//     (storage/rowtable.go), an open-addressing table of 1-byte hash tags
+//     and 4-byte row ids keyed by the rows' own bytes in the arena. Insert,
+//     Contains, the reference counts and the deletion compaction all find
+//     a tuple through it;
 //     ClearRetain, TruncateTo and the compactions empty or rebuild it in
 //     place, so the per-Run baseline rewind allocates nothing for dedup once
 //     warm, while Clear gives it back like the indexes' memory; and a
@@ -110,7 +110,7 @@
 //     staged in it — entered in the table and written past the arena's
 //     length, so Contains sees it at once and no reader does — and appended
 //     to δ′, a list with no table of its own; SwapClear publishes the staged
-//     rows (chains, bucket views, histograms) without probing again. On the
+//     rows (chains, histograms) without probing again. On the
 //     sequential path each new fact is hashed and probed once (the pool
 //     adds its workers' test against the frozen Derived — twice — and the
 //     worker list's repeat filter, below).
@@ -143,7 +143,7 @@
 //     reader. Mutation counters are accounted so drift totals are
 //     byte-identical to the flat layout for any operation sequence — mode
 //     transitions preserve the totals exactly (the shard-drift regression
-//     test pins all three layouts to one number).
+//     test pins both layouts to one number).
 //
 //   - internal/interp folds the workers' output at the iteration barrier
 //     through the sinks' Emit, in task order whichever worker ran a task,
@@ -405,7 +405,7 @@
 //
 //   - Counting for ground facts: every ground row carries an assertion
 //     count (storage.Relation.EnableCounts/IncRef/DecRef, maintained across
-//     all three storage layouts, found through the same row table that
+//     both storage layouts, found through the same row table that
 //     deduplicates inserts). Inserting an already-present fact bumps
 //     its count; a deletion decrements and only a count reaching zero makes
 //     the fact a retraction candidate — redundant retractions are no-ops

@@ -394,24 +394,34 @@ func (r *Relation) Each(f func(t []storage.Value) bool) {
 // Contains reports whether the derived relation holds the tuple (arguments
 // as in Fact).
 func (r *Relation) Contains(args ...any) bool {
-	tuple := make([]storage.Value, len(args))
+	t, ok := lookupTuple(r.p.cat.Symbols, args)
+	return ok && r.p.cat.Pred(r.id).Derived.Contains(t)
+}
+
+// lookupTuple encodes Contains arguments without interning anything: an int
+// outside the non-negative 32-bit domain (negative ids are symbols), an
+// unknown symbol or an unsupported type names no stored tuple, so ok is
+// false.
+func lookupTuple(syms *storage.SymbolTable, args []any) (t []storage.Value, ok bool) {
+	t = make([]storage.Value, len(args))
 	for i, a := range args {
 		switch v := a.(type) {
 		case int:
-			tuple[i] = storage.Value(v)
-		case storage.Value:
-			tuple[i] = v
-		case string:
-			sv, ok := r.p.cat.Symbols.Lookup(v)
-			if !ok {
-				return false
+			if v < 0 || v > math.MaxInt32 {
+				return nil, false
 			}
-			tuple[i] = sv
+			t[i] = storage.Value(v)
+		case storage.Value:
+			t[i] = v
+		case string:
+			if t[i], ok = syms.Lookup(v); !ok {
+				return nil, false
+			}
 		default:
-			return false
+			return nil, false
 		}
 	}
-	return r.p.cat.Pred(r.id).Derived.Contains(tuple)
+	return t, true
 }
 
 // AOTStage selects how much information the ahead-of-time ("macro", §VI-C)
@@ -470,7 +480,7 @@ type Options struct {
 	ParallelUnions bool
 	// Workers bounds the parallel pool; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Shards partitions every predicate's relations into this many hash
+	// Shards partitions every predicate's delta pair into this many hash
 	// buckets keyed by the predicate's planned join column, and lets each
 	// rule of a parallel iteration fan out as tasks over contiguous spans of
 	// its delta relation's buckets. Rule-granular parallelism is bounded by
@@ -479,15 +489,14 @@ type Options struct {
 	// bounded by data size. Implies ParallelUnions, and with it the
 	// per-iteration fan-out decision; <= 1 disables sharding.
 	//
-	// The partition always uses the physically sharded backing store
-	// (per-bucket slabs and indexes on the delta pair, bucket views over
-	// Derived). Compiled backends read the same bucket-local surface
-	// (storage.Relation.PhysSubs) and the pool's tasks run
-	// span-parameterized compiled units when a JIT is attached, so sharded
-	// + JIT runs keep the physical store instead of degrading to the row-id
-	// view. Worker lists fold at each iteration barrier through the sinks'
-	// Emit, sequentially and in task order: one probe of Derived per listed
-	// row, the pool's only exact deduplication.
+	// Storage keeps two layouts: the delta pair is physically sharded
+	// (per-bucket slabs and indexes) and Derived stays flat — the workers
+	// only test membership in it. Compiled backends read the same
+	// bucket-local surface (storage.Relation.PhysSubs), and the pool's tasks
+	// run span-parameterized compiled units when a JIT is attached. Worker
+	// lists fold at each iteration barrier through the sinks' Emit,
+	// sequentially and in task order: one probe of Derived per listed row,
+	// the pool's only exact deduplication.
 	Shards int
 	// AdaptiveFanout's one remaining effect is to select an 8-way partition
 	// (and with it a parallel run) when Shards is unset: every parallel run

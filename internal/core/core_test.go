@@ -265,3 +265,61 @@ func TestJITStatsInResult(t *testing.T) {
 		t.Fatalf("JIT stats missing: %+v", res.JIT)
 	}
 }
+
+// TestContainsNeverAliases: Contains encodes its arguments without interning
+// and answers false for what no stored tuple can hold. A negative int is not
+// a symbol's id in disguise, and an int past 32 bits does not wrap onto a
+// stored value — on Relation and Session alike.
+func TestContainsNeverAliases(t *testing.T) {
+	p := NewProgram()
+	owns := p.Relation("owns", 2)
+	has := p.Relation("has", 2)
+	x, y := NewVar("x"), NewVar("y")
+	p.MustRule(has.A(x, y), owns.A(x, y))
+	owns.MustFact("a", 5)
+	if _, err := p.Run(Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sym, ok := p.cat.Symbols.Lookup("a")
+	if !ok || sym >= 0 {
+		t.Fatalf("symbol a interned as %d", sym)
+	}
+	check := func(who string, contains func(args ...any) bool) {
+		t.Helper()
+		if !contains("a", 5) || !contains(sym, storage.Value(5)) {
+			t.Fatalf("%s: the derived tuple (a, 5) is missing", who)
+		}
+		for _, args := range [][]any{
+			{int(sym), 5},    // a negative int aliasing the symbol's id
+			{"a", 1<<32 + 5}, // an int wrapping onto 5
+			{"a", -1},        // a negative int
+			{"b", 5},         // an unknown symbol
+			{"a", 5.0},       // an unsupported type
+			{"a", int64(5)},  // likewise
+			{"a", uint32(5)}, // likewise
+			{"a", storage.Value(6)},
+		} {
+			if contains(args...) {
+				t.Fatalf("%s: Contains%v = true", who, args)
+			}
+		}
+		if _, ok := p.cat.Symbols.Lookup("b"); ok {
+			t.Fatalf("%s: Contains interned a symbol", who)
+		}
+	}
+	check("Relation", has.Contains)
+
+	srv, err := p.Serve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Query(); err != nil {
+		t.Fatal(err)
+	}
+	check("Session", func(args ...any) bool { return sess.Contains(has, args...) })
+}

@@ -115,9 +115,10 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 		shards = 8
 	}
 	if shards > 1 {
-		// Partition every predicate on its planned join key (first join
-		// column; column 0 for predicates never joined on) so the sharded
-		// fan-out serves each task's delta slice from an exact bucket list.
+		// Partition every predicate's delta pair on its planned join key
+		// (first join column; column 0 for predicates never joined on) so
+		// the sharded fan-out serves each task's delta slice from its own
+		// buckets.
 		keyCols := make(map[storage.PredID]int)
 		for pid, cols := range ir.JoinKeyColumns(prog) {
 			if len(cols) > 0 {
@@ -135,7 +136,7 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 	} else {
 		// Drop stale partitions so repeated Runs of one Program stay
 		// independent of an earlier sharded configuration.
-		cat.ConfigureShards(0, nil)
+		cat.ConfigureShardsPhysical(0, nil)
 	}
 	var plans *plancache.Cache[*interp.Plan]
 	if opts.PlanCache || opts.AdaptivePlans || opts.SharedPlans {

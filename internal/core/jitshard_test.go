@@ -1,7 +1,7 @@
 // Tests for the shard-native JIT: with a Controller attached and Shards > 1
 // the run must keep the physically sharded delta store and the worker pool
-// with its merge barrier (an earlier engine silently degraded to the row-id
-// view and a sequential loop), span-parameterized compiled units must execute the
+// with its merge barrier (an earlier engine silently degraded to a
+// sequential loop), span-parameterized compiled units must execute the
 // bucket tasks, the unit cache must survive warm reruns at one shard layout
 // while never serving a unit across layouts, and all of it must hold under
 // -race (the CI core job runs this package with the race detector).
@@ -9,12 +9,14 @@ package core_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"carac/internal/analysis"
 	"carac/internal/core"
 	"carac/internal/datagen"
 	"carac/internal/jit"
+	"carac/internal/storage"
 	"carac/internal/workloads"
 )
 
@@ -28,11 +30,75 @@ func runJITTC(t *testing.T, opts core.Options) *core.Result {
 		t.Fatalf("%+v: %v", opts, err)
 	}
 	if pd, ok := built.P.Catalog().PredByName("tc"); ok && opts.Shards > 1 {
-		if !pd.Physical() {
+		if pd.DeltaKnown.PhysSubs() == nil || pd.DeltaNew.PhysSubs() == nil {
 			t.Fatalf("%+v: sharded run did not use the physical backing store", opts)
 		}
 	}
 	return res
+}
+
+// TestShardWiring pins storage's two layouts under sharding: after a warm
+// sharded Run every predicate's delta pair is physical and its Derived flat,
+// and an unsharded Run of the same Program afterwards dissolves every
+// partition and derives what the sharded Run derived — in the interpreter and
+// with lambda units running the pool's tasks.
+func TestShardWiring(t *testing.T) {
+	for name, jc := range map[string]jit.Config{"interp": {}, "lambda": lambdaSPJ} {
+		t.Run(name, func(t *testing.T) {
+			built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
+			sharded := core.Options{Indexed: true, Shards: 8, Workers: 2, FanoutThreshold: 1, JIT: jc}
+			var res *core.Result
+			for run := 0; run < 2; run++ {
+				r, err := built.P.Run(sharded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res = r
+			}
+			if res.Interp.MergeTasks == 0 {
+				t.Fatal("the sharded Run never reached the pool")
+			}
+			cat := built.P.Catalog()
+			for _, pd := range cat.Preds() {
+				if n, c := pd.Derived.ShardConfig(); n != 0 || c != 0 || pd.Derived.PhysSubs() != nil {
+					t.Fatalf("%s: Derived partitioned (%d, %d)", pd.Name, n, c)
+				}
+				if pd.DeltaKnown.PhysSubs() == nil || pd.DeltaNew.PhysSubs() == nil {
+					t.Fatalf("%s: a delta is not physical", pd.Name)
+				}
+			}
+			want := derivedRows(cat)
+
+			flat, err := built.P.Run(core.Options{Indexed: true, JIT: jc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pd := range cat.Preds() {
+				for _, r := range []*storage.Relation{pd.Derived, pd.DeltaKnown, pd.DeltaNew} {
+					if n, _ := r.ShardConfig(); n != 0 || r.PhysSubs() != nil || pd.Shards() != 0 {
+						t.Fatalf("%s: the unsharded Run left a %d-way partition", r.Name(), n)
+					}
+				}
+			}
+			if flat.TotalFacts != res.TotalFacts || fmt.Sprint(derivedRows(cat)) != fmt.Sprint(want) {
+				t.Fatalf("unsharded Run derived %d facts, sharded %d", flat.TotalFacts, res.TotalFacts)
+			}
+		})
+	}
+}
+
+// derivedRows lists every predicate's Derived rows, sorted: the pool's
+// barrier folds in task order, not in the sequential loop's.
+func derivedRows(cat *storage.Catalog) map[string][]string {
+	out := make(map[string][]string)
+	for _, pd := range cat.Preds() {
+		pd.Derived.Each(func(row []storage.Value) bool {
+			out[pd.Name] = append(out[pd.Name], fmt.Sprint(row))
+			return true
+		})
+		sort.Strings(out[pd.Name])
+	}
+	return out
 }
 
 // TestJITShardedUsesPhysicalStore is the acceptance pin: a sharded run with

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -811,27 +810,8 @@ func (sess *Session) Each(r *Relation, f func(t []storage.Value) bool) {
 // Contains reports whether the session's derived relation holds the tuple
 // (arguments as in Relation.Fact).
 func (sess *Session) Contains(r *Relation, args ...any) bool {
-	tuple := make([]storage.Value, len(args))
-	for i, a := range args {
-		switch v := a.(type) {
-		case int:
-			if v < 0 || v > math.MaxInt32 {
-				return false
-			}
-			tuple[i] = storage.Value(v)
-		case storage.Value:
-			tuple[i] = v
-		case string:
-			sv, ok := sess.cat.Symbols.Lookup(v)
-			if !ok {
-				return false
-			}
-			tuple[i] = sv
-		default:
-			return false
-		}
-	}
-	return sess.cat.Pred(r.id).Derived.Contains(tuple)
+	t, ok := lookupTuple(sess.cat.Symbols, args)
+	return ok && sess.cat.Pred(r.id).Derived.Contains(t)
 }
 
 // Close releases the session's engine (JIT controller) and its epoch pin.

@@ -119,11 +119,11 @@ type Interp struct {
 
 	// Shards > 1 additionally fans each rule of a parallel iteration out as
 	// tasks over contiguous spans of hash buckets of its delta relation
-	// (configured via storage.PredicateDB.SetShards), so a single huge
-	// recursive rule — the common shape in transitive-closure-style
-	// workloads — no longer serializes the iteration: parallelism becomes
-	// bounded by data size, not rule count. Only honored together with
-	// Parallel.
+	// (partitioned by storage.Catalog.ConfigureShardsPhysical with the same
+	// bucket count), so a single huge recursive rule — the common shape in
+	// transitive-closure-style workloads — no longer serializes the
+	// iteration: parallelism becomes bounded by data size, not rule count.
+	// Only honored together with Parallel.
 	Shards int
 
 	// FanoutThreshold is the sequential-path delta bound of the fan-out
@@ -599,7 +599,7 @@ func (in *Interp) shardSkip(spj *ir.SPJOp) bool {
 	if in.Cat.Pred(pred).Shards() == in.shardTotal {
 		src := stats.Catalog{Cat: in.Cat}
 		for s := in.shard; s < in.shard+in.shardSpan; s++ {
-			if src.ShardCard(pred, ir.SrcDelta, s) > 0 {
+			if src.ShardCard(pred, s) > 0 {
 				return false
 			}
 		}
@@ -609,9 +609,8 @@ func (in *Interp) shardSkip(spj *ir.SPJOp) bool {
 }
 
 // applyShard installs the task's delta-bucket restriction on the plan copy:
-// the first relational step reading SrcDelta admits only rows of buckets
-// [shard, shard+span), keyed by the column storage partitioned the
-// predicate on.
+// the first relational step reading SrcDelta reads only buckets
+// [shard, shard+span) of the predicate's physical partition.
 func (in *Interp) applyShard(plan *Plan) {
 	for i := range plan.Steps {
 		st := &plan.Steps[i]
@@ -625,7 +624,6 @@ func (in *Interp) applyShard(plan *Plan) {
 		plan.Shard = in.shard
 		plan.ShardSpan = in.shardSpan
 		plan.ShardCount = in.shardTotal
-		plan.ShardKeyCol = in.Cat.Pred(st.Pred).ShardKeyCol()
 		return
 	}
 }
@@ -782,7 +780,7 @@ func (in *Interp) chooseFanout(n *ir.DoWhileOp) int {
 	for _, pid := range n.Preds {
 		if phys > 1 && in.Cat.Pred(pid).Shards() == phys {
 			for s := 0; s < phys; s++ {
-				if c := src.ShardCard(pid, ir.SrcDelta, s); c > 0 {
+				if c := src.ShardCard(pid, s); c > 0 {
 					total += c
 					occ[s] = true
 				}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"carac/internal/ir"
@@ -203,5 +204,67 @@ func TestCancelMidPlan(t *testing.T) {
 	}
 	if tc, _ := cat.PredByName("tc"); tc.Derived.Len() != 0 {
 		t.Fatalf("|tc| = %d after a run cancelled in its first subquery, want 0", tc.Derived.Len())
+	}
+}
+
+// TestRestrictedPlanNeedsPartition: a plan restricted to a bucket span reads
+// only its buckets of a physically partitioned delta. Over a delta without
+// that partition it panics: every predicate of a sharded run is partitioned
+// into the run's bucket count, so anything else is a wiring bug, not a reason
+// to filter rows by hash.
+func TestRestrictedPlanNeedsPartition(t *testing.T) {
+	cat := storage.NewCatalog()
+	res, err := parser.Parse(`
+.decl edge(x:number, y:number)
+.decl tc(x:number, y:number)
+edge(1,2). edge(2,3). edge(3,4).
+tc(x,y) :- edge(x,y).
+tc(x,y) :- tc(x,z), edge(z,y).
+`, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := ir.Lower(res.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *ir.SPJOp
+	ir.Walk(root, func(o ir.Op) {
+		if s, ok := o.(*ir.SPJOp); ok && s.DeltaAtom() >= 0 {
+			rec = s
+		}
+	})
+	tc, _ := cat.PredByName("tc")
+	edge, _ := cat.PredByName("edge")
+	edge.Derived.Each(func(row []storage.Value) bool {
+		tc.DeltaKnown.Insert(row)
+		return true
+	})
+	run := func(shards int) (derived int, panicked any) {
+		tc.SetShardsPhysical(shards, 0)
+		plan, err := BuildPlan(rec, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range plan.Steps {
+			if st.Src == ir.SrcDelta {
+				plan.ShardStep = i
+				break
+			}
+		}
+		plan.Shard, plan.ShardSpan, plan.ShardCount = 0, 4, 4
+		EnsureDeltaIndexes(plan, cat)
+		defer func() { panicked = recover() }()
+		plan.Execute(cat, func(_, _ []storage.Value) { derived++ })
+		return derived, nil
+	}
+	if n, panicked := run(4); panicked != nil || n != 2 {
+		t.Fatalf("full span over the 4-way delta: %d rows, panic %v; want 2", n, panicked)
+	}
+	for _, shards := range []int{0, 8} {
+		_, panicked := run(shards)
+		if msg, _ := panicked.(string); !strings.Contains(msg, "physical buckets") {
+			t.Fatalf("a 4-bucket task over a %d-way delta: panic %v", shards, panicked)
+		}
 	}
 }

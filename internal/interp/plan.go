@@ -136,23 +136,17 @@ type Plan struct {
 
 	// Shard restriction (per-execution state, set on plan copies by the
 	// sharded fan-out; always zero in cached plans): when ShardCount > 1 the
-	// relational step at index ShardStep — the subquery's delta read — only
-	// admits rows whose ShardKeyCol hashes into the bucket span
-	// [Shard, Shard+ShardSpan), so the tasks evaluating this subquery cover
-	// disjoint slices of the delta and their union covers it exactly. The
-	// adaptive fan-out sizes the span: one bucket per task at full fan-out,
-	// wider spans when the live delta statistics call for fewer tasks.
-	Shard       int
-	ShardSpan   int
-	ShardCount  int
-	ShardStep   int
-	ShardKeyCol int
-}
-
-// inShard reports whether row belongs to the plan's delta bucket span.
-func (p *Plan) inShard(row []storage.Value) bool {
-	s := storage.ShardOf(row[p.ShardKeyCol], p.ShardCount)
-	return s >= p.Shard && s < p.Shard+p.ShardSpan
+	// relational step at index ShardStep — the subquery's delta read — reads
+	// only buckets [Shard, Shard+ShardSpan) of its ShardCount-way physical
+	// partition, so the tasks evaluating this subquery cover disjoint slices
+	// of the delta and their union covers it exactly. The adaptive fan-out
+	// sizes the span: one bucket per task at full fan-out, wider spans when
+	// the live delta statistics call for fewer tasks. A delta with any other
+	// layout panics (storage.Relation.CheckShards).
+	Shard      int
+	ShardSpan  int
+	ShardCount int
+	ShardStep  int
 }
 
 // SourceRel resolves the relation a relational step reads right now.
@@ -486,15 +480,13 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 			// cartesian product.
 			checkCancel := i <= 1 && p.Cancel != nil
 			checkYield := i <= 1 && p.Yield != nil
-			// Shard restriction on the delta step: served from the
-			// incrementally maintained bucket lists when the relation's
-			// partition matches the task layout (the scan fast path below),
-			// otherwise enforced row-by-row here.
-			shardFilter := p.ShardCount > 1 && i == p.ShardStep
+			// Shard restriction on the delta step: it reads only its span of
+			// the delta's physical buckets.
+			restricted := p.ShardCount > 1 && i == p.ShardStep
+			if restricted {
+				rel.CheckShards(p.ShardCount)
+			}
 			match := func(row []storage.Value) {
-				if shardFilter && !p.inShard(row) {
-					return
-				}
 				for _, ck := range st.Checks {
 					switch ck.Mode {
 					case CheckConst:
@@ -528,15 +520,11 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 			}
 			// Physically sharded relations serve probes and scans bucket-
 			// locally: row ids are meaningless to the parent, and a shard-
-			// restricted step whose layout matches the partition narrows to
-			// exactly its bucket span — no per-row hash.
+			// restricted step narrows to exactly its bucket span.
 			if subs := rel.PhysSubs(); subs != nil {
 				lo, hi := 0, len(subs)
-				if shardFilter {
-					if sc, col := rel.ShardConfig(); sc == p.ShardCount && col == p.ShardKeyCol {
-						lo, hi = p.Shard, p.Shard+p.ShardSpan
-						shardFilter = false
-					}
+				if restricted {
+					lo, hi = p.Shard, p.Shard+p.ShardSpan
 				}
 				switch st.Kind {
 				case StepProbe:
@@ -668,21 +656,6 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 					match(rel.Row(ri))
 				}
 				return
-			}
-			if shardFilter {
-				if sc, col := rel.ShardConfig(); sc == p.ShardCount && col == p.ShardKeyCol {
-					// Bucket lists are exact for this layout: iterate only
-					// this task's span and skip the per-row hash.
-					shardFilter = false
-					rel.EachShardRange(p.Shard, p.Shard+p.ShardSpan, func(row []storage.Value) bool {
-						if stop() {
-							return false
-						}
-						match(row)
-						return true
-					})
-					return
-				}
 			}
 			rel.Each(func(row []storage.Value) bool {
 				if stop() {

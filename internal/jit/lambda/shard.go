@@ -70,12 +70,10 @@ type sframe struct {
 	buf  []storage.Value // emit/negation/builtin tuple scratch
 	vals []storage.Value // composite probe key scratch
 
-	// Task restriction, installed by the unit entry point: admit only delta
-	// rows of buckets [shard, shard+span) of a total-way partition. span 0
-	// means unrestricted. keyCol is the delta predicate's shard key column,
-	// resolved per invocation for the row-hash fallback.
+	// Task restriction, installed by the unit entry point: read only
+	// buckets [shard, shard+span) of the delta's total-way physical
+	// partition. span 0 means unrestricted.
 	shard, span, total int
-	keyCol             int
 
 	// The sink, resolved per invocation: its predicate and the list the
 	// emit appends to (nil outside the pool).
@@ -85,14 +83,6 @@ type sframe struct {
 
 // restricted reports whether the frame carries an active span restriction.
 func (f *sframe) restricted() bool { return f.span > 0 && f.total > 1 }
-
-// admits applies the per-row hash fallback of the delta restriction (used
-// when the relation's live partition does not mirror the task layout, or
-// when a probe routes through an index that is not bucket-partitioned).
-func (f *sframe) admits(row []storage.Value) bool {
-	s := storage.ShardOf(row[f.keyCol], f.total)
-	return s >= f.shard && s < f.shard+f.span
-}
 
 // sstep is one combinator of a shard unit's step chain.
 type sstep func(f *sframe)
@@ -148,22 +138,20 @@ func compileShardSPJ(spj *ir.SPJOp, cat *storage.Catalog) (interp.ShardUnit, err
 		}
 		if restricted && hasDelta {
 			// Empty-span fast-out, mirroring the interpreter's shardSkip:
-			// when the delta relation's partition matches the task layout,
 			// an O(span) bucket-length test skips the whole chain — without
 			// it a skewed partition pays the unit's outer scans on every
 			// empty task. Uncounted in SPJRuns, like the interpreted skip.
 			rel := in.Cat.Pred(deltaPred).DeltaKnown
-			if sc, _ := rel.ShardConfig(); sc == total {
-				empty := true
-				for s := shard; s < shard+span; s++ {
-					if rel.ShardLen(s) > 0 {
-						empty = false
-						break
-					}
+			rel.CheckShards(total)
+			empty := true
+			for s := shard; s < shard+span; s++ {
+				if rel.ShardLen(s) > 0 {
+					empty = false
+					break
 				}
-				if empty {
-					return nil
-				}
+			}
+			if empty {
+				return nil
 			}
 		}
 		in.Stats.SPJRuns++
@@ -175,7 +163,6 @@ func compileShardSPJ(spj *ir.SPJOp, cat *storage.Catalog) (interp.ShardUnit, err
 		}
 		if restricted {
 			f.shard, f.span, f.total = shard, span, total
-			f.keyCol = in.Cat.Pred(deltaPred).ShardKeyCol()
 		} else {
 			f.shard, f.span, f.total = 0, 0, 0
 		}
@@ -246,10 +233,11 @@ func compileShardStep(st *interp.Step, next sstep, outermost, delta bool) sstep 
 
 // compileShardRelStep compiles a relational step over the bucket-local read
 // surface: physical relations iterate their PhysSubs sub-relations (bucket
-// indexes, key-column probe routing), view-partitioned relations serve span
-// scans from their exact bucket lists, and mismatched layouts fall back to
-// the per-row hash filter — the same admission decisions Plan.Execute makes,
-// frozen into combinators.
+// indexes, key-column probe routing, the task's span on the restricted delta
+// read), flat ones their one arena — the same decisions Plan.Execute makes,
+// frozen into combinators. The unit's entry point has checked that a
+// restricted delta read has the task's partition
+// (storage.Relation.CheckShards).
 func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sstep {
 	pred, src := st.Pred, st.Src
 	checks := st.Checks
@@ -261,11 +249,7 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 	probeKeys := st.ProbeKeys
 
 	// match applies the step's residual checks and binds, then descends.
-	// filter routes restricted rows through the frame's hash admission.
-	match := func(f *sframe, row []storage.Value, filter bool) {
-		if filter && !f.admits(row) {
-			return
-		}
+	match := func(f *sframe, row []storage.Value) {
 		for _, ck := range checks {
 			switch ck.Mode {
 			case interp.CheckConst:
@@ -288,17 +272,14 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 		next(f)
 	}
 
-	// span resolves the admitted bucket range over a partitioned relation
-	// and whether rows must additionally pass the hash filter.
-	span := func(f *sframe, rel *storage.Relation, buckets int) (lo, hi int, filter bool) {
-		lo, hi = 0, buckets
-		if !delta || !f.restricted() {
-			return lo, hi, false
+	// span resolves the bucket range the step reads: the task's span on the
+	// restricted delta read, every bucket otherwise. The range surfaces
+	// (EachShardRange, EachShardRangeProbe*) ignore it on a flat relation.
+	span := func(f *sframe, rel *storage.Relation) (lo, hi int) {
+		if delta && f.restricted() {
+			return f.shard, f.shard + f.span
 		}
-		if sc, col := rel.ShardConfig(); sc == f.total && col == f.keyCol {
-			return f.shard, f.shard + f.span, false
-		}
-		return lo, hi, true
+		return 0, len(rel.PhysSubs())
 	}
 
 	switch kind {
@@ -306,23 +287,13 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 		return func(f *sframe) {
 			rel := interp.SourceRel(f.in.Cat, pred, src)
 			k := resolveTmpl(probeKey, f.bind)
-			if subs := rel.PhysSubs(); subs != nil {
-				lo, hi, filter := span(f, rel, len(subs))
-				// A probe on the shard key column routes to exactly one
-				// bucket's index; a bucket outside the task's span holds
-				// nothing this task may emit, hence the intersection.
-				plo, phi := rel.ProbeSpan(probeCol, k)
-				rel.EachShardRangeProbe(max(lo, plo), min(hi, phi), probeCol, k, func(row []storage.Value) bool {
-					match(f, row, filter)
-					return true
-				})
-				return
-			}
-			// Flat or view-partitioned: the global index is not bucket-
-			// partitioned, so a restricted step re-checks membership per row.
-			filter := delta && f.restricted()
-			rel.EachProbe(probeCol, k, func(row []storage.Value) bool {
-				match(f, row, filter)
+			// A probe on the shard key column routes to exactly one bucket's
+			// index; a bucket outside the task's span holds nothing this
+			// task may emit, hence the intersection.
+			lo, hi := span(f, rel)
+			plo, phi := rel.ProbeSpan(probeCol, k)
+			rel.EachShardRangeProbe(max(lo, plo), min(hi, phi), probeCol, k, func(row []storage.Value) bool {
+				match(f, row)
 				return true
 			})
 		}
@@ -340,20 +311,12 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 			}
 			defer func() { f.vals = f.vals[:base] }()
 			vals := f.vals[base : base+len(probeKeys)]
-			if subs := rel.PhysSubs(); subs != nil {
-				lo, hi, filter := span(f, rel, len(subs))
-				// A composite probe covering the shard key column routes to
-				// one bucket, like the single-column case.
-				plo, phi := rel.ProbeSpanComposite(probeCols, vals)
-				rel.EachShardRangeProbeComposite(max(lo, plo), min(hi, phi), probeCols, vals, func(row []storage.Value) bool {
-					match(f, row, filter)
-					return true
-				})
-				return
-			}
-			filter := delta && f.restricted()
-			rel.EachProbeComposite(probeCols, vals, func(row []storage.Value) bool {
-				match(f, row, filter)
+			// A composite probe covering the shard key column routes to one
+			// bucket, like the single-column case.
+			lo, hi := span(f, rel)
+			plo, phi := rel.ProbeSpanComposite(probeCols, vals)
+			rel.EachShardRangeProbeComposite(max(lo, plo), min(hi, phi), probeCols, vals, func(row []storage.Value) bool {
+				match(f, row)
 				return true
 			})
 		}
@@ -363,46 +326,13 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 	// products abort (benchmark DNF timeouts), like the sequential backend.
 	return func(f *sframe) {
 		rel := interp.SourceRel(f.in.Cat, pred, src)
-		scan := func(row []storage.Value, filter bool) bool {
+		lo, hi := span(f, rel)
+		rel.EachShardRange(lo, hi, func(row []storage.Value) bool {
 			if outermost && f.in.Cancelled() {
 				return false
 			}
-			match(f, row, filter)
+			match(f, row)
 			return true
-		}
-		if subs := rel.PhysSubs(); subs != nil {
-			lo, hi, filter := span(f, rel, len(subs))
-			for s := lo; s < hi; s++ {
-				stopped := false
-				subs[s].Each(func(row []storage.Value) bool {
-					if !scan(row, filter) {
-						stopped = true
-						return false
-					}
-					return true
-				})
-				if stopped {
-					return
-				}
-			}
-			return
-		}
-		if delta && f.restricted() {
-			if sc, col := rel.ShardConfig(); sc == f.total && col == f.keyCol {
-				// View partition mirroring the task layout: the exact bucket
-				// lists serve the span without a per-row hash.
-				rel.EachShardRange(f.shard, f.shard+f.span, func(row []storage.Value) bool {
-					return scan(row, false)
-				})
-				return
-			}
-			rel.Each(func(row []storage.Value) bool {
-				return scan(row, true)
-			})
-			return
-		}
-		rel.Each(func(row []storage.Value) bool {
-			return scan(row, false)
 		})
 	}
 }

@@ -142,9 +142,10 @@ func TestShardUnitConcurrentSpans(t *testing.T) {
 }
 
 // TestShardUnitLayoutAgnostic: a unit compiled under one partition layout
-// stays correct when the relations are re-partitioned or dissolved — the
-// layout is resolved per invocation, which is what keeps cached units valid
-// across mode transitions.
+// stays correct when the relations are dissolved — the layout is resolved per
+// invocation, which is what keeps cached units valid across mode
+// transitions. A task restricted to a bucket span over a delta without that
+// partition is a wiring bug, and panics instead of filtering rows by hash.
 func TestShardUnitLayoutAgnostic(t *testing.T) {
 	refCat, refUnit := shardFixture(t, 4)
 	if err := refUnit(interp.New(refCat, nil), 0, 0, 1); err != nil {
@@ -153,18 +154,23 @@ func TestShardUnitLayoutAgnostic(t *testing.T) {
 	want := deltaNew(refCat, "tc")
 
 	cat, unit := shardFixture(t, 4)
-	// Dissolve the physical partition entirely; the unit must fall back to
-	// the flat read surface (and the per-row hash filter when restricted).
-	cat.ConfigureShards(0, nil)
+	cat.ConfigureShardsPhysical(0, nil)
 	in := interp.New(cat, nil)
-	for s := 0; s < 4; s++ {
-		if err := unit(in, s, 1, 4); err != nil {
-			t.Fatal(err)
-		}
+	if err := unit(in, 0, 0, 1); err != nil {
+		t.Fatal(err)
 	}
 	if got := deltaNew(cat, "tc"); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dissolved layout derived %v, want %v", got, want)
 	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a restricted task over a flat delta did not panic")
+			}
+		}()
+		_ = unit(in, 1, 1, 4)
+	}()
 }
 
 // TestShardCompileRejectsAggregation: aggregation rules cannot be evaluated

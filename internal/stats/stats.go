@@ -85,20 +85,15 @@ func (s Catalog) DriftCounter(pred storage.PredID) uint64 {
 	return s.Cat.Pred(pred).DriftCounter()
 }
 
-// ShardCard returns the tuple count of bucket shard of the relation
-// (pred, src) resolves to — the statistic the sharded fixpoint driver
-// consults to skip empty buckets and, per iteration, to pick the effective
-// fan-out (task count, bucket spans, and the sequential fast path for
-// small-delta tails — the adaptive fan-out driver in internal/interp).
-// Like Card it is O(1): bucket sizes are maintained incrementally by the
-// storage mutation paths; unpartitioned relations read as one bucket
-// holding everything.
-func (s Catalog) ShardCard(pred storage.PredID, src ir.Source, shard int) int {
-	p := s.Cat.Pred(pred)
-	if src == ir.SrcDelta {
-		return p.DeltaKnown.ShardLen(shard)
-	}
-	return p.Derived.ShardLen(shard)
+// ShardCard returns the tuple count of bucket shard of pred's delta — the
+// statistic the sharded fixpoint driver consults to skip empty buckets and,
+// per iteration, to pick the effective fan-out (task count, bucket spans,
+// and the sequential fast path for small-delta tails — the adaptive fan-out
+// driver in internal/interp). Like Card it is O(1): each bucket is a
+// sub-relation that knows its length; an unpartitioned delta reads as one
+// bucket holding everything.
+func (s Catalog) ShardCard(pred storage.PredID, shard int) int {
+	return s.Cat.Pred(pred).DeltaKnown.ShardLen(shard)
 }
 
 // Histogram returns the value-distribution histogram of a column of the
@@ -111,27 +106,6 @@ func (s Catalog) Histogram(pred storage.PredID, src ir.Source, col int) (storage
 		return p.DeltaKnown.HistogramOf(col)
 	}
 	return p.Derived.HistogramOf(col)
-}
-
-// ShardHistogram returns bucket shard's histogram of a column of the
-// relation (pred, src) resolves to — the per-shard distribution variant,
-// available under the physical layout (each bucket sub-relation owns its
-// counts; unpartitioned relations read as one bucket).
-func (s Catalog) ShardHistogram(pred storage.PredID, src ir.Source, shard, col int) (storage.Histogram, bool) {
-	p := s.Cat.Pred(pred)
-	if src == ir.SrcDelta {
-		return p.DeltaKnown.ShardHistogram(shard, col)
-	}
-	return p.Derived.ShardHistogram(shard, col)
-}
-
-// ShardDriftCounter returns the predicate's per-bucket monotone counter (see
-// storage.PredicateDB.ShardDriftCounter). The bucket counters refine the
-// predicate-level DriftCounter without perturbing it: registering or reading
-// shard partitions never advances the totals the plan cache's freshness
-// policy compares, so sharded and unsharded runs see identical drift.
-func (s Catalog) ShardDriftCounter(pred storage.PredID, shard int) uint64 {
-	return s.Cat.Pred(pred).ShardDriftCounter(shard)
 }
 
 // Unit reports cardinality 1 for every relation: the rules-only source

@@ -143,28 +143,24 @@ func TestShardStatsAggregateToTotals(t *testing.T) {
 	cat := storage.NewCatalog()
 	id := cat.Declare("e", 2)
 	pd := cat.Pred(id)
-	pd.SetShards(4, 0)
+	pd.SetShardsPhysical(4, 0)
 	for i := 0; i < 50; i++ {
 		pd.AddFact([]storage.Value{storage.Value(i % 13), storage.Value(i)})
 	}
 	pd.SeedAll()
 	pd.SwapClear()
 	src := Catalog{Cat: cat}
-	for _, ir2 := range []ir.Source{ir.SrcDerived, ir.SrcDelta} {
-		sum := 0
-		for s := 0; s < 4; s++ {
-			sum += src.ShardCard(id, ir2, s)
-		}
-		if total := src.Card(id, ir2); sum != total {
-			t.Fatalf("src %v: per-shard cards sum to %d, total is %d", ir2, sum, total)
-		}
-	}
-	// Per-shard drift counters refine, never perturb, the predicate total.
-	before := src.DriftCounter(id)
+	sum, occupied := 0, 0
 	for s := 0; s < 4; s++ {
-		_ = src.ShardDriftCounter(id, s)
+		sum += src.ShardCard(id, s)
+		if src.ShardCard(id, s) > 0 {
+			occupied++
+		}
 	}
-	if after := src.DriftCounter(id); after != before {
-		t.Fatalf("reading shard drift counters moved the total %d -> %d", before, after)
+	if total := src.Card(id, ir.SrcDelta); sum != total || total != pd.Derived.Len() {
+		t.Fatalf("per-shard delta cards sum to %d, total is %d, Derived holds %d", sum, total, pd.Derived.Len())
+	}
+	if occupied < 2 {
+		t.Fatalf("13 keys landed in %d of 4 buckets", occupied)
 	}
 }

@@ -238,10 +238,7 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 	for _, p := range []*PredicateDB{lazy, eager} {
 		p.BuildIndexes(sets[0])
 		p.BuildCompositeIndexes(sets[1:])
-		switch layout % 3 {
-		case 1:
-			p.SetShards(4, 0)
-		case 2:
+		if layout%2 == 1 {
 			p.SetShardsPhysical(4, 0)
 		}
 	}
@@ -389,11 +386,11 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 
 // TestChainIndexModel drives random operation sequences against the
 // map[string][]int32 oracle for arity 1-5, counted and uncounted, starting
-// from each of the three layouts, comparing probe results including order;
+// from each of the two layouts, comparing probe results including order;
 // and a predicate's on-demand deltas against an eager twin (driveOnDemand).
 func TestChainIndexModel(t *testing.T) {
 	for arity := 1; arity <= 5; arity++ {
-		for layout := 0; layout < 3; layout++ {
+		for layout := 0; layout < 2; layout++ {
 			for _, counted := range []bool{false, true} {
 				rng := rand.New(rand.NewSource(int64(1000 + 100*arity + 10*layout + len(fmt.Sprint(counted)))))
 				data := make([]byte, 1200)
@@ -413,10 +410,10 @@ func TestChainIndexModel(t *testing.T) {
 // -fuzztime=20s ./internal/storage/
 func FuzzChainIndex(f *testing.F) {
 	f.Add(uint8(2), true, uint8(0), []byte{5, 0, 0, 1, 2, 0, 1, 3, 5, 3, 0, 1, 2, 12, 2, 1, 1, 3, 3, 0, 13, 3, 5, 0, 0, 9, 0, 1, 1})
-	f.Add(uint8(3), false, uint8(2), []byte{8, 1, 2, 3, 4, 5, 5, 11, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3, 5, 2})
+	f.Add(uint8(3), false, uint8(1), []byte{8, 1, 2, 3, 4, 5, 5, 11, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3, 5, 2})
 	f.Add(uint8(1), true, uint8(1), []byte{5, 0, 8, 8, 8, 8, 10, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
 	f.Add(uint8(5), false, uint8(0), []byte{0, 233, 234, 235, 236, 237, 5, 31, 0, 233, 234, 235, 236, 238, 11, 1, 5, 4, 0, 1, 2, 3, 4, 5})
-	f.Add(uint8(2), false, uint8(2), []byte{0, 1, 2, 8, 3, 4, 9, 5, 6, 2, 7, 3, 11, 14, 0, 6, 3, 2, 1, 0, 7, 16, 1, 2, 19, 3, 4, 11, 0})
+	f.Add(uint8(2), false, uint8(1), []byte{0, 1, 2, 8, 3, 4, 9, 5, 6, 2, 7, 3, 11, 14, 0, 6, 3, 2, 1, 0, 7, 16, 1, 2, 19, 3, 4, 11, 0})
 	f.Fuzz(func(t *testing.T, arity uint8, counted bool, layout uint8, data []byte) {
 		driveChainIndex(t, 1+int(arity)%5, counted, int(layout), data)
 		driveOnDemand(t, 1+int(arity)%5, int(layout), data)
@@ -428,14 +425,11 @@ func FuzzChainIndex(f *testing.F) {
 // executor's workers joining against the iteration-frozen Derived and
 // DeltaKnown. Meaningful under -race.
 func TestConcurrentProbeFrozen(t *testing.T) {
-	for layout := 0; layout < 3; layout++ {
+	for layout := 0; layout < 2; layout++ {
 		r := NewRelation("frozen", 3)
 		r.BuildIndex(0)
 		r.BuildCompositeIndex([]int{0, 1})
-		switch layout {
-		case 1:
-			r.SetShardKey(4, 0)
-		case 2:
+		if layout == 1 {
 			r.SetShardKeyPhysical(4, 0)
 		}
 		const rows, keys = 6000, 97
@@ -463,7 +457,7 @@ func TestConcurrentProbeFrozen(t *testing.T) {
 					if (n > 0) != (k < keys) {
 						bad[g]++
 					}
-					if c, ok := r.Probe(0, Value(k)); layout < 2 && (!ok || (c.First() >= 0) != (k < keys)) {
+					if c, ok := r.Probe(0, Value(k)); layout == 0 && (!ok || (c.First() >= 0) != (k < keys)) {
 						bad[g]++
 					}
 				}

@@ -51,7 +51,7 @@ func (r *Relation) Count(t []Value) uint32 {
 		return 0
 	}
 	if r.subs != nil {
-		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].Count(t)
+		return r.bucket(t).Count(t)
 	}
 	row, ok := r.rowLookup(t)
 	if !ok {
@@ -68,7 +68,7 @@ func (r *Relation) CountAt(row int32) uint32 { return r.counts[row] }
 // (returning true, exactly like Insert). Requires counted mode.
 func (r *Relation) IncRef(t []Value) bool {
 	if r.subs != nil {
-		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].IncRef(t)
+		return r.bucket(t).IncRef(t)
 	}
 	if row, ok := r.rowLookup(t); ok {
 		r.counts[row]++
@@ -84,7 +84,7 @@ func (r *Relation) IncRef(t []Value) bool {
 // back to count 1 via IncRef).
 func (r *Relation) DecRef(t []Value) (remaining uint32, ok bool) {
 	if r.subs != nil {
-		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].DecRef(t)
+		return r.bucket(t).DecRef(t)
 	}
 	row, found := r.rowLookup(t)
 	if !found {

@@ -7,14 +7,13 @@ import (
 )
 
 // layouts configures one relation per storage layout so count and deletion
-// semantics are pinned across all three (the same axis the shard-layout tests
-// use): flat, row-id view, physical sub-relations.
+// semantics are pinned across both (the same axis the shard-layout tests
+// use): flat, physical sub-relations.
 var countLayouts = []struct {
 	name string
 	set  func(r *Relation)
 }{
 	{"flat", func(*Relation) {}},
-	{"view", func(r *Relation) { r.SetShardKey(4, 0) }},
 	{"physical", func(r *Relation) { r.SetShardKeyPhysical(4, 0) }},
 }
 
@@ -186,7 +185,7 @@ func TestCountsSurviveLayoutTransitions(t *testing.T) {
 	if c := r.Count([]Value{1, 2, 3}); c != 3 {
 		t.Fatalf("count after physical split = %d, want 3", c)
 	}
-	r.SetShardKey(0, 0) // dissolve back to flat
+	r.SetShardKeyPhysical(0, 0) // dissolve back to flat
 	if c := r.Count([]Value{1, 2, 3}); c != 3 {
 		t.Fatalf("count after dissolve = %d, want 3", c)
 	}
@@ -226,8 +225,8 @@ func TestTruncateKeepsCounts(t *testing.T) {
 // given as a bitset over row ids (drawn with repeats and in any order, on
 // both sides of the boundary, the bitset sometimes shorter than the
 // relation) must leave exactly what DeleteRows leaves given the same rows as
-// tuples — rows in order, counts, indexes, bucket views, mutation counter
-// and return values — in the flat and view layouts, and a pinned epoch's rows
+// tuples — rows in order, counts, indexes, mutation counter and return
+// values — in the flat layout, and a pinned epoch's rows
 // must be detached first, never rewritten.
 func TestDeleteRowIDsMatchesDeleteRows(t *testing.T) {
 	for _, lo := range countLayouts {
@@ -294,16 +293,6 @@ func TestDeleteRowIDsMatchesDeleteRows(t *testing.T) {
 					for g, w := got.First(), want.First(); g >= 0 || w >= 0; g, w = got.Next(g), want.Next(w) {
 						if g != w {
 							t.Fatalf("round %d: probe(col 1 = %d) chains differ: row %d vs %d", round, v, g, w)
-						}
-					}
-				}
-				if lo.name == "view" {
-					for s := 0; s < 4; s++ {
-						var got, want [][]Value
-						byID.EachShardRange(s, s+1, func(row []Value) bool { got = append(got, append([]Value(nil), row...)); return true })
-						byTuple.EachShardRange(s, s+1, func(row []Value) bool { want = append(want, append([]Value(nil), row...)); return true })
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("round %d: bucket %d = %v, want %v", round, s, got, want)
 						}
 					}
 				}

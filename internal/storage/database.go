@@ -33,16 +33,6 @@ type PredicateDB struct {
 	// swaps counts SwapClear invocations, the delta-rotation component of the
 	// predicate's drift counter.
 	swaps uint64
-
-	// Shard configuration (0 = unsharded): all three relations are
-	// partitioned into shards buckets by hash of column shardCol, the
-	// planned join key. physical selects the physically sharded backing
-	// store for the delta pair (per-bucket slabs and indexes, concurrent
-	// per-bucket inserts), Derived staying a view; see shard.go and
-	// physshard.go.
-	shards   int
-	shardCol int
-	physical bool
 }
 
 func newPredicateDB(id PredID, name string, arity int) *PredicateDB {
@@ -133,60 +123,23 @@ func (p *PredicateDB) DriftCounter() uint64 {
 	return p.swaps + p.Derived.Mutations() + p.DeltaKnown.Mutations() + p.DeltaNew.Mutations()
 }
 
-// SetShards partitions all three relations into n buckets by hash of column
-// col — the join key the planner probes, so the parallel executor can hand
-// each bucket of the delta to a different worker. n < 2 removes the
-// partition. The partitions are row-id views: registering them leaves every
-// relation's content and mutation counter untouched, so DriftCounter totals
-// are identical before and after sharding.
-func (p *PredicateDB) SetShards(n, col int) {
-	if n < 2 {
-		p.shards, p.shardCol = 0, 0
-	} else {
-		p.shards, p.shardCol = n, col
-	}
-	p.physical = false
-	p.Derived.SetShardKey(n, col)
-	p.DeltaKnown.SetShardKey(n, col)
-	p.DeltaNew.SetShardKey(n, col)
-}
-
-// SetShardsPhysical partitions like SetShards but with the physically
-// sharded backing store: the delta pair becomes n independent per-bucket
-// sub-relations (SwapClear's pointer exchange carries the mode with the
-// structs), and Derived keeps the global arena and its one row table under
-// the row-id bucket views (the workers' frozen set-difference probes only
-// read it, and Emit stages in it). Content and predicate-level drift totals
-// are preserved exactly, like SetShards. n < 2 removes the partition.
+// SetShardsPhysical partitions the delta pair into n buckets by hash of
+// column col — the join key the planner probes — so the parallel executor
+// can hand each bucket span of the delta to a different task: δ and δ′
+// become n independent per-bucket sub-relations (SwapClear's pointer
+// exchange carries the layout with the structs). Derived stays flat: the
+// workers' frozen set-difference probes only read its one row table, and
+// Emit stages in it. Content and drift totals are preserved exactly. n < 2
+// dissolves the partition.
 func (p *PredicateDB) SetShardsPhysical(n, col int) {
-	if n < 2 {
-		p.SetShards(n, col)
-		return
-	}
-	p.shards, p.shardCol = n, col
-	p.physical = true
-	p.Derived.SetShardKey(n, col)
 	p.DeltaKnown.SetShardKeyPhysical(n, col)
 	p.DeltaNew.SetShardKeyPhysical(n, col)
 }
 
-// Shards returns the configured bucket count (0 = unsharded).
-func (p *PredicateDB) Shards() int { return p.shards }
-
-// Physical reports whether the configured partition uses the physically
-// sharded backing store (SetShardsPhysical).
-func (p *PredicateDB) Physical() bool { return p.physical }
-
-// ShardKeyCol returns the configured shard key column.
-func (p *PredicateDB) ShardKeyCol() int { return p.shardCol }
-
-// ShardDriftCounter is the per-bucket analogue of DriftCounter: a monotone
-// counter over bucket s of all three relations plus the delta rotations. The
-// three per-relation components travel with the relation structs, so the sum
-// is invariant under SwapClear's pointer exchange, exactly like the
-// predicate-level counter it refines.
-func (p *PredicateDB) ShardDriftCounter(s int) uint64 {
-	return p.swaps + p.Derived.ShardMutations(s) + p.DeltaKnown.ShardMutations(s) + p.DeltaNew.ShardMutations(s)
+// Shards returns the delta pair's bucket count (0 = unsharded).
+func (p *PredicateDB) Shards() int {
+	n, _ := p.DeltaKnown.ShardConfig()
+	return n
 }
 
 // BuildIndexes registers indexes on the given columns across all three
@@ -292,24 +245,11 @@ func (c *Catalog) DropStaged() {
 	}
 }
 
-// ConfigureShards partitions every predicate into n buckets, keyed by the
-// predicate's entry in keyCols (its planned join key; column 0 when absent).
-// n < 2 removes all partitions.
-func (c *Catalog) ConfigureShards(n int, keyCols map[PredID]int) {
-	for _, p := range c.preds {
-		col := keyCols[p.ID]
-		if col < 0 || col >= p.Arity {
-			col = 0
-		}
-		p.SetShards(n, col)
-	}
-}
-
-// ConfigureShardsPhysical is ConfigureShards with the physically sharded
-// backing store (SetShardsPhysical). Every execution engine reads it: the
-// interpreter's executors and all compiled backends iterate the bucket-local
-// surface (Relation.PhysSubs / EachShardRange), so it is safe — and the
-// default — for sharded runs with a JIT controller attached.
+// ConfigureShardsPhysical partitions every predicate's delta pair into n
+// buckets (SetShardsPhysical), keyed by the predicate's entry in keyCols (its
+// planned join key; column 0 when absent). Every execution engine reads the
+// bucket-local surface (Relation.PhysSubs / EachShardRange). n < 2 removes
+// all partitions.
 func (c *Catalog) ConfigureShardsPhysical(n int, keyCols map[PredID]int) {
 	for _, p := range c.preds {
 		col := keyCols[p.ID]

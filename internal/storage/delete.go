@@ -13,7 +13,7 @@ import (
 // — as tuples (DeleteRows) or, when the caller already holds them as a bitset
 // over row ids (DeleteRowIDs), as that bitset — in ONE stable compaction per
 // relation, rebuilding the derived structures — row table, indexes,
-// composites, histograms, shard views — the same way TruncateTo does, and
+// composites, histograms — the same way TruncateTo does, and
 // advancing the mutation counter once per batch (one logical content change,
 // exactly like Clear).
 //
@@ -28,8 +28,7 @@ import (
 // baseline watermark by removedBelow). Tuples that are absent are ignored;
 // when nothing is present the relation — including its mutation counters —
 // is untouched. In physical mode the batch routes per bucket and boundary is
-// meaningless (row ids are bucket-local): removedBelow is 0, and per-bucket
-// counters advance for the buckets that lost rows, mirroring Clear.
+// meaningless (row ids are bucket-local): removedBelow is 0.
 func (r *Relation) DeleteRows(tuples [][]Value, boundary int) (removed, removedBelow int) {
 	if len(tuples) == 0 {
 		return 0, 0
@@ -37,17 +36,13 @@ func (r *Relation) DeleteRows(tuples [][]Value, boundary int) (removed, removedB
 	if r.subs != nil {
 		byBucket := make([][][]Value, len(r.subs))
 		for _, t := range tuples {
-			b := ShardOf(t[r.shardCol], r.shardCount)
+			b := ShardOf(t[r.shardCol], len(r.subs))
 			byBucket[b] = append(byBucket[b], t)
 		}
 		for s, bt := range byBucket {
-			if len(bt) == 0 {
-				continue
-			}
-			rm, _ := r.subs[s].deleteCompact(bt, 0)
-			if rm > 0 {
+			if len(bt) > 0 {
+				rm, _ := r.subs[s].deleteCompact(bt, 0)
 				removed += rm
-				r.shardMuts[s]++
 			}
 		}
 		if removed > 0 {
@@ -148,9 +143,6 @@ func (r *Relation) AssertAt(tuples [][]Value, boundary int) (added [][]Value, pr
 	r.pinned = false
 	r.counts = cnts
 	r.reindexRows()
-	if r.shardCount > 0 {
-		r.shardRebuild()
-	}
 	if len(added) > 0 {
 		r.muts++ // one logical content change per batch, like DeleteRows
 	}
@@ -244,8 +236,5 @@ func (r *Relation) compactRows(dead []uint64, boundary int) (removed, removedBel
 		r.counts = r.counts[:cw]
 	}
 	r.reindexRows()
-	if r.shardCount > 0 {
-		r.shardRebuild()
-	}
 	return removed, removedBelow
 }

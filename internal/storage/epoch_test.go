@@ -111,14 +111,18 @@ func TestPinRowsAppendWhilePinned(t *testing.T) {
 	}
 }
 
-// TestPinRowsView pins the sharded-Derived layout (bucket views over one
-// global arena, so the zero-copy pin applies).
+// TestPinRowsView pins the sharded Derived: SetShardsPhysical leaves it
+// flat, one global arena, so the zero-copy pin applies.
 func TestPinRowsView(t *testing.T) {
-	r := NewRelation("t", 2)
+	p := newPredicateDB(0, "t", 2)
+	r := p.Derived
 	for i := 0; i < 16; i++ {
 		r.Insert([]Value{Value(i), Value(i)})
 	}
-	r.SetShardKey(4, 0)
+	p.SetShardsPhysical(4, 0)
+	if r.PhysSubs() != nil {
+		t.Fatal("sharding partitioned Derived")
+	}
 	view := r.PinRows()
 	want := epochRowStrings(view)
 	r.TruncateTo(3)

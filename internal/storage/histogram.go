@@ -6,17 +6,17 @@ package storage
 // (BuildHistogram / PredicateDB.BuildHistograms) and maintained in the same
 // mutation paths that maintain cardinality and drift counters: Insert
 // increments the inserted value's bucket, Clear/ClearRetain/TruncateTo reset
-// or rebuild, and the partition-mode transitions of shard.go/physshard.go
-// carry the registration with the relation.
+// or rebuild, and the layout transitions of physshard.go carry the
+// registration with the relation.
 //
 // Two invariants:
 //
 //   - Total always equals the relation's Len() (per registered column), in
-//     every shard layout and across every mode transition — the property
+//     both layouts and across every transition — the property
 //     TestHistogramInvariants pins.
 //   - Histogram maintenance never touches a mutation counter. Like index
-//     registration, building or updating histograms leaves Mutations() and
-//     ShardMutations() byte-identical to a histogram-free run, so the drift
+//     registration, building or updating histograms leaves Mutations()
+//     byte-identical to a histogram-free run, so the drift
 //     totals the plan cache's freshness policy observes are unperturbed
 //     (asserted by the differential harness's drift-increment comparison).
 //
@@ -136,21 +136,6 @@ func (r *Relation) HistogramOf(col int) (Histogram, bool) {
 		return sum, true
 	}
 	return *r.histograms[col], true
-}
-
-// ShardHistogram returns a copy of bucket s's histogram of column col — the
-// per-shard distribution statistic. Per-bucket histograms are maintained only
-// by the physical layout (each bucket sub-relation owns its counts); an
-// unpartitioned relation reads as a single bucket holding everything, and the
-// row-id view layouts report ok=false rather than an estimate.
-func (r *Relation) ShardHistogram(s, col int) (Histogram, bool) {
-	if r.subs != nil {
-		return r.subs[s].HistogramOf(col)
-	}
-	if r.shardCount == 0 {
-		return r.HistogramOf(col)
-	}
-	return Histogram{}, false
 }
 
 // histInsert counts a freshly inserted tuple in every registered histogram.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -44,7 +45,7 @@ func histCheck(t *testing.T, step string, r *Relation, cols ...int) {
 
 // TestHistogramInvariants drives an identical randomized operation sequence —
 // inserts, duplicate inserts, Clear, ClearRetain, TruncateTo — through a
-// flat, a view-sharded, and a physically sharded relation with
+// flat and a physically sharded relation with
 // histograms registered on both columns, asserting after every step that each
 // histogram's Total equals the relation cardinality and its distribution
 // matches an exact recount. A histogram-free twin runs the same sequence to
@@ -55,7 +56,6 @@ func TestHistogramInvariants(t *testing.T) {
 		setup func(r *Relation)
 	}{
 		{"flat", func(r *Relation) {}},
-		{"view", func(r *Relation) { r.SetShardKey(4, 0) }},
 		{"physical", func(r *Relation) { r.SetShardKeyPhysical(4, 0) }},
 	}
 	for _, lay := range layouts {
@@ -113,8 +113,8 @@ func TestHistogramInvariants(t *testing.T) {
 }
 
 // TestHistogramModeTransitions walks one relation through every shard-layout
-// transition — flat → view → physical → flat — with content present,
-// asserting the registration and the totals survive each move.
+// transition — flat → physical → repartitioned → flat — with content
+// present, asserting the registration and the totals survive each move.
 func TestHistogramModeTransitions(t *testing.T) {
 	r := NewRelation("p", 2)
 	r.BuildHistogram(1)
@@ -123,24 +123,22 @@ func TestHistogramModeTransitions(t *testing.T) {
 		r.Insert([]Value{Value(rng.Intn(50)), Value(rng.Intn(50))})
 	}
 	histCheck(t, "flat", r, 1)
-	r.SetShardKey(8, 0)
-	histCheck(t, "view", r, 1)
-	r.SetShardKeyPhysical(8, 0)
+	r.SetShardKeyPhysical(4, 1)
 	histCheck(t, "physical", r, 1)
-	// Per-shard variant: each bucket's histogram recounts that bucket alone,
-	// and the bucket totals sum to the whole.
+	r.SetShardKeyPhysical(8, 0)
+	histCheck(t, "repartitioned", r, 1)
+	// Each bucket's histogram recounts that bucket alone, and the bucket
+	// totals sum to the whole.
 	var per uint64
-	for s := 0; s < 8; s++ {
-		h, ok := r.ShardHistogram(s, 1)
-		if !ok {
-			t.Fatalf("bucket %d: no shard histogram in physical mode", s)
-		}
+	for s, sub := range r.PhysSubs() {
+		histCheck(t, fmt.Sprintf("bucket %d", s), sub, 1)
+		h, _ := sub.HistogramOf(1)
 		per += h.Total
 	}
 	if int(per) != r.Len() {
 		t.Fatalf("shard totals sum %d, Len %d", per, r.Len())
 	}
-	r.SetShardKey(0, 0)
+	r.SetShardKeyPhysical(0, 0)
 	histCheck(t, "dissolved", r, 1)
 }
 

@@ -2,31 +2,44 @@ package storage
 
 import "fmt"
 
-// This file implements the physically sharded storage layout behind the
-// SetShardKey partitioning. A relation has one of three layouts:
+// This file implements hash-shard partitioning. A relation has one of two
+// layouts:
 //
-//   - flat: one arena, one row table;
-//   - view (SetShardKey, shard.go): flat, plus per-bucket row-id views over
-//     the shared arena — what Derived uses in every sharded configuration;
-//   - physical (SetShardKeyPhysical): every bucket is a fully independent
-//     sub-relation with its own arena slab, row table, indexes, and
-//     mutation counter — the delta pair of a sharded run, whose bucket
-//     tasks then scan and probe one slab each.
+//   - flat: one arena, one row table — every relation outside a sharded run,
+//     and Derived inside one (the workers only test membership in it, and
+//     Emit stages in it, through the one row table);
+//   - physical (SetShardKeyPhysical): shards fully independent sub-relations
+//     keyed by hash of one column (the planned join key), each with its own
+//     arena slab, row table, indexes, and mutation counter — the delta pair
+//     of a sharded run, whose bucket tasks then scan and probe one slab each.
 //
-// Duplicate elimination is the same structure in all three — the row table
-// of rowtable.go, one per arena — and so are the reference counts, the
-// histograms and the indexes, which live wherever the rows do. A membership
-// probe only loads from the table and the arena, so the set difference
-// against the iteration-frozen Derived that every parallel worker performs
-// per candidate tuple needs no per-bucket structure to be race-free; the
-// former split-dedup layout, which existed to give each worker a bucket-local
-// Go map, is gone.
+// Flat ↔ physical is the only transition. The parallel fixpoint driver
+// splits one large rule into per-bucket-span tasks: each task reads only its
+// buckets of the delta, and the union of the buckets is exactly the
+// relation (the property FuzzShardRouting checks), so the fan-out derives
+// the same set of facts as the unsharded evaluation.
 //
-// Every layout preserves the relation-level mutation counter exactly: for any
+// Duplicate elimination is the same structure in both layouts — the row
+// table of rowtable.go, one per arena — and so are the reference counts, the
+// histograms and the indexes, which live wherever the rows do. Every
+// transition preserves the relation-level mutation counter exactly: for any
 // operation sequence, Mutations() reports the same value the flat layout
 // would have, so the drift totals the plan cache's freshness policy observes
-// are byte-identical across {flat, view, physical}. Per-bucket counters stay
-// monotone across arbitrary mode transitions.
+// are identical with and without sharding.
+
+// ShardOf returns the shard bucket of value v among shards buckets. The hash
+// is a 32-bit avalanche mix (murmur3 finalizer) so consecutive integer keys —
+// the common case for interned symbols and dense node ids — spread evenly
+// instead of striping. shards must be positive.
+func ShardOf(v Value, shards int) int {
+	x := uint32(v)
+	x ^= x >> 16
+	x *= 0x85ebca6b
+	x ^= x >> 13
+	x *= 0xc2b2ae35
+	x ^= x >> 16
+	return int(x % uint32(shards))
+}
 
 // resetContents drops all tuples and index entries without touching any
 // mutation counter — the caller owns the accounting. The arena is always
@@ -52,45 +65,24 @@ func (r *Relation) resetContents(retain bool) {
 	}
 }
 
-// maxObservableCounter returns a value at least as large as the relation
-// counter and every currently observable per-bucket counter, in any mode —
-// the floor new per-bucket counters must be bumped past so that equal
-// observations never bracket a mode transition.
-func (r *Relation) maxObservableCounter() uint64 {
-	m := r.Mutations()
-	for s := 0; s < r.shardCount; s++ {
-		if c := r.ShardMutations(s); c > m {
-			m = c
-		}
-	}
-	for _, c := range r.shardMuts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// SetShardKeyPhysical converts the relation to the physical mode: shards
+// SetShardKeyPhysical converts the relation to the physical layout: shards
 // independent sub-relations keyed by hash of column col. Content and
-// Mutations() are preserved exactly; per-bucket counters jump past every
-// previously observable value (bucket contents are reassigned wholesale).
-// Idempotent for an identical configuration; shards < 2 removes the
-// partition.
+// Mutations() are preserved exactly. Idempotent for an identical
+// configuration; shards < 2 dissolves the partition back to the flat layout.
 func (r *Relation) SetShardKeyPhysical(shards, col int) {
 	if shards < 2 {
-		r.SetShardKey(shards, col)
-		return
-	}
-	if col < 0 || col >= r.arity {
+		shards, col = 0, 0
+	} else if col < 0 || col >= r.arity {
 		panic("storage: shard key column out of range")
 	}
-	if r.subs != nil && r.shardCount == shards && r.shardCol == col {
+	if len(r.subs) == shards && r.shardCol == col {
 		return
 	}
-	base := r.maxObservableCounter() + 1
 	if r.subs != nil {
 		r.dissolvePhys()
+	}
+	if shards == 0 {
+		return
 	}
 	target := r.muts
 
@@ -121,13 +113,7 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 		}
 		rows++
 	}
-	r.subs = subs
-	r.shardCount, r.shardCol = shards, col
-	r.shardRows = nil
-	r.shardMuts = make([]uint64, shards)
-	for s := range r.shardMuts {
-		r.shardMuts[s] = base
-	}
+	r.subs, r.shardCol = subs, col
 	// The re-inserts above advanced the sub counters by one per row; deduct
 	// them from the parent component so the observable total is unchanged
 	// (every arena row was one successful insert in the flat history too).
@@ -147,18 +133,11 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 }
 
 // dissolvePhys converts a physical relation back to the flat layout,
-// preserving content and the observable mutation total. The per-bucket
-// observables are parked in shardMuts so any later partition registration
-// bumps past them.
+// preserving content and the observable mutation total.
 func (r *Relation) dissolvePhys() {
 	target := r.Mutations()
-	for s := range r.subs {
-		r.shardMuts[s] += r.subs[s].muts
-	}
 	subs := r.subs
-	r.subs = nil
-	r.shardCount, r.shardCol = 0, 0
-	r.shardRows = nil
+	r.subs, r.shardCol = nil, 0
 	for _, sub := range subs {
 		i := 0
 		sub.Each(func(row []Value) bool {
@@ -173,8 +152,45 @@ func (r *Relation) dissolvePhys() {
 	r.muts = target
 }
 
+// bucket returns the sub-relation that owns tuple t on a physical relation.
+func (r *Relation) bucket(t []Value) *Relation {
+	return r.subs[ShardOf(t[r.shardCol], len(r.subs))]
+}
+
+// ShardConfig returns the bucket count and key column of a physical
+// relation, or (0, 0) when the relation is flat.
+func (r *Relation) ShardConfig() (shards, col int) {
+	if r.subs == nil {
+		return 0, 0
+	}
+	return len(r.subs), r.shardCol
+}
+
+// ShardLen returns the number of tuples in bucket s (the per-shard
+// cardinality statistic). A flat relation reads as one bucket holding
+// everything.
+func (r *Relation) ShardLen(s int) int {
+	if r.subs == nil {
+		return r.Len()
+	}
+	return r.subs[s].Len()
+}
+
+// CheckShards panics unless the relation is physically partitioned into
+// shards buckets: the delta a task restricted to a bucket span reads. Every
+// predicate of a sharded run is partitioned into the run's bucket count (each
+// on its own key column — the buckets cover the relation exactly whichever it
+// is), so a mismatch is an engine-wiring bug, never a reason to filter rows
+// by hash.
+func (r *Relation) CheckShards(shards int) {
+	if len(r.subs) != shards {
+		panic(fmt.Sprintf("storage: a task over %d buckets reads %q, which has %d physical buckets",
+			shards, r.name, len(r.subs)))
+	}
+}
+
 // PhysSubs returns the per-bucket sub-relations of a physically sharded
-// relation, or nil in every other mode. Executors use it to serve scans and
+// relation, or nil on a flat one. Executors use it to serve scans and
 // probes bucket-locally (per-bucket row ids are meaningless to the parent).
 // Callers must not mutate the slice or insert through it.
 //
@@ -208,7 +224,7 @@ func (r *Relation) ProbeSpanComposite(cols []int, vals []Value) (lo, hi int) {
 	}
 	for ci, c := range cols {
 		if c == r.shardCol {
-			b := ShardOf(vals[ci], r.shardCount)
+			b := ShardOf(vals[ci], len(r.subs))
 			return b, b + 1
 		}
 	}
@@ -217,8 +233,8 @@ func (r *Relation) ProbeSpanComposite(cols []int, vals []Value) (lo, hi int) {
 
 // EachProbe visits every row with row[col] == v until f returns false,
 // through the best access path the relation's mode offers: the global hash
-// index (or a filtered scan when none is registered) on a flat or
-// view-partitioned relation, per-bucket indexes routed by ProbeSpan on a
+// index (or a filtered scan when none is registered) on a flat
+// relation, per-bucket indexes routed by ProbeSpan on a
 // physical one. Every executor and compiled backend probes through this one
 // implementation, so the index-miss degradation and the bucket routing
 // cannot drift apart between engines. Like Probe, it panics on a registered
@@ -229,7 +245,7 @@ func (r *Relation) EachProbe(col int, v Value, f func(row []Value) bool) {
 
 // EachShardRangeProbe is EachProbe restricted to buckets [lo, hi) of a
 // physically sharded relation — the probe surface of a bucket-span task
-// (callers intersect ProbeSpan with their task span). On a non-physical
+// (callers intersect ProbeSpan with their task span). On a flat
 // relation it falls back to the unrestricted EachProbe.
 func (r *Relation) EachShardRangeProbe(lo, hi, col int, v Value, f func(row []Value) bool) {
 	r.EachShardRangeProbeComposite(lo, hi, []int{col}, []Value{v}, f)
@@ -285,21 +301,21 @@ func coversKey(row []Value, cols []int, vals []Value) bool {
 	return true
 }
 
-// EachShardRange calls f for every tuple of buckets [lo, hi) until f
-// returns false — the scan surface of a bucket-span task (the adaptive
-// fan-out hands each task a contiguous range of buckets when the delta is
-// too small to justify one task per bucket). On an unpartitioned relation
-// it visits every tuple.
+// EachShardRange calls f for every tuple of buckets [lo, hi) of a physical
+// relation until f returns false — the scan surface of a bucket-span task
+// (the adaptive fan-out hands each task a contiguous range of buckets when
+// the delta is too small to justify one task per bucket). On a flat
+// relation it visits every tuple.
 func (r *Relation) EachShardRange(lo, hi int, f func(row []Value) bool) {
-	if r.shardCount == 0 {
+	if r.subs == nil {
 		r.Each(f)
 		return
 	}
-	stopped := false
-	for s := lo; s < hi && !stopped; s++ {
-		r.EachShard(s, func(row []Value) bool {
-			stopped = !f(row)
-			return !stopped
-		})
+	for _, sub := range r.subs[lo:hi] {
+		for off := 0; off < len(sub.arena); off += r.arity {
+			if !f(sub.arena[off : off+r.arity : off+r.arity]) {
+				return
+			}
+		}
 	}
 }

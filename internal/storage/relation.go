@@ -33,8 +33,8 @@ import (
 // Semi-naive evaluation uses the row table of Derived as its only duplicate
 // elimination (PredicateDB.Emit): a row found in an iteration is staged —
 // entered in the row table and written into the arena's spare capacity past
-// its length — so Contains sees it at once while Len, Each, Row, the probes,
-// the bucket views and PinRows keep seeing the rows of the iteration's start
+// its length — so Contains sees it at once while Len, Each, Row, the probes
+// and PinRows keep seeing the rows of the iteration's start
 // until publish (SwapClear) makes it a row. δ′ is then an append-only list
 // (AppendDistinct) whose arena its row table does not cover. Insert,
 // Contains, RowOf, TruncateTo and Clear panic on a relation in a state they
@@ -85,23 +85,13 @@ type Relation struct {
 	countsOn bool
 	counts   []uint32
 
-	// Shard partition state (see shard.go and physshard.go). shardCount == 0
-	// means unpartitioned; otherwise the relation is partitioned into
-	// shardCount buckets by ShardOf(row[shardCol], shardCount) in one of
-	// two modes:
-	//
-	//   - view: shardRows holds row-id bucket views over the shared arena
-	//     and shardMuts the per-bucket monotone mutation counters (Derived
-	//     in every sharded configuration — its frozen-iteration membership
-	//     probes go through the one row table, concurrently);
-	//   - physical: subs holds one fully independent sub-relation per bucket
-	//     (its own arena, row table, indexes, and mutation counter) —
-	//     DeltaNew/DeltaKnown under physical sharding, read bucket-locally.
-	shardCount int
-	shardCol   int
-	shardRows  [][]int32
-	shardMuts  []uint64
-	subs       []*Relation
+	// Shard partition state (physshard.go): nil subs means the flat layout;
+	// otherwise the relation is physical, split into len(subs) independent
+	// sub-relations (each its own arena, row table, indexes, and mutation
+	// counter) by ShardOf(row[shardCol], len(subs)) — the delta pair of a
+	// sharded run, read bucket-locally.
+	shardCol int
+	subs     []*Relation
 }
 
 // NewRelation creates an empty relation with the given name and arity.
@@ -143,7 +133,7 @@ func (r *Relation) Insert(t []Value) bool {
 	if r.subs != nil {
 		// Physical mode: the bucket sub-relation owns the row outright (its
 		// own arena, row table, and counter — Mutations sums them back up).
-		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].Insert(t)
+		return r.bucket(t).Insert(t)
 	}
 	if r.staged != 0 || !r.covered() {
 		r.misuse("Insert")
@@ -169,7 +159,7 @@ func (r *Relation) Contains(t []Value) bool {
 		return false
 	}
 	if r.subs != nil {
-		return r.subs[ShardOf(t[r.shardCol], r.shardCount)].Contains(t)
+		return r.bucket(t).Contains(t)
 	}
 	arena := r.arena
 	if r.staged != 0 {
@@ -241,7 +231,7 @@ func (r *Relation) unstage() {
 // scans, the probes and Seal accept.
 func (r *Relation) AppendDistinct(t []Value) {
 	if r.subs != nil {
-		r.subs[ShardOf(t[r.shardCol], r.shardCount)].AppendDistinct(t)
+		r.bucket(t).AppendDistinct(t)
 		return
 	}
 	row := int32(len(r.arena) / r.arity)
@@ -286,15 +276,11 @@ func (r *Relation) Seal() {
 }
 
 // added accounts for arena row row, content t, which the caller has just
-// made a row: a mutation, a count of 1, its bucket view, histograms and
-// index chains.
+// made a row: a mutation, a count of 1, histograms and index chains.
 func (r *Relation) added(t []Value, row int32) {
 	r.muts++
 	if r.countsOn {
 		r.counts = append(r.counts, 1)
-	}
-	if r.shardCount > 0 {
-		r.shardInsert(t, row)
 	}
 	r.indexRow(t, row)
 }
@@ -505,14 +491,10 @@ func (r *Relation) clear(retain bool) {
 	}
 	if r.subs != nil {
 		// One logical content change, regardless of how many buckets held
-		// rows — mirrors the unsharded counter exactly (per-bucket counters
-		// advance for the buckets that lost rows, like shardClear).
+		// rows — mirrors the unsharded counter exactly.
 		cleared := false
-		for s, sub := range r.subs {
-			if len(sub.arena) > 0 {
-				cleared = true
-				r.shardMuts[s]++
-			}
+		for _, sub := range r.subs {
+			cleared = cleared || len(sub.arena) > 0
 			sub.resetContents(retain)
 		}
 		if cleared {
@@ -522,9 +504,6 @@ func (r *Relation) clear(retain bool) {
 	}
 	if len(r.arena) > 0 {
 		r.muts++
-	}
-	if r.shardCount > 0 {
-		r.shardClear()
 	}
 	r.resetContents(retain)
 }
@@ -550,9 +529,6 @@ func (r *Relation) TruncateTo(n int) {
 	r.muts++
 	if !r.detachPinned(n * r.arity) {
 		r.arena = r.arena[:n*r.arity]
-	}
-	if r.shardCount > 0 {
-		r.shardRebuild()
 	}
 	if r.countsOn {
 		r.counts = r.counts[:n]

@@ -150,12 +150,12 @@ func TestClearRetainKeepsCapacity(t *testing.T) {
 	}
 }
 
-// TestClearRetainShardedBuffer covers the recycling pattern under a shard
-// partition (the physically mirrored worker buffers): per-bucket views reset
-// with capacity kept, and refills repartition correctly.
+// TestClearRetainShardedBuffer covers the recycling pattern under a physical
+// partition (δ′ of a sharded run): the buckets reset in place, and refills
+// repartition correctly.
 func TestClearRetainShardedBuffer(t *testing.T) {
 	r := NewRelation("sbuf", 2)
-	r.SetShardKey(4, 0)
+	r.SetShardKeyPhysical(4, 0)
 	for i := 0; i < 256; i++ {
 		r.Insert([]Value{Value(i), Value(i + 1)})
 	}

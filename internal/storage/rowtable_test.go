@@ -289,14 +289,10 @@ func (m *tableModel) assertAt(batch [][]Value, boundary int) {
 
 func (m *tableModel) relayout(kind, shards, col int) {
 	wasPhysical := m.physical()
-	switch kind {
-	case 0:
-		m.r.SetShardKey(0, 0)
-	case 1:
-		m.r.SetShardKey(shards, col)
-	default:
-		m.r.SetShardKeyPhysical(shards, col)
+	if kind == 0 {
+		shards = 0
 	}
+	m.r.SetShardKeyPhysical(shards, col)
 	if wasPhysical || m.physical() {
 		m.orderKnown = false
 	}
@@ -322,16 +318,12 @@ func emptyLike(r *Relation) *Relation {
 	if r.countsOn {
 		tw.EnableCounts()
 	}
-	if shards, col := r.ShardConfig(); r.subs != nil {
-		tw.SetShardKeyPhysical(shards, col)
-	} else {
-		tw.SetShardKey(shards, col)
-	}
+	tw.SetShardKeyPhysical(r.ShardConfig())
 	return tw
 }
 
 // sameStructure fails unless a and b hold the same rows in the same order
-// with the same index chains, bucket views and histograms.
+// with the same index chains, buckets and histograms.
 func (m *tableModel) sameStructure(a, b *Relation) {
 	m.t.Helper()
 	if sa, sb := a.Snapshot(), b.Snapshot(); !reflect.DeepEqual(sa, sb) {
@@ -344,18 +336,11 @@ func (m *tableModel) sameStructure(a, b *Relation) {
 			m.fail("%s and %s disagree on the histogram of column %d", a.name, b.name, c)
 		}
 	}
-	// A view partition's bucket lists name row ids; a physical one's rows
-	// live in the sub-relations compared below.
-	bucketRows := func(r *Relation, s int) []int32 {
-		if r.subs != nil {
-			return nil
-		}
-		return r.shardRows[s]
-	}
+	// A physical partition's rows live in the sub-relations compared below.
 	shards, _ := a.ShardConfig()
 	for s := 0; s < shards; s++ {
-		if a.ShardLen(s) != b.ShardLen(s) || !slices.Equal(bucketRows(a, s), bucketRows(b, s)) {
-			m.fail("bucket %d: %s rows %v, %s rows %v", s, a.name, bucketRows(a, s), b.name, bucketRows(b, s))
+		if a.ShardLen(s) != b.ShardLen(s) {
+			m.fail("bucket %d: %s holds %d rows, %s holds %d", s, a.name, a.ShardLen(s), b.name, b.ShardLen(s))
 		}
 	}
 	slabsA, slabsB := []*Relation{a}, []*Relation{b}
@@ -381,7 +366,7 @@ func (m *tableModel) sameStructure(a, b *Relation) {
 // stageBatch stages batch the way PredicateDB.Emit stages in Derived. Until
 // the batch is published its rows answer Contains and deduplicate later
 // stages — through any growth of the row table — and nothing else sees them:
-// not Len, Each, Row, the bucket views, the probes, a pinned view or the
+// not Len, Each, Row, the probes, a pinned view or the
 // mutation counter, and Insert, RowOf, TruncateTo and Clear refuse to run.
 // Publishing must leave the relation exactly as Inserting the batch leaves a
 // twin; unstaging, exactly as it was.
@@ -424,13 +409,8 @@ func (m *tableModel) stageBatch(batch [][]Value, publish bool) {
 			m.fail("staged %v: row id %d (want %d), Contains %v, staged again", t, id, n+i, r.Contains(t))
 		}
 	}
-	visible := 0
-	r.EachShardRange(0, max(1, r.shardCount), func([]Value) bool {
-		visible++
-		return true
-	})
-	if r.Len() != n || visible != n || pin.Len() != n || r.Mutations() != muts || !reflect.DeepEqual(r.Snapshot(), snap) {
-		m.fail("staged rows leaked: Len %d, bucket scan %d, pinned %d, want %d; mutations %d, want %d", r.Len(), visible, pin.Len(), n, r.Mutations(), muts)
+	if r.Len() != n || pin.Len() != n || r.Mutations() != muts || !reflect.DeepEqual(r.Snapshot(), snap) {
+		m.fail("staged rows leaked: Len %d, pinned %d, want %d; mutations %d, want %d", r.Len(), pin.Len(), n, r.Mutations(), muts)
 	}
 	for i := range r.indexes {
 		cols := r.indexes[i].cols
@@ -611,8 +591,8 @@ func (m *tableModel) bulkLoad(batch [][]Value, retain bool) {
 
 // driveRowTable decodes data into an operation sequence over one relation
 // and checks it against the model after every operation. layout picks the
-// starting layout (0 flat, 1 view, 2 physical); later operations move the
-// relation between all three with content loaded. With midStream the relation
+// starting layout (even flat, odd physical); later operations move the
+// relation between both with content loaded. With midStream the relation
 // starts without indexes, an extra operation registers them over loaded
 // content, and every check also holds each index to the model
 // (driveChainIndex).
@@ -633,7 +613,7 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 	if midStream {
 		m.sets = [][]int{}
 	}
-	m.relayout(layout%3, 4, 0)
+	m.relayout(layout%2, 4, 0)
 
 	pos := 0
 	next := func() int {
@@ -721,7 +701,7 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 			}
 		case 14:
 			b := next()
-			m.relayout(b%3, 2+b%5, b%arity)
+			m.relayout(b%2, 2+b%5, b%arity)
 		case 15:
 			for i := 0; i < 8; i++ {
 				if tp := tuple(); r.Contains(tp) != (m.position(tp) >= 0) {
@@ -766,11 +746,11 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 // layout transitions, staged batches published or dropped, appended lists
 // through their seal / ClearRetain cycle, and bulk loads — against the map
 // oracle for arity 1-5, counted and uncounted, starting from each of the
-// three layouts.
+// two layouts.
 func TestRowTableModel(t *testing.T) {
 	for arity := 1; arity <= 5; arity++ {
 		for _, counted := range []bool{false, true} {
-			for layout := 0; layout < 3; layout++ {
+			for layout := 0; layout < 2; layout++ {
 				rng := rand.New(rand.NewSource(int64(100*arity + 10*layout + len(fmt.Sprint(counted)))))
 				data := make([]byte, 1500)
 				rng.Read(data)
@@ -784,7 +764,7 @@ func TestRowTableModel(t *testing.T) {
 // CI job: go test -fuzz=FuzzRowTable -fuzztime=20s ./internal/storage/
 func FuzzRowTable(f *testing.F) {
 	f.Add(uint8(2), true, uint8(0), []byte{0, 1, 2, 0, 1, 2, 6, 1, 12, 2, 1, 1, 3, 3, 0, 13, 3, 5, 0, 0, 9, 9})
-	f.Add(uint8(3), false, uint8(2), []byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3})
+	f.Add(uint8(3), false, uint8(1), []byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3})
 	f.Add(uint8(1), true, uint8(1), []byte{8, 8, 8, 8, 9, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
 	f.Add(uint8(5), true, uint8(0), []byte{0, 233, 234, 235, 236, 237, 0, 233, 234, 235, 236, 238, 13, 2, 1, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, arity uint8, counted bool, layout uint8, data []byte) {
@@ -797,12 +777,9 @@ func FuzzRowTable(f *testing.F) {
 // against the iteration-frozen Derived. Meaningful under -race.
 func TestConcurrentContainsFrozen(t *testing.T) {
 	for _, arity := range []int{2, 3} {
-		for layout := 0; layout < 3; layout++ {
+		for layout := 0; layout < 2; layout++ {
 			r := NewRelation("frozen", arity)
-			switch layout {
-			case 1:
-				r.SetShardKey(4, 0)
-			case 2:
+			if layout == 1 {
 				r.SetShardKeyPhysical(4, 0)
 			}
 			const rows = 5000

@@ -5,22 +5,24 @@ import (
 	"testing"
 )
 
-// checkShardPartition asserts the shard-routing soundness property: the
-// buckets are a disjoint, exact cover of the relation — unioning them
-// reproduces the unsharded content with no dropped and no duplicated tuples,
-// every tuple sits in the bucket its key hashes to, and the per-bucket
-// cardinalities aggregate to the relation's total.
-func checkShardPartition(t *testing.T, r *Relation) {
+// checkShardPartition asserts the shard-routing soundness property of a
+// physical relation: its buckets are a disjoint, exact cover of the flat
+// twin — unioning them reproduces the twin's content with no dropped and no
+// duplicated tuples, every tuple sits in the bucket its key hashes to, the
+// per-bucket cardinalities aggregate to the relation's total, and the
+// relation-level mutation counter equals the twin's.
+func checkShardPartition(t *testing.T, r, twin *Relation) {
 	t.Helper()
 	shards, col := r.ShardConfig()
-	if shards == 0 {
-		t.Fatal("relation is unpartitioned")
+	subs := r.PhysSubs()
+	if shards == 0 || len(subs) != shards {
+		t.Fatalf("relation is not physical: config %d, %d buckets", shards, len(subs))
 	}
 	seen := make(map[string]int)
 	total := 0
-	for s := 0; s < shards; s++ {
+	for s, sub := range subs {
 		n := 0
-		r.EachShard(s, func(row []Value) bool {
+		sub.Each(func(row []Value) bool {
 			if got := ShardOf(row[col], shards); got != s {
 				t.Fatalf("tuple %v in bucket %d, hashes to %d", row, s, got)
 			}
@@ -33,10 +35,10 @@ func checkShardPartition(t *testing.T, r *Relation) {
 		}
 		total += n
 	}
-	if total != r.Len() {
-		t.Fatalf("buckets hold %d rows, relation holds %d", total, r.Len())
+	if total != r.Len() || total != twin.Len() {
+		t.Fatalf("buckets hold %d rows, relation holds %d, twin %d", total, r.Len(), twin.Len())
 	}
-	for _, row := range r.Snapshot() {
+	for _, row := range twin.Snapshot() {
 		key := fmt.Sprint(row)
 		switch seen[key] {
 		case 1:
@@ -50,84 +52,103 @@ func checkShardPartition(t *testing.T, r *Relation) {
 	for key := range seen {
 		t.Fatalf("bucket tuple %s not in relation", key)
 	}
+	if r.Mutations() != twin.Mutations() {
+		t.Fatalf("mutation counter %d, flat twin %d", r.Mutations(), twin.Mutations())
+	}
 }
 
-// FuzzShardRouting drives a partitioned relation through arbitrary
-// insert/truncate/clear sequences decoded from the fuzz input and checks the
-// partition-exactness property after every operation. Run the short-fuzz CI
-// job with: go test -fuzz=FuzzShardRouting -fuzztime=20s ./internal/storage/
+// shardOps applies one decoded operation to a physical relation and its flat
+// twin: insert, a run of consecutive keys, Clear, ClearRetain, DeleteRows of
+// a batch, or dissolving the partition and registering another.
+type shardOps struct {
+	r, twin *Relation
+}
+
+func (o shardOps) both(f func(x *Relation)) { f(o.r); f(o.twin) }
+
+func (o shardOps) apply(t *testing.T, op, arg byte) {
+	t.Helper()
+	switch {
+	case op >= 200 && op < 205:
+		// Delete every row whose first column is at most the operand, plus
+		// one absent tuple.
+		var doomed [][]Value
+		o.twin.Each(func(row []Value) bool {
+			if row[0] <= Value(arg%64) {
+				doomed = append(doomed, append([]Value(nil), row...))
+			}
+			return true
+		})
+		doomed = append(doomed, []Value{-1, -1})
+		got, _ := o.r.DeleteRows(doomed, 0)
+		if want, _ := o.twin.DeleteRows(doomed, 0); got != want {
+			t.Fatalf("DeleteRows removed %d rows, flat twin %d", got, want)
+		}
+	case op >= 205 && op < 210:
+		// Dissolve, then repartition on the operand's layout.
+		shards, col := 2+int(arg)%15, int(arg>>4)%2
+		o.r.SetShardKeyPhysical(0, 0)
+		o.r.SetShardKeyPhysical(shards, col)
+	case op >= 210 && op < 213:
+		o.both((*Relation).Clear)
+	case op >= 213 && op < 215:
+		o.both((*Relation).ClearRetain)
+	case op >= 215 && op < 220:
+		// Incremental batch: a run of consecutive keys (the dense-id
+		// pattern incremental fact loads produce).
+		for j := Value(0); j < 8; j++ {
+			tp := []Value{Value(arg) + j, Value(op)}
+			o.both(func(x *Relation) { x.Insert(tp) })
+		}
+	default:
+		tp := []Value{Value(op), Value(arg)}
+		o.both(func(x *Relation) { x.Insert(tp) })
+	}
+}
+
+// FuzzShardRouting drives a physical relation through arbitrary insert /
+// clear / delete / repartition sequences decoded from the fuzz input and
+// checks the partition-exactness property after every operation. Run the
+// short-fuzz CI job with:
+// go test -fuzz=FuzzShardRouting -fuzztime=20s ./internal/storage/
 func FuzzShardRouting(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(2), uint8(1), []byte{0, 0, 0, 1, 255, 9, 200, 1, 1, 2})
-	f.Add(uint8(7), uint8(0), []byte{220, 5, 5, 200, 0, 5, 6, 5, 7})
-	f.Add(uint8(16), uint8(1), []byte{9, 9, 9, 9, 9, 9, 210, 2, 3, 4})
+	f.Add(uint8(7), uint8(0), []byte{220, 5, 5, 200, 0, 5, 6, 5, 7, 207, 33, 9, 9})
+	f.Add(uint8(16), uint8(1), []byte{9, 9, 9, 9, 9, 9, 210, 2, 3, 4, 213, 0, 216, 40})
 	f.Fuzz(func(t *testing.T, nshards, keyCol uint8, data []byte) {
 		shards := 2 + int(nshards)%15
 		col := int(keyCol) % 2
-		r := NewRelation("fuzz", 2)
-		r.SetShardKey(shards, col)
-		r.BuildIndex(0) // indexes and shards must stay consistent together
+		o := shardOps{r: NewRelation("fuzz", 2), twin: NewRelation("twin", 2)}
+		o.r.SetShardKeyPhysical(shards, col)
+		o.both(func(x *Relation) { x.BuildIndex(0) }) // indexes and shards must stay consistent together
 		for i := 0; i+1 < len(data); i += 2 {
-			op := data[i]
-			switch {
-			case op >= 200 && op < 210:
-				// Truncate to a prefix derived from the operand byte.
-				if n := r.Len(); n > 0 {
-					r.TruncateTo(int(data[i+1]) % (n + 1))
-				}
-			case op >= 210 && op < 215:
-				r.Clear()
-			case op >= 215 && op < 220:
-				// Incremental batch: a run of consecutive keys (the dense-id
-				// pattern incremental fact loads produce).
-				base := Value(data[i+1])
-				for j := Value(0); j < 8; j++ {
-					r.Insert([]Value{base + j, Value(op)})
-				}
-			default:
-				r.Insert([]Value{Value(op), Value(data[i+1])})
-			}
-			checkShardPartition(t, r)
+			o.apply(t, data[i], data[i+1])
+			checkShardPartition(t, o.r, o.twin)
 		}
-		// Reconfiguration rebuilds buckets from the live arena.
-		r.SetShardKey(3+shards%5, 1-col)
-		checkShardPartition(t, r)
 	})
 }
 
 // TestShardRoutingProperty is the deterministic slice of the fuzz property:
-// pseudo-random operation sequences over several shard layouts, with the
-// per-bucket counters checked for monotonicity at every step (the fuzz
-// target skips that to stay stateless).
+// pseudo-random operation sequences over several starting layouts.
 func TestShardRoutingProperty(t *testing.T) {
 	for _, cfg := range []struct{ shards, col int }{{2, 0}, {5, 1}, {16, 0}} {
-		r := NewRelation("prop", 2)
-		r.SetShardKey(cfg.shards, cfg.col)
-		prev := make([]uint64, cfg.shards)
+		o := shardOps{r: NewRelation("prop", 2), twin: NewRelation("twin", 2)}
+		o.r.SetShardKeyPhysical(cfg.shards, cfg.col)
 		rng := uint64(0x9e3779b97f4a7c15)
-		next := func() uint64 {
+		next := func() byte {
 			rng ^= rng << 13
 			rng ^= rng >> 7
 			rng ^= rng << 17
-			return rng
+			return byte(rng)
 		}
 		for step := 0; step < 400; step++ {
-			switch next() % 10 {
-			case 0:
-				r.TruncateTo(int(next()) % (r.Len() + 1))
-			case 1:
-				r.Clear()
-			default:
-				r.Insert([]Value{Value(next() % 64), Value(next() % 1024)})
+			op := next()
+			if op >= 200 && next()%4 != 0 {
+				op %= 200 // keep inserts the common case
 			}
-			checkShardPartition(t, r)
-			for s := 0; s < cfg.shards; s++ {
-				if m := r.ShardMutations(s); m < prev[s] {
-					t.Fatalf("shards=%d step %d: bucket %d counter moved backwards (%d -> %d)", cfg.shards, step, s, prev[s], m)
-				} else {
-					prev[s] = m
-				}
-			}
+			o.apply(t, op, next())
+			checkShardPartition(t, o.r, o.twin)
 		}
 	}
 }
