@@ -102,8 +102,7 @@
 //     a tuple through it;
 //     ClearRetain, TruncateTo and the compactions empty or rebuild it in
 //     place, so the per-Run baseline rewind allocates nothing for dedup once
-//     warm, while Clear gives it back like the indexes' memory; and a
-//     lookup only loads, which is why the workers' set-difference probes
+//     warm; and a lookup only loads, which is why the workers' set-difference probes
 //     against the iteration-frozen Derived are race-free without any
 //     per-bucket copy. Derived's row table is the only duplicate elimination
 //     of semi-naive evaluation (storage.PredicateDB.Emit): a new fact is
@@ -132,18 +131,15 @@
 //     only loads, so frozen relations are probed concurrently like they are
 //     tested for membership; chains run in insertion order, so derivation
 //     order is what posting lists gave. The capacity rule has no option:
-//     ClearRetain, TruncateTo, the deletion compactions and SwapClear on a
-//     predicate that is still producing facts empty the index in place and
-//     keep its memory for the refill that follows, while Clear — which is
-//     what both deltas of a predicate get from SwapClear once an iteration
-//     derived nothing for it, at the start of every Run and at the end of a
-//     retraction — gives it back, with the row table,
-//     because two deltas per predicate holding their peak iteration's links
-//     between Runs was measured as a 17 % larger live heap on CSPA for no
-//     reader. Mutation counters are accounted so drift totals are
-//     byte-identical to the flat layout for any operation sequence — mode
-//     transitions preserve the totals exactly (the shard-drift regression
-//     test pins both layouts to one number).
+//     Derived keeps its exact-sized memory, and a delta takes its arena, row
+//     table, links and slots from one size-classed sync.Pool and gives them
+//     back on Clear (storage/scratch.go), so a warm Run or Apply reuses the
+//     last one's slabs and an idle Program, once a collection empties the
+//     pool, pins none; kept on the relations, they measured as a 17 %
+//     larger live heap on CSPA for no reader. Mutation counters are
+//     accounted so drift totals are byte-identical to the flat layout for
+//     any operation sequence — mode transitions preserve the totals exactly
+//     (the shard-drift regression test pins both layouts to one number).
 //
 //   - internal/interp folds the workers' output at the iteration barrier
 //     through the sinks' Emit, in task order whichever worker ran a task,
@@ -154,11 +150,11 @@
 //     fold is sequential because deduplication happens in Derived's one row
 //     table; a bucketed fold would have only δ′'s appends to split.
 //     A worker's output is an append-only interp.RowList per predicate,
-//     with no row table, in fixed-size chunks taken from a per-Interp free
-//     list: a list never copies as it grows, each task's rows are recorded
+//     with no row table, in fixed-size chunks taken from the same scratch
+//     pool: a list never copies as it grows, each task's rows are recorded
 //     as a segment of its worker's list, and every chunk returns to the
-//     free list at the barrier, so an iteration no larger than an earlier
-//     one allocates nothing. A list is not a set, but it keeps a repeat
+//     pool at the barrier, so a warm iteration or Run allocates nothing for
+//     them. A list is not a set, but it keeps a repeat
 //     filter in one more chunk — the positions of recently appended rows,
 //     four to a hash set — that drops most of a worker's repeats before
 //     they reach the sequential fold: CSPA's rules find each new fact about

@@ -711,10 +711,13 @@ func TestApplySmallDeleteAllocatesLittle(t *testing.T) {
 // fresh nodes into it, every second one with a permanent two-hop detour, and
 // a transaction retracting all the churn edges. Half the over-deleted closure
 // is removed, half comes back through the rederivation round and the
-// continuation. On amd64 it reads 55 B per retracted row with the doomed
-// bitset as retraction's only set, and read 115 B while frontiers and
-// candidates were deduplicated through row tables of their own, grown by
-// doubling, and the deltas' tables decayed one halving per rotation.
+// continuation. On amd64 it reads 19 B per retracted row with the deltas'
+// frontiers, candidates, sealed tables and indexes in slabs from the scratch
+// pool; 55 B while every Apply allocated them afresh, and 115 B while
+// frontiers and candidates were deduplicated through row tables of their
+// own, grown by doubling, and the deltas' tables decayed one halving per
+// rotation. Under -race, where sync.Pool drops items at random, the bound is
+// logged, not enforced.
 func TestApplyChurnDeleteAllocations(t *testing.T) {
 	const nodes, edges, churn = 120, 360, 24
 	p := workloads.TransitiveClosure(analysis.HandOptimized, nodes, edges, 42).P
@@ -756,14 +759,24 @@ func TestApplyChurnDeleteAllocations(t *testing.T) {
 		apply(true)
 		apply(false)
 	}
+	// The fewest bytes of three deletes: a slab that sync.Pool kept on
+	// another P, or a collection that emptied the pool, costs one of them.
 	allocated, res := apply(true)
+	for i := 0; i < 2; i++ {
+		apply(false)
+		if again, _ := apply(true); again < allocated {
+			allocated = again
+		}
+	}
 	if res.Retracted < 1000 || res.Rederived < churn/2 {
 		t.Fatalf("fixture: retracted %d and rederived %d rows, want a closure of both kinds", res.Retracted, res.Rederived)
 	}
 	perRow := allocated / uint64(res.Retracted)
 	t.Logf("%d B for %d retracted rows (%d rederived): %d B a row", allocated, res.Retracted, res.Rederived, perRow)
-	const limit = 85
-	if perRow > limit {
+	const limit = 40
+	if perRow > limit && raceEnabled {
+		t.Logf("over the bound of %d B (race detector: not enforced)", limit)
+	} else if perRow > limit {
 		t.Errorf("a churn delete allocated %d B per retracted row, want <= %d", perRow, limit)
 	}
 }

@@ -190,10 +190,6 @@ type Interp struct {
 	// workers holds the lazily built pool state of runLoopParallel and
 	// runRetractPlans.
 	workers []*workerState
-	// chunks is the free list the workers' output lists take their chunks
-	// from; every chunk comes back at the barrier, so an iteration no larger
-	// than an earlier one allocates nothing.
-	chunks chunkPool
 	// taskSegs holds, per task of the running batch, the segments of the
 	// workers' lists it wrote: the barrier folds them in task order.
 	taskSegs [][]segment
@@ -709,7 +705,7 @@ func (in *Interp) ensureWorkers(n int) {
 			sub: &Interp{Cat: in.Cat, Plans: in.Plans, Estimate: in.Estimate, cancelHook: in.Cancelled},
 		}
 		ws.sub.bufSink = func(pid storage.PredID) *RowList {
-			return ws.out.sink(pid, in.Cat.Pred(pid).Arity, &in.chunks)
+			return ws.out.sink(pid, in.Cat.Pred(pid).Arity)
 		}
 		in.workers = append(in.workers, ws)
 	}
@@ -727,7 +723,7 @@ func (in *Interp) startTasks(n int) [][]segment {
 }
 
 // endTasks folds the batch's rows through f in task order and gives every
-// one of the w workers' chunks back to the free list: the barrier.
+// one of the w workers' chunks back to the scratch pool: the barrier.
 func (in *Interp) endTasks(segs [][]segment, w int, f func(pred storage.PredID, row []storage.Value)) {
 	if f != nil {
 		foldSegments(segs, f)
@@ -1016,7 +1012,7 @@ func (in *Interp) reoptStale(tasks []shardTask) {
 // derivations exactly like the sequential sink, and accumulates worker
 // execution counters. Runs at the iteration barrier and folds in task order,
 // whichever worker ran a task, so δ′'s row order does not depend on
-// scheduling; every chunk returns to the free list.
+// scheduling; every chunk returns to the scratch pool.
 func (in *Interp) mergeWorkers(segs [][]segment, w int) error {
 	var firstErr error
 	for _, ws := range in.workers[:w] {

@@ -189,8 +189,9 @@ func (in *Interp) Rederive(d *Doomed, emit func(pid storage.PredID, row []storag
 	return nil
 }
 
-// clearDeltas releases both delta relations of every predicate (retraction
-// borrows them as working state and must not leave capacity behind).
+// clearDeltas empties both delta relations of every predicate, giving their
+// memory to the scratch pool for the next Apply or Run: retraction borrows
+// them as working state.
 func (in *Interp) clearDeltas() {
 	for _, pd := range in.Cat.Preds() {
 		pd.DeltaKnown.Clear()
@@ -260,7 +261,7 @@ func (in *Interp) runRetractPlans(plans []*Plan, keep func(storage.PredID, []sto
 				defer wg.Done()
 				for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
 					p := plans[i]
-					out := ws.out.sink(p.Sink, len(p.Head), &in.chunks)
+					out := ws.out.sink(p.Sink, len(p.Head))
 					p.Execute(in.Cat, func(head, _ []storage.Value) {
 						if keep == nil || keep(p.Sink, head) {
 							out.Append(head)

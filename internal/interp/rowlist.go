@@ -2,14 +2,13 @@ package interp
 
 import (
 	"slices"
-	"sync"
 
 	"carac/internal/storage"
 )
 
 // chunkValues is the size of every RowList chunk in values: 4096 binary rows.
 // A list of arity a packs chunkValues/a rows into each chunk, so chunks of
-// every arity are interchangeable on one free list.
+// every arity are interchangeable in the scratch pool they come from.
 const (
 	chunkBits   = 13
 	chunkValues = 1 << chunkBits
@@ -26,39 +25,6 @@ const (
 	posMask    = 1<<posBits - 1
 )
 
-// chunkPool is the free list the worker output lists of one Interp take their
-// chunks from and give them back to at the barrier, so an iteration no larger
-// than an earlier one allocates nothing. Workers take chunks concurrently: one
-// lock per filled chunk.
-type chunkPool struct {
-	mu   sync.Mutex
-	free [][]storage.Value
-}
-
-// get takes a chunk off the free list, or allocates one; a nil pool (a
-// NewRowList list) always allocates.
-func (p *chunkPool) get() []storage.Value {
-	if p != nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if n := len(p.free); n > 0 {
-			c := p.free[n-1]
-			p.free = p.free[:n-1]
-			return c
-		}
-	}
-	return make([]storage.Value, chunkValues)
-}
-
-func (p *chunkPool) put(chunks [][]storage.Value) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, chunks...)
-	p.mu.Unlock()
-}
-
 // RowList is an append-only list of rows of one arity, held in fixed-size
 // chunks: it never copies a row once written and keeps no row table, so it is
 // not a set. It is what a pool worker writes its derivations into between
@@ -71,18 +37,16 @@ type RowList struct {
 	chunks [][]storage.Value
 	tail   []storage.Value // the last chunk, per rows long
 	used   int             // values of tail written
-	pool   *chunkPool
 	// seen is AppendNew's repeat filter, one chunk taken on first use: sets
 	// of filterWays tagged list positions picked by the row's hash.
 	seen []storage.Value
 }
 
 // NewRowList returns an empty list of rows of the given arity, at least 1,
-// whose chunks are allocated as it grows.
-func NewRowList(arity int) *RowList { return newRowList(arity, nil) }
-
-func newRowList(arity int, pool *chunkPool) *RowList {
-	return &RowList{arity: arity, per: chunkValues / arity, pool: pool}
+// whose chunks come from the scratch pool (storage.TakeScratch) as it grows
+// and go back to it on release.
+func NewRowList(arity int) *RowList {
+	return &RowList{arity: arity, per: chunkValues / arity}
 }
 
 // Len returns the number of rows appended.
@@ -91,7 +55,7 @@ func (l *RowList) Len() int { return l.n }
 // Append copies row, of the list's arity, to the end of the list.
 func (l *RowList) Append(row []storage.Value) {
 	if l.used+l.arity > len(l.tail) {
-		l.tail = l.pool.get()[:l.per*l.arity]
+		l.tail = storage.TakeScratch(chunkValues)[:l.per*l.arity]
 		l.chunks = append(l.chunks, l.tail)
 		l.used = 0
 	}
@@ -112,7 +76,7 @@ func (l *RowList) AppendNew(row []storage.Value) bool {
 		return true
 	}
 	if l.seen == nil {
-		l.seen = l.pool.get()
+		l.seen = storage.TakeScratch(chunkValues)[:chunkValues]
 		clear(l.seen)
 	}
 	h := storage.HashRow(row)
@@ -153,13 +117,15 @@ func (l *RowList) each(lo, hi int, f func(row []storage.Value) bool) {
 }
 
 // release empties the list and gives its chunks, the filter's too, back to
-// the pool.
+// the scratch pool.
 func (l *RowList) release() {
 	if l.seen != nil {
-		l.chunks = append(l.chunks, l.seen)
+		storage.GiveScratch(l.seen)
 		l.seen = nil
 	}
-	l.pool.put(l.chunks)
+	for _, c := range l.chunks {
+		storage.GiveScratch(c)
+	}
 	clear(l.chunks)
 	l.chunks = l.chunks[:0]
 	l.tail, l.used, l.n = nil, 0, 0
@@ -191,14 +157,14 @@ type outList struct {
 
 // sink returns the worker's list for pred, a predicate of the given arity.
 // The lists are kept in predicate order.
-func (o *workerOut) sink(pred storage.PredID, arity int, pool *chunkPool) *RowList {
+func (o *workerOut) sink(pred storage.PredID, arity int) *RowList {
 	i := 0
 	for ; i < len(o.lists) && o.lists[i].pred <= pred; i++ {
 		if o.lists[i].pred == pred {
 			return o.lists[i].list
 		}
 	}
-	l := newRowList(arity, pool)
+	l := NewRowList(arity)
 	o.lists = slices.Insert(o.lists, i, outList{pred: pred, list: l})
 	return l
 }
@@ -216,7 +182,7 @@ func (o *workerOut) endTask(segs []segment) []segment {
 	return segs
 }
 
-// release gives every list's chunks back to the pool; the lists stay, empty,
+// release gives every list's chunks back to the scratch pool; the lists stay, empty,
 // for the next barrier's tasks.
 func (o *workerOut) release() {
 	for i := range o.lists {

@@ -22,19 +22,10 @@ import (
 // row as it is inserted; a delta none as they arrive, until EnsureIndex
 // enters the rows it lacks, in order, right before a plan probes it.
 //
-// Capacity rule (reset): a relation that is refilled at once — a retraction
-// frontier (ClearRetain), Derived rewound to its ground-fact baseline
-// (TruncateTo), the deletion compactions, the old δ that the delta rotation
-// (SwapDeltas) hands back as the next δ′ of a predicate still producing
-// facts — keeps next and empties slots in place under the row table's
-// hysteresis, so the refill allocates nothing; on a delta that is what its
-// last EnsureIndex sized, room for the next ensure. Clear gives both back; a
-// converged predicate's deltas get it, because kept chains there measured as
-// a 17 % larger live heap on CSPA: two deltas per predicate each pinning
-// their peak iteration until the next Run. next grows with the rows it
-// links, never past the arena's capacity; a Derived publishing staged rows,
-// a bulk load of known size (Relation.Reserve) and EnsureIndex size it
-// exactly for the batch (reserve).
+// Capacity rule: Derived keeps its memory, exact-sized — reserve grows next
+// to the rows it links, ClearRetain, TruncateTo and the compactions refill in
+// place under the row table's hysteresis — while a delta's slots and links
+// come from the scratch pool (scratch.go) and go back to it on Clear.
 type chainIndex struct {
 	cols  []int       // indexed columns, ascending
 	ident []int       // 0..len(cols)-1: where a probe's key values sit
@@ -117,8 +108,9 @@ func (ix *chainIndex) probe1(arena []Value, arity int, v Value) Chain {
 	}
 }
 
-// add enters row, the arena's newest, at the tail of its key's chain.
-func (ix *chainIndex) add(arena []Value, arity int, row int32) {
+// add enters row, the arena's newest, at the tail of its key's chain; scratch
+// marks a delta's index (the capacity rule).
+func (ix *chainIndex) add(arena []Value, arity int, row int32, scratch bool) {
 	t := arena[int(row)*arity:][:arity]
 	if n := len(ix.next); n == cap(ix.next) {
 		// By four, but never past the arena, which already holds the row.
@@ -128,7 +120,7 @@ func (ix *chainIndex) add(arena []Value, arity int, row int32) {
 	s := &ix.slots[ix.find(arena, arity, t, ix.cols)]
 	if s.first == 0 {
 		if (ix.used+1)*8 > len(ix.slots)*5 {
-			ix.rehash(arena, arity, max(2*len(ix.slots), minTableSize))
+			ix.rehash(arena, arity, max(2*len(ix.slots), minTableSize), scratch)
 			s = &ix.slots[ix.find(arena, arity, t, ix.cols)]
 		}
 		s.first = row + 1
@@ -139,37 +131,66 @@ func (ix *chainIndex) add(arena []Value, arity int, row int32) {
 	s.last = row + 1
 }
 
-// reserve gives next room for rows links, exactly, when it has less: a
-// Derived publishing a batch of staged rows, or a bulk load, grows it to the
-// rows it links, not against the arena capacity left behind, which would pin
-// that slack for as long as the relation lives.
-func (ix *chainIndex) reserve(rows int) {
-	if cap(ix.next) < rows {
-		ix.next = append(make([]int32, 0, rows), ix.next...)
+// reserve gives next room for rows links when it has less: exactly on
+// Derived, a batch of staged rows or a bulk load, sized to the rows it links
+// and not against the arena capacity left behind, which would pin that slack
+// for as long as the relation lives; a class-sized scratch slab on a delta.
+func (ix *chainIndex) reserve(rows int, scratch bool) {
+	if cap(ix.next) >= rows {
+		return
 	}
+	if !scratch {
+		ix.next = append(make([]int32, 0, rows), ix.next...)
+		return
+	}
+	next := append(valueSlabs.take(rows), ix.next...)
+	valueSlabs.give(ix.next)
+	ix.next = next
 }
 
 // rehash moves every chain to a fresh table of size slots; next is untouched.
-func (ix *chainIndex) rehash(arena []Value, arity int, size int) {
+func (ix *chainIndex) rehash(arena []Value, arity int, size int, scratch bool) {
 	old := ix.slots
-	ix.slots = make([]chainSlot, size)
+	ix.slots = newSlots(size, scratch)
 	for _, s := range old {
 		if s.first != 0 {
 			ix.slots[ix.find(arena, arity, arena[int(s.first-1)*arity:], ix.cols)] = s
 		}
+	}
+	giveSlots(old, scratch)
+}
+
+// newSlots returns an empty slot table of size slots.
+func newSlots(size int, scratch bool) []chainSlot {
+	if scratch {
+		return slotSlabs.takeZeroed(size)
+	}
+	return make([]chainSlot, size)
+}
+
+// giveSlots gives a delta's slot table to the scratch pool; noSlots stays.
+func giveSlots(s []chainSlot, scratch bool) {
+	if scratch && len(s) >= minTableSize {
+		slotSlabs.give(s)
 	}
 }
 
 // reset empties the index under the capacity rule above: with retain it keeps
 // next and the slot table, halving a table whose last fill used under an
 // eighth of it (the row table's hysteresis); without, both are given back.
-func (ix *chainIndex) reset(retain bool) {
+func (ix *chainIndex) reset(retain, scratch bool) {
 	switch {
 	case retain && ix.used*8 >= len(ix.slots):
 		clear(ix.slots)
 	case retain && len(ix.slots) > minTableSize:
-		ix.slots = make([]chainSlot, len(ix.slots)/2)
+		old := ix.slots
+		ix.slots = newSlots(len(old)/2, scratch)
+		giveSlots(old, scratch)
 	default:
+		giveSlots(ix.slots, scratch)
+		if scratch {
+			valueSlabs.give(ix.next)
+		}
 		ix.slots, ix.next = noSlots[:], nil
 	}
 	ix.used, ix.next = 0, ix.next[:0]

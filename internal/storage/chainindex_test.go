@@ -475,7 +475,8 @@ func TestConcurrentProbeFrozen(t *testing.T) {
 // TestChainIndexAllocations guards what the index exists for: once warm, an
 // indexed insert allocates nothing — no posting list, and no key for the
 // composite — and neither does a refill after ClearRetain or TruncateTo, a
-// delta's refill-ensure-ClearRetain cycle, nor any probe.
+// delta's refill-ensure-ClearRetain cycle or, its slabs coming back from the
+// scratch pool, its refill-ensure-Clear cycle, nor any probe.
 func TestChainIndexAllocations(t *testing.T) {
 	const rows = 1000
 	r := NewRelation("warm", 3)
@@ -524,6 +525,16 @@ func TestChainIndexAllocations(t *testing.T) {
 	if a := testing.AllocsPerRun(10, refill); a != 0 {
 		t.Errorf("a warm delta's refill, ensure and ClearRetain allocate %.0f times, want 0", a)
 	}
+	// Its Run-to-Run cycle: refill, ensure, and Clear, which gives the arena,
+	// links and slots to the scratch pool for the next refill to take.
+	checkPooledAllocs(t, "a delta's refill, ensure and Clear", func() {
+		for i := 0; i < rows; i++ {
+			tp[0], tp[1], tp[2] = Value(i%31), Value(i%7), Value(i)
+			d.AppendDistinct(tp)
+		}
+		d.EnsureIndexes()
+		d.Clear()
+	})
 	hits := 0
 	count := func([]Value) bool { hits++; return true }
 	cols, vals := []int{0, 2}, []Value{3, 3}
@@ -538,10 +549,11 @@ func TestChainIndexAllocations(t *testing.T) {
 }
 
 // TestChainIndexCapacityRule pins which operations keep an index's memory and
-// which give it back: ClearRetain and TruncateTo keep it for the refill,
-// Clear releases it, and SwapClear keeps δ′'s — what its last EnsureIndex
-// sized — while the predicate still produces facts and releases both deltas'
-// once an iteration produced none.
+// which give it back: on Derived, ClearRetain and TruncateTo keep it for the
+// refill and Clear releases it; on a delta, EnsureIndex sizes its links to a
+// scratch class, SwapClear keeps δ′'s while the predicate still produces
+// facts, and Clear — both deltas' once an iteration produced none — leaves
+// no word behind.
 func TestChainIndexCapacityRule(t *testing.T) {
 	held := func(r *Relation) int { return cap(r.indexes[0].next) + len(r.indexes[0].slots) - len(noSlots) }
 	fill := func(r *Relation, n int) {
@@ -588,8 +600,8 @@ func TestChainIndexCapacityRule(t *testing.T) {
 	p.SwapClear() // δ = 1000 rows, δ′ empty
 	p.DeltaKnown.EnsureIndexes()
 	sized := held(p.DeltaKnown)
-	if links := cap(p.DeltaKnown.indexes[0].next); links != 1000 {
-		t.Fatalf("EnsureIndex sized %d links for 1000 rows", links)
+	if links := cap(p.DeltaKnown.indexes[0].next); links < 1024 || links >= 2048 {
+		t.Fatalf("EnsureIndex sized %d links for 1000 rows, want 1000's scratch class: [1024, 2048)", links)
 	}
 	appendRows(p.DeltaNew, 500)
 	p.SwapClear() // δ = 500 unlinked rows; δ′ is the relation ensured at 1000
@@ -606,5 +618,8 @@ func TestChainIndexCapacityRule(t *testing.T) {
 	p.SwapClear() // nothing new: converged
 	if held(p.DeltaNew) != 0 || held(p.DeltaKnown) != 0 {
 		t.Fatalf("converged deltas still hold %d and %d index words", held(p.DeltaKnown), held(p.DeltaNew))
+	}
+	if cap(p.DeltaNew.arena) != 0 || cap(p.DeltaKnown.arena) != 0 {
+		t.Fatalf("converged deltas still hold %d and %d arena words", cap(p.DeltaKnown.arena), cap(p.DeltaNew.arena))
 	}
 }

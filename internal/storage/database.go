@@ -85,8 +85,8 @@ func (p *PredicateDB) SeedAll() {
 // staged in Derived this iteration, swap the read-only and write-only delta
 // databases, and clear the relation that will become the next write-only
 // delta (paper §V-B1). A predicate that is still producing facts keeps δ′'s
-// index capacity for the refill; once an iteration produced none, both
-// deltas give theirs back (chainIndex's capacity rule).
+// memory for the refill; once an iteration produced none, both deltas give
+// theirs to the scratch pool (chainIndex's capacity rule).
 func (p *PredicateDB) SwapClear() {
 	p.Derived.publish()
 	p.SwapDeltas()

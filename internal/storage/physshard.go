@@ -42,26 +42,31 @@ func ShardOf(v Value, shards int) int {
 }
 
 // resetContents drops all tuples and index entries without touching any
-// mutation counter — the caller owns the accounting. The arena is always
-// emptied in place; retain keeps the row table's and the indexes' capacity
-// for consumers that immediately refill (the capacity rules of rowTable and
-// chainIndex), otherwise both are given back. A pinned arena
-// (an epoch view references it — physical buckets are pinned individually by
-// PinRows) is detached to a fresh slab instead of truncated in place, so the
-// refill never rewrites rows the view still serves.
+// mutation counter — the caller owns the accounting. retain keeps the arena,
+// the row table and the indexes for a refill; otherwise Derived keeps its
+// arena and a delta gives all three to the scratch pool (the capacity rules
+// of rowTable and chainIndex). A pinned arena (an epoch view references it —
+// physical buckets are pinned individually by PinRows) is detached to a
+// fresh slab instead, so the refill never rewrites rows the view still
+// serves, and is never given back.
 func (r *Relation) resetContents(retain bool) {
 	if retain {
-		r.tab.reset()
+		r.tab.reset(r.lazy)
 	} else {
-		r.tab = newRowTable()
+		r.tab.release(r.lazy)
 	}
-	if !r.detachPinned(0) {
+	switch {
+	case r.detachPinned(0):
+	case r.lazy && !retain:
+		valueSlabs.give(r.arena)
+		r.arena = nil
+	default:
 		r.arena = r.arena[:0]
 	}
 	r.histReset()
 	r.counts = r.counts[:0]
 	for i := range r.indexes {
-		r.indexes[i].reset(retain)
+		r.indexes[i].reset(retain, r.lazy)
 	}
 }
 
@@ -121,9 +126,9 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 	// The flat slab was abandoned wholesale (rows moved into the buckets),
 	// which satisfies any pinned epoch view without a copy.
 	r.arena, r.pinned = nil, false
-	r.tab = newRowTable()
+	r.tab.release(r.lazy)
 	for i := range r.indexes {
-		r.indexes[i].reset(false)
+		r.indexes[i].reset(false, r.lazy)
 	}
 	// Histogram counts moved into the bucket sub-relations with the rows;
 	// the parent keeps an empty registration (HistogramOf sums the subs),

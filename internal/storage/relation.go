@@ -47,10 +47,9 @@ import (
 // if something will ask the list for membership, builds its row table in one
 // sized pass.
 //
-// Capacity: Clear gives the row table and the indexes' memory back — it is
-// for a relation that stays empty for a while; ClearRetain keeps both under
-// the row table's hysteresis for one refilled at once (rowtable.go,
-// chainindex.go).
+// Capacity: Derived keeps its memory, and a delta gives its arena, row table
+// and index memory to the scratch pool on Clear (scratch.go); ClearRetain
+// keeps them for a refill that follows at once (rowtable.go, chainindex.go).
 type Relation struct {
 	name  string
 	arity int
@@ -144,8 +143,8 @@ func (r *Relation) Insert(t []Value) bool {
 		return false
 	}
 	row := int32(r.tab.used)
-	r.arena = append(r.arena, t...)
-	r.tab.add(r.arena, r.arity, slot, row, h)
+	r.appendRow(t)
+	r.tab.add(r.arena, r.arity, slot, row, h, r.lazy)
 	r.added(t, row)
 	return true
 }
@@ -190,7 +189,7 @@ func (r *Relation) stage(t []Value) bool {
 	ext = append(ext, t...)
 	r.arena = ext[:n]
 	r.staged++
-	r.tab.add(ext, r.arity, slot, int32(r.tab.used), h) // covered: used is the next row id
+	r.tab.add(ext, r.arity, slot, int32(r.tab.used), h, r.lazy) // covered: used is the next row id
 	return true
 }
 
@@ -204,7 +203,7 @@ func (r *Relation) publish() {
 	r.arena = r.arena[:to*r.arity]
 	if r.staged > 1 && !r.lazy {
 		for i := range r.indexes {
-			r.indexes[i].reserve(to)
+			r.indexes[i].reserve(to, false)
 		}
 	}
 	r.staged = 0
@@ -220,8 +219,8 @@ func (r *Relation) unstage() {
 		return
 	}
 	r.staged = 0
-	r.tab.reset()
-	r.tab.fill(r.arena, r.arity)
+	r.tab.reset(r.lazy)
+	r.tab.fill(r.arena, r.arity, r.lazy)
 }
 
 // AppendDistinct appends t without consulting or filling the row table, for
@@ -235,8 +234,27 @@ func (r *Relation) AppendDistinct(t []Value) {
 		return
 	}
 	row := int32(len(r.arena) / r.arity)
-	r.arena = append(r.arena, t...)
+	r.appendRow(t)
 	r.added(t, row)
+}
+
+// appendRow appends t to the arena. A delta's arena grows into a slab from
+// the scratch pool, giving the old one back unless an epoch view pins it.
+func (r *Relation) appendRow(t []Value) {
+	if r.lazy && len(r.arena)+len(t) > cap(r.arena) {
+		r.growArena(max(2*cap(r.arena), len(r.arena)+len(t), 16*r.arity))
+	}
+	r.arena = append(r.arena, t...)
+}
+
+// growArena moves a delta's arena into a scratch slab of at least n values;
+// a pinned one stays with its view, and the new slab is unpinned.
+func (r *Relation) growArena(n int) {
+	arena := append(valueSlabs.take(n), r.arena...)
+	if !r.pinned {
+		valueSlabs.give(r.arena)
+	}
+	r.arena, r.pinned = arena, false
 }
 
 // Reserve makes room for n more rows of a bulk load: the arena and every
@@ -247,12 +265,15 @@ func (r *Relation) Reserve(n int) {
 	if r.subs != nil || n <= 0 {
 		return
 	}
-	r.arena = slices.Grow(r.arena, n*r.arity)
 	if r.lazy {
+		if need := len(r.arena) + n*r.arity; need > cap(r.arena) {
+			r.growArena(need)
+		}
 		return
 	}
+	r.arena = slices.Grow(r.arena, n*r.arity)
 	for i := range r.indexes {
-		r.indexes[i].reserve(r.Len() + n)
+		r.indexes[i].reserve(r.Len()+n, false)
 	}
 }
 
@@ -271,7 +292,7 @@ func (r *Relation) Seal() {
 		r.misuse("Seal")
 	}
 	if r.tab.used == 0 {
-		r.tab.fill(r.arena, r.arity)
+		r.tab.fill(r.arena, r.arity, r.lazy)
 	}
 }
 
@@ -398,9 +419,9 @@ func (r *Relation) catchUp(ix *chainIndex) {
 	if len(ix.next) == n {
 		return
 	}
-	ix.reserve(n)
+	ix.reserve(n, r.lazy)
 	for row := int32(len(ix.next)); row < int32(n); row++ {
-		ix.add(r.arena, r.arity, row)
+		ix.add(r.arena, r.arity, row, r.lazy)
 	}
 }
 
@@ -474,9 +495,10 @@ func (r *Relation) Mutations() uint64 {
 	return r.muts
 }
 
-// Clear removes all tuples but keeps index and shard registrations. The arena
-// is emptied in place; the row table and the indexes' memory are given back:
-// Clear is for a relation that stays empty for a while.
+// Clear removes all tuples but keeps index and shard registrations, for a
+// relation that stays empty for a while: Derived empties its arena in place
+// and gives the row table and the indexes' memory back to the collector, a
+// delta gives all three to the scratch pool.
 func (r *Relation) Clear() { r.clear(false) }
 
 // ClearRetain is Clear with the row table and the indexes emptied in place,
@@ -542,10 +564,10 @@ func (r *Relation) TruncateTo(n int) {
 // (DeleteRows) and the ground-prefix splice (AssertAt); counts are positional
 // and compacted by the caller alongside the arena.
 func (r *Relation) reindexRows() {
-	r.tab.reset()
-	r.tab.fill(r.arena, r.arity)
+	r.tab.reset(r.lazy)
+	r.tab.fill(r.arena, r.arity, r.lazy)
 	for i := range r.indexes {
-		r.indexes[i].reset(true)
+		r.indexes[i].reset(true, r.lazy)
 	}
 	r.histReset()
 	n := int32(r.Len())
@@ -564,7 +586,7 @@ func (r *Relation) indexRow(t []Value, row int32) {
 		return
 	}
 	for i := range r.indexes {
-		r.indexes[i].add(r.arena, r.arity, row)
+		r.indexes[i].add(r.arena, r.arity, row, false)
 	}
 }
 

@@ -16,17 +16,12 @@ import "math/bits"
 // length: a Derived mid-iteration keeps its staged rows there, under the row
 // ids that follow, so a growth step re-enters them like any other.
 //
-// Capacity rule: reset (ClearRetain, TruncateTo, the compactions) empties the
-// table in place, which is what lets a relation that is refilled every
-// iteration (a sealed retraction frontier) or every Run (Derived past its
-// ground-fact baseline, which refills by staging) stop allocating: capacity
-// is given back only when a fill used less than an eighth of it, one halving
-// per reset. Clear gives the whole table back at once, for a relation that
-// stays empty — retraction's deltas when it is done — which would otherwise
-// pay one allocating halving per reset on its way down. The semi-naive
-// deltas have no table to refill — δ′ is a list — and a retraction frontier,
-// also a list, gets one only when it is sealed: fill, one sized pass, into
-// the table a ClearRetain kept.
+// Capacity rule: Derived's table is its own, emptied in place by reset
+// (ClearRetain, TruncateTo, the compactions) and halved only when a fill used
+// under an eighth of it, so the per-Run refill allocates nothing once warm;
+// a delta's — a retraction frontier or candidate list sealed for a
+// membership test, or Rederive's set — comes from the scratch pool
+// (scratch.go) and goes back to it on Clear.
 //
 // find performs only loads, so any number of goroutines may probe a relation
 // no one is mutating — the parallel executor's workers probing the
@@ -110,12 +105,13 @@ func (tb *rowTable) find(arena []Value, t []Value, h uint64) (row int32, slot in
 }
 
 // add enters row (hash h), which the arena already holds, at slot — the
-// empty slot find returned for it — growing the table first when it is full.
-func (tb *rowTable) add(arena []Value, arity int, slot int, row int32, h uint64) {
+// empty slot find returned for it — growing the table first when it is full;
+// scratch marks a delta's table (the capacity rule).
+func (tb *rowTable) add(arena []Value, arity int, slot int, row int32, h uint64, scratch bool) {
 	if (tb.used+1)*8 > len(tb.tags)*5 {
 		// The arena already ends with the new row, so the refill enters it.
-		tb.alloc(max(2*len(tb.tags), minTableSize))
-		tb.fill(arena, arity)
+		tb.alloc(max(2*len(tb.tags), minTableSize), scratch)
+		tb.fill(arena, arity, scratch)
 		return
 	}
 	tb.tags[slot] = tagOf(h)
@@ -123,16 +119,21 @@ func (tb *rowTable) add(arena []Value, arity int, slot int, row int32, h uint64)
 	tb.used++
 }
 
-func (tb *rowTable) alloc(slots int) {
-	tb.tags = make([]uint8, slots)
-	tb.rows = make([]int32, slots)
+// alloc replaces the slots with an empty table of the given size.
+func (tb *rowTable) alloc(slots int, scratch bool) {
+	if scratch {
+		tb.give()
+		tb.tags, tb.rows = tagSlabs.takeZeroed(slots), valueSlabs.take(slots)[:slots]
+	} else {
+		tb.tags, tb.rows = make([]uint8, slots), make([]int32, slots)
+	}
 	tb.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
 	tb.used = 0
 }
 
 // fill enters every row of arena into the empty table in arena order,
 // allocating once if they would not fit under the load limit.
-func (tb *rowTable) fill(arena []Value, arity int) {
+func (tb *rowTable) fill(arena []Value, arity int, scratch bool) {
 	n := len(arena) / arity
 	slots := max(len(tb.tags), minTableSize)
 	for n*8 > slots*5 {
@@ -142,7 +143,7 @@ func (tb *rowTable) fill(arena []Value, arity int) {
 		if n == 0 {
 			return
 		}
-		tb.alloc(slots)
+		tb.alloc(slots, scratch)
 	}
 	tags, rows, mask := tb.tags, tb.rows, slots-1
 	for row, off := 0, 0; row < n; row, off = row+1, off+arity {
@@ -161,14 +162,30 @@ func (tb *rowTable) fill(arena []Value, arity int) {
 // eighth of its slots is halved first (released entirely at the minimum
 // size), so one large iteration does not pin its capacity for the rest of a
 // run while a steady refill never reallocates.
-func (tb *rowTable) reset() {
+func (tb *rowTable) reset(scratch bool) {
 	switch {
 	case tb.used*8 >= len(tb.tags):
 		clear(tb.tags)
 		tb.used = 0
 	case len(tb.tags) > minTableSize:
-		tb.alloc(len(tb.tags) / 2)
+		tb.alloc(len(tb.tags)/2, scratch)
 	default:
-		*tb = newRowTable()
+		tb.release(scratch)
+	}
+}
+
+// release gives the whole table back: to the scratch pool on a delta.
+func (tb *rowTable) release(scratch bool) {
+	if scratch {
+		tb.give()
+	}
+	*tb = newRowTable()
+}
+
+// give files a delta's slots in the scratch pool; noTags stays.
+func (tb *rowTable) give() {
+	if len(tb.tags) >= minTableSize {
+		tagSlabs.give(tb.tags)
+		valueSlabs.give(tb.rows)
 	}
 }

@@ -815,7 +815,8 @@ func TestConcurrentContainsFrozen(t *testing.T) {
 
 // TestRowTableAllocations guards what the table exists for: once a relation
 // is warm, refilling it after ClearRetain allocates nothing — Clear gives the
-// table back instead — and inserting a wide row allocates no key.
+// table back instead, on a delta to the scratch pool, whence its next seal
+// takes it without allocating — and inserting a wide row allocates no key.
 func TestRowTableAllocations(t *testing.T) {
 	const rows = 1000
 	for _, arity := range []int{2, 3} {
@@ -898,6 +899,20 @@ func TestRowTableAllocations(t *testing.T) {
 		if a := testing.AllocsPerRun(10, frontier); a != 0 {
 			t.Errorf("arity %d: a warm append/seal/ClearRetain cycle allocates %.0f times, want 0", arity, a)
 		}
+		// The candidates' cycle, on a delta: appended, sealed, and given back
+		// to the scratch pool by Clear at the end of the Apply; the next
+		// Apply's seal takes the table back.
+		cands := NewRelation("candidatesδ", arity)
+		cands.lazy = true
+		checkPooledAllocs(t, fmt.Sprintf("arity %d: a delta's append/seal/Clear cycle", arity), func() {
+			for i := 0; i < rows; i++ {
+				tp[0], tp[arity-1] = Value(i%31), Value(i)
+				cands.AppendDistinct(tp)
+			}
+			cands.Seal()
+			cands.Contains(tp)
+			cands.Clear()
+		})
 	}
 }
 
