@@ -107,9 +107,16 @@
 //     per-bucket copy. Derived's row table is the only duplicate elimination
 //     of semi-naive evaluation (storage.PredicateDB.Emit): a new fact is
 //     staged in it — entered in the table and written past the arena's
-//     length, so Contains sees it at once and no reader does — and appended
-//     to δ′, a list with no table of its own; SwapClear publishes the staged
-//     rows (chains, histograms) without probing again. On the
+//     length, so Contains sees it at once and no reader does — and that is
+//     its only copy: a flat δ′ is only owed it. SwapClear publishes the
+//     staged rows (chains, histograms) without probing again, and after the
+//     publish δ is exactly Derived's newest rows, so the flat δ′ borrows
+//     them as a capacity-clipped view of Derived's arena
+//     (storage.Relation.borrow, the view an epoch pin gives) and becomes δ
+//     with no row copied; Derived recalls the view — copies it into the
+//     delta — before it rewrites rows in place. A δ′ seeded row by row (the
+//     warm starts), the physical δ′ of a sharded run and retraction's
+//     frontiers hold their rows themselves, as lists with no table. On the
 //     sequential path each new fact is hashed and probed once (the pool
 //     adds its workers' test against the frozen Derived — twice — and the
 //     worker list's repeat filter, below).
@@ -131,12 +138,17 @@
 //     only loads, so frozen relations are probed concurrently like they are
 //     tested for membership; chains run in insertion order, so derivation
 //     order is what posting lists gave. The capacity rule has no option:
-//     Derived keeps its exact-sized memory, and a delta takes its arena, row
-//     table, links and slots from one size-classed sync.Pool and gives them
-//     back on Clear (storage/scratch.go), so a warm Run or Apply reuses the
-//     last one's slabs and an idle Program, once a collection empties the
-//     pool, pins none; kept on the relations, they measured as a 17 %
-//     larger live heap on CSPA for no reader. Mutation counters are
+//     Derived keeps its exact-sized memory, and a delta takes its own arena,
+//     row table, links and slots from one size-classed scratch pool and
+//     gives them back on Clear (storage/scratch.go), so a warm Run or Apply
+//     reuses the last one's slabs and an idle Program, once two collections
+//     have run, pins none; kept on the relations, they measured as a 17 %
+//     larger live heap on CSPA for no reader. The pool keeps one free stack
+//     per class that a take on any P reaches, with a sync.Pool's lifetime
+//     (an anchor sync.Pool holds the stacks, the pool itself only weakly): a
+//     sync.Pool per class missed whenever a slab was given on one P and
+//     wanted on another, which alone doubled a warm TC Run's bytes at two
+//     Ps. Mutation counters are
 //     accounted so drift totals are byte-identical to the flat layout for
 //     any operation sequence — mode transitions preserve the totals exactly
 //     (the shard-drift regression test pins both layouts to one number).

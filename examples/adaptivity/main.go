@@ -32,7 +32,7 @@ func (t *tracer) Enter(op ir.Op, in *interp.Interp) func() error {
 		fmt.Printf("iteration %2d:", t.iter)
 		for _, pid := range n.Preds {
 			p := t.cat.Pred(pid)
-			fmt.Printf("  |%sδ|=%-6d |%s⋆|=%-6d", p.Name, p.DeltaNew.Len(), p.Name, p.Derived.Len())
+			fmt.Printf("  |%sδ|=%-6d |%s⋆|=%-6d", p.Name, p.NewLen(), p.Name, p.Derived.Len())
 		}
 		fmt.Println()
 	case *ir.SPJOp:

@@ -129,9 +129,10 @@ func (p *Program) ensureBaseline() {
 		return
 	}
 	for i, pd := range p.cat.Preds() {
-		pd.Derived.TruncateTo(p.baseLens[i])
+		// The deltas first: a δ may still borrow the rows the rewind drops.
 		pd.DeltaKnown.Clear()
 		pd.DeltaNew.Clear()
+		pd.Derived.TruncateTo(p.baseLens[i])
 	}
 	p.baselineClean = true
 	p.haveFixpoint = false // the fixpoint's derived rows are gone

@@ -3,7 +3,7 @@
 package core_test
 
 // raceEnabled reports a -race build. Under the race detector sync.Pool drops
-// items at random by design, so the allocation guards, which rely on the
-// scratch pool handing slabs back, log their readings there instead of
-// failing; the non-race runs enforce them.
+// items at random by design, so the sharded warm-Run allocation guard, whose
+// worker frames and compiled units come from sync.Pools, logs its reading
+// there instead of failing; the non-race runs enforce it.
 const raceEnabled = true

@@ -616,9 +616,9 @@ func (sess *Session) Query() (*Result, error) {
 // rewind restores the session catalog to the epoch's ground rows.
 func (sess *Session) rewind() {
 	for i, pd := range sess.cat.Preds() {
-		pd.Derived.TruncateTo(sess.baseLens[i])
 		pd.DeltaKnown.Clear()
 		pd.DeltaNew.Clear()
+		pd.Derived.TruncateTo(sess.baseLens[i])
 	}
 }
 

@@ -759,8 +759,8 @@ func TestApplyChurnDeleteAllocations(t *testing.T) {
 		apply(true)
 		apply(false)
 	}
-	// The fewest bytes of three deletes: a slab that sync.Pool kept on
-	// another P, or a collection that emptied the pool, costs one of them.
+	// The fewest bytes of three deletes: a collection that freed the
+	// scratch pool's slabs costs one of them.
 	allocated, res := apply(true)
 	for i := 0; i < 2; i++ {
 		apply(false)
@@ -774,9 +774,7 @@ func TestApplyChurnDeleteAllocations(t *testing.T) {
 	perRow := allocated / uint64(res.Retracted)
 	t.Logf("%d B for %d retracted rows (%d rederived): %d B a row", allocated, res.Retracted, res.Rederived, perRow)
 	const limit = 40
-	if perRow > limit && raceEnabled {
-		t.Logf("over the bound of %d B (race detector: not enforced)", limit)
-	} else if perRow > limit {
+	if perRow > limit {
 		t.Errorf("a churn delete allocated %d B per retracted row, want <= %d", perRow, limit)
 	}
 }

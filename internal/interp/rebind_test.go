@@ -155,7 +155,9 @@ func TestBindPlanIncompatibleIndexes(t *testing.T) {
 	if in.Stats.PlanReuses != 5 {
 		t.Fatalf("%d plan reuses, want 5: %+v", in.Stats.PlanReuses, in.Stats)
 	}
-	if n1, n2 := cat.Pred(sink1).DeltaNew.Len(), cat.Pred(sink2).DeltaNew.Len(); n1 == 0 || n1 != n2 {
+	cat.Pred(sink1).SwapClear()
+	cat.Pred(sink2).SwapClear()
+	if n1, n2 := cat.Pred(sink1).DeltaKnown.Len(), cat.Pred(sink2).DeltaKnown.Len(); n1 == 0 || n1 != n2 {
 		t.Fatalf("siblings derived %d vs %d tuples", n1, n2)
 	}
 }
@@ -189,8 +191,10 @@ func TestBindPlanUpgradeEndToEnd(t *testing.T) {
 	if in.Stats.PlanReuses == 0 {
 		t.Fatalf("sibling did not reuse the shared plan: %+v", in.Stats)
 	}
-	n1 := cat.Pred(sink1).DeltaNew.Len()
-	n2 := cat.Pred(sink2).DeltaNew.Len()
+	cat.Pred(sink1).SwapClear()
+	cat.Pred(sink2).SwapClear()
+	n1 := cat.Pred(sink1).DeltaKnown.Len()
+	n2 := cat.Pred(sink2).DeltaKnown.Len()
 	if n1 == 0 || n1 != n2 {
 		t.Fatalf("upgraded sibling derived %d tuples, scan path %d", n2, n1)
 	}

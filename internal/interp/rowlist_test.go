@@ -10,11 +10,10 @@ import (
 )
 
 // refillBytes reports the fewest bytes one of three calls of fill allocates
-// after a first: with the collector off, which would empty the scratch pool,
-// and on one P, so sync.Pool hands back what the previous call gave it.
+// after a first, with the collector, which would free the scratch pool's
+// slabs, off.
 func refillBytes(fill func()) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fill()
 	least := ^uint64(0)
 	for range 3 {
@@ -28,13 +27,10 @@ func refillBytes(fill func()) uint64 {
 }
 
 // checkRefill fails t unless fill allocates nothing once warm: release gave
-// every chunk back. Under -race, where sync.Pool drops items at random, it
-// logs the reading instead.
+// every chunk back.
 func checkRefill(t *testing.T, what string, fill func()) {
 	t.Helper()
-	if b := refillBytes(fill); b != 0 && raceEnabled {
-		t.Logf("%s allocates %d B (race detector: not bounded)", what, b)
-	} else if b != 0 {
+	if b := refillBytes(fill); b != 0 {
 		t.Errorf("%s allocates %d B, want 0: release kept a chunk", what, b)
 	}
 }

@@ -206,6 +206,7 @@ func (c Compiler) CompileSPJ(spj *ir.SPJOp, cat *storage.Catalog) (Unit, error) 
 type chainInst struct {
 	chain stepFn
 	bind  []storage.Value
+	sink  *storage.PredicateDB // the emit's sink, resolved per invocation
 }
 
 // CompilePlan stitches the plan's steps into combinators. Units are cached
@@ -220,11 +221,12 @@ func CompilePlan(plan *interp.Plan) Unit {
 	sinkPred := plan.Sink
 	if agg.Kind == ast.AggNone {
 		pool := &sync.Pool{New: func() any {
-			chain := compileEmit(plan)
+			ci := &chainInst{bind: make([]storage.Value, numVars)}
+			ci.chain = compileEmit(plan, ci)
 			for i := len(plan.Steps) - 1; i >= 0; i-- {
-				chain = compileStep(&plan.Steps[i], chain, i == 0)
+				ci.chain = compileStep(&plan.Steps[i], ci.chain, i == 0)
 			}
-			return &chainInst{chain: chain, bind: make([]storage.Value, numVars)}
+			return ci
 		}}
 		return func(in *interp.Interp) error {
 			in.Stats.SPJRuns++
@@ -233,7 +235,9 @@ func CompilePlan(plan *interp.Plan) Unit {
 			for i := range ci.bind {
 				ci.bind[i] = 0
 			}
+			ci.sink = in.Cat.Pred(sinkPred)
 			ci.chain(in, ci.bind)
+			ci.sink = nil
 			pool.Put(ci)
 			return nil
 		}
@@ -277,9 +281,10 @@ func CompilePlan(plan *interp.Plan) Unit {
 	}
 }
 
-func compileEmit(plan *interp.Plan) stepFn {
+// compileEmit builds the emit of ci's chain, into the sink the unit
+// resolved for this invocation (ci.sink).
+func compileEmit(plan *interp.Plan, ci *chainInst) stepFn {
 	head := plan.Head
-	sinkPred := plan.Sink
 	// Scratch is private to one chain instance (chains never re-enter
 	// themselves), so buffers can be allocated at stitch time.
 	tuple := make([]storage.Value, len(head))
@@ -291,7 +296,7 @@ func compileEmit(plan *interp.Plan) stepFn {
 				tuple[hi] = bind[h.Var]
 			}
 		}
-		if in.Cat.Pred(sinkPred).Emit(tuple) {
+		if ci.sink.Emit(tuple) {
 			in.Stats.Derivations++
 		}
 	}

@@ -47,10 +47,14 @@ func shardFixture(t *testing.T, shards int) (*storage.Catalog, interp.ShardUnit)
 	return cat, unit
 }
 
-func deltaNew(cat *storage.Catalog, name string) []string {
+// newFacts rotates name's deltas and returns δ's rows, sorted: the facts the
+// units found, whether δ′ held them (a physical δ′) or lent them from
+// Derived (a flat one).
+func newFacts(cat *storage.Catalog, name string) []string {
 	pd, _ := cat.PredByName(name)
+	pd.SwapClear()
 	var rows []string
-	pd.DeltaNew.Each(func(row []storage.Value) bool {
+	pd.DeltaKnown.Each(func(row []storage.Value) bool {
 		rows = append(rows, fmt.Sprint(row))
 		return true
 	})
@@ -69,7 +73,7 @@ func TestShardUnitSpanCoverage(t *testing.T) {
 	if err := refUnit(refIn, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	want := deltaNew(refCat, "tc")
+	want := newFacts(refCat, "tc")
 	if len(want) == 0 {
 		t.Fatal("reference run derived nothing — fixture too small")
 	}
@@ -86,7 +90,7 @@ func TestShardUnitSpanCoverage(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := deltaNew(cat, "tc")
+		got := newFacts(cat, "tc")
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("spans %v derived %v, want %v", spans, got, want)
 		}
@@ -106,7 +110,7 @@ func TestShardUnitConcurrentSpans(t *testing.T) {
 	if err := refUnit(interp.New(refCat, nil), 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	want := deltaNew(refCat, "tc")
+	want := newFacts(refCat, "tc")
 
 	cat, unit := shardFixture(t, shards)
 	tc, _ := cat.PredByName("tc")
@@ -135,7 +139,7 @@ func TestShardUnitConcurrentSpans(t *testing.T) {
 			return true
 		})
 	}
-	got := deltaNew(cat, "tc")
+	got := newFacts(cat, "tc")
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("concurrent spans derived %v, want %v", got, want)
 	}
@@ -151,7 +155,7 @@ func TestShardUnitLayoutAgnostic(t *testing.T) {
 	if err := refUnit(interp.New(refCat, nil), 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	want := deltaNew(refCat, "tc")
+	want := newFacts(refCat, "tc")
 
 	cat, unit := shardFixture(t, 4)
 	cat.ConfigureShardsPhysical(0, nil)
@@ -159,7 +163,7 @@ func TestShardUnitLayoutAgnostic(t *testing.T) {
 	if err := unit(in, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := deltaNew(cat, "tc"); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := newFacts(cat, "tc"); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dissolved layout derived %v, want %v", got, want)
 	}
 

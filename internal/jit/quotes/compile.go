@@ -132,7 +132,8 @@ func (c *Compiler) bootstrap(cat *storage.Catalog) error {
 	if err := unit(in); err != nil {
 		return err
 	}
-	if scratch.Pred(p).DeltaNew.Len() != 1 {
+	scratch.Pred(p).SwapClear()
+	if scratch.Pred(p).DeltaKnown.Len() != 1 {
 		return fmt.Errorf("self-check: canonical quote mis-executed")
 	}
 	c.warmed = true

@@ -58,37 +58,64 @@ func (p *PredicateDB) AddFact(t []Value) bool {
 // holds it or this iteration found it already, and one probe of Derived's
 // row table answers both (paper §V-B1: δ′ is write-only, so nobody asks it).
 // A new fact is staged in Derived — visible to Contains, invisible to every
-// reader until SwapClear — and appended to δ′, which keeps no row table.
+// reader until SwapClear — and that is its only copy while δ′ is flat and
+// holds no rows of its own: δ′ then only counts it as owed, and SwapClear
+// lends it the staged rows once they are published. A δ′ that holds rows
+// (Seed, the physical δ′ of a sharded run) gets t appended, a list its row
+// table does not cover. Either way Mutations and DriftCounter read the same.
 // Emit reports whether t was new: the derivation count.
 func (p *PredicateDB) Emit(t []Value) bool {
 	if !p.Derived.stage(t) {
 		return false
 	}
-	p.DeltaNew.AppendDistinct(t)
+	if d := p.DeltaNew; d.lends() {
+		d.owe(1)
+	} else {
+		d.AppendDistinct(t)
+	}
 	return true
 }
 
 // Seed appends t, a row of Derived, to δ′ unchecked: the seeding of a
 // stratum's first iteration with facts already known, which the caller
-// hands over once each.
+// hands over once each (the warm starts of Apply and Serve). The rows are
+// δ′'s own, copied, so seeds come before the iteration's first Emit: a δ′
+// that owes rows (SeedAll, Emit) panics (misuse).
 func (p *PredicateDB) Seed(t []Value) { p.DeltaNew.AppendDistinct(t) }
 
-// SeedAll seeds δ′ with every row of Derived.
+// SeedAll seeds δ′ with every row of Derived. A δ′ that lends copies
+// nothing: it is owed all of Derived, which the next SwapClear lends it.
+// Otherwise the rows are appended.
 func (p *PredicateDB) SeedAll() {
+	if d := p.DeltaNew; d.lends() {
+		d.owe(p.Derived.Len())
+		return
+	}
 	p.Derived.Each(func(row []Value) bool {
-		p.Seed(row)
+		p.DeltaNew.AppendDistinct(row)
 		return true
 	})
 }
 
+// NewLen returns the number of rows the next SwapClear makes δ: those δ′
+// holds or is owed.
+func (p *PredicateDB) NewLen() int { return p.DeltaNew.Len() + p.DeltaNew.owed }
+
 // SwapClear implements SwapClearOp for one predicate: publish the facts
 // staged in Derived this iteration, swap the read-only and write-only delta
 // databases, and clear the relation that will become the next write-only
-// delta (paper §V-B1). A predicate that is still producing facts keeps δ′'s
-// memory for the refill; once an iteration produced none, both deltas give
-// theirs to the scratch pool (chainIndex's capacity rule).
+// delta (paper §V-B1). After the publish, the rows δ′ is owed are exactly
+// Derived's newest — the ones staged this iteration, or all of them after
+// SeedAll — so δ′ is handed that range of Derived's arena, capacity-clipped
+// (Relation.borrow), and becomes δ without a row copied. A predicate that is
+// still producing facts keeps δ′'s memory for the refill; once an iteration
+// produced none, both deltas give theirs to the scratch pool (chainIndex's
+// capacity rule), and a borrowed δ its loan.
 func (p *PredicateDB) SwapClear() {
 	p.Derived.publish()
+	if d := p.DeltaNew; d.owed > 0 {
+		d.borrow(p.Derived, p.Derived.Len()-d.owed)
+	}
 	p.SwapDeltas()
 }
 
@@ -166,9 +193,9 @@ func (p *PredicateDB) BuildCompositeIndexes(sets [][]int) {
 // Reset drops all tuples from the three relations (index registrations are
 // kept), returning the predicate to its pre-run state.
 func (p *PredicateDB) Reset() {
-	p.Derived.Clear()
 	p.DeltaKnown.Clear()
 	p.DeltaNew.Clear()
+	p.Derived.Clear()
 }
 
 // Catalog owns every PredicateDB of a program plus the shared symbol table.
@@ -237,11 +264,13 @@ func (c *Catalog) ResetFacts() {
 }
 
 // DropStaged forgets the rows staged in every Derived since its last
-// SwapClear — the cleanup of an evaluation that stopped mid-iteration, after
-// which Derived holds exactly its published rows again.
+// SwapClear, and the rows every δ′ is owed — the cleanup of an evaluation
+// that stopped mid-iteration, after which Derived holds exactly its
+// published rows again.
 func (c *Catalog) DropStaged() {
 	for _, p := range c.preds {
 		p.Derived.unstage()
+		p.DeltaNew.owed = 0
 	}
 }
 

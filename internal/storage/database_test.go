@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -14,16 +15,16 @@ func TestPredicateDBSwapClearMergesIntoDerived(t *testing.T) {
 	if !p.Emit([]Value{1, 2}) || !p.Emit([]Value{3, 4}) || p.Emit([]Value{1, 2}) {
 		t.Fatal("Emit misjudged which facts are new")
 	}
-	if p.Derived.Len() != 0 || p.DeltaNew.Len() != 2 {
-		t.Fatalf("before SwapClear: Derived %d rows, DeltaNew %d, want 0 and 2", p.Derived.Len(), p.DeltaNew.Len())
+	if p.Derived.Len() != 0 || p.NewLen() != 2 {
+		t.Fatalf("before SwapClear: Derived %d rows, δ′ to hand over %d, want 0 and 2", p.Derived.Len(), p.NewLen())
 	}
 	p.SwapClear()
 
 	if p.Derived.Len() != 2 || !p.Derived.Contains([]Value{1, 2}) || !p.Derived.Contains([]Value{3, 4}) {
 		t.Fatal("SwapClear did not publish the emitted facts into Derived")
 	}
-	if p.DeltaKnown.Len() != 2 {
-		t.Fatalf("DeltaKnown should hold the previous iteration's facts, len=%d", p.DeltaKnown.Len())
+	if got := p.DeltaKnown.Snapshot(); fmt.Sprint(got) != "[[1 2] [3 4]]" {
+		t.Fatalf("DeltaKnown should hold the previous iteration's facts in emit order, holds %v", got)
 	}
 	if p.DeltaNew.Len() != 0 {
 		t.Fatal("DeltaNew should be cleared after swap")
@@ -53,62 +54,105 @@ func TestPredicateDBSwapClearTwice(t *testing.T) {
 }
 
 // TestEmitContract pins what Emit leaves mid-iteration and how it is left:
-// δ′ is a list its row table does not answer for, Derived's staged rows
-// block every operation but Contains until SwapClear publishes them, and
-// DropStaged — the cleanup of an interrupted evaluation — forgets them.
+// a flat δ′ is owed the new rows — it accepts no write and no lookup — and
+// Derived's staged rows block every operation but Contains until SwapClear
+// publishes them and lends them to δ; DropStaged — the cleanup of an
+// interrupted evaluation — forgets both. A Derived that rewrites rows in
+// place while δ borrows them first gives δ copies of its own.
 func TestEmitContract(t *testing.T) {
 	c := NewCatalog()
 	p := c.Pred(c.Declare("r", 2))
 	p.Derived.EnableCounts()
 	p.AddFact([]Value{0, 0})
 	p.Emit([]Value{1, 2})
-	for name, op := range map[string]func(){
-		"δ′ Insert":            func() { p.DeltaNew.Insert([]Value{3, 4}) },
-		"δ′ Contains":          func() { p.DeltaNew.Contains([]Value{1, 2}) },
-		"Derived Insert":       func() { p.Derived.Insert([]Value{3, 4}) },
-		"Derived RowOf":        func() { p.Derived.RowOf([]Value{0, 0}) },
-		"Derived TruncateTo":   func() { p.Derived.TruncateTo(0) },
-		"Derived Clear":        p.Derived.Clear,
-		"Catalog ResetFacts":   c.ResetFacts,
-		"Derived DeleteRowIDs": func() { p.Derived.DeleteRowIDs([]uint64{1}, 1) },
-		"Derived DeleteRows":   func() { p.Derived.DeleteRows([][]Value{{0, 0}}, 1) },
+	for _, mid := range []struct {
+		name string
+		op   func()
+	}{
+		{"δ′ Insert", func() { p.DeltaNew.Insert([]Value{3, 4}) }},
+		{"δ′ Contains", func() { p.DeltaNew.Contains([]Value{1, 2}) }},
+		{"δ′ Seed", func() { p.Seed([]Value{0, 0}) }},
+		{"δ′ Seal", p.DeltaNew.Seal},
+		{"Derived Insert", func() { p.Derived.Insert([]Value{3, 4}) }},
+		{"Derived RowOf", func() { p.Derived.RowOf([]Value{0, 0}) }},
+		{"Derived TruncateTo", func() { p.Derived.TruncateTo(0) }},
+		{"Derived Clear", p.Derived.Clear},
+		{"Derived DeleteRowIDs", func() { p.Derived.DeleteRowIDs([]uint64{1}, 1) }},
+		{"Derived DeleteRows", func() { p.Derived.DeleteRows([][]Value{{0, 0}}, 1) }},
+		{"Catalog ResetFacts", c.ResetFacts}, // last: it empties the deltas before it panics
 	} {
-		if !panics(op) {
-			t.Errorf("%s mid-iteration did not panic", name)
+		if !panics(mid.op) {
+			t.Errorf("%s mid-iteration did not panic", mid.name)
 		}
 	}
 	if !p.Derived.Contains([]Value{1, 2}) || p.Derived.Len() != 1 {
 		t.Fatal("a staged fact must answer Contains and nothing else")
 	}
 	c.DropStaged()
-	if p.Derived.Contains([]Value{1, 2}) || p.Derived.Len() != 1 {
-		t.Fatal("DropStaged kept the staged fact")
+	if p.Derived.Contains([]Value{1, 2}) || p.Derived.Len() != 1 || p.NewLen() != 0 {
+		t.Fatal("DropStaged kept the staged fact or δ′'s claim on it")
 	}
 	p.Derived.TruncateTo(0)
-	p.DeltaNew.Clear() // a list may always be emptied
-	if !p.Emit([]Value{1, 2}) || p.DeltaNew.Len() != 1 {
+	p.DeltaNew.Clear() // δ′ may always be emptied
+	if !p.Emit([]Value{1, 2}) || p.NewLen() != 1 {
 		t.Fatal("Emit after DropStaged")
 	}
 	p.SwapClear()
 	if row, ok := p.Derived.RowOf([]Value{1, 2}); !ok || row != 0 {
 		t.Fatalf("published row: RowOf = %d,%v", row, ok)
 	}
+
+	// Borrowed: δ reads Derived's rows through a view of its arena, and a
+	// rewrite in place gives it a copy first.
+	for name, rewrite := range map[string]func(d *Relation){
+		"DeleteRows":   func(d *Relation) { d.DeleteRows([][]Value{{3, 4}}, 0) },
+		"DeleteRowIDs": func(d *Relation) { d.DeleteRowIDs([]uint64{0b110}, 0) },
+		"TruncateTo":   func(d *Relation) { d.TruncateTo(1) },
+		"Clear":        func(d *Relation) { d.Clear() },
+	} {
+		c := NewCatalog()
+		q := c.Pred(c.Declare("q", 2))
+		q.Derived.EnableCounts()
+		q.AddFact([]Value{1, 2})
+		q.SeedAll()
+		q.SwapClear()
+		q.Emit([]Value{3, 4})
+		q.Emit([]Value{5, 6})
+		q.SwapClear()
+		if !sharesRows(q.DeltaKnown, q.Derived) {
+			t.Fatal("δ does not borrow Derived's newest rows")
+		}
+		rewrite(q.Derived)
+		for i := 0; i < 4; i++ { // writes over the rewritten rows
+			q.Derived.Insert([]Value{Value(-i), 9})
+		}
+		if got := fmt.Sprint(q.DeltaKnown.Snapshot()); q.DeltaKnown.lender != nil || got != "[[3 4] [5 6]]" {
+			t.Errorf("after Derived %s δ reads %s, want its own copy of [[3 4] [5 6]]", name, got)
+		}
+	}
 }
 
-// TestPredicateDBSeedAll pins first-iteration seeding: every ground fact is
-// appended to δ′ and becomes δ at the rotation.
+// sharesRows reports whether d's rows are a view of r's arena: its last rows,
+// in the same memory.
+func sharesRows(d, r *Relation) bool {
+	n, m := len(d.arena), len(r.arena)
+	return n > 0 && n <= m && &d.arena[0] == &r.arena[m-n] && d.lender == r
+}
+
+// TestPredicateDBSeedAll pins first-iteration seeding: δ′ is owed every
+// ground fact and borrows them at the rotation, where they become δ.
 func TestPredicateDBSeedAll(t *testing.T) {
 	c := NewCatalog()
 	p := c.Pred(c.Declare("edge", 2))
 	p.AddFact([]Value{1, 2})
 	p.AddFact([]Value{2, 3})
 	p.SeedAll()
-	if p.DeltaNew.Len() != 2 {
-		t.Fatalf("SeedAll appended %d facts, want 2", p.DeltaNew.Len())
+	if p.NewLen() != 2 || p.DeltaNew.Len() != 0 {
+		t.Fatalf("SeedAll: δ′ holds %d rows and hands over %d, want 0 and 2", p.DeltaNew.Len(), p.NewLen())
 	}
 	p.SwapClear()
-	if p.DeltaKnown.Len() != 2 || p.Derived.Len() != 2 {
-		t.Fatalf("after the rotation δ holds %d facts and Derived %d, want 2 and 2", p.DeltaKnown.Len(), p.Derived.Len())
+	if p.DeltaKnown.Len() != 2 || p.Derived.Len() != 2 || !sharesRows(p.DeltaKnown, p.Derived) {
+		t.Fatalf("after the rotation δ holds %d facts and Derived %d, want 2 and 2, borrowed", p.DeltaKnown.Len(), p.Derived.Len())
 	}
 }
 

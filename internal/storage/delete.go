@@ -207,10 +207,12 @@ func (r *Relation) compactRows(dead []uint64, boundary int) (removed, removedBel
 	// Stable compaction, one run of survivors at a time. In place, the write
 	// offset never passes the read offset; a pinned slab flips to a fresh one
 	// and stays with its epoch.
+	r.recall()
 	n, ar := r.Len(), r.arity
 	src := r.arena
 	var dst []Value
 	if r.pinned {
+		r.repay()
 		r.pinned = false
 		dst = make([]Value, 0, (n-removed)*ar)
 	} else {

@@ -115,17 +115,19 @@ func (r *Relation) PinRows() EpochRows {
 func (r *Relation) Pinned() bool { return r.pinned }
 
 // detachPinned implements copy-on-flip for the destructive operations: when
-// an epoch view pins the arena, move the retained prefix (keepVals values)
-// onto a fresh slab and leave the old one to the epoch's readers. Reports
-// whether a flip happened — if not, the caller performs its usual in-place
-// truncation.
+// an epoch view pins the arena, or it is borrowed, move the retained prefix
+// (keepVals values) onto a fresh slab and leave the old one to the epoch's
+// readers or its lender. Reports whether a flip happened — if not, the
+// caller performs its usual in-place truncation.
 func (r *Relation) detachPinned(keepVals int) bool {
 	if !r.pinned {
 		return false
 	}
+	kept := r.arena[:keepVals]
+	r.repay()
 	r.pinned = false
 	fresh := make([]Value, keepVals)
-	copy(fresh, r.arena[:keepVals])
+	copy(fresh, kept)
 	r.arena = fresh
 	return true
 }

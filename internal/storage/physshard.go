@@ -50,6 +50,8 @@ func ShardOf(v Value, shards int) int {
 // fresh slab instead, so the refill never rewrites rows the view still
 // serves, and is never given back.
 func (r *Relation) resetContents(retain bool) {
+	r.recall()
+	r.repay()
 	if retain {
 		r.tab.reset(r.lazy)
 	} else {
@@ -124,7 +126,8 @@ func (r *Relation) SetShardKeyPhysical(shards, col int) {
 	// (every arena row was one successful insert in the flat history too).
 	r.muts = target - uint64(rows)
 	// The flat slab was abandoned wholesale (rows moved into the buckets),
-	// which satisfies any pinned epoch view without a copy.
+	// which satisfies any pinned epoch view or lender without a copy.
+	r.repay()
 	r.arena, r.pinned = nil, false
 	r.tab.release(r.lazy)
 	for i := range r.indexes {

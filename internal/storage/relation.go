@@ -35,21 +35,27 @@ import (
 // entered in the row table and written into the arena's spare capacity past
 // its length — so Contains sees it at once while Len, Each, Row, the probes
 // and PinRows keep seeing the rows of the iteration's start
-// until publish (SwapClear) makes it a row. δ′ is then an append-only list
-// (AppendDistinct) whose arena its row table does not cover. Insert,
-// Contains, RowOf, TruncateTo and Clear panic on a relation in a state they
-// would answer wrongly (misuse).
+// until publish (SwapClear) makes it a row. That staged row is the fact's
+// only copy: a flat δ′ holds no rows but is owed them (owe), and at the
+// rotation it borrows them (borrow) — δ is then a capacity-clipped view of
+// Derived's newest rows, which δ reads, scans and indexes like rows of its
+// own and copies before any write, and which Derived recalls (recall) before
+// it rewrites rows in place. Insert, Contains, RowOf, TruncateTo and Clear
+// panic on a relation in a state they would answer wrongly (misuse).
 //
-// AppendDistinct is also the one bulk load for rows a caller already knows
-// to be distinct — retraction's frontiers and candidates, deduplicated by
-// its doomed bitset: Reserve sizes the arena and the index links for a batch
-// of known size once, the rows are appended without a probe, and Seal, only
-// if something will ask the list for membership, builds its row table in one
-// sized pass.
+// A delta that holds rows of its own — a δ′ seeded row by row, the physical
+// δ′ of a sharded run, retraction's frontiers and candidates — is an
+// append-only list (AppendDistinct) whose arena its row table does not
+// cover. AppendDistinct is also the one bulk load for rows a caller already
+// knows to be distinct — retraction's, deduplicated by its doomed bitset:
+// Reserve sizes the arena and the index links for a batch of known size
+// once, the rows are appended without a probe, and Seal, only if something
+// will ask the list for membership, builds its row table in one sized pass.
 //
-// Capacity: Derived keeps its memory, and a delta gives its arena, row table
-// and index memory to the scratch pool on Clear (scratch.go); ClearRetain
-// keeps them for a refill that follows at once (rowtable.go, chainindex.go).
+// Capacity: Derived keeps its memory, and a delta gives its own arena, row
+// table and index memory to the scratch pool on Clear (scratch.go), and a
+// borrowed arena back to its lender; ClearRetain keeps them for a refill
+// that follows at once (rowtable.go, chainindex.go).
 type Relation struct {
 	name  string
 	arity int
@@ -71,10 +77,22 @@ type Relation struct {
 	// into per-predicate drift counters.
 	muts uint64
 
-	// pinned marks the arena as referenced by an EpochRows view (PinRows):
-	// the next destructive operation must flip to a fresh arena instead of
-	// rewriting the pinned slab in place (epoch.go, copy-on-flip).
+	// pinned marks the arena as referenced by an EpochRows view (PinRows),
+	// or as borrowed: the next destructive operation must flip to a fresh
+	// arena instead of rewriting the pinned slab in place (epoch.go,
+	// copy-on-flip).
 	pinned bool
+
+	// Loans (borrow): a flat δ whose rows are a capacity-clipped view of
+	// Derived's newest rows names its lender; the lender lists its borrowers
+	// and recalls their rows before it rewrites its own in place.
+	lender    *Relation
+	borrowers []*Relation
+
+	// owed counts the rows a flat δ′ that holds none of its own is to borrow
+	// at the next SwapClear (PredicateDB.Emit, SeedAll): Derived's newest.
+	// Until then it accepts no write and no lookup; Clear forgets them.
+	owed int
 
 	// Reference-count state (counts.go): enabled per relation by
 	// EnableCounts, off everywhere else so the hot insert path pays one
@@ -134,7 +152,7 @@ func (r *Relation) Insert(t []Value) bool {
 		// own arena, row table, and counter — Mutations sums them back up).
 		return r.bucket(t).Insert(t)
 	}
-	if r.staged != 0 || !r.covered() {
+	if r.staged != 0 || r.owed != 0 || !r.covered() {
 		r.misuse("Insert")
 	}
 	h := hashRow(t)
@@ -159,6 +177,9 @@ func (r *Relation) Contains(t []Value) bool {
 	}
 	if r.subs != nil {
 		return r.bucket(t).Contains(t)
+	}
+	if r.owed != 0 {
+		r.misuse("Contains")
 	}
 	arena := r.arena
 	if r.staged != 0 {
@@ -224,14 +245,18 @@ func (r *Relation) unstage() {
 }
 
 // AppendDistinct appends t without consulting or filling the row table, for
-// a caller that guarantees t is not in the relation: δ′'s write, whose rows
-// were deduplicated where they were staged, and retraction's, deduplicated by
+// a caller that guarantees t is not in the relation: the write of a δ′ that
+// holds rows of its own, whose rows were deduplicated where they were staged
+// or are seeds handed over once, and retraction's, deduplicated by
 // its doomed bitset. It leaves the relation a list that only Clear, the
 // scans, the probes and Seal accept.
 func (r *Relation) AppendDistinct(t []Value) {
 	if r.subs != nil {
 		r.bucket(t).AppendDistinct(t)
 		return
+	}
+	if r.owed != 0 {
+		r.misuse("AppendDistinct")
 	}
 	row := int32(len(r.arena) / r.arity)
 	r.appendRow(t)
@@ -248,13 +273,62 @@ func (r *Relation) appendRow(t []Value) {
 }
 
 // growArena moves a delta's arena into a scratch slab of at least n values;
-// a pinned one stays with its view, and the new slab is unpinned.
+// a pinned one stays with its view, a borrowed one with its lender, and the
+// new slab is unpinned.
 func (r *Relation) growArena(n int) {
-	arena := append(valueSlabs.take(n), r.arena...)
+	rows := r.arena
+	r.repay()
+	arena := append(valueSlabs.take(n), rows...)
 	if !r.pinned {
 		valueSlabs.give(r.arena)
 	}
 	r.arena, r.pinned = arena, false
+}
+
+// borrow makes rows [from, Len) of lender, a flat Derived, the rows of r, a
+// flat delta that holds none of its own and is owed them: r's empty slab goes
+// to the scratch pool, and its arena becomes a capacity-clipped view of
+// lender's — the view PinRows gives an epoch. The view follows the pinned
+// rules: it is never given to the pool, and r copies it before any write
+// (growArena). The lender's appends land past the view; before it rewrites
+// rows in place it recalls them (recall). Registered histograms are filled
+// in one pass; indexes link nothing until EnsureIndex, as on any delta. The
+// mutations were counted as the rows were owed.
+func (r *Relation) borrow(lender *Relation, from int) {
+	n := len(lender.arena)
+	valueSlabs.give(r.arena)
+	r.arena = lender.arena[from*r.arity : n : n]
+	r.pinned, r.lender, r.owed = true, lender, 0
+	lender.borrowers = append(lender.borrowers, r)
+	for off := 0; r.histograms != nil && off < len(r.arena); off += r.arity {
+		r.histInsert(r.arena[off : off+r.arity])
+	}
+}
+
+// repay ends r's loan, if it has one: r holds no rows, and the lender
+// forgets it.
+func (r *Relation) repay() {
+	l := r.lender
+	if l == nil {
+		return
+	}
+	i := slices.Index(l.borrowers, r)
+	l.borrowers[i] = l.borrowers[len(l.borrowers)-1]
+	l.borrowers[len(l.borrowers)-1] = nil
+	l.borrowers = l.borrowers[:len(l.borrowers)-1]
+	r.arena, r.lender, r.pinned = nil, nil, false
+}
+
+// recall gives every borrower of r its rows as its own, copied into a
+// scratch slab, before r rewrites rows in place. The operations that do are
+// Clear, TruncateTo and the deletion compactions; the deltas are normally
+// emptied first (core's baseline rewind), and then there is nothing to
+// recall.
+func (r *Relation) recall() {
+	for len(r.borrowers) > 0 {
+		b := r.borrowers[0]
+		b.growArena(len(b.arena))
+	}
 }
 
 // Reserve makes room for n more rows of a bulk load: the arena and every
@@ -288,7 +362,7 @@ func (r *Relation) Seal() {
 		}
 		return
 	}
-	if r.staged != 0 || (r.tab.used != 0 && !r.covered()) {
+	if r.staged != 0 || r.owed != 0 || (r.tab.used != 0 && !r.covered()) {
 		r.misuse("Seal")
 	}
 	if r.tab.used == 0 {
@@ -313,11 +387,25 @@ func (r *Relation) covered() bool {
 }
 
 // misuse panics for an operation the relation's state would make answer
-// wrongly: a lookup on a list (AppendDistinct), or anything but Contains on a
-// relation with staged rows.
+// wrongly: a lookup on a list (AppendDistinct), anything but Contains on a
+// relation with staged rows, or anything but Clear on a δ′ owed rows.
 func (r *Relation) misuse(op string) {
+	if r.owed != 0 {
+		panic(fmt.Sprintf("storage: %s on %q: it is owed %d rows of Derived until SwapClear lends them",
+			op, r.name, r.owed))
+	}
 	panic(fmt.Sprintf("storage: %s on %q: its row table holds %d entries for %d rows and %d staged",
 		op, r.name, r.tab.used, r.Len(), r.staged))
+}
+
+// lends reports whether the relation, a delta, holds no rows of its own and
+// is flat: as δ′ it is owed its rows instead of copying them (Emit).
+func (r *Relation) lends() bool { return r.subs == nil && len(r.arena) == 0 }
+
+// owe counts n more rows δ′ is owed, each a mutation as its copy would be.
+func (r *Relation) owe(n int) {
+	r.owed += n
+	r.muts += uint64(n)
 }
 
 // Row returns a view of row i (valid until the next Insert reallocates the
@@ -524,9 +612,10 @@ func (r *Relation) clear(retain bool) {
 		}
 		return
 	}
-	if len(r.arena) > 0 {
+	if len(r.arena) > 0 || r.owed > 0 {
 		r.muts++
 	}
+	r.owed = 0
 	r.resetContents(retain)
 }
 
@@ -542,13 +631,14 @@ func (r *Relation) TruncateTo(n int) {
 		// this is an engine-wiring bug, not a data-dependent condition.
 		panic(fmt.Sprintf("storage: TruncateTo on physically sharded %q", r.name))
 	}
-	if r.staged != 0 || !r.covered() {
+	if r.staged != 0 || r.owed != 0 || !r.covered() {
 		r.misuse("TruncateTo")
 	}
 	if n < 0 || n >= r.Len() {
 		return
 	}
 	r.muts++
+	r.recall()
 	if !r.detachPinned(n * r.arity) {
 		r.arena = r.arena[:n*r.arity]
 	}

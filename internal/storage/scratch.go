@@ -4,29 +4,56 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"weak"
 )
 
 // Scratch memory. A delta relation (δ, δ′ and their physical buckets) holds
 // its memory only until its next Clear: semi-naive evaluation empties and
 // refills the deltas every iteration, and retraction borrows them for one
-// Apply. So every slab a delta holds — its arena, its row table's tags and
-// row ids, its index links and slot tables — comes from the size-classed
-// pools below and goes back to them when the relation gives memory back, as
-// do the chunks and repeat filters of the pool workers' lists
-// (TakeScratch). A warm Run or Apply reuses the slabs of the previous one; a
-// garbage collection may empty the pools, so an idle Program pins none of
-// this memory. Derived is state and owns exact-sized memory: it takes
-// nothing from the pools and gives nothing to them.
+// Apply. So every slab a delta holds of its own — its arena, its row table's
+// tags and row ids, its index links and slot tables — comes from the
+// size-classed pools below and goes back to them when the relation gives
+// memory back, as do the chunks and repeat filters of the pool workers'
+// lists (TakeScratch). A flat δ that borrows Derived's rows
+// (PredicateDB.SwapClear) takes no arena at all. Derived is state and owns
+// exact-sized memory: it takes nothing from the pools and gives nothing to
+// them.
+//
+// Lifetime. A slab lives as long as an item of a sync.Pool: it survives one
+// garbage collection and is freed by the second unless a take or give came
+// in between, so a warm Run or Apply reuses the slabs of the previous one and
+// an idle Program pins none of this memory. The free slabs sit in one stack
+// per class that a take on any goroutine and any P reaches. A sync.Pool per
+// class did not: its Get steals only from other Ps' shared queues, never
+// from their private slot, and most classes hold a single slab, so the
+// scheduler alone made warm takes miss — a warm TC Run allocated about
+// twice as much at two Ps as at one, and four times as much at four.
+//
+// The stacks object is reachable strongly only from an anchor sync.Pool,
+// which gives it sync.Pool's lifetime, and weakly from its slabPool. The
+// first take or give after a collection notices that collection — a weak
+// sentinel made at the last anchoring has died — and puts the stacks back
+// into the anchor, so they live for one more.
 
 // slabPool recycles slabs of T in power-of-two classes: class c holds slabs
 // of capacity at least 1<<c, filed by the floor of their capacity's log, so
 // a take never receives a slab smaller than it asked for. Safe for
 // concurrent use.
 type slabPool[T any] struct {
-	classes [40]sync.Pool // of *[]T
-	headers sync.Pool     // spare *[]T, so a give allocates nothing once warm
-	poison  T             // what a give fills a slab with under scratchpoison
+	mu       sync.Mutex
+	stacks   weak.Pointer[slabStacks[T]]
+	sentinel weak.Pointer[gcSentinel] // dies at the first collection after the last anchoring
+	anchor   sync.Pool                // of *slabStacks[T]; never read, only holds
+	poison   T                        // what a give fills a slab with under scratchpoison
 }
+
+// slabStacks holds a pool's free slabs, one LIFO stack per class.
+type slabStacks[T any] struct{ classes [40][][]T }
+
+// gcSentinel is what the weak sentinel points at. It holds a pointer so the
+// allocator never packs it into a tiny block beside a live object, which
+// would keep it alive through a collection.
+type gcSentinel struct{ _ *gcSentinel }
 
 var (
 	valueSlabs = slabPool[Value]{poison: math.MinInt32} // arenas, row ids, index links, list chunks
@@ -34,16 +61,36 @@ var (
 	slotSlabs  = slabPool[chainSlot]{poison: chainSlot{math.MinInt32, math.MinInt32}}
 )
 
+// class returns the stack of class c, anchoring the stacks for one more
+// collection when one has run since the last anchoring, or making them anew
+// when two have freed them. The caller holds mu.
+func (p *slabPool[T]) class(c int) *[][]T {
+	s := p.stacks.Value()
+	if s == nil || p.sentinel.Value() == nil {
+		if s == nil {
+			s = new(slabStacks[T])
+			p.stacks = weak.Make(s)
+		}
+		p.anchor.Put(s)
+		p.sentinel = weak.Make(new(gcSentinel))
+	}
+	return &s.classes[c]
+}
+
 // take returns an empty slab with capacity at least n, rounded up to its
 // class, its contents whatever its last holder left.
 func (p *slabPool[T]) take(n int) []T {
 	c := bits.Len(uint(max(n, 1) - 1))
-	if h, _ := p.classes[c].Get().(*[]T); h != nil {
-		s := *h
-		*h = nil
-		p.headers.Put(h)
+	p.mu.Lock()
+	st := p.class(c)
+	if k := len(*st) - 1; k >= 0 {
+		s := (*st)[k]
+		(*st)[k] = nil
+		*st = (*st)[:k]
+		p.mu.Unlock()
 		return s[:0]
 	}
+	p.mu.Unlock()
 	return make([]T, 0, 1<<c)
 }
 
@@ -66,12 +113,10 @@ func (p *slabPool[T]) give(s []T) {
 			s[i] = p.poison
 		}
 	}
-	h, _ := p.headers.Get().(*[]T)
-	if h == nil {
-		h = new([]T)
-	}
-	*h = s
-	p.classes[bits.Len(uint(cap(s)))-1].Put(h)
+	p.mu.Lock()
+	st := p.class(bits.Len(uint(cap(s))) - 1)
+	*st = append(*st, s)
+	p.mu.Unlock()
 }
 
 // TakeScratch returns an empty Value slab with capacity at least n from the
