@@ -213,9 +213,9 @@ func runCmd(args []string) error {
 		}
 	}
 	if *stats {
-		fmt.Fprintf(os.Stderr, "time: %v  facts: %d  iterations: %d  derivations: %d  subqueries: %d\n",
+		fmt.Fprintf(os.Stderr, "time: %v  facts: %d  iterations: %d  derivations: %d  matches: %d  subqueries: %d\n",
 			res.Duration.Round(time.Microsecond), res.TotalFacts,
-			res.Interp.Iterations, res.Interp.Derivations, res.Interp.SPJRuns)
+			res.Interp.Iterations, res.Interp.Derivations, res.Interp.Matches, res.Interp.SPJRuns)
 		if *parallel || *shards > 1 {
 			fmt.Fprintf(os.Stderr, "fanout: sequential-iterations=%d/%d workers-folded=%d\n",
 				res.Interp.SeqIters, res.Interp.Iterations, res.Interp.MergeTasks)

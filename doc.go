@@ -12,6 +12,32 @@
 //   - cmd/datagen — emit the synthetic benchmark datasets;
 //   - bench_test.go — testing.B benchmarks, one per table/figure.
 //
+// # Semi-naive evaluation
+//
+// Each predicate has three databases (storage.PredicateDB, paper §V-B1):
+// Full (Derived, every fact known), δ (the facts the last iteration found)
+// and δ′ (this iteration's). ir.Lower gives a recursive rule one subquery
+// per recursive body atom k, in the textbook old/new split: atom k reads δ,
+// the recursive atoms before it read Old — Full less δ, the facts known
+// before the last iteration (ir.SrcOld) — and every other atom reads Full.
+// A body match holding δ tuples at several recursive atoms is then derived
+// once, by the variant of its first δ atom, instead of once per δ tuple; on
+// CSPA that is 29 % fewer emits for the same facts.
+//
+// Old costs no relation of its own. After SwapClear a flat δ is a view of
+// Derived's newest rows, so Old is a row bound on Derived
+// (storage.PredicateDB.OldBound): a scan stops at the bound, and a probe
+// stops at the first chain row past it, since chains run in insertion order.
+// The bound is read each time a plan runs, so a cached plan or compiled unit
+// stays valid across iterations. Where δ is not such a view — a δ seeded row
+// by row by a warm start (interp.Interp.SeedDelta), a sharded run's
+// physical δ, a retraction frontier — Old falls back to all of Full, which
+// is always correct and only derives some matches twice. After SeedAll δ is
+// all of Full and Old is empty. The push executor and lambda's sequential
+// units honor the bound; lambda's shard units, bytecode and quotes read Full
+// for Old. ir.LowerWarm and ir.LowerRetract read Full at every non-delta
+// atom.
+//
 // # Statistics, plan cache, and the parallel executor
 //
 // Three subsystems extend the paper's design toward production scale:

@@ -171,8 +171,10 @@ func (e *execEngine) arm(timeout time.Duration) (disarm func()) {
 }
 
 // query runs the engine's program to fixpoint once and assembles the
-// Result. oneShot marks a Run-owned engine: its controller is closed before
-// the JIT statistics are read, so asynchronous compiles finish counting.
+// Result, holding the scratch pools' free slabs for its duration
+// (storage.HoldScratch). oneShot marks a Run-owned engine: its controller is
+// closed before the JIT statistics are read, so asynchronous compiles finish
+// counting.
 // Session-owned engines keep the controller alive across queries and report
 // the per-query delta of its counters instead.
 //
@@ -182,6 +184,7 @@ func (e *execEngine) arm(timeout time.Duration) (disarm func()) {
 // monotone), so per-query attribution is approximate there — exact totals
 // live on the store's ClassStats.
 func (e *execEngine) query(oneShot bool) (*Result, error) {
+	defer storage.HoldScratch()()
 	var planBase, unitBase plancache.Stats
 	if e.store != nil {
 		planBase = e.store.ClassStats(plancache.ClassPlans)

@@ -8,6 +8,7 @@ package core_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -293,5 +294,56 @@ func TestWarmShardedRunAllocations(t *testing.T) {
 				t.Fatal("the pool never ran")
 			}
 		})
+	}
+}
+
+// TestRunKeepsScratchThroughCollections: the free slabs of the scratch pool
+// survive the collections that run inside a Run. Two TC programs of
+// tc_large's shape run once each, the second sharded with the collector at
+// GOGC=5 — a first Run that grows Derived by tens of MB sets off collections
+// back to back — and then one more Run of each is bounded per derivation. On
+// amd64, 2 cores, they read 0.04 and 0.21 B. The sharded one read 3.3 B
+// (1.4 MB a Run) while two collections with no take or give could free the
+// slabs mid-Run, and the next Run took the physical δ′'s arenas anew.
+func TestRunKeepsScratchThroughCollections(t *testing.T) {
+	flat := workloads.TransitiveClosure(analysis.HandOptimized, 700, 2100, 42)
+	sharded := workloads.TransitiveClosure(analysis.HandOptimized, 700, 2100, 42)
+	flatOpts := core.Options{Indexed: true}
+	shardOpts := core.Options{Indexed: true, Shards: 8, Workers: 2}
+	if _, err := flat.P.Run(flatOpts); err != nil {
+		t.Fatal(err)
+	}
+	gc := debug.SetGCPercent(5)
+	_, err := sharded.P.Run(shardOpts)
+	debug.SetGCPercent(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		built    *analysis.Built
+		opts     core.Options
+		raceLogs bool
+	}{
+		{"flat", flat, flatOpts, false},
+		{"sharded", sharded, shardOpts, true},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := c.built.P.Run(c.opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		perDerivation := float64(allocated) / float64(res.Interp.Derivations)
+		t.Logf("%s: %d KB, %.2f B per derivation (%d derivations)", c.name, allocated>>10, perDerivation, res.Interp.Derivations)
+		if perDerivation > 0.5 {
+			if c.raceLogs && raceEnabled {
+				t.Logf("over the bound of 0.5 B (race detector: not enforced)")
+			} else {
+				t.Errorf("%s: the Run after a collection-heavy one allocates %.2f B per derivation, want at most 0.5", c.name, perDerivation)
+			}
+		}
 	}
 }

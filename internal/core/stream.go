@@ -168,6 +168,9 @@ func (p *Program) Apply(tx *Tx, opts Options) (*ApplyResult, error) {
 
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
+	// Retraction and the continuation reuse the slabs of the last Apply;
+	// collections during this one do not free them.
+	defer storage.HoldScratch()()
 	p.enableCountsLocked()
 
 	// The incremental path needs a standing fixpoint to maintain and

@@ -78,6 +78,7 @@ type ShardCompiler interface {
 type Stats struct {
 	Iterations    int64 // DoWhile loop passes
 	Derivations   int64 // new facts staged in Derived (PredicateDB.Emit): the rows a run adds
+	Matches       int64 // head tuples the subqueries emitted, before any dedup: body matches, or groups of an aggregate
 	SPJRuns       int64 // subquery executions
 	PlanBuilds    int64 // access plans constructed by the interpreter
 	PlanReuses    int64 // subquery executions served from the plan cache
@@ -647,9 +648,9 @@ func (in *Interp) execSPJ(spj *ir.SPJOp) error {
 		if in.bufSink != nil {
 			// Parallel rule evaluation: derivations land in this worker's
 			// private list and are counted at the merge barrier.
-			runPlanBuffered(plan, in.Cat, in.bufSink(plan.Sink))
+			runPlanBuffered(plan, in.Cat, in.bufSink(plan.Sink), &in.Stats)
 		} else {
-			in.Stats.Derivations += RunPlan(plan, in.Cat)
+			RunPlan(plan, in.Cat, &in.Stats)
 		}
 	}
 	run()
@@ -1021,6 +1022,7 @@ func (in *Interp) mergeWorkers(segs [][]segment, w int) error {
 		}
 		s := ws.sub.Stats
 		in.Stats.SPJRuns += s.SPJRuns
+		in.Stats.Matches += s.Matches
 		in.Stats.PlanBuilds += s.PlanBuilds
 		in.Stats.PlanReuses += s.PlanReuses
 		in.Stats.Compiled += s.Compiled
@@ -1066,30 +1068,31 @@ func runPlanWith(p *Plan, cat *storage.Catalog, insert func(t []storage.Value)) 
 
 // RunPlan executes a built plan against the standard semi-naive sink, the
 // predicate's Emit, sinking matches (via the aggregation path when
-// configured) and returning the number of new tuples derived. Shared by the
-// interpreter and the bytecode/quote backends, on the coordinating goroutine:
-// it ensures the delta indexes the plan probes first.
-func RunPlan(p *Plan, cat *storage.Catalog) int64 {
+// configured) and counting them and the new tuples derived into st. Shared
+// by the interpreter and the bytecode/quote backends, on the coordinating
+// goroutine: it ensures the delta indexes the plan probes first.
+func RunPlan(p *Plan, cat *storage.Catalog, st *Stats) {
 	EnsureDeltaIndexes(p, cat)
 	sink := cat.Pred(p.Sink)
-	var derived int64
 	runPlanWith(p, cat, func(t []storage.Value) {
+		st.Matches++
 		if sink.Emit(t) {
-			derived++
+			st.Derivations++
 		}
 	})
-	return derived
 }
 
 // runPlanBuffered executes the plan with derivations appended to a private
-// list instead of going through the sink's Emit (parallel rule evaluation).
-// Set difference against the iteration-frozen Derived and the list's repeat
-// filter (AppendNew) still apply here to keep lists short; exact duplicate
-// elimination — within the list, across workers and against the iteration's
-// other finds — happens at the merge barrier.
-func runPlanBuffered(p *Plan, cat *storage.Catalog, buf *RowList) {
+// list instead of going through the sink's Emit (parallel rule evaluation),
+// counting the matches into the worker's st. Set difference against the
+// iteration-frozen Derived and the list's repeat filter (AppendNew) still
+// apply here to keep lists short; exact duplicate elimination — within the
+// list, across workers and against the iteration's other finds — happens at
+// the merge barrier.
+func runPlanBuffered(p *Plan, cat *storage.Catalog, buf *RowList, st *Stats) {
 	sink := cat.Pred(p.Sink)
 	runPlanWith(p, cat, func(t []storage.Value) {
+		st.Matches++
 		if !sink.Derived.Contains(t) {
 			buf.AppendNew(t)
 		}

@@ -149,13 +149,22 @@ type Plan struct {
 	ShardStep  int
 }
 
-// SourceRel resolves the relation a relational step reads right now.
-func SourceRel(cat *storage.Catalog, pred storage.PredID, src ir.Source) *storage.Relation {
+// SourceRel resolves the relation a relational step reads right now and its
+// row bound: a reader visits only rows below it (storage.Relation.EachBelow,
+// EachProbeBelow). Old is Derived bounded by PredicateDB.OldBound; Full and δ
+// are unbounded (storage.AllRows). The bound moves at every SwapClear, so it
+// is resolved each time a plan runs, never when one is built or compiled. A
+// reader that ignores the bound reads Full for Old, which is correct and
+// only derives some matches twice.
+func SourceRel(cat *storage.Catalog, pred storage.PredID, src ir.Source) (*storage.Relation, int) {
 	p := cat.Pred(pred)
-	if src == ir.SrcDelta {
-		return p.DeltaKnown
+	switch src {
+	case ir.SrcDelta:
+		return p.DeltaKnown, storage.AllRows
+	case ir.SrcOld:
+		return p.Derived, p.OldBound()
 	}
-	return p.Derived
+	return p.Derived, storage.AllRows
 }
 
 // EnsureDeltaIndexes brings up to date the delta index of every probe step of
@@ -182,6 +191,7 @@ func EnsureDeltaIndexes(p *Plan, cat *storage.Catalog) {
 // soundness check, and the optimizer never produces illegal orders.
 func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
 	p := &Plan{
+		Steps:   make([]Step, 0, len(spj.Atoms)), // one per atom: cached plans keep no spare capacity
 		Head:    spj.Head,
 		Sink:    spj.Sink,
 		NumVars: spj.NumVars,
@@ -474,7 +484,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 		st := &p.Steps[i]
 		switch st.Kind {
 		case StepScan, StepProbe, StepProbeN:
-			rel := SourceRel(cat, st.Pred, st.Src)
+			rel, below := SourceRel(cat, st.Pred, st.Src)
 			// Poll cancellation/yield in the two outermost loops: the outer
 			// one alone is not enough when a tiny delta drives a huge inner
 			// cartesian product.
@@ -602,13 +612,15 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				}
 				return
 			}
+			// A flat relation is read below its bound (Old's): scans stop
+			// there, and so do chains, which run in insertion order.
 			if st.Kind == StepProbe {
 				key := st.ProbeKey.resolve(bind)
 				rows, ok := rel.Probe(st.ProbeCol, key)
 				if !ok {
 					// No index registered (a plan bound where the builder's
 					// registration is absent): filtered scan.
-					rel.Each(func(row []storage.Value) bool {
+					rel.EachBelow(below, func(row []storage.Value) bool {
 						if stop() {
 							return false
 						}
@@ -619,7 +631,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 					})
 					return
 				}
-				for ri := rows.First(); ri >= 0; ri = rows.Next(ri) {
+				for ri := rows.First(); ri >= 0 && int(ri) < below; ri = rows.Next(ri) {
 					if stop() {
 						return
 					}
@@ -635,7 +647,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				rows, ok := rel.ProbeComposite(st.ProbeCols, vals)
 				if !ok {
 					// No composite index registered: filtered scan.
-					rel.Each(func(row []storage.Value) bool {
+					rel.EachBelow(below, func(row []storage.Value) bool {
 						if stop() {
 							return false
 						}
@@ -649,7 +661,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 					})
 					return
 				}
-				for ri := rows.First(); ri >= 0; ri = rows.Next(ri) {
+				for ri := rows.First(); ri >= 0 && int(ri) < below; ri = rows.Next(ri) {
 					if stop() {
 						return
 					}
@@ -657,7 +669,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				}
 				return
 			}
-			rel.Each(func(row []storage.Value) bool {
+			rel.EachBelow(below, func(row []storage.Value) bool {
 				if stop() {
 					return false
 				}
@@ -666,7 +678,9 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 			})
 
 		case StepNegCheck, StepMember:
-			rel := SourceRel(cat, st.Pred, st.Src)
+			// Never Old: a negated atom is in a lower stratum, and a
+			// membership step reads δ or Full (retraction's lowerings).
+			rel, _ := SourceRel(cat, st.Pred, st.Src)
 			t := tuple[:len(st.Tmpl)]
 			for ti, tm := range st.Tmpl {
 				t[ti] = tm.resolve(bind)

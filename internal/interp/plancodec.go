@@ -20,8 +20,9 @@ import (
 )
 
 // PlanCodecVersion tags the layout below; bump on any field change so stale
-// cache files invalidate instead of misdecoding.
-const PlanCodecVersion = 1
+// cache files invalidate instead of misdecoding. Version 2: a step may read
+// ir.SrcOld, and a decoder rejects a source byte it does not know.
+const PlanCodecVersion = 2
 
 func appendTmpl(b []byte, t TmplElem) []byte {
 	flag := uint8(0)
@@ -128,6 +129,9 @@ func DecodePlan(b []byte) (*Plan, []byte, error) {
 		st.Kind = StepKind(r.U8())
 		st.Pred = storage.PredID(r.I32())
 		st.Src = ir.Source(r.U8())
+		if !st.Src.Valid() {
+			return nil, nil, fmt.Errorf("plan decode: step %d reads unknown source %d", i, st.Src)
+		}
 		st.ProbeCol = r.Int()
 		st.ProbeKey = readTmpl(r)
 		if n := r.Count(4); n > 0 {

@@ -24,7 +24,7 @@ func fullPlan() *Plan {
 				Binds: []ColBind{{Col: 0, Var: 0}, {Col: 2, Var: 1}},
 			},
 			{
-				Kind: StepProbeN, Pred: 5, Src: ir.SrcDerived,
+				Kind: StepProbeN, Pred: 5, Src: ir.SrcOld,
 				ProbeCols: []int{0, 2},
 				ProbeKeys: []TmplElem{{Var: 0}, {IsConst: true, Const: 7}},
 				Binds:     []ColBind{{Col: 1, Var: 3}},
@@ -94,5 +94,25 @@ func TestPlanCodecTruncation(t *testing.T) {
 		if _, _, err := DecodePlan(b[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(b))
 		}
+	}
+}
+
+// TestPlanCodecRejectsUnknownSource: a step whose source byte names no
+// ir.Source is a corrupt entry — the persistent cache counts it and drops
+// the file — not a step that silently reads Derived.
+func TestPlanCodecRejectsUnknownSource(t *testing.T) {
+	b := AppendPlan(nil, fullPlan())
+	p := fullPlan()
+	p.Steps[0].Src = ir.SrcOld
+	at := -1 // the first step's source byte: the one byte the two encodings differ in
+	for i, c := range AppendPlan(nil, p) {
+		if c != b[i] {
+			at = i
+			break
+		}
+	}
+	b[at] = 0x7f
+	if _, _, err := DecodePlan(b); err == nil {
+		t.Fatal("a plan reading source 0x7f decoded without error")
 	}
 }

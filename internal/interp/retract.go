@@ -208,7 +208,7 @@ func (in *Interp) clearDeltas() {
 func (in *Interp) retractPlans(variants []*ir.SPJOp) ([]*Plan, error) {
 	var plans []*Plan
 	for _, spj := range variants {
-		if delta := spj.Atoms[spj.DeltaIdx]; SourceRel(in.Cat, delta.Pred, ir.SrcDelta).Empty() {
+		if delta := spj.Atoms[spj.DeltaIdx]; in.Cat.Pred(delta.Pred).DeltaKnown.Empty() {
 			continue
 		}
 		if in.Reorder != nil {

@@ -18,20 +18,44 @@ import (
 	"carac/internal/storage"
 )
 
-// Source selects which database of a predicate an atom reads.
+// Source selects which database of a predicate an atom reads. Semi-naive
+// lowering (Lower) gives variant k of a recursive rule — the one whose delta
+// is its k-th recursive atom — SrcDelta at that atom, SrcOld at the recursive
+// atoms before it and SrcDerived at every other atom, so a body match with
+// several δ tuples is derived once, by the variant of its first, instead of
+// once per δ tuple.
+//
+// Old is a row bound on Derived, not a relation of its own
+// (storage.PredicateDB.OldBound): where δ is a view of Derived's newest rows,
+// Old is the rows before it; anywhere else it is all of Derived, which only
+// derives some matches twice. The push executor (interp.Plan.Execute) and
+// lambda's sequential units honor the bound; lambda's shard units, the
+// bytecode VM and quotes read Derived for SrcOld, as does any δ that is
+// physical, so sharded runs read Full throughout.
 type Source uint8
 
 const (
-	// SrcDerived reads the full derived database (⋆). EDB facts also live
-	// there.
+	// SrcDerived reads the full derived database (⋆, Full). EDB facts also
+	// live there.
 	SrcDerived Source = iota
 	// SrcDelta reads the read-only delta-known database (δ).
 	SrcDelta
+	// SrcOld reads Derived less δ (⋆∖δ, Old): the facts known before the
+	// last iteration.
+	SrcOld
+
+	numSources
 )
 
+// Valid reports whether s names a source: decoders reject any other byte.
+func (s Source) Valid() bool { return s < numSources }
+
 func (s Source) String() string {
-	if s == SrcDelta {
+	switch s {
+	case SrcDelta:
 		return "δ"
+	case SrcOld:
+		return "⋆∖δ"
 	}
 	return "⋆"
 }

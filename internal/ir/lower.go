@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"carac/internal/ast"
 	"carac/internal/storage"
@@ -12,7 +13,9 @@ import (
 // non-recursive rules evaluated once (naive prologue), a SwapClearOp, and —
 // when the stratum is recursive — a DoWhileOp containing one UnionAllOp per
 // predicate (each the union over its rules of the delta subqueries) followed
-// by a SwapClearOp.
+// by a SwapClearOp. A rule's delta subquery k reads δ at its k-th recursive
+// atom, Old at the recursive atoms before it and Full everywhere else
+// (Source).
 func Lower(prog *ast.Program) (*ProgramOp, error) {
 	strata, err := prog.Stratify()
 	if err != nil {
@@ -30,11 +33,6 @@ func Lower(prog *ast.Program) (*ProgramOp, error) {
 }
 
 func lowerStratum(prog *ast.Program, s ast.Stratum) ([]Op, error) {
-	inStratum := make(map[storage.PredID]bool, len(s.Preds))
-	for _, p := range s.Preds {
-		inStratum[p] = true
-	}
-
 	// Partition the stratum's rules into prologue (non-recursive) and loop
 	// (recursive) sets, preserving program order per predicate.
 	prologueRules := map[storage.PredID][]int{}
@@ -59,7 +57,7 @@ func lowerStratum(prog *ast.Program, s ast.Stratum) ([]Op, error) {
 		}
 		ua := &UnionAllOp{Pred: pid}
 		for _, ri := range rules {
-			spj, err := lowerSubquery(prog, ri, -1, inStratum)
+			spj, err := lowerSubquery(prog, ri, -1, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -91,9 +89,11 @@ func lowerStratum(prog *ast.Program, s ast.Stratum) ([]Op, error) {
 			r := prog.Rules[ri]
 			ur := &UnionRuleOp{RuleIdx: ri}
 			// One subquery per recursive body atom: that occurrence reads the
-			// delta database, all other relational atoms read derived.
-			for _, deltaPos := range ast.RecursiveAtoms(prog, s, ri) {
-				spj, err := lowerSubquery(prog, ri, deltaPos, inStratum)
+			// delta database, the recursive atoms before it read Old and all
+			// other relational atoms read derived.
+			rec := ast.RecursiveAtoms(prog, s, ri)
+			for k, deltaPos := range rec {
+				spj, err := lowerSubquery(prog, ri, deltaPos, rec[:k])
 				if err != nil {
 					return nil, err
 				}
@@ -112,8 +112,9 @@ func lowerStratum(prog *ast.Program, s ast.Stratum) ([]Op, error) {
 }
 
 // lowerSubquery builds the SPJOp for rule ri with the body atom at deltaPos
-// reading the delta database (-1 for a fully naive evaluation).
-func lowerSubquery(prog *ast.Program, ri, deltaPos int, inStratum map[storage.PredID]bool) (*SPJOp, error) {
+// reading the delta database (-1 for a fully naive evaluation) and the body
+// atoms at the positions old reading Old.
+func lowerSubquery(prog *ast.Program, ri, deltaPos int, old []int) (*SPJOp, error) {
 	r := prog.Rules[ri]
 	spj := &SPJOp{
 		RuleIdx:  ri,
@@ -136,6 +137,9 @@ func lowerSubquery(prog *ast.Program, ri, deltaPos int, inStratum map[storage.Pr
 			}
 			at.Src = SrcDelta
 		}
+		if slices.Contains(old, i) {
+			at.Src = SrcOld
+		}
 		spj.Atoms = append(spj.Atoms, at)
 	}
 	for _, t := range r.Head.Terms {
@@ -146,7 +150,6 @@ func lowerSubquery(prog *ast.Program, ri, deltaPos int, inStratum map[storage.Pr
 			spj.Head = append(spj.Head, ProjElem{Var: t.Var})
 		}
 	}
-	_ = inStratum
 	return spj, nil
 }
 
@@ -161,10 +164,6 @@ func LowerNaive(prog *ast.Program) (*ProgramOp, error) {
 	}
 	root := &ProgramOp{}
 	for _, s := range strata {
-		inStratum := make(map[storage.PredID]bool, len(s.Preds))
-		for _, p := range s.Preds {
-			inStratum[p] = true
-		}
 		dw := &DoWhileOp{Preds: append([]storage.PredID(nil), s.Preds...)}
 		perPred := map[storage.PredID]*UnionAllOp{}
 		for _, pid := range s.Preds {
@@ -173,7 +172,7 @@ func LowerNaive(prog *ast.Program) (*ProgramOp, error) {
 		}
 		for _, ri := range s.Rules {
 			r := prog.Rules[ri]
-			spj, err := lowerSubquery(prog, ri, -1, inStratum)
+			spj, err := lowerSubquery(prog, ri, -1, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -65,7 +65,7 @@ func TestLowerTCShape(t *testing.T) {
 
 func TestLowerDeltaSubqueryPerRecursiveAtom(t *testing.T) {
 	// head :- r(x,y), r(y,z), e(z,w): two recursive occurrences of r give
-	// two delta subqueries.
+	// two delta subqueries, the second reading Old at the first r.
 	cat := storage.NewCatalog()
 	e := cat.Declare("e", 2)
 	r := cat.Declare("r", 2)
@@ -95,16 +95,19 @@ func TestLowerDeltaSubqueryPerRecursiveAtom(t *testing.T) {
 	if loopRule == nil || len(loopRule.Subqueries) != 2 {
 		t.Fatalf("recursive rule should produce 2 delta subqueries, got %+v", loopRule)
 	}
+	want := [][]Source{{SrcDelta, SrcDerived, SrcDerived}, {SrcOld, SrcDelta, SrcDerived}}
 	for i, spj := range loopRule.Subqueries {
 		if spj.DeltaIdx != i {
 			t.Fatalf("subquery %d delta idx = %d", i, spj.DeltaIdx)
 		}
 		for j, a := range spj.Atoms {
-			wantDelta := j == i
-			if a.IsRelational() && (a.Src == SrcDelta) != wantDelta {
-				t.Fatalf("subquery %d atom %d src = %v", i, j, a.Src)
+			if a.Src != want[i][j] {
+				t.Fatalf("subquery %d atom %d src = %v, want %v", i, j, a.Src, want[i][j])
 			}
 		}
+	}
+	if d := Dump(root, cat); !strings.Contains(d, "SPJ -> r :- r⋆∖δ, rδ, e⋆") {
+		t.Fatalf("Dump does not print the Old atom:\n%s", d)
 	}
 }
 

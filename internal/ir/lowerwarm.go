@@ -38,10 +38,6 @@ func LowerWarm(prog *ast.Program) (*ProgramOp, error) {
 	}
 	root := &ProgramOp{}
 	for _, s := range strata {
-		inStratum := make(map[storage.PredID]bool, len(s.Preds))
-		for _, p := range s.Preds {
-			inStratum[p] = true
-		}
 		preds := append([]storage.PredID(nil), s.Preds...)
 		seen := make(map[storage.PredID]bool, len(preds))
 		for _, p := range preds {
@@ -79,7 +75,7 @@ func LowerWarm(prog *ast.Program) (*ProgramOp, error) {
 					if a.Kind != ast.AtomRelation {
 						continue
 					}
-					spj, serr := lowerSubquery(prog, ri, i, inStratum)
+					spj, serr := lowerSubquery(prog, ri, i, nil)
 					if serr != nil {
 						return nil, serr
 					}
@@ -89,7 +85,7 @@ func LowerWarm(prog *ast.Program) (*ProgramOp, error) {
 					// A pure-builtin body has no delta to drive it; evaluate
 					// it naively (it fires identically every iteration and
 					// dedups away after the first).
-					spj, serr := lowerSubquery(prog, ri, -1, inStratum)
+					spj, serr := lowerSubquery(prog, ri, -1, nil)
 					if serr != nil {
 						return nil, serr
 					}

@@ -59,6 +59,9 @@ type Instr struct {
 	A, B, C, D int32
 }
 
+// relRef names the relation an instruction reads. The VM ignores
+// SourceRel's row bound and reads Full for Old (ir.SrcOld), which is correct
+// and only derives some matches twice.
 type relRef struct {
 	pred storage.PredID
 	src  ir.Source
@@ -207,7 +210,8 @@ func (p *Program) Run(in *interp.Interp) error {
 			r := p.rels[ins.B]
 			it := &iters[ins.A]
 			it.in.Reset()
-			it.addScan(interp.SourceRel(cat, r.pred, r.src))
+			rel, _ := interp.SourceRel(cat, r.pred, r.src)
+			it.addScan(rel)
 			pc++
 
 		case OpInitProbeN:
@@ -216,7 +220,7 @@ func (p *Program) Run(in *interp.Interp) error {
 			vals := st.nvals[ins.C]
 			it := &iters[ins.A]
 			it.in.Reset()
-			rel := interp.SourceRel(cat, r.pred, r.src)
+			rel, _ := interp.SourceRel(cat, r.pred, r.src)
 			if r.src == ir.SrcDelta { // the VM runs on the coordinator only
 				rel.EnsureIndex(sp.cols)
 			}
@@ -254,7 +258,7 @@ func (p *Program) Run(in *interp.Interp) error {
 			sp := &p.probes[ins.C]
 			it := &iters[ins.A]
 			it.in.Reset()
-			rel := interp.SourceRel(cat, r.pred, r.src)
+			rel, _ := interp.SourceRel(cat, r.pred, r.src)
 			key := resolveTmpl(sp.key, bind)
 			col := int(sp.col)
 			if r.src == ir.SrcDelta {
@@ -320,7 +324,7 @@ func (p *Program) Run(in *interp.Interp) error {
 		case OpNegCheck:
 			tmpl := p.tmpls[ins.A]
 			r := p.rels[ins.B]
-			rel := interp.SourceRel(cat, r.pred, r.src)
+			rel, _ := interp.SourceRel(cat, r.pred, r.src)
 			st.buf = st.buf[:0]
 			for _, tm := range tmpl {
 				st.buf = append(st.buf, resolveTmpl(tm, bind))
@@ -345,6 +349,7 @@ func (p *Program) Run(in *interp.Interp) error {
 			for _, tm := range h.tmpl {
 				st.buf = append(st.buf, resolveTmpl(tm, bind))
 			}
+			in.Stats.Matches++
 			if cat.Pred(h.sink).Emit(st.buf) {
 				in.Stats.Derivations++
 			}
@@ -355,7 +360,7 @@ func (p *Program) Run(in *interp.Interp) error {
 
 		case OpCallPlan:
 			in.Stats.SPJRuns++
-			in.Stats.Derivations += interp.RunPlan(p.plans[ins.A], cat)
+			interp.RunPlan(p.plans[ins.A], cat, &in.Stats)
 			pc++
 
 		default:

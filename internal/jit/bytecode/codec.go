@@ -149,6 +149,9 @@ func DecodeProgram(b []byte) (*Program, error) {
 		for i := range p.rels {
 			p.rels[i].pred = storage.PredID(r.I32())
 			p.rels[i].src = ir.Source(r.U8())
+			if !p.rels[i].src.Valid() {
+				return nil, fmt.Errorf("bytecode decode: relation %d reads unknown source %d", i, p.rels[i].src)
+			}
 		}
 	}
 	if n := r.Count(4); n > 0 {

@@ -21,7 +21,7 @@ func fullProgram() *Program {
 		},
 		NumVars:  4,
 		NumLevel: 2,
-		rels:     []relRef{{pred: 1, src: ir.SrcDelta}, {pred: 2, src: ir.SrcDerived}},
+		rels:     []relRef{{pred: 1, src: ir.SrcDelta}, {pred: 2, src: ir.SrcDerived}, {pred: 2, src: ir.SrcOld}},
 		preds:    [][]storage.PredID{{1, 2}, nil, {7}},
 		probes:   []probeSpec{{col: 1, key: interp.TmplElem{Var: 2}}},
 		nprobes: []probeNSpec{{
@@ -64,5 +64,24 @@ func TestProgramCodecTruncation(t *testing.T) {
 		if _, err := DecodeProgram(b[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(b))
 		}
+	}
+}
+
+// TestProgramCodecRejectsUnknownSource: a relation whose source byte names
+// no ir.Source is a corrupt entry, not a read of Derived.
+func TestProgramCodecRejectsUnknownSource(t *testing.T) {
+	b := EncodeProgram(fullProgram())
+	p := fullProgram()
+	p.rels[0].src = ir.SrcOld
+	at := -1 // the first relation's source byte: the one byte the two encodings differ in
+	for i, c := range EncodeProgram(p) {
+		if c != b[i] {
+			at = i
+			break
+		}
+	}
+	b[at] = 0x7f
+	if _, err := DecodeProgram(b); err == nil {
+		t.Fatal("a program reading source 0x7f decoded without error")
 	}
 }

@@ -273,6 +273,7 @@ func CompilePlan(plan *interp.Plan) Unit {
 		cchain(in, bind)
 		sink := in.Cat.Pred(sinkPred)
 		a.Emit(func(t []storage.Value) {
+			in.Stats.Matches++
 			if sink.Emit(t) {
 				in.Stats.Derivations++
 			}
@@ -296,6 +297,7 @@ func compileEmit(plan *interp.Plan, ci *chainInst) stepFn {
 				tuple[hi] = bind[h.Var]
 			}
 		}
+		in.Stats.Matches++
 		if ci.sink.Emit(tuple) {
 			in.Stats.Derivations++
 		}
@@ -314,7 +316,7 @@ func compileStep(st *interp.Step, next stepFn, outermost bool) stepFn {
 		tmpl := st.Tmpl
 		tuple := make([]storage.Value, len(tmpl))
 		return func(in *interp.Interp, bind []storage.Value) {
-			rel := interp.SourceRel(in.Cat, pred, src)
+			rel, _ := interp.SourceRel(in.Cat, pred, src) // a negated atom is never Old
 			for i, tm := range tmpl {
 				tuple[i] = resolveTmpl(tm, bind)
 			}
@@ -383,12 +385,13 @@ func compileRelStep(st *interp.Step, next stepFn, outermost bool) stepFn {
 		col := st.ProbeCol
 		key := st.ProbeKey
 		return func(in *interp.Interp, bind []storage.Value) {
-			rel := interp.SourceRel(in.Cat, pred, src)
+			rel, below := interp.SourceRel(in.Cat, pred, src)
 			k := resolveTmpl(key, bind)
-			// EachProbe owns the access-path choice: the global index on a
-			// flat relation, per-bucket indexes (routed to one bucket for a
-			// shard-key probe) on a physical one, filtered scan on a miss.
-			rel.EachProbe(col, k, func(row []storage.Value) bool {
+			// EachProbeBelow owns the access-path choice: the global index
+			// on a flat relation, read below the bound (Old's), per-bucket
+			// indexes (routed to one bucket for a shard-key probe) on a
+			// physical one, filtered scan on a miss.
+			rel.EachProbeBelow(below, col, k, func(row []storage.Value) bool {
 				match(in, bind, row)
 				return true
 			})
@@ -399,11 +402,11 @@ func compileRelStep(st *interp.Step, next stepFn, outermost bool) stepFn {
 		keys := st.ProbeKeys
 		vals := make([]storage.Value, len(keys))
 		return func(in *interp.Interp, bind []storage.Value) {
-			rel := interp.SourceRel(in.Cat, pred, src)
+			rel, below := interp.SourceRel(in.Cat, pred, src)
 			for ki, k := range keys {
 				vals[ki] = resolveTmpl(k, bind)
 			}
-			rel.EachProbeComposite(cols, vals, func(row []storage.Value) bool {
+			rel.EachProbeCompositeBelow(below, cols, vals, func(row []storage.Value) bool {
 				match(in, bind, row)
 				return true
 			})
@@ -411,8 +414,8 @@ func compileRelStep(st *interp.Step, next stepFn, outermost bool) stepFn {
 	}
 	if outermost {
 		return func(in *interp.Interp, bind []storage.Value) {
-			rel := interp.SourceRel(in.Cat, pred, src)
-			rel.Each(func(row []storage.Value) bool {
+			rel, below := interp.SourceRel(in.Cat, pred, src)
+			rel.EachBelow(below, func(row []storage.Value) bool {
 				if in.Cancelled() {
 					return false
 				}
@@ -422,8 +425,8 @@ func compileRelStep(st *interp.Step, next stepFn, outermost bool) stepFn {
 		}
 	}
 	return func(in *interp.Interp, bind []storage.Value) {
-		rel := interp.SourceRel(in.Cat, pred, src)
-		rel.Each(func(row []storage.Value) bool {
+		rel, below := interp.SourceRel(in.Cat, pred, src)
+		rel.EachBelow(below, func(row []storage.Value) bool {
 			match(in, bind, row)
 			return true
 		})

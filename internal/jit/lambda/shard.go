@@ -187,7 +187,7 @@ func compileShardStep(st *interp.Step, next sstep, outermost, delta bool) sstep 
 		pred, src := st.Pred, st.Src
 		tmpl := st.Tmpl
 		return func(f *sframe) {
-			rel := interp.SourceRel(f.in.Cat, pred, src)
+			rel, _ := interp.SourceRel(f.in.Cat, pred, src) // a negated atom is never Old
 			f.buf = f.buf[:0]
 			for _, tm := range tmpl {
 				f.buf = append(f.buf, resolveTmpl(tm, f.bind))
@@ -237,7 +237,9 @@ func compileShardStep(st *interp.Step, next sstep, outermost, delta bool) sstep 
 // read), flat ones their one arena — the same decisions Plan.Execute makes,
 // frozen into combinators. The unit's entry point has checked that a
 // restricted delta read has the task's partition
-// (storage.Relation.CheckShards).
+// (storage.Relation.CheckShards). It ignores the row bound of SourceRel and
+// reads Full for Old (ir.SrcOld): a sharded run's δ is physical and never a
+// view of Derived, so Old is all of Derived there anyway.
 func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sstep {
 	pred, src := st.Pred, st.Src
 	checks := st.Checks
@@ -285,7 +287,7 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 	switch kind {
 	case interp.StepProbe:
 		return func(f *sframe) {
-			rel := interp.SourceRel(f.in.Cat, pred, src)
+			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
 			k := resolveTmpl(probeKey, f.bind)
 			// A probe on the shard key column routes to exactly one bucket's
 			// index; a bucket outside the task's span holds nothing this
@@ -300,7 +302,7 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 
 	case interp.StepProbeN:
 		return func(f *sframe) {
-			rel := interp.SourceRel(f.in.Cat, pred, src)
+			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
 			// Stack discipline on the shared key scratch: this step's keys
 			// live past the descent into inner steps (the probe visits run
 			// per outer row), so inner ProbeN steps append after this
@@ -325,7 +327,7 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 	// StepScan. The outermost loop polls cancellation per row so runaway
 	// products abort (benchmark DNF timeouts), like the sequential backend.
 	return func(f *sframe) {
-		rel := interp.SourceRel(f.in.Cat, pred, src)
+		rel, _ := interp.SourceRel(f.in.Cat, pred, src)
 		lo, hi := span(f, rel)
 		rel.EachShardRange(lo, hi, func(row []storage.Value) bool {
 			if outermost && f.in.Cancelled() {
@@ -356,6 +358,7 @@ func compileShardEmit(plan *interp.Plan) sstep {
 				f.buf = append(f.buf, f.bind[h.Var])
 			}
 		}
+		f.in.Stats.Matches++
 		pd := f.sinkPD
 		if buf := f.sinkList; buf != nil {
 			if !pd.Derived.Contains(f.buf) {

@@ -188,7 +188,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			// Outermost loop of a subquery: poll cancellation per row so
 			// runaway cartesian products can be aborted.
 			return func(f *frame) error {
-				rel := interp.SourceRel(f.in.Cat, pred, src)
+				rel, _ := interp.SourceRel(f.in.Cat, pred, src)
 				var ferr error
 				rel.Each(func(row []storage.Value) bool {
 					if f.in.Cancelled() {
@@ -203,7 +203,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			}, nil
 		}
 		return func(f *frame) error {
-			rel := interp.SourceRel(f.in.Cat, pred, src)
+			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
 			var ferr error
 			rel.Each(func(row []storage.Value) bool {
 				f.rows[level] = row
@@ -225,7 +225,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 		pred, src, level, col := n.Rel.Pred, n.Rel.Src, n.Level, n.Col
 		cols := []int{col}
 		return func(f *frame) error {
-			rel := interp.SourceRel(f.in.Cat, pred, src)
+			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
 			if src == ir.SrcDelta { // quotes run on the coordinator only
 				rel.EnsureIndex(cols)
 			}
@@ -256,7 +256,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 		}
 		pred, src, level, cols := n.Rel.Pred, n.Rel.Src, n.Level, n.Cols
 		return func(f *frame) error {
-			rel := interp.SourceRel(f.in.Cat, pred, src)
+			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
 			if src == ir.SrcDelta {
 				rel.EnsureIndex(cols)
 			}
@@ -358,6 +358,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			for _, ev := range elems {
 				f.buf = append(f.buf, ev(f))
 			}
+			f.in.Stats.Matches++
 			if f.in.Cat.Pred(sink).Emit(f.buf) {
 				f.in.Stats.Derivations++
 			}
@@ -421,7 +422,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 				return err
 			}
 			f.in.Stats.SPJRuns++
-			f.in.Stats.Derivations += interp.RunPlan(plan, f.in.Cat)
+			interp.RunPlan(plan, f.in.Cat, &f.in.Stats)
 			return nil
 		}, nil
 	}
@@ -467,7 +468,7 @@ func (c *Compiler) lowerCond(expr Expr, cat *storage.Catalog) (func(f *frame) bo
 		}
 		pred, src := n.Rel.Pred, n.Rel.Src
 		return func(f *frame) bool {
-			rel := interp.SourceRel(f.in.Cat, pred, src)
+			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
 			f.buf = f.buf[:0]
 			for _, ev := range elems {
 				f.buf = append(f.buf, ev(f))

@@ -55,6 +55,8 @@ type Expr interface {
 }
 
 // RelRef names a relation by predicate and source, resolved at execution.
+// Quotes ignore SourceRel's row bound and read Full for Old (ir.SrcOld),
+// which is correct and only derives some matches twice.
 type RelRef struct {
 	Pred storage.PredID
 	Src  ir.Source

@@ -28,6 +28,8 @@ type Snapshot struct {
 	hists    map[[3]int32]storage.Histogram
 }
 
+// srcRel resolves the relation whose distinct counts and histograms stand
+// for (pred, src): Old, a row bound on Derived, has Derived's.
 func srcRel(p *storage.PredicateDB, src ir.Source) *storage.Relation {
 	if src == ir.SrcDelta {
 		return p.DeltaKnown
@@ -40,7 +42,8 @@ func srcRel(p *storage.PredicateDB, src ir.Source) *storage.Relation {
 // and a copy of every registered histogram, for both the Derived and the
 // DeltaKnown database of every predicate. The histograms are value copies
 // (storage.Histogram is copy-safe by design), so the snapshot shares no
-// mutable state with the catalog.
+// mutable state with the catalog. Old reads as Derived: a snapshot is taken
+// between fixpoints, where Old is an estimate at best.
 func CaptureSnapshot(cat *storage.Catalog) *Snapshot {
 	return CaptureSnapshotAt(cat, cat.Epoch())
 }
@@ -77,13 +80,13 @@ func CaptureSnapshotAt(cat *storage.Catalog, epoch uint64) *Snapshot {
 
 // Card implements Source; unknown pairs read as 0.
 func (s *Snapshot) Card(pred storage.PredID, src ir.Source) int {
-	return s.cards[[2]int32{int32(pred), int32(src)}]
+	return s.cards[[2]int32{int32(pred), int32(statSrc(src))}]
 }
 
 // Distinct implements DistinctSource; columns without a captured index read
 // as -1, matching the live source's "unindexed" answer.
 func (s *Snapshot) Distinct(pred storage.PredID, src ir.Source, col int) int {
-	if d, ok := s.distinct[[3]int32{int32(pred), int32(src), int32(col)}]; ok {
+	if d, ok := s.distinct[[3]int32{int32(pred), int32(statSrc(src)), int32(col)}]; ok {
 		return d
 	}
 	return -1
@@ -92,6 +95,15 @@ func (s *Snapshot) Distinct(pred storage.PredID, src ir.Source, col int) int {
 // Histogram implements HistogramSource; ok is false for columns that carried
 // no histogram at capture time.
 func (s *Snapshot) Histogram(pred storage.PredID, src ir.Source, col int) (storage.Histogram, bool) {
-	h, ok := s.hists[[3]int32{int32(pred), int32(src), int32(col)}]
+	h, ok := s.hists[[3]int32{int32(pred), int32(statSrc(src)), int32(col)}]
 	return h, ok
+}
+
+// statSrc is the source whose captured statistics stand for src: Old has
+// Derived's.
+func statSrc(src ir.Source) ir.Source {
+	if src == ir.SrcOld {
+		return ir.SrcDerived
+	}
+	return src
 }

@@ -57,24 +57,26 @@ type Catalog struct {
 	Cat *storage.Catalog
 }
 
-// Card returns the current tuple count of the relation (pred, src) resolves to.
+// Card returns the current tuple count of the relation (pred, src) resolves
+// to; Old's is the Derived rows below its bound
+// (storage.PredicateDB.OldBound): |Derived| − |δ| where δ is a view of
+// Derived's newest rows, |Derived| otherwise.
 func (s Catalog) Card(pred storage.PredID, src ir.Source) int {
 	p := s.Cat.Pred(pred)
-	if src == ir.SrcDelta {
+	switch src {
+	case ir.SrcDelta:
 		return p.DeltaKnown.Len()
+	case ir.SrcOld:
+		return min(p.OldBound(), p.Derived.Len())
 	}
 	return p.Derived.Len()
 }
 
 // Distinct returns the observed distinct count of a column, or -1 when the
 // column carries no index or, on a delta, one not yet ensured for a probe
-// (storage.Relation.EnsureIndex).
+// (storage.Relation.EnsureIndex). Old reads Derived's.
 func (s Catalog) Distinct(pred storage.PredID, src ir.Source, col int) int {
-	p := s.Cat.Pred(pred)
-	if src == ir.SrcDelta {
-		return p.DeltaKnown.DistinctCount(col)
-	}
-	return p.Derived.DistinctCount(col)
+	return srcRel(s.Cat.Pred(pred), src).DistinctCount(col)
 }
 
 // DriftCounter returns the predicate's monotone mutation counter (see
@@ -99,13 +101,10 @@ func (s Catalog) ShardCard(pred storage.PredID, shard int) int {
 // Histogram returns the value-distribution histogram of a column of the
 // relation (pred, src) resolves to, or ok=false when none is registered.
 // Like every Catalog read it is O(1) modulo the fixed bucket count: the
-// counts are maintained incrementally by the storage mutation paths.
+// counts are maintained incrementally by the storage mutation paths. Old
+// reads Derived's.
 func (s Catalog) Histogram(pred storage.PredID, src ir.Source, col int) (storage.Histogram, bool) {
-	p := s.Cat.Pred(pred)
-	if src == ir.SrcDelta {
-		return p.DeltaKnown.HistogramOf(col)
-	}
-	return p.Derived.HistogramOf(col)
+	return srcRel(s.Cat.Pred(pred), src).HistogramOf(col)
 }
 
 // Unit reports cardinality 1 for every relation: the rules-only source
@@ -161,7 +160,7 @@ type Profile struct {
 	delta   map[storage.PredID]int
 }
 
-// Card implements Source from the profile.
+// Card implements Source from the profile; Old reads as the fixpoint size.
 func (p Profile) Card(pred storage.PredID, src ir.Source) int {
 	if src == ir.SrcDelta {
 		return p.delta[pred]

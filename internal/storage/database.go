@@ -101,6 +101,23 @@ func (p *PredicateDB) SeedAll() {
 // holds or is owed.
 func (p *PredicateDB) NewLen() int { return p.DeltaNew.Len() + p.DeltaNew.owed }
 
+// OldBound returns the row bound of Old, Derived less δ (ir.SrcOld): Old is
+// Derived's rows below it (Relation.EachBelow). Where δ is the view of
+// Derived's newest rows that SwapClear lends it, the bound is the row the
+// view starts at, so Old is exact; after SeedAll that is row 0, and Old is
+// empty. Anywhere else — a δ that holds rows of its own (Seed, a physical δ,
+// a retraction frontier), or a Derived that has grown past the view — it is
+// AllRows: all of Derived, a superset of Old, which is always correct and
+// only derives some matches twice. The bound moves at every SwapClear, so an
+// executor reads it each time a plan runs; it is a few loads, so that
+// interp.SourceRel stays inlined in the executors' inner loops.
+func (p *PredicateDB) OldBound() int {
+	if d := p.DeltaKnown; d.lender == p.Derived && d.lentFrom*d.arity+len(d.arena) == len(p.Derived.arena) {
+		return d.lentFrom
+	}
+	return AllRows
+}
+
 // SwapClear implements SwapClearOp for one predicate: publish the facts
 // staged in Derived this iteration, swap the read-only and write-only delta
 // databases, and clear the relation that will become the next write-only

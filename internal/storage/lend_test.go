@@ -180,3 +180,55 @@ func TestDropStagedForgetsOwedRows(t *testing.T) {
 		t.Fatal("the reseeded δ")
 	}
 }
+
+// TestOldBound: Old, Derived less δ, is Derived's rows before the view δ
+// borrows — none after SeedAll, every row but the newest iteration's later
+// on, so Old and δ always split Derived — and all of Derived (AllRows)
+// wherever δ is not such a view: a seeded δ, a physical one, a loan
+// recalled, or a Derived grown past the view.
+func TestOldBound(t *testing.T) {
+	c := NewCatalog()
+	tc := c.Pred(c.Declare("tc", 2))
+	tc.BuildIndexes([]int{0})
+	tcRun(tc, chainEdges(30), func(iter int, fresh [][]Value) {
+		want := tc.Derived.Len() - len(fresh) // 0 after SeedAll: fresh is every row
+		if got := min(tc.OldBound(), tc.Derived.Len()); got != want || got+tc.DeltaKnown.Len() != tc.Derived.Len() {
+			t.Fatalf("rotation %d: Old is %d rows, want %d; δ %d of %d", iter, got, want, tc.DeltaKnown.Len(), tc.Derived.Len())
+		}
+	}, func(string) {})
+
+	p := c.Pred(c.Declare("p", 2))
+	p.AddFact([]Value{1, 2})
+	p.Seed([]Value{1, 2})
+	p.Emit([]Value{2, 3})
+	p.SwapClear()
+	if got := p.OldBound(); got != AllRows {
+		t.Fatalf("a seeded δ: Old's bound is %d, want all rows", got)
+	}
+
+	q := c.Pred(c.Declare("q", 2))
+	q.SetShardsPhysical(4, 0)
+	for i := Value(0); i < 20; i++ {
+		q.Emit([]Value{i, i})
+	}
+	q.SwapClear()
+	if got := q.OldBound(); got != AllRows {
+		t.Fatalf("a physical δ: Old's bound is %d, want all rows", got)
+	}
+
+	r := c.Pred(c.Declare("r", 2))
+	r.AddFact([]Value{1, 2})
+	r.Emit([]Value{2, 3})
+	r.SwapClear()
+	if got := r.OldBound(); got != 1 {
+		t.Fatalf("a borrowed δ: Old is %d rows, want 1", got)
+	}
+	r.AddFact([]Value{3, 4})
+	if got := r.OldBound(); got != AllRows {
+		t.Fatalf("a Derived grown past δ's view: Old's bound is %d, want all rows", got)
+	}
+	r.Derived.TruncateTo(2)
+	if got := r.OldBound(); r.DeltaKnown.lender != nil || got != AllRows {
+		t.Fatalf("a recalled loan: Old's bound is %d, want all rows", got)
+	}
+}

@@ -248,7 +248,14 @@ func (r *Relation) ProbeSpanComposite(cols []int, vals []Value) (lo, hi int) {
 // cannot drift apart between engines. Like Probe, it panics on a registered
 // index that has not caught up with the rows (EnsureIndex).
 func (r *Relation) EachProbe(col int, v Value, f func(row []Value) bool) {
-	r.EachProbeComposite([]int{col}, []Value{v}, f)
+	r.EachProbeCompositeBelow(AllRows, []int{col}, []Value{v}, f)
+}
+
+// EachProbeBelow is EachProbe over the rows below n (EachBelow): a flat
+// relation's chain walk stops at its first row past the bound, since chains
+// run in insertion order.
+func (r *Relation) EachProbeBelow(n, col int, v Value, f func(row []Value) bool) {
+	r.EachProbeCompositeBelow(n, []int{col}, []Value{v}, f)
 }
 
 // EachShardRangeProbe is EachProbe restricted to buckets [lo, hi) of a
@@ -261,6 +268,15 @@ func (r *Relation) EachShardRangeProbe(lo, hi, col int, v Value, f func(row []Va
 
 // EachProbeComposite is EachProbe for a composite key over cols/vals.
 func (r *Relation) EachProbeComposite(cols []int, vals []Value, f func(row []Value) bool) {
+	r.EachProbeCompositeBelow(AllRows, cols, vals, f)
+}
+
+// EachProbeCompositeBelow is EachProbeBelow for a composite key.
+func (r *Relation) EachProbeCompositeBelow(n int, cols []int, vals []Value, f func(row []Value) bool) {
+	if r.subs == nil {
+		r.eachWithKey(n, cols, vals, f)
+		return
+	}
 	lo, hi := r.ProbeSpanComposite(cols, vals)
 	r.EachShardRangeProbeComposite(lo, hi, cols, vals, f)
 }
@@ -268,29 +284,30 @@ func (r *Relation) EachProbeComposite(cols []int, vals []Value, f func(row []Val
 // EachShardRangeProbeComposite is EachShardRangeProbe for a composite key.
 func (r *Relation) EachShardRangeProbeComposite(lo, hi int, cols []int, vals []Value, f func(row []Value) bool) {
 	if r.subs == nil {
-		r.eachWithKey(cols, vals, f)
+		r.eachWithKey(AllRows, cols, vals, f)
 		return
 	}
 	for s := lo; s < hi; s++ {
-		if !r.subs[s].eachWithKey(cols, vals, f) {
+		if !r.subs[s].eachWithKey(AllRows, cols, vals, f) {
 			return
 		}
 	}
 }
 
-// eachWithKey visits the rows of a single-slab relation whose columns cols
-// equal vals — the key's chain when an index over cols is registered, a
-// filtered scan otherwise — and reports whether f let it finish.
-func (r *Relation) eachWithKey(cols []int, vals []Value, f func(row []Value) bool) bool {
+// eachWithKey visits the rows below n of a single-slab relation whose
+// columns cols equal vals — the key's chain when an index over cols is
+// registered, a filtered scan otherwise — and reports whether f let it
+// finish.
+func (r *Relation) eachWithKey(n int, cols []int, vals []Value, f func(row []Value) bool) bool {
 	if c, ok := r.ProbeComposite(cols, vals); ok {
-		for row := c.First(); row >= 0; row = c.Next(row) {
+		for row := c.First(); row >= 0 && int(row) < n; row = c.Next(row) {
 			if !f(r.Row(row)) {
 				return false
 			}
 		}
 		return true
 	}
-	for off := 0; off < len(r.arena); off += r.arity {
+	for off, end := 0, r.below(n); off < end; off += r.arity {
 		row := r.arena[off : off+r.arity : off+r.arity]
 		if coversKey(row, cols, vals) && !f(row) {
 			return false

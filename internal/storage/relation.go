@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -87,6 +88,7 @@ type Relation struct {
 	// Derived's newest rows names its lender; the lender lists its borrowers
 	// and recalls their rows before it rewrites its own in place.
 	lender    *Relation
+	lentFrom  int // the lender's row the view starts at
 	borrowers []*Relation
 
 	// owed counts the rows a flat δ′ that holds none of its own is to borrow
@@ -298,7 +300,7 @@ func (r *Relation) borrow(lender *Relation, from int) {
 	n := len(lender.arena)
 	valueSlabs.give(r.arena)
 	r.arena = lender.arena[from*r.arity : n : n]
-	r.pinned, r.lender, r.owed = true, lender, 0
+	r.pinned, r.lender, r.lentFrom, r.owed = true, lender, from, 0
 	lender.borrowers = append(lender.borrowers, r)
 	for off := 0; r.histograms != nil && off < len(r.arena); off += r.arity {
 		r.histInsert(r.arena[off : off+r.arity])
@@ -433,7 +435,16 @@ func (r *Relation) Row(i int32) []Value {
 // order, except in physical mode where it is bucket-major (per-bucket
 // insertion order) — still deterministic, since every tuple's bucket is a
 // pure function of its shard-key column.
-func (r *Relation) Each(f func(row []Value) bool) {
+func (r *Relation) Each(f func(row []Value) bool) { r.EachBelow(AllRows, f) }
+
+// AllRows is the row bound past every row (EachBelow).
+const AllRows = math.MaxInt32
+
+// EachBelow is Each over the rows below n, a row bound such as Old's
+// (PredicateDB.OldBound): rows [0, n) of a flat relation. A physical
+// relation's row ids are bucket-local, so it has no bound and visits every
+// row.
+func (r *Relation) EachBelow(n int, f func(row []Value) bool) {
 	if r.subs != nil {
 		for _, s := range r.subs {
 			for off := 0; off < len(s.arena); off += s.arity {
@@ -444,11 +455,19 @@ func (r *Relation) Each(f func(row []Value) bool) {
 		}
 		return
 	}
-	for off := 0; off < len(r.arena); off += r.arity {
+	for off, end := 0, r.below(n); off < end; off += r.arity {
 		if !f(r.arena[off : off+r.arity : off+r.arity]) {
 			return
 		}
 	}
+}
+
+// below returns the arena offset where the rows below n end.
+func (r *Relation) below(n int) int {
+	if n < len(r.arena)/r.arity {
+		return n * r.arity
+	}
+	return len(r.arena)
 }
 
 // BuildIndex registers (and, except on a delta, backfills) a hash index on

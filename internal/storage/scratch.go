@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"weak"
 )
 
@@ -19,10 +20,15 @@ import (
 // exact-sized memory: it takes nothing from the pools and gives nothing to
 // them.
 //
-// Lifetime. A slab lives as long as an item of a sync.Pool: it survives one
-// garbage collection and is freed by the second unless a take or give came
-// in between, so a warm Run or Apply reuses the slabs of the previous one and
-// an idle Program pins none of this memory. The free slabs sit in one stack
+// Lifetime. While an engine call is in flight — a Run, an Apply, a session
+// query, each of which holds the pools (HoldScratch) — the free slabs stay:
+// a first Run that grows Derived by tens of MB sets off collections back to
+// back, which would otherwise free the slabs its own iterations gave back and
+// make it take them anew. Otherwise a slab lives as long as an item of a
+// sync.Pool: it survives one garbage collection and is freed by the second
+// unless a take or give came in between, so a warm Run or Apply reuses the
+// slabs of the previous one and an idle Program pins none of this memory.
+// The free slabs sit in one stack
 // per class that a take on any goroutine and any P reaches. A sync.Pool per
 // class did not: its Get steals only from other Ps' shared queues, never
 // from their private slot, and most classes hold a single slab, so the
@@ -33,7 +39,9 @@ import (
 // which gives it sync.Pool's lifetime, and weakly from its slabPool. The
 // first take or give after a collection notices that collection — a weak
 // sentinel made at the last anchoring has died — and puts the stacks back
-// into the anchor, so they live for one more.
+// into the anchor, so they live for one more. While the pools are held, the
+// slabPool holds its stacks strongly too; the last release anchors them
+// afresh, so they live one collection past it and are freed by the second.
 
 // slabPool recycles slabs of T in power-of-two classes: class c holds slabs
 // of capacity at least 1<<c, filed by the floor of their capacity's log, so
@@ -42,6 +50,7 @@ import (
 type slabPool[T any] struct {
 	mu       sync.Mutex
 	stacks   weak.Pointer[slabStacks[T]]
+	held     *slabStacks[T]           // the stacks, while the pools are held (HoldScratch)
 	sentinel weak.Pointer[gcSentinel] // dies at the first collection after the last anchoring
 	anchor   sync.Pool                // of *slabStacks[T]; never read, only holds
 	poison   T                        // what a give fills a slab with under scratchpoison
@@ -61,9 +70,60 @@ var (
 	slotSlabs  = slabPool[chainSlot]{poison: chainSlot{math.MinInt32, math.MinInt32}}
 )
 
+// scratchHolds counts the engine calls in flight that hold the pools. Its
+// mutex orders the first hold and the last release; class reads the count.
+var scratchHolds struct {
+	mu sync.Mutex
+	n  atomic.Int32
+}
+
+// HoldScratch keeps every free slab of the scratch pools alive, whatever the
+// collector does, until the returned release runs: the lifetime of an
+// engine call (core's Run, Apply and session queries). Holds nest and may
+// overlap; when the last is released the pools return to sync.Pool
+// lifetime.
+func HoldScratch() (release func()) {
+	h := &scratchHolds
+	h.mu.Lock()
+	if h.n.Add(1) == 1 {
+		holdPools(true)
+	}
+	h.mu.Unlock()
+	return func() {
+		h.mu.Lock()
+		if h.n.Add(-1) == 0 {
+			holdPools(false)
+		}
+		h.mu.Unlock()
+	}
+}
+
+func holdPools(on bool) {
+	valueSlabs.hold(on)
+	tagSlabs.hold(on)
+	slotSlabs.hold(on)
+}
+
+// hold starts (on) or ends holding p's stacks strongly. Ending anchors them,
+// so they live one collection past the release.
+func (p *slabPool[T]) hold(on bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if on {
+		p.held = p.stacks.Value()
+		return
+	}
+	if p.held != nil {
+		p.anchor.Put(p.held)
+		p.sentinel = weak.Make(new(gcSentinel))
+		p.held = nil
+	}
+}
+
 // class returns the stack of class c, anchoring the stacks for one more
 // collection when one has run since the last anchoring, or making them anew
-// when two have freed them. The caller holds mu.
+// when two have freed them; while the pools are held, p holds them too. The
+// caller holds mu.
 func (p *slabPool[T]) class(c int) *[][]T {
 	s := p.stacks.Value()
 	if s == nil || p.sentinel.Value() == nil {
@@ -73,6 +133,9 @@ func (p *slabPool[T]) class(c int) *[][]T {
 		}
 		p.anchor.Put(s)
 		p.sentinel = weak.Make(new(gcSentinel))
+	}
+	if scratchHolds.n.Load() > 0 {
+		p.held = s
 	}
 	return &s.classes[c]
 }

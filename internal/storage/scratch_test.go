@@ -67,7 +67,7 @@ func TestSlabPoolAnyGoroutine(t *testing.T) {
 
 // TestSlabPoolLifetime: a slab lives as an item of a sync.Pool does — it
 // survives one collection and is freed by the second, unless a take or give
-// came in between.
+// came in between — except while the pools are held (HoldScratch).
 func TestSlabPoolLifetime(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops the anchoring Put at random")
@@ -92,6 +92,27 @@ func TestSlabPoolLifetime(t *testing.T) {
 	runtime.GC()
 	if got := p.take(4096); &got[:1][0] == &s[:1][0] {
 		t.Fatal("a slab survived two collections without a take or give")
+	}
+
+	// While the pools are held no collection frees a slab; the release
+	// gives them sync.Pool's lifetime again, counted from the release.
+	release := HoldScratch()
+	valueSlabs.give(s)
+	runtime.GC()
+	runtime.GC()
+	runtime.GC()
+	release()
+	runtime.GC()
+	if got := valueSlabs.take(4096); &got[:1][0] != &s[:1][0] {
+		t.Fatal("a slab held through three collections did not survive one more after the release")
+	}
+	release = HoldScratch()
+	valueSlabs.give(s)
+	release()
+	runtime.GC()
+	runtime.GC()
+	if got := valueSlabs.take(4096); &got[:1][0] == &s[:1][0] {
+		t.Fatal("a slab survived two collections after the release")
 	}
 }
 
