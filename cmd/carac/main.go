@@ -216,6 +216,13 @@ func runCmd(args []string) error {
 		fmt.Fprintf(os.Stderr, "time: %v  facts: %d  iterations: %d  derivations: %d  matches: %d  subqueries: %d\n",
 			res.Duration.Round(time.Microsecond), res.TotalFacts,
 			res.Interp.Iterations, res.Interp.Derivations, res.Interp.Matches, res.Interp.SPJRuns)
+		// What each predicate's Derived holds: an index appears only where a
+		// plan reads it.
+		for _, pd := range p.Catalog().Preds() {
+			f := pd.Derived.Footprint()
+			fmt.Fprintf(os.Stderr, "memory %s: rows=%d arena=%dB row-table=%dB indexes=%dB\n",
+				pd.Name, pd.Derived.Len(), f.Arena, f.RowTable, f.Indexes)
+		}
 		if *parallel || *shards > 1 {
 			fmt.Fprintf(os.Stderr, "fanout: sequential-iterations=%d/%d workers-folded=%d\n",
 				res.Interp.SeqIters, res.Interp.Iterations, res.Interp.MergeTasks)

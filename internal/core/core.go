@@ -631,7 +631,7 @@ func (p *Program) runLocked(prog *ast.Program, root *ir.ProgramOp, opts Options)
 		store.BumpGeneration()
 	}
 
-	eng, err := newExecEngine(p.cat, prog, root, opts, store, stats.Catalog{Cat: p.cat})
+	eng, err := newExecEngine(p.cat, prog, root, ir.IndexUses(root), opts, store, stats.Catalog{Cat: p.cat})
 	if err != nil {
 		return nil, err
 	}

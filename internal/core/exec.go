@@ -32,15 +32,21 @@ type execEngine struct {
 }
 
 // registerArtifacts applies the permanent per-relation registrations opts
-// asks for — hash indexes, composite indexes, histograms — to cat.
-func registerArtifacts(cat *storage.Catalog, prog *ast.Program, opts Options) {
+// asks for to cat — hash indexes, composite indexes, histograms. An index is
+// registered for each use (ir.IndexUses) of the lowered roots the catalog's
+// plans are built from, on the relations its atom's source reads: one index
+// a join column, plus one over all of them under CompositeIndexes. A
+// predicate's Derived thus indexes only what an atom reading Full or Old
+// probes, and its delta pair only what an atom reading δ probes.
+func registerArtifacts(cat *storage.Catalog, prog *ast.Program, uses []ir.IndexUse, opts Options) {
 	if opts.Indexed {
-		for pid, cols := range ir.JoinKeyColumns(prog) {
-			cat.Pred(pid).BuildIndexes(cols)
-		}
-		if opts.CompositeIndexes {
-			for pid, sets := range ir.JoinKeySignatures(prog) {
-				cat.Pred(pid).BuildCompositeIndexes(sets)
+		for _, u := range uses {
+			pd, role := cat.Pred(u.Pred), u.Src.Role()
+			for i := range u.Cols {
+				pd.RegisterIndex(role, u.Cols[i:i+1])
+			}
+			if opts.CompositeIndexes && len(u.Cols) > 1 {
+				pd.RegisterIndex(role, u.Cols)
 			}
 		}
 	}
@@ -55,13 +61,15 @@ func registerArtifacts(cat *storage.Catalog, prog *ast.Program, opts Options) {
 	}
 }
 
-// newExecEngine assembles an engine over cat for the lowered program root.
-// store is the shared plan store (nil for per-run caches); aotSrc is the
-// statistics source AOTFactsAndRules orders against — the live catalog for
-// Run, the pinned epoch's snapshot for serving sessions, so session plans
-// are staged against boundary-consistent statistics.
-func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, opts Options, store *plancache.Store, aotSrc stats.Source) (*execEngine, error) {
-	registerArtifacts(cat, prog, opts)
+// newExecEngine assembles an engine over cat for the lowered program root,
+// first registering uses: root's, and those of any other lowering whose
+// plans run on cat (registerArtifacts). store is the shared plan store (nil
+// for per-run caches); aotSrc is the statistics source AOTFactsAndRules
+// orders against — the live catalog for Run, the pinned epoch's snapshot for
+// serving sessions, so session plans are staged against boundary-consistent
+// statistics.
+func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, uses []ir.IndexUse, opts Options, store *plancache.Store, aotSrc stats.Source) (*execEngine, error) {
+	registerArtifacts(cat, prog, uses, opts)
 
 	// Ahead-of-time ("macro") staging: freeze initial orders before timing.
 	if opts.AOT != AOTNone || opts.AOTStats != nil {

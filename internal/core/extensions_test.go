@@ -5,6 +5,7 @@ import (
 
 	"carac/internal/jit"
 	"carac/internal/optimizer"
+	"carac/internal/storage"
 )
 
 // buildMultiKey returns a program whose recursive rule joins on two columns
@@ -54,7 +55,7 @@ func TestCompositeIndexesSameResults(t *testing.T) {
 	_ = res
 	// The composite index must actually be registered on the step relation.
 	step, _ := p2.Catalog().PredByName("step")
-	if len(step.Derived.CompositeIndexes()) == 0 {
+	if len(step.CompositeIndexes(storage.RoleDerived)) == 0 {
 		t.Fatal("no composite index registered despite multi-column signature")
 	}
 }

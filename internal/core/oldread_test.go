@@ -11,7 +11,9 @@ import (
 	"sort"
 	"testing"
 
+	"carac/internal/analysis"
 	"carac/internal/core"
+	"carac/internal/datagen"
 	"carac/internal/jit"
 	"carac/internal/storage"
 )
@@ -380,4 +382,84 @@ func FuzzNonLinearSemiNaive(f *testing.F) {
 			diffSnapshots(t, config, want, snapshotAll(p))
 		}
 	})
+}
+
+// cspaMatches counts the distinct body matches of CSPA's rules (as
+// analysis.CSPA lists them) over the rows p's Derived relations hold, by
+// degree products: the five recursive rules, plus one match per Assign fact
+// for each of the five base rules.
+func cspaMatches(p *core.Program) int64 {
+	out := map[string]map[storage.Value]int64{} // relation -> column 0 value -> rows
+	rows := map[string][][2]storage.Value{}
+	for _, name := range []string{"Assign", "Derefr", "VaFlow", "VAlias", "MAlias"} {
+		out[name] = map[storage.Value]int64{}
+		p.Relation(name, 2).Each(func(t []storage.Value) bool {
+			out[name][t[0]]++
+			rows[name] = append(rows[name], [2]storage.Value{t[0], t[1]})
+			return true
+		})
+	}
+	n := 5 * int64(len(rows["Assign"]))
+	for _, r := range rows["Assign"] { // VaFlow(v1,v2) :- Assign(v1,v3), MAlias(v3,v2).
+		n += out["MAlias"][r[1]]
+	}
+	for _, r := range rows["VaFlow"] { // VaFlow(v1,v2) :- VaFlow(v1,v3), VaFlow(v3,v2).
+		n += out["VaFlow"][r[1]]
+	}
+	for _, r := range rows["VAlias"] { // MAlias(v1,v0) :- VAlias(v2,v3), Derefr(v3,v0), Derefr(v2,v1).
+		n += out["Derefr"][r[1]] * out["Derefr"][r[0]]
+	}
+	for _, d := range out["VaFlow"] { // VAlias(v1,v2) :- VaFlow(v3,v2), VaFlow(v3,v1).
+		n += d * d
+	}
+	for _, r := range rows["MAlias"] { // VAlias(v1,v2) :- VaFlow(v0,v2), MAlias(v3,v0), VaFlow(v3,v1).
+		n += out["VaFlow"][r[1]] * out["VaFlow"][r[0]]
+	}
+	return n
+}
+
+// TestWarmApplyEmitsTheFloor: CSPA_300 under configuration E with every
+// tenth Assign fact held back, then Apply-inserted. The warm continuation
+// reads Old at the atoms before each variant's δ atom, as a Run does, so it
+// emits each new body match once: exactly the matches over the new fixpoint
+// less those over the old one. Reading Full there emitted a match with two
+// δ tuples twice.
+func TestWarmApplyEmitsTheFloor(t *testing.T) {
+	facts := datagen.CSPAGraph(300, 42)
+	var held []datagen.Edge
+	kept := facts.Assign[:0:0]
+	for i, e := range facts.Assign {
+		if i%10 == 0 {
+			held = append(held, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	facts.Assign = kept
+	optsE := core.Options{Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}}
+	b := analysis.CSPA(analysis.HandOptimized, facts)
+	if _, err := b.P.Run(optsE); err != nil {
+		t.Fatal(err)
+	}
+	before := cspaMatches(b.P)
+	tx := b.P.NewTx()
+	assign := b.P.Relation("Assign", 2)
+	for _, e := range held {
+		tx.InsertTuple(assign, []storage.Value{e.Src, e.Dst})
+	}
+	res, err := b.P.Apply(tx, optsE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cold || len(held) != 18 {
+		t.Fatalf("fixture: cold %v with %d held-back facts, want a warm Apply of 18", res.Cold, len(held))
+	}
+	if got, want := res.Interp.Matches, cspaMatches(b.P)-before; got != want {
+		t.Errorf("the warm Apply emitted %d matches, want the %d new body matches", got, want)
+	}
+	cold := analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(300, 42))
+	if _, err := cold.P.Run(optsE); err != nil {
+		t.Fatal(err)
+	}
+	diffSnapshots(t, "warm Apply against a cold Run", snapshotAll(cold.P), snapshotAll(b.P))
 }

@@ -199,7 +199,8 @@ type matFlight struct {
 type Server struct {
 	p    *Program
 	opts Options
-	prog *ast.Program // rewritten rule program, read-only, shared by sessions
+	prog *ast.Program  // rewritten rule program, read-only, shared by sessions
+	uses []ir.IndexUse // the index uses of every root a session plans
 	pool *workerPool
 	// mu serializes the write side — Ingest and Publish — on top of the
 	// Program's run mutex (which direct Run calls also take).
@@ -277,18 +278,23 @@ func (p *Program) Serve(opts Options) (*Server, error) {
 	if opts.Histograms {
 		opts.JIT.Optimizer.UseHistograms = true
 	}
-	prog, _, err := p.lowered(opts) // validate lowering before accepting sessions
+	prog, root, err := p.lowered(opts) // validate lowering before accepting sessions
 	if err != nil {
 		return nil, err
 	}
-	if opts.Materialize {
+	// Every session plans the cold root, and under Materialize the warm one
+	// too: each registers both roots' index uses on its catalog up front,
+	// before its engine's compile thread can read the catalog's statistics.
+	uses := ir.IndexUses(root)
+	warmOK := opts.Materialize && monotoneProgram(prog) && !opts.Naive
+	if warmOK {
 		// The warm-start lowering must also be valid up front: a later
 		// publish would otherwise surface the error on some unlucky query.
-		if monotoneProgram(prog) && !opts.Naive {
-			if _, werr := ir.LowerWarm(prog); werr != nil {
-				return nil, werr
-			}
+		warmRoot, werr := ir.LowerWarm(prog)
+		if werr != nil {
+			return nil, werr
 		}
+		uses = append(uses, ir.IndexUses(warmRoot)...)
 	}
 
 	p.runMu.Lock()
@@ -304,20 +310,21 @@ func (p *Program) Serve(opts Options) (*Server, error) {
 	// Register the access artifacts on the Program catalog too, so epoch
 	// statistics snapshots carry distinct counts and histograms for the
 	// session planners.
-	registerArtifacts(p.cat, prog, opts)
+	registerArtifacts(p.cat, prog, uses, opts)
 	// Load the persistent cache (if configured) now that indexes exist to
 	// revalidate loaded plans against; the first publish below flushes it
 	// back, so even an idle server refreshes the directory's version tag.
 	p.ensurePersistLocked(opts)
 
 	s := &Server{
-		p:    p,
-		opts: opts,
-		prog: prog,
-		pool: newWorkerPool(effectiveWorkers(opts)),
+		p:      p,
+		opts:   opts,
+		prog:   prog,
+		uses:   uses,
+		pool:   newWorkerPool(effectiveWorkers(opts)),
+		warmOK: warmOK,
 	}
 	if opts.Materialize {
-		s.warmOK = monotoneProgram(prog) && !opts.Naive
 		s.flights = make(map[*Epoch]*matFlight)
 	}
 	s.publishLocked()
@@ -565,7 +572,7 @@ func (s *Server) Session() (*Session, error) {
 		e.refs.Add(-1)
 		return nil, err
 	}
-	eng, err := newExecEngine(cat, s.prog, root, s.opts, s.p.sharedStore(s.opts), e.stats)
+	eng, err := newExecEngine(cat, s.prog, root, s.uses, s.opts, s.p.sharedStore(s.opts), e.stats)
 	if err != nil {
 		e.refs.Add(-1)
 		return nil, err
@@ -788,7 +795,7 @@ func (sess *Session) warmEngine() (*execEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	weng, err := newExecEngine(sess.cat, sess.srv.prog, root, sess.srv.opts, sess.srv.p.sharedStore(sess.srv.opts), sess.epoch.prevMat.stats)
+	weng, err := newExecEngine(sess.cat, sess.srv.prog, root, sess.srv.uses, sess.srv.opts, sess.srv.p.sharedStore(sess.srv.opts), sess.epoch.prevMat.stats)
 	if err != nil {
 		return nil, err
 	}

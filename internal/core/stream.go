@@ -257,7 +257,10 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 		store = p.sharedStore(opts)
 		store.BumpGeneration()
 	}
-	eng, err := newExecEngine(p.cat, prog, warmRoot, opts, store, stats.Catalog{Cat: p.cat})
+	// Derived gains, permanently, the indexes the continuation and the
+	// retraction rounds probe: registering one links Derived's rows once.
+	uses := append(ir.IndexUses(warmRoot), ir.RetractIndexUses(rules)...)
+	eng, err := newExecEngine(p.cat, prog, warmRoot, uses, opts, store, stats.Catalog{Cat: p.cat})
 	if err != nil {
 		return nil, err
 	}

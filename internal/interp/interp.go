@@ -560,21 +560,9 @@ func (in *Interp) bindPlan(p *Plan, spj *ir.SPJOp) (*Plan, bool) {
 		// valid access path instead of ping-ponging the shared entry
 		// through rebuilds. All mutations go through fresh slices
 		// (demoteProbe/selectProbe replace, never truncate), keeping the
-		// cached plan immutable. Index registrations live on Derived and
-		// are identical across a predicate's three relations (see
-		// BuildPlan).
-		idxRel := in.Cat.Pred(pred).Derived
-		switch st.Kind {
-		case StepProbe:
-			if !idxRel.HasIndex(st.ProbeCol) {
-				demoteProbe(st)
-			}
-		case StepProbeN:
-			if !idxRel.HasCompositeIndex(st.ProbeCols) {
-				demoteProbe(st)
-			}
-		}
-		selectProbe(st, idxRel)
+		// cached plan immutable. The registration asked is the one of the
+		// relations the step reads (see BuildPlan).
+		revalidateStep(st, in.Cat.Pred(pred))
 		st.Pred = pred
 	}
 	cp.Steps = steps

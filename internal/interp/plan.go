@@ -220,12 +220,13 @@ func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
 					}
 				}
 			}
-			// Probe selection. Registration is checked on Derived (index
-			// registrations are identical across a predicate's three
-			// relations and the Derived pointer is never swapped), so plan
+			// Probe selection asks the registration of the relations this
+			// step reads (Derived for Full and Old, the delta pair for δ),
+			// which differ: each holds only what some plan reads. It lives
+			// on the PredicateDB, which SwapClear never swaps, so plan
 			// building is safe on the asynchronous compile thread while the
 			// interpreter runs.
-			selectProbe(&st, cat.Pred(a.Pred).Derived)
+			selectProbe(&st, cat.Pred(a.Pred))
 			for _, b := range st.Binds {
 				bound[b.Var] = true
 			}
@@ -282,20 +283,22 @@ func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
 	return p, nil
 }
 
-// selectProbe upgrades a scan step to the best probe registered on idxRel:
-// the widest composite index fully covered by the step's const/var equality
-// checks, else the first single-column indexed check. Consumed checks move
-// into the probe key; the rest stay row filters. The check slice is replaced,
-// never truncated in place, so the step may alias a cached plan's slice
+// selectProbe upgrades a scan step to the best probe registered on the
+// relations it reads (pd's registration for the role of st.Src): the widest
+// composite index fully covered by the step's const/var equality checks,
+// else the first single-column indexed check. Consumed checks move into the
+// probe key; the rest stay row filters. The check slice is replaced, never
+// truncated in place, so the step may alias a cached plan's slice
 // (bindPlan's rebind-time upgrade runs on step copies sharing backing
 // arrays). Steps that are already probes are left alone.
-func selectProbe(st *Step, idxRel *storage.Relation) {
+func selectProbe(st *Step, pd *storage.PredicateDB) {
 	// No equality checks means nothing to probe on — the common fast-out
 	// for bindPlan's per-rebind upgrade attempt.
 	if st.Kind != StepScan || len(st.Checks) == 0 {
 		return
 	}
-	if comp := chooseComposite(idxRel, st.Checks); comp != nil {
+	role := st.Src.Role()
+	if comp := chooseComposite(pd.CompositeIndexes(role), st.Checks); comp != nil {
 		st.Kind = StepProbeN
 		st.ProbeCol = -1
 		st.ProbeCols = comp.cols
@@ -304,7 +307,7 @@ func selectProbe(st *Step, idxRel *storage.Relation) {
 		return
 	}
 	for ci, ck := range st.Checks {
-		if ck.Mode == CheckSameRow || !idxRel.HasIndex(ck.Col) {
+		if ck.Mode == CheckSameRow || !pd.IndexedColumn(role, ck.Col) {
 			continue
 		}
 		st.Kind = StepProbe
@@ -388,10 +391,9 @@ type compositeChoice struct {
 	rest []ColCheck
 }
 
-// chooseComposite finds the widest registered composite index whose columns
-// are all covered by const/var equality checks.
-func chooseComposite(rel *storage.Relation, checks []ColCheck) *compositeChoice {
-	sets := rel.CompositeIndexes()
+// chooseComposite finds the widest of the registered composite column sets
+// whose columns are all covered by const/var equality checks.
+func chooseComposite(sets [][]int, checks []ColCheck) *compositeChoice {
 	if len(sets) == 0 {
 		return nil
 	}

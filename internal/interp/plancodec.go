@@ -187,10 +187,11 @@ func DecodePlan(b []byte) (*Plan, []byte, error) {
 }
 
 // RevalidatePlan re-selects every relational step's access path against the
-// live catalog, exactly as bindPlan does on a cross-predicate rebind: a
-// probe whose index is not registered here demotes to a filtered scan (its
-// consumed key check restored), and scans re-probe availability so a
-// restarted process with richer index registrations upgrades. Safe to call
+// live catalog's registration for the relations the step reads, exactly as
+// bindPlan does on a cross-predicate rebind: a probe whose index is not
+// registered there demotes to a filtered scan (its consumed key check
+// restored), and scans re-probe availability so a restarted process with
+// richer index registrations upgrades. Safe to call
 // on a freshly decoded plan before it enters the store; the plan is mutated
 // in place (it is not yet shared).
 func RevalidatePlan(p *Plan, cat *storage.Catalog) {
@@ -202,20 +203,24 @@ func RevalidatePlan(p *Plan, cat *storage.Catalog) {
 		if st.Pred < 0 || int(st.Pred) >= cat.NumPreds() {
 			continue
 		}
-		idxRel := cat.Pred(st.Pred).Derived
-		if idxRel == nil {
-			continue
-		}
-		switch st.Kind {
-		case StepProbe:
-			if !idxRel.HasIndex(st.ProbeCol) {
-				demoteProbe(st)
-			}
-		case StepProbeN:
-			if !idxRel.HasCompositeIndex(st.ProbeCols) {
-				demoteProbe(st)
-			}
-		}
-		selectProbe(st, idxRel)
+		revalidateStep(st, cat.Pred(st.Pred))
 	}
+}
+
+// revalidateStep re-selects a relational step's access path against pd's
+// registration for the relations the step reads: a probe whose index is not
+// registered there demotes to a filtered scan, and a scan re-probes.
+func revalidateStep(st *Step, pd *storage.PredicateDB) {
+	role := st.Src.Role()
+	switch st.Kind {
+	case StepProbe:
+		if !pd.IndexedColumn(role, st.ProbeCol) {
+			demoteProbe(st)
+		}
+	case StepProbeN:
+		if !pd.Indexed(role, st.ProbeCols) {
+			demoteProbe(st)
+		}
+	}
+	selectProbe(st, pd)
 }

@@ -50,6 +50,15 @@ const (
 // Valid reports whether s names a source: decoders reject any other byte.
 func (s Source) Valid() bool { return s < numSources }
 
+// Role is the storage role whose relations s reads: the delta pair for δ,
+// Derived for Full and Old.
+func (s Source) Role() storage.Role {
+	if s == SrcDelta {
+		return storage.RoleDelta
+	}
+	return storage.RoleDerived
+}
+
 func (s Source) String() string {
 	switch s {
 	case SrcDelta:

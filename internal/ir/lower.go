@@ -191,8 +191,9 @@ func LowerNaive(prog *ast.Program) (*ProgramOp, error) {
 
 // JoinKeyColumns returns, per predicate, the set of columns that appear as a
 // join key or filter in any rule of the program: shared-variable positions
-// and constant positions in body atoms. Carac builds one index per such
-// column as rules are defined (paper §IV, Index selection).
+// and constant positions in body atoms. Histograms are registered on them
+// and a sharded run partitions its deltas on the first; indexes go only
+// where a lowered atom reads them (IndexUses).
 func JoinKeyColumns(prog *ast.Program) map[storage.PredID][]int {
 	cols := map[storage.PredID]map[int]bool{}
 	mark := func(pid storage.PredID, col int) {
@@ -234,67 +235,7 @@ func JoinKeyColumns(prog *ast.Program) map[storage.PredID][]int {
 		}
 	}
 	for _, cs := range out {
-		sortInts(cs)
-	}
-	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// JoinKeySignatures returns, per predicate, the distinct multi-column bound
-// sets ("search signatures") occurring in rule bodies: for each atom, the
-// set of positions holding a constant or a variable shared with another
-// atom. Signatures with at least two columns are candidates for composite
-// indexes (auto-index selection, simplified from Subotić et al.).
-func JoinKeySignatures(prog *ast.Program) map[storage.PredID][][]int {
-	type sigSet map[string][]int
-	sigs := map[storage.PredID]sigSet{}
-	for _, r := range prog.Rules {
-		occ := map[ast.VarID]int{}
-		for _, a := range r.Body {
-			for _, t := range a.Terms {
-				if t.Kind == ast.TermVar {
-					occ[t.Var]++
-				}
-			}
-		}
-		for _, a := range r.Body {
-			if !a.IsRelational() {
-				continue
-			}
-			var cols []int
-			for i, t := range a.Terms {
-				switch t.Kind {
-				case ast.TermConst:
-					cols = append(cols, i)
-				case ast.TermVar:
-					if occ[t.Var] > 1 {
-						cols = append(cols, i)
-					}
-				}
-			}
-			if len(cols) < 2 {
-				continue
-			}
-			sortInts(cols)
-			key := fmt.Sprint(cols)
-			if sigs[a.Pred] == nil {
-				sigs[a.Pred] = sigSet{}
-			}
-			sigs[a.Pred][key] = cols
-		}
-	}
-	out := map[storage.PredID][][]int{}
-	for pid, ss := range sigs {
-		for _, cols := range ss {
-			out[pid] = append(out[pid], cols)
-		}
+		slices.Sort(cs)
 	}
 	return out
 }

@@ -218,3 +218,29 @@ func TestDumpRendersSources(t *testing.T) {
 		t.Fatalf("Dump missing ops:\n%s", s)
 	}
 }
+
+// TestLowerWarmReadsOld pins the warm shape of TC in Dump's notation: one
+// variant per positive relational atom, the atoms before its δ atom reading
+// Old and the atoms after it Full.
+func TestLowerWarmReadsOld(t *testing.T) {
+	p, _, _ := buildTC(t)
+	root, err := LowerWarm(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `ProgramOp
+  ScanOp
+  SwapClearOp
+  DoWhileOp
+    UnionOp* into tc
+      UnionOp
+        SPJ -> tc :- edgeδ
+      UnionOp
+        SPJ -> tc :- tcδ, edge⋆
+        SPJ -> tc :- tc⋆∖δ, edgeδ
+    SwapClearOp
+`
+	if got := Dump(root, p.Catalog); got != want {
+		t.Fatalf("LowerWarm(TC) =\n%s\nwant\n%s", got, want)
+	}
+}

@@ -19,7 +19,12 @@ import (
 //     relational body atom gets a delta subquery — not just the recursive
 //     (same-stratum) occurrences. A new edge fact must join old tc rows
 //     through the edge-position delta; Lower's recursive-only variants would
-//     silently miss those derivations when the fixpoint is pre-seeded.
+//     silently miss those derivations when the fixpoint is pre-seeded. As in
+//     Lower, variant k reads Old at the positive relational atoms before its
+//     δ atom and Full after it, so a match with several δ tuples is derived
+//     once, by the variant of its first. Where δ is seeded rather than lent
+//     (the first warm iteration) Old reads all of Derived, which is correct
+//     and only derives some matches twice (Source).
 //   - There is no naive prologue: non-recursive rules ride the same
 //     delta-driven loop (their variants fire exactly once, on the seeded
 //     delta), so the warm path never pays a full pass over old rows.
@@ -71,15 +76,17 @@ func LowerWarm(prog *ast.Program) (*ProgramOp, error) {
 			for _, ri := range rules {
 				r := prog.Rules[ri]
 				ur := &UnionRuleOp{RuleIdx: ri}
+				var old []int // the variants' δ positions so far
 				for i, a := range r.Body {
 					if a.Kind != ast.AtomRelation {
 						continue
 					}
-					spj, serr := lowerSubquery(prog, ri, i, nil)
+					spj, serr := lowerSubquery(prog, ri, i, old)
 					if serr != nil {
 						return nil, serr
 					}
 					ur.Subqueries = append(ur.Subqueries, spj)
+					old = append(old, i)
 				}
 				if len(ur.Subqueries) == 0 {
 					// A pure-builtin body has no delta to drive it; evaluate

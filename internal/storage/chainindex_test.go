@@ -85,12 +85,9 @@ func (m *tableModel) checkIndexes() {
 	if got := r.IndexedColumns(); !slices.Equal(got, single) {
 		m.fail("IndexedColumns = %v, want %v", got, single)
 	}
-	if got := r.CompositeIndexes(); len(got) != len(multi) {
-		m.fail("CompositeIndexes = %v, want the sets %v", got, multi)
-	}
 	for c := 0; c < m.arity; c++ {
-		if r.HasIndex(c) != slices.Contains(single, c) {
-			m.fail("HasIndex(%d) = %v", c, r.HasIndex(c))
+		if has := r.indexOn([]int{c}) != nil; has != slices.Contains(single, c) {
+			m.fail("index on %d registered: %v", c, has)
 		}
 		if !slices.Contains(single, c) {
 			if _, ok := r.Probe(c, 0); ok || r.DistinctCount(c) != -1 {
@@ -101,8 +98,8 @@ func (m *tableModel) checkIndexes() {
 	subs := r.PhysSubs()
 	shards, shardCol := r.ShardConfig()
 	for _, cols := range m.sets {
-		if len(cols) > 1 && !r.HasCompositeIndex(cols) {
-			m.fail("HasCompositeIndex(%v) = false", cols)
+		if r.indexOn(cols) == nil {
+			m.fail("no index over %v", cols)
 		}
 		if subs == nil {
 			m.checkIndex(r, cols, m.rows)

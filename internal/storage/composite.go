@@ -36,41 +36,17 @@ func (r *Relation) BuildCompositeIndex(cols []int) {
 	r.buildIndex(sorted)
 }
 
-// HasCompositeIndex reports whether an index over exactly cols is registered.
-func (r *Relation) HasCompositeIndex(cols []int) bool {
-	return r.indexOn(slices.Sorted(slices.Values(cols))) != nil
-}
-
-// CompositeIndexes returns the registered multi-column sets in a fixed order.
-func (r *Relation) CompositeIndexes() [][]int {
-	var out [][]int
-	for i := range r.indexes {
-		if c := r.indexes[i].cols; len(c) > 1 {
-			out = append(out, slices.Clone(c))
-		}
-	}
-	slices.SortFunc(out, func(a, b []int) int {
-		if len(a) != len(b) {
-			return len(a) - len(b)
-		}
-		return slices.Compare(a, b)
-	})
-	return out
-}
-
 // ProbeComposite returns the chain of rows whose columns cols (ascending)
 // equal vals (in the same order). ok is false when no index over exactly cols
-// exists — including on physically sharded relations (see Probe). A stale
-// index panics.
+// exists — including on physically sharded relations (see Probe) — and the
+// miss is counted (ProbeMisses). A stale index panics.
 func (r *Relation) ProbeComposite(cols []int, vals []Value) (Chain, bool) {
 	if len(cols) == 1 {
 		return r.Probe(cols[0], vals[0])
 	}
-	if r.subs != nil {
-		return Chain{}, false
-	}
 	ix := r.indexOn(cols)
-	if ix == nil {
+	if ix == nil || r.subs != nil {
+		probeMisses.Add(1)
 		return Chain{}, false
 	}
 	if !r.current(ix) {

@@ -29,7 +29,7 @@ func TestCompositeIndexBasic(t *testing.T) {
 func TestCompositeIndexColumnOrderInsensitive(t *testing.T) {
 	r := NewRelation("r", 3)
 	r.BuildCompositeIndex([]int{2, 0})
-	if !r.HasCompositeIndex([]int{0, 2}) {
+	if r.indexOn([]int{0, 2}) == nil {
 		t.Fatal("registration should be order-insensitive")
 	}
 	r.Insert([]Value{5, 0, 7})
@@ -98,13 +98,21 @@ func TestCompositeIndexPanics(t *testing.T) {
 }
 
 func TestCompositeIndexesListing(t *testing.T) {
-	r := NewRelation("r", 3)
-	r.BuildCompositeIndex([]int{1, 2})
-	r.BuildCompositeIndex([]int{0, 1, 2})
-	got := r.CompositeIndexes()
+	c := NewCatalog()
+	p := c.Pred(c.Declare("r", 3))
+	p.RegisterIndex(RoleDerived, []int{2, 0, 1})
+	p.RegisterIndex(RoleDerived, []int{1, 2})
+	p.RegisterIndex(RoleDerived, []int{0})
+	got := p.CompositeIndexes(RoleDerived)
 	want := [][]int{{1, 2}, {0, 1, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CompositeIndexes = %v", got)
+	}
+	if got := p.CompositeIndexes(RoleDelta); len(got) != 0 || p.Indexed(RoleDelta, []int{1, 2}) {
+		t.Fatalf("the delta role carries %v, registered on Derived only", got)
+	}
+	if !p.Indexed(RoleDerived, []int{0, 1, 2}) || p.DeltaKnown.indexOn([]int{1, 2}) != nil {
+		t.Fatal("the registration and the relations' indexes disagree")
 	}
 }
 

@@ -1,6 +1,10 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+)
 
 // PredID identifies a predicate inside a Catalog. Ids are dense and assigned
 // in declaration order, so they can index slices.
@@ -33,7 +37,26 @@ type PredicateDB struct {
 	// swaps counts SwapClear invocations, the delta-rotation component of the
 	// predicate's drift counter.
 	swaps uint64
+
+	// indexed lists the column sets indexed per Role (RegisterIndex), each
+	// ascending. A registration replaces the whole value, so a plan built on
+	// another goroutine (the asynchronous compile thread) reads one
+	// consistent registration with one load, and it never follows δ and δ′
+	// through SwapClear.
+	indexed atomic.Pointer[[numRoles][][]int]
 }
+
+// Role names the relations of a predicate that one index registration
+// covers, by what reads them: Derived, which an atom reading Full or Old
+// probes, or the delta pair δ/δ′, which an atom reading δ probes.
+type Role uint8
+
+const (
+	RoleDerived Role = iota
+	RoleDelta
+
+	numRoles
+)
 
 func newPredicateDB(id PredID, name string, arity int) *PredicateDB {
 	p := &PredicateDB{
@@ -186,24 +209,104 @@ func (p *PredicateDB) Shards() int {
 	return n
 }
 
-// BuildIndexes registers indexes on the given columns across all three
-// relations, so an atom can probe whichever database it reads: Derived's
-// link every insert, the deltas' only what EnsureIndex asks before a probe.
+// RegisterIndex registers an index over cols — one column, or a set of
+// several (order-insensitive) — on the relations of role, unless one is
+// there already. Derived's index links its rows at once, in one pass, and
+// every row after; the deltas' link theirs only when EnsureIndex asks, right
+// before a plan probes them. Registration is permanent: it survives Clear,
+// Reset and SwapClear, and only ever grows. It must not run while a plan
+// executes or while another goroutine compiles one against the catalog's
+// statistics; plan building may read Indexed concurrently.
+func (p *PredicateDB) RegisterIndex(role Role, cols []int) {
+	if len(cols) > 1 && !slices.IsSorted(cols) {
+		cols = slices.Sorted(slices.Values(cols))
+	}
+	if p.Indexed(role, cols) {
+		return
+	}
+	rels := []*Relation{p.Derived}
+	if role == RoleDelta {
+		rels = []*Relation{p.DeltaKnown, p.DeltaNew}
+	}
+	for _, r := range rels {
+		if len(cols) == 1 {
+			r.BuildIndex(cols[0])
+		} else {
+			r.BuildCompositeIndex(cols)
+		}
+	}
+	next := new([numRoles][][]int)
+	if cur := p.indexed.Load(); cur != nil {
+		*next = *cur
+	}
+	next[role] = append(slices.Clip(next[role]), slices.Clone(cols))
+	p.indexed.Store(next)
+}
+
+// Indexed reports whether role carries an index over exactly the ascending
+// column set cols: what plan building asks for the relation a step reads.
+func (p *PredicateDB) Indexed(role Role, cols []int) bool {
+	if reg := p.indexed.Load(); reg != nil {
+		for _, set := range reg[role] {
+			if slices.Equal(set, cols) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// IndexedColumn reports whether role carries an index over column col alone.
+func (p *PredicateDB) IndexedColumn(role Role, col int) bool {
+	if reg := p.indexed.Load(); reg != nil {
+		for _, set := range reg[role] {
+			if len(set) == 1 && set[0] == col {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// CompositeIndexes returns the multi-column sets role carries, narrowest
+// first, then in column order. The caller must not mutate them.
+func (p *PredicateDB) CompositeIndexes(role Role) [][]int {
+	reg := p.indexed.Load()
+	if reg == nil {
+		return nil
+	}
+	var out [][]int
+	for _, set := range reg[role] {
+		if len(set) > 1 {
+			out = append(out, set)
+		}
+	}
+	slices.SortFunc(out, func(a, b []int) int {
+		if len(a) != len(b) {
+			return len(a) - len(b)
+		}
+		return slices.Compare(a, b)
+	})
+	return out
+}
+
+// BuildIndexes registers an index on each of the given columns for both
+// roles, so an atom can probe whichever relation it reads. The engine
+// registers per role, only what its plans read (RegisterIndex); this is for
+// callers that drive plans by hand.
 func (p *PredicateDB) BuildIndexes(cols []int) {
 	for _, c := range cols {
-		p.Derived.BuildIndex(c)
-		p.DeltaKnown.BuildIndex(c)
-		p.DeltaNew.BuildIndex(c)
+		p.RegisterIndex(RoleDerived, []int{c})
+		p.RegisterIndex(RoleDelta, []int{c})
 	}
 }
 
-// BuildCompositeIndexes registers one composite index per column set across
-// all three relations (auto-index selection extension).
+// BuildCompositeIndexes registers one composite index per column set for
+// both roles (auto-index selection extension), as BuildIndexes does.
 func (p *PredicateDB) BuildCompositeIndexes(sets [][]int) {
 	for _, cols := range sets {
-		p.Derived.BuildCompositeIndex(cols)
-		p.DeltaKnown.BuildCompositeIndex(cols)
-		p.DeltaNew.BuildCompositeIndex(cols)
+		p.RegisterIndex(RoleDerived, cols)
+		p.RegisterIndex(RoleDelta, cols)
 	}
 }
 

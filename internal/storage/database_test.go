@@ -172,7 +172,7 @@ func TestPredicateDBIndexesOnAllThree(t *testing.T) {
 	}
 	comp := []int{0, 2}
 	for _, rel := range []*Relation{p.DeltaKnown, p.DeltaNew} {
-		if !rel.HasIndex(0) || !rel.HasCompositeIndex(comp) {
+		if rel.indexOn([]int{0}) == nil || rel.indexOn(comp) == nil {
 			t.Fatalf("%s lacks a registration", rel.Name())
 		}
 		visit := func([]Value) bool { return true }
@@ -257,7 +257,7 @@ func TestCatalogResetFacts(t *testing.T) {
 	if c.TotalDerived() != 0 || p.DeltaKnown.Len() != 0 || p.DeltaNew.Len() != 0 {
 		t.Fatal("ResetFacts left data behind")
 	}
-	if !p.Derived.HasIndex(0) {
+	if p.Derived.indexOn([]int{0}) == nil || !p.IndexedColumn(RoleDerived, 0) {
 		t.Fatal("ResetFacts dropped index registration")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // Relation stores a set of fixed-arity tuples in insertion order with exact
@@ -23,13 +24,16 @@ import (
 //
 // Join indexes have one structure too, over one column or several: the
 // chained hash index (chainindex.go, which also states which destructive
-// operations keep an index's memory). On Derived, indexes registered with
-// BuildIndex or BuildCompositeIndex are maintained incrementally on every
-// insert, which is how Carac builds indexes "as each rule is defined ...
-// incrementally before execution begins" (paper §IV, Index selection); a
-// delta links no row as it arrives, and EnsureIndex catches an index up in
-// one sized pass right before a plan probes it. Probes only load; one of an
-// index that has not caught up panics.
+// operations keep an index's memory). A predicate's relations carry only the
+// indexes some plan reads from them (PredicateDB.RegisterIndex): Derived
+// those an atom reading Full or Old probes, the deltas those an atom reading
+// δ probes. On Derived, a registered index links the rows already there in
+// one pass and is then maintained incrementally on every insert, which is
+// how Carac builds indexes per rule "incrementally before execution begins"
+// (paper §IV, Index selection); a delta links no row as it arrives, and
+// EnsureIndex catches an index up in one sized pass right before a plan
+// probes it. Probes only load; one of an index that has not caught up
+// panics.
 //
 // Semi-naive evaluation uses the row table of Derived as its only duplicate
 // elimination (PredicateDB.Emit): a row found in an iteration is staged —
@@ -488,7 +492,8 @@ func (r *Relation) buildIndex(cols []int) {
 	r.indexes = append(r.indexes, newChainIndex(cols))
 	if r.subs != nil {
 		// Physical mode: rows and index entries live in the buckets; the
-		// parent's empty registration answers HasIndex and survives transitions.
+		// parent's empty registration answers DistinctCount and survives
+		// transitions.
 		for _, s := range r.subs {
 			s.buildIndex(cols)
 		}
@@ -551,9 +556,6 @@ func (r *Relation) indexOn(cols []int) *chainIndex {
 	return nil
 }
 
-// HasIndex reports whether an index is registered on column col.
-func (r *Relation) HasIndex(col int) bool { return r.indexOn([]int{col}) != nil }
-
 // IndexedColumns returns the single-column index columns in ascending order.
 func (r *Relation) IndexedColumns() []int {
 	var cols []int
@@ -569,8 +571,8 @@ func (r *Relation) IndexedColumns() []int {
 // Probe returns the chain of rows whose column col equals v. ok is false if no
 // index is registered on col — including on a physically sharded relation,
 // whose row ids are bucket-local: executors take the PhysSubs path there, and
-// a caller that does not degrades to a filtered scan, which stays correct. A
-// stale index panics (EnsureIndex).
+// a caller that does not degrades to a filtered scan, which stays correct
+// (ProbeMisses counts them). A stale index panics (EnsureIndex).
 func (r *Relation) Probe(col int, v Value) (Chain, bool) {
 	for i := range r.indexes {
 		if ix := &r.indexes[i]; len(ix.cols) == 1 && ix.cols[0] == col && r.subs == nil {
@@ -580,8 +582,20 @@ func (r *Relation) Probe(col int, v Value) (Chain, bool) {
 			return ix.probe1(r.arena, r.arity, v), true
 		}
 	}
+	probeMisses.Add(1)
 	return Chain{}, false
 }
+
+// probeMisses counts the probes (Probe, ProbeComposite) that found no index
+// over their columns.
+var probeMisses atomic.Int64
+
+// ProbeMisses returns how many probes, process-wide, found no index over
+// their columns and were answered by a filtered scan instead: a plan step
+// that reads its relation through an access path the relation does not
+// carry. Plans choose their probes from the registration of the relations
+// they read, so an engine run leaves it where it was.
+func ProbeMisses() int64 { return probeMisses.Load() }
 
 // Mutations returns the relation's monotone mutation counter: it advances on
 // every successful Insert, Clear, and TruncateTo and is never reset, so two
@@ -725,4 +739,39 @@ func (r *Relation) Snapshot() [][]Value {
 		return true
 	})
 	return out
+}
+
+// Footprint is the memory a relation holds, in bytes, by structure.
+type Footprint struct {
+	Arena    int // the row arena's capacity; 0 for a view of Derived's rows (borrow)
+	RowTable int // the row table's slots
+	Indexes  int // every index's slot table and links
+}
+
+// Footprint returns the bytes r holds in its arena, row table and indexes
+// (a physical relation's buckets included). Shared empty tables count
+// nothing.
+func (r *Relation) Footprint() Footprint {
+	var f Footprint
+	for _, s := range r.subs {
+		sf := s.Footprint()
+		f.Arena += sf.Arena
+		f.RowTable += sf.RowTable
+		f.Indexes += sf.Indexes
+	}
+	const word, slot = 4, 8 // a Value, link or row-table slot; a chainSlot
+	if r.lender == nil {
+		f.Arena += word * cap(r.arena)
+	}
+	if len(r.tab.slots) >= minTableSize {
+		f.RowTable += word * len(r.tab.slots)
+	}
+	for i := range r.indexes {
+		ix := &r.indexes[i]
+		f.Indexes += word * cap(ix.next)
+		if len(ix.slots) >= minTableSize {
+			f.Indexes += slot * len(ix.slots)
+		}
+	}
+	return f
 }

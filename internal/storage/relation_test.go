@@ -135,8 +135,8 @@ func TestRelationProbeWithoutIndex(t *testing.T) {
 	if _, ok := probeRows(r, 0, 1); ok {
 		t.Fatal("Probe reported ok without an index")
 	}
-	if r.HasIndex(0) {
-		t.Fatal("HasIndex true without BuildIndex")
+	if r.indexOn([]int{0}) != nil {
+		t.Fatal("an index without BuildIndex")
 	}
 }
 
@@ -148,7 +148,7 @@ func TestRelationClearKeepsIndexRegistration(t *testing.T) {
 	if r.Len() != 0 {
 		t.Fatalf("Len after Clear = %d", r.Len())
 	}
-	if !r.HasIndex(0) {
+	if r.indexOn([]int{0}) == nil {
 		t.Fatal("Clear dropped index registration")
 	}
 	r.Insert([]Value{3, 4})

@@ -60,21 +60,32 @@ func (m *tableModel) appendRow(t []Value, count uint32) {
 }
 
 // checkTable asserts the white-box invariants of one single-slab relation's
-// table: it holds one slot per arena row and stays under the load limit.
+// table: it holds one slot per arena row, each packing a row id that names a
+// distinct row under that row's hash tag, and stays under the load limit.
 func (m *tableModel) checkTable(r *Relation) {
 	m.t.Helper()
+	n := len(r.arena) / r.arity
+	named := make([]bool, n)
 	occupied := 0
-	for _, tag := range r.tab.tags {
-		if tag != 0 {
-			occupied++
+	for i, s := range r.tab.slots {
+		if s == 0 {
+			continue
+		}
+		occupied++
+		row := slotRow(s)
+		if int(row) >= n || named[row] {
+			m.fail("%s: slot %d names row %d of %d, or names it twice", r.name, i, row, n)
+		}
+		named[row] = true
+		if want := packSlot(tagOf(hashRow(r.Row(row))), row); s != want {
+			m.fail("%s: slot %d holds %#x, row %d packs as %#x", r.name, i, uint32(s), row, uint32(want))
 		}
 	}
-	n := len(r.arena) / r.arity
 	if occupied != n || r.tab.used != n {
 		m.fail("%s: %d occupied slots, used=%d, %d arena rows", r.name, occupied, r.tab.used, n)
 	}
-	if n*8 > len(r.tab.tags)*5 {
-		m.fail("%s: %d rows in %d slots exceeds the 5/8 load limit", r.name, n, len(r.tab.tags))
+	if n*8 > len(r.tab.slots)*5 {
+		m.fail("%s: %d rows in %d slots exceeds the 5/8 load limit", r.name, n, len(r.tab.slots))
 	}
 }
 
@@ -835,8 +846,8 @@ func TestRowTableAllocations(t *testing.T) {
 		}
 		fill()
 		r.Clear()
-		if len(r.tab.rows) != 0 || len(r.tab.tags) > len(noTags) {
-			t.Errorf("arity %d: Clear left %d slots behind", arity, len(r.tab.tags))
+		if len(r.tab.slots) > len(noRowSlots) {
+			t.Errorf("arity %d: Clear left %d slots behind", arity, len(r.tab.slots))
 		}
 		fill()
 		r.ClearRetain()
@@ -916,6 +927,32 @@ func TestRowTableAllocations(t *testing.T) {
 	}
 }
 
+// TestRowSlotPacking pins the packed slot at its helpers: a 7-bit tag that
+// is never 0 over a 25-bit row id, both read back, and the row-id limit —
+// checked without a table of 2^25 rows.
+func TestRowSlotPacking(t *testing.T) {
+	for _, h := range []uint64{0, 1 << 32, 0x7f << 32, ^uint64(0), hashRow([]Value{3, 4})} {
+		tag := tagOf(h)
+		if tag == 0 || tag&slotRowMask != 0 || tag>>slotRowBits > 0x7f {
+			t.Fatalf("tagOf(%#x) = %#x: want a nonzero 7-bit tag above the row bits", h, tag)
+		}
+		for _, row := range []int32{0, 1, 12345, maxTableRows - 1} {
+			s := packSlot(tag, row)
+			if s == 0 || slotRow(s) != row || uint32(s)^tag >= maxTableRows {
+				t.Fatalf("packSlot(%#x, %d) = %#x reads back row %d", tag, row, uint32(s), slotRow(s))
+			}
+		}
+	}
+	if tagOf(0) != tagOf(1<<32) {
+		t.Fatal("tag bits 0 and 1 should share the tag 1")
+	}
+	for _, row := range []int32{maxTableRows, maxTableRows + 1, math.MaxInt32} {
+		if !panics(func() { packSlot(tagOf(7), row) }) {
+			t.Fatalf("packSlot accepted row id %d past the 25-bit limit", row)
+		}
+	}
+}
+
 // TestRowTableHysteresis pins the capacity policy: a steady refill after
 // ClearRetain keeps its slots, TruncateTo keeps them for the regrowth that
 // follows a baseline rewind, a relation whose fills collapse gives capacity
@@ -929,20 +966,20 @@ func TestRowTableHysteresis(t *testing.T) {
 		}
 	}
 	fill(10000)
-	slots := len(r.tab.tags)
+	slots := len(r.tab.slots)
 	if slots != 16384 {
 		t.Fatalf("10000 rows sit in %d slots, want 16384", slots)
 	}
 	r.TruncateTo(10)
-	if len(r.tab.tags) != slots {
-		t.Fatalf("TruncateTo changed capacity %d -> %d", slots, len(r.tab.tags))
+	if len(r.tab.slots) != slots {
+		t.Fatalf("TruncateTo changed capacity %d -> %d", slots, len(r.tab.slots))
 	}
 	fill(10000)
 	for i := 0; i < 3; i++ {
 		r.ClearRetain()
 		fill(slots / 8) // exactly the fill that still holds the capacity
-		if len(r.tab.tags) != slots {
-			t.Fatalf("refill %d: capacity %d -> %d", i, slots, len(r.tab.tags))
+		if len(r.tab.slots) != slots {
+			t.Fatalf("refill %d: capacity %d -> %d", i, slots, len(r.tab.slots))
 		}
 	}
 	r.ClearRetain()
@@ -950,19 +987,19 @@ func TestRowTableHysteresis(t *testing.T) {
 	for want := slots / 2; want >= minTableSize; want /= 2 {
 		r.ClearRetain()
 		fill(1)
-		if len(r.tab.tags) != want {
-			t.Fatalf("capacity %d, want %d", len(r.tab.tags), want)
+		if len(r.tab.slots) != want {
+			t.Fatalf("capacity %d, want %d", len(r.tab.slots), want)
 		}
 	}
 	r.ClearRetain()
 	r.ClearRetain()
-	if len(r.tab.rows) != 0 {
-		t.Fatalf("an emptied relation still owns %d slots", len(r.tab.rows))
+	if len(r.tab.slots) > len(noRowSlots) {
+		t.Fatalf("an emptied relation still owns %d slots", len(r.tab.slots))
 	}
 	fill(10000)
 	r.Clear()
-	if len(r.tab.rows) != 0 {
-		t.Fatalf("Clear left %d slots behind", len(r.tab.rows))
+	if len(r.tab.slots) > len(noRowSlots) {
+		t.Fatalf("Clear left %d slots behind", len(r.tab.slots))
 	}
 	if !r.Insert([]Value{1, 2}) || !r.Contains([]Value{1, 2}) || r.Contains([]Value{2, 1}) {
 		t.Fatal("relation unusable after releasing its table")

@@ -12,10 +12,9 @@ import (
 // its memory only until its next Clear: semi-naive evaluation empties and
 // refills the deltas every iteration, and retraction borrows them for one
 // Apply. So every slab a delta holds of its own — its arena, its row table's
-// tags and row ids, its index links and slot tables — comes from the
-// size-classed pools below and goes back to them when the relation gives
-// memory back, as do the chunks and repeat filters of the pool workers'
-// lists (TakeScratch). A flat δ that borrows Derived's rows
+// slots, its index links and slot tables — comes from the size-classed pools
+// below and goes back to them when the relation gives memory back, as do the
+// chunks and repeat filters of the pool workers' lists (TakeScratch). A flat δ that borrows Derived's rows
 // (PredicateDB.SwapClear) takes no arena at all. Derived is state and owns
 // exact-sized memory: it takes nothing from the pools and gives nothing to
 // them.
@@ -65,8 +64,7 @@ type slabStacks[T any] struct{ classes [40][][]T }
 type gcSentinel struct{ _ *gcSentinel }
 
 var (
-	valueSlabs = slabPool[Value]{poison: math.MinInt32} // arenas, row ids, index links, list chunks
-	tagSlabs   = slabPool[uint8]{poison: 0xff}
+	valueSlabs = slabPool[Value]{poison: math.MinInt32} // arenas, row-table slots, index links, list chunks
 	slotSlabs  = slabPool[chainSlot]{poison: chainSlot{math.MinInt32, math.MinInt32}}
 )
 
@@ -100,7 +98,6 @@ func HoldScratch() (release func()) {
 
 func holdPools(on bool) {
 	valueSlabs.hold(on)
-	tagSlabs.hold(on)
 	slotSlabs.hold(on)
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 	"runtime/debug"
@@ -150,7 +151,8 @@ func TestSlabPoolClasses(t *testing.T) {
 }
 
 // TestSlabPoolZeroed: what a give files keeps its last holder's contents, and
-// takeZeroed — the slot tables and tags — hands it out cleared.
+// takeZeroed — the index slot tables and the row tables' slots — hands it out
+// cleared.
 func TestSlabPoolZeroed(t *testing.T) {
 	defer quietPools()()
 	var p slabPool[chainSlot]
@@ -190,6 +192,43 @@ func TestSlabPoolZeroed(t *testing.T) {
 	}
 }
 
+// TestDeltaRowSlotsComeZeroed: a delta's row table takes its slots from the
+// int32 pool, where a give leaves whatever its last holder wrote (under
+// scratchpoison, the poison: every slot nonzero, which reads as occupied),
+// and a seal must still start from an empty table.
+func TestDeltaRowSlotsComeZeroed(t *testing.T) {
+	defer quietPools()()
+	d := NewRelation("dδ", 2)
+	d.lazy = true
+	for i := 0; i < 100; i++ { // 100 rows seal into 256 slots
+		d.AppendDistinct([]Value{Value(i), Value(-i)})
+	}
+	dirty := valueSlabs.take(256)[:256]
+	for i := range dirty {
+		dirty[i] = math.MinInt32 | Value(i)
+	}
+	valueSlabs.give(dirty)
+	d.Seal()
+	if len(d.tab.slots) != 256 || &d.tab.slots[0] != &dirty[0] {
+		t.Fatalf("the seal did not take the pooled slab of 256 slots (got %d slots)", len(d.tab.slots))
+	}
+	occupied := 0
+	for _, s := range d.tab.slots {
+		if s != 0 {
+			occupied++
+		}
+	}
+	if occupied != 100 {
+		t.Fatalf("%d occupied slots for 100 sealed rows", occupied)
+	}
+	for i := 0; i < 100; i++ {
+		if !d.Contains([]Value{Value(i), Value(-i)}) || d.Contains([]Value{Value(-i - 1), Value(i)}) {
+			t.Fatalf("membership of row %d wrong over a reused slab", i)
+		}
+	}
+	d.Clear()
+}
+
 // TestDerivedOwnsItsMemory: Derived takes no slab from the scratch pool —
 // its links are exactly the rows a batch links — and gives none to it.
 func TestDerivedOwnsItsMemory(t *testing.T) {
@@ -205,9 +244,9 @@ func TestDerivedOwnsItsMemory(t *testing.T) {
 	if links := cap(d.indexes[0].next); links != 1000 {
 		t.Fatalf("Derived linked 1000 published rows in %d links, want exactly 1000", links)
 	}
-	arena, next, rows := d.arena, d.indexes[0].next, d.tab.rows
+	arena, next, slots := d.arena, d.indexes[0].next, d.tab.slots
 	d.Clear()
-	if pooled(&valueSlabs, arena) || pooled(&valueSlabs, next) || pooled(&valueSlabs, rows) {
+	if pooled(&valueSlabs, arena) || pooled(&valueSlabs, next) || pooled(&valueSlabs, slots) {
 		t.Fatal("Derived's Clear gave its memory to the scratch pool")
 	}
 	if cap(d.arena) != cap(arena) {
