@@ -963,56 +963,3 @@ func BenchmarkStreamingIngest(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkColdStart measures the first-query latency the persistent cache
-// (Options.CacheDir) removes across process restarts. Each iteration is a
-// full two-process simulation over a fresh cache directory: a cold Program
-// plans (and, with the JIT, compiles) from scratch and flushes to disk, then
-// a second fresh Program — the "restarted process" — opens the same
-// directory. The cold-ns / diskwarm-ns metrics are the two first-query
-// latencies; warm-planbuilds and warm-recompiles must report 0.
-func BenchmarkColdStart(b *testing.B) {
-	sz := benchSizes
-	cspa := datagen.CSPAGraph(sz.CSPA, sz.Seed)
-	builds := []struct {
-		name  string
-		build func() *analysis.Built
-	}{
-		{sz.CSPAName, func() *analysis.Built { return analysis.CSPA(analysis.HandOptimized, cspa) }},
-		{"TransitiveClosure", func() *analysis.Built {
-			return workloads.TransitiveClosure(analysis.HandOptimized, 300, 800, int(sz.Seed))
-		}},
-	}
-	engcfg := []struct {
-		name   string
-		useJIT bool
-	}{
-		{"Interp", false},
-		{"BytecodeJIT", true},
-	}
-	for _, w := range builds {
-		for _, c := range engcfg {
-			w, c := w, c
-			b.Run(w.name+"/"+c.name, func(b *testing.B) {
-				var rep *engines.ColdStartReport
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					dir := b.TempDir() // fresh directory: every iteration restarts from truly cold
-					b.StartTimer()
-					r, err := engines.RunCaracColdStart(w.build, dir, c.useJIT, 2*time.Minute)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rep = r
-				}
-				b.ReportMetric(float64(rep.Cold.Nanoseconds()), "cold-ns")
-				b.ReportMetric(float64(rep.Warm.Nanoseconds()), "diskwarm-ns")
-				b.ReportMetric(float64(rep.WarmPlanBuilds), "warm-planbuilds")
-				b.ReportMetric(float64(rep.WarmCompiles), "warm-recompiles")
-				b.ReportMetric(float64(rep.DiskHits), "disk-hits")
-			})
-		}
-	}
-}

@@ -1,7 +1,7 @@
 // Command carac runs a Datalog program from a .dl source file (optionally
 // with external fact files) under any of Carac's execution configurations:
 //
-//	carac run prog.dl [-facts dir] [-backend off|irgen|lambda|bytecode|quotes]
+//	carac run prog.dl [-facts dir] [-backend off|lambda|irgen|bytecode|quotes]
 //	    [-granularity program|dowhile|unionall|union|spj] [-async] [-snippet]
 //	    [-indexed] [-naive] [-aot none|rules|facts] [-print rel1,rel2] [-stats]
 //	    [-plancache] [-adaptive] [-parallel] [-workers n] [-shards n]
@@ -13,7 +13,7 @@
 // and worker pool:
 //
 //	carac serve prog.dl [-facts dir] [-clients n] [-queries n] [-qps r]
-//	    [-backend ...] [-granularity ...] [-workers n] [-shards n]
+//	    [-backend off|lambda] [-granularity ...] [-workers n] [-shards n]
 //	    [-histograms] [-timeout d] [-stats]
 //
 // Fact files are TSV: one tuple per line, tab-separated, named <relation>.facts
@@ -99,7 +99,7 @@ func requirePositive(fs *flag.FlagSet, names ...string) error {
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("carac run", flag.ContinueOnError)
 	factsDir := fs.String("facts", "", "directory of <relation>.facts TSV files")
-	backend := fs.String("backend", "off", "JIT backend: off|irgen|lambda|bytecode|quotes")
+	backend := fs.String("backend", "off", "JIT backend: off|lambda, or the paper fixtures irgen|bytecode|quotes (sequential runs without -cache-dir only)")
 	granularity := fs.String("granularity", "spj", "compilation granularity: program|dowhile|unionall|union|spj")
 	async := fs.Bool("async", false, "compile asynchronously")
 	snippet := fs.Bool("snippet", false, "snippet compilation (quotes/lambda)")
@@ -116,7 +116,7 @@ func runCmd(args []string) error {
 	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration of a parallel run (-parallel or -shards) runs sequentially (0 = default 256; 1 fans out every iteration)")
 	histograms := fs.Bool("histograms", false, "maintain per-column histograms on join columns and order atoms by estimated join-output size (histogram overlap) instead of cardinality alone")
 	sharedPlans := fs.Bool("shared-plans", false, "key plan and compiled-unit caches into the program-lifetime plan store so repeated runs start warm (implies -plancache)")
-	cacheDir := fs.String("cache-dir", "", "persist plans, bytecode compiled units, and the statistics profile to this directory and reload them on the next start, so a restarted process skips cold planning/compilation (implies -shared-plans)")
+	cacheDir := fs.String("cache-dir", "", "persist plans, recompile hints for compiled units, and the statistics profile to this directory and reload them on the next start, so a restarted process skips cold planning (implies -shared-plans)")
 	repeat := fs.Int("repeat", 1, "run the program this many times on one Program (pair with -shared-plans to observe warm-run behavior)")
 	timeout := fs.Duration("timeout", 0, "abort after this duration")
 	explain := fs.Bool("explain", false, "print the IROp plan (with optimizer weights) before running")
@@ -300,7 +300,7 @@ func loadProgram(fs *flag.FlagSet, args []string, factsDir *string) (*core.Progr
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("carac serve", flag.ContinueOnError)
 	factsDir := fs.String("facts", "", "directory of <relation>.facts TSV files")
-	backend := fs.String("backend", "off", "JIT backend: off|irgen|lambda|bytecode|quotes")
+	backend := fs.String("backend", "off", "JIT backend: off|lambda")
 	granularity := fs.String("granularity", "spj", "compilation granularity: program|dowhile|unionall|union|spj")
 	indexed := fs.Bool("indexed", true, "build join/filter indexes")
 	workers := fs.Int("workers", 0, "worker-pool size shared by all sessions (0 = GOMAXPROCS)")

@@ -60,6 +60,17 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// The fixture backends run only sequentially, without -cache-dir, and
+	// never under serve.
+	for _, args := range [][]string{
+		{"serve", prog, "-backend", "bytecode"},
+		{"run", prog, "-backend", "quotes", "-shards", "8"},
+		{"run", prog, "-backend", "bytecode", "-cache-dir", filepath.Join(dir, "cache")},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "Run-only paper fixture") {
+			t.Errorf("run(%v) = %v, want the fixture backend error", args, err)
+		}
+	}
 }
 
 func TestRunBadFactFile(t *testing.T) {

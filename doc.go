@@ -33,10 +33,10 @@
 // by row by a warm start (interp.Interp.SeedDelta), a sharded run's
 // physical δ, a retraction frontier — Old falls back to all of Full, which
 // is always correct and only derives some matches twice. After SeedAll δ is
-// all of Full and Old is empty. The push executor and lambda's sequential
-// units honor the bound; lambda's shard units, bytecode and quotes read Full
-// for Old. ir.LowerWarm and ir.LowerRetract read Full at every non-delta
-// atom.
+// all of Full and Old is empty. Every sequential executor — push, lambda's
+// sequential units and the irgen, bytecode and quotes fixtures — honors the
+// bound; lambda's shard units read Full for Old. ir.LowerWarm and
+// ir.LowerRetract read Full at every non-delta atom.
 //
 // # Statistics, plan cache, and the parallel executor
 //
@@ -225,14 +225,14 @@
 // The physical store above originally served pure interpretation only:
 // attaching a jit.Controller silently fell back to the row-id view
 // partition and a sequential loop, because compiled units addressed
-// relations by global row id. The compiled backends now speak the
-// bucket-local read surface, so sharding and compilation compose:
+// relations by global row id. Lambda, the production backend, now speaks
+// the bucket-local read surface, so sharding and compilation compose (the
+// irgen, bytecode and quotes fixtures never run under a pool, and read flat
+// relations only):
 //
-//   - every backend's generated code iterates physically sharded relations
-//     through their PhysSubs sub-relations — per-bucket arenas and hash
-//     indexes, with a probe on the shard key column routed to exactly one
-//     bucket (lambda combinators, the bytecode VM's segment iterators, and
-//     the quotes-staged probes all carry the same routing);
+//   - lambda's combinators iterate physically sharded relations through
+//     their PhysSubs sub-relations — per-bucket arenas and hash indexes,
+//     with a probe on the shard key column routed to exactly one bucket;
 //
 //   - the parallel driver's bucket-span tasks execute span-parameterized
 //     compiled units (interp.ShardUnit, resolved per rule per iteration via
@@ -250,7 +250,7 @@
 //     stays valid across ClearRetain / SwapClear / mode transitions because
 //     it resolves relations and layout at invocation time.
 //
-// Under core.Options.Shards with a JIT backend the engine therefore keeps
+// Under core.Options.Shards with the lambda backend the engine therefore keeps
 // the physical delta store, the pool and its merge barrier
 // (Stats.MergeTasks), and the fan-out policy — benchmarked end to end by
 // BenchmarkShardedSpeedup's *JIT entries and engines.RunCaracAdaptiveJIT in
@@ -325,14 +325,14 @@
 //
 // Compiled-unit re-entrancy is part of this contract: cached units are
 // shared through the store, so two sessions may execute one unit
-// concurrently — every backend therefore threads its mutable scratch
-// through per-invocation pooled state (lambda chain instances, the bytecode
-// VM's runState, quotes frames) rather than compile-time buffers. The
-// serving load path is driven by engines.RunCaracServe, the carac serve
-// subcommand (N clients x QPS), and BenchmarkServeThroughput (race-checked
-// in CI at one iteration); the concurrent-session differential matrix
-// in internal/core checks every backend against the sequential oracle under
-// the race detector.
+// concurrently — lambda, the one compiling backend Serve accepts, therefore
+// threads its mutable scratch through per-invocation chain instances rather
+// than compile-time buffers. The serving load path is driven by
+// engines.RunCaracServe, the carac serve subcommand (N clients x QPS), and
+// BenchmarkServeThroughput (race-checked in CI at one iteration); the
+// concurrent-session differential matrix in internal/core checks the
+// interpreter and lambda against the sequential oracle under the race
+// detector.
 //
 // Materialized epochs (core.Options.Materialize) extend the epoch protocol
 // from ground facts to derived state, so repeat queries become lookups:
@@ -384,9 +384,8 @@
 // and flushes at every Publish. The target is the cold start: a restarted
 // process replays identical facts, so its drift trajectory matches the one
 // the cached entries were built against, and the disk-warm first query
-// builds zero plans and — on the bytecode backend — recompiles zero units
-// (pinned by TestPersistColdWarmRoundTrip across the execution-mode matrix,
-// measured by BenchmarkColdStart and engines.RunCaracColdStart).
+// builds zero plans (pinned by TestPersistColdWarmRoundTrip across the
+// execution-mode matrix; perf's serve_mixed set-up is such a restart).
 //
 //   - Entry format: one file per (class, structural key), named
 //     c<class>-<sha256(key)>.cce — content addressing by the same canonical
@@ -404,12 +403,10 @@
 //     against the live catalog on load (interp.RevalidatePlan, the same
 //     demote-or-upgrade logic as bindPlan's rebind), so a probe whose index
 //     is not registered in this process degrades to a filtered scan instead
-//     of assuming the old layout. Bytecode units serialize whole
-//     (bytecode.EncodeProgram: instruction words plus constant pools — the
-//     Program is flat and pointer-free by construction). Lambda and quotes
-//     closures and span-parameterized shard task units cannot leave the
-//     process; they persist as recompile hints (entry recorded, artifact
-//     absent) and count as disk misses on load. Materialized fixpoints are
+//     of assuming the old layout. Compiled units — lambda closures,
+//     sequential or span-parameterized — cannot leave the process; they
+//     persist as recompile hints (entry recorded, artifact absent) and
+//     count as disk misses on load. Materialized fixpoints are
 //     never persisted — they belong to epochs, and epochs die with the
 //     server.
 //

@@ -443,7 +443,12 @@ const (
 // Options configures one Run.
 type Options struct {
 	// JIT configures runtime optimization; a zero value (BackendOff) runs
-	// the pure interpreter.
+	// the pure interpreter. Production runs off or lambda. The other
+	// backends (irgen, bytecode, quotes) are the fixtures of the paper's
+	// code-generation comparison (§V-C, Figs 5–9): only Run accepts them,
+	// and only without a worker pool (Shards > 1, ParallelUnions,
+	// AdaptiveFanout) and without CacheDir; Serve, Apply and those Runs
+	// return an error naming the backend and the setting.
 	JIT jit.Config
 	// Indexed builds hash indexes on every join/filter column before
 	// execution (paper §IV, Index selection). Registration is permanent for
@@ -492,9 +497,9 @@ type Options struct {
 	//
 	// Storage keeps two layouts: the delta pair is physically sharded
 	// (per-bucket slabs and indexes) and Derived stays flat — the workers
-	// only test membership in it. Compiled backends read the same
-	// bucket-local surface (storage.Relation.PhysSubs), and the pool's tasks
-	// run span-parameterized compiled units when a JIT is attached. Worker
+	// only test membership in it. With the lambda backend attached, its
+	// units read the same bucket-local surface (storage.Relation.PhysSubs)
+	// and the pool's tasks run span-parameterized lambda units. Worker
 	// lists fold at each iteration barrier through the sinks' Emit,
 	// sequentially and in task order: one probe of Derived per listed row,
 	// the pool's only exact deduplication.
@@ -555,14 +560,14 @@ type Options struct {
 	// doc.go §Serving.
 	Materialize bool
 	// CacheDir names a directory for the persistent, content-addressed plan
-	// + compiled-unit cache (doc.go §Persistent cache): plans, bytecode
-	// compiled units, and the profile-statistics snapshot they were built
-	// against are flushed there after every successful Run (and on every
-	// serve epoch publication) and loaded back when a fresh Program's first
-	// Run opens the same directory, so a restarted process skips cold
-	// planning and compilation. Implies SharedPlans. The first CacheDir a
-	// Program sees wins for its lifetime; invalid or version-mismatched
-	// cache files load as silent misses.
+	// cache (doc.go §Persistent cache): plans, recompile hints for compiled
+	// units, and the profile-statistics snapshot they were built against are
+	// flushed there after every successful Run (and on every serve epoch
+	// publication) and loaded back when a fresh Program's first Run opens
+	// the same directory, so a restarted process skips cold planning.
+	// Implies SharedPlans. The first CacheDir a Program sees wins for its
+	// lifetime; invalid or version-mismatched cache files load as silent
+	// misses.
 	CacheDir string
 }
 
@@ -590,17 +595,9 @@ type Result struct {
 // mutex — they share one catalog, so only one may own it at a time; for
 // genuinely concurrent evaluation open snapshot sessions via Serve.
 func (p *Program) Run(opts Options) (*Result, error) {
-	// Histogram-aware ordering applies everywhere a join order is decided:
-	// AOT staging, drift-driven re-optimization, and the JIT's compile-side
-	// reorder all read the same optimizer options. Sources without histogram
-	// data (Unit, Frozen) simply keep the constant-selectivity fallback.
-	if opts.Histograms {
-		opts.JIT.Optimizer.UseHistograms = true
-	}
-	// The persistent cache extends the Program-lifetime store; a per-Run
-	// cache has nothing meaningful to persist.
-	if opts.CacheDir != "" {
-		opts.SharedPlans = true
+	opts, err := resolveOptions(opts, "Run")
+	if err != nil {
+		return nil, err
 	}
 	prog, root, err := p.lowered(opts)
 	if err != nil {
@@ -610,6 +607,43 @@ func (p *Program) Run(opts Options) (*Result, error) {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
 	return p.runLocked(prog, root, opts)
+}
+
+// resolveOptions applies the implications between Options fields for one
+// entry point (call is "Run", "Apply" or "Serve") and rejects a fixture JIT
+// backend outside a plain Run (Options.JIT).
+func resolveOptions(opts Options, call string) (Options, error) {
+	// Histogram-aware ordering applies everywhere a join order is decided:
+	// AOT staging, drift-driven re-optimization, and the JIT's compile-side
+	// reorder all read the same optimizer options. Sources without histogram
+	// data (Unit, Frozen) simply keep the constant-selectivity fallback.
+	if opts.Histograms {
+		opts.JIT.Optimizer.UseHistograms = true
+	}
+	// The persistent cache extends the Program-lifetime store; a per-Run
+	// cache has nothing meaningful to persist. Serving shares plans and
+	// units between sessions through the same store.
+	if opts.CacheDir != "" || call == "Serve" {
+		opts.SharedPlans = true
+	}
+	if b := opts.JIT.Backend; b.Fixture() {
+		setting := "under " + call
+		switch {
+		case call != "Run":
+		case opts.Shards > 1:
+			setting = fmt.Sprintf("with Shards %d", opts.Shards)
+		case opts.ParallelUnions:
+			setting = "with ParallelUnions"
+		case opts.AdaptiveFanout:
+			setting = "with AdaptiveFanout"
+		case opts.CacheDir != "":
+			setting = "with CacheDir"
+		default:
+			return opts, nil
+		}
+		return opts, fmt.Errorf("core: JIT backend %s is a Run-only paper fixture and cannot run %s (use off or lambda)", b, setting)
+	}
+	return opts, nil
 }
 
 // runLocked is the body of Run under runMu — also the cold-recompute path of

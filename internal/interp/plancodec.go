@@ -114,9 +114,8 @@ func AppendPlan(b []byte, p *Plan) []byte {
 	return wire.AppendF64(b, p.EstRows)
 }
 
-// DecodePlan decodes one plan from b, returning the remaining bytes so
-// callers embedding plans in a larger stream (the bytecode program's
-// aggregation-plan pool) can chain decodes.
+// DecodePlan decodes one plan from b, returning the remaining bytes so a
+// caller embedding plans in a larger stream can chain decodes.
 func DecodePlan(b []byte) (*Plan, []byte, error) {
 	r := wire.NewReader(b)
 	p := &Plan{}

@@ -16,7 +16,6 @@ package bytecode
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"carac/internal/ast"
 	"carac/internal/eval"
@@ -38,8 +37,8 @@ const (
 	OpLoopBack          // A = target, B = preds pool idx: jump A while any delta nonempty
 	OpSPJBegin          // statistics marker
 	OpInitScan          // A = level, B = rels pool idx
-	OpInitProbe         // A = level, B = rels pool idx, C = probes pool idx
-	OpInitProbeN        // A = level, B = rels pool idx, C = nprobes pool idx
+	OpInitProbe         // A = level, B = rels pool idx, C = probes pool idx (one column)
+	OpInitProbeN        // A = level, B = rels pool idx, C = probes pool idx (composite)
 	OpNext              // A = level, C = fail target
 	OpCheckConst        // A = level, B = col, C = fail target, D = constant
 	OpCheckVar          // A = level, B = col, C = fail target, D = var
@@ -59,20 +58,14 @@ type Instr struct {
 	A, B, C, D int32
 }
 
-// relRef names the relation an instruction reads. The VM ignores
-// SourceRel's row bound and reads Full for Old (ir.SrcOld), which is correct
-// and only derives some matches twice.
+// relRef names the relation an instruction reads; a level reads only the
+// rows below SourceRel's bound, so an atom reading Old (ir.SrcOld) skips δ.
 type relRef struct {
 	pred storage.PredID
 	src  ir.Source
 }
 
 type probeSpec struct {
-	col int32
-	key interp.TmplElem
-}
-
-type probeNSpec struct {
 	cols []int
 	keys []interp.TmplElem
 }
@@ -89,10 +82,10 @@ type headSpec struct {
 	sink storage.PredID
 }
 
-// Program is a compiled VM program with its constant pools. The code and
-// pools are immutable after compilation; every register the VM mutates
-// lives in a per-invocation runState, because cached programs may run
-// concurrently on engines serving different sessions.
+// Program is a compiled VM program with its constant pools, immutable after
+// compilation, and the register file its runs share. Only a sequential Run
+// executes bytecode (core.Options.JIT), one program at a time on the
+// interpreter's goroutine, so one register file serves every run.
 type Program struct {
 	Code     []Instr
 	NumVars  int
@@ -101,74 +94,108 @@ type Program struct {
 	rels     []relRef
 	preds    [][]storage.PredID
 	probes   []probeSpec
-	nprobes  []probeNSpec
 	tmpls    [][]interp.TmplElem
 	builtins []builtinSpec
 	heads    []headSpec
 	plans    []*interp.Plan
 
-	pool sync.Pool // of *runState
+	st *runState // allocated by the first Run
 }
 
-// runState is the register file of one Run: variable bindings, per-level
-// iterators, tuple scratch, and the composite-probe key scratch (one slice
-// per ProbeN site). States recycle through the Program's pool.
+// runState is the register file: variable bindings, per-level iterators,
+// tuple scratch, and the probe key scratch (one slice per probe site).
 type runState struct {
 	bind  []storage.Value
 	iters []iterState
 	buf   []storage.Value
-	nvals [][]storage.Value
+	vals  [][]storage.Value
 }
 
-func (p *Program) getState() *runState {
-	if st, ok := p.pool.Get().(*runState); ok {
-		return st
-	}
+func (p *Program) newState() *runState {
 	st := &runState{
 		bind:  make([]storage.Value, p.NumVars),
 		iters: make([]iterState, p.NumLevel),
 		buf:   make([]storage.Value, 0, 16),
-		nvals: make([][]storage.Value, len(p.nprobes)),
+		vals:  make([][]storage.Value, len(p.probes)),
 	}
-	for i := range p.nprobes {
-		st.nvals[i] = make([]storage.Value, len(p.nprobes[i].keys))
+	for i := range p.probes {
+		st.vals[i] = make([]storage.Value, len(p.probes[i].keys))
 	}
 	return st
 }
 
-// iterState is one iterator level: its input segments (one for a flat
-// relation, one per bucket of a physically sharded relation) and the row the
-// level currently stands on.
+// iterState is one iterator level: a cursor over the rows of one flat
+// relation below a row bound, and the row the level currently stands on. The
+// cursor walks an index chain (chained), or scans the rows in order, keeping
+// only those whose cols hold vals when cols is set — the degraded path of a
+// probe whose index is missing.
 type iterState struct {
-	in  interp.SegCursor
-	row []storage.Value
+	rel     *storage.Relation
+	end     int32 // rows at or past end are not read
+	pos     int32 // the next row to read; -1 ends a chain
+	chained bool
+	chain   storage.Chain
+	cols    []int
+	vals    []storage.Value
+	row     []storage.Value
 }
 
-// addScan adds rel's scan segments: one per bucket for a physically sharded
-// relation, a single whole-relation segment otherwise.
-func (it *iterState) addScan(rel *storage.Relation) {
-	if subs := rel.PhysSubs(); subs != nil {
-		for _, sub := range subs {
-			it.in.AddScan(sub)
-		}
+// scan starts a walk of rel's rows below bound.
+func (it *iterState) scan(rel *storage.Relation, bound int) {
+	it.rel, it.end, it.pos = rel, int32(min(bound, rel.Len())), 0
+	it.chained, it.cols = false, nil
+}
+
+// probe starts a walk of the rows of rel below bound whose cols hold vals:
+// the chain of rel's index on cols, or a filtered scan where rel has none.
+func (it *iterState) probe(rel *storage.Relation, bound int, cols []int, vals []storage.Value) {
+	it.scan(rel, bound)
+	if c, ok := rel.ProbeComposite(cols, vals); ok {
+		it.chained, it.chain, it.pos = true, c, c.First()
 		return
 	}
-	it.in.AddScan(rel)
+	it.cols, it.vals = cols, vals
 }
 
-// next advances to the next row, reporting false when exhausted.
+// next advances to the next row, reporting false when exhausted. A chain
+// lists its rows in insertion order, so its first row at or past the bound
+// ends it.
 func (it *iterState) next() bool {
-	row, ok := it.in.Next()
-	if ok {
-		it.row = row
+	if it.chained {
+		if it.pos < 0 || it.pos >= it.end {
+			return false
+		}
+		it.row = it.rel.Row(it.pos)
+		it.pos = it.chain.Next(it.pos)
+		return true
 	}
-	return ok
+	for it.pos < it.end {
+		row := it.rel.Row(it.pos)
+		it.pos++
+		if covers(row, it.cols, it.vals) {
+			it.row = row
+			return true
+		}
+	}
+	return false
+}
+
+// covers reports whether row holds vals at cols.
+func covers(row []storage.Value, cols []int, vals []storage.Value) bool {
+	for i, c := range cols {
+		if row[c] != vals[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes the program to completion.
 func (p *Program) Run(in *interp.Interp) error {
-	st := p.getState()
-	defer p.pool.Put(st)
+	if p.st == nil {
+		p.st = p.newState()
+	}
+	st := p.st
 	bind := st.bind
 	iters := st.iters
 	code := p.Code
@@ -208,80 +235,22 @@ func (p *Program) Run(in *interp.Interp) error {
 
 		case OpInitScan:
 			r := p.rels[ins.B]
-			it := &iters[ins.A]
-			it.in.Reset()
-			rel, _ := interp.SourceRel(cat, r.pred, r.src)
-			it.addScan(rel)
+			rel, bound := interp.SourceRel(cat, r.pred, r.src)
+			iters[ins.A].scan(rel, bound)
 			pc++
 
-		case OpInitProbeN:
+		case OpInitProbeN, OpInitProbe:
 			r := p.rels[ins.B]
-			sp := &p.nprobes[ins.C]
-			vals := st.nvals[ins.C]
-			it := &iters[ins.A]
-			it.in.Reset()
-			rel, _ := interp.SourceRel(cat, r.pred, r.src)
-			if r.src == ir.SrcDelta { // the VM runs on the coordinator only
-				rel.EnsureIndex(sp.cols)
-			}
+			sp := &p.probes[ins.C]
+			vals := st.vals[ins.C]
 			for ki, k := range sp.keys {
 				vals[ki] = resolveTmpl(k, bind)
 			}
-			covers := func(row []storage.Value) bool {
-				for ci, c := range sp.cols {
-					if row[c] != vals[ci] {
-						return false
-					}
-				}
-				return true
+			rel, bound := interp.SourceRel(cat, r.pred, r.src)
+			if r.src == ir.SrcDelta { // the VM runs on the coordinator only
+				rel.EnsureIndex(sp.cols)
 			}
-			if subs := rel.PhysSubs(); subs != nil {
-				// Bucket-local composite probes; a composite covering the
-				// shard key column routes to exactly one bucket.
-				lo, hi := rel.ProbeSpanComposite(sp.cols, vals)
-				for s := lo; s < hi; s++ {
-					if c, ok := subs[s].ProbeComposite(sp.cols, vals); ok {
-						it.in.AddChain(subs[s], c)
-					} else {
-						it.in.AddMatching(subs[s], covers)
-					}
-				}
-			} else if c, ok := rel.ProbeComposite(sp.cols, vals); ok {
-				it.in.AddChain(rel, c)
-			} else {
-				it.in.AddMatching(rel, covers)
-			}
-			pc++
-
-		case OpInitProbe:
-			r := p.rels[ins.B]
-			sp := &p.probes[ins.C]
-			it := &iters[ins.A]
-			it.in.Reset()
-			rel, _ := interp.SourceRel(cat, r.pred, r.src)
-			key := resolveTmpl(sp.key, bind)
-			col := int(sp.col)
-			if r.src == ir.SrcDelta {
-				rel.EnsureIndex([]int{col})
-			}
-			if subs := rel.PhysSubs(); subs != nil {
-				// Bucket-local probes through each bucket's own index; a
-				// probe on the shard key column touches exactly one bucket.
-				lo, hi := rel.ProbeSpan(col, key)
-				for s := lo; s < hi; s++ {
-					if c, ok := subs[s].Probe(col, key); ok {
-						it.in.AddChain(subs[s], c)
-					} else {
-						it.in.AddMatching(subs[s], func(row []storage.Value) bool { return row[col] == key })
-					}
-				}
-			} else if c, ok := rel.Probe(col, key); ok {
-				it.in.AddChain(rel, c)
-			} else {
-				// No index registered on the column: degrade to a filtered
-				// scan by pre-materializing matching row ids.
-				it.in.AddMatching(rel, func(row []storage.Value) bool { return row[col] == key })
-			}
+			iters[ins.A].probe(rel, bound, sp.cols, vals)
 			pc++
 
 		case OpNext:
@@ -413,14 +382,10 @@ func (c Compiler) Compile(op ir.Op, cat *storage.Catalog, snippet bool) (Unit, e
 	if snippet {
 		return nil, ErrSnippetUnsupported
 	}
-	e := &emitter{cat: cat, prog: &Program{}}
-	if err := e.emitOp(op); err != nil {
+	prog, err := c.CompileProgram(op, cat)
+	if err != nil {
 		return nil, err
 	}
-	e.emit(Instr{Op: OpHalt})
-	prog := e.prog
-	prog.NumVars = e.maxVars
-	prog.NumLevel = e.maxLevel
 	return prog.Run, nil
 }
 
@@ -553,13 +518,11 @@ func (e *emitter) emitSPJ(spj *ir.SPJOp) error {
 			rel := e.addRel(relRef{pred: st.Pred, src: st.Src})
 			switch st.Kind {
 			case interp.StepProbe:
-				e.prog.probes = append(e.prog.probes, probeSpec{col: int32(st.ProbeCol), key: st.ProbeKey})
+				e.prog.probes = append(e.prog.probes, probeSpec{cols: []int{st.ProbeCol}, keys: []interp.TmplElem{st.ProbeKey}})
 				e.emit(Instr{Op: OpInitProbe, A: level, B: rel, C: int32(len(e.prog.probes) - 1)})
 			case interp.StepProbeN:
-				e.prog.nprobes = append(e.prog.nprobes, probeNSpec{
-					cols: st.ProbeCols, keys: st.ProbeKeys,
-				})
-				e.emit(Instr{Op: OpInitProbeN, A: level, B: rel, C: int32(len(e.prog.nprobes) - 1)})
+				e.prog.probes = append(e.prog.probes, probeSpec{cols: st.ProbeCols, keys: st.ProbeKeys})
+				e.emit(Instr{Op: OpInitProbeN, A: level, B: rel, C: int32(len(e.prog.probes) - 1)})
 			default:
 				e.emit(Instr{Op: OpInitScan, A: level, B: rel})
 			}

@@ -9,18 +9,20 @@
 // quotes (staged typed expression trees, safe and expressive, costly),
 // bytecode (flat VM programs, cheap and unchecked), lambda (stitched
 // precompiled closures), and irgen (IR rewriting, no codegen at all).
+// Production runs lambda; irgen, bytecode and quotes are the fixtures that
+// reproduce the paper's backend comparison (Figs 5–9), and core runs them
+// only under a plain sequential Program.Run (core.Options.JIT).
 //
 // A "freshness" test gates recompilation: a unit is reused while the live
 // cardinalities of the relations it joins have not drifted beyond a relative
 // threshold since it was compiled.
 //
-// The Controller additionally implements interp.ShardCompiler: under the
-// parallel sharded driver (core.Options.Shards with a JIT attached) each
-// iteration's bucket-span tasks run span-parameterized compiled units over
-// the physically sharded delta store — bucket-local scans and probes, with
-// derivations appended to per-worker lists and folded at the merge barrier
-// through the sinks' Emit — so attaching a JIT does not forfeit the sharded
-// execution machinery.
+// The Controller additionally implements interp.ShardCompiler for the lambda
+// target: under the parallel executor each iteration's bucket-span tasks run
+// span-parameterized lambda units over the physically sharded delta store —
+// bucket-local scans and probes, with derivations appended to per-worker
+// lists and folded at the merge barrier through the sinks' Emit — so
+// attaching a JIT does not forfeit the sharded execution machinery.
 package jit
 
 import (
@@ -76,6 +78,11 @@ func (b Backend) String() string {
 		return "?"
 	}
 }
+
+// Fixture reports whether b is one of the paper's code-generation fixtures
+// (irgen, bytecode, quotes), which core runs only under a plain sequential
+// Run (core.Options.JIT).
+func (b Backend) Fixture() bool { return b != BackendOff && b != BackendLambda }
 
 // Granularity is the IROp height at which compilation triggers (paper Fig 4
 // / §V-B2): higher nodes compile less often over larger code with staler
@@ -165,13 +172,9 @@ type Stats struct {
 // compiledUnit is the cached artifact of one compilation: the runnable
 // thunk, or a failure marker kept so a broken subquery is not re-fed to the
 // compiler on every safe-point visit while its statistics stay fresh. The
-// cardinality fingerprint lives on the plan-store entry, not here. For the
-// bytecode backend, prog retains the raw program so the persistent cache can
-// serialize the artifact; the staged backends leave it nil and persist as
-// recompile hints.
+// cardinality fingerprint lives on the plan-store entry, not here.
 type compiledUnit struct {
 	run    func(in *interp.Interp) error
-	prog   *bytecode.Program
 	failed bool
 }
 
@@ -214,17 +217,6 @@ type backendCompiler interface {
 	Compile(op ir.Op, cat *storage.Catalog, snippet bool) (func(in *interp.Interp) error, error)
 }
 
-// shardBackend is the span-parameterized compilation surface: CompileShard
-// produces an interp.ShardUnit whose invocations are restricted to bucket
-// spans and safe to run concurrently from pool workers. The lambda target
-// implements it natively; the bytecode and quotes targets fall back to the
-// lambda combinator substrate for task bodies (their sequential artifacts —
-// a non-reentrant VM program, pooled frames — would need per-invocation
-// state to run on workers), keeping their own codegen for sequential units.
-type shardBackend interface {
-	CompileShard(op ir.Op, cat *storage.Catalog) (interp.ShardUnit, error)
-}
-
 // Controller implements interp.Controller. Create with New, attach to an
 // interpreter, and Close when the run finishes.
 type Controller struct {
@@ -250,8 +242,6 @@ type Controller struct {
 	// with the shard layout, so warm reruns at one layout reuse task units
 	// while a re-partitioned run compiles fresh ones.
 	sunits *plancache.Cache[*compiledShardUnit]
-	// shardComp compiles task units (nil for backends with no compiler).
-	shardComp shardBackend
 	// keys memoizes each op's structural unit key for this run (op identity
 	// is stable within one run's IR tree); shardKeys is the task-unit
 	// analogue (the shard layout is fixed for one run).
@@ -331,15 +321,6 @@ func NewShared(cat *storage.Catalog, root ir.Op, cfg Config, store *plancache.St
 		c.compiler = bytecode.Compiler{}
 	case BackendQuotes:
 		c.compiler = quotes.NewCompiler()
-	}
-	if c.compiler != nil {
-		if sb, ok := c.compiler.(shardBackend); ok {
-			c.shardComp = sb
-		} else {
-			// Task bodies from the lambda combinator substrate (see
-			// shardBackend); sequential units keep the configured target.
-			c.shardComp = lambda.Compiler{}
-		}
 	}
 	if cfg.Async && c.compiler != nil {
 		c.reqs = make(chan compileReq, 64)
@@ -640,23 +621,14 @@ func (c *Controller) runCompile(req compileReq) *compiledUnit {
 	}
 	firstErr := c.reorderClone(req)
 	var run func(in *interp.Interp) error
-	var prog *bytecode.Program
 	if firstErr == nil {
-		if c.cfg.Backend == BackendBytecode {
-			// Snippet splicing needs a target that can defer control back to
-			// the interpreter; bytecode cannot (paper §V-C2), so it always
-			// compiles the full subtree — through the raw-program path, so
-			// the flat artifact is retained for the persistent cache.
-			prog, firstErr = bytecode.Compiler{}.CompileProgram(req.clone, c.cat)
-			if firstErr == nil {
-				run = prog.Run
-			}
-		} else {
-			run, firstErr = c.compiler.Compile(req.clone, c.cat, c.cfg.Snippet)
-		}
+		// Snippet splicing needs a target that can defer control back to the
+		// interpreter; bytecode cannot (paper §V-C2), so it always compiles
+		// the full subtree.
+		run, firstErr = c.compiler.Compile(req.clone, c.cat, c.cfg.Snippet && c.cfg.Backend != BackendBytecode)
 	}
 	dt := time.Since(t0)
-	cu := &compiledUnit{run: run, prog: prog, failed: firstErr != nil}
+	cu := &compiledUnit{run: run, failed: firstErr != nil}
 	c.units.Store(req.key, req.counters, req.cards, cu)
 	c.accountCompile(req, cu.failed, dt)
 	if c.cfg.Async && !cu.failed {
@@ -666,10 +638,10 @@ func (c *Controller) runCompile(req compileReq) *compiledUnit {
 }
 
 // runShardCompile is runCompile for span-parameterized task units: the
-// reordered rule clone goes through the shard backend and the artifact (or
-// failure marker — e.g. an aggregation rule, which stays interpreted) lands
-// in the task-unit view. No ready signal: the driver re-resolves at every
-// iteration's fan-out point anyway.
+// reordered rule clone goes through lambda's shard compiler and the artifact
+// (or failure marker — e.g. an aggregation rule, which stays interpreted)
+// lands in the task-unit view. No ready signal: the executor re-resolves at
+// every iteration's fan-out point anyway.
 func (c *Controller) runShardCompile(req compileReq) *compiledShardUnit {
 	t0 := time.Now()
 	if c.cfg.CompileLatency > 0 {
@@ -678,7 +650,7 @@ func (c *Controller) runShardCompile(req compileReq) *compiledShardUnit {
 	firstErr := c.reorderClone(req)
 	var run interp.ShardUnit
 	if firstErr == nil {
-		run, firstErr = c.shardComp.CompileShard(req.clone, c.cat)
+		run, firstErr = lambda.Compiler{}.CompileShard(req.clone, c.cat)
 	}
 	dt := time.Since(t0)
 	cu := &compiledShardUnit{run: run, failed: firstErr != nil}
@@ -708,18 +680,11 @@ func (c *Controller) shardKeyFor(rule *ir.UnionRuleOp, layout int) plancache.Key
 // invoke with their bucket spans; a miss triggers compilation — blocking
 // here, or queued to the async worker with interpretation covering the
 // meantime — and a failure marker keeps unsupported rules (aggregations)
-// interpreted without re-feeding the compiler every iteration. For the
-// IRGenerator target it regenerates the rule's atom orders in place and
-// always declines, keeping that backend's tasks interpreted over fresh IR.
+// interpreted without re-feeding the compiler every iteration. Only the
+// lambda target compiles task units: the fixture targets never run under a
+// pool (core.Options.JIT), so they decline and the tasks stay interpreted.
 func (c *Controller) ResolveShardUnit(rule *ir.UnionRuleOp, in *interp.Interp) interp.ShardUnit {
-	if c.cfg.Backend == BackendOff {
-		return nil
-	}
-	if c.cfg.Backend == BackendIRGen {
-		c.regenerate(rule)
-		return nil
-	}
-	if c.shardComp == nil {
+	if c.cfg.Backend != BackendLambda {
 		return nil
 	}
 	key := c.shardKeyFor(rule, in.Shards)
@@ -797,7 +762,6 @@ func (c *Controller) hasReadyAncestor(op ir.Op) bool {
 var (
 	_ interp.Controller    = (*Controller)(nil)
 	_ interp.ShardCompiler = (*Controller)(nil)
-	_ shardBackend         = lambda.Compiler{}
 )
 
 // ParseBackend converts a backend name to its enum, for CLI use.

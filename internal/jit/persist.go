@@ -1,43 +1,31 @@
 package jit
 
 import (
-	"carac/internal/jit/bytecode"
+	"errors"
+
 	"carac/internal/plancache"
 )
 
 // UnitCodec is the persistence codec for the shared store's unit class.
-// Bytecode units serialize their flat program; lambda and quotes units (and
-// span-parameterized shard units, which always ride the lambda substrate)
-// persist as recompile hints — the entry's existence and freshness vectors
-// survive the restart, the artifact is rebuilt on first use. Failure markers
-// are process-local and never persisted: the next process should retry the
-// compile against its own world.
+// Compiled units are closures, so every unit — sequential or
+// span-parameterized — persists as a recompile hint: the entry's existence
+// and freshness vectors survive the restart, the artifact is rebuilt on
+// first use. Failure markers are process-local and never persisted: the next
+// process should retry the compile against its own world.
 func UnitCodec() plancache.EntryCodec {
 	return plancache.EntryCodec{
 		Encode: func(v any) ([]byte, bool) {
 			switch cu := v.(type) {
 			case *compiledUnit:
-				if cu.failed {
-					return nil, false
-				}
-				if cu.prog != nil {
-					return bytecode.EncodeProgram(cu.prog), true
-				}
-				return nil, true
+				return nil, !cu.failed
 			case *compiledShardUnit:
-				if cu.failed {
-					return nil, false
-				}
-				return nil, true
+				return nil, !cu.failed
 			}
 			return nil, false
 		},
-		Decode: func(payload []byte) (any, error) {
-			prog, err := bytecode.DecodeProgram(payload)
-			if err != nil {
-				return nil, err
-			}
-			return &compiledUnit{run: prog.Run, prog: prog}, nil
+		// Only a file this codec did not write holds a unit artifact.
+		Decode: func([]byte) (any, error) {
+			return nil, errors.New("jit: compiled units persist as recompile hints, not artifacts")
 		},
 	}
 }

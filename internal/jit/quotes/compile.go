@@ -15,9 +15,9 @@ type Unit = func(in *interp.Interp) error
 // Compiler quotes, type-checks, and lowers IROp subtrees. A fresh Compiler
 // is "cold": its first Splice bootstraps internal state (frame pool plus a
 // self-check compilation of a canonical quote). Reusing a Compiler is "warm"
-// — the distinction Fig 5 measures. Spliced units are cached in the shared
-// store and may be invoked concurrently by engines serving different
-// sessions, so the frame pool is a sync.Pool.
+// — the distinction Fig 5 measures. Under asynchronous compilation the
+// bootstrap runs its self-check unit on the compile goroutine while the
+// interpreter runs spliced units, so the frame pool is a sync.Pool.
 type Compiler struct {
 	warmed bool
 	frames sync.Pool // of *frame
@@ -188,9 +188,9 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			// Outermost loop of a subquery: poll cancellation per row so
 			// runaway cartesian products can be aborted.
 			return func(f *frame) error {
-				rel, _ := interp.SourceRel(f.in.Cat, pred, src)
+				rel, bound := interp.SourceRel(f.in.Cat, pred, src)
 				var ferr error
-				rel.Each(func(row []storage.Value) bool {
+				rel.EachBelow(bound, func(row []storage.Value) bool {
 					if f.in.Cancelled() {
 						ferr = interp.ErrCancelled
 						return false
@@ -203,9 +203,9 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			}, nil
 		}
 		return func(f *frame) error {
-			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
+			rel, bound := interp.SourceRel(f.in.Cat, pred, src)
 			var ferr error
-			rel.Each(func(row []storage.Value) bool {
+			rel.EachBelow(bound, func(row []storage.Value) bool {
 				f.rows[level] = row
 				ferr = body(f)
 				return ferr == nil
@@ -225,15 +225,15 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 		pred, src, level, col := n.Rel.Pred, n.Rel.Src, n.Level, n.Col
 		cols := []int{col}
 		return func(f *frame) error {
-			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
+			rel, bound := interp.SourceRel(f.in.Cat, pred, src)
 			if src == ir.SrcDelta { // quotes run on the coordinator only
 				rel.EnsureIndex(cols)
 			}
 			k := key(f)
-			// EachProbe owns the access-path choice, including the
-			// bucket-local indexes of a physically sharded relation.
+			// EachProbeBelow owns the access-path choice: the index chain,
+			// or a filtered scan where the column has no index.
 			var ferr error
-			rel.EachProbe(col, k, func(row []storage.Value) bool {
+			rel.EachProbeBelow(bound, col, k, func(row []storage.Value) bool {
 				f.rows[level] = row
 				ferr = body(f)
 				return ferr == nil
@@ -256,7 +256,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 		}
 		pred, src, level, cols := n.Rel.Pred, n.Rel.Src, n.Level, n.Cols
 		return func(f *frame) error {
-			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
+			rel, bound := interp.SourceRel(f.in.Cat, pred, src)
 			if src == ir.SrcDelta {
 				rel.EnsureIndex(cols)
 			}
@@ -270,7 +270,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			vals := f.vals[base : base+len(keys)]
 			defer func() { f.vals = f.vals[:base] }()
 			var ferr error
-			rel.EachProbeComposite(cols, vals, func(row []storage.Value) bool {
+			rel.EachProbeCompositeBelow(bound, cols, vals, func(row []storage.Value) bool {
 				f.rows[level] = row
 				ferr = body(f)
 				return ferr == nil

@@ -55,8 +55,8 @@ type Expr interface {
 }
 
 // RelRef names a relation by predicate and source, resolved at execution.
-// Quotes ignore SourceRel's row bound and read Full for Old (ir.SrcOld),
-// which is correct and only derives some matches twice.
+// Loops read only the rows below SourceRel's bound, so an atom reading Old
+// (ir.SrcOld) skips δ.
 type RelRef struct {
 	Pred storage.PredID
 	Src  ir.Source

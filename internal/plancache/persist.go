@@ -142,7 +142,7 @@ func (s *Store) Inject(e Entry) bool {
 // payloads. Encode reports persist=false to skip an entry entirely (e.g. a
 // failed-compile marker); persist=true with a nil payload records a
 // "recompile hint" — the entry existed, but its artifact is not serializable
-// (lambda/quotes units), so a restarted process knows to recompile rather
+// (compiled JIT units), so a restarted process knows to recompile rather
 // than finding a false artifact. Decode errors are treated as invalid files,
 // never surfaced to the caller.
 type EntryCodec struct {

@@ -1,6 +1,6 @@
 // Package wire holds the little-endian append/read primitives shared by the
-// persistent-cache codecs (interp plan, bytecode program, stats snapshot,
-// plancache container). Encoders append to a caller-owned []byte; decoders go
+// persistent-cache codecs (interp plan, stats snapshot, plancache
+// container). Encoders append to a caller-owned []byte; decoders go
 // through Reader, which carries a sticky error so callers can chain reads and
 // check once. All multi-byte values are little-endian; signed 32-bit values
 // round-trip through a uint32 cast so negatives (interned symbols, -1
