@@ -718,8 +718,9 @@ func BenchmarkProbeHit(b *testing.B) {
 		b.Run(fmt.Sprintf("PerKey%d", perKey), func(b *testing.B) {
 			benchIndexLayer(b, perKey, func(b *testing.B, rel *storage.Relation, _ []storage.Value, _ func(int)) {
 				keys, visited := layerRows/perKey, 0
+				col := []int{0}
 				for i := 0; i < b.N; i++ {
-					rel.EachProbe(0, storage.Value(i%keys), func([]storage.Value) bool { visited++; return true })
+					rel.ScanKey(0, storage.AllBuckets, storage.AllRows, col, []storage.Value{storage.Value(i % keys)}, func([]storage.Value) bool { visited++; return true })
 				}
 				if visited != b.N*perKey {
 					b.Fatalf("visited %d rows, want %d", visited, b.N*perKey)
@@ -733,8 +734,9 @@ func BenchmarkProbeHit(b *testing.B) {
 // BenchmarkProbeMiss: one index probe of an absent key.
 func BenchmarkProbeMiss(b *testing.B) {
 	benchIndexLayer(b, 100, func(b *testing.B, rel *storage.Relation, _ []storage.Value, _ func(int)) {
+		col := []int{0}
 		for i := 0; i < b.N; i++ {
-			rel.EachProbe(0, storage.Value(layerRows+i%layerRows), func([]storage.Value) bool {
+			rel.ScanKey(0, storage.AllBuckets, storage.AllRows, col, []storage.Value{storage.Value(layerRows + i%layerRows)}, func([]storage.Value) bool {
 				b.Fatal("phantom row")
 				return false
 			})

@@ -349,12 +349,15 @@ func serveCmd(args []string) error {
 		Timeout:     *timeout,
 		JIT:         jit.Config{Backend: be, Granularity: gr},
 	}
-	// Warm run: serving is the steady state the plan store exists for.
-	if _, err := p.Run(opts); err != nil {
-		return err
-	}
+	// Open the server first, so a setting Serve refuses is refused before
+	// anything is derived; then a warm run, since serving is the steady
+	// state the plan store exists for. Sessions read the epoch Serve
+	// published, which the run leaves as it was.
 	srv, err := p.Serve(opts)
 	if err != nil {
+		return err
+	}
+	if _, err := p.Run(opts); err != nil {
 		return err
 	}
 

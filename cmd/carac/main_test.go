@@ -71,6 +71,12 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("run(%v) = %v, want the fixture backend error", args, err)
 		}
 	}
+	// serve refuses a setting only Serve refuses before it derives anything:
+	// a warm Run first would have refused the shard count instead.
+	args := []string{"serve", prog, "-backend", "bytecode", "-shards", "8"}
+	if err := run(args); err == nil || !strings.Contains(err.Error(), "under Serve") {
+		t.Errorf("run(%v) = %v, want the error to name Serve", args, err)
+	}
 }
 
 func TestRunBadFactFile(t *testing.T) {

@@ -33,10 +33,11 @@
 // by row by a warm start (interp.Interp.SeedDelta), a sharded run's
 // physical δ, a retraction frontier — Old falls back to all of Full, which
 // is always correct and only derives some matches twice. After SeedAll δ is
-// all of Full and Old is empty. Every sequential executor — push, lambda's
-// sequential units and the irgen, bytecode and quotes fixtures — honors the
-// bound; lambda's shard units read Full for Old. ir.LowerWarm and
-// ir.LowerRetract read Full at every non-delta atom.
+// all of Full and Old is empty. Every executor — push, lambda's units
+// (sequential or pool tasks, one chain) and the irgen, bytecode and quotes
+// fixtures — reads through storage's one read surface (storage.Relation.Scan,
+// ScanKey), so all of them honor the bound; only a physical δ falls back.
+// ir.LowerWarm and ir.LowerRetract read Full at every non-delta atom.
 //
 // # Statistics, plan cache, and the parallel executor
 //
@@ -230,16 +231,17 @@
 // irgen, bytecode and quotes fixtures never run under a pool, and read flat
 // relations only):
 //
-//   - lambda's combinators iterate physically sharded relations through
-//     their PhysSubs sub-relations — per-bucket arenas and hash indexes,
-//     with a probe on the shard key column routed to exactly one bucket;
+//   - lambda's combinators read through storage's one read surface
+//     (storage.Relation.Scan, ScanKey), as Plan.Execute does: per-bucket
+//     arenas and hash indexes on a physical relation, with a probe on the
+//     shard key column routed to exactly one bucket;
 //
 //   - the parallel driver's bucket-span tasks execute span-parameterized
 //     compiled units (interp.ShardUnit, resolved per rule per iteration via
 //     interp.ShardCompiler): entry points take the same contiguous
 //     [shard, shard+span) restriction chooseFanout hands interpreted tasks,
-//     thread all mutable state through per-invocation frames so distinct
-//     workers run one unit concurrently, and append derivations to the
+//     thread all mutable state through the invoking interpreter's frame so
+//     distinct workers run one unit concurrently, and append derivations to the
 //     worker's private lists, which the merge barrier folds through the
 //     sinks' Emit — exactly the fold interpretation uses;
 //

@@ -498,8 +498,9 @@ type Options struct {
 	// Storage keeps two layouts: the delta pair is physically sharded
 	// (per-bucket slabs and indexes) and Derived stays flat — the workers
 	// only test membership in it. With the lambda backend attached, its
-	// units read the same bucket-local surface (storage.Relation.PhysSubs)
-	// and the pool's tasks run span-parameterized lambda units. Worker
+	// units read the buckets through the same surface the interpreter does
+	// (storage.Relation.Scan, ScanKey) and the pool's tasks run
+	// span-parameterized lambda units. Worker
 	// lists fold at each iteration barrier through the sinks' Emit,
 	// sequentially and in task order: one probe of Derived per listed row,
 	// the pool's only exact deduplication.

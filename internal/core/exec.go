@@ -135,7 +135,7 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 		}
 		// Physical backing store for every sharded run: bucket tasks scan
 		// and probe one delta slab each, and the compiled backends read the
-		// same bucket-local surface (PhysSubs) — with a JIT attached the
+		// same surface (storage.Relation.Scan, ScanKey) — with a JIT attached the
 		// pool's tasks execute span-parameterized compiled units, so
 		// sharding and compilation compose.
 		cat.ConfigureShardsPhysical(shards, keyCols)

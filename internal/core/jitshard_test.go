@@ -22,6 +22,12 @@ import (
 
 var lambdaSPJ = jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
 
+// physical reports whether r has the physical layout.
+func physical(r *storage.Relation) bool {
+	n, _ := r.ShardConfig()
+	return n > 0
+}
+
 func runJITTC(t *testing.T, opts core.Options) *core.Result {
 	t.Helper()
 	built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
@@ -30,7 +36,7 @@ func runJITTC(t *testing.T, opts core.Options) *core.Result {
 		t.Fatalf("%+v: %v", opts, err)
 	}
 	if pd, ok := built.P.Catalog().PredByName("tc"); ok && opts.Shards > 1 {
-		if pd.DeltaKnown.PhysSubs() == nil || pd.DeltaNew.PhysSubs() == nil {
+		if !physical(pd.DeltaKnown) || !physical(pd.DeltaNew) {
 			t.Fatalf("%+v: sharded run did not use the physical backing store", opts)
 		}
 	}
@@ -60,10 +66,10 @@ func TestShardWiring(t *testing.T) {
 			}
 			cat := built.P.Catalog()
 			for _, pd := range cat.Preds() {
-				if n, c := pd.Derived.ShardConfig(); n != 0 || c != 0 || pd.Derived.PhysSubs() != nil {
+				if n, c := pd.Derived.ShardConfig(); n != 0 || c != 0 {
 					t.Fatalf("%s: Derived partitioned (%d, %d)", pd.Name, n, c)
 				}
-				if pd.DeltaKnown.PhysSubs() == nil || pd.DeltaNew.PhysSubs() == nil {
+				if !physical(pd.DeltaKnown) || !physical(pd.DeltaNew) {
 					t.Fatalf("%s: a delta is not physical", pd.Name)
 				}
 			}
@@ -75,7 +81,7 @@ func TestShardWiring(t *testing.T) {
 			}
 			for _, pd := range cat.Preds() {
 				for _, r := range []*storage.Relation{pd.Derived, pd.DeltaKnown, pd.DeltaNew} {
-					if n, _ := r.ShardConfig(); n != 0 || r.PhysSubs() != nil || pd.Shards() != 0 {
+					if n, _ := r.ShardConfig(); n != 0 || pd.Shards() != 0 {
 						t.Fatalf("%s: the unsharded Run left a %d-way partition", r.Name(), n)
 					}
 				}

@@ -182,12 +182,10 @@ func TestParallelMergeStress(t *testing.T) {
 }
 
 // checkWarmAllocs runs built's program once, then bounds what each of three
-// warm Runs allocates per derivation. raceLogs makes a -race build log the
-// reading instead: there the sync.Pools of the worker pool's frames and
-// compiled units drop items at random by design, and a sharded Run restitches
-// what they drop. The scratch pool loses nothing under -race, so every other
-// bound holds there too.
-func checkWarmAllocs(t *testing.T, built *analysis.Built, opts core.Options, bound float64, raceLogs bool) *core.Result {
+// warm Runs allocates per derivation. The bounds hold under -race too: the
+// scratch pool loses nothing there, and compiled units take their frames
+// from the interpreter, not from a sync.Pool the race detector drains.
+func checkWarmAllocs(t *testing.T, built *analysis.Built, opts core.Options, bound float64) *core.Result {
 	t.Helper()
 	res, err := built.P.Run(opts)
 	if err != nil {
@@ -206,11 +204,7 @@ func checkWarmAllocs(t *testing.T, built *analysis.Built, opts core.Options, bou
 	perDerivation := perRun / float64(res.Interp.Derivations)
 	t.Logf("%.1f B per derivation (%d derivations), %.3f MB a Run", perDerivation, res.Interp.Derivations, perRun/1e6)
 	if perDerivation > bound {
-		if raceLogs && raceEnabled {
-			t.Logf("over the bound of %.0f B (race detector: not enforced)", bound)
-		} else {
-			t.Errorf("a warm Run allocates %.1f B per derivation (%d derivations), want at most %.0f", perDerivation, res.Interp.Derivations, bound)
-		}
+		t.Errorf("a warm Run allocates %.1f B per derivation (%d derivations), want at most %.0f", perDerivation, res.Interp.Derivations, bound)
 	}
 	return res
 }
@@ -229,7 +223,7 @@ func checkWarmAllocs(t *testing.T, built *analysis.Built, opts core.Options, bou
 func TestWarmRunAllocatesLittle(t *testing.T) {
 	built := workloads.TransitiveClosure(analysis.HandOptimized, 200, 600, 42)
 	opts := core.Options{Indexed: true}
-	res := checkWarmAllocs(t, built, opts, 2, false)
+	res := checkWarmAllocs(t, built, opts, 2)
 	runtime.GC()
 	runtime.GC() // the scratch pool's slabs are freed by the second
 	var before, after runtime.MemStats
@@ -255,7 +249,7 @@ func TestWarmRunAllocatesLittle(t *testing.T) {
 // every predicate grew a chain index on every append.
 func TestWarmCSPARunAllocations(t *testing.T) {
 	checkWarmAllocs(t, analysis.CSPA(analysis.Unoptimized, datagen.CSPAGraph(300, 7)),
-		core.Options{Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}}, 15, false)
+		core.Options{Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}}, 15)
 }
 
 // TestWarmShardedRunAllocations bounds what a warm Run allocates per
@@ -290,7 +284,7 @@ func TestWarmShardedRunAllocations(t *testing.T) {
 		{"cspa80_4x4", analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(80, 42)), small, 100},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if res := checkWarmAllocs(t, c.built, c.opts, c.bound, true); res.Interp.MergeTasks == 0 {
+			if res := checkWarmAllocs(t, c.built, c.opts, c.bound); res.Interp.MergeTasks == 0 {
 				t.Fatal("the pool never ran")
 			}
 		})
@@ -320,13 +314,12 @@ func TestRunKeepsScratchThroughCollections(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name     string
-		built    *analysis.Built
-		opts     core.Options
-		raceLogs bool
+		name  string
+		built *analysis.Built
+		opts  core.Options
 	}{
-		{"flat", flat, flatOpts, false},
-		{"sharded", sharded, shardOpts, true},
+		{"flat", flat, flatOpts},
+		{"sharded", sharded, shardOpts},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -339,11 +332,7 @@ func TestRunKeepsScratchThroughCollections(t *testing.T) {
 		perDerivation := float64(allocated) / float64(res.Interp.Derivations)
 		t.Logf("%s: %d KB, %.2f B per derivation (%d derivations)", c.name, allocated>>10, perDerivation, res.Interp.Derivations)
 		if perDerivation > 0.5 {
-			if c.raceLogs && raceEnabled {
-				t.Logf("over the bound of 0.5 B (race detector: not enforced)")
-			} else {
-				t.Errorf("%s: the Run after a collection-heavy one allocates %.2f B per derivation, want at most 0.5", c.name, perDerivation)
-			}
+			t.Errorf("%s: the Run after a collection-heavy one allocates %.2f B per derivation, want at most 0.5", c.name, perDerivation)
 		}
 	}
 }

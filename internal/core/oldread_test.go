@@ -474,3 +474,49 @@ func TestWarmApplyEmitsTheFloor(t *testing.T) {
 	}
 	diffSnapshots(t, "warm Apply against a cold Run", snapshotAll(cold.P), snapshotAll(b.P))
 }
+
+// TestPooledLambdaEmitsTheFloor: CSPA_300 under lambda units on the worker
+// pool. CSPA has five loop rules, so a pooled iteration runs them as compiled
+// task units rather than in place, and with a flat δ those units read Old
+// below its bound like the flat Run does: they emit exactly its matches. A
+// sharded run's δ is physical, never a view of Derived, so its Old is all of
+// Derived (ROADMAP item 17: the OldBound rule for a physical δ) and it emits
+// at least the floor.
+func TestPooledLambdaEmitsTheFloor(t *testing.T) {
+	flat := core.Options{Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}}
+	pooled := flat
+	pooled.ParallelUnions, pooled.Workers, pooled.FanoutThreshold = true, 2, 1
+	sharded := pooled
+	sharded.Shards = 8
+	run := func(opts core.Options) (*core.Result, map[string][]string) {
+		t.Helper()
+		b := analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(300, 42))
+		res, err := b.P.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, snapshotAll(b.P)
+	}
+	floor, want := run(flat)
+	if floor.Interp.Matches != 4314356 || floor.Interp.Derivations != 27719 {
+		t.Fatalf("fixture: the flat Run reads %d matches and %d derivations, want 4314356 and 27719",
+			floor.Interp.Matches, floor.Interp.Derivations)
+	}
+	for _, c := range []optCase{{"pooled", pooled}, {"sharded8", sharded}} {
+		res, got := run(c.opts)
+		if res.Interp.MergeTasks == 0 {
+			t.Fatalf("%s: no iteration ran on the pool", c.name)
+		}
+		diffSnapshots(t, c.name, want, got)
+		if res.Interp.Derivations != floor.Interp.Derivations {
+			t.Errorf("%s: %d derivations, the flat Run %d", c.name, res.Interp.Derivations, floor.Interp.Derivations)
+		}
+		if c.opts.Shards > 1 {
+			if res.Interp.Matches < floor.Interp.Matches {
+				t.Errorf("%s: %d matches, under the flat Run's %d", c.name, res.Interp.Matches, floor.Interp.Matches)
+			}
+		} else if res.Interp.Matches != floor.Interp.Matches {
+			t.Errorf("%s: %d matches, the flat Run %d", c.name, res.Interp.Matches, floor.Interp.Matches)
+		}
+	}
+}

@@ -173,6 +173,13 @@ type Interp struct {
 	// fully. Every backend's ScanOp consults it, through Seed.
 	SeedDelta func(pid storage.PredID, seed func(row []storage.Value)) bool
 
+	// Frame is the register file of the compiled units this interpreter
+	// invokes, kept here by the backend that made it (the lambda target's
+	// step chains) so that an invocation allocates nothing: a unit runs to
+	// completion before the next one starts on the same interpreter, and
+	// every pool worker's sub-interpreter keeps its own.
+	Frame any
+
 	cancel atomic.Bool
 	// cancelHook chains a parent interpreter's cancellation into workers
 	// spawned by parallel rule evaluation.

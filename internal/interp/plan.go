@@ -150,12 +150,11 @@ type Plan struct {
 }
 
 // SourceRel resolves the relation a relational step reads right now and its
-// row bound: a reader visits only rows below it (storage.Relation.EachBelow,
-// EachProbeBelow). Old is Derived bounded by PredicateDB.OldBound; Full and δ
-// are unbounded (storage.AllRows). The bound moves at every SwapClear, so it
-// is resolved each time a plan runs, never when one is built or compiled. A
-// reader that ignores the bound reads Full for Old, which is correct and
-// only derives some matches twice.
+// row bound: a reader visits only rows below it (storage.Relation.Scan,
+// ScanKey). Old is Derived bounded by PredicateDB.OldBound; Full and δ are
+// unbounded (storage.AllRows). The bound moves at every SwapClear, so it
+// is resolved each time a plan runs, never when one is built or compiled.
+// Every executor passes it to storage, which honours it on a flat relation.
 func SourceRel(cat *storage.Catalog, pred storage.PredID, src ir.Source) (*storage.Relation, int) {
 	p := cat.Pred(pred)
 	switch src {
@@ -487,31 +486,39 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 		switch st.Kind {
 		case StepScan, StepProbe, StepProbeN:
 			rel, below := SourceRel(cat, st.Pred, st.Src)
+			// Shard restriction on the delta step: it reads only its span of
+			// the delta's physical buckets.
+			lo, hi := 0, storage.AllBuckets
+			if p.ShardCount > 1 && i == p.ShardStep {
+				rel.CheckShards(p.ShardCount)
+				lo, hi = p.Shard, p.Shard+p.ShardSpan
+			}
 			// Poll cancellation/yield in the two outermost loops: the outer
 			// one alone is not enough when a tiny delta drives a huge inner
 			// cartesian product.
 			checkCancel := i <= 1 && p.Cancel != nil
 			checkYield := i <= 1 && p.Yield != nil
-			// Shard restriction on the delta step: it reads only its span of
-			// the delta's physical buckets.
-			restricted := p.ShardCount > 1 && i == p.ShardStep
-			if restricted {
-				rel.CheckShards(p.ShardCount)
-			}
-			match := func(row []storage.Value) {
+			visit := func(row []storage.Value) bool {
+				if p.Yielded || (checkCancel && p.Cancel()) {
+					return false
+				}
+				if checkYield && p.Yield() {
+					p.Yielded = true
+					return false
+				}
 				for _, ck := range st.Checks {
 					switch ck.Mode {
 					case CheckConst:
 						if row[ck.Col] != ck.Const {
-							return
+							return true
 						}
 					case CheckVar:
 						if row[ck.Col] != bind[ck.Var] {
-							return
+							return true
 						}
 					case CheckSameRow:
 						if row[ck.Col] != row[ck.Other] {
-							return
+							return true
 						}
 					}
 				}
@@ -519,165 +526,22 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 					bind[b.Var] = row[b.Col]
 				}
 				rec(i + 1)
+				return true
 			}
-			stop := func() bool {
-				if p.Yielded || (checkCancel && p.Cancel()) {
-					return true
-				}
-				if checkYield && p.Yield() {
-					p.Yielded = true
-					return true
-				}
-				return false
-			}
-			// Physically sharded relations serve probes and scans bucket-
-			// locally: row ids are meaningless to the parent, and a shard-
-			// restricted step narrows to exactly its bucket span.
-			if subs := rel.PhysSubs(); subs != nil {
-				lo, hi := 0, len(subs)
-				if restricted {
-					lo, hi = p.Shard, p.Shard+p.ShardSpan
-				}
-				switch st.Kind {
-				case StepProbe:
-					key := st.ProbeKey.resolve(bind)
-					// A probe on the shard key column routes to exactly one
-					// bucket — no reason to touch the other buckets' indexes
-					// (and a bucket outside the task's span holds nothing
-					// this task may emit, hence the intersection).
-					plo, phi := rel.ProbeSpan(st.ProbeCol, key)
-					lo, hi = max(lo, plo), min(hi, phi)
-					for s := lo; s < hi; s++ {
-						sub := subs[s]
-						rows, ok := sub.Probe(st.ProbeCol, key)
-						if !ok {
-							sub.Each(func(row []storage.Value) bool {
-								if stop() {
-									return false
-								}
-								if row[st.ProbeCol] == key {
-									match(row)
-								}
-								return true
-							})
-							continue
-						}
-						for ri := rows.First(); ri >= 0; ri = rows.Next(ri) {
-							if stop() {
-								return
-							}
-							match(sub.Row(ri))
-						}
-					}
-				case StepProbeN:
-					vals := make([]storage.Value, len(st.ProbeKeys))
-					for ki, k := range st.ProbeKeys {
-						vals[ki] = k.resolve(bind)
-					}
-					// As above: a composite probe covering the shard key
-					// column routes to one bucket.
-					plo, phi := rel.ProbeSpanComposite(st.ProbeCols, vals)
-					lo, hi = max(lo, plo), min(hi, phi)
-					for s := lo; s < hi; s++ {
-						sub := subs[s]
-						rows, ok := sub.ProbeComposite(st.ProbeCols, vals)
-						if !ok {
-							sub.Each(func(row []storage.Value) bool {
-								if stop() {
-									return false
-								}
-								for ci, c := range st.ProbeCols {
-									if row[c] != vals[ci] {
-										return true
-									}
-								}
-								match(row)
-								return true
-							})
-							continue
-						}
-						for ri := rows.First(); ri >= 0; ri = rows.Next(ri) {
-							if stop() {
-								return
-							}
-							match(sub.Row(ri))
-						}
-					}
-				default:
-					rel.EachShardRange(lo, hi, func(row []storage.Value) bool {
-						if stop() {
-							return false
-						}
-						match(row)
-						return true
-					})
-				}
-				return
-			}
-			// A flat relation is read below its bound (Old's): scans stop
-			// there, and so do chains, which run in insertion order.
-			if st.Kind == StepProbe {
-				key := st.ProbeKey.resolve(bind)
-				rows, ok := rel.Probe(st.ProbeCol, key)
-				if !ok {
-					// No index registered (a plan bound where the builder's
-					// registration is absent): filtered scan.
-					rel.EachBelow(below, func(row []storage.Value) bool {
-						if stop() {
-							return false
-						}
-						if row[st.ProbeCol] == key {
-							match(row)
-						}
-						return true
-					})
-					return
-				}
-				for ri := rows.First(); ri >= 0 && int(ri) < below; ri = rows.Next(ri) {
-					if stop() {
-						return
-					}
-					match(rel.Row(ri))
-				}
-				return
-			}
-			if st.Kind == StepProbeN {
+			// Storage owns the access path: the span, the bound, the bucket
+			// routing of a key and the filtered scan where no index answers.
+			switch st.Kind {
+			case StepProbe:
+				rel.ScanKey(lo, hi, below, []int{st.ProbeCol}, []storage.Value{st.ProbeKey.resolve(bind)}, visit)
+			case StepProbeN:
 				vals := make([]storage.Value, len(st.ProbeKeys))
 				for ki, k := range st.ProbeKeys {
 					vals[ki] = k.resolve(bind)
 				}
-				rows, ok := rel.ProbeComposite(st.ProbeCols, vals)
-				if !ok {
-					// No composite index registered: filtered scan.
-					rel.EachBelow(below, func(row []storage.Value) bool {
-						if stop() {
-							return false
-						}
-						for ci, c := range st.ProbeCols {
-							if row[c] != vals[ci] {
-								return true
-							}
-						}
-						match(row)
-						return true
-					})
-					return
-				}
-				for ri := rows.First(); ri >= 0 && int(ri) < below; ri = rows.Next(ri) {
-					if stop() {
-						return
-					}
-					match(rel.Row(ri))
-				}
-				return
+				rel.ScanKey(lo, hi, below, st.ProbeCols, vals, visit)
+			default:
+				rel.Scan(lo, hi, below, visit)
 			}
-			rel.EachBelow(below, func(row []storage.Value) bool {
-				if stop() {
-					return false
-				}
-				match(row)
-				return true
-			})
 
 		case StepNegCheck, StepMember:
 			// Never Old: a negated atom is in a lower stratum, and a

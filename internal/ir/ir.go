@@ -28,9 +28,9 @@ import (
 // Old is a row bound on Derived, not a relation of its own
 // (storage.PredicateDB.OldBound): where δ is a view of Derived's newest rows,
 // Old is the rows before it; anywhere else it is all of Derived, which only
-// derives some matches twice. Every sequential executor honors the bound;
-// lambda's shard units read Derived for SrcOld, as does any δ that is
-// physical, so sharded runs read Full throughout.
+// derives some matches twice. Every executor honors the bound, lambda's pool
+// task units included; a physical δ is never such a view, so sharded runs
+// read Full throughout.
 type Source uint8
 
 const (

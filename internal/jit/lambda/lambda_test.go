@@ -209,3 +209,50 @@ func TestCompilePlanEnsuresDeltaIndexes(t *testing.T) {
 		}
 	}
 }
+
+// TestUnitsTakeTheInterpretersFrame: a unit's frame comes from the invoking
+// interpreter — one, grown to the largest unit it ran — so once an
+// interpreter has run a unit, invoking it or the task unit of the same rule
+// again allocates nothing (every emit below is a duplicate).
+func TestUnitsTakeTheInterpretersFrame(t *testing.T) {
+	cat, root := lowerSrc(t, tcSrc)
+	all, err := Compiler{}.Compile(root, cat, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := interp.New(cat, nil)
+	if err := all(in); err != nil {
+		t.Fatal(err)
+	}
+	var base *ir.UnionRuleOp
+	ir.Walk(root, func(o ir.Op) {
+		if r, ok := o.(*ir.UnionRuleOp); ok && base == nil && r.Subqueries[0].DeltaAtom() < 0 {
+			base = r
+		}
+	})
+	unit, err := Compiler{}.Compile(base, cat, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := Compiler{}.CompileShard(base, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := in.Frame
+	if a := testing.AllocsPerRun(20, func() {
+		if err := unit(in); err != nil {
+			t.Fatal(err)
+		}
+		if err := task(in, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("a unit invocation allocates %.1f times, want 0", a)
+	}
+	if f == nil || in.Frame != f {
+		t.Error("the units did not run in the interpreter's one frame")
+	}
+	if in.Stats.Matches == 0 || in.Stats.Derivations != 6 {
+		t.Fatalf("stats wrong: %+v", in.Stats)
+	}
+}

@@ -1,26 +1,25 @@
-// Span-parameterized compilation over the physical bucket store: a
-// ShardUnit is the compiled body of one rule's parallel task, invoked by
-// the fixpoint driver's pool workers with the same contiguous bucket spans
-// chooseFanout hands the interpreted tasks. Unlike the sequential units of
-// CompilePlan — whose scratch buffers are allocated at compile time because
-// they run on the single interpreter goroutine — shard units thread every
-// piece of mutable state through a per-invocation frame, so distinct
-// workers can run the same unit over disjoint spans concurrently.
+// The step combinators: one frame-threaded chain per subquery serves both
+// ways a compiled subquery runs. A sequential unit (CompilePlan) invokes it
+// unrestricted; a ShardUnit is the compiled body of one rule's parallel task,
+// invoked by the fixpoint driver's pool workers with the same contiguous
+// bucket spans chooseFanout hands the interpreted tasks. The chains close
+// over immutable step descriptors only: everything an invocation mutates
+// lives in the frame of the invoking interpreter, so distinct workers can run
+// the same unit over disjoint spans concurrently.
 //
-// The compiled read surface is bucket-local: physically sharded relations
-// (storage.SetShardKeyPhysical) are iterated through their PhysSubs
-// sub-relations — per-bucket arenas, per-bucket hash indexes, and, for a
-// probe on the shard key column, routing to exactly one bucket — while the
-// delta step's span restriction narrows the iteration to the task's bucket
-// range instead of hashing every row. Derivations flow through
-// interp.Interp.DerivationSink: under the parallel pool that is the
+// Every relational step reads through storage's one read surface
+// (storage.Relation.Scan, ScanKey) with the bucket span of the task — on the
+// subquery's delta read only — and the row bound of its source
+// (interp.SourceRel): a flat relation honours the bound, so Old reads Derived
+// less δ like every other executor; a physical one the span, with the shard
+// key routing and the filtered-scan fallback inside storage. Derivations flow
+// through interp.Interp.DerivationSink: under the parallel pool that is the
 // worker's private append-only list, folded by the merge barrier through the
-// sink's PredicateDB.Emit; standalone invocations emit directly.
+// sink's PredicateDB.Emit; elsewhere the emit is the counted Emit itself.
 package lambda
 
 import (
 	"fmt"
-	"sync"
 
 	"carac/internal/ast"
 	"carac/internal/eval"
@@ -31,7 +30,7 @@ import (
 
 // CompileShard compiles a rule subtree (UnionRuleOp, or a single SPJOp)
 // into a span-parameterized interp.ShardUnit. Atom orders and probe
-// selections freeze at compile time, exactly like CompileSPJ; the bucket
+// selections freeze at compile time, exactly like CompilePlan; the bucket
 // restriction and the storage layout are resolved per invocation, so one
 // unit stays valid across SwapClear's relation exchanges, ClearRetain, and
 // partition-mode transitions. Aggregation rules are rejected: a
@@ -56,140 +55,208 @@ func (c Compiler) CompileShard(op ir.Op, cat *storage.Catalog) (interp.ShardUnit
 			return nil
 		}, nil
 	case *ir.SPJOp:
-		return compileShardSPJ(n, cat)
+		if n.Agg.Kind != ast.AggNone {
+			return nil, fmt.Errorf("lambda: aggregation subquery is not shard-compilable (per-span partial groups)")
+		}
+		plan, err := interp.BuildPlan(n, cat)
+		if err != nil {
+			return nil, err
+		}
+		return stitch(plan).run, nil
 	}
 	return nil, fmt.Errorf("lambda: cannot shard-compile %T", op)
 }
 
-// sframe is the per-invocation register file of a shard unit. Compiled step
-// chains close over immutable descriptors only; everything a concurrent
-// invocation mutates lives here. Frames recycle through the unit's pool.
-type sframe struct {
+// frame is the register file of one unit invocation. An interpreter keeps
+// one (interp.Interp.Frame), grown to the largest unit it ran: a unit runs
+// to completion before the next one starts on the same interpreter, and each
+// pool worker's sub-interpreter has its own.
+type frame struct {
 	in   *interp.Interp
 	bind []storage.Value
 	buf  []storage.Value // emit/negation/builtin tuple scratch
-	vals []storage.Value // composite probe key scratch
+	keys []storage.Value // probe key scratch, one segment per nested probe
 
-	// Task restriction, installed by the unit entry point: read only
-	// buckets [shard, shard+span) of the delta's total-way physical
-	// partition. span 0 means unrestricted.
-	shard, span, total int
+	// lo, hi is the bucket span of the subquery's delta read: the task's
+	// span, or every bucket.
+	lo, hi int
 
-	// The sink, resolved per invocation: its predicate and the list the
-	// emit appends to (nil outside the pool).
-	sinkPD   *storage.PredicateDB
-	sinkList *interp.RowList
+	// The sink, resolved per invocation: its predicate, the list the emit
+	// appends to (nil outside the pool), and the groups of an aggregating
+	// chain's collecting emit.
+	sink *storage.PredicateDB
+	list *interp.RowList
+	agg  *eval.Aggregator
 }
 
-// restricted reports whether the frame carries an active span restriction.
-func (f *sframe) restricted() bool { return f.span > 0 && f.total > 1 }
-
-// sstep is one combinator of a shard unit's step chain.
-type sstep func(f *sframe)
-
-// compileShardSPJ freezes one subquery into a frame-threaded combinator
-// chain with its delta read span-parameterized.
-func compileShardSPJ(spj *ir.SPJOp, cat *storage.Catalog) (interp.ShardUnit, error) {
-	if spj.Agg.Kind != ast.AggNone {
-		return nil, fmt.Errorf("lambda: aggregation subquery is not shard-compilable (per-span partial groups)")
+// frameOf returns in's frame with numVars zeroed bindings.
+func frameOf(in *interp.Interp, numVars int) *frame {
+	f, _ := in.Frame.(*frame)
+	if f == nil {
+		f = &frame{in: in}
+		in.Frame = f
 	}
-	plan, err := interp.BuildPlan(spj, cat)
-	if err != nil {
-		return nil, err
+	if cap(f.bind) < numVars {
+		f.bind = make([]storage.Value, numVars)
 	}
-	// The restriction applies to the subquery's delta read: the first
-	// relational step sourcing SrcDelta (semi-naive lowering gives each
-	// subquery at most one) — mirroring the interpreter's applyShard.
-	deltaStep := -1
+	f.bind = f.bind[:numVars]
+	clear(f.bind)
+	return f
+}
+
+// span returns the bucket range a step reads: the frame's on the delta read,
+// every bucket otherwise.
+func (f *frame) span(delta bool) (lo, hi int) {
+	if delta {
+		return f.lo, f.hi
+	}
+	return 0, storage.AllBuckets
+}
+
+// emit writes one head tuple to the frame's sink. Under the parallel pool
+// the frame holds a worker list: the emit applies the set difference against
+// the iteration-frozen Derived (a read-only row-table lookup) and appends the
+// survivor through the list's repeat filter — safe because each worker owns
+// its lists outright — for the merge barrier to fold through the sink's Emit,
+// the only exact deduplication. Without a list it is the counted Emit.
+func (f *frame) emit(t []storage.Value) {
+	f.in.Stats.Matches++
+	if f.list != nil {
+		if !f.sink.Derived.Contains(t) {
+			f.list.AppendNew(t)
+		}
+		return
+	}
+	if f.sink.Emit(t) {
+		f.in.Stats.Derivations++
+	}
+}
+
+// step is one combinator of a chain.
+type step func(f *frame)
+
+// chain is one subquery's stitched combinators and what an invocation needs
+// to set up their frame.
+type chain struct {
+	plan  *interp.Plan
+	first step
+	// delta is the step index of the subquery's delta read, the one a task's
+	// span restricts: the first relational step sourcing SrcDelta (semi-naive
+	// lowering gives each subquery at most one), mirroring the interpreter's
+	// applyShard; -1 when there is none.
+	delta int
+}
+
+// stitch binds the plan's step combinators to their continuations — the
+// paper's "stitching" of higher-order functions — ending in the emit, or in
+// the collecting emit of an aggregating plan.
+func stitch(plan *interp.Plan) *chain {
+	c := &chain{plan: plan, delta: -1}
 	for i := range plan.Steps {
 		st := &plan.Steps[i]
-		if st.Src != ir.SrcDelta {
-			continue
-		}
-		if st.Kind == interp.StepScan || st.Kind == interp.StepProbe || st.Kind == interp.StepProbeN {
-			deltaStep = i
+		if st.Src == ir.SrcDelta && (st.Kind == interp.StepScan || st.Kind == interp.StepProbe || st.Kind == interp.StepProbeN) {
+			c.delta = i
 			break
 		}
 	}
-	chain := compileShardEmit(plan)
-	for i := len(plan.Steps) - 1; i >= 0; i-- {
-		chain = compileShardStep(&plan.Steps[i], chain, i == 0, i == deltaStep)
-	}
-	hasDelta := deltaStep >= 0
-	var deltaPred storage.PredID
-	if hasDelta {
-		deltaPred = plan.Steps[deltaStep].Pred
-	}
-	numVars := plan.NumVars
-	pool := &sync.Pool{New: func() any {
-		return &sframe{
-			bind: make([]storage.Value, numVars),
-			buf:  make([]storage.Value, 0, 16),
-			vals: make([]storage.Value, 0, 8),
+	if plan.Agg.Kind == ast.AggNone {
+		c.first = func(f *frame) { f.emit(f.project(plan.Head)) }
+	} else {
+		c.first = func(f *frame) {
+			var v storage.Value
+			if plan.Agg.Kind != ast.AggCount {
+				v = f.bind[plan.Agg.OverVar]
+			}
+			f.agg.Add(f.project(plan.Head), v)
 		}
-	}}
-	return func(in *interp.Interp, shard, span, total int) error {
-		restricted := span > 0 && total > 1
-		if restricted && !hasDelta && shard != 0 {
+	}
+	for i := len(plan.Steps) - 1; i >= 0; i-- {
+		c.first = combinator(&plan.Steps[i], c.first, i == 0, i == c.delta)
+	}
+	return c
+}
+
+// run invokes the chain with its delta read restricted to buckets
+// [shard, shard+span) of a total-way partition; span <= 0 or total <= 1
+// reads every bucket. It is the interp.ShardUnit of one subquery.
+func (c *chain) run(in *interp.Interp, shard, span, total int) error {
+	f := frameOf(in, c.plan.NumVars)
+	f.lo, f.hi = 0, storage.AllBuckets
+	if span > 0 && total > 1 {
+		if c.delta < 0 {
 			// Whole-relation subqueries are not span-divisible; the first
 			// task runs them alone so the fan-out neither duplicates nor
 			// drops them (the interpreter's shardSkip rule).
-			return nil
-		}
-		if restricted && hasDelta {
+			if shard != 0 {
+				return nil
+			}
+		} else {
 			// Empty-span fast-out, mirroring the interpreter's shardSkip:
 			// an O(span) bucket-length test skips the whole chain — without
 			// it a skewed partition pays the unit's outer scans on every
 			// empty task. Uncounted in SPJRuns, like the interpreted skip.
-			rel := in.Cat.Pred(deltaPred).DeltaKnown
+			rel := in.Cat.Pred(c.plan.Steps[c.delta].Pred).DeltaKnown
 			rel.CheckShards(total)
 			empty := true
-			for s := shard; s < shard+span; s++ {
-				if rel.ShardLen(s) > 0 {
-					empty = false
-					break
-				}
+			for s := shard; s < shard+span && empty; s++ {
+				empty = rel.ShardLen(s) == 0
 			}
 			if empty {
 				return nil
 			}
+			f.lo, f.hi = shard, shard+span
 		}
-		in.Stats.SPJRuns++
-		f := pool.Get().(*sframe)
-		f.in = in
-		f.sinkPD, f.sinkList = in.Cat.Pred(plan.Sink), in.DerivationSink(plan.Sink)
-		for i := range f.bind {
-			f.bind[i] = 0
-		}
-		if restricted {
-			f.shard, f.span, f.total = shard, span, total
-		} else {
-			f.shard, f.span, f.total = 0, 0, 0
-		}
-		chain(f)
-		f.in, f.sinkPD, f.sinkList = nil, nil, nil
-		pool.Put(f)
-		if in.Cancelled() {
-			return interp.ErrCancelled
-		}
-		return nil
-	}, nil
+	}
+	in.Stats.SPJRuns++
+	if cap(f.buf) < len(c.plan.Head) {
+		f.buf = make([]storage.Value, len(c.plan.Head))
+	}
+	f.sink, f.list = in.Cat.Pred(c.plan.Sink), in.DerivationSink(c.plan.Sink)
+	if a := c.plan.Agg; a.Kind != ast.AggNone {
+		f.agg = eval.NewAggregator(a.Kind, len(c.plan.Head), a.HeadPos)
+	}
+	c.first(f)
+	// A cancelled body was abandoned mid-scan: its groups are partial, and
+	// a partial aggregate is a wrong fact, not an early one.
+	cancelled := in.Cancelled()
+	if f.agg != nil && !cancelled {
+		f.agg.Emit(f.emit)
+	}
+	f.sink, f.list, f.agg = nil, nil, nil
+	if cancelled {
+		return interp.ErrCancelled
+	}
+	return nil
 }
 
-// compileShardStep selects the frame-threaded combinator for one step.
-// delta marks the subquery's restricted delta read.
-func compileShardStep(st *interp.Step, next sstep, outermost, delta bool) sstep {
+// project writes the head tuple under the frame's bindings to its tuple
+// scratch, which run sized for the head.
+func (f *frame) project(head []ir.ProjElem) []storage.Value {
+	t, bind := f.buf[:len(head)], f.bind
+	for i, h := range head {
+		if h.IsConst {
+			t[i] = h.Const
+		} else {
+			t[i] = bind[h.Var]
+		}
+	}
+	return t
+}
+
+// combinator selects the precompiled combinator for one step and binds it to
+// the continuation. delta marks the subquery's delta read. The combinators
+// close over st, an element of the chain's plan, which stays immutable while
+// the unit lives: a compiled unit keeps a closure or two per step, no copies.
+func combinator(st *interp.Step, next step, outermost, delta bool) step {
 	switch st.Kind {
 	case interp.StepScan, interp.StepProbe, interp.StepProbeN:
-		return compileShardRelStep(st, next, outermost, delta)
+		return read(st, next, outermost, delta)
 
 	case interp.StepNegCheck:
-		pred, src := st.Pred, st.Src
-		tmpl := st.Tmpl
-		return func(f *sframe) {
-			rel, _ := interp.SourceRel(f.in.Cat, pred, src) // a negated atom is never Old
+		return func(f *frame) {
+			rel, _ := interp.SourceRel(f.in.Cat, st.Pred, st.Src) // a negated atom is never Old
 			f.buf = f.buf[:0]
-			for _, tm := range tmpl {
+			for _, tm := range st.Tmpl {
 				f.buf = append(f.buf, resolveTmpl(tm, f.bind))
 			}
 			if !rel.Contains(f.buf) {
@@ -198,32 +265,28 @@ func compileShardStep(st *interp.Step, next sstep, outermost, delta bool) sstep 
 		}
 
 	case interp.StepBuiltin:
-		b := st.Builtin
-		args := st.Args
-		out := st.Out
-		outVar := st.OutVar
-		if out < 0 {
-			return func(f *sframe) {
+		if st.Out < 0 {
+			return func(f *frame) {
 				f.buf = f.buf[:0]
-				for _, a := range args {
+				for _, a := range st.Args {
 					f.buf = append(f.buf, resolveTmpl(a, f.bind))
 				}
-				if eval.Check(b, f.buf) {
+				if eval.Check(st.Builtin, f.buf) {
 					next(f)
 				}
 			}
 		}
-		return func(f *sframe) {
+		return func(f *frame) {
 			f.buf = f.buf[:0]
-			for i, a := range args {
-				if i == out {
+			for i, a := range st.Args {
+				if i == st.Out {
 					f.buf = append(f.buf, 0)
 					continue
 				}
 				f.buf = append(f.buf, resolveTmpl(a, f.bind))
 			}
-			if v, ok := eval.Solve(b, f.buf, out); ok {
-				f.bind[outVar] = v
+			if v, ok := eval.Solve(st.Builtin, f.buf, st.Out); ok {
+				f.bind[st.OutVar] = v
 				next(f)
 			}
 		}
@@ -231,35 +294,23 @@ func compileShardStep(st *interp.Step, next sstep, outermost, delta bool) sstep 
 	return next
 }
 
-// compileShardRelStep compiles a relational step over the bucket-local read
-// surface: physical relations iterate their PhysSubs sub-relations (bucket
-// indexes, key-column probe routing, the task's span on the restricted delta
-// read), flat ones their one arena — the same decisions Plan.Execute makes,
-// frozen into combinators. The unit's entry point has checked that a
-// restricted delta read has the task's partition
-// (storage.Relation.CheckShards). It ignores the row bound of SourceRel and
-// reads Full for Old (ir.SrcOld): a sharded run's δ is physical and never a
-// view of Derived, so Old is all of Derived there anyway.
-func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sstep {
-	pred, src := st.Pred, st.Src
-	checks := st.Checks
-	binds := st.Binds
-	kind := st.Kind
-	probeCol := st.ProbeCol
-	probeKey := st.ProbeKey
-	probeCols := st.ProbeCols
-	probeKeys := st.ProbeKeys
-
+// read compiles a relational step: a scan, or a keyed read on the probe
+// column(s), of the relation and row bound its source resolves to at each
+// invocation, over the frame's bucket span when it is the delta read. The
+// outermost scan polls cancellation per row so runaway products abort
+// (benchmark DNF timeouts).
+func read(st *interp.Step, next step, outermost, delta bool) step {
 	// match applies the step's residual checks and binds, then descends.
-	match := func(f *sframe, row []storage.Value) {
-		for _, ck := range checks {
+	match := func(f *frame, row []storage.Value) {
+		bind := f.bind
+		for _, ck := range st.Checks {
 			switch ck.Mode {
 			case interp.CheckConst:
 				if row[ck.Col] != ck.Const {
 					return
 				}
 			case interp.CheckVar:
-				if row[ck.Col] != f.bind[ck.Var] {
+				if row[ck.Col] != bind[ck.Var] {
 					return
 				}
 			case interp.CheckSameRow:
@@ -268,106 +319,54 @@ func compileShardRelStep(st *interp.Step, next sstep, outermost, delta bool) sst
 				}
 			}
 		}
-		for _, b := range binds {
-			f.bind[b.Var] = row[b.Col]
+		for _, b := range st.Binds {
+			bind[b.Var] = row[b.Col]
 		}
 		next(f)
 	}
 
-	// span resolves the bucket range the step reads: the task's span on the
-	// restricted delta read, every bucket otherwise. The range surfaces
-	// (EachShardRange, EachShardRangeProbe*) ignore it on a flat relation.
-	span := func(f *sframe, rel *storage.Relation) (lo, hi int) {
-		if delta && f.restricted() {
-			return f.shard, f.shard + f.span
+	switch st.Kind {
+	case interp.StepScan:
+		return func(f *frame) {
+			rel, below := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
+			lo, hi := f.span(delta)
+			rel.Scan(lo, hi, below, func(row []storage.Value) bool {
+				if outermost && f.in.Cancelled() {
+					return false
+				}
+				match(f, row)
+				return true
+			})
 		}
-		return 0, len(rel.PhysSubs())
-	}
 
-	switch kind {
 	case interp.StepProbe:
-		return func(f *sframe) {
-			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
-			k := resolveTmpl(probeKey, f.bind)
-			// A probe on the shard key column routes to exactly one bucket's
-			// index; a bucket outside the task's span holds nothing this
-			// task may emit, hence the intersection.
-			lo, hi := span(f, rel)
-			plo, phi := rel.ProbeSpan(probeCol, k)
-			rel.EachShardRangeProbe(max(lo, plo), min(hi, phi), probeCol, k, func(row []storage.Value) bool {
-				match(f, row)
-				return true
-			})
-		}
-
-	case interp.StepProbeN:
-		return func(f *sframe) {
-			rel, _ := interp.SourceRel(f.in.Cat, pred, src)
-			// Stack discipline on the shared key scratch: this step's keys
-			// live past the descent into inner steps (the probe visits run
-			// per outer row), so inner ProbeN steps append after this
-			// segment and the segment is popped when the iteration finishes.
-			base := len(f.vals)
-			for _, k := range probeKeys {
-				f.vals = append(f.vals, resolveTmpl(k, f.bind))
-			}
-			defer func() { f.vals = f.vals[:base] }()
-			vals := f.vals[base : base+len(probeKeys)]
-			// A composite probe covering the shard key column routes to one
-			// bucket, like the single-column case.
-			lo, hi := span(f, rel)
-			plo, phi := rel.ProbeSpanComposite(probeCols, vals)
-			rel.EachShardRangeProbeComposite(max(lo, plo), min(hi, phi), probeCols, vals, func(row []storage.Value) bool {
+		// The join probe of nearly every rule: its key lives on the stack.
+		return func(f *frame) {
+			rel, below := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
+			lo, hi := f.span(delta)
+			key := []storage.Value{resolveTmpl(st.ProbeKey, f.bind)}
+			rel.ScanKey(lo, hi, below, []int{st.ProbeCol}, key, func(row []storage.Value) bool {
 				match(f, row)
 				return true
 			})
 		}
 	}
 
-	// StepScan. The outermost loop polls cancellation per row so runaway
-	// products abort (benchmark DNF timeouts), like the sequential backend.
-	return func(f *sframe) {
-		rel, _ := interp.SourceRel(f.in.Cat, pred, src)
-		lo, hi := span(f, rel)
-		rel.EachShardRange(lo, hi, func(row []storage.Value) bool {
-			if outermost && f.in.Cancelled() {
-				return false
-			}
+	return func(f *frame) {
+		rel, below := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
+		lo, hi := f.span(delta)
+		// Stack discipline on the frame's key scratch: this step's keys live
+		// past the descent into inner steps (the visits run per outer row),
+		// so inner probes append after this segment, and it is popped when
+		// the read finishes.
+		base := len(f.keys)
+		for _, k := range st.ProbeKeys {
+			f.keys = append(f.keys, resolveTmpl(k, f.bind))
+		}
+		rel.ScanKey(lo, hi, below, st.ProbeCols, f.keys[base:], func(row []storage.Value) bool {
 			match(f, row)
 			return true
 		})
-	}
-}
-
-// compileShardEmit compiles the head projection and sink write. Under the
-// parallel pool the frame holds a worker list (the interpreter's
-// DerivationSink): the emit applies the set difference against the
-// iteration-frozen Derived (a read-only row-table lookup) and appends the
-// survivor through the list's repeat filter — safe because each worker owns
-// its lists outright — for the merge barrier to fold through the sink's Emit,
-// the only exact deduplication. Without a list (standalone execution) it is
-// the counted Emit itself.
-func compileShardEmit(plan *interp.Plan) sstep {
-	head := plan.Head
-	return func(f *sframe) {
-		f.buf = f.buf[:0]
-		for _, h := range head {
-			if h.IsConst {
-				f.buf = append(f.buf, h.Const)
-			} else {
-				f.buf = append(f.buf, f.bind[h.Var])
-			}
-		}
-		f.in.Stats.Matches++
-		pd := f.sinkPD
-		if buf := f.sinkList; buf != nil {
-			if !pd.Derived.Contains(f.buf) {
-				buf.AppendNew(f.buf)
-			}
-			return
-		}
-		if pd.Emit(f.buf) {
-			f.in.Stats.Derivations++
-		}
+		f.keys = f.keys[:base]
 	}
 }

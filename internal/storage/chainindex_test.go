@@ -95,7 +95,7 @@ func (m *tableModel) checkIndexes() {
 			}
 		}
 	}
-	subs := r.PhysSubs()
+	subs := r.subs
 	shards, shardCol := r.ShardConfig()
 	for _, cols := range m.sets {
 		if r.indexOn(cols) == nil {
@@ -128,25 +128,56 @@ func (m *tableModel) checkIndexes() {
 			}
 		}
 	}
-	// The routed surface, whatever the layout: the rows of a key in the
-	// relation's own order.
+	// The read surface, whatever the layout, under a random row bound and
+	// bucket span: the rows a brute-force filter of the relation's own order
+	// admits.
+	rng := rand.New(rand.NewSource(int64(m.step)))
 	for _, cols := range m.sets {
 		for _, probe := range m.rows[:min(len(m.rows), 6)] {
-			vals := project(probe, cols)
-			var want, got [][]Value
-			for _, row := range m.rows {
-				if slices.Equal(project(row, cols), vals) {
-					want = append(want, row)
-				}
-			}
-			r.EachProbeComposite(cols, vals, func(row []Value) bool {
-				got = append(got, slices.Clone(row))
-				return true
-			})
-			if !reflect.DeepEqual(got, want) {
-				m.fail("EachProbeComposite(%v, %v) = %v, want %v", cols, vals, got, want)
-			}
+			m.checkRead(rng, cols, project(probe, cols))
 		}
+	}
+	m.checkRead(rng, nil, nil)
+}
+
+// checkRead holds one Scan (cols nil) or ScanKey of the model's relation,
+// under a random row bound and bucket span, to a brute-force filter of the
+// expected rows: a flat relation admits the rows below the bound, a physical
+// one those of the span's buckets.
+func (m *tableModel) checkRead(rng *rand.Rand, cols []int, vals []Value) {
+	m.t.Helper()
+	r := m.r
+	n := AllRows
+	if rng.Intn(3) > 0 {
+		n = rng.Intn(len(m.rows) + 2)
+	}
+	shards, shardCol := r.ShardConfig()
+	lo, hi := rng.Intn(shards+2), AllBuckets
+	if rng.Intn(3) > 0 {
+		hi = lo + rng.Intn(shards+2)
+	}
+	var want, got [][]Value
+	for i, row := range m.rows {
+		admitted := i < n
+		if shards > 0 {
+			b := ShardOf(row[shardCol], shards)
+			admitted = b >= lo && b < hi
+		}
+		if admitted && coversKey(row, cols, vals) {
+			want = append(want, row)
+		}
+	}
+	visit := func(row []Value) bool {
+		got = append(got, slices.Clone(row))
+		return true
+	}
+	if cols == nil {
+		r.Scan(lo, hi, n, visit)
+	} else {
+		r.ScanKey(lo, hi, n, cols, vals, visit)
+	}
+	if !reflect.DeepEqual(got, want) {
+		m.fail("read of %v = %v over buckets [%d, %d) below row %d = %v, want %v", cols, vals, lo, hi, n, got, want)
 	}
 }
 
@@ -309,7 +340,7 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 		for si, cols := range sets {
 			if w := unlinked[r][si]; w != nil {
 				vals := project(w, cols)
-				if !panics(func() { r.EachProbeComposite(cols, vals, func([]Value) bool { return true }) }) {
+				if !panics(func() { r.ScanKey(0, AllBuckets, AllRows, cols, vals, func([]Value) bool { return true }) }) {
 					fail("%s: a probe of %v on %v before EnsureIndex did not panic", r.name, vals, cols)
 				}
 				if len(cols) == 1 && r.DistinctCount(cols[0]) != -1 {
@@ -325,12 +356,12 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 			for _, k := range keys {
 				vals := project(k, cols)
 				var got, want [][]Value
-				r.EachProbeComposite(cols, vals, func(row []Value) bool { got = append(got, slices.Clone(row)); return true })
-				tw.EachProbeComposite(cols, vals, func(row []Value) bool { want = append(want, slices.Clone(row)); return true })
+				r.ScanKey(0, AllBuckets, AllRows, cols, vals, func(row []Value) bool { got = append(got, slices.Clone(row)); return true })
+				tw.ScanKey(0, AllBuckets, AllRows, cols, vals, func(row []Value) bool { want = append(want, slices.Clone(row)); return true })
 				if !reflect.DeepEqual(got, want) {
-					fail("%s: EachProbeComposite(%v, %v) = %v, twin %v", r.name, cols, vals, got, want)
+					fail("%s: ScanKey(%v, %v) = %v, twin %v", r.name, cols, vals, got, want)
 				}
-				if r.PhysSubs() == nil {
+				if r.subs == nil {
 					a, _ := probeCompositeRows(r, cols, vals)
 					b, _ := probeCompositeRows(tw, cols, vals)
 					if !slices.Equal(a, b) {
@@ -441,7 +472,7 @@ func TestConcurrentProbeFrozen(t *testing.T) {
 				defer wg.Done()
 				for k := 0; k < 2*keys; k++ {
 					n := 0
-					r.EachProbe(0, Value(k), func(row []Value) bool { n++; return row[0] == Value(k) })
+					r.ScanKey(0, AllBuckets, AllRows, []int{0}, []Value{Value(k)}, func(row []Value) bool { n++; return row[0] == Value(k) })
 					want := 0
 					if k < keys {
 						want = (rows - k + keys - 1) / keys
@@ -450,7 +481,7 @@ func TestConcurrentProbeFrozen(t *testing.T) {
 						bad[g]++
 					}
 					n = 0
-					r.EachProbeComposite([]int{0, 1}, []Value{Value(k), Value(k % 3)}, func([]Value) bool { n++; return true })
+					r.ScanKey(0, AllBuckets, AllRows, []int{0, 1}, []Value{Value(k), Value(k % 3)}, func([]Value) bool { n++; return true })
 					if (n > 0) != (k < keys) {
 						bad[g]++
 					}
@@ -535,11 +566,12 @@ func TestChainIndexAllocations(t *testing.T) {
 	hits := 0
 	count := func([]Value) bool { hits++; return true }
 	cols, vals := []int{0, 2}, []Value{3, 3}
+	col, val := []int{1}, []Value{3}
 	if a := testing.AllocsPerRun(100, func() {
 		r.Probe(1, 3)
 		r.ProbeComposite(cols, vals)
-		r.EachProbe(1, 3, count)
-		r.EachProbeComposite(cols, vals, count)
+		r.ScanKey(0, AllBuckets, AllRows, col, val, count)
+		r.ScanKey(0, AllBuckets, AllRows, cols, vals, count)
 	}); a != 0 || hits == 0 {
 		t.Errorf("probing allocates %.2f times (%d hits), want 0", a, hits)
 	}

@@ -86,7 +86,7 @@ func TestCountsAcrossLayouts(t *testing.T) {
 				t.Fatalf("histogram total %d != Len %d", h.Total, r.Len())
 			}
 			found := 0
-			r.EachProbe(0, 5, func(row []Value) bool { found++; return true })
+			r.ScanKey(0, AllBuckets, AllRows, []int{0}, []Value{5}, func(row []Value) bool { found++; return true })
 			if found != 1 {
 				t.Fatalf("probe after delete found %d rows, want 1", found)
 			}

@@ -125,7 +125,7 @@ func (p *PredicateDB) SeedAll() {
 func (p *PredicateDB) NewLen() int { return p.DeltaNew.Len() + p.DeltaNew.owed }
 
 // OldBound returns the row bound of Old, Derived less δ (ir.SrcOld): Old is
-// Derived's rows below it (Relation.EachBelow). Where δ is the view of
+// Derived's rows below it (Relation.Scan, ScanKey). Where δ is the view of
 // Derived's newest rows that SwapClear lends it, the bound is the row the
 // view starts at, so Old is exact; after SeedAll that is row 0, and Old is
 // empty. Anywhere else — a δ that holds rows of its own (Seed, a physical δ,
@@ -397,8 +397,8 @@ func (c *Catalog) DropStaged() {
 // ConfigureShardsPhysical partitions every predicate's delta pair into n
 // buckets (SetShardsPhysical), keyed by the predicate's entry in keyCols (its
 // planned join key; column 0 when absent). Every execution engine reads the
-// bucket-local surface (Relation.PhysSubs / EachShardRange). n < 2 removes
-// all partitions.
+// buckets through Relation.Scan and ScanKey, a pool task over its bucket
+// span. n < 2 removes all partitions.
 func (c *Catalog) ConfigureShardsPhysical(n int, keyCols map[PredID]int) {
 	for _, p := range c.preds {
 		col := keyCols[p.ID]

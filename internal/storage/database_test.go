@@ -177,10 +177,10 @@ func TestPredicateDBIndexesOnAllThree(t *testing.T) {
 		}
 		visit := func([]Value) bool { return true }
 		for name, probe := range map[string]func(){
-			"Probe":              func() { rel.Probe(0, 1) },
-			"ProbeComposite":     func() { rel.ProbeComposite(comp, []Value{1, 5}) },
-			"EachProbe":          func() { rel.EachProbe(0, 1, visit) },
-			"EachProbeComposite": func() { rel.EachProbeComposite(comp, []Value{1, 5}, visit) },
+			"Probe":             func() { rel.Probe(0, 1) },
+			"ProbeComposite":    func() { rel.ProbeComposite(comp, []Value{1, 5}) },
+			"ScanKey":           func() { rel.ScanKey(0, AllBuckets, AllRows, []int{0}, []Value{1}, visit) },
+			"ScanKey composite": func() { rel.ScanKey(0, AllBuckets, AllRows, comp, []Value{1, 5}, visit) },
 		} {
 			if !panics(probe) {
 				t.Errorf("%s: %s before EnsureIndex did not panic", rel.Name(), name)

@@ -120,7 +120,7 @@ func TestPinRowsView(t *testing.T) {
 		r.Insert([]Value{Value(i), Value(i)})
 	}
 	p.SetShardsPhysical(4, 0)
-	if r.PhysSubs() != nil {
+	if r.subs != nil {
 		t.Fatal("sharding partitioned Derived")
 	}
 	view := r.PinRows()

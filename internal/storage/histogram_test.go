@@ -130,7 +130,7 @@ func TestHistogramModeTransitions(t *testing.T) {
 	// Each bucket's histogram recounts that bucket alone, and the bucket
 	// totals sum to the whole.
 	var per uint64
-	for s, sub := range r.PhysSubs() {
+	for s, sub := range r.subs {
 		histCheck(t, fmt.Sprintf("bucket %d", s), sub, 1)
 		h, _ := sub.HistogramOf(1)
 		per += h.Total

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file implements hash-shard partitioning. A relation has one of two
 // layouts:
@@ -197,101 +200,75 @@ func (r *Relation) CheckShards(shards int) {
 	}
 }
 
-// PhysSubs returns the per-bucket sub-relations of a physically sharded
-// relation, or nil on a flat one. Executors use it to serve scans and
-// probes bucket-locally (per-bucket row ids are meaningless to the parent).
-// Callers must not mutate the slice or insert through it.
-//
-// Sub-relation identity is stable for the lifetime of a physical
-// configuration: Clear, ClearRetain, and an idempotent re-registration of
-// the identical layout (the per-Run ConfigureShardsPhysical path) empty or
-// keep the existing sub-relations in place, never reallocate them, and the
-// parent struct carries its subs through SwapClear's pointer exchange.
-// Compiled units nonetheless resolve PhysSubs per invocation rather than
-// capturing the slice — a changed layout dissolves and rebuilds the
-// sub-relations, and resolving late is what keeps a cached unit valid
-// across partition-mode transitions (the unit fingerprint only pins the
-// bucket count its spans were sized for).
-func (r *Relation) PhysSubs() []*Relation { return r.subs }
+// AllBuckets is the bucket bound past every bucket (Scan, ScanKey).
+const AllBuckets = math.MaxInt32
 
-// ProbeSpan returns the sub-relation index range [lo, hi) a probe for
-// col == v must visit on a physically sharded relation: exactly the key's
-// bucket when col is the shard key column (rows with other keys cannot live
-// elsewhere), every bucket otherwise. The routing rule lives here so every
-// executor and compiled backend shares one implementation. Meaningless when
-// PhysSubs() is nil.
-func (r *Relation) ProbeSpan(col int, v Value) (lo, hi int) {
-	return r.ProbeSpanComposite([]int{col}, []Value{v})
-}
+// Scan and ScanKey are the read surface of a plan step: every executor and
+// compiled backend reads a relation through them, so the bucket routing and
+// the index-miss fallback live here once. Each takes a bucket span [lo, hi)
+// and a row bound n, and each layout honours the one that means something to
+// it: a flat relation visits its rows below n (Old's bound,
+// PredicateDB.OldBound; AllRows for all of them) and has no buckets; a
+// physical one visits its buckets in [lo, hi) (a pool task's share of a
+// delta; 0, AllBuckets for all of them), and its row ids are bucket-local,
+// so it has no bound.
 
-// ProbeSpanComposite is ProbeSpan for a composite probe: when any probed
-// column is the shard key column, its key routes to one bucket.
-func (r *Relation) ProbeSpanComposite(cols []int, vals []Value) (lo, hi int) {
+// Scan calls f for every row the span and the bound admit, in insertion
+// order (bucket-major on a physical relation), until f returns false.
+func (r *Relation) Scan(lo, hi, n int, f func(row []Value) bool) {
 	if r.subs == nil {
-		return 0, 0
+		r.scanBelow(n, f)
+		return
 	}
-	for ci, c := range cols {
-		if c == r.shardCol {
-			b := ShardOf(vals[ci], len(r.subs))
-			return b, b + 1
+	for _, sub := range r.buckets(lo, hi) {
+		if !sub.scanBelow(AllRows, f) {
+			return
 		}
 	}
-	return 0, len(r.subs)
 }
 
-// EachProbe visits every row with row[col] == v until f returns false,
-// through the best access path the relation's mode offers: the global hash
-// index (or a filtered scan when none is registered) on a flat
-// relation, per-bucket indexes routed by ProbeSpan on a
-// physical one. Every executor and compiled backend probes through this one
-// implementation, so the index-miss degradation and the bucket routing
-// cannot drift apart between engines. Like Probe, it panics on a registered
-// index that has not caught up with the rows (EnsureIndex).
-func (r *Relation) EachProbe(col int, v Value, f func(row []Value) bool) {
-	r.EachProbeCompositeBelow(AllRows, []int{col}, []Value{v}, f)
-}
-
-// EachProbeBelow is EachProbe over the rows below n (EachBelow): a flat
-// relation's chain walk stops at its first row past the bound, since chains
-// run in insertion order.
-func (r *Relation) EachProbeBelow(n, col int, v Value, f func(row []Value) bool) {
-	r.EachProbeCompositeBelow(n, []int{col}, []Value{v}, f)
-}
-
-// EachShardRangeProbe is EachProbe restricted to buckets [lo, hi) of a
-// physically sharded relation — the probe surface of a bucket-span task
-// (callers intersect ProbeSpan with their task span). On a flat
-// relation it falls back to the unrestricted EachProbe.
-func (r *Relation) EachShardRangeProbe(lo, hi, col int, v Value, f func(row []Value) bool) {
-	r.EachShardRangeProbeComposite(lo, hi, []int{col}, []Value{v}, f)
-}
-
-// EachProbeComposite is EachProbe for a composite key over cols/vals.
-func (r *Relation) EachProbeComposite(cols []int, vals []Value, f func(row []Value) bool) {
-	r.EachProbeCompositeBelow(AllRows, cols, vals, f)
-}
-
-// EachProbeCompositeBelow is EachProbeBelow for a composite key.
-func (r *Relation) EachProbeCompositeBelow(n int, cols []int, vals []Value, f func(row []Value) bool) {
+// ScanKey is Scan over the rows whose columns cols (ascending) equal vals.
+// A single-slab relation walks the key's chain when an index over exactly
+// cols is registered — chains run in insertion order, so the walk stops at
+// the bound — and scans filtering otherwise (ProbeMisses counts it). On a
+// physical relation a key on the shard key column routes to that key's one
+// bucket, and each bucket visited answers from its own index. Like Probe, it
+// panics on a registered index that has not caught up with the rows
+// (EnsureIndex).
+func (r *Relation) ScanKey(lo, hi, n int, cols []int, vals []Value, f func(row []Value) bool) {
 	if r.subs == nil {
 		r.eachWithKey(n, cols, vals, f)
 		return
 	}
-	lo, hi := r.ProbeSpanComposite(cols, vals)
-	r.EachShardRangeProbeComposite(lo, hi, cols, vals, f)
-}
-
-// EachShardRangeProbeComposite is EachShardRangeProbe for a composite key.
-func (r *Relation) EachShardRangeProbeComposite(lo, hi int, cols []int, vals []Value, f func(row []Value) bool) {
-	if r.subs == nil {
-		r.eachWithKey(AllRows, cols, vals, f)
-		return
+	for ci, c := range cols {
+		if c == r.shardCol {
+			b := ShardOf(vals[ci], len(r.subs))
+			lo, hi = max(lo, b), min(hi, b+1)
+			break
+		}
 	}
-	for s := lo; s < hi; s++ {
-		if !r.subs[s].eachWithKey(AllRows, cols, vals, f) {
+	for _, sub := range r.buckets(lo, hi) {
+		if !sub.eachWithKey(AllRows, cols, vals, f) {
 			return
 		}
 	}
+}
+
+// buckets returns the sub-relations of a physical relation in [lo, hi).
+func (r *Relation) buckets(lo, hi int) []*Relation {
+	hi = min(hi, len(r.subs))
+	return r.subs[min(lo, hi):hi]
+}
+
+// scanBelow visits the rows below n of a single-slab relation and reports
+// whether f let it finish.
+func (r *Relation) scanBelow(n int, f func(row []Value) bool) bool {
+	for off, end := 0, r.below(n); off < end; off += r.arity {
+		if !f(r.arena[off : off+r.arity : off+r.arity]) {
+			return false
+		}
+	}
+	return true
 }
 
 // eachWithKey visits the rows below n of a single-slab relation whose
@@ -324,23 +301,4 @@ func coversKey(row []Value, cols []int, vals []Value) bool {
 		}
 	}
 	return true
-}
-
-// EachShardRange calls f for every tuple of buckets [lo, hi) of a physical
-// relation until f returns false — the scan surface of a bucket-span task
-// (the adaptive fan-out hands each task a contiguous range of buckets when
-// the delta is too small to justify one task per bucket). On a flat
-// relation it visits every tuple.
-func (r *Relation) EachShardRange(lo, hi int, f func(row []Value) bool) {
-	if r.subs == nil {
-		r.Each(f)
-		return
-	}
-	for _, sub := range r.subs[lo:hi] {
-		for off := 0; off < len(sub.arena); off += r.arity {
-			if !f(sub.arena[off : off+r.arity : off+r.arity]) {
-				return
-			}
-		}
-	}
 }

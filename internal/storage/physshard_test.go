@@ -80,7 +80,7 @@ func TestPhysicalShardEquivalence(t *testing.T) {
 		n := 0
 		for s := 0; s < 4; s++ {
 			n += phys.ShardLen(s)
-			phys.EachShardRange(s, s+1, func(row []Value) bool {
+			phys.Scan(s, s+1, AllRows, func(row []Value) bool {
 				if ShardOf(row[0], 4) != s {
 					t.Fatalf("bucket %d holds misrouted row %v", s, row)
 				}
@@ -155,7 +155,7 @@ func TestPhysicalShardModeTransitions(t *testing.T) {
 				return true
 			})
 			got := 0
-			if subs := r.PhysSubs(); subs != nil {
+			if subs := r.subs; subs != nil {
 				for _, sub := range subs {
 					rows, ok := probeRows(sub, 0, v)
 					if !ok {
@@ -175,8 +175,8 @@ func TestPhysicalShardModeTransitions(t *testing.T) {
 	}
 }
 
-// TestPhysicalSubIdentityStable pins the identity guarantee compiled units
-// lean on (see PhysSubs): within one physical configuration, the per-bucket
+// TestPhysicalSubIdentityStable pins the identity guarantee of the physical
+// layout (Relation.subs): within one physical configuration, the per-bucket
 // sub-relations are emptied or kept in place — never reallocated — by
 // Clear, ClearRetain, the predicate-level SwapClear rotation, and the
 // idempotent re-registration every Run performs; only an actually changed
@@ -188,7 +188,7 @@ func TestPhysicalSubIdentityStable(t *testing.T) {
 		p.DeltaNew.Insert([]Value{i, i * 3})
 	}
 	snap := func(r *Relation) []*Relation {
-		return append([]*Relation(nil), r.PhysSubs()...)
+		return append([]*Relation(nil), r.subs...)
 	}
 	same := func(a, b []*Relation) bool {
 		if len(a) != len(b) {
@@ -230,7 +230,7 @@ func TestPhysicalSubIdentityStable(t *testing.T) {
 
 	// A genuinely changed layout must rebuild.
 	p.SetShardsPhysical(8, 0)
-	if got := p.DeltaNew.PhysSubs(); len(got) != 8 {
+	if got := p.DeltaNew.subs; len(got) != 8 {
 		t.Fatalf("re-partition to 8 buckets yielded %d subs", len(got))
 	}
 	if same(snap(p.DeltaKnown)[:4], newSubs) {

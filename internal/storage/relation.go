@@ -112,7 +112,12 @@ type Relation struct {
 	// otherwise the relation is physical, split into len(subs) independent
 	// sub-relations (each its own arena, row table, indexes, and mutation
 	// counter) by ShardOf(row[shardCol], len(subs)) — the delta pair of a
-	// sharded run, read bucket-locally.
+	// sharded run, read bucket-locally (Scan, ScanKey). Within one physical
+	// configuration the sub-relations are emptied or kept in place, never
+	// reallocated, by Clear, ClearRetain and an idempotent re-registration
+	// of the identical layout, and the struct carries them through
+	// SwapClear's pointer exchange; a changed layout rebuilds them, which is
+	// why readers resolve the layout when they read, never when they compile.
 	shardCol int
 	subs     []*Relation
 }
@@ -416,8 +421,8 @@ func (r *Relation) owe(n int) {
 
 // Row returns a view of row i (valid until the next Insert reallocates the
 // arena; callers must not mutate it). In physical mode row ids are bucket-
-// major and the lookup walks the bucket lengths — hot paths avoid it by
-// iterating the sub-relations directly (PhysSubs).
+// major and the lookup walks the bucket lengths — readers avoid it by
+// reading through Scan and ScanKey, which visit the buckets' rows directly.
 func (r *Relation) Row(i int32) []Value {
 	if r.subs != nil {
 		n := int(i)
@@ -439,32 +444,10 @@ func (r *Relation) Row(i int32) []Value {
 // order, except in physical mode where it is bucket-major (per-bucket
 // insertion order) — still deterministic, since every tuple's bucket is a
 // pure function of its shard-key column.
-func (r *Relation) Each(f func(row []Value) bool) { r.EachBelow(AllRows, f) }
+func (r *Relation) Each(f func(row []Value) bool) { r.Scan(0, AllBuckets, AllRows, f) }
 
-// AllRows is the row bound past every row (EachBelow).
+// AllRows is the row bound past every row (Scan, ScanKey).
 const AllRows = math.MaxInt32
-
-// EachBelow is Each over the rows below n, a row bound such as Old's
-// (PredicateDB.OldBound): rows [0, n) of a flat relation. A physical
-// relation's row ids are bucket-local, so it has no bound and visits every
-// row.
-func (r *Relation) EachBelow(n int, f func(row []Value) bool) {
-	if r.subs != nil {
-		for _, s := range r.subs {
-			for off := 0; off < len(s.arena); off += s.arity {
-				if !f(s.arena[off : off+s.arity : off+s.arity]) {
-					return
-				}
-			}
-		}
-		return
-	}
-	for off, end := 0, r.below(n); off < end; off += r.arity {
-		if !f(r.arena[off : off+r.arity : off+r.arity]) {
-			return
-		}
-	}
-}
 
 // below returns the arena offset where the rows below n end.
 func (r *Relation) below(n int) int {
@@ -570,9 +553,9 @@ func (r *Relation) IndexedColumns() []int {
 
 // Probe returns the chain of rows whose column col equals v. ok is false if no
 // index is registered on col — including on a physically sharded relation,
-// whose row ids are bucket-local: executors take the PhysSubs path there, and
-// a caller that does not degrades to a filtered scan, which stays correct
-// (ProbeMisses counts them). A stale index panics (EnsureIndex).
+// whose row ids are bucket-local: readers route to the buckets through
+// ScanKey there, and a caller that does not degrades to a filtered scan,
+// which stays correct (ProbeMisses counts them). A stale index panics (EnsureIndex).
 func (r *Relation) Probe(col int, v Value) (Chain, bool) {
 	for i := range r.indexes {
 		if ix := &r.indexes[i]; len(ix.cols) == 1 && ix.cols[0] == col && r.subs == nil {

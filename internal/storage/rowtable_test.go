@@ -35,7 +35,7 @@ type tableModel struct {
 
 func key(t []Value) string { return fmt.Sprint(t) }
 
-func (m *tableModel) physical() bool { return m.r.PhysSubs() != nil }
+func (m *tableModel) physical() bool { return m.r.subs != nil }
 
 func (m *tableModel) fail(format string, args ...any) {
 	m.t.Helper()
@@ -133,7 +133,7 @@ func (m *tableModel) check() {
 	if got := r.Mutations(); got != m.muts {
 		m.fail("Mutations = %d, want %d", got, m.muts)
 	}
-	if subs := r.PhysSubs(); subs != nil {
+	if subs := r.subs; subs != nil {
 		for _, sub := range subs {
 			m.checkTable(sub)
 		}

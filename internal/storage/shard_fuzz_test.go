@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ import (
 func checkShardPartition(t *testing.T, r, twin *Relation) {
 	t.Helper()
 	shards, col := r.ShardConfig()
-	subs := r.PhysSubs()
+	subs := r.subs
 	if shards == 0 || len(subs) != shards {
 		t.Fatalf("relation is not physical: config %d, %d buckets", shards, len(subs))
 	}
@@ -54,6 +55,63 @@ func checkShardPartition(t *testing.T, r, twin *Relation) {
 	}
 	if r.Mutations() != twin.Mutations() {
 		t.Fatalf("mutation counter %d, flat twin %d", r.Mutations(), twin.Mutations())
+	}
+}
+
+// checkShardReads holds the read surface of a physical relation and its flat
+// twin to a brute-force filter of the twin's rows, under a bucket span and a
+// row bound picked by lo, width and bound: Scan and ScanKey (on each column,
+// and on both) visit the rows of buckets [lo, hi) of the physical relation,
+// which has no row bound, and the rows below the bound of the flat twin,
+// which has no buckets. Keys come from a stored row or miss.
+func checkShardReads(t *testing.T, r, twin *Relation, lo, width, bound byte) {
+	t.Helper()
+	shards, col := r.ShardConfig()
+	rows := twin.Snapshot()
+	l, h, n := int(lo)%(shards+2), AllBuckets, AllRows
+	if width%4 != 0 {
+		h = l + int(width)%(shards+2)
+	}
+	if bound%4 != 0 {
+		n = int(bound) % (len(rows) + 2)
+	}
+	key := []Value{Value(lo), Value(width)}
+	if len(rows) > 0 {
+		key = rows[int(bound)%len(rows)]
+	}
+	for _, cols := range [][]int{nil, {0}, {1}, {0, 1}} {
+		vals := project(key, cols)
+		read := func(x *Relation) map[string]int {
+			got := map[string]int{}
+			visit := func(row []Value) bool {
+				got[fmt.Sprint(row)]++
+				return true
+			}
+			if cols == nil {
+				x.Scan(l, h, n, visit)
+			} else {
+				x.ScanKey(l, h, n, cols, vals, visit)
+			}
+			return got
+		}
+		wantPhys, wantFlat := map[string]int{}, map[string]int{}
+		for i, row := range rows {
+			if !coversKey(row, cols, vals) {
+				continue
+			}
+			if b := ShardOf(row[col], shards); b >= l && b < h {
+				wantPhys[fmt.Sprint(row)]++
+			}
+			if i < n {
+				wantFlat[fmt.Sprint(row)]++
+			}
+		}
+		if got := read(r); !reflect.DeepEqual(got, wantPhys) {
+			t.Fatalf("physical read of %v = %v over buckets [%d, %d): %v, want %v", cols, vals, l, h, got, wantPhys)
+		}
+		if got := read(twin); !reflect.DeepEqual(got, wantFlat) {
+			t.Fatalf("flat read of %v = %v below row %d: %v, want %v", cols, vals, n, got, wantFlat)
+		}
 	}
 }
 
@@ -108,7 +166,8 @@ func (o shardOps) apply(t *testing.T, op, arg byte) {
 
 // FuzzShardRouting drives a physical relation through arbitrary insert /
 // clear / delete / repartition sequences decoded from the fuzz input and
-// checks the partition-exactness property after every operation. Run the
+// checks the partition-exactness property and the read surface
+// (checkShardReads) after every operation. Run the
 // short-fuzz CI job with:
 // go test -fuzz=FuzzShardRouting -fuzztime=20s ./internal/storage/
 func FuzzShardRouting(f *testing.F) {
@@ -125,6 +184,7 @@ func FuzzShardRouting(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			o.apply(t, data[i], data[i+1])
 			checkShardPartition(t, o.r, o.twin)
+			checkShardReads(t, o.r, o.twin, data[i], data[i+1], nshards^data[i+1])
 		}
 	})
 }
@@ -149,6 +209,7 @@ func TestShardRoutingProperty(t *testing.T) {
 			}
 			o.apply(t, op, next())
 			checkShardPartition(t, o.r, o.twin)
+			checkShardReads(t, o.r, o.twin, next(), next(), next())
 		}
 	}
 }
