@@ -19,7 +19,6 @@ import (
 	"carac/internal/jit/lambda"
 	"carac/internal/jit/quotes"
 	"carac/internal/optimizer"
-	"carac/internal/plancache"
 	"carac/internal/storage"
 	"carac/internal/workloads"
 )
@@ -312,22 +311,6 @@ func BenchmarkTable2_Engines(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/Carac-AdaptiveJIT", func(b *testing.B) {
-			built := bf()
-			for i := 0; i < b.N; i++ {
-				if _, err := engines.RunCaracAdaptiveJIT(built, 8, 0, time.Minute); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/Carac-Warm", func(b *testing.B) {
-			built := bf()
-			for i := 0; i < b.N; i++ {
-				if _, err := engines.RunCaracWarm(built, 8, 0, time.Minute); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 	// Skewed-graph row: the hub-and-spoke workload whose delta concentrates
 	// in a few hot hash buckets, under the sharded engine.
@@ -383,99 +366,7 @@ func BenchmarkAblation_Freshness(b *testing.B) {
 	}
 }
 
-// --- Plan cache & parallel executor -------------------------------------
-
-// BenchmarkPlanCache measures drift-gated plan reuse against the seed's
-// cold per-execution planning: the hit-rate metric demonstrates plans being
-// reused across fixpoint iterations, the reuse metric the fraction of
-// subquery executions that skipped planning entirely.
-func BenchmarkPlanCache(b *testing.B) {
-	sz := benchSizes
-	cspa := datagen.CSPAGraph(sz.CSPA, sz.Seed)
-	csda := datagen.CSDAGraph(sz.CSDA, sz.Seed)
-	builds := []struct {
-		name  string
-		build func() *analysis.Built
-	}{
-		{sz.CSPAName, func() *analysis.Built { return analysis.CSPA(analysis.HandOptimized, cspa) }},
-		{"CSDA", func() *analysis.Built { return analysis.CSDA(csda) }},
-	}
-	configs := []struct {
-		name string
-		opts core.Options
-	}{
-		{"ColdPlanning", core.Options{Indexed: true}},
-		{"PlanCache", core.Options{Indexed: true, PlanCache: true}},
-		{"Adaptive", core.Options{Indexed: true, AdaptivePlans: true}},
-	}
-	for _, w := range builds {
-		for _, c := range configs {
-			w, c := w, c
-			b.Run(w.name+"/"+c.name, func(b *testing.B) {
-				res := runProgram(b, w.build(), c.opts)
-				if c.opts.PlanCache || c.opts.AdaptivePlans {
-					b.ReportMetric(100*res.Plans.HitRate(), "hit%")
-					if res.Interp.SPJRuns > 0 {
-						b.ReportMetric(float64(res.Interp.PlanReuses)/float64(res.Interp.SPJRuns), "reuse/spj")
-					}
-					b.ReportMetric(float64(res.Interp.Reopts), "reopts")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkWarmRerun measures the Program-lifetime plan store: every
-// iteration is a FULL re-run of an already-run Program, so the Cold
-// configurations pay the per-Run re-planning (and re-compilation) tax on
-// every iteration while SharedPlans starts from the store the previous run
-// left behind. The custom metrics expose the acceptance properties
-// directly: plan builds per run (strictly lower warm), cross-run hits
-// (nonzero warm only), unit recompiles and cross-run unit reuse with a JIT
-// attached, and the structural key count (below the rule count on the
-// CSPA-style workload, whose rules share one shape).
-func BenchmarkWarmRerun(b *testing.B) {
-	sz := benchSizes
-	cspa := datagen.CSPAGraph(sz.CSPA, sz.Seed)
-	builds := []struct {
-		name  string
-		build func() *analysis.Built
-	}{
-		{sz.CSPAName, func() *analysis.Built { return analysis.CSPA(analysis.HandOptimized, cspa) }},
-		{"TransitiveClosure", func() *analysis.Built {
-			return workloads.TransitiveClosure(analysis.HandOptimized, 300, 800, int(sz.Seed))
-		}},
-	}
-	lambdaSPJ := jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
-	configs := []struct {
-		name string
-		opts core.Options
-	}{
-		{"ColdPlanCache", core.Options{Indexed: true, PlanCache: true}},
-		{"SharedPlans", core.Options{Indexed: true, SharedPlans: true}},
-		{"ColdJIT", core.Options{Indexed: true, PlanCache: true, JIT: lambdaSPJ}},
-		{"SharedPlansJIT", core.Options{Indexed: true, SharedPlans: true, JIT: lambdaSPJ}},
-	}
-	for _, w := range builds {
-		for _, c := range configs {
-			w, c := w, c
-			b.Run(w.name+"/"+c.name, func(b *testing.B) {
-				built := w.build()
-				res := runProgram(b, built, c.opts)
-				b.ReportMetric(float64(res.Interp.PlanBuilds), "planbuilds/run")
-				b.ReportMetric(float64(res.Plans.CrossRunHits), "crossrun-hits")
-				if c.opts.JIT.Backend != jit.BackendOff {
-					b.ReportMetric(float64(res.JIT.Compilations), "recompiles/run")
-					b.ReportMetric(float64(res.Units.Hits), "unit-reuses")
-					b.ReportMetric(float64(res.Units.CrossRunHits), "unit-crossrun")
-				}
-				if c.opts.SharedPlans {
-					b.ReportMetric(float64(built.P.PlanStore().Keys(plancache.ClassPlans)), "plan-keys")
-				}
-			})
-		}
-	}
-}
+// --- Parallel executor ---------------------------------------------------
 
 // BenchmarkParallelFixpoint compares the sequential semi-naive driver
 // against the bounded-pool parallel rule executor on two workloads.
@@ -497,10 +388,7 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 		{"Sequential", core.Options{Indexed: true}},
 		{"Parallel", core.Options{Indexed: true, ParallelUnions: true}},
 		{"Parallel2", core.Options{Indexed: true, ParallelUnions: true, Workers: 2}},
-		{"ParallelPlanCache", core.Options{Indexed: true, ParallelUnions: true, PlanCache: true}},
-		{"ParallelAdaptive", core.Options{Indexed: true, ParallelUnions: true, AdaptivePlans: true}},
 		{"Sharded8", core.Options{Indexed: true, Shards: 8}},
-		{"Sharded8PlanCache", core.Options{Indexed: true, Shards: 8, PlanCache: true}},
 	}
 	for _, w := range builds {
 		for _, c := range configs {
@@ -529,14 +417,14 @@ func BenchmarkShardedSpeedup(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"Sequential", core.Options{Indexed: true, PlanCache: true}},
-		{"Parallel/W2", core.Options{Indexed: true, PlanCache: true, ParallelUnions: true, Workers: 2}},
-		{"Parallel/W4", core.Options{Indexed: true, PlanCache: true, ParallelUnions: true, Workers: 4}},
-		{"Sharded8/W1", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 1}},
-		{"Sharded8/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2}},
-		{"Sharded8/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4}},
-		{"Sharded8JIT/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2, JIT: lambdaSPJ}},
-		{"Sharded8JIT/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4, JIT: lambdaSPJ}},
+		{"Sequential", core.Options{Indexed: true}},
+		{"Parallel/W2", core.Options{Indexed: true, ParallelUnions: true, Workers: 2}},
+		{"Parallel/W4", core.Options{Indexed: true, ParallelUnions: true, Workers: 4}},
+		{"Sharded8/W1", core.Options{Indexed: true, Shards: 8, Workers: 1}},
+		{"Sharded8/W2", core.Options{Indexed: true, Shards: 8, Workers: 2}},
+		{"Sharded8/W4", core.Options{Indexed: true, Shards: 8, Workers: 4}},
+		{"Sharded8JIT/W2", core.Options{Indexed: true, Shards: 8, Workers: 2, JIT: lambdaSPJ}},
+		{"Sharded8JIT/W4", core.Options{Indexed: true, Shards: 8, Workers: 4, JIT: lambdaSPJ}},
 	}
 	for _, c := range configs {
 		c := c
@@ -559,9 +447,9 @@ func BenchmarkSkewedSpeedup(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"Sequential", core.Options{Indexed: true, PlanCache: true}},
-		{"Sharded8/W2", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 2}},
-		{"Sharded8/W4", core.Options{Indexed: true, PlanCache: true, Shards: 8, Workers: 4}},
+		{"Sequential", core.Options{Indexed: true}},
+		{"Sharded8/W2", core.Options{Indexed: true, Shards: 8, Workers: 2}},
+		{"Sharded8/W4", core.Options{Indexed: true, Shards: 8, Workers: 4}},
 	}
 	for _, c := range configs {
 		c := c
@@ -757,211 +645,4 @@ func BenchmarkIndexedInsertClearCycle(b *testing.B) {
 			rel.Clear()
 		}
 	})
-}
-
-// BenchmarkServeThroughput measures concurrent query serving: one warm run
-// populates the program-lifetime plan store, then 4 snapshot-isolated
-// sessions issue fixpoint queries concurrently through the server's shared
-// worker pool. Each b.N iteration is one full drive of clients×queries;
-// the headline custom metric is queries per second, with cross-run
-// plan/unit reuse reported alongside.
-func BenchmarkServeThroughput(b *testing.B) {
-	sz := benchSizes
-	cspa := datagen.CSPAGraph(sz.CSPA, sz.Seed)
-	configs := []struct {
-		name   string
-		useJIT bool
-	}{
-		{"Interp", false},
-		{"JIT", true},
-	}
-	for _, c := range configs {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			cfg := engines.ServeConfig{
-				Clients:          4,
-				QueriesPerClient: 4,
-				Workers:          4,
-				UseJIT:           c.useJIT,
-				Repeat:           1,
-				Timeout:          2 * time.Minute,
-			}
-			built := analysis.CSPA(analysis.HandOptimized, cspa)
-			// Prime Run + Serve happen inside the driver; drive once so the
-			// measured iterations start from a warmed store.
-			if _, err := engines.RunCaracServe(built, cfg); err != nil {
-				b.Fatal(err)
-			}
-			var last *engines.ServeReport
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := engines.RunCaracServe(built, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = rep
-			}
-			b.ReportMetric(last.QPS, "queries/sec")
-			b.ReportMetric(float64(last.CrossRunHits), "crossrun-hits")
-			b.ReportMetric(float64(last.TotalFacts), "facts/query")
-		})
-	}
-}
-
-// BenchmarkMaterializedServe measures materialized-epoch serving against the
-// re-derive path it replaces. Three modes, interpreted and JIT-compiled:
-// RepeatHeavy (materialized, 90% of queries repeat on a persistent session —
-// the memo path), RepeatFree (materialized, every query arrives on a fresh
-// session — the seeded-lookup path), and Rederive (materialization off, the
-// PR-7 baseline where every query runs the fixpoint). The headline metric is
-// queries per second; memo-hits shows how many queries skipped derivation.
-func BenchmarkMaterializedServe(b *testing.B) {
-	sz := benchSizes
-	cspa := datagen.CSPAGraph(sz.CSPA, sz.Seed)
-	modes := []struct {
-		name        string
-		materialize bool
-		repeat      float64
-	}{
-		{"RepeatHeavy", true, 0.9},
-		{"RepeatFree", true, 0},
-		{"Rederive", false, 0.9},
-	}
-	engcfg := []struct {
-		name   string
-		useJIT bool
-	}{
-		{"Interp", false},
-		{"JIT", true},
-	}
-	for _, m := range modes {
-		for _, c := range engcfg {
-			m, c := m, c
-			b.Run(m.name+"/"+c.name, func(b *testing.B) {
-				cfg := engines.ServeConfig{
-					Clients:          4,
-					QueriesPerClient: 10,
-					Workers:          4,
-					UseJIT:           c.useJIT,
-					Materialize:      m.materialize,
-					Repeat:           m.repeat,
-					Timeout:          2 * time.Minute,
-				}
-				built := analysis.CSPA(analysis.HandOptimized, cspa)
-				if _, err := engines.RunCaracServe(built, cfg); err != nil {
-					b.Fatal(err)
-				}
-				var last *engines.ServeReport
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep, err := engines.RunCaracServe(built, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = rep
-				}
-				b.ReportMetric(last.QPS, "queries/sec")
-				b.ReportMetric(float64(last.MemoHits), "memo-hits")
-				b.ReportMetric(float64(last.TotalFacts), "facts/query")
-			})
-		}
-	}
-}
-
-// BenchmarkStreamingIngest measures incremental view maintenance under a
-// streaming churn load: a standing transitive-closure fixpoint absorbs
-// alternating delete / re-insert batches over a fixed churn set of ground
-// edges via Program.Apply, so every measured batch runs the warm
-// counting/DRed path (over-delete, rederive, monotone continuation) instead
-// of a cold recompute. Modes compare the incremental path against
-// Naive-forced full recomputation of the same batches, interpreted and
-// JIT-compiled. retracted/batch and rederived/batch confirm the deletions do
-// real work; cold-batches must be 0 on the incremental modes (after the
-// bootstrap run) and equal to every batch on Recompute.
-func BenchmarkStreamingIngest(b *testing.B) {
-	sz := benchSizes
-	const churnEdges = 8
-	modes := []struct {
-		name  string
-		naive bool // forces ApplyResult.Cold: full recompute per batch
-	}{
-		{"Incremental", false},
-		{"Recompute", true},
-	}
-	engcfg := []struct {
-		name string
-		jit  jit.Config
-	}{
-		{"Interp", jit.Config{}},
-		{"JIT", jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}},
-	}
-	for _, m := range modes {
-		for _, c := range engcfg {
-			m, c := m, c
-			b.Run(m.name+"/"+c.name, func(b *testing.B) {
-				built := workloads.TransitiveClosure(analysis.HandOptimized, 400, 1200, int(sz.Seed))
-				p := built.P
-				edge := p.Relation("edge", 2)
-				// Churn set: edges from fresh node IDs into the random graph,
-				// so they exist exactly once and their closure rows genuinely
-				// appear and disappear with them. Half get a permanent 2-hop
-				// detour so their closure rows survive the over-delete via
-				// rederivation; the other half's rows are physically removed.
-				churn := make([][]storage.Value, churnEdges)
-				for i := range churn {
-					src, dst := storage.Value(400+i), storage.Value((i*37)%400)
-					churn[i] = []storage.Value{src, dst}
-					edge.FactTuple(churn[i])
-					if i%2 == 0 {
-						via := storage.Value(500 + i)
-						edge.FactTuple([]storage.Value{src, via})
-						edge.FactTuple([]storage.Value{via, dst})
-					}
-				}
-				opts := core.Options{
-					Indexed:     true,
-					SharedPlans: true,
-					Naive:       m.naive,
-					Timeout:     2 * time.Minute,
-					JIT:         c.jit,
-				}
-				// Bootstrap fixpoint: the first transaction is always cold.
-				if _, err := p.Run(opts); err != nil {
-					b.Fatal(err)
-				}
-				var retracted, rederived, cold, batches int64
-				step := func(del bool) {
-					tx := p.NewTx()
-					for _, t := range churn {
-						if del {
-							tx.DeleteTuple(edge, t)
-						} else {
-							tx.InsertTuple(edge, t)
-						}
-					}
-					res, err := p.Apply(tx, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					retracted += int64(res.Retracted)
-					rederived += int64(res.Rederived)
-					if res.Cold {
-						cold++
-					}
-					batches++
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					step(true)  // retract the churn set
-					step(false) // assert it back: state is identical every iteration
-				}
-				b.ReportMetric(float64(retracted)/float64(batches), "retracted/batch")
-				b.ReportMetric(float64(rederived)/float64(batches), "rederived/batch")
-				b.ReportMetric(float64(cold), "cold-batches")
-			})
-		}
-	}
 }

@@ -4,12 +4,12 @@
 //	carac run prog.dl [-facts dir] [-backend off|lambda|irgen|bytecode|quotes]
 //	    [-granularity program|dowhile|unionall|union|spj] [-async] [-snippet]
 //	    [-indexed] [-naive] [-aot none|rules|facts] [-print rel1,rel2] [-stats]
-//	    [-plancache] [-adaptive] [-parallel] [-workers n] [-shards n]
+//	    [-parallel] [-workers n] [-shards n]
 //	    [-fanout-threshold n] [-shared-plans] [-repeat n] [-histograms]
 //
 // or drives a concurrent serving load against it — one warm run, then
 // -clients snapshot-isolated sessions each issuing -queries fixpoint
-// queries (optionally paced to -qps per client) over the shared plan store
+// queries (optionally paced to -qps per client) over the shared unit store
 // and worker pool:
 //
 //	carac serve prog.dl [-facts dir] [-clients n] [-queries n] [-qps r]
@@ -108,16 +108,14 @@ func runCmd(args []string) error {
 	aot := fs.String("aot", "none", "ahead-of-time sort: none|rules|facts")
 	printRels := fs.String("print", "", "comma-separated relations to print")
 	stats := fs.Bool("stats", true, "print execution statistics")
-	plancache := fs.Bool("plancache", false, "cache access plans across subquery executions (drift-gated)")
-	adaptive := fs.Bool("adaptive", false, "re-optimize join orders on cardinality drift (implies -plancache)")
 	parallel := fs.Bool("parallel", false, "evaluate independent rules on a bounded worker pool")
 	workers := fs.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "hash-shard each relation into this many buckets and split single rules across workers (implies -parallel)")
 	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration of a parallel run (-parallel or -shards) runs sequentially (0 = default 256; 1 fans out every iteration)")
 	histograms := fs.Bool("histograms", false, "maintain per-column histograms on join columns and order atoms by estimated join-output size (histogram overlap) instead of cardinality alone")
-	sharedPlans := fs.Bool("shared-plans", false, "key plan and compiled-unit caches into the program-lifetime plan store so repeated runs start warm (implies -plancache)")
-	cacheDir := fs.String("cache-dir", "", "persist plans, recompile hints for compiled units, and the statistics profile to this directory and reload them on the next start, so a restarted process skips cold planning (implies -shared-plans)")
-	repeat := fs.Int("repeat", 1, "run the program this many times on one Program (pair with -shared-plans to observe warm-run behavior)")
+	sharedPlans := fs.Bool("shared-plans", false, "key the JIT's compiled-unit cache into the program-lifetime store so repeated runs start warm")
+	cacheDir := fs.String("cache-dir", "", "persist recompile hints for compiled units and the statistics profile to this directory and reload them on the next start, so a restarted process skips cold compilation (implies -shared-plans)")
+	repeat := fs.Int("repeat", 1, "run the program this many times on one Program (pair with -shared-plans and a -backend to observe warm-run behavior)")
 	timeout := fs.Duration("timeout", 0, "abort after this duration")
 	explain := fs.Bool("explain", false, "print the IROp plan (with optimizer weights) before running")
 
@@ -157,8 +155,6 @@ func runCmd(args []string) error {
 		Naive:           *naive,
 		AOT:             aotStage,
 		Timeout:         *timeout,
-		PlanCache:       *plancache,
-		AdaptivePlans:   *adaptive,
 		SharedPlans:     *sharedPlans,
 		ParallelUnions:  *parallel,
 		Workers:         *workers,
@@ -188,9 +184,9 @@ func runCmd(args []string) error {
 		res = r
 		totalRecompiles += r.JIT.Compilations
 		if *stats && *repeat > 1 {
-			fmt.Fprintf(os.Stderr, "run %d/%d: time=%v plan-builds=%d plan-hits=%d cross-run-hits=%d unit-reuses=%d recompiles=%d\n",
+			fmt.Fprintf(os.Stderr, "run %d/%d: time=%v plan-builds=%d unit-reuses=%d cross-run-hits=%d recompiles=%d\n",
 				i+1, *repeat, r.Duration.Round(time.Microsecond), r.Interp.PlanBuilds,
-				r.Plans.Hits, r.Plans.CrossRunHits+r.Units.CrossRunHits, r.Units.Hits, r.JIT.Compilations)
+				r.Units.Hits, r.Units.CrossRunHits, r.JIT.Compilations)
 		}
 	}
 
@@ -235,23 +231,13 @@ func runCmd(args []string) error {
 				res.JIT.Compilations, res.JIT.CompileTime.Round(time.Microsecond),
 				res.JIT.CacheHits, res.JIT.StaleDrops, res.JIT.Reorders, res.JIT.Switchovers)
 		}
-		if *plancache || *adaptive || *sharedPlans || *cacheDir != "" {
-			fmt.Fprintf(os.Stderr, "plancache: hits=%d (fast=%d) cold=%d band=%d stale=%d reopts=%d hit-rate=%.1f%%\n",
-				res.Plans.Hits, res.Plans.FastHits, res.Plans.ColdMisses, res.Plans.BandMisses,
-				res.Plans.StaleDrops, res.Interp.Reopts, 100*res.Plans.HitRate())
-			// Plan-store line: misses fold cold+band+stale; unit figures come
-			// from the JIT's compiled-unit view of the same store. Under
-			// -shared-plans the store outlives runs, so totals accumulate
-			// across every -repeat iteration.
-			pls, units := res.Plans, res.Units
-			if *sharedPlans || *cacheDir != "" {
-				store := p.PlanStore()
-				pls = store.ClassStats(pcache.ClassPlans)
-				units = store.ClassStats(pcache.ClassUnits)
-			}
-			fmt.Fprintf(os.Stderr, "plan-store: hits=%d (cross-run=%d) misses=%d widens=%d evictions=%d unit-reuses=%d (cross-run=%d) unit-recompiles=%d\n",
-				pls.Hits, pls.CrossRunHits, pls.ColdMisses+pls.BandMisses+pls.StaleDrops,
-				pls.Widens, pls.Evictions+units.Evictions, units.Hits, units.CrossRunHits, totalRecompiles)
+		if *sharedPlans || *cacheDir != "" {
+			// The store outlives runs, so its totals accumulate across every
+			// -repeat iteration; misses fold cold+band+stale.
+			units := p.PlanStore().ClassStats(pcache.ClassUnits)
+			fmt.Fprintf(os.Stderr, "plan-store: unit-reuses=%d (cross-run=%d) misses=%d widens=%d evictions=%d unit-recompiles=%d\n",
+				units.Hits, units.CrossRunHits, units.ColdMisses+units.BandMisses+units.StaleDrops,
+				units.Widens, units.Evictions, totalRecompiles)
 			if ds, ok := p.DiskStats(); ok {
 				fmt.Fprintf(os.Stderr, "disk-cache: hits=%d misses=%d invalidations=%d flushes=%d\n",
 					ds.Hits, ds.Misses, ds.Invalidations, ds.Flushes)
@@ -293,7 +279,7 @@ func loadProgram(fs *flag.FlagSet, args []string, factsDir *string) (*core.Progr
 }
 
 // serveCmd drives a concurrent serving load: one warm Run populates the
-// program-lifetime plan store, Serve publishes the first epoch, and
+// program-lifetime unit store, Serve publishes the first epoch, and
 // -clients sessions — each pinned to that epoch, all sharing the server's
 // worker pool — issue -queries fixpoint queries concurrently, optionally
 // paced to -qps queries per second per client.
@@ -351,7 +337,7 @@ func serveCmd(args []string) error {
 	}
 	// Open the server first, so a setting Serve refuses is refused before
 	// anything is derived; then a warm run, since serving is the steady
-	// state the plan store exists for. Sessions read the epoch Serve
+	// state the unit store exists for. Sessions read the epoch Serve
 	// published, which the run leaves as it was.
 	srv, err := p.Serve(opts)
 	if err != nil {
@@ -450,7 +436,7 @@ func serveCmd(args []string) error {
 		st := srv.Stats()
 		fmt.Fprintf(os.Stderr, "serve: clients=%d queries=%d duration=%v qps=%.1f facts-per-query=%d cross-run-hits=%d memo-hits=%d materialized-epochs=%d\n",
 			*clients, done, dt.Round(time.Microsecond), qpsOut, facts,
-			srv.PlanStats().CrossRunHits+srv.UnitStats().CrossRunHits,
+			srv.UnitStats().CrossRunHits,
 			st.MemoHits, st.MaterializedEpochs)
 		if ds, ok := srv.DiskStats(); ok {
 			fmt.Fprintf(os.Stderr, "disk-cache: hits=%d misses=%d invalidations=%d flushes=%d\n",

@@ -54,6 +54,9 @@ func TestRunErrors(t *testing.T) {
 		{"run", prog, "-granularity", "molecule"},
 		{"run", prog, "-aot", "everything"},
 		{"run", prog, "-print", "nosuchrel"},
+		// The interpreter caches no plans: the flags that asked it to are gone.
+		{"run", prog, "-plancache"},
+		{"run", prog, "-adaptive"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -137,7 +140,6 @@ func TestRunSharedPlansRepeat(t *testing.T) {
 		{"run", prog, "-shared-plans", "-repeat", "3", "-stats=false"},
 		{"run", prog, "-shared-plans", "-repeat", "2"},
 		{"run", prog, "-shared-plans", "-repeat", "2", "-backend", "lambda"},
-		{"run", prog, "-plancache", "-repeat", "2", "-stats=false"},
 	} {
 		if err := run(args); err != nil {
 			t.Fatalf("run(%v): %v", args, err)

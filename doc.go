@@ -28,8 +28,8 @@
 // Derived's newest rows, so Old is a row bound on Derived
 // (storage.PredicateDB.OldBound): a scan stops at the bound, and a probe
 // stops at the first chain row past it, since chains run in insertion order.
-// The bound is read each time a plan runs, so a cached plan or compiled unit
-// stays valid across iterations. Where δ is not such a view — a δ seeded row
+// The bound is read each time a plan runs, so a compiled unit stays valid
+// across iterations. Where δ is not such a view — a δ seeded row
 // by row by a warm start (interp.Interp.SeedDelta), a sharded run's
 // physical δ, a retraction frontier — Old falls back to all of Full, which
 // is always correct and only derives some matches twice. After SeedAll δ is
@@ -39,7 +39,7 @@
 // ScanKey), so all of them honor the bound; only a physical δ falls back.
 // ir.LowerWarm and ir.LowerRetract read Full at every non-delta atom.
 //
-// # Statistics, plan cache, and the parallel executor
+// # Statistics, the unit cache, and the parallel executor
 //
 // Three subsystems extend the paper's design toward production scale:
 //
@@ -47,8 +47,8 @@
 //     cardinalities, per-column distinct counts, per-column value-distribution
 //     histograms, and monotone drift counters are maintained incrementally
 //     inside the internal/storage mutation paths (insert, delta swap,
-//     truncate) and read in O(1) by the optimizer, the JIT freshness test,
-//     and the plan cache — never re-derived ad hoc. Histograms
+//     truncate) and read in O(1) by the optimizer and the JIT freshness test
+//     — never re-derived ad hoc. Histograms
 //     (core.Options.Histograms) are fixed-width hash histograms on the
 //     planned join columns, registered like indexes
 //     (storage.Relation.BuildHistogram) and carried through both storage
@@ -57,17 +57,16 @@
 //     measured overlap of two join columns' histograms in place of the
 //     constant join-key selectivity (optimizer.Options.UseHistograms), and
 //     the resulting join-output estimate is recorded on each built plan
-//     (interp.Plan.EstRows, totalled in Stats.EstimatedRows) so rebinds and
-//     cached reuse keep the estimate that justified the order.
+//     (interp.Plan.EstRows, totalled in Stats.EstimatedRows).
 //
-//   - internal/plancache generalizes the JIT's one-off freshness test into
-//     a uniform drift-gated re-optimization policy. Interpreter access
-//     plans and JIT compilation units are cached keyed by (structural
-//     fingerprint, cardinality band) and served while observed cardinality
-//     drift stays under a configurable threshold; a drift-driven miss
-//     re-optimizes the join order with live statistics before re-planning.
-//     The seed interpreter's per-execution planning becomes a cache lookup
-//     (core.Options.PlanCache / AdaptivePlans).
+//   - internal/plancache is the JIT's freshness test: compilation units
+//     are cached keyed by (structural fingerprint, cardinality band) and
+//     served while observed cardinality drift stays under the JIT's
+//     threshold; a drift-driven miss reorders the join with live statistics
+//     and recompiles (paper §V-B2). The interpreter caches nothing: an
+//     interpreted subquery builds its access plan at every execution, the
+//     overhead compiled units avoid, and the adaptive join ordering of a
+//     run without compiled code is the irgen fixture's in-place reorder.
 //
 //   - The semi-naive fixpoint driver evaluates the independent rules of
 //     each iteration concurrently on a bounded, GOMAXPROCS-aware worker
@@ -255,41 +254,32 @@
 // Under core.Options.Shards with the lambda backend the engine therefore keeps
 // the physical delta store, the pool and its merge barrier
 // (Stats.MergeTasks), and the fan-out policy — benchmarked end to end by
-// BenchmarkShardedSpeedup's *JIT entries and engines.RunCaracAdaptiveJIT in
-// Table II.
+// BenchmarkShardedSpeedup's *JIT entries.
 //
-// # The program-lifetime plan store
+// # The program-lifetime unit store
 //
-// The caches above were originally per-Run, so every execution — and every
-// incremental fact batch, which triggers a fresh Run — paid the full
-// cold-start re-planning tax the drift gate exists to avoid, and the JIT
-// kept compiled units in its own per-op map with a duplicate freshness
-// mechanism. One Program-owned store now backs both:
+// A per-Run unit cache makes every execution — and every incremental fact
+// batch, which triggers a fresh Run — recompile from cold. One Program-owned
+// store keeps the units instead:
 //
 //   - internal/plancache owns a Store: one shard-locked key space with LRU
 //     bounding (plancache.DefaultStoreLimit, approximate per-lock-shard
-//     eviction) accessed through typed Cache views in separate key classes
-//     — the interpreter's plan view and the JIT's compiled-unit view. Keys
-//     are canonical structural fingerprints rather than rule or op
-//     identity: plan keys (plancache.KeyFor) are invariant under predicate
-//     renaming and variable naming, so N structurally identical rules (the
-//     CSPA shape) share one entry, with internal/interp rebinding a shared
-//     plan's concrete predicates to the requesting subquery on each hit;
-//     unit keys (plancache.KeyForOp) fingerprint the IR subtree with
-//     concrete predicates, stable across re-lowerings, so a later Run
-//     resolves to the units an earlier Run compiled instead of recompiling,
-//     and band return reuses old units (the unit view's cross-band lookup
-//     serves any policy-fresh band). The JIT's private freshness test is
-//     gone — both views gate on the one shared Policy.
+//     eviction) accessed through typed Cache views — the JIT's sequential
+//     and task-unit views. Unit keys (plancache.KeyForOp) fingerprint the
+//     IR subtree with concrete predicates, stable across re-lowerings, so a
+//     later Run resolves to the units an earlier Run compiled instead of
+//     recompiling, and band return reuses old units (the unit view's
+//     cross-band lookup serves any policy-fresh band).
 //
-//   - core.Options.SharedPlans keys a Run's caches into the store hanging
-//     off the Program (Program.PlanStore): repeated runs and incremental
-//     batches start warm, drift counters (storage-resident and monotone)
-//     carry across runs by construction, and per-Run store generations make
-//     reuse observable — Result.Plans/Units report CrossRunHits, the carac
-//     CLI prints a plan-store line under -stats (with -repeat N for warm
-//     runs from the command line), and engines.RunCaracWarm measures the
-//     warm steady state in Table II.
+//   - core.Options.SharedPlans keys a Run's unit cache into the store
+//     hanging off the Program (Program.PlanStore): repeated runs and
+//     incremental batches start warm, drift counters (storage-resident and
+//     monotone) carry across runs by construction, and per-Run store
+//     generations make reuse observable — Result.Units reports
+//     CrossRunHits, and the carac CLI prints a plan-store line under -stats
+//     (with -repeat N for warm runs from the command line). The store holds
+//     no interpreter plans: a JIT-off Run plans every subquery execution,
+//     shared store or not.
 //
 // # Serving
 //
@@ -308,11 +298,10 @@
 //
 //   - A Session (core.Server.Session) pins the current epoch and evaluates
 //     fixpoint queries against a private catalog seeded from it, through a
-//     session-lived execution engine — the same interpreter, plan cache, and
-//     JIT controller a Run uses. Sessions share the Program's plan store
-//     (plans and compiled units are catalog-independent by the structural
-//     keying above, so cross-session reuse is sound and shows up as
-//     CrossRunHits) and draw intra-query parallelism from the server's
+//     session-lived execution engine — the same interpreter and JIT
+//     controller a Run uses. Sessions share the Program's unit store
+//     (compiled units are catalog-independent by the structural keying
+//     above, so cross-session reuse is sound and shows up as CrossRunHits) and draw intra-query parallelism from the server's
 //     bounded worker pool: an idle server grants a session its full
 //     fan-out, a loaded one degrades sessions toward one worker each.
 //
@@ -329,10 +318,9 @@
 // shared through the store, so two sessions may execute one unit
 // concurrently — lambda, the one compiling backend Serve accepts, therefore
 // threads its mutable scratch through per-invocation chain instances rather
-// than compile-time buffers. The serving load path is driven by
-// engines.RunCaracServe, the carac serve subcommand (N clients x QPS), and
-// BenchmarkServeThroughput (race-checked in CI at one iteration); the
-// concurrent-session differential matrix in internal/core checks the
+// than compile-time buffers. The serving load path is driven by the carac
+// serve subcommand (N clients x QPS) and perf's serve_mixed workload (its
+// smoke race-checked in CI); the concurrent-session differential matrix in internal/core checks the
 // interpreter and lambda against the sequential oracle under the race
 // detector.
 //
@@ -371,46 +359,40 @@
 //     warm root are staged against the previous materialization's
 //     post-fixpoint statistics.
 //
-// The materialized load path is driven by engines.RunCaracServe
-// (ServeConfig.Materialize/Repeat), carac serve -materialize -repeat, and
-// BenchmarkMaterializedServe (race-checked in CI at one iteration), which
-// compares repeat-heavy and repeat-free drives against
-// the re-derive baseline.
+// The materialized load path is driven by carac serve -materialize -repeat
+// and by perf's serve_mixed workload, whose readers query a materializing
+// server beside a writer ingesting insert and delete batches.
 //
 // # Persistent cache
 //
-// The program-lifetime store dies with the process; core.Options.CacheDir
+// The program-lifetime unit store dies with the process; core.Options.CacheDir
 // extends it across process restarts (implying SharedPlans). A Run over a
 // CacheDir loads the directory into the store before querying and flushes
 // the store back after a successful query; a serving Program loads at Serve
-// and flushes at every Publish. The target is the cold start: a restarted
-// process replays identical facts, so its drift trajectory matches the one
-// the cached entries were built against, and the disk-warm first query
-// builds zero plans (pinned by TestPersistColdWarmRoundTrip across the
-// execution-mode matrix; perf's serve_mixed set-up is such a restart).
+// and flushes at every Publish. Only compiled units and the statistics
+// profile are persisted — the interpreter caches no plans, so a JIT-off
+// restart plans every subquery execution like any Run. Under lambda the
+// restarted units come back as recompile hints and the disk-warm first
+// query builds zero plans (pinned by TestPersistColdWarmRoundTrip across the
+// execution-mode matrix; perf's serve_mixed set-up is such a restart). A
+// directory written before interpreter plans left the cache carries another
+// engine tag and loads as silent misses, once.
 //
 //   - Entry format: one file per (class, structural key), named
 //     c<class>-<sha256(key)>.cce — content addressing by the same canonical
 //     fingerprints the in-memory store uses. Each file carries a versioned
 //     envelope (magic, format version, an engine tag embedding the engine
-//     version plus every codec version, CRC32 over the body) and the key's
+//     version plus the snapshot codec version, CRC32 over the body) and the key's
 //     band entries: drift counters, build-time cardinalities, band-widening
 //     state, and the serialized artifact. A profile.ccs file rides along
 //     with the post-fixpoint statistics snapshot the entries were built
 //     against (stats.CaptureSnapshot; exposed as Program.CachedProfile).
 //
-//   - What each backend persists: interpreter plans serialize symbolically
-//     (internal/interp plan codec — predicates, access-path choices,
-//     template elements, EstRows; never pointers) and are revalidated
-//     against the live catalog on load (interp.RevalidatePlan, the same
-//     demote-or-upgrade logic as bindPlan's rebind), so a probe whose index
-//     is not registered in this process degrades to a filtered scan instead
-//     of assuming the old layout. Compiled units — lambda closures,
-//     sequential or span-parameterized — cannot leave the process; they
-//     persist as recompile hints (entry recorded, artifact absent) and
-//     count as disk misses on load. Materialized fixpoints are
-//     never persisted — they belong to epochs, and epochs die with the
-//     server.
+//   - What is persisted: compiled units — lambda closures, sequential or
+//     span-parameterized — cannot leave the process; they persist as
+//     recompile hints (entry recorded, artifact absent) and count as disk
+//     misses on load. Materialized fixpoints are never persisted — they
+//     belong to epochs, and epochs die with the server.
 //
 //   - Invalidation rules: any envelope mismatch — magic, format version,
 //     engine/codec tag, CRC, or a mid-entry decode error — makes the file a
@@ -517,21 +499,21 @@
 // constant and a repeated variable, comparison guards and mutual recursion
 // with cyclic support, byte-compared against a recompute-from-scratch
 // oracle each step, race-checked in CI), FuzzRetraction (random batches on
-// a fuzzer-picked program of those vs the oracle), and
-// BenchmarkStreamingIngest (race-checked in CI at one iteration: incremental
-// churn batches vs forced recompute) pin the path down.
+// a fuzzer-picked program of those vs the oracle), and perf's stream_churn
+// workload (a delete batch and its re-insert on a standing TC fixpoint, its
+// smoke race-checked in CI) pin the path down.
 //
 // Post-Run mutation contract (and cache lifecycle): the rule set freezes at
 // a Program's first Run — adding rules or source afterwards errors; create a
 // new Program for a different rule set. Facts MAY keep being added between
 // runs (the catalog rewinds derived state to the ground-fact baseline and
-// repartitions on insert), and repeated Runs are always legal. The plan
+// repartitions on insert), and repeated Runs are always legal. The unit
 // store deliberately spans exactly that lifetime: because rules cannot
 // change after the first Run, structural fingerprints stay valid for the
 // Program's life, and fact mutations are precisely what the drift-gated
 // freshness policy absorbs. Execution configuration MAY change between the
 // runs of one Program — including the Shards count and whether a JIT is
-// attached: plans carry no per-run state, sequential units are
+// attached: sequential units are
 // backend/snippet-tagged, and span-parameterized task units are additionally
 // layout-tagged, so mixed-configuration run sequences share what is safe to
 // share and recompile the rest.

@@ -16,6 +16,7 @@ import (
 	"carac/internal/interp"
 	"carac/internal/ir"
 	"carac/internal/jit"
+	"carac/internal/plancache"
 	"carac/internal/storage"
 	"carac/internal/workloads"
 )
@@ -279,5 +280,30 @@ func TestDerivedIndexesOnlyWhatPlansRead(t *testing.T) {
 	}
 	if f := tc.Derived.Footprint(); f.Indexes < 4*tc.Derived.Len() {
 		t.Fatalf("Derived tc's index holds %d bytes for %d rows", f.Indexes, tc.Derived.Len())
+	}
+}
+
+// TestInterpreterPlansEveryExecution pins that the interpreter caches no
+// plans: a JIT-off CSPA Run builds one plan per subquery execution and reuses
+// none, sequential or pooled, and a SharedPlans Run leaves no plan in the
+// Program's store.
+func TestInterpreterPlansEveryExecution(t *testing.T) {
+	for _, opts := range []core.Options{
+		{Indexed: true},
+		{Indexed: true, SharedPlans: true},
+		{Indexed: true, SharedPlans: true, Shards: 4, Workers: 2, FanoutThreshold: 1},
+	} {
+		b := analysis.CSPA(analysis.Unoptimized, datagen.CSPAGraph(80, 42))
+		res, err := b.P.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		config := fmt.Sprintf("shared=%v/shards=%d", opts.SharedPlans, opts.Shards)
+		if st := res.Interp; st.SPJRuns == 0 || st.PlanBuilds != st.SPJRuns || st.PlanReuses != 0 {
+			t.Errorf("%s: %d plan builds and %d reuses for %d subquery runs", config, st.PlanBuilds, st.PlanReuses, st.SPJRuns)
+		}
+		if keys := b.P.PlanStore().Keys(plancache.ClassPlans); keys != 0 {
+			t.Errorf("%s: the store holds %d plans", config, keys)
+		}
 	}
 }

@@ -55,8 +55,8 @@ func NewVar(name string) *Var { return &Var{name: name} }
 // different rule set). Facts may keep being added between runs (incremental
 // batches rewind derived state to the ground-fact baseline), and repeated
 // Runs are always legal. Under Options.SharedPlans the Program additionally
-// owns a plan store that carries access plans, compiled JIT units, and
-// their drift state across those runs — and across serving sessions.
+// owns a store that carries compiled JIT units and their drift state across
+// those runs — and across serving sessions.
 type Program struct {
 	cat      *storage.Catalog
 	prog     *ast.Program
@@ -80,12 +80,12 @@ type Program struct {
 	// (per-row assertion multiplicities, storage.EnableCounts) — flipped by
 	// the first Apply or IngestTx and sticky from then on.
 	countsReady bool
-	// planStore is the program-lifetime artifact store (Options.SharedPlans):
-	// one shard-locked key space backing both the interpreter's plan view
-	// and the JIT's compiled-unit view, created at the first shared Run and
-	// kept for the Program's life so later runs and incremental fact batches
-	// start warm. Drift counters are storage-resident and monotone, so the
-	// freshness state the store gates on carries across runs by construction.
+	// planStore is the program-lifetime unit store (Options.SharedPlans):
+	// the shard-locked key space behind the JIT's compiled-unit views,
+	// created at the first shared Run and kept for the Program's life so
+	// later runs and incremental fact batches start warm. Drift counters
+	// are storage-resident and monotone, so the freshness state the store
+	// gates on carries across runs by construction.
 	planStore *plancache.Store
 	// persist binds planStore to Options.CacheDir: created (and loaded) by
 	// the first Run or Serve that names a cache directory, flushed after
@@ -98,25 +98,12 @@ type Program struct {
 	retractOrder func(spj *ir.SPJOp) error
 }
 
-// PlanStore returns the program-lifetime plan store, creating it (with
-// plancache.DefaultStoreLimit) on first use. Runs consult it only when
-// Options.SharedPlans is set.
+// PlanStore returns the program-lifetime store of compiled units, creating
+// it (with plancache.DefaultStoreLimit) on first use. Runs consult it only
+// when Options.SharedPlans is set; the interpreter's plans never enter it.
 func (p *Program) PlanStore() *plancache.Store {
 	if p.planStore == nil {
 		p.planStore = plancache.NewStore(plancache.DefaultStoreLimit)
-	}
-	return p.planStore
-}
-
-// sharedStore resolves the Program store for a SharedPlans run, honoring the
-// configured LRU bound on first creation.
-func (p *Program) sharedStore(opts Options) *plancache.Store {
-	if p.planStore == nil {
-		limit := opts.PlanStoreLimit
-		if limit == 0 {
-			limit = plancache.DefaultStoreLimit
-		}
-		p.planStore = plancache.NewStore(limit)
 	}
 	return p.planStore
 }
@@ -523,33 +510,14 @@ type Options struct {
 	// pairs. The estimate is recorded on each built plan
 	// (interp.Plan.EstRows) and totalled in Result.Interp.EstimatedRows.
 	Histograms bool
-	// PlanCache caches compiled access plans across subquery executions,
-	// keyed by (rule, atom order, cardinality band) and served while
-	// observed cardinality drift stays under PlanCacheDrift — re-planning
-	// every subquery every iteration (the seed behaviour) becomes a cache
-	// lookup. Shared by the interpreter, the parallel workers, and (via the
-	// same drift policy) the JIT freshness test.
-	PlanCache bool
-	// PlanCacheDrift is the relative drift threshold gating plan reuse;
-	// <= 0 selects the default 0.5.
-	PlanCacheDrift float64
-	// AdaptivePlans re-optimizes a subquery's join order with live
-	// statistics whenever the plan cache reports a drift-driven miss — the
-	// paper's adaptive re-optimization policy running entirely inside the
-	// interpreter, no JIT attached. Implies PlanCache.
-	AdaptivePlans bool
-	// SharedPlans keys this run's plan cache — and, with a JIT backend, its
-	// compiled-unit cache — into the Program-lifetime plan store instead of
-	// per-Run caches: repeated runs and incremental fact batches start warm
-	// (cross-run hits reported in Result.Plans/Units), N structurally
-	// identical rules share one plan entry, and re-entering a previously
-	// compiled cardinality band reuses the stored unit instead of
-	// recompiling. Implies PlanCache.
+	// SharedPlans keys a JIT backend's compiled-unit cache into the
+	// Program-lifetime store (Program.PlanStore) instead of a per-Run cache:
+	// repeated runs and incremental fact batches start warm (cross-run hits
+	// reported in Result.Units), and re-entering a previously compiled
+	// cardinality band reuses the stored unit instead of recompiling. The
+	// interpreter caches no plans: without a JIT an interpreted subquery
+	// plans at every execution, shared store or not.
 	SharedPlans bool
-	// PlanStoreLimit bounds the shared store's entry count (approximate LRU
-	// eviction); 0 selects plancache.DefaultStoreLimit, < 0 is unbounded.
-	// Read only when the store is first created.
-	PlanStoreLimit int
 	// Materialize enables materialized-epoch serving (Program.Serve only;
 	// Run ignores it): the first query on each published epoch runs the
 	// fixpoint once (single-flight across sessions), its derived rows are
@@ -560,12 +528,12 @@ type Options struct {
 	// warm-starts from the previous fixpoint plus the ingested delta. See
 	// doc.go §Serving.
 	Materialize bool
-	// CacheDir names a directory for the persistent, content-addressed plan
-	// cache (doc.go §Persistent cache): plans, recompile hints for compiled
-	// units, and the profile-statistics snapshot they were built against are
+	// CacheDir names a directory for the persistent, content-addressed unit
+	// cache (doc.go §Persistent cache): recompile hints for compiled units
+	// and the profile-statistics snapshot they were built against are
 	// flushed there after every successful Run (and on every serve epoch
 	// publication) and loaded back when a fresh Program's first Run opens
-	// the same directory, so a restarted process skips cold planning.
+	// the same directory, so a restarted process skips cold compilation.
 	// Implies SharedPlans. The first CacheDir a Program sees wins for its
 	// lifetime; invalid or version-mismatched cache files load as silent
 	// misses.
@@ -577,10 +545,8 @@ type Result struct {
 	Duration time.Duration
 	Interp   interp.Stats
 	JIT      jit.Stats
-	// Plans reports this run's plan-cache activity when Options.PlanCache
-	// (or SharedPlans) was set; under SharedPlans it is the per-run delta of
-	// the Program store's plan view, with CrossRunHits counting reuse of
-	// plans built by earlier runs.
+	// Plans always reads zero: the interpreter caches no plans. Kept
+	// because perf/ reads it.
 	Plans plancache.Stats
 	// Units reports this run's compiled-unit cache activity when a JIT
 	// backend ran: Hits are unit reuses, CrossRunHits (under SharedPlans)
@@ -615,15 +581,15 @@ func (p *Program) Run(opts Options) (*Result, error) {
 // backend outside a plain Run (Options.JIT).
 func resolveOptions(opts Options, call string) (Options, error) {
 	// Histogram-aware ordering applies everywhere a join order is decided:
-	// AOT staging, drift-driven re-optimization, and the JIT's compile-side
-	// reorder all read the same optimizer options. Sources without histogram
+	// AOT staging, retraction and the JIT's compile-side reorder all read
+	// the same optimizer options. Sources without histogram
 	// data (Unit, Frozen) simply keep the constant-selectivity fallback.
 	if opts.Histograms {
 		opts.JIT.Optimizer.UseHistograms = true
 	}
 	// The persistent cache extends the Program-lifetime store; a per-Run
-	// cache has nothing meaningful to persist. Serving shares plans and
-	// units between sessions through the same store.
+	// cache has nothing meaningful to persist. Serving shares units between
+	// sessions through the same store.
 	if opts.CacheDir != "" || call == "Serve" {
 		opts.SharedPlans = true
 	}
@@ -653,7 +619,7 @@ func resolveOptions(opts Options, call string) (Options, error) {
 func (p *Program) runLocked(prog *ast.Program, root *ir.ProgramOp, opts Options) (*Result, error) {
 	p.captureBaselineLocked()
 
-	// Each Run is its own epoch boundary. The plan-store generation advances
+	// Each Run is its own epoch boundary. The unit-store generation advances
 	// with the catalog epoch — not with query execution — so hits on entries
 	// surviving from an earlier boundary read as cross-run reuse. Serving
 	// sessions share one boundary per published epoch instead (serve.go):
@@ -662,7 +628,7 @@ func (p *Program) runLocked(prog *ast.Program, root *ir.ProgramOp, opts Options)
 	p.cat.AdvanceEpoch()
 	var store *plancache.Store
 	if opts.SharedPlans {
-		store = p.sharedStore(opts)
+		store = p.PlanStore()
 		store.BumpGeneration()
 	}
 
@@ -671,16 +637,13 @@ func (p *Program) runLocked(prog *ast.Program, root *ir.ProgramOp, opts Options)
 		return nil, err
 	}
 	defer eng.close()
-	// Load-on-open: the engine just registered indexes on the catalog, so
-	// plans decoded from disk revalidate their probe choices against the
-	// live registrations before entering the store.
 	p.ensurePersistLocked(opts)
 	defer eng.arm(opts.Timeout)()
 	res, err := eng.query(true)
 	if err == nil {
 		p.haveFixpoint = true
-		// Flush-on-close: persist what this run built (and re-persist what
-		// it inherited) together with the statistics profile it ran under.
+		// Flush-on-close: persist the units this run compiled (and re-persist
+		// what it inherited) together with the statistics profile it ran under.
 		p.flushPersistLocked(store, stats.CaptureSnapshot(p.cat))
 	}
 	return res, err
@@ -710,17 +673,24 @@ func (p *Program) lowered(opts Options) (*ast.Program, *ir.ProgramOp, error) {
 // to protect (unguarded concurrent Runs raced here and silently corrupted
 // the baseline lengths).
 func (p *Program) captureBaselineLocked() {
-	if !p.frozen {
-		p.frozen = true
-		p.baseLens = make([]int, p.cat.NumPreds())
-		for i, pd := range p.cat.Preds() {
-			p.baseLens[i] = pd.Derived.Len()
-		}
-	} else {
-		p.ensureBaseline()
-	}
+	p.ensureFrozenLocked()
+	p.ensureBaseline()
 	p.baselineClean = false // the run below derives new rows
 	p.haveFixpoint = false  // until that run completes
+}
+
+// ensureFrozenLocked freezes the rule set and captures the ground baseline
+// if no Run, Apply or Serve has done so yet. Callers hold runMu.
+func (p *Program) ensureFrozenLocked() {
+	if p.frozen {
+		return
+	}
+	p.frozen = true
+	p.baseLens = make([]int, p.cat.NumPreds())
+	for i, pd := range p.cat.Preds() {
+		p.baseLens[i] = pd.Derived.Len()
+	}
+	p.baselineClean = true
 }
 
 // LoadSource parses Soufflé-flavoured Datalog text into the program:

@@ -1,9 +1,9 @@
 // Differential test harness: every workload runs under the full engine
-// option matrix — {sequential, parallel, sharded} execution × {plan cache
-// on/off} × {adaptive re-optimization on/off} × {JIT on/off} — and every
-// configuration must derive exactly the result set of the sequential
-// baseline. Datalog evaluation is confluent, so ANY divergence (a dropped
-// delta bucket, a duplicated merge, a stale cached plan, a racy counter) is
+// option matrix — {sequential, parallel, sharded} execution × {JIT on/off}
+// — and every configuration must derive exactly the result set of the
+// sequential baseline. Datalog evaluation is confluent, so ANY divergence (a
+// dropped delta bucket, a duplicated merge, a stale compiled unit, a racy
+// counter) is
 // a bug this harness pins to one configuration.
 //
 // It lives in package core_test so it can drive the engine through the real
@@ -176,26 +176,22 @@ func TestDifferentialMatrix(t *testing.T) {
 			}
 			diffSnapshots(t, "sequential-rerun", baseline, snapshotAll(built.P))
 			for _, em := range execModes {
-				for _, plancache := range []bool{false, true} {
-					for _, adaptive := range []bool{false, true} {
-						for _, useJIT := range []bool{false, true} {
-							opts := core.Options{Indexed: true, PlanCache: plancache, AdaptivePlans: adaptive}
-							em.set(&opts)
-							if useJIT {
-								opts.JIT = jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
-							}
-							config := fmt.Sprintf("%s/plancache=%v/adaptive=%v/jit=%v", em.name, plancache, adaptive, useJIT)
-							before := driftTotals(built.P)
-							res, err := built.P.Run(opts)
-							if err != nil {
-								t.Fatalf("%s: %v", config, err)
-							}
-							checkDerivations(t, config, res, ground)
-							checkPooled(t, config, em, res)
-							diffSnapshots(t, config, baseline, snapshotAll(built.P))
-							diffDriftIncrements(t, config, baseDrift, before, driftTotals(built.P))
-						}
+				for _, useJIT := range []bool{false, true} {
+					opts := core.Options{Indexed: true}
+					em.set(&opts)
+					if useJIT {
+						opts.JIT = jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
 					}
+					config := fmt.Sprintf("%s/jit=%v", em.name, useJIT)
+					before := driftTotals(built.P)
+					res, err := built.P.Run(opts)
+					if err != nil {
+						t.Fatalf("%s: %v", config, err)
+					}
+					checkDerivations(t, config, res, ground)
+					checkPooled(t, config, em, res)
+					diffSnapshots(t, config, baseline, snapshotAll(built.P))
+					diffDriftIncrements(t, config, baseDrift, before, driftTotals(built.P))
 				}
 			}
 		})
@@ -263,14 +259,14 @@ func TestDifferentialIncremental(t *testing.T) {
 	baseline := snapshotAll(built.P)
 	lambdaSPJ := jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
 	for _, opts := range []core.Options{
-		{Indexed: true, ParallelUnions: true, PlanCache: true},
-		{Indexed: true, Shards: 4, PlanCache: true},
-		{Indexed: true, Shards: 8, AdaptivePlans: true, Workers: 2, FanoutThreshold: 1},
-		{Indexed: true, Shards: 3, Workers: 2, PlanCache: true, FanoutThreshold: 1},
+		{Indexed: true, ParallelUnions: true},
+		{Indexed: true, Shards: 4},
+		{Indexed: true, Shards: 8, Workers: 2, FanoutThreshold: 1},
+		{Indexed: true, Shards: 3, Workers: 2, FanoutThreshold: 1},
 		{Indexed: true, Shards: 4, Workers: 2, FanoutThreshold: 4},
 		// Physical × JIT cells: compiled bucket-span units over a partition
 		// skewed by the incremental hub batch.
-		{Indexed: true, Shards: 4, Workers: 4, PlanCache: true, FanoutThreshold: 1, JIT: lambdaSPJ},
+		{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1, JIT: lambdaSPJ},
 		{Indexed: true, Shards: 8, Workers: 4, FanoutThreshold: 4, JIT: lambdaSPJ},
 	} {
 		config := fmt.Sprintf("shards=%d/workers=%d/threshold=%d/parallel=%v/jit=%v",
@@ -289,11 +285,11 @@ func TestDifferentialIncremental(t *testing.T) {
 
 // TestDifferentialWarmRerun is the harness's warm-rerun mode: every
 // execution-mode × JIT cell runs TWICE on the same Program with SharedPlans
-// on — the second run starts from the Program-lifetime plan store the first
+// on — the second run starts from the Program-lifetime unit store the first
 // one populated. Both runs must derive exactly the sequential baseline's
-// result set, and the second must show a nonzero cross-run hit rate (plan
-// view, unit view, or both): artifacts genuinely survive the Run boundary in
-// every configuration, not just the sequential one.
+// result set. With the JIT on the second must show cross-run unit hits in
+// every configuration, not just the sequential one; with it off nothing
+// enters the store, and neither run reports a cross-run hit.
 func TestDifferentialWarmRerun(t *testing.T) {
 	builds := []struct {
 		name  string
@@ -335,12 +331,11 @@ func TestDifferentialWarmRerun(t *testing.T) {
 					checkDerivations(t, config+"/run2", res2, ground)
 					checkPooled(t, config+"/run2", em, res2)
 					diffSnapshots(t, config+"/run2", baseline, snapshotAll(built.P))
-					if res1.Plans.CrossRunHits+res1.Units.CrossRunHits != 0 {
-						t.Errorf("%s: first run claims cross-run hits (%+v / %+v)", config, res1.Plans, res1.Units)
+					if res1.Units.CrossRunHits != 0 {
+						t.Errorf("%s: first run claims cross-run hits (%+v)", config, res1.Units)
 					}
-					if res2.Plans.CrossRunHits+res2.Units.CrossRunHits == 0 {
-						t.Errorf("%s: warm rerun served no cross-run hits (plans %+v, units %+v)",
-							config, res2.Plans, res2.Units)
+					if hits := res2.Units.CrossRunHits; (hits > 0) != useJIT {
+						t.Errorf("%s: warm rerun served %d cross-run unit hits (%+v)", config, hits, res2.Units)
 					}
 				}
 			}

@@ -18,9 +18,9 @@ import (
 // configured interpreter. Program.Run builds a fresh engine per call over
 // the Program's own catalog; serving sessions build one engine per session
 // over their private epoch-seeded catalog and reuse it across queries — the
-// compiled units and cached plans it produces are catalog-independent
-// (resolved through the interpreter's catalog at invocation time), so both
-// shapes share one Program-lifetime plan store.
+// compiled units it produces are catalog-independent (resolved through the
+// interpreter's catalog at invocation time), so both shapes share one
+// Program-lifetime store of units.
 type execEngine struct {
 	cat   *storage.Catalog
 	root  *ir.ProgramOp
@@ -28,7 +28,6 @@ type execEngine struct {
 	store *plancache.Store
 	ctrl  *jit.Controller
 	in    *interp.Interp
-	plans *plancache.Cache[*interp.Plan]
 }
 
 // registerArtifacts applies the permanent per-relation registrations opts
@@ -63,11 +62,11 @@ func registerArtifacts(cat *storage.Catalog, prog *ast.Program, uses []ir.IndexU
 
 // newExecEngine assembles an engine over cat for the lowered program root,
 // first registering uses: root's, and those of any other lowering whose
-// plans run on cat (registerArtifacts). store is the shared plan store (nil
-// for per-run caches); aotSrc is the statistics source AOTFactsAndRules
-// orders against — the live catalog for Run, the pinned epoch's snapshot for
-// serving sessions, so session plans are staged against boundary-consistent
-// statistics.
+// plans run on cat (registerArtifacts). store is the Program's unit store
+// (nil for a per-run unit cache); aotSrc is the statistics source
+// AOTFactsAndRules orders against — the live catalog for Run, the pinned
+// epoch's snapshot for serving sessions, so session plans are staged against
+// boundary-consistent statistics.
 func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, uses []ir.IndexUse, opts Options, store *plancache.Store, aotSrc stats.Source) (*execEngine, error) {
 	registerArtifacts(cat, prog, uses, opts)
 
@@ -146,23 +145,7 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 		// independent of an earlier sharded configuration.
 		cat.ConfigureShardsPhysical(0, nil)
 	}
-	var plans *plancache.Cache[*interp.Plan]
-	if opts.PlanCache || opts.AdaptivePlans || opts.SharedPlans {
-		pol := plancache.Policy{Threshold: opts.PlanCacheDrift}
-		if store != nil {
-			plans = plancache.View[*interp.Plan](store, plancache.ViewConfig{Class: plancache.ClassPlans, Policy: pol})
-		} else {
-			plans = plancache.New[*interp.Plan](pol)
-		}
-		in.Plans = plans
-		if opts.AdaptivePlans {
-			in.Reopt = func(spj *ir.SPJOp) bool {
-				changed, err := optimizer.Reorder(spj, live, oopts)
-				return err == nil && changed
-			}
-		}
-	}
-	return &execEngine{cat: cat, root: root, opts: opts, store: store, ctrl: ctrl, in: in, plans: plans}, nil
+	return &execEngine{cat: cat, root: root, opts: opts, store: store, ctrl: ctrl, in: in}, nil
 }
 
 // arm clears a stale cancellation (sessions reuse one interpreter, and a
@@ -186,16 +169,15 @@ func (e *execEngine) arm(timeout time.Duration) (disarm func()) {
 // Session-owned engines keep the controller alive across queries and report
 // the per-query delta of its counters instead.
 //
-// Under SharedPlans the Plans/Units deltas subtract the store's counters at
-// query start; with concurrent sessions active the window may include
+// Under SharedPlans the Units delta subtracts the store's counters at query
+// start; with concurrent sessions active the window may include
 // neighbors' store activity (the counters are store-cumulative and
 // monotone), so per-query attribution is approximate there — exact totals
 // live on the store's ClassStats.
 func (e *execEngine) query(oneShot bool) (*Result, error) {
 	defer storage.HoldScratch()()
-	var planBase, unitBase plancache.Stats
+	var unitBase plancache.Stats
 	if e.store != nil {
-		planBase = e.store.ClassStats(plancache.ClassPlans)
 		unitBase = e.store.ClassStats(plancache.ClassUnits)
 	}
 	var jitBase jit.Stats
@@ -212,12 +194,6 @@ func (e *execEngine) query(oneShot bool) (*Result, error) {
 		Duration:   dt,
 		Interp:     e.in.TakeStats(),
 		TotalFacts: e.cat.TotalDerived(),
-	}
-	if e.plans != nil {
-		res.Plans = e.plans.Stats()
-		if e.store != nil {
-			res.Plans = res.Plans.Sub(planBase)
-		}
 	}
 	if e.ctrl != nil {
 		if oneShot {

@@ -111,12 +111,7 @@ func TestKitchenSinkAllConfigurations(t *testing.T) {
 		cfg{"composite", Options{Indexed: true, CompositeIndexes: true}},
 		cfg{"parallel", Options{Indexed: true, ParallelUnions: true, FanoutThreshold: 1}},
 		cfg{"parallel-2workers", Options{Indexed: true, ParallelUnions: true, Workers: 2, FanoutThreshold: 1}},
-		cfg{"plancache", Options{Indexed: true, PlanCache: true}},
-		cfg{"plancache-adaptive", Options{Indexed: true, AdaptivePlans: true}},
-		cfg{"plancache-parallel", Options{Indexed: true, PlanCache: true, ParallelUnions: true, FanoutThreshold: 1}},
-		cfg{"plancache-parallel-adaptive", Options{Indexed: true, AdaptivePlans: true, ParallelUnions: true, FanoutThreshold: 1}},
-		cfg{"plancache-jit-irgen", Options{Indexed: true, PlanCache: true,
-			JIT: jit.Config{Backend: jit.BackendIRGen, Granularity: jit.GranSPJ}}},
+		cfg{"shared-plans", Options{Indexed: true, SharedPlans: true}},
 		cfg{"aot-rules", Options{Indexed: true, AOT: AOTRulesOnly}},
 		cfg{"aot-facts", Options{Indexed: true, AOT: AOTFactsAndRules}},
 		cfg{"aliases", Options{Indexed: true, EliminateAliases: true}},

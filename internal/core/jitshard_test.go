@@ -116,7 +116,7 @@ func derivedRows(cat *storage.Catalog) map[string][]string {
 func TestJITShardedUsesPhysicalStore(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
 	res := runJITTC(t, core.Options{
-		Indexed: true, Shards: 4, Workers: 4, PlanCache: true,
+		Indexed: true, Shards: 4, Workers: 4,
 		FanoutThreshold: 1, // every iteration fans out
 		JIT:             lambdaSPJ,
 	})

@@ -93,7 +93,6 @@ func TestOldEmitsEachMatchOnce(t *testing.T) {
 	for _, c := range []optCase{
 		{"push", core.Options{}},
 		{"push/indexed", core.Options{Indexed: true}},
-		{"push/plancache", core.Options{Indexed: true, PlanCache: true}},
 		{"lambda/spj", core.Options{Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}}},
 		{"lambda/unionall", core.Options{Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}}},
 		// One unit for the whole program, compiled before the first

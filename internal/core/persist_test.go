@@ -18,6 +18,7 @@ import (
 	"carac/internal/datagen"
 	"carac/internal/ir"
 	"carac/internal/jit"
+	"carac/internal/plancache"
 	"carac/internal/workloads"
 )
 
@@ -29,12 +30,13 @@ var persistBuilds = []struct {
 	{"CSPA", func() *analysis.Built { return analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(80, 42)) }},
 }
 
-// TestPersistColdWarmRoundTrip is the acceptance pin: a disk-warm restart
-// builds 0 plans on TC and CSPA, with byte-equal result sets, in every
-// execution mode of the differential matrix, interpreted and under lambda,
-// whose units come back as recompile hints. Each cell simulates a process
-// restart with two fresh Programs over identical facts sharing one cache
-// directory.
+// TestPersistColdWarmRoundTrip is the acceptance pin: on TC and CSPA, in
+// every execution mode of the differential matrix, a restart over the cache
+// directory derives byte-equal result sets. Under lambda the units come back
+// as recompile hints and the restart builds 0 plans; interpreted, nothing is
+// cached and every subquery execution builds its plan, restart or not. Each
+// cell simulates a process restart with two fresh Programs over identical
+// facts sharing one cache directory.
 func TestPersistColdWarmRoundTrip(t *testing.T) {
 	for _, w := range persistBuilds {
 		w := w
@@ -57,9 +59,6 @@ func TestPersistColdWarmRoundTrip(t *testing.T) {
 					}
 					want := snapshotAll(cold.P)
 					checkPooled(t, config+" cold", em, res1)
-					if res1.Interp.PlanBuilds == 0 && res1.JIT.Compilations == 0 {
-						t.Fatalf("%s: cold run built nothing — nothing to persist (%+v)", config, res1.Interp)
-					}
 
 					warm := w.build()
 					res2, err := warm.P.Run(opts)
@@ -70,9 +69,6 @@ func TestPersistColdWarmRoundTrip(t *testing.T) {
 						diffSnapshots(t, config, want, snapshotAll(warm.P))
 						t.Fatalf("%s: disk-warm result diverged", config)
 					}
-					if res2.Interp.PlanBuilds != 0 {
-						t.Errorf("%s: disk-warm restart built %d plans, want 0", config, res2.Interp.PlanBuilds)
-					}
 					ds, ok := warm.P.DiskStats()
 					if !ok {
 						t.Fatalf("%s: warm Program opened no cache directory", config)
@@ -80,15 +76,24 @@ func TestPersistColdWarmRoundTrip(t *testing.T) {
 					if ds.Invalidations != 0 {
 						t.Errorf("%s: clean directory reported invalidations: %+v", config, ds)
 					}
-					// Interpreted cells serve disk-loaded plans. Under lambda
-					// at SPJ granularity compiled units intercept every
-					// subquery; they persist as recompile hints, which load
-					// as misses and are compiled again.
-					if backend == jit.BackendOff && (ds.Hits == 0 || res2.Plans.CrossRunHits == 0) {
-						t.Errorf("%s: disk-loaded plans served no cross-run hits: %+v, %+v", config, ds, res2.Plans)
+					// Interpreted cells plan every execution, cold or warm.
+					// Under lambda at SPJ granularity compiled units
+					// intercept every subquery; they persist as recompile
+					// hints, which load as misses and are compiled again.
+					if backend == jit.BackendOff {
+						for run, res := range []*core.Result{res1, res2} {
+							if res.Interp.PlanBuilds == 0 || res.Interp.PlanBuilds != res.Interp.SPJRuns {
+								t.Errorf("%s run %d: %d plans for %d subquery runs, want one each", config, run+1, res.Interp.PlanBuilds, res.Interp.SPJRuns)
+							}
+						}
 					}
-					if backend == jit.BackendLambda && (ds.Misses == 0 || res2.JIT.Compilations == 0) {
-						t.Errorf("%s: no recompile hint came back (%+v, %d compilations)", config, ds, res2.JIT.Compilations)
+					if backend == jit.BackendLambda {
+						if res2.Interp.PlanBuilds != 0 {
+							t.Errorf("%s: disk-warm restart built %d plans, want 0", config, res2.Interp.PlanBuilds)
+						}
+						if ds.Misses == 0 || res2.JIT.Compilations == 0 {
+							t.Errorf("%s: no recompile hint came back (%+v, %d compilations)", config, ds, res2.JIT.Compilations)
+						}
 					}
 				}
 			}
@@ -99,10 +104,10 @@ func TestPersistColdWarmRoundTrip(t *testing.T) {
 // TestPersistCorruptedDirectory mangles the flushed cache files and requires
 // the warm Program to fall back to a full cold build — identical results,
 // counted invalidations, no error — and its own flush to repair the
-// directory for a third Program.
+// directory for a third Program, whose recompile hints load again.
 func TestPersistCorruptedDirectory(t *testing.T) {
 	dir := t.TempDir()
-	opts := core.Options{Indexed: true, CacheDir: dir}
+	opts := core.Options{Indexed: true, CacheDir: dir, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}}
 
 	cold := workloads.TransitiveClosure(analysis.HandOptimized, 60, 150, 7)
 	if _, err := cold.P.Run(opts); err != nil {
@@ -149,79 +154,67 @@ func TestPersistCorruptedDirectory(t *testing.T) {
 	if ds.Invalidations == 0 {
 		t.Fatalf("corrupt files not counted: %+v", ds)
 	}
-	if ds.Hits != 0 {
-		t.Fatalf("corrupt files served %d entries: %+v", ds.Hits, ds)
+	if ds.Hits != 0 || ds.Misses != 0 {
+		t.Fatalf("corrupt files served entries: %+v", ds)
 	}
-	if res.Interp.PlanBuilds == 0 {
-		t.Fatal("fallback run should have built its plans cold")
+	if res.JIT.Compilations == 0 {
+		t.Fatal("fallback run should have compiled its units cold")
 	}
 
-	// The fallback run's flush overwrote the corpses: a third Program is
-	// fully disk-warm again.
+	// The fallback run's flush overwrote the corpses: a third Program loads
+	// every recompile hint again.
 	repaired := workloads.TransitiveClosure(analysis.HandOptimized, 60, 150, 7)
-	res3, err := repaired.P.Run(opts)
-	if err != nil {
+	if _, err := repaired.P.Run(opts); err != nil {
 		t.Fatalf("repaired: %v", err)
 	}
 	ds3, _ := repaired.P.DiskStats()
-	if ds3.Invalidations != 0 || ds3.Hits == 0 {
+	if ds3.Invalidations != 0 || ds3.Misses == 0 {
 		t.Fatalf("flush did not repair the directory: %+v", ds3)
-	}
-	if res3.Interp.PlanBuilds != 0 {
-		t.Fatalf("repaired restart not warm: %d plan builds", res3.Interp.PlanBuilds)
 	}
 }
 
-// TestPersistEvictionSurvivesOnDisk runs a mid-sized Program against a
-// cache directory, then opens it with a pathologically small PlanStoreLimit
-// — load-time injection plus run-time stores evict entries — and finally
-// opens it a third time at the default limit. Flush never deletes files, so
-// the disk retains the full key set; the tiny run's churn may overwrite some
-// entries with later-iteration band state, so the contract here is "much
-// warmer than cold", not zero builds (the strict evicted-then-reloaded
-// round trip is pinned at the plancache level).
+// TestPersistEvictionSurvivesOnDisk runs CSPA under lambda against a cache
+// directory, then again in a fresh Program whose unit store holds one entry
+// per lock shard, so run-time stores evict units, and finally opens the
+// directory a third time at the default bound. Flush never deletes files, so
+// the third Program loads a recompile hint for every unit the cold run
+// stored (the strict evicted-then-reloaded round trip is pinned at the
+// plancache level).
 func TestPersistEvictionSurvivesOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	build := func() *analysis.Built {
 		return analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(60, 11))
 	}
-	base := core.Options{Indexed: true, CacheDir: dir}
+	opts := core.Options{Indexed: true, CacheDir: dir, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}}
 
 	cold := build()
-	res1, err := cold.P.Run(base)
-	if err != nil {
+	if _, err := cold.P.Run(opts); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
 	want := snapshotAll(cold.P)
-	if res1.Interp.PlanBuilds == 0 {
-		t.Fatal("cold run built no plans — nothing to evict")
+	units := cold.P.PlanStore().Keys(plancache.ClassUnits)
+	if units == 0 {
+		t.Fatal("cold run stored no units — nothing to evict")
 	}
 
 	tiny := build()
-	tinyOpts := base
-	tinyOpts.PlanStoreLimit = 16 // one entry per lock shard
-	if _, err := tiny.P.Run(tinyOpts); err != nil {
+	core.LimitPlanStore(tiny.P, 16) // one entry per lock shard
+	if _, err := tiny.P.Run(opts); err != nil {
 		t.Fatalf("tiny: %v", err)
 	}
 	if !reflect.DeepEqual(want, snapshotAll(tiny.P)) {
 		t.Fatal("tiny-store run diverged")
 	}
 	if tiny.P.PlanStore().Stats().Evictions == 0 {
-		t.Skip("workload too small to overflow the tiny store") // defensive; CSPA(60) overflows 16 entries
+		t.Fatalf("%d units never overflowed the 16-entry store", units)
 	}
 
 	warm := build()
-	res, err := warm.P.Run(base)
-	if err != nil {
+	if _, err := warm.P.Run(opts); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
-	ds, _ := warm.P.DiskStats()
-	if ds.Hits == 0 {
-		t.Fatalf("post-eviction restart loaded nothing from disk: %+v", ds)
-	}
-	if res.Interp.PlanBuilds >= res1.Interp.PlanBuilds {
-		t.Fatalf("disk retained nothing across the eviction churn: %d builds vs %d cold",
-			res.Interp.PlanBuilds, res1.Interp.PlanBuilds)
+	if ds, _ := warm.P.DiskStats(); ds.Misses < int64(units) {
+		t.Fatalf("post-eviction restart loaded %d recompile hints, the cold run stored %d units: %+v", ds.Misses, units, ds)
 	}
 	if !reflect.DeepEqual(want, snapshotAll(warm.P)) {
 		t.Fatal("post-eviction warm run diverged")
@@ -229,7 +222,7 @@ func TestPersistEvictionSurvivesOnDisk(t *testing.T) {
 }
 
 // TestPersistProfileSnapshot checks the stats profile rides along: a warm
-// Program exposes the world its plans were built against.
+// Program exposes the world the previous run ended in.
 func TestPersistProfileSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	opts := core.Options{Indexed: true, CacheDir: dir}
@@ -260,11 +253,11 @@ func TestPersistProfileSnapshot(t *testing.T) {
 }
 
 // TestPersistServeFlushOnPublish pins the serve-mode wiring: a server over a
-// cache directory flushes on publish, and a restarted server (or Program)
-// starts disk-warm from what sessions built.
+// cache directory flushes on publish, and a restarted Program loads the
+// recompile hints of the units sessions compiled.
 func TestPersistServeFlushOnPublish(t *testing.T) {
 	dir := t.TempDir()
-	opts := core.Options{Indexed: true, CacheDir: dir}
+	opts := core.Options{Indexed: true, CacheDir: dir, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}}
 
 	built := workloads.TransitiveClosure(analysis.HandOptimized, 60, 150, 7)
 	srv, err := built.P.Serve(opts)
@@ -292,5 +285,8 @@ func TestPersistServeFlushOnPublish(t *testing.T) {
 	}
 	if res.Interp.PlanBuilds != 0 {
 		t.Fatalf("restart after serve flush built %d plans, want 0", res.Interp.PlanBuilds)
+	}
+	if ds, _ := restarted.P.DiskStats(); ds.Misses == 0 {
+		t.Fatalf("restart after serve flush loaded no recompile hint: %+v", ds)
 	}
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // buildRandomGraph returns a graph-reachability program over a random edge
-// set — the workload the parallel executor and plan cache are validated on.
+// set — the workload the parallel executor and the unit store are validated
+// on.
 func buildRandomGraph(t testing.TB, nodes, edges int, seed int64) (*Program, *Relation) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -35,98 +36,6 @@ func snapshotRel(r *Relation) map[[2]int32]bool {
 	return out
 }
 
-// TestPlanCacheMatchesColdPlanning is the cache-correctness property test:
-// across random graphs, every plan-cache configuration (plain, adaptive,
-// parallel) must derive exactly the same facts as cold per-execution
-// planning, while actually reusing plans across fixpoint iterations.
-func TestPlanCacheMatchesColdPlanning(t *testing.T) {
-	for trial := int64(0); trial < 6; trial++ {
-		nodes := 8 + int(trial)*4
-		cold, coldReach := buildRandomGraph(t, nodes, nodes*3, trial)
-		coldRes, err := cold.Run(Options{Indexed: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := snapshotRel(coldReach)
-
-		cfgs := []struct {
-			name string
-			opts Options
-			// wantReuse: the default drift threshold guarantees reuse across
-			// iterations; a 1% threshold may legitimately re-plan every time.
-			wantReuse bool
-		}{
-			{"plancache", Options{Indexed: true, PlanCache: true}, true},
-			{"adaptive", Options{Indexed: true, AdaptivePlans: true}, true},
-			{"tight-drift", Options{Indexed: true, AdaptivePlans: true, PlanCacheDrift: 0.01}, false},
-			{"parallel", Options{Indexed: true, PlanCache: true, ParallelUnions: true, FanoutThreshold: 1}, true},
-			{"parallel-adaptive", Options{Indexed: true, AdaptivePlans: true, ParallelUnions: true, FanoutThreshold: 1}, true},
-		}
-		for _, c := range cfgs {
-			p, reach := buildRandomGraph(t, nodes, nodes*3, trial)
-			res, err := p.Run(c.opts)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			got := snapshotRel(reach)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d %s: |reach| = %d, want %d", trial, c.name, len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("trial %d %s: missing fact %v", trial, c.name, k)
-				}
-			}
-			if res.TotalFacts != coldRes.TotalFacts {
-				t.Fatalf("trial %d %s: total facts %d != %d", trial, c.name, res.TotalFacts, coldRes.TotalFacts)
-			}
-			if c.wantReuse && res.Interp.PlanReuses == 0 {
-				t.Fatalf("trial %d %s: plan cache never reused a plan (%+v)", trial, c.name, res.Plans)
-			}
-			if c.wantReuse && res.Plans.Hits == 0 {
-				t.Fatalf("trial %d %s: cache reported no hits (%+v)", trial, c.name, res.Plans)
-			}
-		}
-	}
-}
-
-// TestDriftTriggersReoptimization forces cardinality skew — the derived
-// relation grows from empty to hundreds of tuples across iterations — and
-// asserts the drift gate actually fires: stale/band evictions happen and the
-// adaptive hook re-optimizes join orders mid-fixpoint.
-func TestDriftTriggersReoptimization(t *testing.T) {
-	p, tc := buildTC(t, 60) // long chain: |tc| grows superlinearly across iterations
-	res, err := p.Run(Options{Indexed: true, AdaptivePlans: true, PlanCacheDrift: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Len() != 60*61/2 {
-		t.Fatalf("|tc| = %d, want %d", tc.Len(), 60*61/2)
-	}
-	if res.Plans.BandMisses+res.Plans.StaleDrops == 0 {
-		t.Fatalf("forced skew produced no drift evictions: %+v", res.Plans)
-	}
-	if res.Interp.Reopts == 0 {
-		t.Fatalf("drift never triggered re-optimization: %+v", res.Interp)
-	}
-	if res.Interp.PlanReuses == 0 {
-		t.Fatalf("no plan reuse despite repeated iterations: %+v", res.Interp)
-	}
-
-	// Same skew with a loose gate: far fewer rebuilds, same results.
-	p2, tc2 := buildTC(t, 60)
-	res2, err := p2.Run(Options{Indexed: true, AdaptivePlans: true, PlanCacheDrift: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc2.Len() != tc.Len() {
-		t.Fatalf("drift threshold changed results: %d vs %d", tc2.Len(), tc.Len())
-	}
-	if res2.Interp.PlanBuilds >= res.Interp.PlanBuilds {
-		t.Fatalf("loose gate should re-plan less: %d >= %d", res2.Interp.PlanBuilds, res.Interp.PlanBuilds)
-	}
-}
-
 // TestParallelWorkerPool exercises the bounded pool at several widths on the
 // graph-reachability workload (run under -race in CI) and checks the
 // sequential fallback agrees.
@@ -140,7 +49,7 @@ func TestParallelWorkerPool(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 2, 3, runtime.GOMAXPROCS(0) * 2} {
 		p, reach := buildRandomGraph(t, 40, 120, 99)
-		res, err := p.Run(Options{Indexed: true, ParallelUnions: true, Workers: workers, PlanCache: true, FanoutThreshold: 1})
+		res, err := p.Run(Options{Indexed: true, ParallelUnions: true, Workers: workers, FanoutThreshold: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -165,8 +74,8 @@ func TestParallelWorkerPool(t *testing.T) {
 // TestParallelRaceStress drives the worker pool with many equally heavy
 // recursive rules deriving the same head predicate (each over its own edge
 // relation, so no rule finishes early), keeping several workers concurrently
-// probing the same frozen Derived relation (Contains on the shared sink) and
-// the shared plan cache for whole iterations. CI runs it under -race; the
+// probing the same frozen Derived relation (Contains on the shared sink) for
+// whole iterations. CI runs it under -race; the
 // larger CSPA benchmark matrix (also under -race in CI) is the primary
 // stressor — it reproduced the shared pack-scratch race an earlier Contains
 // implementation had.
@@ -193,7 +102,7 @@ func TestParallelRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	par, parReach := build()
-	if _, err := par.Run(Options{Indexed: true, ParallelUnions: true, PlanCache: true, FanoutThreshold: 1}); err != nil {
+	if _, err := par.Run(Options{Indexed: true, ParallelUnions: true, FanoutThreshold: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if seqReach.Len() != parReach.Len() {
@@ -223,7 +132,7 @@ func TestParallelAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, deg2 := build()
-	if _, err := p2.Run(Options{Indexed: true, ParallelUnions: true, PlanCache: true, FanoutThreshold: 1}); err != nil {
+	if _, err := p2.Run(Options{Indexed: true, ParallelUnions: true, FanoutThreshold: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if deg1.Len() != deg2.Len() {
@@ -237,11 +146,10 @@ func TestParallelAggregates(t *testing.T) {
 	}
 }
 
-// TestSharedPlansWarmRerun is the tentpole's core property: with the plan
-// cache keyed into the Program-lifetime store, a second Run of the same
-// Program performs strictly fewer plan constructions than the first — the
-// cold-start re-planning tax the drift gate exists to avoid is paid once per
-// Program, not once per Run — while deriving identical results.
+// TestSharedPlansWarmRerun: repeated Runs of one Program on the shared
+// store, and an incremental fact batch between them, derive what a cold
+// Program derives. The interpreter caches no plans, so every Run plans each
+// subquery execution afresh and reports no plan-cache activity.
 func TestSharedPlansWarmRerun(t *testing.T) {
 	cold, coldReach := buildRandomGraph(t, 24, 72, 5)
 	if _, err := cold.Run(Options{Indexed: true}); err != nil {
@@ -251,95 +159,37 @@ func TestSharedPlansWarmRerun(t *testing.T) {
 
 	p, reach := buildRandomGraph(t, 24, 72, 5)
 	opts := Options{Indexed: true, SharedPlans: true}
-	res1, err := p.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := p.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := snapshotRel(reach)
-	if len(got) != len(want) {
-		t.Fatalf("|reach| = %d, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("missing fact %v", k)
+	for run := 0; run < 2; run++ {
+		res, err := p.Run(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res1.Interp.PlanBuilds == 0 {
-		t.Fatalf("first run built no plans: %+v", res1.Interp)
-	}
-	if res2.Interp.PlanBuilds >= res1.Interp.PlanBuilds {
-		t.Fatalf("warm rerun did not reduce plan builds: %d >= %d", res2.Interp.PlanBuilds, res1.Interp.PlanBuilds)
-	}
-	if res1.Plans.CrossRunHits != 0 {
-		t.Fatalf("first run reported cross-run hits: %+v", res1.Plans)
-	}
-	if res2.Plans.CrossRunHits == 0 {
-		t.Fatalf("warm rerun served no cross-run hits: %+v", res2.Plans)
-	}
-	// Incremental fact batch: the store stays warm through the baseline
-	// rewind too.
-	edge := p.Relation("edge", 2)
-	edge.MustFact(0, 23)
-	res3, err := p.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Plans.CrossRunHits == 0 {
-		t.Fatalf("incremental batch started cold: %+v", res3.Plans)
-	}
-}
-
-// TestStructuralPlanSharing pins the fingerprint keying: N structurally
-// identical recursive rules (the CSPA shape — same rule template over
-// distinct edge relations) must share plan-cache entries, so the store holds
-// strictly fewer plan keys than the program has rules, while results match
-// the cold sequential baseline.
-func TestStructuralPlanSharing(t *testing.T) {
-	build := func() (*Program, *Relation, int) {
-		p := NewProgram()
-		reach := p.Relation("reach", 2)
-		x, y, z := NewVar("x"), NewVar("y"), NewVar("z")
-		rng := rand.New(rand.NewSource(3))
-		rules := 0
-		for _, name := range []string{"e1", "e2", "e3", "e4", "e5"} {
-			e := p.Relation(name, 2)
-			p.MustRule(reach.A(x, y), e.A(x, y))
-			p.MustRule(reach.A(x, y), reach.A(x, z), e.A(z, y))
-			rules += 2
-			for i := 0; i < 60; i++ {
-				e.MustFact(rng.Intn(40), rng.Intn(40))
+		got := snapshotRel(reach)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: |reach| = %d, want %d", run, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("run %d: missing fact %v", run, k)
 			}
 		}
-		return p, reach, rules
+		if res.Interp.PlanBuilds != res.Interp.SPJRuns || res.Plans != (plancache.Stats{}) {
+			t.Fatalf("run %d: %d plans for %d subquery runs, plan cache %+v", run, res.Interp.PlanBuilds, res.Interp.SPJRuns, res.Plans)
+		}
 	}
-	seq, seqReach, _ := build()
-	if _, err := seq.Run(Options{Indexed: true}); err != nil {
+	// Incremental fact batch: the rewind to the baseline keeps the store.
+	edge := p.Relation("edge", 2)
+	edge.MustFact(0, 23)
+	if _, err := p.Run(opts); err != nil {
 		t.Fatal(err)
 	}
-	p, reach, rules := build()
-	res, err := p.Run(Options{Indexed: true, SharedPlans: true})
-	if err != nil {
+	cold2, coldReach2 := buildRandomGraph(t, 24, 72, 5)
+	cold2.Relation("edge", 2).MustFact(0, 23)
+	if _, err := cold2.Run(Options{Indexed: true}); err != nil {
 		t.Fatal(err)
 	}
-	if reach.Len() != seqReach.Len() {
-		t.Fatalf("shared plans changed results: %d vs %d facts", reach.Len(), seqReach.Len())
-	}
-	if res.Interp.PlanReuses == 0 {
-		t.Fatalf("no plan reuse: %+v", res.Interp)
-	}
-	keys := p.PlanStore().Keys(plancache.ClassPlans)
-	if keys == 0 || keys >= rules {
-		t.Fatalf("structural sharing failed: %d plan keys for %d rules", keys, rules)
-	}
-	// The five structurally identical recursive rules must have produced
-	// strictly fewer plan builds than five independent caches would: the
-	// first rule's plan serves its siblings via rebinding.
-	if res.Interp.PlanBuilds >= res.Interp.SPJRuns {
-		t.Fatalf("plan builds %d not amortized over %d subquery runs", res.Interp.PlanBuilds, res.Interp.SPJRuns)
+	if reach.Len() != coldReach2.Len() {
+		t.Fatalf("incremental batch: |reach| = %d, cold %d", reach.Len(), coldReach2.Len())
 	}
 }
 
@@ -400,9 +250,8 @@ func TestUnitBandReturnReuses(t *testing.T) {
 
 // TestSharedPlansMixedConfigs: one Program's store serves runs under
 // DIFFERENT execution configurations — sequential, parallel, sharded, JIT —
-// without poisoning results: cached plans carry no per-run state (shard
-// restrictions live on per-execution copies, unit keys are backend-tagged),
-// so every mixed run must still derive the cold baseline's facts.
+// without poisoning results: unit keys are backend-tagged, so every mixed
+// run must still derive the cold baseline's facts.
 func TestSharedPlansMixedConfigs(t *testing.T) {
 	cold, coldReach := buildRandomGraph(t, 30, 90, 21)
 	if _, err := cold.Run(Options{Indexed: true}); err != nil {
@@ -416,7 +265,6 @@ func TestSharedPlansMixedConfigs(t *testing.T) {
 		{Indexed: true, SharedPlans: true, ParallelUnions: true, Workers: 2, FanoutThreshold: 1},
 		{Indexed: true, SharedPlans: true, Shards: 4, Workers: 2, FanoutThreshold: 1},
 		{Indexed: true, SharedPlans: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}},
-		{Indexed: true, SharedPlans: true, AdaptivePlans: true},
 	}
 	for i, opts := range runs {
 		res, err := p.Run(opts)

@@ -24,13 +24,13 @@ import (
 //   - A Session pins the current epoch and evaluates on a private catalog
 //     seeded from it, through the same execution pipeline Run uses
 //     (interpreter, optimizer, JIT). Sessions share the Program-lifetime
-//     plan store: access plans and compiled units are keyed structurally and
-//     resolve relations through the executing interpreter's catalog at
-//     invocation time, so one session's artifacts serve every other.
+//     unit store: compiled units are keyed structurally and resolve
+//     relations through the executing interpreter's catalog at invocation
+//     time, so one session's units serve every other.
 //   - Fact ingestion stays single-writer (Server.Ingest, under the
 //     Program's run mutex) and becomes visible atomically: Publish rewinds
 //     to the ground baseline through the existing delta machinery, advances
-//     the catalog epoch and plan-store generation once, pins fresh row
+//     the catalog epoch and unit-store generation once, pins fresh row
 //     views, captures the statistics snapshot, and flips the epoch pointer.
 //     Sessions opened before the flip keep reading their pinned epoch —
 //     storage-level copy-on-flip keeps those row views intact even as the
@@ -264,10 +264,10 @@ func monotoneProgram(prog *ast.Program) bool {
 
 // Serve freezes the Program's rule set, publishes its current facts as the
 // first epoch, and returns a Server from which any number of goroutines may
-// open query sessions. Serving forces SharedPlans: the Program-lifetime plan
-// store is the medium through which sessions share plans and compiled units
-// (including any built by Runs before serving — those hits read as cross-run
-// reuse).
+// open query sessions. Serving forces SharedPlans: the Program-lifetime
+// unit store is the medium through which sessions share compiled units
+// (including any compiled by Runs before serving — those hits read as
+// cross-run reuse).
 //
 // The Program stays usable as the ingestion side: add facts via
 // Server.Ingest and make them visible with Publish. Direct Run calls remain
@@ -299,21 +299,14 @@ func (p *Program) Serve(opts Options) (*Server, error) {
 
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
-	if !p.frozen {
-		p.frozen = true
-		p.baseLens = make([]int, p.cat.NumPreds())
-		for i, pd := range p.cat.Preds() {
-			p.baseLens[i] = pd.Derived.Len()
-		}
-		p.baselineClean = true // nothing has been derived yet
-	}
+	p.ensureFrozenLocked()
 	// Register the access artifacts on the Program catalog too, so epoch
 	// statistics snapshots carry distinct counts and histograms for the
 	// session planners.
 	registerArtifacts(p.cat, prog, uses, opts)
-	// Load the persistent cache (if configured) now that indexes exist to
-	// revalidate loaded plans against; the first publish below flushes it
-	// back, so even an idle server refreshes the directory's version tag.
+	// Load the persistent cache (if configured); the first publish below
+	// flushes it back, so even an idle server refreshes the directory's
+	// version tag.
 	p.ensurePersistLocked(opts)
 
 	s := &Server{
@@ -359,11 +352,11 @@ func (s *Server) publishLocked() *Epoch {
 	// slabs instead of rewriting the pinned ones in place.
 	p.ensureBaseline()
 	// One generation bump per published epoch (serving always shares the
-	// store): queries never bump, so plan hits inside an epoch read as
+	// store): queries never bump, so unit hits inside an epoch read as
 	// same-generation reuse and hits on entries from before the boundary as
 	// cross-run reuse — however many sessions overlap.
 	gen := p.cat.AdvanceEpoch()
-	p.sharedStore(s.opts).BumpGeneration()
+	p.PlanStore().BumpGeneration()
 	n := p.cat.NumPreds()
 	e := &Epoch{
 		gen:     gen,
@@ -384,7 +377,7 @@ func (s *Server) publishLocked() *Epoch {
 	// Flush-on-publish: persist everything sessions built during the closing
 	// epoch, with the new boundary's statistics as the profile snapshot, so
 	// a restart after any publication starts disk-warm.
-	p.flushPersistLocked(p.sharedStore(s.opts), e.stats)
+	p.flushPersistLocked(p.PlanStore(), e.stats)
 	if s.pendingDeletes {
 		// A retraction-bearing window breaks the append-only premise below:
 		// the previous epoch's ground lengths no longer delimit a pure
@@ -463,30 +456,7 @@ func (s *Server) IngestTx(tx *Tx) (IngestResult, error) {
 	// rows, then flip every relation to counted mode once.
 	p.ensureBaseline()
 	p.enableCountsLocked()
-	for _, pid := range tx.delOrder {
-		pd := p.cat.Pred(pid)
-		var dead [][]storage.Value
-		for _, t := range tx.dels[pid] {
-			if rem, ok := pd.Derived.DecRef(t); ok {
-				res.Deleted++
-				if rem == 0 {
-					dead = append(dead, t)
-				}
-			}
-		}
-		removed, below := pd.Derived.DeleteRows(dead, p.baseLens[pid])
-		p.baseLens[pid] -= below
-		res.Retracted += removed
-	}
-	for _, pid := range tx.insOrder {
-		pd := p.cat.Pred(pid)
-		for _, t := range tx.ins[pid] {
-			if pd.Derived.IncRef(t) {
-				p.baseLens[pid]++
-			}
-			res.Inserted++
-		}
-	}
+	res.Inserted, res.Deleted, res.Retracted = p.applyGroundLocked(tx)
 	if res.Retracted > 0 {
 		s.pendingDeletes = true
 	}
@@ -514,7 +484,7 @@ func (s *Server) Publish() *Epoch {
 // Session is one client's snapshot-isolated query context: a private catalog
 // seeded from the pinned epoch, evaluated by a session-lived engine
 // (interpreter, optional JIT controller) over the server's shared worker
-// pool and plan store. A Session is owned by one goroutine at a time —
+// pool and unit store. A Session is owned by one goroutine at a time —
 // concurrency comes from opening one session per client, any number of
 // which query in parallel.
 type Session struct {
@@ -572,7 +542,7 @@ func (s *Server) Session() (*Session, error) {
 		e.refs.Add(-1)
 		return nil, err
 	}
-	eng, err := newExecEngine(cat, s.prog, root, s.uses, s.opts, s.p.sharedStore(s.opts), e.stats)
+	eng, err := newExecEngine(cat, s.prog, root, s.uses, s.opts, s.p.PlanStore(), e.stats)
 	if err != nil {
 		e.refs.Add(-1)
 		return nil, err
@@ -784,7 +754,7 @@ func (sess *Session) adoptMat(m *epochMat) {
 }
 
 // warmEngine lazily assembles the session's warm-start engine: the same
-// catalog and shared plan store, but an ir.LowerWarm root (a delta variant
+// catalog and shared unit store, but an ir.LowerWarm root (a delta variant
 // per positive body atom, no naive prologue) staged against the previous
 // materialization's post-fixpoint statistics.
 func (sess *Session) warmEngine() (*execEngine, error) {
@@ -795,7 +765,7 @@ func (sess *Session) warmEngine() (*execEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	weng, err := newExecEngine(sess.cat, sess.srv.prog, root, sess.srv.uses, sess.srv.opts, sess.srv.p.sharedStore(sess.srv.opts), sess.epoch.prevMat.stats)
+	weng, err := newExecEngine(sess.cat, sess.srv.prog, root, sess.srv.uses, sess.srv.opts, sess.srv.p.PlanStore(), sess.epoch.prevMat.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -835,16 +805,9 @@ func (sess *Session) Close() {
 	sess.epoch.refs.Add(-1)
 }
 
-// PlanStats returns the shared store's cumulative plan-class counters — the
-// exact cross-session totals (per-query Result deltas are approximate under
-// concurrency).
-func (s *Server) PlanStats() plancache.Stats {
-	return s.p.sharedStore(s.opts).ClassStats(plancache.ClassPlans)
-}
-
 // UnitStats returns the shared store's cumulative compiled-unit counters.
 func (s *Server) UnitStats() plancache.Stats {
-	return s.p.sharedStore(s.opts).ClassStats(plancache.ClassUnits)
+	return s.p.PlanStore().ClassStats(plancache.ClassUnits)
 }
 
 // DiskStats returns the persistent cache's traffic counters; ok is false

@@ -99,7 +99,8 @@ func TestConcurrentRunGuard(t *testing.T) {
 // differential mode: N sessions over one served Program, each running the
 // fixpoint twice, must all equal the sequential oracle — for TC and CSPA,
 // interpreted and JIT-compiled. The serving Program is warmed by a plain Run
-// first, so session plan hits cross the epoch boundary (CrossRunHits > 0).
+// first, so a JIT config's session unit hits cross the epoch boundary
+// (CrossRunHits > 0).
 func TestServeConcurrentSessionsDifferential(t *testing.T) {
 	builds := []struct {
 		name  string
@@ -182,12 +183,13 @@ func TestServeConcurrentSessionsDifferential(t *testing.T) {
 				for err := range errCh {
 					t.Error(err)
 				}
-				// Warm-store reuse across the epoch boundary: interpreted
-				// configs hit warm plans; JIT configs may serve compiled
-				// units instead of consulting the plan view, so count both
-				// artifact classes.
-				if hits := srv.PlanStats().CrossRunHits + srv.UnitStats().CrossRunHits; hits == 0 {
-					t.Errorf("expected cross-run plan/unit hits from warmed store, got 0")
+				// Warm-store reuse across the epoch boundary: a JIT config's
+				// sessions serve the units the warm Run compiled. The
+				// interpreter caches no plans, so an interpreted config
+				// leaves the store empty.
+				hits := srv.UnitStats().CrossRunHits
+				if jitOn := cfg.opts.JIT.Backend != jit.BackendOff; jitOn != (hits > 0) {
+					t.Errorf("jit=%v: %d cross-run unit hits from the warmed store", jitOn, hits)
 				}
 			})
 		}
@@ -196,11 +198,11 @@ func TestServeConcurrentSessionsDifferential(t *testing.T) {
 
 // TestServeEpochGeneration pins the per-epoch (not per-query) generation
 // semantics: two sessions querying inside one epoch must not bump the
-// plan-store generation — the double-bump misattributed same-epoch reuse as
+// unit-store generation — the double-bump misattributed same-epoch reuse as
 // CrossRunHits — while Ingest+Publish advances it exactly once.
 func TestServeEpochGeneration(t *testing.T) {
 	b := workloads.TransitiveClosure(analysis.HandOptimized, 40, 80, 13)
-	opts := core.Options{Indexed: true, SharedPlans: true}
+	opts := core.Options{Indexed: true, SharedPlans: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}}
 	if _, err := b.P.Run(opts); err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
@@ -240,8 +242,8 @@ func TestServeEpochGeneration(t *testing.T) {
 	if r1.TotalFacts != r2.TotalFacts {
 		t.Fatalf("sessions on one epoch disagree: %d vs %d facts", r1.TotalFacts, r2.TotalFacts)
 	}
-	if hits := srv.PlanStats().CrossRunHits; hits == 0 {
-		t.Errorf("expected cross-run hits on the warmed store, got 0")
+	if hits := srv.UnitStats().CrossRunHits; hits == 0 {
+		t.Errorf("expected cross-run unit hits on the warmed store, got 0")
 	}
 	baseline := s1.Len(b.Output)
 

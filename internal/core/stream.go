@@ -201,30 +201,7 @@ func (p *Program) Apply(tx *Tx, opts Options) (*ApplyResult, error) {
 	res.Cold = true
 	p.ensureFrozenLocked()
 	p.ensureBaseline()
-	for _, pid := range tx.delOrder {
-		pd := p.cat.Pred(pid)
-		var dead [][]storage.Value
-		for _, t := range tx.dels[pid] {
-			if rem, ok := pd.Derived.DecRef(t); ok {
-				res.Deleted++
-				if rem == 0 {
-					dead = append(dead, t)
-				}
-			}
-		}
-		removed, below := pd.Derived.DeleteRows(dead, p.baseLens[pid])
-		p.baseLens[pid] -= below
-		res.Retracted += removed
-	}
-	for _, pid := range tx.insOrder {
-		pd := p.cat.Pred(pid)
-		for _, t := range tx.ins[pid] {
-			if pd.Derived.IncRef(t) {
-				p.baseLens[pid]++
-			}
-			res.Inserted++
-		}
-	}
+	res.Inserted, res.Deleted, res.Retracted = p.applyGroundLocked(tx)
 	r, err := p.runLocked(prog, root, opts)
 	if err != nil {
 		return nil, err
@@ -252,7 +229,7 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 	p.cat.AdvanceEpoch()
 	var store *plancache.Store
 	if opts.SharedPlans {
-		store = p.sharedStore(opts)
+		store = p.PlanStore()
 		store.BumpGeneration()
 	}
 	// Derived gains, permanently, the indexes the continuation and the
@@ -398,17 +375,37 @@ func (p *Program) enableCountsLocked() {
 	p.countsReady = true
 }
 
-// ensureFrozenLocked freezes the rule set and captures the ground baseline
-// if no Run has done so yet — Apply may legally be a Program's first
-// derivation.
-func (p *Program) ensureFrozenLocked() {
-	if p.frozen {
-		return
+// applyGroundLocked applies tx to the ground facts of a Derived rewound to
+// its baseline, count-gated: a deletion decrements an assertion's count and
+// the rows whose count reaches zero go in one DeleteRows compaction per
+// relation; an insertion increments a count or appends a ground row. It
+// returns the assertions applied, the deletions that matched an asserted
+// fact, and the rows removed. Callers hold runMu and have frozen the rule
+// set.
+func (p *Program) applyGroundLocked(tx *Tx) (inserted, deleted, retracted int) {
+	for _, pid := range tx.delOrder {
+		pd := p.cat.Pred(pid)
+		var dead [][]storage.Value
+		for _, t := range tx.dels[pid] {
+			if rem, ok := pd.Derived.DecRef(t); ok {
+				deleted++
+				if rem == 0 {
+					dead = append(dead, t)
+				}
+			}
+		}
+		removed, below := pd.Derived.DeleteRows(dead, p.baseLens[pid])
+		p.baseLens[pid] -= below
+		retracted += removed
 	}
-	p.frozen = true
-	p.baseLens = make([]int, p.cat.NumPreds())
-	for i, pd := range p.cat.Preds() {
-		p.baseLens[i] = pd.Derived.Len()
+	for _, pid := range tx.insOrder {
+		pd := p.cat.Pred(pid)
+		for _, t := range tx.ins[pid] {
+			if pd.Derived.IncRef(t) {
+				p.baseLens[pid]++
+			}
+			inserted++
+		}
 	}
-	p.baselineClean = true
+	return inserted, deleted, retracted
 }

@@ -10,7 +10,6 @@ import (
 	"carac/internal/ast"
 	"carac/internal/eval"
 	"carac/internal/ir"
-	"carac/internal/plancache"
 	"carac/internal/stats"
 	"carac/internal/storage"
 )
@@ -81,8 +80,8 @@ type Stats struct {
 	Matches       int64 // head tuples the subqueries emitted, before any dedup: body matches, or groups of an aggregate
 	SPJRuns       int64 // subquery executions
 	PlanBuilds    int64 // access plans constructed by the interpreter
-	PlanReuses    int64 // subquery executions served from the plan cache
-	Reopts        int64 // drift-triggered join-order re-optimizations
+	PlanReuses    int64 // always 0: the interpreter caches no plans; kept because perf/ reads it
+	Reopts        int64 // always 0: the interpreter re-optimizes no order; kept because perf/ reads it
 	Compiled      int64 // subtrees executed via a Controller thunk
 	SeqIters      int64 // parallel-run iterations the fan-out decision ran on the sequential path
 	MergeTasks    int64 // workers whose lists a merge barrier folded: the pool size, per pooled barrier
@@ -134,30 +133,16 @@ type Interp struct {
 	// use to force the pool.
 	FanoutThreshold int
 
-	// Plans, when non-nil, caches access plans across subquery executions
-	// keyed by (rule, atom order, cardinality band): the repeated per-
-	// execution planning the seed interpreter paid becomes a cache lookup,
-	// re-planned only when observed cardinality drift exceeds the cache's
-	// policy threshold. Shared by the pool workers.
-	Plans *plancache.Cache[*Plan]
-	// Reopt, when non-nil, is invoked when the plan cache reports a drift-
-	// driven miss, giving the caller a chance to re-optimize the subquery's
-	// join order with live statistics before the plan is rebuilt (the
-	// adaptive policy of paper §IV, without any JIT attached). It returns
-	// whether the atom order changed.
-	Reopt func(spj *ir.SPJOp) bool
 	// Reorder, when non-nil, puts a retraction subquery's atoms into the
 	// optimizer's order for the live cardinalities (retract.go calls it on
-	// every variant before every round, unconditionally — unlike Reopt it is
-	// not a drift response). An error means no legal order exists and fails
-	// the retraction. It is a hook because the optimizer's tests import this
-	// package.
+	// every variant before every round, unconditionally). An error means no
+	// legal order exists and fails the retraction. It is a hook because the
+	// optimizer's tests import this package.
 	Reorder func(spj *ir.SPJOp) error
 	// Estimate, when non-nil, returns the caller's join-output size estimate
 	// for a subquery (histogram-based when the catalog maintains histograms).
-	// The interpreter records it on every freshly built plan (Plan.EstRows —
-	// rebinds copy the struct, so the estimate survives shared-plan reuse)
-	// and accumulates it into Stats.EstimatedRows.
+	// The interpreter records it on every plan it builds (Plan.EstRows) and
+	// accumulates it into Stats.EstimatedRows.
 	Estimate func(spj *ir.SPJOp) float64
 
 	// SeedDelta, when non-nil, replaces ScanOp's full Derived→DeltaNew
@@ -204,52 +189,6 @@ type Interp struct {
 	// fanBuckets is driver-owned scratch the fan-out decision reuses across
 	// iterations (it runs at a sequential point).
 	fanBuckets []bool
-	// keyMemo caches each subquery's structural plan-cache key, invalidated
-	// via ir.SPJOp.OrderGen so the atoms are re-hashed only after a reorder
-	// rather than per execution.
-	keyMemo map[*ir.SPJOp]spjKeyMemo
-	// bindMemo caches each subquery's rebound shared plan: a structural hit
-	// may carry a sibling rule's binding, and re-deriving the substitution
-	// (step copy + access-path re-selection) per execution would tax every
-	// steady-state hit on shared-plan workloads. Keyed per subquery,
-	// validated against the served cache entry's identity and the atom-order
-	// generation, so a re-planned or re-stored entry invalidates the memo.
-	bindMemo map[*ir.SPJOp]boundPlanMemo
-	scratch  vecScratch
-}
-
-type spjKeyMemo struct {
-	gen int
-	key plancache.Key
-}
-
-// boundPlanMemo is one memoized rebind: src is the cache entry the binding
-// was derived from (identity-compared), plan the immutable rebound artifact.
-type boundPlanMemo struct {
-	src  *Plan
-	gen  int
-	plan *Plan
-}
-
-// vecScratch holds per-interpreter buffers reused for the per-execution
-// cardinality and drift-counter vectors (the cache copies what it keeps, so
-// reuse is safe; each pool worker owns its sub-interpreter's scratch).
-type vecScratch struct {
-	cards    []int
-	counters []uint64
-}
-
-// keyFor returns the subquery's plan-cache key, memoized per atom order.
-func (in *Interp) keyFor(spj *ir.SPJOp) plancache.Key {
-	if m, ok := in.keyMemo[spj]; ok && m.gen == spj.OrderGen {
-		return m.key
-	}
-	k := plancache.KeyFor(spj)
-	if in.keyMemo == nil {
-		in.keyMemo = make(map[*ir.SPJOp]spjKeyMemo)
-	}
-	in.keyMemo[spj] = spjKeyMemo{gen: spj.OrderGen, key: k}
-	return k
 }
 
 // Cancel aborts the run at the next safe point (callable from any
@@ -425,156 +364,21 @@ func DeltasEmpty(cat *storage.Catalog, preds []storage.PredID) bool {
 	return true
 }
 
-// planFor resolves the access plan for the subquery's current atom order:
-// without a plan cache it builds one per execution (the interpretation
-// overhead compiled backends avoid); with one it serves the cached plan
-// while the drift-gated freshness policy holds, re-optimizing the join order
-// via the Reopt hook when it does not. Cache keys are structural fingerprints
-// (invariant under predicate renaming), so a hit may carry a structurally
-// identical sibling rule's concrete predicates — bindPlan rebinds them to
-// this subquery. Cached plans are immutable; the returned copy carries this
-// execution's Cancel/Yield state.
+// planFor builds the access plan for the subquery's current atom order: an
+// interpreted subquery plans at every execution, the interpretation overhead
+// compiled backends avoid. The histogram-based join-output estimate, when the
+// caller supplies one, is stamped onto the plan and totalled.
 func (in *Interp) planFor(spj *ir.SPJOp) (*Plan, error) {
-	if in.Plans == nil {
-		in.Stats.PlanBuilds++
-		p, err := BuildPlan(spj, in.Cat)
-		if err != nil {
-			return nil, err
-		}
-		in.recordEstimate(p, spj)
-		return p, nil
-	}
-	src := stats.Catalog{Cat: in.Cat}
-	cards := stats.AppendCardVector(in.scratch.cards[:0], spj, src)
-	counters := stats.AppendCounterVector(in.scratch.counters[:0], spj, in.Cat)
-	in.scratch.cards, in.scratch.counters = cards, counters
-	key := in.keyFor(spj)
-	if p, ok, stale := in.Plans.Lookup(key, counters, cards); ok {
-		if cp, bound := in.boundPlan(p, spj); bound {
-			in.Stats.PlanReuses++
-			return cp, nil
-		}
-		// Unbindable (shape mismatch): fall through to a rebuild, which
-		// re-stores under this binding.
-	} else if stale && in.Reopt != nil {
-		in.Stats.Reopts++
-		if in.Reopt(spj) {
-			// The order changed: key and per-atom vectors follow the new
-			// permutation, and the re-optimized order may already have a
-			// plan cached from an earlier visit to this cardinality regime
-			// (band return) — consult the cache again before rebuilding.
-			key = in.keyFor(spj)
-			cards = stats.AppendCardVector(cards[:0], spj, src)
-			counters = stats.AppendCounterVector(counters[:0], spj, in.Cat)
-			in.scratch.cards, in.scratch.counters = cards, counters
-			if p, ok, _ := in.Plans.Lookup(key, counters, cards); ok {
-				if cp, bound := in.boundPlan(p, spj); bound {
-					in.Stats.PlanReuses++
-					return cp, nil
-				}
-			}
-		}
-	}
+	in.Stats.PlanBuilds++
 	p, err := BuildPlan(spj, in.Cat)
 	if err != nil {
 		return nil, err
 	}
-	in.Stats.PlanBuilds++
-	in.recordEstimate(p, spj)
-	in.Plans.Store(key, counters, cards, p)
-	cp := *p
-	return &cp, nil
-}
-
-// recordEstimate stamps the histogram-based join-output estimate onto a
-// freshly built plan (bindPlan's struct copy carries it through rebinds, so
-// a cached plan served to a sibling rule keeps the estimate it was built
-// under). Recorded at build time only: reuses are free.
-func (in *Interp) recordEstimate(p *Plan, spj *ir.SPJOp) {
-	if in.Estimate == nil {
-		return
+	if in.Estimate != nil {
+		p.EstRows = in.Estimate(spj)
+		in.Stats.EstimatedRows += int64(p.EstRows)
 	}
-	p.EstRows = in.Estimate(spj)
-	in.Stats.EstimatedRows += int64(p.EstRows)
-}
-
-// boundPlan serves a structural cache hit: the memoized rebind when the
-// served entry and the atom order are unchanged since the last execution, a
-// fresh bindPlan otherwise (memoized for the next one). The returned copy is
-// the caller's to decorate with per-execution state; the memoized artifact
-// stays pristine.
-func (in *Interp) boundPlan(p *Plan, spj *ir.SPJOp) (*Plan, bool) {
-	if m, ok := in.bindMemo[spj]; ok && m.src == p && m.gen == spj.OrderGen {
-		cp := *m.plan
-		return &cp, true
-	}
-	bp, bound := in.bindPlan(p, spj)
-	if !bound {
-		return nil, false
-	}
-	if in.bindMemo == nil {
-		in.bindMemo = make(map[*ir.SPJOp]boundPlanMemo)
-	}
-	in.bindMemo[spj] = boundPlanMemo{src: p, gen: spj.OrderGen, plan: bp}
-	cp := *bp
-	return &cp, true
-}
-
-// bindPlan specializes a cached plan to spj. Structural fingerprint keys
-// share one entry between rules that differ only by predicate renaming, so
-// the cached artifact may be bound to a sibling's predicates: BuildPlan
-// emits exactly one step per atom in order, so rebinding substitutes each
-// relational step's predicate with the requesting atom's (and the sink),
-// copying the step slice to keep the cached plan immutable, and re-selects
-// each relational step's access path against the target's index
-// registrations (demote + selectProbe). It reports false only on a shape
-// mismatch (step count vs. atom count), which cannot occur for genuinely
-// structure-identical keys.
-func (in *Interp) bindPlan(p *Plan, spj *ir.SPJOp) (*Plan, bool) {
-	cp := *p
-	same := p.Sink == spj.Sink
-	if same && len(p.Steps) == len(spj.Atoms) {
-		for i := range p.Steps {
-			st := &p.Steps[i]
-			if st.Kind != StepBuiltin && st.Pred != spj.Atoms[i].Pred {
-				same = false
-				break
-			}
-		}
-	} else {
-		same = false
-	}
-	if same {
-		return &cp, true
-	}
-	if len(p.Steps) != len(spj.Atoms) {
-		return nil, false
-	}
-	steps := make([]Step, len(p.Steps))
-	copy(steps, p.Steps)
-	for i := range steps {
-		st := &steps[i]
-		if st.Kind == StepBuiltin {
-			continue
-		}
-		pred := spj.Atoms[i].Pred
-		// Rebind-time probe re-selection: the builder's predicate and this
-		// atom's may have different index registrations, in either
-		// direction. A probe whose index is missing here demotes to a scan
-		// (its consumed key check restored), and any scan re-probes
-		// availability — so a shared plan bound to a better-indexed sibling
-		// upgrades, and siblings with incompatible index sets each bind a
-		// valid access path instead of ping-ponging the shared entry
-		// through rebuilds. All mutations go through fresh slices
-		// (demoteProbe/selectProbe replace, never truncate), keeping the
-		// cached plan immutable. The registration asked is the one of the
-		// relations the step reads (see BuildPlan).
-		revalidateStep(st, in.Cat.Pred(pred))
-		st.Pred = pred
-	}
-	cp.Steps = steps
-	cp.Sink = spj.Sink
-	return &cp, true
+	return p, nil
 }
 
 // shardSkip reports whether this shard task can skip the subquery without
@@ -621,7 +425,7 @@ func (in *Interp) applyShard(plan *Plan) {
 }
 
 // execSPJ interprets one subquery: it resolves an access plan for the
-// current atom order (cached or freshly built) and streams matches into the
+// current atom order and streams matches into the
 // sink through Plan.Execute.
 func (in *Interp) execSPJ(spj *ir.SPJOp) error {
 	if in.shardTotal > 1 && in.shardSkip(spj) {
@@ -664,7 +468,7 @@ func (in *Interp) execSPJ(spj *ir.SPJOp) error {
 }
 
 // workerState is the persistent per-worker state of the parallel pools: a
-// sub-interpreter (sharing the read-only catalog and the plan cache) and the
+// sub-interpreter (sharing the read-only catalog) and the
 // private lists its derivations land in between barriers.
 type workerState struct {
 	sub *Interp
@@ -695,10 +499,7 @@ func (in *Interp) poolSize(tasks int) int {
 func (in *Interp) ensureWorkers(n int) {
 	for len(in.workers) < n {
 		ws := &workerState{
-			// No Reopt: a task may not reorder a subquery its sibling tasks
-			// are reading; the coordinator does it before the fan-out
-			// (reoptStale).
-			sub: &Interp{Cat: in.Cat, Plans: in.Plans, Estimate: in.Estimate, cancelHook: in.Cancelled},
+			sub: &Interp{Cat: in.Cat, Estimate: in.Estimate, cancelHook: in.Cancelled},
 		}
 		ws.sub.bufSink = func(pid storage.PredID) *RowList {
 			return ws.out.sink(pid, in.Cat.Pred(pid).Arity)
@@ -897,7 +698,6 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 				t.unit = lastUnit
 			}
 		}
-		in.reoptStale(*pending)
 		// Tasks build their plans but never an index: ensure every delta's.
 		for _, pid := range n.Preds {
 			in.Cat.Pred(pid).DeltaKnown.EnsureIndexes()
@@ -969,39 +769,6 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 	return flush()
 }
 
-// reoptStale is planFor's adaptive policy for a task batch, run by the
-// coordinator before the pool starts: every subquery the tasks will interpret
-// whose cached plan the drift policy no longer serves gets its join order
-// reconsidered once, here, because the subquery is shared by all of the
-// rule's tasks and reordering rewrites it in place. The workers then find the
-// stale entry, rebuild the plan for the order they are given and store it.
-// The probe is Contains+Peek, which leave the cache's statistics and
-// hysteresis to the workers' own lookups.
-func (in *Interp) reoptStale(tasks []shardTask) {
-	if in.Plans == nil || in.Reopt == nil {
-		return
-	}
-	src := stats.Catalog{Cat: in.Cat}
-	var last *ir.UnionRuleOp
-	for _, t := range tasks {
-		if t.rule == last || t.unit != nil {
-			continue
-		}
-		last = t.rule
-		for _, spj := range t.rule.Subqueries {
-			key := in.keyFor(spj)
-			if !in.Plans.Contains(key) {
-				continue
-			}
-			in.scratch.cards = stats.AppendCardVector(in.scratch.cards[:0], spj, src)
-			if _, fresh := in.Plans.Peek(key, in.scratch.cards); !fresh {
-				in.Stats.Reopts++
-				in.Reopt(spj)
-			}
-		}
-	}
-}
-
 // mergeWorkers folds the rows the tasks wrote into the workers' lists into
 // the sinks through PredicateDB.Emit — staging each new row in Derived, the
 // pool's only exact deduplication, as it is the sequential path's — counting
@@ -1019,7 +786,6 @@ func (in *Interp) mergeWorkers(segs [][]segment, w int) error {
 		in.Stats.SPJRuns += s.SPJRuns
 		in.Stats.Matches += s.Matches
 		in.Stats.PlanBuilds += s.PlanBuilds
-		in.Stats.PlanReuses += s.PlanReuses
 		in.Stats.Compiled += s.Compiled
 		in.Stats.EstimatedRows += s.EstimatedRows
 		ws.sub.Stats = Stats{}

@@ -113,9 +113,6 @@ type Plan struct {
 
 	// EstRows is the histogram-based join-output size estimate recorded when
 	// the plan was built (see Interp.Estimate); 0 when estimation is off.
-	// Part of the cached artifact: bindPlan's struct copy carries it through
-	// rebinds, so the recorded estimate stays attached to the atom order it
-	// justified.
 	EstRows float64
 
 	// Cancel, when non-nil, is polled once per row of the outermost
@@ -135,7 +132,7 @@ type Plan struct {
 	Yielded bool
 
 	// Shard restriction (per-execution state, set on plan copies by the
-	// sharded fan-out; always zero in cached plans): when ShardCount > 1 the
+	// sharded fan-out; zero on a freshly built plan): when ShardCount > 1 the
 	// relational step at index ShardStep — the subquery's delta read — reads
 	// only buckets [Shard, Shard+ShardSpan) of its ShardCount-way physical
 	// partition, so the tasks evaluating this subquery cover disjoint slices
@@ -190,7 +187,7 @@ func EnsureDeltaIndexes(p *Plan, cat *storage.Catalog) {
 // soundness check, and the optimizer never produces illegal orders.
 func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
 	p := &Plan{
-		Steps:   make([]Step, 0, len(spj.Atoms)), // one per atom: cached plans keep no spare capacity
+		Steps:   make([]Step, 0, len(spj.Atoms)), // one per atom
 		Head:    spj.Head,
 		Sink:    spj.Sink,
 		NumVars: spj.NumVars,
@@ -286,13 +283,9 @@ func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
 // relations it reads (pd's registration for the role of st.Src): the widest
 // composite index fully covered by the step's const/var equality checks,
 // else the first single-column indexed check. Consumed checks move into the
-// probe key; the rest stay row filters. The check slice is replaced, never
-// truncated in place, so the step may alias a cached plan's slice
-// (bindPlan's rebind-time upgrade runs on step copies sharing backing
-// arrays). Steps that are already probes are left alone.
+// probe key; the rest stay row filters. Steps that are already probes, or
+// that have no equality check to probe on, are left alone.
 func selectProbe(st *Step, pd *storage.PredicateDB) {
-	// No equality checks means nothing to probe on — the common fast-out
-	// for bindPlan's per-rebind upgrade attempt.
 	if st.Kind != StepScan || len(st.Checks) == 0 {
 		return
 	}
@@ -339,43 +332,6 @@ func memberSteps(p *Plan, spj *ir.SPJOp) {
 		}
 		*st = m
 	}
-}
-
-// demoteProbe converts a probe step back into the scan it was selected
-// from, restoring the consumed probe-key check(s), so a subsequent
-// selectProbe can pick whatever access path the rebind target supports.
-// Fresh slices only — the step may alias a cached plan's slices.
-func demoteProbe(st *Step) {
-	switch st.Kind {
-	case StepProbe:
-		checks := make([]ColCheck, 0, len(st.Checks)+1)
-		checks = append(checks, st.Checks...)
-		checks = append(checks, probeKeyCheck(st.ProbeCol, st.ProbeKey))
-		st.Checks = checks
-		st.ProbeCol = -1
-		st.ProbeKey = TmplElem{}
-	case StepProbeN:
-		checks := make([]ColCheck, 0, len(st.Checks)+len(st.ProbeCols))
-		checks = append(checks, st.Checks...)
-		for i, c := range st.ProbeCols {
-			checks = append(checks, probeKeyCheck(c, st.ProbeKeys[i]))
-		}
-		st.Checks = checks
-		st.ProbeCols = nil
-		st.ProbeKeys = nil
-	default:
-		return
-	}
-	st.Kind = StepScan
-}
-
-// probeKeyCheck is the inverse of selectProbe's key consumption: the
-// equality filter a probe key encodes.
-func probeKeyCheck(col int, k TmplElem) ColCheck {
-	if k.IsConst {
-		return ColCheck{Col: col, Mode: CheckConst, Const: k.Const}
-	}
-	return ColCheck{Col: col, Mode: CheckVar, Var: k.Var}
 }
 
 func ir2astAtom(a ir.Atom) ast.Atom {
@@ -461,16 +417,16 @@ func (t TmplElem) resolve(bind []storage.Value) storage.Value {
 func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Value)) {
 	bind := make([]storage.Value, p.NumVars)
 	head := make([]storage.Value, len(p.Head))
-	// One tuple buffer serves every membership test: a step is done with it
-	// before the next step runs.
-	var tuple []storage.Value
+	// One scratch holds every step's key, argument or membership tuple,
+	// used as a stack by step depth: step i's buffer starts at off and the
+	// steps below it use what follows, so no row allocates one.
+	need := 0
 	for i := range p.Steps {
-		if n := len(p.Steps[i].Tmpl); n > len(tuple) {
-			tuple = make([]storage.Value, n)
-		}
+		need += p.Steps[i].scratchLen()
 	}
-	var rec func(i int)
-	rec = func(i int) {
+	scratch := make([]storage.Value, need)
+	var rec func(i, off int)
+	rec = func(i, off int) {
 		if i == len(p.Steps) {
 			for hi, h := range p.Head {
 				if h.IsConst {
@@ -483,6 +439,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 			return
 		}
 		st := &p.Steps[i]
+		next := off + st.scratchLen()
 		switch st.Kind {
 		case StepScan, StepProbe, StepProbeN:
 			rel, below := SourceRel(cat, st.Pred, st.Src)
@@ -525,7 +482,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				for _, b := range st.Binds {
 					bind[b.Var] = row[b.Col]
 				}
-				rec(i + 1)
+				rec(i+1, next)
 				return true
 			}
 			// Storage owns the access path: the span, the bound, the bucket
@@ -534,7 +491,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 			case StepProbe:
 				rel.ScanKey(lo, hi, below, []int{st.ProbeCol}, []storage.Value{st.ProbeKey.resolve(bind)}, visit)
 			case StepProbeN:
-				vals := make([]storage.Value, len(st.ProbeKeys))
+				vals := scratch[off:next]
 				for ki, k := range st.ProbeKeys {
 					vals[ki] = k.resolve(bind)
 				}
@@ -547,16 +504,16 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 			// Never Old: a negated atom is in a lower stratum, and a
 			// membership step reads δ or Full (retraction's lowerings).
 			rel, _ := SourceRel(cat, st.Pred, st.Src)
-			t := tuple[:len(st.Tmpl)]
+			t := scratch[off:next]
 			for ti, tm := range st.Tmpl {
 				t[ti] = tm.resolve(bind)
 			}
 			if rel.Contains(t) == (st.Kind == StepMember) {
-				rec(i + 1)
+				rec(i+1, next)
 			}
 
 		case StepBuiltin:
-			vals := make([]storage.Value, len(st.Args))
+			vals := scratch[off:next]
 			for vi, a := range st.Args {
 				if st.Out == vi {
 					continue
@@ -565,7 +522,7 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 			}
 			if st.Out < 0 {
 				if eval.Check(st.Builtin, vals) {
-					rec(i + 1)
+					rec(i+1, next)
 				}
 				return
 			}
@@ -574,8 +531,22 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				return
 			}
 			bind[st.OutVar] = v
-			rec(i + 1)
+			rec(i+1, next)
 		}
 	}
-	rec(0)
+	rec(0, 0)
+}
+
+// scratchLen is how many values the step's key, builtin arguments or
+// membership tuple take in Execute's scratch.
+func (st *Step) scratchLen() int {
+	switch st.Kind {
+	case StepProbeN:
+		return len(st.ProbeKeys)
+	case StepBuiltin:
+		return len(st.Args)
+	case StepNegCheck, StepMember:
+		return len(st.Tmpl)
+	}
+	return 0
 }

@@ -1,13 +1,14 @@
-// Plan ↔ symbolic-form round trip for the persistent cache. A Plan is
-// already symbolic — steps name predicates, columns, template elements and
-// access-path choices, never pointers into live storage — so serialization is
-// a flat field walk. Per-execution state (Cancel/Yield hooks, shard
-// restriction, Yielded) is deliberately not encoded: cached entries are
-// always pristine and per-run decoration happens on the copies handed out by
-// boundPlan. Decoded plans carry the builder's probe choices; callers must
-// RevalidatePlan against the live catalog before serving them, mirroring
-// bindPlan's rebind path, so a probe whose index is not registered in this
-// process demotes to a filtered scan instead of assuming the old layout.
+// Plan ↔ symbolic-form round trip. The interpreter caches no plans and the
+// persistent cache stores none; the codec stays because perf/ measures it
+// (the plancache.flush_ms and load_ms probes), until the benchmark retires
+// those probes. A Plan is already symbolic — steps name predicates, columns,
+// template elements and access-path choices, never pointers into live
+// storage — so serialization is a flat field walk. Per-execution state
+// (Cancel/Yield hooks, shard restriction, Yielded) is not encoded. Decoded
+// plans carry the builder's probe choices; callers must RevalidatePlan
+// against the live catalog before running them, so a probe whose index is
+// not registered in this process demotes to a filtered scan instead of
+// assuming the old layout.
 package interp
 
 import (
@@ -62,7 +63,8 @@ func readTmpls(r *wire.Reader) []TmplElem {
 	return ts
 }
 
-// AppendPlan encodes p's symbolic form onto b.
+// AppendPlan encodes p's symbolic form onto b. Kept because perf/ encodes
+// plans through it.
 func AppendPlan(b []byte, p *Plan) []byte {
 	b = wire.AppendInt(b, len(p.Steps))
 	for i := range p.Steps {
@@ -115,7 +117,8 @@ func AppendPlan(b []byte, p *Plan) []byte {
 }
 
 // DecodePlan decodes one plan from b, returning the remaining bytes so a
-// caller embedding plans in a larger stream can chain decodes.
+// caller embedding plans in a larger stream can chain decodes. Kept because
+// perf/ decodes plans through it.
 func DecodePlan(b []byte) (*Plan, []byte, error) {
 	r := wire.NewReader(b)
 	p := &Plan{}
@@ -186,13 +189,11 @@ func DecodePlan(b []byte) (*Plan, []byte, error) {
 }
 
 // RevalidatePlan re-selects every relational step's access path against the
-// live catalog's registration for the relations the step reads, exactly as
-// bindPlan does on a cross-predicate rebind: a probe whose index is not
-// registered there demotes to a filtered scan (its consumed key check
-// restored), and scans re-probe availability so a restarted process with
-// richer index registrations upgrades. Safe to call
-// on a freshly decoded plan before it enters the store; the plan is mutated
-// in place (it is not yet shared).
+// live catalog's registration for the relations the step reads: a probe
+// whose index is not registered there demotes to a filtered scan (its
+// consumed key check restored), and scans re-probe availability so a process
+// with richer index registrations upgrades. The plan is mutated in place.
+// Kept because perf/ decodes plans through it.
 func RevalidatePlan(p *Plan, cat *storage.Catalog) {
 	for i := range p.Steps {
 		st := &p.Steps[i]
@@ -222,4 +223,40 @@ func revalidateStep(st *Step, pd *storage.PredicateDB) {
 		}
 	}
 	selectProbe(st, pd)
+}
+
+// demoteProbe converts a probe step back into the scan it was selected
+// from, restoring the consumed probe-key check(s), so a subsequent
+// selectProbe can pick whatever access path the catalog supports.
+func demoteProbe(st *Step) {
+	switch st.Kind {
+	case StepProbe:
+		checks := make([]ColCheck, 0, len(st.Checks)+1)
+		checks = append(checks, st.Checks...)
+		checks = append(checks, probeKeyCheck(st.ProbeCol, st.ProbeKey))
+		st.Checks = checks
+		st.ProbeCol = -1
+		st.ProbeKey = TmplElem{}
+	case StepProbeN:
+		checks := make([]ColCheck, 0, len(st.Checks)+len(st.ProbeCols))
+		checks = append(checks, st.Checks...)
+		for i, c := range st.ProbeCols {
+			checks = append(checks, probeKeyCheck(c, st.ProbeKeys[i]))
+		}
+		st.Checks = checks
+		st.ProbeCols = nil
+		st.ProbeKeys = nil
+	default:
+		return
+	}
+	st.Kind = StepScan
+}
+
+// probeKeyCheck is the inverse of selectProbe's key consumption: the
+// equality filter a probe key encodes.
+func probeKeyCheck(col int, k TmplElem) ColCheck {
+	if k.IsConst {
+		return ColCheck{Col: col, Mode: CheckConst, Const: k.Const}
+	}
+	return ColCheck{Col: col, Mode: CheckVar, Var: k.Var}
 }

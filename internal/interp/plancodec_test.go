@@ -6,6 +6,7 @@ import (
 
 	"carac/internal/ast"
 	"carac/internal/ir"
+	"carac/internal/storage"
 )
 
 // fullPlan exercises every symbolic field the codec carries, including the
@@ -114,5 +115,76 @@ func TestPlanCodecRejectsUnknownSource(t *testing.T) {
 	b[at] = 0x7f
 	if _, _, err := DecodePlan(b); err == nil {
 		t.Fatal("a plan reading source 0x7f decoded without error")
+	}
+}
+
+// revShapeSPJ builds sink(x,y) :- delta(x,y), e(y,x): the second atom
+// carries equality checks on both columns, so different index registrations
+// select different probe columns.
+func revShapeSPJ(sink, delta, e storage.PredID) *ir.SPJOp {
+	return &ir.SPJOp{
+		Sink:    sink,
+		Head:    []ir.ProjElem{{Var: 0}, {Var: 1}},
+		NumVars: 2,
+		Atoms: []ir.Atom{
+			{Kind: ast.AtomRelation, Pred: delta, Src: ir.SrcDelta, Terms: []ast.Term{ast.V(0), ast.V(1)}},
+			{Kind: ast.AtomRelation, Pred: e, Src: ir.SrcDerived, Terms: []ast.Term{ast.V(1), ast.V(0)}},
+		},
+		DeltaIdx: 0,
+	}
+}
+
+// revCatalog declares revShapeSPJ's three predicates, indexing e's Derived
+// on the given columns.
+func revCatalog(cols ...int) (*storage.Catalog, *ir.SPJOp) {
+	cat := storage.NewCatalog()
+	sink, d, e := cat.Declare("s", 2), cat.Declare("d", 2), cat.Declare("e", 2)
+	for _, c := range cols {
+		cat.Pred(e).BuildIndexes([]int{c})
+	}
+	return cat, revShapeSPJ(sink, d, e)
+}
+
+// TestRevalidatePlanUpgradesScanToProbe: a plan built where e has no index
+// scans it; revalidated against a catalog that indexes e's column 0, the
+// step becomes a probe on it and the consumed check moves into the key.
+func TestRevalidatePlanUpgradesScanToProbe(t *testing.T) {
+	cold, spj := revCatalog()
+	p, err := BuildPlan(spj, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Steps[1]; st.Kind != StepScan || len(st.Checks) != 2 {
+		t.Fatalf("built step = %+v, want a scan with two checks", st)
+	}
+	warm, _ := revCatalog(0)
+	RevalidatePlan(p, warm)
+	if st := p.Steps[1]; st.Kind != StepProbe || st.ProbeCol != 0 || len(st.Checks) != 1 {
+		t.Fatalf("revalidated step = %+v, want a probe on column 0 with one check left", st)
+	}
+}
+
+// TestRevalidatePlanReselectsProbe: a probe whose index the catalog does not
+// register demotes, its key check restored, and re-selects the index the
+// catalog does register; with none registered it stays a scan with both
+// checks.
+func TestRevalidatePlanReselectsProbe(t *testing.T) {
+	built, spj := revCatalog(0)
+	p, err := BuildPlan(spj, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Steps[1]; st.Kind != StepProbe || st.ProbeCol != 0 {
+		t.Fatalf("built step = %+v, want a probe on column 0", st)
+	}
+	other, _ := revCatalog(1)
+	RevalidatePlan(p, other)
+	if st := p.Steps[1]; st.Kind != StepProbe || st.ProbeCol != 1 || len(st.Checks) != 1 {
+		t.Fatalf("revalidated step = %+v, want a probe re-selected on column 1", st)
+	}
+	none, _ := revCatalog()
+	RevalidatePlan(p, none)
+	if st := p.Steps[1]; st.Kind != StepScan || len(st.Checks) != 2 {
+		t.Fatalf("revalidated step = %+v, want a scan with both checks restored", st)
 	}
 }

@@ -213,12 +213,6 @@ type SPJOp struct {
 	NumVars  int
 	DeltaIdx int // index into Atoms, -1 if none
 	Agg      ast.AggSpec
-	// OrderGen counts atom-order changes: optimizer.Reorder (the single
-	// sanctioned order mutator) bumps it whenever it installs a new
-	// permutation, letting consumers memoize order-derived artifacts (e.g.
-	// plan-cache keys) without re-hashing the atoms per execution. Code that
-	// permutes Atoms by other means must bump it too.
-	OrderGen int
 }
 
 func (*SPJOp) Kind() OpKind     { return KSPJ }

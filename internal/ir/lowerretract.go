@@ -27,7 +27,7 @@ import (
 type RetractRule struct {
 	// Head is the rule's sink predicate.
 	Head storage.PredID
-	// RuleIdx is the rule's index in the source program (plan-cache keying).
+	// RuleIdx is the rule's index in the source program.
 	RuleIdx int
 	// Propagate holds one delta variant per positive relational body atom —
 	// the LowerWarm shape, with SrcDelta reading the deletion delta: a head

@@ -224,16 +224,15 @@ type Controller struct {
 	cat      *storage.Catalog
 	granKind ir.OpKind
 	compiler backendCompiler
-	// policy is the uniform drift-gated freshness policy (shared with the
-	// interpreter's plan cache): a unit is reused while the cardinalities it
-	// was compiled against have not drifted beyond the threshold.
+	// policy is the drift-gated freshness policy: a unit is reused while the
+	// cardinalities it was compiled against have not drifted beyond the
+	// threshold.
 	policy plancache.Policy
 
 	// units is the compiled-unit view of the plan store: entries are keyed
 	// by structural subtree fingerprint (plancache.KeyForOp) instead of op
-	// identity, banded by cardinality regime, and gated by the same Policy
-	// the interpreter's plan cache uses — the separate per-op freshness
-	// mechanism collapses into the shared one. With NewShared the view
+	// identity, banded by cardinality regime, and gated by policy. With
+	// NewShared the view
 	// windows the Program-lifetime store, so a later Run resolves to this
 	// run's units without recompiling.
 	units *plancache.Cache[*compiledUnit]

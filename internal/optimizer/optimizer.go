@@ -145,7 +145,6 @@ func Reorder(spj *ir.SPJOp, st stats.Source, opts Options) (changed bool, err er
 	}
 	spj.Atoms = newAtoms
 	spj.DeltaIdx = newDelta
-	spj.OrderGen++
 	return true, nil
 }
 

@@ -1,6 +1,7 @@
-// Package plancache implements drift-gated caching of compiled query
-// artifacts — interpreter access plans and JIT compilation units — behind
-// one uniform adaptive-re-optimization policy.
+// Package plancache implements drift-gated caching of the JIT's compiled
+// query artifacts behind one adaptive-re-optimization policy. The
+// interpreter caches no plans; the plan-class names (KeyFor, ClassPlans,
+// New) stay because perf/ measures the cache through them.
 //
 // The paper's JIT reuses a compiled unit while the live cardinalities of the
 // relations it joins "have not drifted beyond a relative threshold since it
@@ -15,14 +16,11 @@
 //
 // Artifacts live in a Store — one shard-locked key space that outlives any
 // single execution (core hangs it off the Program) — accessed through typed
-// Cache views: the interpreter's plan view and the JIT's compiled-unit view
-// are windows onto the same store, in separate key classes, so both reuse
-// mechanisms share one LRU bound, one statistics surface, and one freshness
-// Policy. Keys are structural, not identity-based: interpreter-plan keys
-// (KeyFor) are invariant under predicate renaming and variable naming, so N
-// structurally identical rules share one entry; compiled-unit keys (KeyForOp)
-// fingerprint the IR subtree with concrete predicates, so re-lowering the
-// same program in a later Run resolves to the same units without recompiling.
+// Cache views in key classes, which share one LRU bound and one statistics
+// surface. Keys are structural, not identity-based: compiled-unit keys
+// (KeyForOp) fingerprint the IR subtree with concrete predicates, so
+// re-lowering the same program in a later Run resolves to the same units
+// without recompiling.
 //
 // The store is safe for concurrent use by the parallel rule executor's
 // workers and is internally segmented into LockShards independently locked
@@ -193,8 +191,7 @@ func (f *fp) preds32(ps []storage.PredID) {
 // its current atom order. Predicates are numbered by first occurrence (sink
 // first), so rules that differ only by predicate renaming — the CSPA shape,
 // N structurally identical recursive rules over distinct relations — share
-// one key; callers serving a shared artifact rebind its concrete predicates
-// to the requesting subquery.
+// one key. Kept because perf/ measures lookups under it.
 func KeyFor(spj *ir.SPJOp) Key {
 	f := fp{preds: make(map[storage.PredID]uint32, 4)}
 	f.spj(spj)
@@ -241,7 +238,8 @@ func KeyForOp(op ir.Op, tag ...byte) Key {
 type Class uint8
 
 const (
-	// ClassPlans is the interpreter access-plan view.
+	// ClassPlans was the interpreter access-plan view; nothing stores in it.
+	// Kept because perf/ names it.
 	ClassPlans Class = iota
 	// ClassUnits is the JIT compiled-unit view.
 	ClassUnits
@@ -448,9 +446,8 @@ const DefaultStoreLimit = 4096
 // Store owns one shard-locked key space shared by all typed Cache views.
 // Unlike the per-Run caches it replaces, a Store is built to outlive
 // executions: core hangs one off the Program (Program.PlanStore), bumps its
-// generation per Run, and both the interpreter's plan view and the JIT's
-// unit view read and write it, so repeated runs and incremental fact batches
-// start warm. Construct with NewStore; the zero value is not usable.
+// generation per Run, and the JIT's unit views read and write it, so
+// repeated runs and incremental fact batches start warm. Construct with NewStore; the zero value is not usable.
 type Store struct {
 	perShard int // LRU entry bound per lock shard; 0 = unbounded
 	gen      atomic.Uint64
@@ -582,7 +579,7 @@ func View[T any](store *Store, cfg ViewConfig) *Cache[T] {
 }
 
 // New builds a self-contained cache: a plan-class view over a fresh
-// unbounded private store (the per-Run configuration).
+// unbounded private store. Kept because perf/ measures lookups through it.
 func New[T any](pol Policy) *Cache[T] {
 	return View[T](NewStore(0), ViewConfig{Class: ClassPlans, Policy: pol})
 }

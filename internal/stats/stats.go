@@ -1,5 +1,5 @@
 // Package stats is Carac's unified statistics subsystem: every statistic the
-// runtime optimizer, the JIT freshness test, and the plan cache consume —
+// runtime optimizer and the JIT freshness test consume —
 // live cardinalities, per-column distinct counts, and monotone drift
 // counters — flows through the interfaces defined here and is maintained
 // incrementally inside the storage mutation paths, never re-derived ad hoc.
@@ -189,12 +189,7 @@ func CaptureProfile(cat *storage.Catalog, iterations int64) Profile {
 // CardVector snapshots the cardinalities of every relational atom of the
 // subquery — the state the freshness test compares against (paper §V-B2).
 func CardVector(spj *ir.SPJOp, src Source) []int {
-	return AppendCardVector(nil, spj, src)
-}
-
-// AppendCardVector is CardVector into a caller-reused buffer (hot paths run
-// it per subquery execution).
-func AppendCardVector(dst []int, spj *ir.SPJOp, src Source) []int {
+	var dst []int
 	for _, a := range spj.Atoms {
 		if a.IsRelational() {
 			dst = append(dst, src.Card(a.Pred, a.Src))

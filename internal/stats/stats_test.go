@@ -34,7 +34,7 @@ func TestCatalogCardAndDistinct(t *testing.T) {
 
 // TestDriftCounterMonotone: the per-predicate counter must advance on every
 // insert, swap, truncate, and clear, and never decrease — the invariant the
-// plan cache's equality fast path relies on.
+// unit cache's equality fast path relies on.
 func TestDriftCounterMonotone(t *testing.T) {
 	cat := storage.NewCatalog()
 	id := cat.Declare("r", 2)

@@ -184,8 +184,8 @@ func (p *PredicateDB) SwapDeltas() {
 // SwapClear's pointer exchange (the relation set is unchanged) and each
 // component only grows, so the counter is monotone; equal observations
 // guarantee the predicate's visible state did not change in between. This is
-// the cheap freshness pre-test the statistics subsystem and the plan cache
-// consult before computing cardinality drift.
+// the cheap freshness pre-test the statistics subsystem and the JIT's unit
+// cache consult before computing cardinality drift.
 func (p *PredicateDB) DriftCounter() uint64 {
 	return p.swaps + p.Derived.Mutations() + p.DeltaKnown.Mutations() + p.DeltaNew.Mutations()
 }

@@ -17,7 +17,7 @@ package storage
 //   - Histogram maintenance never touches a mutation counter. Like index
 //     registration, building or updating histograms leaves Mutations()
 //     byte-identical to a histogram-free run, so the drift
-//     totals the plan cache's freshness policy observes are unperturbed
+//     totals the unit cache's freshness policy observes are unperturbed
 //     (asserted by the differential harness's drift-increment comparison).
 //
 // The bucketing is a fixed-width hash histogram: HistBuckets counters

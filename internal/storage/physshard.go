@@ -27,7 +27,7 @@ import (
 // histograms and the indexes, which live wherever the rows do. Every
 // transition preserves the relation-level mutation counter exactly: for any
 // operation sequence, Mutations() reports the same value the flat layout
-// would have, so the drift totals the plan cache's freshness policy observes
+// would have, so the drift totals the unit cache's freshness policy observes
 // are identical with and without sharding.
 
 // ShardOf returns the shard bucket of value v among shards buckets. The hash

@@ -32,7 +32,7 @@ func sameContent(t *testing.T, step string, a, b *Relation) {
 
 // TestPhysicalShardEquivalence drives an identical randomized operation
 // sequence through a flat and a physically sharded relation: content, Len, Contains answers, and — the invariant the
-// plan cache's freshness policy rides on — the relation-level mutation
+// unit cache's freshness policy rides on — the relation-level mutation
 // counter must agree at every step.
 func TestPhysicalShardEquivalence(t *testing.T) {
 	flat := NewRelation("p", 2)

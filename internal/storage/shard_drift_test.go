@@ -4,7 +4,7 @@ import "testing"
 
 // TestShardDriftAggregationRegression pins the drift invariant of the
 // sharded catalog: physical partitioning never perturbs the predicate-level
-// counter. The plan cache's freshness policy compares PredicateDB.DriftCounter
+// counter. The unit cache's freshness policy compares PredicateDB.DriftCounter
 // totals, so a sharded and an unsharded run of the identical mutation
 // sequence must observe the same totals at every step — otherwise sharding
 // would silently change which cached plans survive.
@@ -60,7 +60,7 @@ func TestShardDriftAggregationRegression(t *testing.T) {
 	}
 
 	// Regression pin: the exact total for this sequence. If this moves, the
-	// drift accounting the plan cache depends on changed — that is an API
+	// drift accounting the unit cache depends on changed — that is an API
 	// break for cached-plan freshness, not a cosmetic diff.
 	const wantTotal = 65
 	if got := flat.DriftCounter(); got != wantTotal {
