@@ -99,7 +99,7 @@ func requirePositive(fs *flag.FlagSet, names ...string) error {
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("carac run", flag.ContinueOnError)
 	factsDir := fs.String("facts", "", "directory of <relation>.facts TSV files")
-	backend := fs.String("backend", "off", "JIT backend: off|lambda, or the paper fixtures irgen|bytecode|quotes (sequential runs without -cache-dir only)")
+	backend := fs.String("backend", "off", "JIT backend: off|lambda, or the paper fixtures irgen|bytecode|quotes (sequential runs only)")
 	granularity := fs.String("granularity", "spj", "compilation granularity: program|dowhile|unionall|union|spj")
 	async := fs.Bool("async", false, "compile asynchronously")
 	snippet := fs.Bool("snippet", false, "snippet compilation (quotes/lambda)")
@@ -114,7 +114,6 @@ func runCmd(args []string) error {
 	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration of a parallel run (-parallel or -shards) runs sequentially (0 = default 256; 1 fans out every iteration)")
 	histograms := fs.Bool("histograms", false, "maintain per-column histograms on join columns and order atoms by estimated join-output size (histogram overlap) instead of cardinality alone")
 	sharedPlans := fs.Bool("shared-plans", false, "key the JIT's compiled-unit cache into the program-lifetime store so repeated runs start warm")
-	cacheDir := fs.String("cache-dir", "", "persist recompile hints for compiled units and the statistics profile to this directory and reload them on the next start, so a restarted process skips cold compilation (implies -shared-plans)")
 	repeat := fs.Int("repeat", 1, "run the program this many times on one Program (pair with -shared-plans and a -backend to observe warm-run behavior)")
 	timeout := fs.Duration("timeout", 0, "abort after this duration")
 	explain := fs.Bool("explain", false, "print the IROp plan (with optimizer weights) before running")
@@ -161,7 +160,6 @@ func runCmd(args []string) error {
 		Shards:          *shards,
 		FanoutThreshold: *fanoutThreshold,
 		Histograms:      *histograms,
-		CacheDir:        *cacheDir,
 		JIT: jit.Config{
 			Backend:     be,
 			Granularity: gr,
@@ -231,17 +229,13 @@ func runCmd(args []string) error {
 				res.JIT.Compilations, res.JIT.CompileTime.Round(time.Microsecond),
 				res.JIT.CacheHits, res.JIT.StaleDrops, res.JIT.Reorders, res.JIT.Switchovers)
 		}
-		if *sharedPlans || *cacheDir != "" {
+		if *sharedPlans {
 			// The store outlives runs, so its totals accumulate across every
 			// -repeat iteration; misses fold cold+band+stale.
 			units := p.PlanStore().ClassStats(pcache.ClassUnits)
 			fmt.Fprintf(os.Stderr, "plan-store: unit-reuses=%d (cross-run=%d) misses=%d widens=%d evictions=%d unit-recompiles=%d\n",
 				units.Hits, units.CrossRunHits, units.ColdMisses+units.BandMisses+units.StaleDrops,
 				units.Widens, units.Evictions, totalRecompiles)
-			if ds, ok := p.DiskStats(); ok {
-				fmt.Fprintf(os.Stderr, "disk-cache: hits=%d misses=%d invalidations=%d flushes=%d\n",
-					ds.Hits, ds.Misses, ds.Invalidations, ds.Flushes)
-			}
 		}
 	}
 	return nil
@@ -296,7 +290,7 @@ func serveCmd(args []string) error {
 	queries := fs.Int("queries", 8, "queries per client")
 	qps := fs.Float64("qps", 0, "per-client query rate (0 = maximum throughput)")
 	materialize := fs.Bool("materialize", false, "materialize each epoch's fixpoint once; repeat queries answer by lookup")
-	cacheDir := fs.String("cache-dir", "", "persistent plan/compiled-unit cache directory: loaded before the first epoch, flushed on every publish, so a restarted server starts disk-warm")
+	cacheDir := fs.String("cache-dir", "", "checkpoint directory (needs -materialize): each epoch fixpoint a query derives is written there, and a restarted server over the same program and facts adopts it instead of deriving its first epoch")
 	repeat := fs.Float64("repeat", 1, "hot-query ratio per client in [0,1]: this fraction of queries repeat on the client's session, the rest open a fresh session each")
 	timeout := fs.Duration("timeout", 0, "per-query timeout")
 	statsFlag := fs.Bool("stats", true, "print serving statistics")
@@ -343,6 +337,7 @@ func serveCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	opts.CacheDir = "" // Run refuses a checkpoint directory
 	if _, err := p.Run(opts); err != nil {
 		return err
 	}
@@ -434,13 +429,13 @@ func serveCmd(args []string) error {
 			qpsOut = float64(done) / dt.Seconds()
 		}
 		st := srv.Stats()
-		fmt.Fprintf(os.Stderr, "serve: clients=%d queries=%d duration=%v qps=%.1f facts-per-query=%d cross-run-hits=%d memo-hits=%d materialized-epochs=%d\n",
+		fmt.Fprintf(os.Stderr, "serve: clients=%d queries=%d duration=%v qps=%.1f facts-per-query=%d cross-run-hits=%d memo-hits=%d materialized-epochs=%d (warm=%d cold-after-deletions=%d cold-no-previous=%d)\n",
 			*clients, done, dt.Round(time.Microsecond), qpsOut, facts,
 			srv.UnitStats().CrossRunHits,
-			st.MemoHits, st.MaterializedEpochs)
-		if ds, ok := srv.DiskStats(); ok {
-			fmt.Fprintf(os.Stderr, "disk-cache: hits=%d misses=%d invalidations=%d flushes=%d\n",
-				ds.Hits, ds.Misses, ds.Invalidations, ds.Flushes)
+			st.MemoHits, st.MaterializedEpochs, st.WarmStarts, st.ColdAfterDeletions, st.ColdNoPrevious)
+		if *cacheDir != "" {
+			fmt.Fprintf(os.Stderr, "checkpoint: restored=%d misses=%d last-miss=%q\n",
+				st.Restored, st.RestoreMisses, st.RestoreMiss)
 		}
 	}
 	return nil

@@ -57,18 +57,18 @@ func TestRunErrors(t *testing.T) {
 		// The interpreter caches no plans: the flags that asked it to are gone.
 		{"run", prog, "-plancache"},
 		{"run", prog, "-adaptive"},
+		// A cache directory holds a serving checkpoint; run has no flag for it.
+		{"run", prog, "-cache-dir", filepath.Join(dir, "cache")},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
-	// The fixture backends run only sequentially, without -cache-dir, and
-	// never under serve.
+	// The fixture backends run only sequentially, and never under serve.
 	for _, args := range [][]string{
 		{"serve", prog, "-backend", "bytecode"},
 		{"run", prog, "-backend", "quotes", "-shards", "8"},
-		{"run", prog, "-backend", "bytecode", "-cache-dir", filepath.Join(dir, "cache")},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "Run-only paper fixture") {
 			t.Errorf("run(%v) = %v, want the fixture backend error", args, err)
@@ -213,6 +213,25 @@ func TestServeCommand(t *testing.T) {
 	}
 }
 
+// TestServeCheckpoint: serve -materialize -cache-dir writes the first epoch's
+// fixpoint, and a second serve over the same program and facts starts from
+// it.
+func TestServeCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	prog := writeFile(t, dir, "tc.dl", tcProg)
+	writeFile(t, dir, "edge.facts", "1\t2\n2\t3\n3\t4\n")
+	cache := filepath.Join(dir, "cache")
+	args := []string{"serve", prog, "-facts", dir, "-clients", "2", "-queries", "2", "-materialize", "-cache-dir", cache}
+	for i := 0; i < 2; i++ {
+		if err := run(args); err != nil {
+			t.Fatalf("serve %d: %v", i, err)
+		}
+		if _, err := os.Stat(filepath.Join(cache, "fixpoint.ckpt")); err != nil {
+			t.Fatalf("serve %d left no checkpoint: %v", i, err)
+		}
+	}
+}
+
 func TestServeErrors(t *testing.T) {
 	dir := t.TempDir()
 	prog := writeFile(t, dir, "tc.dl", tcProg+"\nedge(1,2).\n")
@@ -223,6 +242,7 @@ func TestServeErrors(t *testing.T) {
 		{"serve", prog, "-queries", "0"},
 		{"serve", prog, "-repeat", "1.5"},
 		{"serve", prog, "-backend", "llvm"},
+		{"serve", prog, "-cache-dir", filepath.Join(dir, "cache")}, // needs -materialize
 		{"uptime", prog},
 	} {
 		if err := run(args); err == nil {

@@ -363,52 +363,51 @@
 // and by perf's serve_mixed workload, whose readers query a materializing
 // server beside a writer ingesting insert and delete batches.
 //
-// # Persistent cache
+// # Checkpoints
 //
-// The program-lifetime unit store dies with the process; core.Options.CacheDir
-// extends it across process restarts (implying SharedPlans). A Run over a
-// CacheDir loads the directory into the store before querying and flushes
-// the store back after a successful query; a serving Program loads at Serve
-// and flushes at every Publish. Only compiled units and the statistics
-// profile are persisted — the interpreter caches no plans, so a JIT-off
-// restart plans every subquery execution like any Run. Under lambda the
-// restarted units come back as recompile hints and the disk-warm first
-// query builds zero plans (pinned by TestPersistColdWarmRoundTrip across the
-// execution-mode matrix; perf's serve_mixed set-up is such a restart). A
-// directory written before interpreter plans left the cache carries another
-// engine tag and loads as silent misses, once.
+// A restarted server pays for its first epoch's fixpoint; a checkpoint is
+// that fixpoint on disk. Under Serve with Materialize, core.Options.CacheDir
+// names a checkpoint directory (Run, Apply and a Serve without Materialize
+// refuse it). The single-flight winner that derives and pins an epoch's
+// materialization writes it there after its flight closes, synchronously
+// and serialized, skipping any epoch older than one this server already
+// wrote; a failed or timed-out derivation writes nothing, and a disk error
+// is dropped. Serve publishes its first epoch, then reads the checkpoint: if
+// it matches, the epoch's materialization is the checkpoint's rows behind
+// the epoch's own ground rows (the prefix a session's rewind keeps), loaded
+// through the sized bulk path (storage.Relation.Reserve / AppendDistinct)
+// and pinned, with the statistics snapshot it was written with. The first
+// query is then a lookup, and the first insert-only batch warm-starts from
+// it; a deletion window still derives cold. ServeStats reports Restored,
+// RestoreMisses and RestoreMiss, and splits the cold materializations into
+// ColdAfterDeletions and ColdNoPrevious (carac serve -stats prints a
+// checkpoint: line).
 //
-//   - Entry format: one file per (class, structural key), named
-//     c<class>-<sha256(key)>.cce — content addressing by the same canonical
-//     fingerprints the in-memory store uses. Each file carries a versioned
-//     envelope (magic, format version, an engine tag embedding the engine
-//     version plus the snapshot codec version, CRC32 over the body) and the key's
-//     band entries: drift counters, build-time cardinalities, band-widening
-//     state, and the serialized artifact. A profile.ccs file rides along
-//     with the post-fixpoint statistics snapshot the entries were built
-//     against (stats.CaptureSnapshot; exposed as Program.CachedProfile).
+//   - Format: one file, fixpoint.ckpt: magic, format version, engine tag
+//     (engine version plus stats.SnapshotCodecVersion), a digest of the
+//     rewritten rule program (predicate names and arities in id order, then
+//     every rule, constants by name), the symbol names the rows use, and
+//     per predicate a digest of its ground rows and the values of its rows
+//     beyond the ground prefix (a symbol as -(i+1), naming the i-th name),
+//     then the stats.AppendSnapshot encoding and a CRC32 of all of it. A
+//     file decodes only if it is byte for byte what the encoder would write
+//     (FuzzCheckpoint).
 //
-//   - What is persisted: compiled units — lambda closures, sequential or
-//     span-parameterized — cannot leave the process; they persist as
-//     recompile hints (entry recorded, artifact absent) and count as disk
-//     misses on load. Materialized fixpoints are never persisted — they
-//     belong to epochs, and epochs die with the server.
+//   - Invalidation: the ground-row digest is order-free (rows hash with
+//     symbols by name, and the sorted row hashes hash again), so facts
+//     loaded in another order, with other symbol ids, still match, and the
+//     rows are renumbered into the Program's symbol table. A missing file,
+//     another version or tag, another rule program, other ground facts, a
+//     symbol the Program never interned, or a bad CRC, truncation or
+//     malformed body means a cold first epoch, counted with that reason
+//     ("absent", "version", "program", "facts", "symbols", "corrupt"); its
+//     derivation then writes a good checkpoint over the old one.
 //
-//   - Invalidation rules: any envelope mismatch — magic, format version,
-//     engine/codec tag, CRC, or a mid-entry decode error — makes the file a
-//     silent miss, counted in plancache.DiskStats.Invalidations (the carac
-//     CLI prints a disk-cache line under -stats) and overwritten by the next
-//     flush; a corrupt directory can cost a cold start but never an error or
-//     a partial entry. Flushes are atomic (temp file + rename, concurrent
-//     flushers race benignly) and never delete files, so entries evicted
-//     from the bounded in-memory store outlive the eviction on disk.
-//     Directory hygiene happens at Load instead: permanently invalid files
-//     (bad envelope, stale tag, decode failure) are removed rather than
-//     left to accumulate, as are orphaned flush temp files old enough that
-//     no live writer can still own them (DiskStats.Swept counts both).
-//     Loaded entries are injected at generation zero: the first reuse in
-//     the new process always registers as a CrossRunHit, and an entry the
-//     live store already rebuilt is never displaced by its disk copy.
+//   - Crash safety: the file is written to a temp file in the directory and
+//     renamed over the old one (wire.WriteFileAtomic), so a crash between
+//     write and rename leaves the previous checkpoint loadable and a .tmp-*
+//     file behind. Nothing is fsynced: a machine crash may lose the newest
+//     checkpoint, or leave a torn one that loads as "corrupt".
 //
 // # Incremental maintenance
 //
@@ -520,6 +519,6 @@
 package carac
 
 // Version identifies this reproduction build. internal/core mirrors it in
-// its persistent-cache tag (engineVersion); bump both together so on-disk
-// caches from older builds invalidate cleanly.
+// its checkpoint tag (engineVersion); bump both together so checkpoints
+// from older builds invalidate cleanly.
 const Version = "0.1.0"

@@ -87,15 +87,11 @@ type Program struct {
 	// are storage-resident and monotone, so the freshness state the store
 	// gates on carries across runs by construction.
 	planStore *plancache.Store
-	// persist binds planStore to Options.CacheDir: created (and loaded) by
-	// the first Run or Serve that names a cache directory, flushed after
-	// every successful shared Run and on each serve epoch publication. See
-	// persist.go.
-	persist *plancache.Persister
 	// retractOrder, when non-nil, replaces the optimizer as the order of
-	// Apply's retraction subqueries. Tests set it to force an illegal order;
-	// nothing else does.
+	// Apply's retraction subqueries, and loadHook sees every relation a
+	// checkpoint restore loads rows into. Tests set them; nothing else does.
 	retractOrder func(spj *ir.SPJOp) error
+	loadHook     func(*storage.Relation)
 }
 
 // PlanStore returns the program-lifetime store of compiled units, creating
@@ -434,8 +430,8 @@ type Options struct {
 	// backends (irgen, bytecode, quotes) are the fixtures of the paper's
 	// code-generation comparison (§V-C, Figs 5–9): only Run accepts them,
 	// and only without a worker pool (Shards > 1, ParallelUnions,
-	// AdaptiveFanout) and without CacheDir; Serve, Apply and those Runs
-	// return an error naming the backend and the setting.
+	// AdaptiveFanout); Serve, Apply and those Runs return an error naming
+	// the backend and the setting.
 	JIT jit.Config
 	// Indexed builds hash indexes on every join/filter column before
 	// execution (paper §IV, Index selection). Registration is permanent for
@@ -528,15 +524,10 @@ type Options struct {
 	// warm-starts from the previous fixpoint plus the ingested delta. See
 	// doc.go §Serving.
 	Materialize bool
-	// CacheDir names a directory for the persistent, content-addressed unit
-	// cache (doc.go §Persistent cache): recompile hints for compiled units
-	// and the profile-statistics snapshot they were built against are
-	// flushed there after every successful Run (and on every serve epoch
-	// publication) and loaded back when a fresh Program's first Run opens
-	// the same directory, so a restarted process skips cold compilation.
-	// Implies SharedPlans. The first CacheDir a Program sees wins for its
-	// lifetime; invalid or version-mismatched cache files load as silent
-	// misses.
+	// CacheDir is a materializing Serve's checkpoint directory (doc.go
+	// §Checkpoints): each epoch fixpoint a query derives is written there,
+	// and a later Serve over the same rule program and ground facts adopts
+	// it as its first epoch's. Run, Apply and a plain Serve refuse it.
 	CacheDir string
 }
 
@@ -587,11 +578,12 @@ func resolveOptions(opts Options, call string) (Options, error) {
 	if opts.Histograms {
 		opts.JIT.Optimizer.UseHistograms = true
 	}
-	// The persistent cache extends the Program-lifetime store; a per-Run
-	// cache has nothing meaningful to persist. Serving shares units between
-	// sessions through the same store.
-	if opts.CacheDir != "" || call == "Serve" {
+	// Serving shares units between sessions through the Program's store.
+	if call == "Serve" {
 		opts.SharedPlans = true
+	}
+	if opts.CacheDir != "" && (call != "Serve" || !opts.Materialize) {
+		return opts, fmt.Errorf("core: %s refuses CacheDir: it is the checkpoint directory of a Serve with Materialize", call)
 	}
 	if b := opts.JIT.Backend; b.Fixture() {
 		setting := "under " + call
@@ -603,8 +595,6 @@ func resolveOptions(opts Options, call string) (Options, error) {
 			setting = "with ParallelUnions"
 		case opts.AdaptiveFanout:
 			setting = "with AdaptiveFanout"
-		case opts.CacheDir != "":
-			setting = "with CacheDir"
 		default:
 			return opts, nil
 		}
@@ -637,14 +627,10 @@ func (p *Program) runLocked(prog *ast.Program, root *ir.ProgramOp, opts Options)
 		return nil, err
 	}
 	defer eng.close()
-	p.ensurePersistLocked(opts)
 	defer eng.arm(opts.Timeout)()
 	res, err := eng.query(true)
 	if err == nil {
 		p.haveFixpoint = true
-		// Flush-on-close: persist the units this run compiled (and re-persist
-		// what it inherited) together with the statistics profile it ran under.
-		p.flushPersistLocked(store, stats.CaptureSnapshot(p.cat))
 	}
 	return res, err
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,10 +40,11 @@ func fixtureRunOnly(t *testing.T, b *analysis.Built, opts core.Options, want []s
 }
 
 // TestFixtureBackendsRunOnly: irgen, bytecode and quotes are refused by
-// Serve, by Apply, and by a Run with a worker pool or a cache directory,
-// each with an error naming the backend and the setting, and a refused call
-// leaves the Program as it was. A plain Run of each matches the naive
-// oracle.
+// Serve, by Apply, and by a Run with a worker pool, each with an error
+// naming the backend and the setting, and a refused call leaves the Program
+// as it was. A Run with a cache directory is refused for every backend,
+// before anything touches the directory. A plain Run of each matches the
+// naive oracle.
 func TestFixtureBackendsRunOnly(t *testing.T) {
 	build := func() *analysis.Built { return workloads.TransitiveClosure(analysis.HandOptimized, 40, 90, 23) }
 	oracle := build()
@@ -67,15 +70,19 @@ func TestFixtureBackendsRunOnly(t *testing.T) {
 				{"Shards", func(o *core.Options) { o.Shards = 8 }},
 				{"ParallelUnions", func(o *core.Options) { o.ParallelUnions = true }},
 				{"AdaptiveFanout", func(o *core.Options) { o.AdaptiveFanout = true }},
-				{"CacheDir", func(o *core.Options) { o.CacheDir = t.TempDir() }},
 			} {
 				opts := base
 				c.set(&opts)
 				_, err := b.P.Run(opts)
 				wantFixtureError(t, err, be, c.setting)
 			}
-			if _, ok := b.P.DiskStats(); ok {
-				t.Fatal("a refused CacheDir Run opened the cache directory")
+			opts := base
+			opts.CacheDir = filepath.Join(t.TempDir(), "cache")
+			if _, err := b.P.Run(opts); err == nil || !strings.Contains(err.Error(), "refuses CacheDir") {
+				t.Fatalf("Run with CacheDir: %v, want the CacheDir refusal", err)
+			}
+			if _, err := os.Stat(opts.CacheDir); !os.IsNotExist(err) {
+				t.Fatalf("a refused CacheDir Run touched the cache directory: %v", err)
 			}
 
 			res, err := b.P.Run(base)

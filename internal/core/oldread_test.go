@@ -225,7 +225,8 @@ func oldReadConfigs() []optCase {
 // TestNonLinearSemiNaiveMatrix runs each non-linear program under every
 // configuration through the three drivers — Run, Apply with a mixed and an
 // insert-only transaction, and Serve with IngestTx and Publish — and holds
-// every result to the naive oracle.
+// every result to the naive oracle. A materializing server also restarts
+// from its checkpoint directory, twice.
 func TestNonLinearSemiNaiveMatrix(t *testing.T) {
 	for pi, prog := range nonLinearPrograms() {
 		for _, c := range oldReadConfigs() {
@@ -315,6 +316,9 @@ func TestNonLinearSemiNaiveMatrix(t *testing.T) {
 					}
 					opts := c.opts
 					opts.Materialize = materialize
+					if materialize {
+						opts.CacheDir = t.TempDir()
+					}
 					srv, err := sp.Serve(opts)
 					if err != nil {
 						t.Fatal(err)
@@ -348,6 +352,49 @@ func TestNonLinearSemiNaiveMatrix(t *testing.T) {
 					}
 					srv.Publish()
 					query("Serve after an insert-only batch")
+					if !materialize {
+						continue
+					}
+
+					// Restarts: a second Program with the current facts
+					// serves from the checkpoint the last derivation wrote,
+					// and its first query derives nothing. After one restart
+					// a mixed batch still derives cold; after another an
+					// insert-only batch warm-starts from the adopted fixpoint.
+					restart := func(what string) {
+						t.Helper()
+						sp = prog.build()
+						for _, rel := range prog.bases {
+							facts[rel].load(sp.Relation(rel, 2))
+						}
+						if srv, err = sp.Serve(opts); err != nil {
+							t.Fatal(err)
+						}
+						query(what)
+						if st := srv.Stats(); st.Restored != 1 || st.Derivations != 0 {
+							t.Fatalf("%s: %+v, want the checkpoint adopted and nothing derived", what, st)
+						}
+					}
+					restart("Serve restarted")
+					dels, ins = mixed()
+					if _, err := srv.IngestTx(tx(sp, dels, ins)); err != nil {
+						t.Fatal(err)
+					}
+					srv.Publish()
+					query("restarted Serve after a mixed batch")
+					if st := srv.Stats(); st.ColdAfterDeletions != 1 || st.Derivations != 1 {
+						t.Fatalf("mixed batch after a restart: %+v, want one cold derivation", st)
+					}
+					restart("Serve restarted after the mixed batch")
+					_, ins = mixed()
+					if _, err := srv.IngestTx(tx(sp, nil, ins)); err != nil {
+						t.Fatal(err)
+					}
+					srv.Publish()
+					query("restarted Serve after an insert-only batch")
+					if st := srv.Stats(); st.WarmStarts != 1 || st.Derivations != 1 {
+						t.Fatalf("insert-only batch after a restart: %+v, want one warm start", st)
+					}
 				}
 			})
 		}

@@ -172,6 +172,16 @@ type ServeStats struct {
 	// from scratch.
 	MaterializedEpochs int64
 	WarmStarts         int64
+	// The others derived cold, after a deletion window or with no previous
+	// materialization to extend (or a program that cannot warm-start).
+	ColdAfterDeletions int64
+	ColdNoPrevious     int64
+	// Restored is 1 when Serve adopted the CacheDir checkpoint; otherwise
+	// RestoreMisses is 1 and RestoreMiss says why: "absent", "version",
+	// "program", "facts", "symbols" or "corrupt" (doc.go §Checkpoints).
+	Restored      int64
+	RestoreMisses int64
+	RestoreMiss   string
 	// Derivations counts fixpoint runs performed by serving sessions —
 	// single-flight winners and retries after a failed leader.
 	Derivations int64
@@ -217,10 +227,18 @@ type Server struct {
 	flightMu sync.Mutex
 	flights  map[*Epoch]*matFlight
 
-	memoHits    atomic.Int64
-	matEpochs   atomic.Int64
-	warmStarts  atomic.Int64
-	derivations atomic.Int64
+	memoHits      atomic.Int64
+	matEpochs     atomic.Int64
+	warmStarts    atomic.Int64
+	coldDeletions atomic.Int64
+	derivations   atomic.Int64
+
+	// Checkpoint state (checkpoint.go): Serve sets the restore outcome; ckMu
+	// guards ckGen, the newest generation written.
+	progDigest uint64
+	restore    ServeStats // Restored, RestoreMisses and RestoreMiss
+	ckMu       sync.Mutex
+	ckGen      uint64
 
 	ingestBatches   atomic.Int64
 	ingestedRows    atomic.Int64
@@ -233,16 +251,19 @@ type Server struct {
 
 // Stats returns the server's cumulative serving counters.
 func (s *Server) Stats() ServeStats {
-	return ServeStats{
-		MemoHits:           s.memoHits.Load(),
-		MaterializedEpochs: s.matEpochs.Load(),
-		WarmStarts:         s.warmStarts.Load(),
-		Derivations:        s.derivations.Load(),
-		IngestBatches:      s.ingestBatches.Load(),
-		IngestedRows:       s.ingestedRows.Load(),
-		RowsRetracted:      s.ingestRetracted.Load(),
-		IngestLatency:      time.Duration(s.ingestNanos.Load()),
-	}
+	st := s.restore
+	st.MemoHits = s.memoHits.Load()
+	st.WarmStarts = s.warmStarts.Load()
+	st.ColdAfterDeletions = s.coldDeletions.Load()
+	st.Derivations = s.derivations.Load()
+	st.IngestBatches = s.ingestBatches.Load()
+	st.IngestedRows = s.ingestedRows.Load()
+	st.RowsRetracted = s.ingestRetracted.Load()
+	st.IngestLatency = time.Duration(s.ingestNanos.Load())
+	// Loaded last, so the rest is never negative: an epoch counts here first.
+	st.MaterializedEpochs = s.matEpochs.Load()
+	st.ColdNoPrevious = st.MaterializedEpochs - st.WarmStarts - st.ColdAfterDeletions
+	return st
 }
 
 // monotoneProgram reports whether every rule is positive and aggregate-free
@@ -304,10 +325,6 @@ func (p *Program) Serve(opts Options) (*Server, error) {
 	// statistics snapshots carry distinct counts and histograms for the
 	// session planners.
 	registerArtifacts(p.cat, prog, uses, opts)
-	// Load the persistent cache (if configured); the first publish below
-	// flushes it back, so even an idle server refreshes the directory's
-	// version tag.
-	p.ensurePersistLocked(opts)
 
 	s := &Server{
 		p:      p,
@@ -320,7 +337,16 @@ func (p *Program) Serve(opts Options) (*Server, error) {
 	if opts.Materialize {
 		s.flights = make(map[*Epoch]*matFlight)
 	}
-	s.publishLocked()
+	e := s.publishLocked()
+	if opts.CacheDir != "" {
+		s.progDigest = programDigest(prog)
+		if m, miss := s.restoredMat(e); miss != "" {
+			s.restore.RestoreMisses, s.restore.RestoreMiss = 1, miss
+		} else {
+			e.mat.Store(m)
+			s.restore.Restored, s.ckGen = 1, e.gen
+		}
+	}
 	return s, nil
 }
 
@@ -374,10 +400,6 @@ func (s *Server) publishLocked() *Epoch {
 	// describe — a session's planner must never observe a half-rewound
 	// cardinality or histogram.
 	e.stats = stats.CaptureSnapshot(p.cat)
-	// Flush-on-publish: persist everything sessions built during the closing
-	// epoch, with the new boundary's statistics as the profile snapshot, so
-	// a restart after any publication starts disk-warm.
-	p.flushPersistLocked(p.PlanStore(), e.stats)
 	if s.pendingDeletes {
 		// A retraction-bearing window breaks the append-only premise below:
 		// the previous epoch's ground lengths no longer delimit a pure
@@ -638,13 +660,16 @@ func (sess *Session) queryMaterialized() (*Result, error) {
 		srv.flightMu.Unlock()
 
 		res, m, err := sess.derive()
-		if err == nil {
-			if e.mat.CompareAndSwap(nil, m) {
-				srv.matEpochs.Add(1)
-				if m.warm {
-					srv.warmStarts.Add(1)
-				}
+		pinned := err == nil && e.mat.CompareAndSwap(nil, m)
+		if pinned {
+			srv.matEpochs.Add(1)
+			if m.warm {
+				srv.warmStarts.Add(1)
+			} else if e.deletions {
+				srv.coldDeletions.Add(1)
 			}
+		}
+		if err == nil {
 			sess.mat = m
 			f.mat = m
 		}
@@ -653,6 +678,9 @@ func (sess *Session) queryMaterialized() (*Result, error) {
 		delete(srv.flights, e)
 		srv.flightMu.Unlock()
 		close(f.done)
+		if pinned && srv.opts.CacheDir != "" {
+			srv.writeCheckpoint(e, m)
+		}
 		return res, err
 	}
 }
@@ -809,7 +837,3 @@ func (sess *Session) Close() {
 func (s *Server) UnitStats() plancache.Stats {
 	return s.p.PlanStore().ClassStats(plancache.ClassUnits)
 }
-
-// DiskStats returns the persistent cache's traffic counters; ok is false
-// when the server was started without Options.CacheDir.
-func (s *Server) DiskStats() (plancache.DiskStats, bool) { return s.p.DiskStats() }

@@ -244,7 +244,6 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 		eng.in.Reorder = p.retractOrder
 	}
 	defer eng.arm(opts.Timeout)()
-	p.ensurePersistLocked(opts)
 
 	// 1. Count-gated retraction: only assertions that reach count zero seed
 	// the over-delete. Non-ground tuples (absent, or present only as derived
@@ -359,7 +358,6 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 		return nil, err
 	}
 	p.haveFixpoint = true
-	p.flushPersistLocked(store, stats.CaptureSnapshot(p.cat))
 	return r, nil
 }
 

@@ -1,5 +1,5 @@
-// Plan ↔ symbolic-form round trip. The interpreter caches no plans and the
-// persistent cache stores none; the codec stays because perf/ measures it
+// Plan ↔ symbolic-form round trip. The interpreter caches no plans and
+// nothing persists them; the codec stays because perf/ measures it
 // (the plancache.flush_ms and load_ms probes), until the benchmark retires
 // those probes. A Plan is already symbolic — steps name predicates, columns,
 // template elements and access-path choices, never pointers into live

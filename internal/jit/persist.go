@@ -11,7 +11,8 @@ import (
 // span-parameterized — persists as a recompile hint: the entry's existence
 // and freshness vectors survive the restart, the artifact is rebuilt on
 // first use. Failure markers are process-local and never persisted: the next
-// process should retry the compile against its own world.
+// process should retry the compile against its own world. Kept only
+// because perf/'s plancache probes flush and load units through it.
 func UnitCodec() plancache.EntryCodec {
 	return plancache.EntryCodec{
 		Encode: func(v any) ([]byte, bool) {

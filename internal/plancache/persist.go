@@ -1,6 +1,8 @@
 // Persistent, content-addressed cache: the on-disk extension of the
-// Program-lifetime store. Structural fingerprints are already
-// content-addressed, so each (class, key) pair maps to exactly one file in
+// Program-lifetime store. No engine path uses it (core's CacheDir holds a
+// fixpoint checkpoint); it stays only because perf/'s plancache.flush_ms,
+// load_ms, disk_hits and disk_bytes probes call it, until the benchmark
+// retires them. Structural fingerprints are already content-addressed, so each (class, key) pair maps to exactly one file in
 // the cache directory — named by the SHA-256 of the fingerprint signature —
 // holding every band entry of that key plus the bucket's quantization state.
 // The profile-statistics snapshot the entries were built against rides along
@@ -376,29 +378,6 @@ func (p *Persister) loadProfileLocked(path string) (drop bool) {
 	return false
 }
 
-// writeAtomic writes b to name in the cache directory via a same-directory
-// temp file and rename, so concurrent flushers (two processes sharing one
-// cache dir) race only over which complete file wins.
-func (p *Persister) writeAtomic(name string, b []byte) error {
-	f, err := os.CreateTemp(p.dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err = f.Write(b); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(p.dir, name))
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
 func (p *Persister) envelope(magic [4]byte) []byte {
 	b := append([]byte(nil), magic[:]...)
 	b = wire.AppendU32(b, persistFormatVersion)
@@ -472,7 +451,7 @@ func (p *Persister) Flush(s *Store, snap *stats.Snapshot) error {
 			continue
 		}
 		copy(b[countAt:], wire.AppendU32(nil, uint32(written)))
-		if err := p.writeAtomic(entryFileName(vk.class, vk.key), seal(b)); err != nil {
+		if err := wire.WriteFileAtomic(p.dir, entryFileName(vk.class, vk.key), seal(b)); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -482,7 +461,7 @@ func (p *Persister) Flush(s *Store, snap *stats.Snapshot) error {
 	}
 	if snap != nil {
 		b := stats.AppendSnapshot(p.envelope(profileMagic), snap)
-		if err := p.writeAtomic(profileName, seal(b)); err != nil && firstErr == nil {
+		if err := wire.WriteFileAtomic(p.dir, profileName, seal(b)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

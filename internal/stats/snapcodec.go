@@ -33,10 +33,9 @@ func less3(a, b [3]int32) bool {
 	return a[2] < b[2]
 }
 
-// AppendSnapshot serializes s onto b for the persistent cache: the profile
-// statistics a restarted process can re-optimize against without replaying
-// the workload. Map entries are emitted in sorted key order so identical
-// snapshots produce identical bytes.
+// AppendSnapshot serializes s onto b for a serving checkpoint, the statistics
+// its restored epoch carries. Map entries are emitted in sorted key order so
+// identical snapshots produce identical bytes.
 func AppendSnapshot(b []byte, s *Snapshot) []byte {
 	b = wire.AppendU64(b, s.CapturedEpoch)
 

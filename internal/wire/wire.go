@@ -1,6 +1,7 @@
 // Package wire holds the little-endian append/read primitives shared by the
-// persistent-cache codecs (interp plan, stats snapshot, plancache
-// container). Encoders append to a caller-owned []byte; decoders go
+// on-disk codecs (core's checkpoint, the stats snapshot, the interp plan
+// and plancache container), and their atomic file write. Encoders append to
+// a caller-owned []byte; decoders go
 // through Reader, which carries a sticky error so callers can chain reads and
 // check once. All multi-byte values are little-endian; signed 32-bit values
 // round-trip through a uint32 cast so negatives (interned symbols, -1
@@ -11,6 +12,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 )
 
 // ErrTruncated is the sticky error Reader reports when the buffer runs out or
@@ -138,4 +141,25 @@ func (r *Reader) Count(elemSize int) int {
 		return -1
 	}
 	return n
+}
+
+// WriteFileAtomic writes b to dir/name through a ".tmp-*" file in dir and a
+// rename: readers and racing writers see a complete old or new file, and a
+// crash in between leaves the old one. Nothing is synced.
+func WriteFileAtomic(dir, name string, b []byte) error {
+	f, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
