@@ -313,7 +313,7 @@ func BenchmarkTable2_Engines(b *testing.B) {
 		})
 	}
 	// Skewed-graph row: the hub-and-spoke workload whose delta concentrates
-	// in a few hot hash buckets, under the sharded engine.
+	// on a few hub nodes, under the sharded engine.
 	b.Run("SkewedTC/Carac-Sharded", func(b *testing.B) {
 		built := workloads.SkewedGraph(analysis.HandOptimized, 400, 900, 3, int(benchSizes.Seed))
 		for i := 0; i < b.N; i++ {
@@ -400,14 +400,14 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSpeedup demonstrates the scaling property the sharded
-// catalog exists for: a workload dominated by ONE recursive rule (transitive
+// BenchmarkShardedSpeedup demonstrates the scaling property morsel tasks
+// exist for: a workload dominated by ONE recursive rule (transitive
 // closure) cannot scale with -workers under rule-granular parallelism — the
 // single rule serializes every iteration — but once Shards > 1 splits the
-// rule's delta into hash buckets, the same workload scales with the worker
-// count. Compare Parallel/W* (flat) against Sharded8/W* (scaling). The
-// *JIT entries run the same fan-out with span-parameterized compiled units
-// executing the bucket tasks — the fan-out × compilation interaction.
+// rule's δ into morsels, the same workload scales with the worker count.
+// Compare Parallel/W* (rule-granular) against Sharded8/W* (scaling). The
+// *JIT entries run the same fan-out with morsel-parameterized compiled units
+// executing the tasks — the fan-out × compilation interaction.
 func BenchmarkShardedSpeedup(b *testing.B) {
 	build := func() *analysis.Built {
 		return workloads.TransitiveClosure(analysis.HandOptimized, 600, 1500, int(benchSizes.Seed))
@@ -435,10 +435,10 @@ func BenchmarkShardedSpeedup(b *testing.B) {
 }
 
 // BenchmarkSkewedSpeedup isolates the skew story BenchmarkShardedSpeedup's
-// uniform graph cannot show: on the hub-and-spoke SkewedGraph the delta
-// concentrates in a few hash buckets, so the contiguous bucket span holding
-// the hubs straggles and adding workers stops helping. Compare Sharded8/W*
-// against Sequential: the skew crossover of the sharded fan-out.
+// uniform graph cannot show: on the hub-and-spoke SkewedGraph the δ rows
+// joining through the hubs cost far more than the rest, so a task whose
+// morsel holds more of them straggles and adding workers helps less. Compare
+// Sharded8/W* against Sequential: the skew crossover of the pooled fan-out.
 func BenchmarkSkewedSpeedup(b *testing.B) {
 	build := func() *analysis.Built {
 		return workloads.SkewedGraph(analysis.HandOptimized, 600, 1400, 3, int(benchSizes.Seed))
@@ -482,13 +482,13 @@ func BenchmarkStorageInsert(b *testing.B) {
 	}
 }
 
-// storageLayouts are the two layouts of storage.Relation, by benchmark name.
+// storageLayouts are the layouts of storage.Relation, by benchmark name:
+// one, flat, kept as a table so the benchmark names stay comparable.
 var storageLayouts = []struct {
 	name string
 	set  func(*storage.Relation)
 }{
 	{"Flat", func(*storage.Relation) {}},
-	{"Physical8", func(r *storage.Relation) { r.SetShardKeyPhysical(8, 0) }},
 }
 
 // layerRows is the relation size of the dedup / probe layer benchmarks: a
@@ -608,7 +608,7 @@ func BenchmarkProbeHit(b *testing.B) {
 				keys, visited := layerRows/perKey, 0
 				col := []int{0}
 				for i := 0; i < b.N; i++ {
-					rel.ScanKey(0, storage.AllBuckets, storage.AllRows, col, []storage.Value{storage.Value(i % keys)}, func([]storage.Value) bool { visited++; return true })
+					rel.ScanKey(0, storage.AllRows, col, []storage.Value{storage.Value(i % keys)}, func([]storage.Value) bool { visited++; return true })
 				}
 				if visited != b.N*perKey {
 					b.Fatalf("visited %d rows, want %d", visited, b.N*perKey)
@@ -624,7 +624,7 @@ func BenchmarkProbeMiss(b *testing.B) {
 	benchIndexLayer(b, 100, func(b *testing.B, rel *storage.Relation, _ []storage.Value, _ func(int)) {
 		col := []int{0}
 		for i := 0; i < b.N; i++ {
-			rel.ScanKey(0, storage.AllBuckets, storage.AllRows, col, []storage.Value{storage.Value(layerRows + i%layerRows)}, func([]storage.Value) bool {
+			rel.ScanKey(0, storage.AllRows, col, []storage.Value{storage.Value(layerRows + i%layerRows)}, func([]storage.Value) bool {
 				b.Fatal("phantom row")
 				return false
 			})

@@ -110,7 +110,7 @@ func runCmd(args []string) error {
 	stats := fs.Bool("stats", true, "print execution statistics")
 	parallel := fs.Bool("parallel", false, "evaluate independent rules on a bounded worker pool")
 	workers := fs.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "hash-shard each relation into this many buckets and split single rules across workers (implies -parallel)")
+	shards := fs.Int("shards", 0, "split each rule of a pooled iteration into up to this many tasks, each reading a row range of its delta (implies -parallel)")
 	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration of a parallel run (-parallel or -shards) runs sequentially (0 = default 256; 1 fans out every iteration)")
 	histograms := fs.Bool("histograms", false, "maintain per-column histograms on join columns and order atoms by estimated join-output size (histogram overlap) instead of cardinality alone")
 	sharedPlans := fs.Bool("shared-plans", false, "key the JIT's compiled-unit cache into the program-lifetime store so repeated runs start warm")
@@ -284,7 +284,7 @@ func serveCmd(args []string) error {
 	granularity := fs.String("granularity", "spj", "compilation granularity: program|dowhile|unionall|union|spj")
 	indexed := fs.Bool("indexed", true, "build join/filter indexes")
 	workers := fs.Int("workers", 0, "worker-pool size shared by all sessions (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "hash-shard relations and split rules across workers")
+	shards := fs.Int("shards", 0, "split each rule of a pooled iteration into up to this many tasks")
 	histograms := fs.Bool("histograms", false, "histogram-driven atom ordering (frozen per epoch for sessions)")
 	clients := fs.Int("clients", 4, "concurrent client sessions")
 	queries := fs.Int("queries", 8, "queries per client")

@@ -30,13 +30,13 @@
 // stops at the first chain row past it, since chains run in insertion order.
 // The bound is read each time a plan runs, so a compiled unit stays valid
 // across iterations. Where δ is not such a view — a δ seeded row
-// by row by a warm start (interp.Interp.SeedDelta), a sharded run's
-// physical δ, a retraction frontier — Old falls back to all of Full, which
-// is always correct and only derives some matches twice. After SeedAll δ is
-// all of Full and Old is empty. Every executor — push, lambda's units
-// (sequential or pool tasks, one chain) and the irgen, bytecode and quotes
-// fixtures — reads through storage's one read surface (storage.Relation.Scan,
-// ScanKey), so all of them honor the bound; only a physical δ falls back.
+// by row by a warm start (interp.Interp.SeedDelta), a retraction frontier —
+// Old falls back to all of Full, which is always correct and only derives
+// some matches twice. After SeedAll δ is all of Full and Old is empty. Every
+// executor — push, lambda's units (sequential or pool tasks, one chain) and
+// the irgen, bytecode and quotes fixtures — reads through storage's one read
+// surface (storage.Relation.Scan, ScanKey), a row range of one flat
+// relation, so all of them honor the bound, pooled runs included.
 // ir.LowerWarm and ir.LowerRetract read Full at every non-delta atom.
 //
 // # Statistics, the unit cache, and the parallel executor
@@ -51,9 +51,7 @@
 //     — never re-derived ad hoc. Histograms
 //     (core.Options.Histograms) are fixed-width hash histograms on the
 //     planned join columns, registered like indexes
-//     (storage.Relation.BuildHistogram) and carried through both storage
-//     layouts (per-bucket counts under the physical store, summed by
-//     Relation.HistogramOf); the optimizer's atom ordering uses the
+//     (storage.Relation.BuildHistogram); the optimizer's atom ordering uses the
 //     measured overlap of two join columns' histograms in place of the
 //     constant join-key selectivity (optimizer.Options.UseHistograms), and
 //     the resulting join-output estimate is recorded on each built plan
@@ -75,30 +73,26 @@
 //     append-only lists, and the barrier folds the lists through the sinks'
 //     Emit. ParallelUnions=false is the sequential fallback.
 //
-// # The sharded catalog
+// # Morsel tasks
 //
 // Rule-granular parallelism is bounded by rule count: one huge recursive
 // rule (the transitive-closure shape dominating the paper's CSPA workloads)
 // serializes every iteration. core.Options.Shards lifts that bound to data
-// size:
+// size by splitting the work, not the data (morsel-driven parallelism):
 //
-//   - internal/storage hash-partitions every predicate's delta pair into
-//     Shards buckets keyed by the predicate's planned join column
-//     (storage.ShardOf, Catalog.ConfigureShardsPhysical); Derived stays
-//     flat. Partitioning changes neither relation content nor the
-//     relation-level mutation counters, so the drift totals the plan
-//     cache's freshness policy compares are identical with and without
-//     sharding (a regression test pins the totals).
-//
-//   - internal/interp fans each rule of a parallel iteration out as one
-//     task per delta bucket: a task's plan copy restricts the subquery's
-//     delta read to its bucket's sub-relation (a delta without the task's
-//     partition is a wiring bug and panics), tasks with empty buckets are skipped via the
-//     O(1) per-shard cardinality statistic, and the per-worker lists
-//     merge at the same iteration barrier as before. The union of
-//     the buckets is exactly the delta (FuzzShardRouting), so the fan-out
+//   - internal/interp fans each rule of a parallel iteration out as up to
+//     Shards tasks, and task i of n reads a morsel of the rule's δ: its
+//     rows [L·i/n, L·(i+1)/n) of the δ's L rows (storage.Morsel). A
+//     scan reads the range; a probe walks the key's chain, skipping the
+//     rows below the morsel and stopping at its end, since chains run in
+//     insertion order. δ stays flat — the view of Derived's newest rows
+//     SwapClear lends it — so Old stays an exact row bound under the pool
+//     too, and a pooled run emits the matches a sequential one does. The
+//     morsels cover δ exactly once (FuzzShardRouting), so the fan-out
 //     derives the same fixpoint — a differential harness in internal/core
 //     checks every engine configuration against the sequential baseline.
+//     A subquery without a δ atom is whole-relation work the first task
+//     runs alone.
 //
 //   - internal/plancache segments the cache into LockShards independently
 //     locked shards keyed by the cache-key hash, so pool workers no longer
@@ -115,13 +109,8 @@
 // the small-delta tail iterations every recursive query ends in. Two layers
 // decide what that costs:
 //
-//   - internal/storage gains a physically sharded backing store
-//     (storage.Relation.SetShardKeyPhysical): each delta bucket is an
-//     independent sub-relation with its own arena slab and indexes, so a
-//     bucket task scans and probes one slab, while Derived keeps its one
-//     arena, flat: no task reads it by bucket. That makes two layouts —
-//     flat and physical, flat ↔ physical the only transition — over one
-//     duplicate-elimination structure: every set has a row table
+//   - internal/storage keeps one layout, flat: one arena per relation over
+//     one duplicate-elimination structure: every set has a row table
 //     (storage/rowtable.go), an open-addressing table of 1-byte hash tags
 //     and 4-byte row ids keyed by the rows' own bytes in the arena. Insert,
 //     Contains, the reference counts and the deletion compaction all find
@@ -130,7 +119,7 @@
 //     place, so the per-Run baseline rewind allocates nothing for dedup once
 //     warm; and a lookup only loads, which is why the workers' set-difference probes
 //     against the iteration-frozen Derived are race-free without any
-//     per-bucket copy. Derived's row table is the only duplicate elimination
+//     copy. Derived's row table is the only duplicate elimination
 //     of semi-naive evaluation (storage.PredicateDB.Emit): a new fact is
 //     staged in it — entered in the table and written past the arena's
 //     length, so Contains sees it at once and no reader does — and that is
@@ -141,8 +130,8 @@
 //     (storage.Relation.borrow, the view an epoch pin gives) and becomes δ
 //     with no row copied; Derived recalls the view — copies it into the
 //     delta — before it rewrites rows in place. A δ′ seeded row by row (the
-//     warm starts), the physical δ′ of a sharded run and retraction's
-//     frontiers hold their rows themselves, as lists with no table. On the
+//     warm starts) and retraction's frontiers hold their rows themselves,
+//     as lists with no table. On the
 //     sequential path each new fact is hashed and probed once (the pool
 //     adds its workers' test against the frozen Derived — twice — and the
 //     worker list's repeat filter, below).
@@ -174,10 +163,7 @@
 //     (an anchor sync.Pool holds the stacks, the pool itself only weakly): a
 //     sync.Pool per class missed whenever a slab was given on one P and
 //     wanted on another, which alone doubled a warm TC Run's bytes at two
-//     Ps. Mutation counters are
-//     accounted so drift totals are byte-identical to the flat layout for
-//     any operation sequence — mode transitions preserve the totals exactly
-//     (the shard-drift regression test pins both layouts to one number).
+//     Ps.
 //
 //   - internal/interp folds the workers' output at the iteration barrier
 //     through the sinks' Emit, in task order whichever worker ran a task,
@@ -186,7 +172,7 @@
 //     against the iteration's other finds — and counts the derivation
 //     (Stats.MergeTasks adds the pool size at every pooled barrier). The
 //     fold is sequential because deduplication happens in Derived's one row
-//     table; a bucketed fold would have only δ′'s appends to split.
+//     table; a split fold would have only δ′'s appends to split.
 //     A worker's output is an append-only interp.RowList per predicate,
 //     with no row table, in fixed-size chunks taken from the same scratch
 //     pool: a list never copies as it grows, each task's rows are recorded
@@ -205,56 +191,51 @@
 //
 //   - One fan-out policy decides every parallel iteration, whether the run
 //     is parallel through core.Options.ParallelUnions or Shards > 1: the
-//     fixpoint driver reads the live delta statistics (total delta and
-//     occupied buckets, O(1) through stats.Catalog.ShardCard) and runs an
-//     iteration whose total delta is under core.Options.FanoutThreshold
-//     (default 256) on the sequential path — no tasks, no lists, no merge,
-//     the small-delta tail every recursive query ends in — while a larger
-//     one gets one task per ~threshold/4 delta rows, capped at 4x the worker
-//     count, the occupied buckets and Shards, each task a contiguous bucket
-//     span (Stats.SeqIters counts the sequential iterations). The threshold
-//     is the one escape hatch, for tests and ablations: at 1 every non-empty
-//     iteration fans out to min(occupied buckets, Shards) tasks whenever
-//     Shards <= 4 x the worker count — the static fan-out of earlier
-//     engines, as a setting. BenchmarkShardedSpeedup and
-//     BenchmarkSkewedSpeedup (the hub-and-spoke workloads.SkewedGraph, whose
-//     delta concentrates in a few buckets) measure the policy end to end.
+//     fixpoint driver reads the live delta cardinalities (O(1) lengths) and
+//     runs an iteration whose total delta is under
+//     core.Options.FanoutThreshold (default 256) on the sequential path —
+//     no tasks, no lists, no merge, the small-delta tail every recursive
+//     query ends in — while a larger one gets one task per ~threshold/4
+//     delta rows, capped at 4x the worker count and Shards, each task a
+//     morsel (Stats.SeqIters counts the sequential iterations). The
+//     threshold is the one escape hatch, for tests and ablations: at 1
+//     every non-empty iteration fans out to min(total delta rows, Shards)
+//     tasks whenever Shards <= 4 x the worker count — the static fan-out of
+//     earlier engines, as a setting. BenchmarkShardedSpeedup and
+//     BenchmarkSkewedSpeedup (the hub-and-spoke workloads.SkewedGraph,
+//     whose hubs make some morsels far costlier than others) measure the
+//     policy end to end.
 //
-// # The shard-native JIT
+// # The morsel-native JIT
 //
-// The physical store above originally served pure interpretation only:
-// attaching a jit.Controller silently fell back to the row-id view
-// partition and a sequential loop, because compiled units addressed
-// relations by global row id. Lambda, the production backend, now speaks
-// the bucket-local read surface, so sharding and compilation compose (the
-// irgen, bytecode and quotes fixtures never run under a pool, and read flat
-// relations only):
+// Lambda, the production backend, runs under the pool, so the fan-out and
+// compilation compose (the irgen, bytecode and quotes fixtures never run
+// under a pool):
 //
 //   - lambda's combinators read through storage's one read surface
-//     (storage.Relation.Scan, ScanKey), as Plan.Execute does: per-bucket
-//     arenas and hash indexes on a physical relation, with a probe on the
-//     shard key column routed to exactly one bucket;
+//     (storage.Relation.Scan, ScanKey), as Plan.Execute does: a row range
+//     of one flat relation, its key's chain where an index answers;
 //
-//   - the parallel driver's bucket-span tasks execute span-parameterized
+//   - the parallel driver's morsel tasks execute morsel-parameterized
 //     compiled units (interp.ShardUnit, resolved per rule per iteration via
-//     interp.ShardCompiler): entry points take the same contiguous
-//     [shard, shard+span) restriction chooseFanout hands interpreted tasks,
-//     thread all mutable state through the invoking interpreter's frame so
-//     distinct workers run one unit concurrently, and append derivations to the
-//     worker's private lists, which the merge barrier folds through the
-//     sinks' Emit — exactly the fold interpretation uses;
+//     interp.ShardCompiler): entry points take task lo..hi of n and read
+//     the same morsel of δ an interpreted task reads, thread all mutable
+//     state through the invoking interpreter's frame so distinct workers
+//     run one unit concurrently, and append derivations to the worker's
+//     private lists, which the merge barrier folds through the sinks' Emit
+//     — exactly the fold interpretation uses. A sequential unit is the same
+//     chain invoked unrestricted;
 //
 //   - task units live in the Program-lifetime store under rule-subtree
-//     fingerprints tagged with the shard layout: warm reruns at one layout
-//     recompile nothing, a re-partitioned run resolves to fresh keys (never
-//     a unit whose spans were sized for another partition), and the unit
-//     stays valid across ClearRetain / SwapClear / mode transitions because
-//     it resolves relations and layout at invocation time.
+//     fingerprints tagged with the Shards count: warm reruns at one count
+//     recompile nothing, and the unit stays valid across ClearRetain and
+//     SwapClear because it resolves relations and δ's length at invocation
+//     time.
 //
-// Under core.Options.Shards with the lambda backend the engine therefore keeps
-// the physical delta store, the pool and its merge barrier
-// (Stats.MergeTasks), and the fan-out policy — benchmarked end to end by
-// BenchmarkShardedSpeedup's *JIT entries.
+// Under core.Options.Shards with the lambda backend the engine therefore
+// keeps the pool and its merge barrier (Stats.MergeTasks) and the fan-out
+// policy — benchmarked end to end by BenchmarkShardedSpeedup's *JIT
+// entries.
 //
 // # The program-lifetime unit store
 //
@@ -331,8 +312,8 @@
 //     single-flight across all sessions, so N concurrent identical queries
 //     compute exactly one derivation while the rest block and adopt — and
 //     pins the post-fixpoint Derived rows of every predicate into the epoch
-//     (the same PinRows/copy-on-flip machinery as ground facts; physical
-//     catalogs pin per-bucket arenas zero-copy), together with a
+//     (the same zero-copy PinRows/copy-on-flip machinery as ground facts),
+//     together with a
 //     post-fixpoint statistics snapshot stamped with the epoch generation.
 //     The epoch is the fixpoint's only owner (Epoch.mat) — a superseded
 //     epoch's rows are collectable once its sessions close and the next
@@ -406,7 +387,9 @@
 //   - Crash safety: the file is written to a temp file in the directory and
 //     renamed over the old one (wire.WriteFileAtomic), so a crash between
 //     write and rename leaves the previous checkpoint loadable and a .tmp-*
-//     file behind. Nothing is fsynced: a machine crash may lose the newest
+//     file behind. The restart that adopts a checkpoint removes the .tmp-*
+//     files last written before it; a newer one may be a live writer's and
+//     stays. Nothing is fsynced: a machine crash may lose the newest
 //     checkpoint, or leave a torn one that loads as "corrupt".
 //
 // # Incremental maintenance
@@ -493,7 +476,7 @@
 //
 // The delete-oracle differential matrix (TestDeleteOracleMatrix: scripted
 // insert/delete batches across {sequential, parallel, sharded,
-// sharded-pool, plus threshold-2/8 and 8-shard/2-worker fan-out cells} ×
+// sharded-pool, plus threshold-2/8 and 8-task/2-worker fan-out cells} ×
 // {jit} on TC, CSPA, non-linear TC, a triangle rule, a head with a
 // constant and a repeated variable, comparison guards and mutual recursion
 // with cyclic support, byte-compared against a recompute-from-scratch

@@ -12,15 +12,17 @@ import (
 	"carac/internal/storage"
 )
 
-// cancelledChain returns a TC Program over a chain whose flat Run a 1 ms
-// Timeout stopped mid-fixpoint, at a safe point between iterations' ops:
-// δ still holds rows — borrowed from Derived, or owed by it — when the Run
-// gives up. It doubles the chain until a Run is that long.
-func cancelledChain(t *testing.T) (p *Program, edges [][2]int32) {
+// cancelledChain returns a TC Program over a chain whose Run under opts a
+// 1 ms Timeout stopped mid-fixpoint, at a safe point between iterations'
+// ops or, on the pool, inside the tasks reading their morsels of δ: δ still
+// holds rows — borrowed from Derived, or owed by it — when the Run gives up.
+// It doubles the chain until a Run is that long.
+func cancelledChain(t *testing.T, opts Options) (p *Program, edges [][2]int32) {
 	t.Helper()
+	opts.Timeout = time.Millisecond
 	for n := 300; n <= 2400; n *= 2 {
 		p, _ = buildTC(t, n)
-		_, err := p.Run(Options{Indexed: true, Timeout: time.Millisecond})
+		_, err := p.Run(opts)
 		if err == nil {
 			continue
 		}
@@ -39,27 +41,41 @@ func cancelledChain(t *testing.T) (p *Program, edges [][2]int32) {
 	return nil, nil
 }
 
-// TestCancelledRunThenRunApplyServe cancels a flat TC Run mid-fixpoint, where
+// TestCancelledRunThenRunApplyServe cancels a TC Run mid-fixpoint, where
 // δ borrows Derived's newest rows and δ′ is owed the next ones, and then
 // drives the same Program through a Run, a delete Apply, and a Serve with
 // IngestTx and Publish. Each must match the recompute oracle: nothing the
 // cancelled Run left lent or owed may leak into the next evaluation or be
-// rewritten under a reader. Run it under -tags scratchpoison too, which
-// poisons every slab given back to the scratch pool.
+// rewritten under a reader. The flat leg runs every evaluation sequentially;
+// the Pooled leg fans every iteration out into 8 morsel tasks on 2 workers,
+// so the cancel lands while the tasks read their morsels of the lent δ. Run
+// it under -tags scratchpoison too, which poisons every slab given back to
+// the scratch pool.
 func TestCancelledRunThenRunApplyServe(t *testing.T) {
-	chain := func() *Program { p, _ := buildTC(t, 0); return p }
-	opts := Options{Indexed: true}
+	for _, leg := range []struct {
+		prefix string
+		opts   Options
+	}{
+		{"", Options{Indexed: true}},
+		{"Pooled", Options{Indexed: true, Shards: 8, Workers: 2, FanoutThreshold: 1}},
+	} {
+		cancelledRunThenRunApplyServe(t, leg.prefix, leg.opts)
+	}
+}
 
-	t.Run("Run", func(t *testing.T) {
-		p, edges := cancelledChain(t)
+func cancelledRunThenRunApplyServe(t *testing.T, prefix string, opts Options) {
+	chain := func() *Program { p, _ := buildTC(t, 0); return p }
+
+	t.Run(prefix+"Run", func(t *testing.T) {
+		p, edges := cancelledChain(t, opts)
 		if _, err := p.Run(opts); err != nil {
 			t.Fatal(err)
 		}
 		checkOracle(t, "Run", p, chain, "edge", edges)
 	})
 
-	t.Run("Apply", func(t *testing.T) {
-		p, edges := cancelledChain(t)
+	t.Run(prefix+"Apply", func(t *testing.T) {
+		p, edges := cancelledChain(t, opts)
 		mid := edges[len(edges)/2]
 		if _, err := applyFacts(t, p, "edge", opts, [][2]int32{mid}, [][2]int32{{0, 5}}); err != nil {
 			t.Fatal(err)
@@ -68,9 +84,11 @@ func TestCancelledRunThenRunApplyServe(t *testing.T) {
 		checkOracle(t, "Apply", p, chain, "edge", append(want, [2]int32{0, 5}))
 	})
 
-	t.Run("Serve", func(t *testing.T) {
-		p, edges := cancelledChain(t)
-		srv, err := p.Serve(Options{Indexed: true, Materialize: true})
+	t.Run(prefix+"Serve", func(t *testing.T) {
+		p, edges := cancelledChain(t, opts)
+		serve := opts
+		serve.Materialize = true
+		srv, err := p.Serve(serve)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,9 +6,11 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"time"
 
 	"carac/internal/ast"
 	"carac/internal/stats"
@@ -207,9 +209,19 @@ func (s *Server) writeCheckpoint(e *Epoch, m *epochMat) {
 // restoredMat builds e's materialization from the checkpoint if it was
 // written for this rule program and exactly e's ground facts: e's ground rows
 // first (the prefix a session's rewind keeps), then the checkpoint's rows
-// with symbols renumbered; otherwise it returns the miss reason.
+// with symbols renumbered; otherwise it returns the miss reason. Adopting
+// the checkpoint sweeps the temp files older than it (sweepTemps).
 func (s *Server) restoredMat(e *Epoch) (*epochMat, string) {
-	b, err := os.ReadFile(filepath.Join(s.opts.CacheDir, checkpointName))
+	f, err := os.Open(filepath.Join(s.opts.CacheDir, checkpointName))
+	if err != nil {
+		return nil, "absent"
+	}
+	fi, err := f.Stat()
+	var b []byte
+	if err == nil {
+		b, err = io.ReadAll(f)
+	}
+	f.Close()
 	if err != nil {
 		return nil, "absent"
 	}
@@ -258,5 +270,20 @@ func (s *Server) restoredMat(e *Epoch) (*epochMat, string) {
 		m.rows[i] = rel.PinRows()
 		m.total += m.rows[i].Len()
 	}
+	sweepTemps(s.opts.CacheDir, fi.ModTime())
 	return m, ""
+}
+
+// sweepTemps removes the temp files in dir (wire.WriteFileAtomic's ".tmp-*")
+// last written before the adopted checkpoint was: each is what a writer
+// that crashed between write and rename left behind. A newer one may belong
+// to a live writer, and stays. A file that cannot be read or removed is left
+// for the next restart.
+func sweepTemps(dir string, adopted time.Time) {
+	tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	for _, name := range tmps {
+		if fi, err := os.Stat(name); err == nil && fi.ModTime().Before(adopted) {
+			os.Remove(name)
+		}
+	}
 }

@@ -203,9 +203,11 @@ func TestCheckpointCSPARestart(t *testing.T) {
 }
 
 // TestCheckpointFaults: a temp file torn by a crash between write and
-// rename leaves the previous checkpoint loadable; a truncated or bit-flipped
-// checkpoint is a "corrupt" cold start with the right rows, and the cold
-// derivation writes a good checkpoint over it.
+// rename leaves the previous checkpoint loadable, and the restart that
+// adopts it removes the torn file, which is older, while a temp file newer
+// than the checkpoint — a live writer's — survives; a truncated or
+// bit-flipped checkpoint is a "corrupt" cold start with the right rows, and
+// the cold derivation writes a good checkpoint over it.
 func TestCheckpointFaults(t *testing.T) {
 	build := func() *analysis.Built { return workloads.TransitiveClosure(analysis.HandOptimized, 60, 150, 7) }
 	want := runRows(t, build())
@@ -215,7 +217,21 @@ func TestCheckpointFaults(t *testing.T) {
 		restore bool
 	}{
 		{"torn-temp", func(dir string, b []byte) error {
-			return os.WriteFile(filepath.Join(dir, ".tmp-crashed"), b[:len(b)/2], 0o644)
+			ck, err := os.Stat(filepath.Join(dir, checkpointFile))
+			if err != nil {
+				return err
+			}
+			for name, age := range map[string]time.Duration{".tmp-crashed": -time.Minute, ".tmp-live": time.Minute} {
+				path := filepath.Join(dir, name)
+				if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+					return err
+				}
+				at := ck.ModTime().Add(age)
+				if err := os.Chtimes(path, at, at); err != nil {
+					return err
+				}
+			}
+			return nil
 		}, true},
 		{"truncated", func(dir string, b []byte) error {
 			return os.WriteFile(filepath.Join(dir, checkpointFile), b[:len(b)-len(b)/3], 0o644)
@@ -239,6 +255,13 @@ func TestCheckpointFaults(t *testing.T) {
 			for i, restore := range []bool{c.restore, true} {
 				next := build()
 				srv := serveMat(t, next, opts)
+				if c.name == "torn-temp" {
+					_, crashed := os.Stat(filepath.Join(opts.CacheDir, ".tmp-crashed"))
+					_, live := os.Stat(filepath.Join(opts.CacheDir, ".tmp-live"))
+					if !os.IsNotExist(crashed) || live != nil {
+						t.Fatalf("restart %d: the crashed temp file's stat says %v, the live one's %v; want it swept and the live one kept", i, crashed, live)
+					}
+				}
 				diffSnapshots(t, c.name, want, queryRows(t, next.P, srv))
 				st := srv.Stats()
 				if restore {

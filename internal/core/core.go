@@ -462,41 +462,41 @@ type Options struct {
 	// live delta statistics: one whose total delta is under FanoutThreshold
 	// runs on the sequential path (no task spawn, no list merge — the
 	// small-delta tail every recursive query ends in), a larger one sizes its
-	// task count to the delta volume, the worker count and, under Shards,
-	// the occupied buckets. With a JIT backend attached the pool's tasks run
-	// span-parameterized compiled units where the controller has one ready
-	// and interpret otherwise; false is the sequential fallback.
+	// task count to the delta volume, the worker count and Shards. With a
+	// JIT backend attached the pool's tasks run morsel-parameterized
+	// compiled units where the controller has one ready and interpret
+	// otherwise; false is the sequential fallback.
 	ParallelUnions bool
 	// Workers bounds the parallel pool; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Shards partitions every predicate's delta pair into this many hash
-	// buckets keyed by the predicate's planned join column, and lets each
-	// rule of a parallel iteration fan out as tasks over contiguous spans of
-	// its delta relation's buckets. Rule-granular parallelism is bounded by
-	// rule count; with Shards > 1 a single huge recursive rule (the
-	// transitive-closure shape) also saturates the worker pool — parallelism
-	// bounded by data size. Implies ParallelUnions, and with it the
-	// per-iteration fan-out decision; <= 1 disables sharding.
+	// Shards is the most tasks each rule of a parallel iteration fans out
+	// as: each task reads a morsel of the rule's δ, a contiguous row range
+	// (task i of n reads rows [L·i/n, L·(i+1)/n) of its L rows), so the
+	// tasks split the work, never the data. Rule-granular parallelism is
+	// bounded by rule count; with Shards > 1 a single huge recursive rule
+	// (the transitive-closure shape) also saturates the worker pool —
+	// parallelism bounded by data size. Implies ParallelUnions, and with it
+	// the per-iteration fan-out decision; <= 1 fans out by rule only.
 	//
-	// Storage keeps two layouts: the delta pair is physically sharded
-	// (per-bucket slabs and indexes) and Derived stays flat — the workers
-	// only test membership in it. With the lambda backend attached, its
-	// units read the buckets through the same surface the interpreter does
+	// Storage has one layout: δ stays flat, a view of Derived's newest rows
+	// (so Old, Derived less δ, stays exact), and the workers only test
+	// membership in Derived. With the lambda backend attached, its units
+	// read δ through the same surface the interpreter does
 	// (storage.Relation.Scan, ScanKey) and the pool's tasks run
-	// span-parameterized lambda units. Worker
-	// lists fold at each iteration barrier through the sinks' Emit,
-	// sequentially and in task order: one probe of Derived per listed row,
-	// the pool's only exact deduplication.
+	// morsel-parameterized lambda units. Worker lists fold at each
+	// iteration barrier through the sinks' Emit, sequentially and in task
+	// order: one probe of Derived per listed row, the pool's only exact
+	// deduplication.
 	Shards int
-	// AdaptiveFanout's one remaining effect is to select an 8-way partition
+	// AdaptiveFanout's one remaining effect is to select 8 tasks per rule
 	// (and with it a parallel run) when Shards is unset: every parallel run
 	// takes the per-iteration fan-out decision. Prefer Shards: 8.
 	AdaptiveFanout bool
 	// FanoutThreshold is the sequential-path delta bound of the fan-out
 	// decision every parallel run takes; <= 0 selects the interpreter
 	// default (256). It is the escape hatch for tests and ablations: at 1
-	// every non-empty iteration fans out, to min(occupied buckets, Shards)
-	// tasks whenever Shards <= 4 x the worker count.
+	// every non-empty iteration fans out, to min(total delta rows, Shards)
+	// tasks per rule whenever Shards <= 4 x the worker count.
 	FanoutThreshold int
 	// Histograms maintains per-column value-distribution histograms on every
 	// planned join column (incrementally, inside the storage mutation paths,

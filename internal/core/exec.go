@@ -49,10 +49,8 @@ func registerArtifacts(cat *storage.Catalog, prog *ast.Program, uses []ir.IndexU
 			}
 		}
 	}
-	// Histogram registration is permanent like index registration, and must
-	// precede shard configuration: ConfigureShardsPhysical propagates
-	// registered columns into the per-bucket sub-relations, which is what
-	// makes the per-shard histogram variants readable.
+	// Histogram registration is permanent like index registration: the
+	// columns every lowering joins on, on Derived and the delta pair alike.
 	if opts.Histograms {
 		for pid, cols := range ir.JoinKeyColumns(prog) {
 			cat.Pred(pid).BuildHistograms(cols)
@@ -122,28 +120,12 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 		shards = 8
 	}
 	if shards > 1 {
-		// Partition every predicate's delta pair on its planned join key
-		// (first join column; column 0 for predicates never joined on) so
-		// the sharded fan-out serves each task's delta slice from its own
-		// buckets.
-		keyCols := make(map[storage.PredID]int)
-		for pid, cols := range ir.JoinKeyColumns(prog) {
-			if len(cols) > 0 {
-				keyCols[pid] = cols[0]
-			}
-		}
-		// Physical backing store for every sharded run: bucket tasks scan
-		// and probe one delta slab each, and the compiled backends read the
-		// same surface (storage.Relation.Scan, ScanKey) — with a JIT attached the
-		// pool's tasks execute span-parameterized compiled units, so
-		// sharding and compilation compose.
-		cat.ConfigureShardsPhysical(shards, keyCols)
+		// Each rule of a pooled iteration fans out as up to shards tasks,
+		// each reading a morsel of the rule's flat δ; with a JIT attached
+		// the tasks run morsel-parameterized compiled units, so the pool
+		// and compilation compose.
 		in.Parallel = true
 		in.Shards = shards
-	} else {
-		// Drop stale partitions so repeated Runs of one Program stay
-		// independent of an earlier sharded configuration.
-		cat.ConfigureShardsPhysical(0, nil)
 	}
 	return &execEngine{cat: cat, root: root, opts: opts, store: store, ctrl: ctrl, in: in}, nil
 }

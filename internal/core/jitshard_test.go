@@ -1,10 +1,11 @@
-// Tests for the shard-native JIT: with a Controller attached and Shards > 1
-// the run must keep the physically sharded delta store and the worker pool
-// with its merge barrier (an earlier engine silently degraded to a
-// sequential loop), span-parameterized compiled units must execute the
-// bucket tasks, the unit cache must survive warm reruns at one shard layout
-// while never serving a unit across layouts, and all of it must hold under
-// -race (the CI core job runs this package with the race detector).
+// Tests for the morsel-native JIT: with a Controller attached and Shards > 1
+// the run must keep the worker pool with its merge barrier (an earlier
+// engine silently degraded to a sequential loop), morsel-parameterized
+// compiled units must execute the tasks — each reading its row range of the
+// flat δ, so the pooled run emits exactly the sequential run's matches — the
+// unit cache must survive warm reruns at one Shards count while never
+// serving a unit across counts, and all of it must hold under -race (the CI
+// core job runs this package with the race detector).
 package core_test
 
 import (
@@ -22,12 +23,6 @@ import (
 
 var lambdaSPJ = jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ}
 
-// physical reports whether r has the physical layout.
-func physical(r *storage.Relation) bool {
-	n, _ := r.ShardConfig()
-	return n > 0
-}
-
 func runJITTC(t *testing.T, opts core.Options) *core.Result {
 	t.Helper()
 	built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
@@ -35,23 +30,34 @@ func runJITTC(t *testing.T, opts core.Options) *core.Result {
 	if err != nil {
 		t.Fatalf("%+v: %v", opts, err)
 	}
-	if pd, ok := built.P.Catalog().PredByName("tc"); ok && opts.Shards > 1 {
-		if !physical(pd.DeltaKnown) || !physical(pd.DeltaNew) {
-			t.Fatalf("%+v: sharded run did not use the physical backing store", opts)
-		}
-	}
 	return res
 }
 
-// TestShardWiring pins storage's two layouts under sharding: after a warm
-// sharded Run every predicate's delta pair is physical and its Derived flat,
-// and an unsharded Run of the same Program afterwards dissolves every
-// partition and derives what the sharded Run derived — in the interpreter and
-// with lambda units running the pool's tasks.
+// sameEvaluation fails unless res evaluated exactly what the sequential
+// oracle seq did: the same facts, derivations, iterations and matches. A
+// pool task reads a morsel of the flat δ, a view of Derived's newest rows,
+// so Old stays exact under the pool and every match is emitted once, as on
+// the sequential path.
+func sameEvaluation(t *testing.T, name string, res, seq *core.Result) {
+	t.Helper()
+	got := [4]int64{int64(res.TotalFacts), res.Interp.Derivations, res.Interp.Iterations, res.Interp.Matches}
+	want := [4]int64{int64(seq.TotalFacts), seq.Interp.Derivations, seq.Interp.Iterations, seq.Interp.Matches}
+	if got != want {
+		t.Fatalf("%s: facts, derivations, iterations, matches = %v, sequential %v", name, got, want)
+	}
+}
+
+// TestShardWiring pins the morsel rule end to end on CSPA, whose recursive
+// rules read Old: a warm pooled Run that fans every iteration out into
+// eight morsel tasks per rule emits exactly the matches, derivations and
+// iterations of a sequential Run, and a sequential Run of the same Program
+// afterwards derives the same rows — in the interpreter and with lambda
+// units running the pool's tasks. Storage has one layout, so nothing is
+// configured in between.
 func TestShardWiring(t *testing.T) {
 	for name, jc := range map[string]jit.Config{"interp": {}, "lambda": lambdaSPJ} {
 		t.Run(name, func(t *testing.T) {
-			built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
+			built := analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(80, 42))
 			sharded := core.Options{Indexed: true, Shards: 8, Workers: 2, FanoutThreshold: 1, JIT: jc}
 			var res *core.Result
 			for run := 0; run < 2; run++ {
@@ -61,35 +67,37 @@ func TestShardWiring(t *testing.T) {
 				}
 				res = r
 			}
-			if res.Interp.MergeTasks == 0 {
-				t.Fatal("the sharded Run never reached the pool")
+			if res.Interp.MergeTasks == 0 || res.Interp.SeqIters != 0 {
+				t.Fatalf("the pooled Run took the sequential path %d times, folded %d lists", res.Interp.SeqIters, res.Interp.MergeTasks)
 			}
 			cat := built.P.Catalog()
-			for _, pd := range cat.Preds() {
-				if n, c := pd.Derived.ShardConfig(); n != 0 || c != 0 {
-					t.Fatalf("%s: Derived partitioned (%d, %d)", pd.Name, n, c)
-				}
-				if !physical(pd.DeltaKnown) || !physical(pd.DeltaNew) {
-					t.Fatalf("%s: a delta is not physical", pd.Name)
-				}
-			}
 			want := derivedRows(cat)
 
 			flat, err := built.P.Run(core.Options{Indexed: true, JIT: jc})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pd := range cat.Preds() {
-				for _, r := range []*storage.Relation{pd.Derived, pd.DeltaKnown, pd.DeltaNew} {
-					if n, _ := r.ShardConfig(); n != 0 || pd.Shards() != 0 {
-						t.Fatalf("%s: the unsharded Run left a %d-way partition", r.Name(), n)
-					}
-				}
-			}
-			if flat.TotalFacts != res.TotalFacts || fmt.Sprint(derivedRows(cat)) != fmt.Sprint(want) {
-				t.Fatalf("unsharded Run derived %d facts, sharded %d", flat.TotalFacts, res.TotalFacts)
+			sameEvaluation(t, name, res, flat)
+			if fmt.Sprint(derivedRows(cat)) != fmt.Sprint(want) {
+				t.Fatal("the sequential Run derived other rows than the pooled one")
 			}
 		})
+	}
+}
+
+// TestNaivePoolRunsWholeRelationWorkOnce: a naive Run's subqueries read Full
+// and have no δ atom to split, so only the first of a rule's morsel tasks
+// runs them — the other tasks would repeat every match — and the pooled
+// Run evaluates exactly what the sequential one does, in the interpreter
+// and with lambda units running the pool's tasks.
+func TestNaivePoolRunsWholeRelationWorkOnce(t *testing.T) {
+	for name, jc := range map[string]jit.Config{"interp": {}, "lambda": lambdaSPJ} {
+		seq := runJITTC(t, core.Options{Indexed: true, Naive: true, JIT: jc})
+		res := runJITTC(t, core.Options{Indexed: true, Naive: true, Shards: 8, Workers: 2, FanoutThreshold: 1, JIT: jc})
+		if res.Interp.MergeTasks == 0 {
+			t.Fatalf("%s: the naive Run never reached the pool", name)
+		}
+		sameEvaluation(t, name, res, seq)
 	}
 }
 
@@ -107,25 +115,20 @@ func derivedRows(cat *storage.Catalog) map[string][]string {
 	return out
 }
 
-// TestJITShardedUsesPhysicalStore is the acceptance pin: a sharded run with
-// a Controller attached uses the physically sharded delta store end to end —
-// the pool runs and its barrier folds worker buffers (Stats.MergeTasks > 0),
-// the pool's tasks execute compiled units (Stats.Compiled > 0 via
-// ShardUnits, Compilations recorded), and the result set and iteration
-// schedule match the sequential oracle exactly.
-func TestJITShardedUsesPhysicalStore(t *testing.T) {
+// TestJITShardedReadsMorsels is the acceptance pin: a pooled run with a
+// Controller attached reads morsels of the flat δ end to end — the pool
+// runs and its barrier folds worker buffers (Stats.MergeTasks > 0), the
+// pool's tasks execute compiled units (Stats.Compiled > 0 via ShardUnits,
+// Compilations recorded), and the facts, derivations, iteration schedule
+// and matches equal the sequential oracle's exactly.
+func TestJITShardedReadsMorsels(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
 	res := runJITTC(t, core.Options{
 		Indexed: true, Shards: 4, Workers: 4,
 		FanoutThreshold: 1, // every iteration fans out
 		JIT:             lambdaSPJ,
 	})
-	if res.TotalFacts != seq.TotalFacts {
-		t.Fatalf("sharded+JIT derived %d facts, sequential %d", res.TotalFacts, seq.TotalFacts)
-	}
-	if res.Interp.Iterations != seq.Interp.Iterations {
-		t.Fatalf("sharded+JIT ran %d iterations, sequential %d", res.Interp.Iterations, seq.Interp.Iterations)
-	}
+	sameEvaluation(t, "pooled+JIT", res, seq)
 	if res.Interp.MergeTasks == 0 {
 		t.Fatal("the barrier never folded a worker buffer: the pool did not run")
 	}
@@ -141,9 +144,10 @@ func TestJITShardedUsesPhysicalStore(t *testing.T) {
 }
 
 // TestJITShardedAdaptiveFanout: the adaptive driver's two regimes compose
-// with compilation — fanned-out iterations run compiled bucket tasks and
+// with compilation — fanned-out iterations run compiled morsel tasks and
 // fold their buffers, tail iterations take the sequential fast path —
-// without changing the derived fixpoint.
+// without changing what the run evaluates: facts, derivations, iterations
+// and matches equal the sequential oracle's.
 func TestJITShardedAdaptiveFanout(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
 	res := runJITTC(t, core.Options{
@@ -154,9 +158,7 @@ func TestJITShardedAdaptiveFanout(t *testing.T) {
 		FanoutThreshold: 64,
 		JIT:             lambdaSPJ,
 	})
-	if res.TotalFacts != seq.TotalFacts {
-		t.Fatalf("adaptive sharded+JIT derived %d facts, sequential %d", res.TotalFacts, seq.TotalFacts)
-	}
+	sameEvaluation(t, "adaptive pooled+JIT", res, seq)
 	if res.Interp.MergeTasks == 0 {
 		t.Fatal("adaptive sharded+JIT never folded a worker buffer")
 	}
@@ -168,20 +170,19 @@ func TestJITShardedAdaptiveFanout(t *testing.T) {
 	}
 }
 
-// TestJITDegeneratePoolStillCompiles: a sharded JIT run whose pool
-// degenerates to one worker evaluates rules in place — but must keep
-// consulting the controller's safe points, so rule-granularity compiled
-// units still execute exactly as they did under the pre-shard-native
-// sequential loop (regression: the in-place path once bypassed Enter).
+// TestJITDegeneratePoolStillCompiles: a pooled JIT run whose pool
+// degenerates to one worker evaluates each rule once, unrestricted and in
+// place — but must keep consulting the controller's safe points, so
+// rule-granularity compiled units still execute exactly as they do under the
+// sequential loop (regression: the in-place path once bypassed Enter), and
+// evaluate exactly what it does.
 func TestJITDegeneratePoolStillCompiles(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
 	res := runJITTC(t, core.Options{
 		Indexed: true, Shards: 4, Workers: 1,
 		JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionRule},
 	})
-	if res.TotalFacts != seq.TotalFacts {
-		t.Fatalf("degenerate pool derived %d facts, sequential %d", res.TotalFacts, seq.TotalFacts)
-	}
+	sameEvaluation(t, "degenerate pool", res, seq)
 	if res.JIT.Compilations == 0 {
 		t.Fatalf("degenerate pool compiled nothing: %+v", res.JIT)
 	}
@@ -192,8 +193,8 @@ func TestJITDegeneratePoolStillCompiles(t *testing.T) {
 
 // TestJITShardedWarmRerun: task units live in the Program-lifetime store
 // under layout-tagged subtree fingerprints, so a warm rerun at the same
-// shard layout recompiles 0 units and serves cross-run hits — the same
-// guarantee the sequential unit view gives, now over the physical store.
+// Shards count recompiles 0 units and serves cross-run hits — the same
+// guarantee the sequential unit view gives.
 func TestJITShardedWarmRerun(t *testing.T) {
 	built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
 	opts := core.Options{
@@ -212,7 +213,7 @@ func TestJITShardedWarmRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res2.JIT.Compilations != 0 {
-		t.Fatalf("warm rerun recompiled %d units at an unchanged shard layout", res2.JIT.Compilations)
+		t.Fatalf("warm rerun recompiled %d units at an unchanged Shards count", res2.JIT.Compilations)
 	}
 	if res2.Units.CrossRunHits == 0 {
 		t.Fatalf("warm rerun served no cross-run unit hits: %+v", res2.Units)
@@ -256,10 +257,10 @@ func TestJITShardedWarmRerunCSPA(t *testing.T) {
 	}
 }
 
-// TestJITShardLayoutChangeRecompiles: a span-parameterized unit compiled for
-// one Shards count must never be served to a run partitioned differently —
-// the layout is part of the unit fingerprint — while returning to a
-// previously seen layout is warm again.
+// TestJITShardLayoutChangeRecompiles: a morsel-parameterized unit compiled
+// for one Shards count is never served to a run at another — the count is
+// part of the unit fingerprint — while returning to a previously seen count
+// is warm again.
 func TestJITShardLayoutChangeRecompiles(t *testing.T) {
 	built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
 	at := func(shards int) core.Options {
@@ -280,7 +281,7 @@ func TestJITShardLayoutChangeRecompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res8.JIT.Compilations == 0 {
-		t.Fatal("re-partitioned run served stale span-parameterized units instead of recompiling")
+		t.Fatal("a run at another Shards count served the first count's units instead of recompiling")
 	}
 	if res8.TotalFacts != res4.TotalFacts {
 		t.Fatalf("layout change altered the result: %d vs %d facts", res8.TotalFacts, res4.TotalFacts)
@@ -302,11 +303,11 @@ func TestJITShardLayoutChangeRecompiles(t *testing.T) {
 	}
 }
 
-// TestJITShardMergeStress hammers concurrent compiled bucket tasks and the
+// TestJITShardMergeStress hammers concurrent compiled morsel tasks and the
 // merge barrier through the full engine with a threshold of 1, so every
 // iteration — including one-tuple tails — fans out, runs ShardUnit bodies on
 // the pool, and folds their buffers; repeated Programs and reruns stress the
-// partition-mode transitions underneath. Run under -race by the CI core job.
+// loans and the scratch pool underneath. Run under -race by the CI core job.
 func TestJITShardMergeStress(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
 	for round := 0; round < 3; round++ {
@@ -333,10 +334,13 @@ func TestJITShardMergeStress(t *testing.T) {
 	}
 }
 
-// TestJITShardedAsyncAndBackends sweeps the remaining physical×JIT cells the
+// TestJITShardedAsyncAndBackends sweeps the remaining pool×JIT cells the
 // main differential matrix does not enumerate: lambda, the one backend a
 // pool runs, compiling blocking and asynchronously, against the sequential
-// oracle.
+// oracle — facts, derivations, iterations and matches alike, except an
+// asynchronous run's matches: a subquery the interpreter is scanning when
+// its unit becomes ready yields to it, and the unit matches the scanned rows
+// again.
 func TestJITShardedAsyncAndBackends(t *testing.T) {
 	seq := runJITTC(t, core.Options{Indexed: true})
 	for _, async := range []bool{false, true} {
@@ -345,20 +349,24 @@ func TestJITShardedAsyncAndBackends(t *testing.T) {
 			Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1,
 			JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranSPJ, Async: async},
 		})
-		if res.TotalFacts != seq.TotalFacts {
-			t.Errorf("%s: %d facts, sequential %d", name, res.TotalFacts, seq.TotalFacts)
+		if async {
+			if res.Interp.Matches < seq.Interp.Matches {
+				t.Errorf("%s: %d matches, under the sequential %d", name, res.Interp.Matches, seq.Interp.Matches)
+			}
+			res.Interp.Matches = seq.Interp.Matches // the rows a yield matched twice
 		}
+		sameEvaluation(t, name, res, seq)
 		if res.Interp.MergeTasks == 0 {
 			t.Errorf("%s: the barrier never folded a worker buffer", name)
 		}
 	}
 }
 
-// FuzzJITShardRouting drives the fan-out's bucket routing through the JIT
-// path: arbitrary edge lists evaluate transitive closure sharded with
-// compiled bucket-span tasks and must reproduce the sequential fixpoint —
-// the core-level extension of storage.FuzzShardRouting's partition-exactness
-// property to compiled readers. Run the short-fuzz CI job with:
+// FuzzJITShardRouting drives the fan-out's morsels through the JIT path:
+// arbitrary edge lists evaluate transitive closure pooled with compiled
+// morsel tasks and must reproduce the sequential fixpoint — the core-level
+// extension of storage.FuzzShardRouting's morsel-cover property to compiled
+// readers. Run the short-fuzz CI job with:
 // go test -fuzz=FuzzJITShardRouting -fuzztime=20s ./internal/core/
 func FuzzJITShardRouting(f *testing.F) {
 	f.Add(uint8(4), []byte{1, 2, 2, 3, 3, 4, 4, 1})

@@ -164,8 +164,8 @@ func TestParallelMergeStress(t *testing.T) {
 	seq := runTC(t, core.Options{Indexed: true})
 	for round := 0; round < 3; round++ {
 		built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
-		// Repeated runs of one Program rewind to the ground baseline and
-		// re-partition, stressing mode transitions along with the merges.
+		// Repeated runs of one Program rewind to the ground baseline,
+		// stressing the loans and the scratch pool along with the merges.
 		for rerun := 0; rerun < 2; rerun++ {
 			res, err := built.P.Run(core.Options{Indexed: true, Shards: 8, Workers: 8, FanoutThreshold: 1})
 			if err != nil {
@@ -298,7 +298,8 @@ func TestWarmShardedRunAllocations(t *testing.T) {
 // back to back — and then one more Run of each is bounded per derivation. On
 // amd64, 2 cores, they read 0.04 and 0.21 B. The sharded one read 3.3 B
 // (1.4 MB a Run) while two collections with no take or give could free the
-// slabs mid-Run, and the next Run took the physical δ′'s arenas anew.
+// slabs mid-Run, and the next Run took the δ′ arenas of the physical
+// layout it then had anew.
 func TestRunKeepsScratchThroughCollections(t *testing.T) {
 	flat := workloads.TransitiveClosure(analysis.HandOptimized, 700, 2100, 42)
 	sharded := workloads.TransitiveClosure(analysis.HandOptimized, 700, 2100, 42)

@@ -16,6 +16,7 @@ import (
 	"carac/internal/datagen"
 	"carac/internal/jit"
 	"carac/internal/storage"
+	"carac/internal/workloads"
 )
 
 // optCase is one engine configuration a test runs under.
@@ -207,10 +208,10 @@ func oracleOf(t *testing.T, prog nonLinearProgram, facts map[string]edgeSet) map
 	return snapshotAll(p)
 }
 
-// oldReadConfigs are the executors and layouts a non-linear program runs
-// under: the sequential ones, which all honor Old, and the pooled layouts (a
-// sharded run's δ is physical and never a view of Derived, so Old is all of
-// Derived there). The bytecode and quotes fixtures run only under Run.
+// oldReadConfigs are the executors a non-linear program runs under: the
+// sequential ones and the pooled ones, which all honor Old (a pool task
+// reads a morsel of the flat δ, still a view of Derived). The bytecode and
+// quotes fixtures run only under Run.
 func oldReadConfigs() []optCase {
 	return []optCase{
 		{"push", core.Options{Indexed: true}},
@@ -521,48 +522,59 @@ func TestWarmApplyEmitsTheFloor(t *testing.T) {
 	diffSnapshots(t, "warm Apply against a cold Run", snapshotAll(cold.P), snapshotAll(b.P))
 }
 
-// TestPooledLambdaEmitsTheFloor: CSPA_300 under lambda units on the worker
-// pool. CSPA has five loop rules, so a pooled iteration runs them as compiled
-// task units rather than in place, and with a flat δ those units read Old
-// below its bound like the flat Run does: they emit exactly its matches. A
-// sharded run's δ is physical, never a view of Derived, so its Old is all of
-// Derived (ROADMAP item 17: the OldBound rule for a physical δ) and it emits
-// at least the floor.
+// TestPooledLambdaEmitsTheFloor: CSPA_300 and TC 700/2100 under lambda
+// units on the worker pool. CSPA has five loop rules, so a pooled iteration
+// runs them as compiled task units rather than in place, and an 8-task run
+// splits each rule into morsels of the flat δ; either way the units read Old
+// below its bound like the flat Run does and emit exactly its matches, the
+// floor: 4 314 356 for 27 719 derivations. TC has one loop rule: the
+// rule-granular pool runs it in place, so it evaluates exactly what the flat
+// Run does, subquery runs included; 8 morsel tasks multiply the subquery
+// runs and nothing else.
 func TestPooledLambdaEmitsTheFloor(t *testing.T) {
 	flat := core.Options{Indexed: true, JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionAll}}
 	pooled := flat
 	pooled.ParallelUnions, pooled.Workers, pooled.FanoutThreshold = true, 2, 1
 	sharded := pooled
 	sharded.Shards = 8
-	run := func(opts core.Options) (*core.Result, map[string][]string) {
-		t.Helper()
-		b := analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(300, 42))
-		res, err := b.P.Run(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, snapshotAll(b.P)
-	}
-	floor, want := run(flat)
-	if floor.Interp.Matches != 4314356 || floor.Interp.Derivations != 27719 {
-		t.Fatalf("fixture: the flat Run reads %d matches and %d derivations, want 4314356 and 27719",
-			floor.Interp.Matches, floor.Interp.Derivations)
-	}
-	for _, c := range []optCase{{"pooled", pooled}, {"sharded8", sharded}} {
-		res, got := run(c.opts)
-		if res.Interp.MergeTasks == 0 {
-			t.Fatalf("%s: no iteration ran on the pool", c.name)
-		}
-		diffSnapshots(t, c.name, want, got)
-		if res.Interp.Derivations != floor.Interp.Derivations {
-			t.Errorf("%s: %d derivations, the flat Run %d", c.name, res.Interp.Derivations, floor.Interp.Derivations)
-		}
-		if c.opts.Shards > 1 {
-			if res.Interp.Matches < floor.Interp.Matches {
-				t.Errorf("%s: %d matches, under the flat Run's %d", c.name, res.Interp.Matches, floor.Interp.Matches)
+	for _, w := range []struct {
+		name             string
+		build            func() *analysis.Built
+		matches, derived int64
+		oneLoopRule      bool // the rule-granular pool runs it in place
+	}{
+		{"cspa300", func() *analysis.Built { return analysis.CSPA(analysis.HandOptimized, datagen.CSPAGraph(300, 42)) }, 4314356, 27719, false},
+		{"tc700", func() *analysis.Built { return workloads.TransitiveClosure(analysis.HandOptimized, 700, 2100, 42) }, 1317358, 434940, true},
+	} {
+		run := func(opts core.Options) (*core.Result, map[string][]string) {
+			t.Helper()
+			b := w.build()
+			res, err := b.P.Run(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else if res.Interp.Matches != floor.Interp.Matches {
-			t.Errorf("%s: %d matches, the flat Run %d", c.name, res.Interp.Matches, floor.Interp.Matches)
+			return res, snapshotAll(b.P)
+		}
+		floor, want := run(flat)
+		if floor.Interp.Matches != w.matches || floor.Interp.Derivations != w.derived {
+			t.Fatalf("%s fixture: the flat Run reads %d matches and %d derivations, want %d and %d",
+				w.name, floor.Interp.Matches, floor.Interp.Derivations, w.matches, w.derived)
+		}
+		for _, c := range []optCase{{"pooled", pooled}, {"sharded8", sharded}} {
+			name := w.name + "/" + c.name
+			res, got := run(c.opts)
+			inPlace := w.oneLoopRule && c.opts.Shards == 0
+			if inPlace != (res.Interp.MergeTasks == 0) {
+				t.Fatalf("%s: %d pooled barriers", name, res.Interp.MergeTasks)
+			}
+			diffSnapshots(t, name, want, got)
+			if res.Interp.Matches != w.matches || res.Interp.Derivations != w.derived || res.Interp.Iterations != floor.Interp.Iterations {
+				t.Errorf("%s: %d matches, %d derivations, %d iterations; the flat Run %d, %d, %d", name,
+					res.Interp.Matches, res.Interp.Derivations, res.Interp.Iterations, w.matches, w.derived, floor.Interp.Iterations)
+			}
+			if inPlace && res.Interp.SPJRuns != floor.Interp.SPJRuns {
+				t.Errorf("%s: %d subquery runs, the flat Run %d", name, res.Interp.SPJRuns, floor.Interp.SPJRuns)
+			}
 		}
 	}
 }

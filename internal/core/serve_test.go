@@ -355,8 +355,8 @@ func TestServeStatsSnapshotInvariant(t *testing.T) {
 }
 
 // TestServeSharded exercises sessions under the sharded parallel
-// configuration (private physically sharded catalogs, pooled workers), the
-// layout production serving would run.
+// configuration (private catalogs, morsel tasks on pooled workers), the
+// configuration production serving would run.
 func TestServeSharded(t *testing.T) {
 	oracle := workloads.TransitiveClosure(analysis.HandOptimized, 60, 120, 19)
 	if _, err := oracle.P.Run(core.Options{Indexed: true}); err != nil {

@@ -127,8 +127,8 @@ func RunSouffle(b *analysis.Built, mode SouffleMode, cxxLatency, timeout time.Du
 }
 
 // RunCaracSharded executes the built program under Carac's sharded parallel
-// configuration: the semi-naive fixpoint with every relation hash-partitioned
-// into shards buckets, single rules split across workers, the parallelism
+// configuration: the semi-naive fixpoint with single rules split into up to
+// shards tasks, each reading a morsel of the rule's δ, across workers, the parallelism
 // degree re-decided every iteration from live delta statistics (small-delta
 // tail iterations run on the sequential path) — the production-scale
 // configuration the baseline comparison measures Carac at beyond the paper's

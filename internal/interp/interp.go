@@ -10,7 +10,6 @@ import (
 	"carac/internal/ast"
 	"carac/internal/eval"
 	"carac/internal/ir"
-	"carac/internal/stats"
 	"carac/internal/storage"
 )
 
@@ -44,22 +43,22 @@ type Yielder interface {
 	ShouldYield(op ir.Op, in *Interp) bool
 }
 
-// ShardUnit is a span-parameterized compiled rule body: one invocation
-// evaluates the rule's subqueries with each delta read restricted to the
-// contiguous bucket range [shard, shard+span) of an nshards-way partition
-// (span <= 0 or nshards <= 1 evaluates the whole delta), writing derivations
+// ShardUnit is a morsel-parameterized compiled rule body: one invocation
+// evaluates the rule's subqueries as task lo..hi of n, each delta read
+// restricted to its morsel, rows [L·lo/n, L·hi/n) of the δ's L rows
+// (storage.Morsel; n <= 1 evaluates the whole delta), writing derivations
 // through DerivationSink — the worker's private append-only list under the
-// parallel pool, the predicate's Emit otherwise. Units resolve
-// relations and their partition layout at invocation time (SwapClear swaps
-// relation structs between iterations), carry no mutable compile-time state,
-// and must be safe to invoke concurrently from distinct pool workers.
-type ShardUnit func(in *Interp, shard, span, nshards int) error
+// parallel pool, the predicate's Emit otherwise. Units resolve relations and
+// their lengths at invocation time (SwapClear swaps relation structs between
+// iterations), carry no mutable compile-time state, and must be safe to
+// invoke concurrently from distinct pool workers.
+type ShardUnit func(in *Interp, lo, hi, n int) error
 
 // ShardCompiler is an optional Controller extension consulted by the
 // parallel fixpoint driver at the sequential fan-out point of each
 // iteration: ResolveShardUnit may return a compiled task body for rule that
-// the pool workers then invoke — one call per bucket-span task, with exactly
-// the spans chooseFanout handed the interpreted path — instead of
+// the pool workers then invoke — one call per morsel task, with exactly the
+// morsels the interpreted tasks read — instead of
 // interpreting the rule's subtree. Returning nil leaves the rule
 // interpreted (compilation pending, failed, or unsupported). The driver
 // calls ResolveShardUnit only from the interpreter goroutine, so
@@ -104,33 +103,33 @@ type Interp struct {
 	// makes readers (Derived, DeltaKnown) frozen for the iteration and each
 	// worker appends only to its private lists, folded through the
 	// predicates' Emit at the iteration barrier (§V-D). Every iteration
-	// decides its own fan-out from the live delta statistics (chooseFanout):
-	// an iteration whose total delta is under FanoutThreshold runs on the
-	// sequential path (no task spawn, no worker lists, no merge), so
-	// fixpoint tails — many iterations, tiny deltas — pay no parallelism tax.
-	// Honored without a Controller, or with one implementing ShardCompiler
-	// (the JIT's controller does: pool tasks then run span-parameterized
-	// compiled units where one is ready, interpretation otherwise); any other
-	// Controller forces the sequential loop. Parallel=false is the sequential
-	// fallback.
+	// decides its own fan-out from the live delta cardinalities
+	// (chooseFanout): an iteration whose total delta is under
+	// FanoutThreshold runs on the sequential path (no task spawn, no worker
+	// lists, no merge), so fixpoint tails — many iterations, tiny deltas —
+	// pay no parallelism tax. Honored without a Controller, or with one
+	// implementing ShardCompiler (the JIT's controller does: pool tasks then
+	// run morsel-parameterized compiled units where one is ready,
+	// interpretation otherwise); any other Controller forces the sequential
+	// loop. Parallel=false is the sequential fallback.
 	Parallel bool
 	// Workers bounds the pool; <= 0 selects GOMAXPROCS.
 	Workers int
 
-	// Shards > 1 additionally fans each rule of a parallel iteration out as
-	// tasks over contiguous spans of hash buckets of its delta relation
-	// (partitioned by storage.Catalog.ConfigureShardsPhysical with the same
-	// bucket count), so a single huge recursive rule — the common shape in
-	// transitive-closure-style workloads — no longer serializes the
+	// Shards > 1 is the most tasks each rule of a parallel iteration fans
+	// out as. Each task reads a morsel of the rule's flat δ — a contiguous
+	// row range, task i of n reading rows [L·i/n, L·(i+1)/n) of its L rows —
+	// so a single huge recursive rule, the common shape in
+	// transitive-closure-style workloads, no longer serializes the
 	// iteration: parallelism becomes bounded by data size, not rule count.
 	// Only honored together with Parallel.
 	Shards int
 
 	// FanoutThreshold is the sequential-path delta bound of the fan-out
 	// decision; <= 0 selects DefaultFanoutThreshold. At 1 every non-empty
-	// iteration fans out to min(occupied buckets, Shards) tasks whenever
-	// Shards <= 4 x the worker count — the escape hatch tests and ablations
-	// use to force the pool.
+	// iteration fans out to min(total delta rows, Shards) tasks per rule
+	// whenever Shards <= 4 x the worker count — the escape hatch tests and
+	// ablations use to force the pool.
 	FanoutThreshold int
 
 	// Reorder, when non-nil, puts a retraction subquery's atoms into the
@@ -173,22 +172,17 @@ type Interp struct {
 	// per-worker list instead of the sink's Emit (parallel rule evaluation;
 	// folded at the iteration barrier).
 	bufSink func(pred storage.PredID) *RowList
-	// shard/shardSpan/shardTotal restrict this (sub-)interpreter's subquery
-	// executions to the contiguous bucket range [shard, shard+shardSpan) of
-	// each delta relation's shardTotal-way partition; shardTotal == 0 means
-	// unrestricted. Set per task by the sharded fan-out.
-	shard      int
-	shardSpan  int
-	shardTotal int
+	// task and tasks restrict this (sub-)interpreter's subquery executions
+	// to morsel task of tasks of each delta read (storage.Morsel); tasks
+	// <= 1 means unrestricted. Set per task by the pool's fan-out.
+	task  int
+	tasks int
 	// workers holds the lazily built pool state of runLoopParallel and
 	// runRetractPlans.
 	workers []*workerState
 	// taskSegs holds, per task of the running batch, the segments of the
 	// workers' lists it wrote: the barrier folds them in task order.
 	taskSegs [][]segment
-	// fanBuckets is driver-owned scratch the fan-out decision reuses across
-	// iterations (it runs at a sequential point).
-	fanBuckets []bool
 }
 
 // Cancel aborts the run at the next safe point (callable from any
@@ -381,62 +375,35 @@ func (in *Interp) planFor(spj *ir.SPJOp) (*Plan, error) {
 	return p, nil
 }
 
-// shardSkip reports whether this shard task can skip the subquery without
-// planning it: subqueries without a delta atom are whole-relation work that
-// the first task runs alone (so the fan-out neither duplicates nor drops
-// them), and a task whose delta bucket span is empty cannot derive anything
-// — the per-shard cardinality statistics make that an O(span) test.
-func (in *Interp) shardSkip(spj *ir.SPJOp) bool {
-	idx := spj.DeltaAtom()
-	if idx < 0 {
-		return in.shard != 0
-	}
-	pred := spj.Atoms[idx].Pred
-	if in.Cat.Pred(pred).Shards() == in.shardTotal {
-		src := stats.Catalog{Cat: in.Cat}
-		for s := in.shard; s < in.shard+in.shardSpan; s++ {
-			if src.ShardCard(pred, s) > 0 {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// applyShard installs the task's delta-bucket restriction on the plan copy:
-// the first relational step reading SrcDelta reads only buckets
-// [shard, shard+span) of the predicate's physical partition.
-func (in *Interp) applyShard(plan *Plan) {
+// applyMorsel restricts the plan's delta read — the first relational step
+// reading SrcDelta — to the task's morsel of δ (storage.Morsel).
+func (in *Interp) applyMorsel(plan *Plan) {
 	for i := range plan.Steps {
 		st := &plan.Steps[i]
-		if st.Src != ir.SrcDelta {
-			continue
+		if st.Src == ir.SrcDelta && (st.Kind == StepScan || st.Kind == StepProbe || st.Kind == StepProbeN) {
+			rows := in.Cat.Pred(st.Pred).DeltaKnown.Len()
+			plan.Morsel, plan.MorselStep = true, i
+			plan.MorselFrom, plan.MorselTo = storage.Morsel(rows, in.task, in.task+1, in.tasks)
+			return
 		}
-		if st.Kind != StepScan && st.Kind != StepProbe && st.Kind != StepProbeN {
-			continue
-		}
-		plan.ShardStep = i
-		plan.Shard = in.shard
-		plan.ShardSpan = in.shardSpan
-		plan.ShardCount = in.shardTotal
-		return
 	}
 }
 
 // execSPJ interprets one subquery: it resolves an access plan for the
 // current atom order and streams matches into the
-// sink through Plan.Execute.
+// sink through Plan.Execute. Under a morsel task a subquery without a delta
+// atom is whole-relation work that the first task runs alone, so the
+// fan-out neither duplicates nor drops it.
 func (in *Interp) execSPJ(spj *ir.SPJOp) error {
-	if in.shardTotal > 1 && in.shardSkip(spj) {
+	if in.tasks > 1 && spj.DeltaAtom() < 0 && in.task != 0 {
 		return nil
 	}
 	plan, err := in.planFor(spj)
 	if err != nil {
 		return err
 	}
-	if in.shardTotal > 1 {
-		in.applyShard(plan)
+	if in.tasks > 1 {
+		in.applyMorsel(plan)
 	}
 	plan.Cancel = in.Cancelled
 	if y, ok := in.Ctrl.(Yielder); ok {
@@ -530,15 +497,14 @@ func (in *Interp) endTasks(segs [][]segment, w int, f func(pred storage.PredID, 
 	}
 }
 
-// shardTask is one unit of parallel work: a rule, restricted to a
-// contiguous span of hash buckets of its delta relation (span 0 =
-// unrestricted rule-granular task), optionally carrying the compiled
-// span-parameterized body the controller resolved for the rule this
-// iteration (nil = interpret).
+// shardTask is one unit of parallel work: a rule, restricted to morsel task
+// of tasks of its delta reads (tasks 0 = the unrestricted rule-granular
+// task), optionally carrying the compiled morsel-parameterized body the
+// controller resolved for the rule this iteration (nil = interpret).
 type shardTask struct {
 	rule  *ir.UnionRuleOp
-	shard int
-	span  int
+	task  int
+	tasks int
 	unit  ShardUnit
 }
 
@@ -548,44 +514,19 @@ type shardTask struct {
 // exceeds the join work itself on every workload measured.
 const DefaultFanoutThreshold = 256
 
-// chooseFanout picks the iteration's strategy from the live delta statistics
-// of the loop's predicates — total delta cardinality and per-bucket
-// occupancy, O(1) reads via stats.Catalog.ShardCard — and returns the number
-// of tasks per rule: 0 runs the iteration on the sequential path (no tasks,
-// no lists, no merge), 1 is rule-granular parallelism, more hands each
-// task a contiguous span of buckets. An iteration under the threshold runs
+// chooseFanout picks the iteration's strategy from the live delta
+// cardinalities of the loop's predicates and returns the number of tasks
+// per rule: 0 runs the iteration on the sequential path (no tasks, no
+// lists, no merge), 1 is rule-granular parallelism, more hands each task a
+// morsel of the rule's δ. An iteration under the threshold runs
 // sequentially; a larger one gets one task per ~threshold/4 delta rows,
-// never more than 4x the pool (diminishing balance returns), the occupied
-// buckets (empty-bucket tasks are pure overhead) or Shards. So at
-// FanoutThreshold 1 every non-empty iteration fans out to min(occupied,
-// Shards) tasks whenever Shards <= 4 x workers.
+// never more than 4x the pool (diminishing balance returns) or Shards. So
+// at FanoutThreshold 1 every non-empty iteration fans out to min(total
+// delta rows, Shards) tasks whenever Shards <= 4 x workers.
 func (in *Interp) chooseFanout(n *ir.DoWhileOp) int {
-	phys := max(in.Shards, 1)
-	if cap(in.fanBuckets) < phys {
-		in.fanBuckets = make([]bool, phys)
-	}
-	occ := in.fanBuckets[:phys]
-	for s := range occ {
-		occ[s] = false
-	}
-	src := stats.Catalog{Cat: in.Cat}
 	total := 0
 	for _, pid := range n.Preds {
-		if phys > 1 && in.Cat.Pred(pid).Shards() == phys {
-			for s := 0; s < phys; s++ {
-				if c := src.ShardCard(pid, s); c > 0 {
-					total += c
-					occ[s] = true
-				}
-			}
-		} else if c := src.Card(pid, ir.SrcDelta); c > 0 {
-			// No per-bucket statistics for this predicate: count it whole
-			// and treat every bucket as occupied.
-			total += c
-			for s := range occ {
-				occ[s] = true
-			}
-		}
+		total += in.Cat.Pred(pid).DeltaKnown.Len()
 	}
 	threshold := in.FanoutThreshold
 	if threshold <= 0 {
@@ -594,19 +535,13 @@ func (in *Interp) chooseFanout(n *ir.DoWhileOp) int {
 	if total < threshold {
 		return 0
 	}
-	occupied := 0
-	for _, o := range occ {
-		if o {
-			occupied++
-		}
-	}
 	eff := total / max(threshold/4, 1)
-	return max(min(eff, 4*in.workerCount(), occupied, phys), 1)
+	return max(min(eff, 4*in.workerCount(), max(in.Shards, 1)), 1)
 }
 
 // runLoopParallel evaluates one stratum loop with the independent rules of
 // each iteration distributed over a bounded worker pool; with Shards > 1
-// each rule additionally fans out as tasks over delta bucket spans, so a
+// each rule additionally fans out as tasks over morsels of its δ, so a
 // single large rule saturates the pool instead of serializing the
 // iteration. Every worker reads only Derived/DeltaKnown relations — frozen
 // for the duration of the iteration — and appends only to its own private
@@ -616,9 +551,9 @@ func (in *Interp) chooseFanout(n *ir.DoWhileOp) int {
 // there.
 //
 // The task count is re-decided every iteration from the live delta
-// statistics (chooseFanout), and small-delta iterations bypass the machinery
-// entirely: they interpret the body in place exactly like the sequential
-// driver, spawning no tasks and touching no lists.
+// cardinalities (chooseFanout), and small-delta iterations bypass the
+// machinery entirely: they interpret the body in place exactly like the
+// sequential driver, spawning no tasks and touching no lists.
 func (in *Interp) runLoopParallel(n *ir.DoWhileOp) error {
 	var pending []shardTask
 	for {
@@ -643,18 +578,12 @@ func (in *Interp) runLoopParallel(n *ir.DoWhileOp) error {
 }
 
 // runIterationTasks executes one iteration's body with rule evaluation
-// fanned out over the pool, tasks bucket-span tasks per rule, flushed at
-// every non-union op so cross-rule ordering is preserved.
+// fanned out over the pool, tasks morsel tasks per rule (tasks < 2: one
+// rule-granular task each), flushed at every non-union op so cross-rule
+// ordering is preserved.
 func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shardTask) error {
-	nshards := in.Shards
-	if nshards < 2 || tasks < 2 {
-		nshards = 1
-	}
-	// Distribute the buckets over the tasks' contiguous spans (span 0 marks
-	// the unrestricted rule-granular task).
-	span := 0
-	if nshards > 1 {
-		span = (nshards + tasks - 1) / tasks
+	if tasks < 2 {
+		tasks = 0
 	}
 	flush := func() error {
 		if len(*pending) == 0 {
@@ -663,7 +592,7 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 		defer func() { *pending = (*pending)[:0] }()
 		w := in.poolSize(len(*pending))
 		if w <= 1 {
-			// Degenerate pool: evaluate each rule once, unsharded and in
+			// Degenerate pool: evaluate each rule once, unrestricted and in
 			// place, writing DeltaNew directly like the sequential path —
 			// through Exec, so a Controller's safe point still fires at the
 			// rule node and sequential compiled units run exactly as they
@@ -721,18 +650,12 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 					var err error
 					if t.unit != nil {
 						// Compiled task body: the unit applies the task's
-						// bucket-span restriction itself and emits through
-						// the worker's DerivationSink lists.
+						// morsel itself and emits through the worker's
+						// DerivationSink lists.
 						ws.sub.Stats.Compiled++
-						err = t.unit(ws.sub, t.shard, t.span, nshards)
+						err = t.unit(ws.sub, t.task, t.task+1, t.tasks)
 					} else {
-						ws.sub.shard = t.shard
-						ws.sub.shardSpan = t.span
-						if t.span > 0 {
-							ws.sub.shardTotal = nshards
-						} else {
-							ws.sub.shardTotal = 0
-						}
+						ws.sub.task, ws.sub.tasks = t.task, t.tasks
 						err = ws.sub.interpret(t.rule)
 					}
 					if err != nil {
@@ -749,12 +672,8 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 	for _, c := range n.Body {
 		if ua, ok := c.(*ir.UnionAllOp); ok {
 			for _, r := range ua.Rules {
-				if span == 0 {
-					*pending = append(*pending, shardTask{rule: r})
-					continue
-				}
-				for lo := 0; lo < nshards; lo += span {
-					*pending = append(*pending, shardTask{rule: r, shard: lo, span: min(span, nshards-lo)})
+				for i := range max(tasks, 1) {
+					*pending = append(*pending, shardTask{rule: r, task: i, tasks: tasks})
 				}
 			}
 			continue

@@ -90,14 +90,6 @@ func TestOldFallsBackToFull(t *testing.T) {
 			fallback: func(int) bool { return false },
 		},
 		{
-			// A physical δ holds rows of its own in every iteration.
-			name: "physical",
-			setup: func(_ *testing.T, cat *storage.Catalog, _ *ir.ProgramOp, _ *Interp) {
-				cat.ConfigureShardsPhysical(4, nil)
-			},
-			fallback: func(int) bool { return true },
-		},
-		{
 			// A warm start: a fixpoint, new edges whose tc rows are handed
 			// to δ′ row by row (SeedDelta), so the first iteration's δ holds
 			// rows of its own; later ones borrow again.

@@ -1,8 +1,9 @@
 package interp
 
 import (
+	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"carac/internal/ir"
@@ -10,9 +11,9 @@ import (
 	"carac/internal/storage"
 )
 
-// runSrcPool mirrors runSrc (indexed, semi-naive) with an optional 4-way
-// sharded worker pool forced to fan out every non-empty iteration, and
-// returns the catalog and stats.
+// runSrcPool mirrors runSrc (indexed, semi-naive) with an optional worker
+// pool forced to fan out every non-empty iteration as up to 4 morsel tasks
+// per rule, and returns the catalog and stats.
 func runSrcPool(t *testing.T, src string, parallel bool) (*storage.Catalog, Stats) {
 	t.Helper()
 	cat := storage.NewCatalog()
@@ -24,16 +25,11 @@ func runSrcPool(t *testing.T, src string, parallel bool) (*storage.Catalog, Stat
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	keyCols := make(map[storage.PredID]int)
 	for pid, cols := range ir.JoinKeyColumns(res.Program) {
 		cat.Pred(pid).BuildIndexes(cols)
-		if len(cols) > 0 {
-			keyCols[pid] = cols[0]
-		}
 	}
 	in := New(cat, nil)
 	if parallel {
-		cat.ConfigureShardsPhysical(4, keyCols)
 		in.Parallel, in.Shards, in.Workers, in.FanoutThreshold = true, 4, 4, 1
 	}
 	if err := in.Run(root); err != nil {
@@ -104,63 +100,41 @@ VAlias(x, y) :- VaFlow(z, x), VaFlow(z, y).
 	checkPoolEqualsSequential(t, src)
 }
 
-// fanoutFixture builds a physically sharded single-predicate catalog with
-// delta rows landing in exactly the buckets of the given key values, and an
-// Interp plus loop node ready for chooseFanout.
-func fanoutFixture(t *testing.T, shards int, keys []storage.Value) (*Interp, *ir.DoWhileOp) {
-	t.Helper()
+// fanoutFixture builds a single-predicate catalog whose δ holds rows rows,
+// and an Interp at FanoutThreshold 1 plus loop node ready for chooseFanout.
+func fanoutFixture(shards, workers, rows int) (*Interp, *ir.DoWhileOp) {
 	cat := storage.NewCatalog()
 	id := cat.Declare("p", 2)
-	cat.ConfigureShardsPhysical(shards, map[storage.PredID]int{id: 0})
 	pd := cat.Pred(id)
-	for i, k := range keys {
-		pd.DeltaKnown.Insert([]storage.Value{k, storage.Value(i)})
+	for i := range rows {
+		pd.DeltaKnown.Insert([]storage.Value{storage.Value(i % 3), storage.Value(i)})
 	}
 	in := New(cat, nil)
 	in.Parallel = true
 	in.Shards = shards
-	in.Workers = 2
+	in.Workers = workers
 	in.FanoutThreshold = 1
 	return in, &ir.DoWhileOp{Preds: []storage.PredID{id}}
 }
 
-// bucketKey finds a key value hashing into the wanted shard bucket.
-func bucketKey(t *testing.T, shards, want int) storage.Value {
-	t.Helper()
-	for v := storage.Value(0); v < 1<<16; v++ {
-		if storage.ShardOf(v, shards) == want {
-			return v
+// TestFanoutClampsToDeltaRows: at FanoutThreshold 1 the fan-out decision
+// gives every non-empty iteration min(delta rows, Shards) tasks per rule
+// (with Shards <= 4 x workers) — three δ rows make three morsels of one row,
+// not eight of which five are empty but still pay task dispatch — and never
+// more than 4 x workers. An empty delta runs on the sequential path.
+func TestFanoutClampsToDeltaRows(t *testing.T) {
+	for _, c := range []struct{ shards, workers, rows, want int }{
+		{8, 2, 3, 3},
+		{8, 2, 8, 8},
+		{8, 2, 100, 8},
+		{8, 1, 100, 4},
+		{1, 2, 100, 1},
+		{8, 2, 0, 0},
+	} {
+		in, loop := fanoutFixture(c.shards, c.workers, c.rows)
+		if tasks := in.chooseFanout(loop); tasks != c.want {
+			t.Errorf("Shards %d, %d workers, %d δ rows: tasks = %d, want %d", c.shards, c.workers, c.rows, tasks, c.want)
 		}
-	}
-	t.Fatalf("no key found for bucket %d/%d", want, shards)
-	return 0
-}
-
-// TestFanoutClampsToOccupiedBuckets: at FanoutThreshold 1 the fan-out
-// decision gives every non-empty iteration min(occupied, Shards) tasks (with
-// Shards <= 4 x workers) — with eight buckets but only two occupied, two
-// spans per rule, not eight spans of which six are empty but still pay task
-// dispatch. An empty delta runs on the sequential path.
-func TestFanoutClampsToOccupiedBuckets(t *testing.T) {
-	const shards = 8
-	keys := []storage.Value{bucketKey(t, shards, 2), bucketKey(t, shards, 5), bucketKey(t, shards, 5)}
-	in, loop := fanoutFixture(t, shards, keys)
-	if tasks := in.chooseFanout(loop); tasks != 2 {
-		t.Fatalf("tasks = %d, want 2 (occupied buckets)", tasks)
-	}
-
-	var all []storage.Value
-	for b := 0; b < shards; b++ {
-		all = append(all, bucketKey(t, shards, b))
-	}
-	in2, loop2 := fanoutFixture(t, shards, all)
-	if tasks := in2.chooseFanout(loop2); tasks != shards {
-		t.Fatalf("all buckets occupied: tasks = %d, want %d", tasks, shards)
-	}
-
-	in3, loop3 := fanoutFixture(t, shards, nil)
-	if tasks := in3.chooseFanout(loop3); tasks != 0 {
-		t.Fatalf("empty delta: tasks = %d, want 0 (sequential path)", tasks)
 	}
 }
 
@@ -207,12 +181,11 @@ func TestCancelMidPlan(t *testing.T) {
 	}
 }
 
-// TestRestrictedPlanNeedsPartition: a plan restricted to a bucket span reads
-// only its buckets of a physically partitioned delta. Over a delta without
-// that partition it panics: every predicate of a sharded run is partitioned
-// into the run's bucket count, so anything else is a wiring bug, not a reason
-// to filter rows by hash.
-func TestRestrictedPlanNeedsPartition(t *testing.T) {
+// TestRestrictedPlanReadsItsMorsel: a plan restricted to a morsel reads
+// only those rows of δ — through its scan, or through a probe's chain walk
+// when δ is the inner atom — so n tasks over a δ's morsels derive exactly
+// what one unrestricted plan derives, each match once.
+func TestRestrictedPlanReadsItsMorsel(t *testing.T) {
 	cat := storage.NewCatalog()
 	res, err := parser.Parse(`
 .decl edge(x:number, y:number)
@@ -228,43 +201,61 @@ tc(x,y) :- tc(x,z), edge(z,y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec *ir.SPJOp
-	ir.Walk(root, func(o ir.Op) {
-		if s, ok := o.(*ir.SPJOp); ok && s.DeltaAtom() >= 0 {
-			rec = s
-		}
-	})
 	tc, _ := cat.PredByName("tc")
 	edge, _ := cat.PredByName("edge")
-	edge.Derived.Each(func(row []storage.Value) bool {
-		tc.DeltaKnown.Insert(row)
-		return true
-	})
-	run := func(shards int) (derived int, panicked any) {
-		tc.SetShardsPhysical(shards, 0)
-		plan, err := BuildPlan(rec, cat)
-		if err != nil {
-			t.Fatal(err)
+	tc.RegisterIndex(storage.RoleDelta, []int{1})
+	edge.RegisterIndex(storage.RoleDerived, []int{0})
+	for i := range storage.Value(40) {
+		tc.DeltaKnown.Insert([]storage.Value{i % 7, i % 5})
+	}
+	tc.DeltaKnown.EnsureIndexes()
+	var recs []*ir.SPJOp
+	ir.Walk(root, func(o ir.Op) {
+		if s, ok := o.(*ir.SPJOp); ok && s.DeltaAtom() >= 0 {
+			recs = append(recs, s)
 		}
-		for i, st := range plan.Steps {
-			if st.Src == ir.SrcDelta {
-				plan.ShardStep = i
-				break
+	})
+	for _, rec := range recs {
+		for _, deltaFirst := range []bool{true, false} {
+			// δ as the outer scan, or as the inner probe keyed by edge.
+			if (rec.Atoms[0].Src == ir.SrcDelta) != deltaFirst {
+				rec.Atoms[0], rec.Atoms[1] = rec.Atoms[1], rec.Atoms[0]
+				rec.DeltaIdx = rec.DeltaAtom()
+			}
+			read := func(task, tasks int) []string {
+				plan, err := BuildPlan(rec, cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tasks > 1 {
+					sub := &Interp{Cat: cat, task: task, tasks: tasks}
+					sub.applyMorsel(plan)
+					if !plan.Morsel || plan.Steps[plan.MorselStep].Src != ir.SrcDelta {
+						t.Fatalf("the morsel restricts step %d, not the δ read", plan.MorselStep)
+					}
+				}
+				var got []string
+				plan.Execute(cat, func(head, _ []storage.Value) { got = append(got, fmt.Sprint(head)) })
+				return got
+			}
+			want := read(0, 1)
+			if len(want) == 0 {
+				t.Fatal("the fixture derives nothing")
+			}
+			for _, tasks := range []int{2, 3, 8, 60} {
+				var got []string
+				for i := range tasks {
+					got = append(got, read(i, tasks)...)
+				}
+				slices.Sort(got)
+				sorted := slices.Sorted(slices.Values(want))
+				if !slices.Equal(got, sorted) {
+					t.Fatalf("δ first %v: %d morsel tasks derived %v, want %v", deltaFirst, tasks, got, sorted)
+				}
 			}
 		}
-		plan.Shard, plan.ShardSpan, plan.ShardCount = 0, 4, 4
-		EnsureDeltaIndexes(plan, cat)
-		defer func() { panicked = recover() }()
-		plan.Execute(cat, func(_, _ []storage.Value) { derived++ })
-		return derived, nil
 	}
-	if n, panicked := run(4); panicked != nil || n != 2 {
-		t.Fatalf("full span over the 4-way delta: %d rows, panic %v; want 2", n, panicked)
-	}
-	for _, shards := range []int{0, 8} {
-		_, panicked := run(shards)
-		if msg, _ := panicked.(string); !strings.Contains(msg, "physical buckets") {
-			t.Fatalf("a 4-bucket task over a %d-way delta: panic %v", shards, panicked)
-		}
+	if edge.Derived.Len() != 3 {
+		t.Fatalf("edge holds %d rows", edge.Derived.Len())
 	}
 }

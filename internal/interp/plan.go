@@ -131,19 +131,16 @@ type Plan struct {
 	// Yielded reports that the last Execute was abandoned via Yield.
 	Yielded bool
 
-	// Shard restriction (per-execution state, set on plan copies by the
-	// sharded fan-out; zero on a freshly built plan): when ShardCount > 1 the
-	// relational step at index ShardStep — the subquery's delta read — reads
-	// only buckets [Shard, Shard+ShardSpan) of its ShardCount-way physical
-	// partition, so the tasks evaluating this subquery cover disjoint slices
-	// of the delta and their union covers it exactly. The adaptive fan-out
-	// sizes the span: one bucket per task at full fan-out, wider spans when
-	// the live delta statistics call for fewer tasks. A delta with any other
-	// layout panics (storage.Relation.CheckShards).
-	Shard      int
-	ShardSpan  int
-	ShardCount int
-	ShardStep  int
+	// Morsel restriction (per-execution state, set by a pool task on the
+	// plan it built; unset on a freshly built plan): when Morsel is set the
+	// relational step at index MorselStep — the subquery's delta read —
+	// reads only δ's rows [MorselFrom, MorselTo), the task's morsel
+	// (storage.Morsel), so the tasks evaluating this subquery read disjoint
+	// row ranges of δ and their union covers it exactly.
+	Morsel     bool
+	MorselStep int
+	MorselFrom int
+	MorselTo   int
 }
 
 // SourceRel resolves the relation a relational step reads right now and its
@@ -151,7 +148,7 @@ type Plan struct {
 // ScanKey). Old is Derived bounded by PredicateDB.OldBound; Full and δ are
 // unbounded (storage.AllRows). The bound moves at every SwapClear, so it
 // is resolved each time a plan runs, never when one is built or compiled.
-// Every executor passes it to storage, which honours it on a flat relation.
+// Every executor passes it to storage as the end of the row range it reads.
 func SourceRel(cat *storage.Catalog, pred storage.PredID, src ir.Source) (*storage.Relation, int) {
 	p := cat.Pred(pred)
 	switch src {
@@ -442,13 +439,10 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 		next := off + st.scratchLen()
 		switch st.Kind {
 		case StepScan, StepProbe, StepProbeN:
-			rel, below := SourceRel(cat, st.Pred, st.Src)
-			// Shard restriction on the delta step: it reads only its span of
-			// the delta's physical buckets.
-			lo, hi := 0, storage.AllBuckets
-			if p.ShardCount > 1 && i == p.ShardStep {
-				rel.CheckShards(p.ShardCount)
-				lo, hi = p.Shard, p.Shard+p.ShardSpan
+			rel, to := SourceRel(cat, st.Pred, st.Src)
+			from := 0
+			if p.Morsel && i == p.MorselStep {
+				from, to = p.MorselFrom, p.MorselTo
 			}
 			// Poll cancellation/yield in the two outermost loops: the outer
 			// one alone is not enough when a tiny delta drives a huge inner
@@ -485,19 +479,19 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 				rec(i+1, next)
 				return true
 			}
-			// Storage owns the access path: the span, the bound, the bucket
-			// routing of a key and the filtered scan where no index answers.
+			// Storage owns the access path: the row range, the key's chain
+			// and the filtered scan where no index answers.
 			switch st.Kind {
 			case StepProbe:
-				rel.ScanKey(lo, hi, below, []int{st.ProbeCol}, []storage.Value{st.ProbeKey.resolve(bind)}, visit)
+				rel.ScanKey(from, to, []int{st.ProbeCol}, []storage.Value{st.ProbeKey.resolve(bind)}, visit)
 			case StepProbeN:
 				vals := scratch[off:next]
 				for ki, k := range st.ProbeKeys {
 					vals[ki] = k.resolve(bind)
 				}
-				rel.ScanKey(lo, hi, below, st.ProbeCols, vals, visit)
+				rel.ScanKey(from, to, st.ProbeCols, vals, visit)
 			default:
-				rel.Scan(lo, hi, below, visit)
+				rel.Scan(from, to, visit)
 			}
 
 		case StepNegCheck, StepMember:

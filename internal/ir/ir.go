@@ -29,8 +29,8 @@ import (
 // (storage.PredicateDB.OldBound): where δ is a view of Derived's newest rows,
 // Old is the rows before it; anywhere else it is all of Derived, which only
 // derives some matches twice. Every executor honors the bound, lambda's pool
-// task units included; a physical δ is never such a view, so sharded runs
-// read Full throughout.
+// task units included: a pool task reads a morsel of the flat δ, which is
+// still such a view.
 type Source uint8
 
 const (

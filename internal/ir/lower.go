@@ -191,9 +191,8 @@ func LowerNaive(prog *ast.Program) (*ProgramOp, error) {
 
 // JoinKeyColumns returns, per predicate, the set of columns that appear as a
 // join key or filter in any rule of the program: shared-variable positions
-// and constant positions in body atoms. Histograms are registered on them
-// and a sharded run partitions its deltas on the first; indexes go only
-// where a lowered atom reads them (IndexUses).
+// and constant positions in body atoms. Histograms are registered on them;
+// indexes go only where a lowered atom reads them (IndexUses).
 func JoinKeyColumns(prog *ast.Program) map[storage.PredID][]int {
 	cols := map[storage.PredID]map[int]bool{}
 	mark := func(pid storage.PredID, col int) {

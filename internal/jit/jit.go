@@ -18,11 +18,11 @@
 // threshold since it was compiled.
 //
 // The Controller additionally implements interp.ShardCompiler for the lambda
-// target: under the parallel executor each iteration's bucket-span tasks run
-// span-parameterized lambda units over the physically sharded delta store —
-// bucket-local scans and probes, with derivations appended to per-worker
-// lists and folded at the merge barrier through the sinks' Emit — so
-// attaching a JIT does not forfeit the sharded execution machinery.
+// target: under the parallel executor each iteration's morsel tasks run
+// morsel-parameterized lambda units — each reads its row range of the flat
+// δ, with derivations appended to per-worker lists and folded at the merge
+// barrier through the sinks' Emit — so attaching a JIT does not forfeit the
+// pooled execution machinery.
 package jit
 
 import (
@@ -178,18 +178,18 @@ type compiledUnit struct {
 	failed bool
 }
 
-// compiledShardUnit is the cached artifact of one span-parameterized task
+// compiledShardUnit is the cached artifact of one morsel-parameterized task
 // compilation (interp.ShardUnit), with the same failure-marker convention.
 type compiledShardUnit struct {
 	run    interp.ShardUnit
 	failed bool
 }
 
-// shardUnitTag prefixes the KeyForOp fingerprint of span-parameterized task
-// units, followed by the shard layout (bucket count, little-endian), so they
-// never collide with sequential units' backend/snippet tags and a run at a
-// different Shards count resolves to fresh keys instead of a unit whose
-// spans were sized for another partition. 0xfd is outside the Backend range.
+// shardUnitTag prefixes the KeyForOp fingerprint of morsel-parameterized
+// task units, followed by the run's Shards count (little-endian), so they
+// never collide with sequential units' backend/snippet tags and a run at
+// another Shards count keys its units apart. 0xfd is outside the Backend
+// range.
 const shardUnitTag = 0xfd
 
 // inflight guards one unit key against duplicate compile requests: set by
@@ -206,7 +206,7 @@ type compileReq struct {
 	cards    []int
 	counters []uint64
 	stats    stats.Source
-	// shard marks a span-parameterized task-unit request: the clone is a
+	// shard marks a morsel-parameterized task-unit request: the clone is a
 	// rule subtree compiled via the shard backend and published into the
 	// shard-unit view instead of the sequential one.
 	shard bool
@@ -236,14 +236,14 @@ type Controller struct {
 	// windows the Program-lifetime store, so a later Run resolves to this
 	// run's units without recompiling.
 	units *plancache.Cache[*compiledUnit]
-	// sunits is the span-parameterized task-unit view over the same store
+	// sunits is the morsel-parameterized task-unit view over the same store
 	// and key class: entries are keyed by rule-subtree fingerprint tagged
-	// with the shard layout, so warm reruns at one layout reuse task units
-	// while a re-partitioned run compiles fresh ones.
+	// with the Shards count, so warm reruns at one count reuse task units
+	// while a run at another count compiles its own.
 	sunits *plancache.Cache[*compiledShardUnit]
 	// keys memoizes each op's structural unit key for this run (op identity
 	// is stable within one run's IR tree); shardKeys is the task-unit
-	// analogue (the shard layout is fixed for one run).
+	// analogue (the Shards count is fixed for one run).
 	keys      map[ir.Op]plancache.Key
 	shardKeys map[ir.Op]plancache.Key
 	// pending tracks in-flight compilations per unit key. Only the
@@ -636,7 +636,7 @@ func (c *Controller) runCompile(req compileReq) *compiledUnit {
 	return cu
 }
 
-// runShardCompile is runCompile for span-parameterized task units: the
+// runShardCompile is runCompile for morsel-parameterized task units: the
 // reordered rule clone goes through lambda's shard compiler and the artifact
 // (or failure marker — e.g. an aggregation rule, which stays interpreted)
 // lands in the task-unit view. No ready signal: the executor re-resolves at
@@ -659,7 +659,7 @@ func (c *Controller) runShardCompile(req compileReq) *compiledShardUnit {
 }
 
 // shardKeyFor memoizes the rule's task-unit key: the subtree fingerprint
-// under the shard tag plus the run's partition layout. KeyForOp itself is
+// under the shard tag plus the run's Shards count. KeyForOp itself is
 // unchanged — the same fingerprint scheme sequential units use — so task
 // units stored by one run resolve in the next (warm reruns recompile 0)
 // while a different Shards count lands on fresh keys.
@@ -676,7 +676,7 @@ func (c *Controller) shardKeyFor(rule *ir.UnionRuleOp, layout int) plancache.Key
 // sequential fan-out point the parallel driver asks for a compiled task body
 // per rule. A policy-fresh unit (any band, CrossBand — including one stored
 // by an earlier Run over a shared store) is returned for the pool workers to
-// invoke with their bucket spans; a miss triggers compilation — blocking
+// invoke with their morsels; a miss triggers compilation — blocking
 // here, or queued to the async worker with interpretation covering the
 // meantime — and a failure marker keeps unsupported rules (aggregations)
 // interpreted without re-feeding the compiler every iteration. Only the

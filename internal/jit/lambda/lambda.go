@@ -5,7 +5,7 @@
 // backend it cannot generate arbitrary code — only compositions of the
 // predefined combinators — which keeps compilation nearly free while staying
 // type-safe. There is one set of combinators: a sequential unit and a
-// parallel pool task run the same chain, the task over its bucket span.
+// parallel pool task run the same chain, the task over its morsel of δ.
 package lambda
 
 import (

@@ -1,18 +1,17 @@
 // The step combinators: one frame-threaded chain per subquery serves both
 // ways a compiled subquery runs. A sequential unit (CompilePlan) invokes it
 // unrestricted; a ShardUnit is the compiled body of one rule's parallel task,
-// invoked by the fixpoint driver's pool workers with the same contiguous
-// bucket spans chooseFanout hands the interpreted tasks. The chains close
-// over immutable step descriptors only: everything an invocation mutates
-// lives in the frame of the invoking interpreter, so distinct workers can run
-// the same unit over disjoint spans concurrently.
+// invoked by the fixpoint driver's pool workers with the same morsels the
+// interpreted tasks read. The chains close over immutable step descriptors
+// only: everything an invocation mutates lives in the frame of the invoking
+// interpreter, so distinct workers can run the same unit over disjoint
+// morsels concurrently.
 //
 // Every relational step reads through storage's one read surface
-// (storage.Relation.Scan, ScanKey) with the bucket span of the task — on the
-// subquery's delta read only — and the row bound of its source
-// (interp.SourceRel): a flat relation honours the bound, so Old reads Derived
-// less δ like every other executor; a physical one the span, with the shard
-// key routing and the filtered-scan fallback inside storage. Derivations flow
+// (storage.Relation.Scan, ScanKey) over a row range: the task's morsel on the
+// subquery's delta read, [0, bound) of its source (interp.SourceRel)
+// elsewhere, so Old reads Derived less δ like every other executor; the
+// key's chain and the filtered-scan fallback live inside storage. Derivations flow
 // through interp.Interp.DerivationSink: under the parallel pool that is the
 // worker's private append-only list, folded by the merge barrier through the
 // sink's PredicateDB.Emit; elsewhere the emit is the counted Emit itself.
@@ -29,12 +28,11 @@ import (
 )
 
 // CompileShard compiles a rule subtree (UnionRuleOp, or a single SPJOp)
-// into a span-parameterized interp.ShardUnit. Atom orders and probe
-// selections freeze at compile time, exactly like CompilePlan; the bucket
-// restriction and the storage layout are resolved per invocation, so one
-// unit stays valid across SwapClear's relation exchanges, ClearRetain, and
-// partition-mode transitions. Aggregation rules are rejected: a
-// bucket-restricted evaluation would emit per-span partial groups.
+// into a morsel-parameterized interp.ShardUnit. Atom orders and probe
+// selections freeze at compile time, exactly like CompilePlan; the morsel
+// is resolved per invocation, so one unit stays valid across SwapClear's
+// relation exchanges and ClearRetain. Aggregation rules are rejected: a
+// morsel-restricted evaluation would emit per-morsel partial groups.
 func (c Compiler) CompileShard(op ir.Op, cat *storage.Catalog) (interp.ShardUnit, error) {
 	switch n := op.(type) {
 	case *ir.UnionRuleOp:
@@ -46,9 +44,9 @@ func (c Compiler) CompileShard(op ir.Op, cat *storage.Catalog) (interp.ShardUnit
 			}
 			units[i] = u
 		}
-		return func(in *interp.Interp, shard, span, total int) error {
+		return func(in *interp.Interp, lo, hi, n int) error {
 			for _, u := range units {
-				if err := u(in, shard, span, total); err != nil {
+				if err := u(in, lo, hi, n); err != nil {
 					return err
 				}
 			}
@@ -56,7 +54,7 @@ func (c Compiler) CompileShard(op ir.Op, cat *storage.Catalog) (interp.ShardUnit
 		}, nil
 	case *ir.SPJOp:
 		if n.Agg.Kind != ast.AggNone {
-			return nil, fmt.Errorf("lambda: aggregation subquery is not shard-compilable (per-span partial groups)")
+			return nil, fmt.Errorf("lambda: aggregation subquery is not shard-compilable (per-morsel partial groups)")
 		}
 		plan, err := interp.BuildPlan(n, cat)
 		if err != nil {
@@ -77,9 +75,9 @@ type frame struct {
 	buf  []storage.Value // emit/negation/builtin tuple scratch
 	keys []storage.Value // probe key scratch, one segment per nested probe
 
-	// lo, hi is the bucket span of the subquery's delta read: the task's
-	// span, or every bucket.
-	lo, hi int
+	// from, to is the row range of the subquery's delta read: the task's
+	// morsel, or every row.
+	from, to int
 
 	// The sink, resolved per invocation: its predicate, the list the emit
 	// appends to (nil outside the pool), and the groups of an aggregating
@@ -104,13 +102,13 @@ func frameOf(in *interp.Interp, numVars int) *frame {
 	return f
 }
 
-// span returns the bucket range a step reads: the frame's on the delta read,
-// every bucket otherwise.
-func (f *frame) span(delta bool) (lo, hi int) {
+// rows returns the row range a step reads: the frame's morsel on the delta
+// read, [0, bound) of its source otherwise.
+func (f *frame) rows(delta bool, bound int) (from, to int) {
 	if delta {
-		return f.lo, f.hi
+		return f.from, f.to
 	}
-	return 0, storage.AllBuckets
+	return 0, bound
 }
 
 // emit writes one head tuple to the frame's sink. Under the parallel pool
@@ -141,9 +139,9 @@ type chain struct {
 	plan  *interp.Plan
 	first step
 	// delta is the step index of the subquery's delta read, the one a task's
-	// span restricts: the first relational step sourcing SrcDelta (semi-naive
+	// morsel restricts: the first relational step sourcing SrcDelta (semi-naive
 	// lowering gives each subquery at most one), mirroring the interpreter's
-	// applyShard; -1 when there is none.
+	// applyMorsel; -1 when there is none.
 	delta int
 }
 
@@ -176,35 +174,23 @@ func stitch(plan *interp.Plan) *chain {
 	return c
 }
 
-// run invokes the chain with its delta read restricted to buckets
-// [shard, shard+span) of a total-way partition; span <= 0 or total <= 1
-// reads every bucket. It is the interp.ShardUnit of one subquery.
-func (c *chain) run(in *interp.Interp, shard, span, total int) error {
+// run invokes the chain as task lo..hi of n, its delta read restricted to
+// the task's morsel of δ (storage.Morsel); n <= 1 reads every row. It is the
+// interp.ShardUnit of one subquery.
+func (c *chain) run(in *interp.Interp, lo, hi, n int) error {
 	f := frameOf(in, c.plan.NumVars)
-	f.lo, f.hi = 0, storage.AllBuckets
-	if span > 0 && total > 1 {
+	f.from, f.to = 0, storage.AllRows
+	if n > 1 {
 		if c.delta < 0 {
-			// Whole-relation subqueries are not span-divisible; the first
+			// Whole-relation subqueries are not morsel-divisible; the first
 			// task runs them alone so the fan-out neither duplicates nor
-			// drops them (the interpreter's shardSkip rule).
-			if shard != 0 {
+			// drops them (the interpreter's rule in execSPJ).
+			if lo != 0 {
 				return nil
 			}
 		} else {
-			// Empty-span fast-out, mirroring the interpreter's shardSkip:
-			// an O(span) bucket-length test skips the whole chain — without
-			// it a skewed partition pays the unit's outer scans on every
-			// empty task. Uncounted in SPJRuns, like the interpreted skip.
-			rel := in.Cat.Pred(c.plan.Steps[c.delta].Pred).DeltaKnown
-			rel.CheckShards(total)
-			empty := true
-			for s := shard; s < shard+span && empty; s++ {
-				empty = rel.ShardLen(s) == 0
-			}
-			if empty {
-				return nil
-			}
-			f.lo, f.hi = shard, shard+span
+			rows := in.Cat.Pred(c.plan.Steps[c.delta].Pred).DeltaKnown.Len()
+			f.from, f.to = storage.Morsel(rows, lo, hi, n)
 		}
 	}
 	in.Stats.SPJRuns++
@@ -296,7 +282,7 @@ func combinator(st *interp.Step, next step, outermost, delta bool) step {
 
 // read compiles a relational step: a scan, or a keyed read on the probe
 // column(s), of the relation and row bound its source resolves to at each
-// invocation, over the frame's bucket span when it is the delta read. The
+// invocation, over the frame's morsel when it is the delta read. The
 // outermost scan polls cancellation per row so runaway products abort
 // (benchmark DNF timeouts).
 func read(st *interp.Step, next step, outermost, delta bool) step {
@@ -328,9 +314,9 @@ func read(st *interp.Step, next step, outermost, delta bool) step {
 	switch st.Kind {
 	case interp.StepScan:
 		return func(f *frame) {
-			rel, below := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
-			lo, hi := f.span(delta)
-			rel.Scan(lo, hi, below, func(row []storage.Value) bool {
+			rel, bound := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
+			from, to := f.rows(delta, bound)
+			rel.Scan(from, to, func(row []storage.Value) bool {
 				if outermost && f.in.Cancelled() {
 					return false
 				}
@@ -342,10 +328,10 @@ func read(st *interp.Step, next step, outermost, delta bool) step {
 	case interp.StepProbe:
 		// The join probe of nearly every rule: its key lives on the stack.
 		return func(f *frame) {
-			rel, below := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
-			lo, hi := f.span(delta)
+			rel, bound := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
+			from, to := f.rows(delta, bound)
 			key := []storage.Value{resolveTmpl(st.ProbeKey, f.bind)}
-			rel.ScanKey(lo, hi, below, []int{st.ProbeCol}, key, func(row []storage.Value) bool {
+			rel.ScanKey(from, to, []int{st.ProbeCol}, key, func(row []storage.Value) bool {
 				match(f, row)
 				return true
 			})
@@ -353,8 +339,8 @@ func read(st *interp.Step, next step, outermost, delta bool) step {
 	}
 
 	return func(f *frame) {
-		rel, below := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
-		lo, hi := f.span(delta)
+		rel, bound := interp.SourceRel(f.in.Cat, st.Pred, st.Src)
+		from, to := f.rows(delta, bound)
 		// Stack discipline on the frame's key scratch: this step's keys live
 		// past the descent into inner steps (the visits run per outer row),
 		// so inner probes append after this segment, and it is popped when
@@ -363,7 +349,7 @@ func read(st *interp.Step, next step, outermost, delta bool) step {
 		for _, k := range st.ProbeKeys {
 			f.keys = append(f.keys, resolveTmpl(k, f.bind))
 		}
-		rel.ScanKey(lo, hi, below, st.ProbeCols, f.keys[base:], func(row []storage.Value) bool {
+		rel.ScanKey(from, to, st.ProbeCols, f.keys[base:], func(row []storage.Value) bool {
 			match(f, row)
 			return true
 		})

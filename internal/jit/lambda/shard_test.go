@@ -12,20 +12,28 @@ import (
 	"carac/internal/storage"
 )
 
-// shardFixture lowers the TC program, physically shards every predicate on
-// column 0, seeds a mid-fixpoint state (edge ground facts derived, tc's
-// DeltaKnown carrying the edge pairs), and compiles the recursive rule into
-// a ShardUnit.
-func shardFixture(t *testing.T, shards int) (*storage.Catalog, interp.ShardUnit) {
+// shardFixture lowers the TC program, seeds a mid-fixpoint state (tc's
+// Derived and δ carrying the edge pairs: δ lent from Derived by SeedAll, or
+// holding its own copies, as a warm start's Seed leaves it), and compiles
+// the recursive rule into a ShardUnit.
+func shardFixture(t *testing.T, lent bool) (*storage.Catalog, interp.ShardUnit) {
 	t.Helper()
 	cat, root := lowerSrc(t, tcSrc)
-	keyCols := map[storage.PredID]int{}
-	cat.ConfigureShardsPhysical(shards, keyCols)
 	edge, _ := cat.PredByName("edge")
 	tc, _ := cat.PredByName("tc")
 	edge.BuildIndexes([]int{0})
 	tc.BuildIndexes([]int{0, 1})
-	tc.DeltaKnown.InsertAll(edge.Derived)
+	tc.Derived.InsertAll(edge.Derived)
+	if lent {
+		tc.SeedAll()
+	} else {
+		tc.Derived.Each(func(row []storage.Value) bool {
+			tc.Seed(row)
+			return true
+		})
+	}
+	tc.SwapClear()
+	tc.DeltaKnown.EnsureIndexes()
 
 	var rule *ir.UnionRuleOp
 	ir.Walk(root, func(o ir.Op) {
@@ -48,8 +56,7 @@ func shardFixture(t *testing.T, shards int) (*storage.Catalog, interp.ShardUnit)
 }
 
 // newFacts rotates name's deltas and returns δ's rows, sorted: the facts the
-// units found, whether δ′ held them (a physical δ′) or lent them from
-// Derived (a flat one).
+// units found, which δ′ is owed and then lent from Derived.
 func newFacts(cat *storage.Catalog, name string) []string {
 	pd, _ := cat.PredByName(name)
 	pd.SwapClear()
@@ -62,57 +69,60 @@ func newFacts(cat *storage.Catalog, name string) []string {
 	return rows
 }
 
-// TestShardUnitSpanCoverage: for every span decomposition of the bucket
-// range, the union of the spans' derivations equals the unrestricted
-// evaluation — no bucket dropped, none duplicated (DeltaNew's dedup would
-// hide duplicates, so the derivation counter is compared too).
+// TestShardUnitSpanCoverage: for every decomposition of δ into morsels —
+// tasks lo..hi of n, reading rows [L·lo/n, L·hi/n) — the union of the
+// tasks' derivations equals the unrestricted evaluation, no row dropped and
+// none duplicated (DeltaNew's dedup would hide duplicates, so the match and
+// derivation counters are compared too).
 func TestShardUnitSpanCoverage(t *testing.T) {
-	const shards = 4
-	refCat, refUnit := shardFixture(t, shards)
+	refCat, refUnit := shardFixture(t, true)
 	refIn := interp.New(refCat, nil)
-	if err := refUnit(refIn, 0, 0, 1); err != nil {
+	if err := refUnit(refIn, 0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	want := newFacts(refCat, "tc")
 	if len(want) == 0 {
 		t.Fatal("reference run derived nothing — fixture too small")
 	}
-	for _, spans := range [][][2]int{
-		{{0, 4}},                         // one full-range task
-		{{0, 2}, {2, 2}},                 // two half-range tasks
-		{{0, 1}, {1, 1}, {2, 1}, {3, 1}}, // one task per bucket
-		{{0, 3}, {3, 1}},                 // uneven split
+	for _, tasks := range [][][3]int{
+		{{0, 4, 4}},            // one task over all of δ
+		{{0, 2, 4}, {2, 4, 4}}, // two halves
+		{{0, 1, 4}, {1, 2, 4}, {2, 3, 4}, {3, 4, 4}}, // four quarters
+		{{0, 3, 4}, {3, 4, 4}},                       // uneven split
+		{{0, 1, 7}, {1, 5, 7}, {5, 7, 7}},            // sevenths
 	} {
-		cat, unit := shardFixture(t, shards)
+		cat, unit := shardFixture(t, true)
 		in := interp.New(cat, nil)
-		for _, sp := range spans {
-			if err := unit(in, sp[0], sp[1], shards); err != nil {
+		for _, task := range tasks {
+			if err := unit(in, task[0], task[1], task[2]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		got := newFacts(cat, "tc")
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("spans %v derived %v, want %v", spans, got, want)
+			t.Fatalf("tasks %v derived %v, want %v", tasks, got, want)
 		}
-		if in.Stats.Derivations != refIn.Stats.Derivations {
-			t.Fatalf("spans %v counted %d derivations, reference %d", spans, in.Stats.Derivations, refIn.Stats.Derivations)
+		if in.Stats.Matches != refIn.Stats.Matches || in.Stats.Derivations != refIn.Stats.Derivations {
+			t.Fatalf("tasks %v counted %d matches and %d derivations, reference %d and %d",
+				tasks, in.Stats.Matches, in.Stats.Derivations, refIn.Stats.Matches, refIn.Stats.Derivations)
 		}
 	}
 }
 
-// TestShardUnitConcurrentSpans: invocations over disjoint spans are safe to
-// run concurrently — per-invocation frames, bucket-local reads, private
-// lists. Derivations land in per-goroutine append-only lists (the pool's
-// shape) and are folded through Emit afterwards, as the merge barrier does.
+// TestShardUnitConcurrentSpans: invocations over disjoint morsels are safe
+// to run concurrently — per-invocation frames, read-only reads of the lent
+// δ, private lists. Derivations land in per-goroutine append-only lists (the
+// pool's shape) and are folded through Emit afterwards, as the merge
+// barrier does.
 func TestShardUnitConcurrentSpans(t *testing.T) {
 	const shards = 8
-	refCat, refUnit := shardFixture(t, shards)
-	if err := refUnit(interp.New(refCat, nil), 0, 0, 1); err != nil {
+	refCat, refUnit := shardFixture(t, true)
+	if err := refUnit(interp.New(refCat, nil), 0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	want := newFacts(refCat, "tc")
 
-	cat, unit := shardFixture(t, shards)
+	cat, unit := shardFixture(t, true)
 	tc, _ := cat.PredByName("tc")
 	var wg sync.WaitGroup
 	errs := make([]error, shards)
@@ -124,13 +134,13 @@ func TestShardUnitConcurrentSpans(t *testing.T) {
 			buf := interp.NewRowList(2)
 			bufs[s] = buf
 			sub := interp.NewBuffered(cat, func(storage.PredID) *interp.RowList { return buf })
-			errs[s] = unit(sub, s, 1, shards)
+			errs[s] = unit(sub, s, s+1, shards)
 		}(s)
 	}
 	wg.Wait()
 	for s, err := range errs {
 		if err != nil {
-			t.Fatalf("span %d: %v", s, err)
+			t.Fatalf("task %d: %v", s, err)
 		}
 	}
 	for _, buf := range bufs {
@@ -141,40 +151,43 @@ func TestShardUnitConcurrentSpans(t *testing.T) {
 	}
 	got := newFacts(cat, "tc")
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("concurrent spans derived %v, want %v", got, want)
+		t.Fatalf("concurrent morsels derived %v, want %v", got, want)
 	}
 }
 
-// TestShardUnitLayoutAgnostic: a unit compiled under one partition layout
-// stays correct when the relations are dissolved — the layout is resolved per
-// invocation, which is what keeps cached units valid across mode
-// transitions. A task restricted to a bucket span over a delta without that
-// partition is a wiring bug, and panics instead of filtering rows by hash.
+// TestShardUnitLayoutAgnostic: a unit reads δ through storage's row ranges
+// whatever holds δ's rows — a view lent from Derived (SeedAll, every
+// iteration's δ) or rows of δ's own (a warm start's Seed) — because it
+// resolves δ and its length per invocation, which is what keeps cached
+// units valid across SwapClear. Unrestricted and as three morsel tasks, both
+// derive the same facts with the same counts.
 func TestShardUnitLayoutAgnostic(t *testing.T) {
-	refCat, refUnit := shardFixture(t, 4)
-	if err := refUnit(interp.New(refCat, nil), 0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	want := newFacts(refCat, "tc")
-
-	cat, unit := shardFixture(t, 4)
-	cat.ConfigureShardsPhysical(0, nil)
-	in := interp.New(cat, nil)
-	if err := unit(in, 0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := newFacts(cat, "tc"); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("dissolved layout derived %v, want %v", got, want)
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("a restricted task over a flat delta did not panic")
+	var want string
+	var wantStats interp.Stats
+	for _, lent := range []bool{true, false} {
+		for _, tasks := range []int{1, 3} {
+			cat, unit := shardFixture(t, lent)
+			tc, _ := cat.PredByName("tc")
+			if got := tc.OldBound() == 0; got != lent {
+				t.Fatalf("lent %v: δ is a view of Derived: %v", lent, got)
 			}
-		}()
-		_ = unit(in, 1, 1, 4)
-	}()
+			in := interp.New(cat, nil)
+			for i := range tasks {
+				if err := unit(in, i, i+1, tasks); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := fmt.Sprint(newFacts(cat, "tc"))
+			if want == "" {
+				want, wantStats = got, in.Stats
+				continue
+			}
+			if got != want || in.Stats.Matches != wantStats.Matches || in.Stats.Derivations != wantStats.Derivations {
+				t.Fatalf("lent %v, %d tasks: derived %s (%d matches, %d derivations), want %s (%d, %d)",
+					lent, tasks, got, in.Stats.Matches, in.Stats.Derivations, want, wantStats.Matches, wantStats.Derivations)
+			}
+		}
+	}
 }
 
 // TestShardCompileRejectsAggregation: aggregation rules cannot be evaluated

@@ -8,7 +8,7 @@ import (
 
 // UnitCodec is the persistence codec for the shared store's unit class.
 // Compiled units are closures, so every unit — sequential or
-// span-parameterized — persists as a recompile hint: the entry's existence
+// morsel-parameterized — persists as a recompile hint: the entry's existence
 // and freshness vectors survive the restart, the artifact is rebuilt on
 // first use. Failure markers are process-local and never persisted: the next
 // process should retry the compile against its own world. Kept only

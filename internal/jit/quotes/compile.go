@@ -190,7 +190,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			return func(f *frame) error {
 				rel, bound := interp.SourceRel(f.in.Cat, pred, src)
 				var ferr error
-				rel.Scan(0, storage.AllBuckets, bound, func(row []storage.Value) bool {
+				rel.Scan(0, bound, func(row []storage.Value) bool {
 					if f.in.Cancelled() {
 						ferr = interp.ErrCancelled
 						return false
@@ -205,7 +205,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 		return func(f *frame) error {
 			rel, bound := interp.SourceRel(f.in.Cat, pred, src)
 			var ferr error
-			rel.Scan(0, storage.AllBuckets, bound, func(row []storage.Value) bool {
+			rel.Scan(0, bound, func(row []storage.Value) bool {
 				f.rows[level] = row
 				ferr = body(f)
 				return ferr == nil
@@ -232,7 +232,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			// ScanKey owns the access-path choice: the index chain, or a
 			// filtered scan where the column has no index.
 			var ferr error
-			rel.ScanKey(0, storage.AllBuckets, bound, cols, []storage.Value{key(f)}, func(row []storage.Value) bool {
+			rel.ScanKey(0, bound, cols, []storage.Value{key(f)}, func(row []storage.Value) bool {
 				f.rows[level] = row
 				ferr = body(f)
 				return ferr == nil
@@ -269,7 +269,7 @@ func (c *Compiler) lower(expr Expr, cat *storage.Catalog) (exec, error) {
 			vals := f.vals[base : base+len(keys)]
 			defer func() { f.vals = f.vals[:base] }()
 			var ferr error
-			rel.ScanKey(0, storage.AllBuckets, bound, cols, vals, func(row []storage.Value) bool {
+			rel.ScanKey(0, bound, cols, vals, func(row []storage.Value) bool {
 				f.rows[level] = row
 				ferr = body(f)
 				return ferr == nil

@@ -87,17 +87,6 @@ func (s Catalog) DriftCounter(pred storage.PredID) uint64 {
 	return s.Cat.Pred(pred).DriftCounter()
 }
 
-// ShardCard returns the tuple count of bucket shard of pred's delta — the
-// statistic the sharded fixpoint driver consults to skip empty buckets and,
-// per iteration, to pick the effective fan-out (task count, bucket spans,
-// and the sequential fast path for small-delta tails — the adaptive fan-out
-// driver in internal/interp). Like Card it is O(1): each bucket is a
-// sub-relation that knows its length; an unpartitioned delta reads as one
-// bucket holding everything.
-func (s Catalog) ShardCard(pred storage.PredID, shard int) int {
-	return s.Cat.Pred(pred).DeltaKnown.ShardLen(shard)
-}
-
 // Histogram returns the value-distribution histogram of a column of the
 // relation (pred, src) resolves to, or ok=false when none is registered.
 // Like every Catalog read it is O(1) modulo the fixed bucket count: the

@@ -138,29 +138,3 @@ func TestDriftEdgeCases(t *testing.T) {
 		t.Fatalf("empty drift = %v, want 0", d)
 	}
 }
-
-func TestShardStatsAggregateToTotals(t *testing.T) {
-	cat := storage.NewCatalog()
-	id := cat.Declare("e", 2)
-	pd := cat.Pred(id)
-	pd.SetShardsPhysical(4, 0)
-	for i := 0; i < 50; i++ {
-		pd.AddFact([]storage.Value{storage.Value(i % 13), storage.Value(i)})
-	}
-	pd.SeedAll()
-	pd.SwapClear()
-	src := Catalog{Cat: cat}
-	sum, occupied := 0, 0
-	for s := 0; s < 4; s++ {
-		sum += src.ShardCard(id, s)
-		if src.ShardCard(id, s) > 0 {
-			occupied++
-		}
-	}
-	if total := src.Card(id, ir.SrcDelta); sum != total || total != pd.Derived.Len() {
-		t.Fatalf("per-shard delta cards sum to %d, total is %d, Derived holds %d", sum, total, pd.Derived.Len())
-	}
-	if occupied < 2 {
-		t.Fatalf("13 keys landed in %d of 4 buckets", occupied)
-	}
-}

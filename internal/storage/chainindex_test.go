@@ -63,9 +63,8 @@ func (m *tableModel) buildIndex(b int) {
 }
 
 // checkIndexes holds every registered index to the model: the registrations
-// themselves, and per index (per bucket in the physical layout, whose row ids
-// are bucket-local) the exact chain of every key, misses, the distinct count
-// and the structure's own invariants.
+// themselves, and per index the exact chain of every key, misses, the
+// distinct count and the structure's own invariants.
 func (m *tableModel) checkIndexes() {
 	if m.sets == nil {
 		return
@@ -95,42 +94,14 @@ func (m *tableModel) checkIndexes() {
 			}
 		}
 	}
-	subs := r.subs
-	shards, shardCol := r.ShardConfig()
 	for _, cols := range m.sets {
 		if r.indexOn(cols) == nil {
 			m.fail("no index over %v", cols)
 		}
-		if subs == nil {
-			m.checkIndex(r, cols, m.rows)
-			continue
-		}
-		if _, ok := r.ProbeComposite(cols, make([]Value, len(cols))); ok {
-			m.fail("physical parent answers a probe on %v", cols)
-		}
-		parts := make([][][]Value, shards)
-		for _, row := range m.rows {
-			b := ShardOf(row[shardCol], shards)
-			parts[b] = append(parts[b], row)
-		}
-		sum, most := 0, 0
-		for s, sub := range subs {
-			d := m.checkIndex(sub, cols, parts[s])
-			sum, most = sum+d, max(most, d)
-		}
-		if len(cols) == 1 {
-			want := most
-			if cols[0] == shardCol {
-				want = sum
-			}
-			if got := r.DistinctCount(cols[0]); got != want {
-				m.fail("physical DistinctCount(%d) = %d, want %d", cols[0], got, want)
-			}
-		}
+		m.checkIndex(r, cols, m.rows)
 	}
-	// The read surface, whatever the layout, under a random row bound and
-	// bucket span: the rows a brute-force filter of the relation's own order
-	// admits.
+	// The read surface under a random row range: the rows a brute-force
+	// filter of the relation's own order admits.
 	rng := rand.New(rand.NewSource(int64(m.step)))
 	for _, cols := range m.sets {
 		for _, probe := range m.rows[:min(len(m.rows), 6)] {
@@ -141,29 +112,21 @@ func (m *tableModel) checkIndexes() {
 }
 
 // checkRead holds one Scan (cols nil) or ScanKey of the model's relation,
-// under a random row bound and bucket span, to a brute-force filter of the
-// expected rows: a flat relation admits the rows below the bound, a physical
-// one those of the span's buckets.
+// over a random row range [from, to) — a morsel, Old's [0, bound) or all
+// rows — to a brute-force filter of the expected rows.
 func (m *tableModel) checkRead(rng *rand.Rand, cols []int, vals []Value) {
 	m.t.Helper()
 	r := m.r
-	n := AllRows
+	from, to := 0, AllRows
 	if rng.Intn(3) > 0 {
-		n = rng.Intn(len(m.rows) + 2)
+		to = rng.Intn(len(m.rows) + 2)
 	}
-	shards, shardCol := r.ShardConfig()
-	lo, hi := rng.Intn(shards+2), AllBuckets
-	if rng.Intn(3) > 0 {
-		hi = lo + rng.Intn(shards+2)
+	if rng.Intn(2) > 0 {
+		from = rng.Intn(len(m.rows) + 2)
 	}
 	var want, got [][]Value
 	for i, row := range m.rows {
-		admitted := i < n
-		if shards > 0 {
-			b := ShardOf(row[shardCol], shards)
-			admitted = b >= lo && b < hi
-		}
-		if admitted && coversKey(row, cols, vals) {
+		if i >= from && i < to && coversKey(row, cols, vals) {
 			want = append(want, row)
 		}
 	}
@@ -172,18 +135,18 @@ func (m *tableModel) checkRead(rng *rand.Rand, cols []int, vals []Value) {
 		return true
 	}
 	if cols == nil {
-		r.Scan(lo, hi, n, visit)
+		r.Scan(from, to, visit)
 	} else {
-		r.ScanKey(lo, hi, n, cols, vals, visit)
+		r.ScanKey(from, to, cols, vals, visit)
 	}
 	if !reflect.DeepEqual(got, want) {
-		m.fail("read of %v = %v over buckets [%d, %d) below row %d = %v, want %v", cols, vals, lo, hi, n, got, want)
+		m.fail("read of %v = %v over rows [%d, %d) = %v, want %v", cols, vals, from, to, got, want)
 	}
 }
 
-// checkIndex holds the index over cols of the single-slab relation r to
-// rows, the content r must have in order, and returns its distinct-key count.
-func (m *tableModel) checkIndex(r *Relation, cols []int, rows [][]Value) int {
+// checkIndex holds the index over cols of r to rows, the content r must
+// have in order.
+func (m *tableModel) checkIndex(r *Relation, cols []int, rows [][]Value) {
 	m.t.Helper()
 	oracle := map[string][]int32{}
 	var keys [][]Value
@@ -232,17 +195,15 @@ func (m *tableModel) checkIndex(r *Relation, cols []int, rows [][]Value) int {
 	if len(oracle)*8 > len(ix.slots)*5 {
 		m.fail("%s: index %v holds %d keys in %d slots, over the 5/8 load limit", r.name, cols, len(oracle), len(ix.slots))
 	}
-	return len(oracle)
 }
 
 // driveChainIndex is the row-table driver with the index model switched on:
 // the same Insert / IncRef / Clear / ClearRetain / TruncateTo / DeleteRows /
-// AssertAt / layout-transition sequences, plus BuildIndex and
-// BuildCompositeIndex over loaded content, every index checked after every
-// operation.
-func driveChainIndex(t *testing.T, arity int, counted bool, layout int, data []byte) {
+// AssertAt / morsel-read sequences, plus BuildIndex and BuildCompositeIndex
+// over loaded content, every index checked after every operation.
+func driveChainIndex(t *testing.T, arity int, counted bool, data []byte) {
 	t.Helper()
-	driveRowTable(t, arity, counted, layout, data, true)
+	driveRowTable(t, arity, counted, data, true)
 }
 
 // driveOnDemand holds a predicate's deltas, whose indexes link rows only when
@@ -254,7 +215,7 @@ func driveChainIndex(t *testing.T, arity int, counted bool, layout int, data []b
 // mutation counts; an index ensured since its relation's last append has the
 // twin's chains per key, in insertion order, and its distinct count; one that
 // is not panics on a probe of a row it lacks and reads as unobserved (-1).
-func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
+func driveOnDemand(t *testing.T, arity int, data []byte) {
 	t.Helper()
 	sets := [][]int{{0}}
 	if arity > 1 {
@@ -266,9 +227,6 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 	for _, p := range []*PredicateDB{lazy, eager} {
 		p.BuildIndexes(sets[0])
 		p.BuildCompositeIndexes(sets[1:])
-		if layout%2 == 1 {
-			p.SetShardsPhysical(4, 0)
-		}
 	}
 	// Per lazy delta: the rows it holds, whether it was written as a list
 	// since its last clear, and per index a row appended since its last
@@ -280,7 +238,7 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 	step := 0
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("step %d (arity %d layout %d): %s", step, arity, layout, fmt.Sprintf(format, args...))
+		t.Fatalf("step %d (arity %d): %s", step, arity, fmt.Sprintf(format, args...))
 	}
 	pos := 0
 	next := func() int {
@@ -340,7 +298,7 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 		for si, cols := range sets {
 			if w := unlinked[r][si]; w != nil {
 				vals := project(w, cols)
-				if !panics(func() { r.ScanKey(0, AllBuckets, AllRows, cols, vals, func([]Value) bool { return true }) }) {
+				if !panics(func() { r.ScanKey(0, AllRows, cols, vals, func([]Value) bool { return true }) }) {
 					fail("%s: a probe of %v on %v before EnsureIndex did not panic", r.name, vals, cols)
 				}
 				if len(cols) == 1 && r.DistinctCount(cols[0]) != -1 {
@@ -356,17 +314,15 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 			for _, k := range keys {
 				vals := project(k, cols)
 				var got, want [][]Value
-				r.ScanKey(0, AllBuckets, AllRows, cols, vals, func(row []Value) bool { got = append(got, slices.Clone(row)); return true })
-				tw.ScanKey(0, AllBuckets, AllRows, cols, vals, func(row []Value) bool { want = append(want, slices.Clone(row)); return true })
+				r.ScanKey(0, AllRows, cols, vals, func(row []Value) bool { got = append(got, slices.Clone(row)); return true })
+				tw.ScanKey(0, AllRows, cols, vals, func(row []Value) bool { want = append(want, slices.Clone(row)); return true })
 				if !reflect.DeepEqual(got, want) {
 					fail("%s: ScanKey(%v, %v) = %v, twin %v", r.name, cols, vals, got, want)
 				}
-				if r.subs == nil {
-					a, _ := probeCompositeRows(r, cols, vals)
-					b, _ := probeCompositeRows(tw, cols, vals)
-					if !slices.Equal(a, b) {
-						fail("%s: chain of %v on %v = %v, twin %v", r.name, vals, cols, a, b)
-					}
+				a, _ := probeCompositeRows(r, cols, vals)
+				b, _ := probeCompositeRows(tw, cols, vals)
+				if !slices.Equal(a, b) {
+					fail("%s: chain of %v on %v = %v, twin %v", r.name, vals, cols, a, b)
 				}
 			}
 		}
@@ -413,22 +369,22 @@ func driveOnDemand(t *testing.T, arity, layout int, data []byte) {
 }
 
 // TestChainIndexModel drives random operation sequences against the
-// map[string][]int32 oracle for arity 1-5, counted and uncounted, starting
-// from each of the two layouts, comparing probe results including order;
-// and a predicate's on-demand deltas against an eager twin (driveOnDemand).
+// map[string][]int32 oracle for arity 1-5, counted and uncounted, comparing
+// probe results including order; and a predicate's on-demand deltas against
+// an eager twin (driveOnDemand).
 func TestChainIndexModel(t *testing.T) {
 	for arity := 1; arity <= 5; arity++ {
-		for layout := 0; layout < 2; layout++ {
+		for seed := 0; seed < 2; seed++ {
 			for _, counted := range []bool{false, true} {
-				rng := rand.New(rand.NewSource(int64(1000 + 100*arity + 10*layout + len(fmt.Sprint(counted)))))
+				rng := rand.New(rand.NewSource(int64(1000 + 100*arity + 10*seed + len(fmt.Sprint(counted)))))
 				data := make([]byte, 1200)
 				rng.Read(data)
-				driveChainIndex(t, arity, counted, layout, data)
+				driveChainIndex(t, arity, counted, data)
 			}
-			rng := rand.New(rand.NewSource(int64(2000 + 100*arity + 10*layout)))
+			rng := rand.New(rand.NewSource(int64(2000 + 100*arity + 10*seed)))
 			data := make([]byte, 600)
 			rng.Read(data)
-			driveOnDemand(t, arity, layout, data)
+			driveOnDemand(t, arity, data)
 		}
 	}
 }
@@ -437,66 +393,70 @@ func TestChainIndexModel(t *testing.T) {
 // driven through both models. Short-fuzz CI job: go test -fuzz=FuzzChainIndex
 // -fuzztime=20s ./internal/storage/
 func FuzzChainIndex(f *testing.F) {
-	f.Add(uint8(2), true, uint8(0), []byte{5, 0, 0, 1, 2, 0, 1, 3, 5, 3, 0, 1, 2, 12, 2, 1, 1, 3, 3, 0, 13, 3, 5, 0, 0, 9, 0, 1, 1})
-	f.Add(uint8(3), false, uint8(1), []byte{8, 1, 2, 3, 4, 5, 5, 11, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3, 5, 2})
-	f.Add(uint8(1), true, uint8(1), []byte{5, 0, 8, 8, 8, 8, 10, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
-	f.Add(uint8(5), false, uint8(0), []byte{0, 233, 234, 235, 236, 237, 5, 31, 0, 233, 234, 235, 236, 238, 11, 1, 5, 4, 0, 1, 2, 3, 4, 5})
-	f.Add(uint8(2), false, uint8(1), []byte{0, 1, 2, 8, 3, 4, 9, 5, 6, 2, 7, 3, 11, 14, 0, 6, 3, 2, 1, 0, 7, 16, 1, 2, 19, 3, 4, 11, 0})
-	f.Fuzz(func(t *testing.T, arity uint8, counted bool, layout uint8, data []byte) {
-		driveChainIndex(t, 1+int(arity)%5, counted, int(layout), data)
-		driveOnDemand(t, 1+int(arity)%5, int(layout), data)
+	f.Add(uint8(2), true, []byte{5, 0, 0, 1, 2, 0, 1, 3, 5, 3, 0, 1, 2, 12, 2, 1, 1, 3, 3, 0, 13, 3, 5, 0, 0, 9, 0, 1, 1})
+	f.Add(uint8(3), false, []byte{8, 1, 2, 3, 4, 5, 5, 11, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3, 5, 2})
+	f.Add(uint8(1), true, []byte{5, 0, 8, 8, 8, 8, 10, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
+	f.Add(uint8(5), false, []byte{0, 233, 234, 235, 236, 237, 5, 31, 0, 233, 234, 235, 236, 238, 11, 1, 5, 4, 0, 1, 2, 3, 4, 5})
+	f.Add(uint8(2), false, []byte{0, 1, 2, 8, 3, 4, 9, 5, 6, 2, 7, 3, 11, 14, 0, 6, 3, 2, 1, 0, 7, 16, 1, 2, 19, 3, 4, 11, 0})
+	f.Fuzz(func(t *testing.T, arity uint8, counted bool, data []byte) {
+		driveChainIndex(t, 1+int(arity)%5, counted, data)
+		driveOnDemand(t, 1+int(arity)%5, data)
 	})
 }
 
 // TestConcurrentProbeFrozen: probing only loads, so any number of goroutines
-// may probe a relation nobody mutates, in every layout — the parallel
-// executor's workers joining against the iteration-frozen Derived and
-// DeltaKnown. Meaningful under -race.
+// may probe a relation nobody mutates — the parallel executor's workers
+// joining against the iteration-frozen Derived and DeltaKnown, each over its
+// own morsel or all rows. Meaningful under -race.
 func TestConcurrentProbeFrozen(t *testing.T) {
-	for layout := 0; layout < 2; layout++ {
-		r := NewRelation("frozen", 3)
-		r.BuildIndex(0)
-		r.BuildCompositeIndex([]int{0, 1})
-		if layout == 1 {
-			r.SetShardKeyPhysical(4, 0)
-		}
-		const rows, keys = 6000, 97
-		for i := 0; i < rows; i++ {
-			r.Insert([]Value{Value(i % keys), Value(i % 3), Value(i)})
-		}
-		var wg sync.WaitGroup
-		bad := make([]int, 4)
-		for g := range bad {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for k := 0; k < 2*keys; k++ {
-					n := 0
-					r.ScanKey(0, AllBuckets, AllRows, []int{0}, []Value{Value(k)}, func(row []Value) bool { n++; return row[0] == Value(k) })
-					want := 0
-					if k < keys {
-						want = (rows - k + keys - 1) / keys
-					}
-					if n != want {
-						bad[g]++
-					}
-					n = 0
-					r.ScanKey(0, AllBuckets, AllRows, []int{0, 1}, []Value{Value(k), Value(k % 3)}, func([]Value) bool { n++; return true })
-					if (n > 0) != (k < keys) {
-						bad[g]++
-					}
-					if c, ok := r.Probe(0, Value(k)); layout == 0 && (!ok || (c.First() >= 0) != (k < keys)) {
-						bad[g]++
-					}
+	r := NewRelation("frozen", 3)
+	r.BuildIndex(0)
+	r.BuildCompositeIndex([]int{0, 1})
+	const rows, keys = 6000, 97
+	for i := 0; i < rows; i++ {
+		r.Insert([]Value{Value(i % keys), Value(i % 3), Value(i)})
+	}
+	var wg sync.WaitGroup
+	bad := make([]int, 4)
+	found := make([]int, len(bad))
+	for g := range bad {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			from, to := Morsel(rows, g, g+1, len(bad))
+			for k := 0; k < 2*keys; k++ {
+				n := 0
+				r.ScanKey(0, AllRows, []int{0}, []Value{Value(k)}, func(row []Value) bool { n++; return row[0] == Value(k) })
+				want := 0
+				if k < keys {
+					want = (rows - k + keys - 1) / keys
 				}
-			}()
-		}
-		wg.Wait()
-		for g, n := range bad {
-			if n != 0 {
-				t.Fatalf("layout %d: goroutine %d saw %d wrong answers", layout, g, n)
+				if n != want {
+					bad[g]++
+				}
+				r.ScanKey(from, to, []int{0}, []Value{Value(k)}, func(row []Value) bool {
+					found[g]++
+					return row[0] == Value(k)
+				})
+				n = 0
+				r.ScanKey(0, AllRows, []int{0, 1}, []Value{Value(k), Value(k % 3)}, func([]Value) bool { n++; return true })
+				if (n > 0) != (k < keys) {
+					bad[g]++
+				}
+				if c, ok := r.Probe(0, Value(k)); !ok || (c.First() >= 0) != (k < keys) {
+					bad[g]++
+				}
 			}
+		}()
+	}
+	wg.Wait()
+	for g, n := range bad {
+		if n != 0 {
+			t.Fatalf("goroutine %d saw %d wrong answers", g, n)
 		}
+	}
+	if total := found[0] + found[1] + found[2] + found[3]; total != rows {
+		t.Fatalf("the morsels' key reads found %d rows, want each of %d once", total, rows)
 	}
 }
 
@@ -570,8 +530,8 @@ func TestChainIndexAllocations(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() {
 		r.Probe(1, 3)
 		r.ProbeComposite(cols, vals)
-		r.ScanKey(0, AllBuckets, AllRows, col, val, count)
-		r.ScanKey(0, AllBuckets, AllRows, cols, vals, count)
+		r.ScanKey(0, AllRows, col, val, count)
+		r.ScanKey(0, AllRows, cols, vals, count)
 	}); a != 0 || hits == 0 {
 		t.Errorf("probing allocates %.2f times (%d hits), want 0", a, hits)
 	}

@@ -38,14 +38,13 @@ func (r *Relation) BuildCompositeIndex(cols []int) {
 
 // ProbeComposite returns the chain of rows whose columns cols (ascending)
 // equal vals (in the same order). ok is false when no index over exactly cols
-// exists — including on physically sharded relations (see Probe) — and the
-// miss is counted (ProbeMisses). A stale index panics.
+// exists, and the miss is counted (ProbeMisses). A stale index panics.
 func (r *Relation) ProbeComposite(cols []int, vals []Value) (Chain, bool) {
 	if len(cols) == 1 {
 		return r.Probe(cols[0], vals[0])
 	}
 	ix := r.indexOn(cols)
-	if ix == nil || r.subs != nil {
+	if ix == nil {
 		probeMisses.Add(1)
 		return Chain{}, false
 	}
@@ -64,25 +63,6 @@ func (r *Relation) DistinctCount(col int) int {
 	ix := r.indexOn([]int{col})
 	if ix == nil {
 		return -1
-	}
-	if r.subs != nil {
-		// Buckets partition the shard key's value space disjointly, so the
-		// per-bucket distinct counts sum exactly for that column. For any
-		// other column a value may recur across buckets; report the largest
-		// bucket's count, a valid lower bound for the selectivity heuristic.
-		n := 0
-		for _, s := range r.subs {
-			d := s.DistinctCount(col)
-			if d < 0 {
-				return -1
-			}
-			if col == r.shardCol {
-				n += d
-			} else if d > n {
-				n = d
-			}
-		}
-		return n
 	}
 	if !r.current(ix) {
 		return -1

@@ -14,27 +14,18 @@ package storage
 //
 // Counting is opt-in per relation (EnableCounts) so every existing path pays
 // at most one branch. Like indexes and histograms, the registration survives
-// Clear and every shard-layout transition; counts travel with rows through
-// the physical split and dissolve (physshard.go) and through compactions
-// (TruncateTo, DeleteRows). Count maintenance never touches a mutation
+// Clear; counts travel with rows through compactions (TruncateTo,
+// DeleteRows). Count maintenance never touches a mutation
 // counter — IncRef on a present row changes no relation content.
 
 // EnableCounts switches the relation to counted mode, backfilling every
 // current row with count 1 (rows are found through the row table every
-// relation already has, so there is nothing else to build). Idempotent. On a
-// physically sharded relation the counts live per bucket sub-relation,
-// mirroring indexes and histograms.
+// relation already has, so there is nothing else to build). Idempotent.
 func (r *Relation) EnableCounts() {
 	if r.countsOn {
 		return
 	}
 	r.countsOn = true
-	if r.subs != nil {
-		for _, s := range r.subs {
-			s.EnableCounts()
-		}
-		return
-	}
 	r.counts = make([]uint32, r.Len())
 	for i := range r.counts {
 		r.counts[i] = 1
@@ -50,9 +41,6 @@ func (r *Relation) Count(t []Value) uint32 {
 	if !r.countsOn {
 		return 0
 	}
-	if r.subs != nil {
-		return r.bucket(t).Count(t)
-	}
 	row, ok := r.rowLookup(t)
 	if !ok {
 		return 0
@@ -67,9 +55,6 @@ func (r *Relation) CountAt(row int32) uint32 { return r.counts[row] }
 // false — no content change), an absent tuple is inserted with count 1
 // (returning true, exactly like Insert). Requires counted mode.
 func (r *Relation) IncRef(t []Value) bool {
-	if r.subs != nil {
-		return r.bucket(t).IncRef(t)
-	}
 	if row, ok := r.rowLookup(t); ok {
 		r.counts[row]++
 		return false
@@ -83,9 +68,6 @@ func (r *Relation) IncRef(t []Value) bool {
 // and saturates there (a zombie row re-asserted before the compaction goes
 // back to count 1 via IncRef).
 func (r *Relation) DecRef(t []Value) (remaining uint32, ok bool) {
-	if r.subs != nil {
-		return r.bucket(t).DecRef(t)
-	}
 	row, found := r.rowLookup(t)
 	if !found {
 		return 0, false
@@ -96,12 +78,10 @@ func (r *Relation) DecRef(t []Value) (remaining uint32, ok bool) {
 	return r.counts[row], true
 }
 
-// RowOf returns tuple t's row id in counted mode. Row ids are global
-// insertion positions, which physical sharding does not track — it reports
-// ok=false there (counted callers address ground prefixes, and ground
-// relations are never physical).
+// RowOf returns tuple t's row id in counted mode, or ok=false when counting
+// is off.
 func (r *Relation) RowOf(t []Value) (int32, bool) {
-	if !r.countsOn || r.subs != nil {
+	if !r.countsOn {
 		return -1, false
 	}
 	return r.rowLookup(t)

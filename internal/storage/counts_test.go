@@ -6,15 +6,13 @@ import (
 	"testing"
 )
 
-// layouts configures one relation per storage layout so count and deletion
-// semantics are pinned across both (the same axis the shard-layout tests
-// use): flat, physical sub-relations.
+// countLayouts configures one relation per storage layout so count and
+// deletion semantics are pinned in each: there is one, flat.
 var countLayouts = []struct {
 	name string
 	set  func(r *Relation)
 }{
 	{"flat", func(*Relation) {}},
-	{"physical", func(r *Relation) { r.SetShardKeyPhysical(4, 0) }},
 }
 
 func TestCountsAcrossLayouts(t *testing.T) {
@@ -86,7 +84,7 @@ func TestCountsAcrossLayouts(t *testing.T) {
 				t.Fatalf("histogram total %d != Len %d", h.Total, r.Len())
 			}
 			found := 0
-			r.ScanKey(0, AllBuckets, AllRows, []int{0}, []Value{5}, func(row []Value) bool { found++; return true })
+			r.ScanKey(0, AllRows, []int{0}, []Value{5}, func(row []Value) bool { found++; return true })
 			if found != 1 {
 				t.Fatalf("probe after delete found %d rows, want 1", found)
 			}
@@ -170,6 +168,9 @@ func TestDeleteRowsPinnedCopyOnFlip(t *testing.T) {
 	}
 }
 
+// TestCountsSurviveLayoutTransitions: counts travel with their rows through
+// every move to another slab — a pinned arena's copy-on-flip under
+// TruncateTo and DeleteRows, and an AssertAt splice.
 func TestCountsSurviveLayoutTransitions(t *testing.T) {
 	r := NewRelation("fact", 3) // arity 3: packed-string key shape
 	r.EnableCounts()
@@ -177,23 +178,34 @@ func TestCountsSurviveLayoutTransitions(t *testing.T) {
 	r.IncRef([]Value{1, 2, 3})
 	r.IncRef([]Value{1, 2, 3})
 	r.Insert([]Value{4, 5, 6})
-	mutsBefore := r.Mutations()
-	r.SetShardKeyPhysical(4, 0)
-	if r.Mutations() != mutsBefore {
-		t.Fatal("physical split changed the observable mutation total")
+	r.Insert([]Value{7, 8, 9})
+	r.Insert([]Value{2, 4, 6})
+	r.PinRows()
+	r.TruncateTo(3)
+	if c := r.Count([]Value{1, 2, 3}); c != 3 || r.Pinned() {
+		t.Fatalf("count after a pinned truncate = %d (still pinned %v), want 3", c, r.Pinned())
+	}
+	r.PinRows()
+	if removed, _ := r.DeleteRows([][]Value{{7, 8, 9}}, 0); removed != 1 {
+		t.Fatalf("DeleteRows removed %d rows, want 1", removed)
 	}
 	if c := r.Count([]Value{1, 2, 3}); c != 3 {
-		t.Fatalf("count after physical split = %d, want 3", c)
+		t.Fatalf("count after a pinned compaction = %d, want 3", c)
 	}
-	r.SetShardKeyPhysical(0, 0) // dissolve back to flat
+	if added, _ := r.AssertAt([][]Value{{9, 9, 9}, {9, 9, 9}}, 1); len(added) != 1 {
+		t.Fatalf("AssertAt added %v, want one tuple", added)
+	}
 	if c := r.Count([]Value{1, 2, 3}); c != 3 {
-		t.Fatalf("count after dissolve = %d, want 3", c)
+		t.Fatalf("count after a splice = %d, want 3", c)
+	}
+	if c := r.Count([]Value{9, 9, 9}); c != 2 {
+		t.Fatalf("count of a twice-asserted splice = %d, want 2", c)
 	}
 	if c := r.Count([]Value{4, 5, 6}); c != 1 {
 		t.Fatalf("count of single-assert tuple = %d, want 1", c)
 	}
 	if rem, ok := r.DecRef([]Value{1, 2, 3}); !ok || rem != 2 {
-		t.Fatalf("DecRef after round trip = (%d, %v), want (2, true)", rem, ok)
+		t.Fatalf("DecRef after the moves = (%d, %v), want (2, true)", rem, ok)
 	}
 }
 
@@ -226,13 +238,10 @@ func TestTruncateKeepsCounts(t *testing.T) {
 // both sides of the boundary, the bitset sometimes shorter than the
 // relation) must leave exactly what DeleteRows leaves given the same rows as
 // tuples — rows in order, counts, indexes, mutation counter and return
-// values — in the flat layout, and a pinned epoch's rows
-// must be detached first, never rewritten.
+// values — and a pinned epoch's rows must be detached first, never
+// rewritten.
 func TestDeleteRowIDsMatchesDeleteRows(t *testing.T) {
 	for _, lo := range countLayouts {
-		if lo.name == "physical" {
-			continue // row ids are bucket-local there; DeleteRowIDs refuses
-		}
 		t.Run(lo.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for round := 0; round < 200; round++ {

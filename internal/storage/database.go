@@ -84,8 +84,7 @@ func (p *PredicateDB) AddFact(t []Value) bool {
 // reader until SwapClear — and that is its only copy while δ′ is flat and
 // holds no rows of its own: δ′ then only counts it as owed, and SwapClear
 // lends it the staged rows once they are published. A δ′ that holds rows
-// (Seed, the physical δ′ of a sharded run) gets t appended, a list its row
-// table does not cover. Either way Mutations and DriftCounter read the same.
+// (Seed) gets t appended, a list its row table does not cover. Either way Mutations and DriftCounter read the same.
 // Emit reports whether t was new: the derivation count.
 func (p *PredicateDB) Emit(t []Value) bool {
 	if !p.Derived.stage(t) {
@@ -128,8 +127,8 @@ func (p *PredicateDB) NewLen() int { return p.DeltaNew.Len() + p.DeltaNew.owed }
 // Derived's rows below it (Relation.Scan, ScanKey). Where δ is the view of
 // Derived's newest rows that SwapClear lends it, the bound is the row the
 // view starts at, so Old is exact; after SeedAll that is row 0, and Old is
-// empty. Anywhere else — a δ that holds rows of its own (Seed, a physical δ,
-// a retraction frontier), or a Derived that has grown past the view — it is
+// empty. Anywhere else — a δ that holds rows of its own (Seed, a retraction
+// frontier), or a Derived that has grown past the view — it is
 // AllRows: all of Derived, a superset of Old, which is always correct and
 // only derives some matches twice. The bound moves at every SwapClear, so an
 // executor reads it each time a plan runs; it is a few loads, so that
@@ -190,24 +189,10 @@ func (p *PredicateDB) DriftCounter() uint64 {
 	return p.swaps + p.Derived.Mutations() + p.DeltaKnown.Mutations() + p.DeltaNew.Mutations()
 }
 
-// SetShardsPhysical partitions the delta pair into n buckets by hash of
-// column col — the join key the planner probes — so the parallel executor
-// can hand each bucket span of the delta to a different task: δ and δ′
-// become n independent per-bucket sub-relations (SwapClear's pointer
-// exchange carries the layout with the structs). Derived stays flat: the
-// workers' frozen set-difference probes only read its one row table, and
-// Emit stages in it. Content and drift totals are preserved exactly. n < 2
-// dissolves the partition.
-func (p *PredicateDB) SetShardsPhysical(n, col int) {
-	p.DeltaKnown.SetShardKeyPhysical(n, col)
-	p.DeltaNew.SetShardKeyPhysical(n, col)
-}
-
-// Shards returns the delta pair's bucket count (0 = unsharded).
-func (p *PredicateDB) Shards() int {
-	n, _ := p.DeltaKnown.ShardConfig()
-	return n
-}
+// SetShardsPhysical does nothing: the delta pair has one layout, flat, and a
+// pool task reads a row range of it (Morsel). Kept only because perf/ calls
+// it; retired with the storage.shard_insert_ns probe (ROADMAP item 1).
+func (p *PredicateDB) SetShardsPhysical(n, col int) {}
 
 // RegisterIndex registers an index over cols — one column, or a set of
 // several (order-insensitive) — on the relations of role, unless one is
@@ -391,21 +376,6 @@ func (c *Catalog) DropStaged() {
 	for _, p := range c.preds {
 		p.Derived.unstage()
 		p.DeltaNew.owed = 0
-	}
-}
-
-// ConfigureShardsPhysical partitions every predicate's delta pair into n
-// buckets (SetShardsPhysical), keyed by the predicate's entry in keyCols (its
-// planned join key; column 0 when absent). Every execution engine reads the
-// buckets through Relation.Scan and ScanKey, a pool task over its bucket
-// span. n < 2 removes all partitions.
-func (c *Catalog) ConfigureShardsPhysical(n int, keyCols map[PredID]int) {
-	for _, p := range c.preds {
-		col := keyCols[p.ID]
-		if col < 0 || col >= p.Arity {
-			col = 0
-		}
-		p.SetShardsPhysical(n, col)
 	}
 }
 

@@ -179,8 +179,8 @@ func TestPredicateDBIndexesOnAllThree(t *testing.T) {
 		for name, probe := range map[string]func(){
 			"Probe":             func() { rel.Probe(0, 1) },
 			"ProbeComposite":    func() { rel.ProbeComposite(comp, []Value{1, 5}) },
-			"ScanKey":           func() { rel.ScanKey(0, AllBuckets, AllRows, []int{0}, []Value{1}, visit) },
-			"ScanKey composite": func() { rel.ScanKey(0, AllBuckets, AllRows, comp, []Value{1, 5}, visit) },
+			"ScanKey":           func() { rel.ScanKey(0, AllRows, []int{0}, []Value{1}, visit) },
+			"ScanKey composite": func() { rel.ScanKey(0, AllRows, comp, []Value{1, 5}, visit) },
 		} {
 			if !panics(probe) {
 				t.Errorf("%s: %s before EnsureIndex did not panic", rel.Name(), name)

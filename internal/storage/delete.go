@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -27,28 +26,10 @@ import (
 // ids below boundary (the ground-fact arena prefix — callers shrink their
 // baseline watermark by removedBelow). Tuples that are absent are ignored;
 // when nothing is present the relation — including its mutation counters —
-// is untouched. In physical mode the batch routes per bucket and boundary is
-// meaningless (row ids are bucket-local): removedBelow is 0.
+// is untouched.
 func (r *Relation) DeleteRows(tuples [][]Value, boundary int) (removed, removedBelow int) {
 	if len(tuples) == 0 {
 		return 0, 0
-	}
-	if r.subs != nil {
-		byBucket := make([][][]Value, len(r.subs))
-		for _, t := range tuples {
-			b := ShardOf(t[r.shardCol], len(r.subs))
-			byBucket[b] = append(byBucket[b], t)
-		}
-		for s, bt := range byBucket {
-			if len(bt) > 0 {
-				rm, _ := r.subs[s].deleteCompact(bt, 0)
-				removed += rm
-			}
-		}
-		if removed > 0 {
-			r.muts++
-		}
-		return removed, 0
 	}
 	if r.staged != 0 {
 		r.misuse("DeleteRows")
@@ -71,21 +52,12 @@ func (r *Relation) DeleteRows(tuples [][]Value, boundary int) (removed, removedB
 // the count instead). Returns the distinct newly inserted tuples in
 // first-occurrence order and the number of promotions — the caller's ground
 // watermark grows by len(added)+promoted. Switches the relation to counted
-// mode if it was not already. Not meaningful in physical mode (no global row
-// order); there the tuples are simply IncRef'd into their buckets.
+// mode if it was not already.
 func (r *Relation) AssertAt(tuples [][]Value, boundary int) (added [][]Value, promoted int) {
 	if len(tuples) == 0 {
 		return nil, 0
 	}
 	r.EnableCounts()
-	if r.subs != nil {
-		for _, t := range tuples {
-			if r.IncRef(t) {
-				added = append(added, append([]Value(nil), t...))
-			}
-		}
-		return added, 0
-	}
 	n := r.Len()
 	if boundary > n {
 		boundary = n
@@ -154,13 +126,8 @@ func (r *Relation) AssertAt(tuples [][]Value, boundary int) (added [][]Value, pr
 // tuple is looked up a second time and no id is sorted: the bits are the
 // batch, distinct and in order. Bits past dead's length are clear; every set
 // bit must name a current row of r. removedBelow is the popcount under
-// boundary. Row ids are global insertion positions, which physical sharding
-// does not track: like TruncateTo this is for Derived, which is never
-// physical, and reaching it on a physical relation is an engine-wiring bug.
+// boundary.
 func (r *Relation) DeleteRowIDs(dead []uint64, boundary int) (removed, removedBelow int) {
-	if r.subs != nil {
-		panic(fmt.Sprintf("storage: DeleteRowIDs on physically sharded %q", r.name))
-	}
 	if r.staged != 0 {
 		r.misuse("DeleteRowIDs")
 	}

@@ -24,15 +24,11 @@ import "sort"
 // EpochRows is an immutable row snapshot of one relation, taken at an epoch
 // boundary by Relation.PinRows. It stays valid — and byte-identical — for
 // the lifetime of the epoch regardless of later inserts, truncations, or
-// clears on the source relation.
-//
-// Single-slab layouts pin one arena; the physical layout pins one slab per
-// non-empty bucket (arenas/starts), so the view is zero-copy in every mode.
+// clears on the source relation. The view is zero-copy: a capacity-clipped
+// slice of the relation's arena.
 type EpochRows struct {
-	arena  []Value
-	arenas [][]Value // physical layout: one capacity-clipped slab per non-empty bucket
-	starts []int     // physical layout: starts[i] = first row index of arenas[i]; last entry = Len()
-	arity  int
+	arena []Value
+	arity int
 }
 
 // Arity returns the tuple width.
@@ -43,37 +39,17 @@ func (e EpochRows) Len() int {
 	if e.arity == 0 {
 		return 0
 	}
-	if e.arenas != nil {
-		return e.starts[len(e.starts)-1]
-	}
 	return len(e.arena) / e.arity
 }
 
 // Row returns a read-only view of row i. Callers must not mutate it.
 func (e EpochRows) Row(i int) []Value {
-	if e.arenas != nil {
-		// First bucket whose start exceeds i, minus one — bucket row counts
-		// are cumulative in starts.
-		b := sort.SearchInts(e.starts, i+1) - 1
-		off := (i - e.starts[b]) * e.arity
-		return e.arenas[b][off : off+e.arity : off+e.arity]
-	}
 	off := i * e.arity
 	return e.arena[off : off+e.arity : off+e.arity]
 }
 
 // Each calls f for every pinned tuple until f returns false.
 func (e EpochRows) Each(f func(row []Value) bool) {
-	if e.arenas != nil {
-		for _, a := range e.arenas {
-			for off := 0; off+e.arity <= len(a); off += e.arity {
-				if !f(a[off : off+e.arity : off+e.arity]) {
-					return
-				}
-			}
-		}
-		return
-	}
 	for off := 0; off+e.arity <= len(e.arena); off += e.arity {
 		if !f(e.arena[off : off+e.arity : off+e.arity]) {
 			return
@@ -84,28 +60,7 @@ func (e EpochRows) Each(f func(row []Value) bool) {
 // PinRows captures the relation's current rows as an immutable EpochRows
 // view and marks the relation pinned, so the next destructive operation
 // flips to a fresh arena instead of rewriting the slab the view references.
-//
-// The view is zero-copy in every layout. Single-slab modes (flat and view-
-// partitioned — Derived in every configuration) hand out one
-// capacity-clipped arena view. The physical mode pins each non-empty
-// bucket's slab directly and marks the sub-relations pinned, so the bucket
-// clear paths (resetContents) flip to fresh slabs under the same
-// copy-on-flip discipline as the parent-level destructive operations.
 func (r *Relation) PinRows() EpochRows {
-	if r.subs != nil {
-		arenas := make([][]Value, 0, len(r.subs))
-		starts := make([]int, 1, len(r.subs)+1)
-		for _, sub := range r.subs {
-			n := len(sub.arena)
-			if n == 0 {
-				continue
-			}
-			sub.pinned = true
-			arenas = append(arenas, sub.arena[:n:n])
-			starts = append(starts, starts[len(starts)-1]+n/r.arity)
-		}
-		return EpochRows{arenas: arenas, starts: starts, arity: r.arity}
-	}
 	r.pinned = true
 	return EpochRows{arena: r.arena[:len(r.arena):len(r.arena)], arity: r.arity}
 }

@@ -111,17 +111,13 @@ func TestPinRowsAppendWhilePinned(t *testing.T) {
 	}
 }
 
-// TestPinRowsView pins the sharded Derived: SetShardsPhysical leaves it
-// flat, one global arena, so the zero-copy pin applies.
+// TestPinRowsView pins a predicate's Derived, one arena, so the zero-copy
+// pin applies.
 func TestPinRowsView(t *testing.T) {
 	p := newPredicateDB(0, "t", 2)
 	r := p.Derived
 	for i := 0; i < 16; i++ {
 		r.Insert([]Value{Value(i), Value(i)})
-	}
-	p.SetShardsPhysical(4, 0)
-	if r.subs != nil {
-		t.Fatal("sharding partitioned Derived")
 	}
 	view := r.PinRows()
 	want := epochRowStrings(view)
@@ -131,65 +127,6 @@ func TestPinRowsView(t *testing.T) {
 	}
 	if got := epochRowStrings(view); !sameStrings(got, want) {
 		t.Fatalf("pinned view-layout rows changed")
-	}
-}
-
-// TestPinRowsPhysicalZeroCopy: physical relations (bucket-major arenas) pin
-// each bucket's slab directly — no flattening copy — and the per-bucket
-// copy-on-flip discipline keeps the view intact through Clear and re-insert.
-func TestPinRowsPhysicalZeroCopy(t *testing.T) {
-	r := NewRelation("t", 2)
-	for i := 0; i < 12; i++ {
-		r.Insert([]Value{Value(i), Value(i + 1)})
-	}
-	r.SetShardKeyPhysical(4, 0)
-	view := r.PinRows()
-	if r.Pinned() {
-		t.Fatal("physical pin must not set the flat-slab pinned flag")
-	}
-	want := epochRowStrings(view)
-	if len(want) != 12 || view.Len() != 12 {
-		t.Fatalf("pinned view has %d rows (Len %d), want 12", len(want), view.Len())
-	}
-	r.Clear()
-	r.Insert([]Value{77, 78})
-	if got := epochRowStrings(view); !sameStrings(got, want) {
-		t.Fatal("pinned physical view changed after Clear + insert")
-	}
-}
-
-// TestPinRowsPhysicalRow pins the multi-arena random-access surface: Row(i)
-// over the bucket-major view must agree with Each's iteration order for
-// every index, across bucket boundaries.
-func TestPinRowsPhysicalRow(t *testing.T) {
-	r := NewRelation("t", 2)
-	for i := 0; i < 37; i++ { // uneven bucket fill
-		r.Insert([]Value{Value(i * 7 % 11), Value(i)})
-	}
-	r.SetShardKeyPhysical(5, 0)
-	view := r.PinRows()
-	if view.Len() != 37 {
-		t.Fatalf("view len %d, want 37", view.Len())
-	}
-	i := 0
-	view.Each(func(row []Value) bool {
-		if got := view.Row(i); fmt.Sprint(got) != fmt.Sprint(row) {
-			t.Fatalf("Row(%d) = %v, Each yields %v", i, got, row)
-		}
-		i++
-		return true
-	})
-	if i != view.Len() {
-		t.Fatalf("Each visited %d rows, Len says %d", i, view.Len())
-	}
-
-	// The view stays valid when the relation re-shards (the old slabs are
-	// abandoned wholesale, satisfying the pin without a copy).
-	r.SetShardKeyPhysical(3, 1)
-	j := 0
-	view.Each(func(row []Value) bool { j++; return true })
-	if j != 37 {
-		t.Fatalf("pinned view lost rows after re-shard: %d, want 37", j)
 	}
 }
 

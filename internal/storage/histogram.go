@@ -5,15 +5,13 @@ package storage
 // estimation (internal/optimizer). A histogram is registered per column like a hash index
 // (BuildHistogram / PredicateDB.BuildHistograms) and maintained in the same
 // mutation paths that maintain cardinality and drift counters: Insert
-// increments the inserted value's bucket, Clear/ClearRetain/TruncateTo reset
-// or rebuild, and the layout transitions of physshard.go carry the
-// registration with the relation.
+// increments the inserted value's bucket, and Clear/ClearRetain/TruncateTo
+// reset or rebuild.
 //
 // Two invariants:
 //
-//   - Total always equals the relation's Len() (per registered column), in
-//     both layouts and across every transition — the property
-//     TestHistogramInvariants pins.
+//   - Total always equals the relation's Len() (per registered column) — the
+//     property TestHistogramInvariants pins.
 //   - Histogram maintenance never touches a mutation counter. Like index
 //     registration, building or updating histograms leaves Mutations()
 //     byte-identical to a histogram-free run, so the drift
@@ -21,9 +19,7 @@ package storage
 //     (asserted by the differential harness's drift-increment comparison).
 //
 // The bucketing is a fixed-width hash histogram: HistBuckets counters
-// indexed by an avalanche mix of the value (the same mix ShardOf uses, with
-// an independent bucket count so histogram buckets do not alias shard
-// buckets). Equi-depth boundaries would need periodic re-binning — a hash
+// indexed by an avalanche mix of the value. Equi-depth boundaries would need periodic re-binning — a hash
 // histogram is maintainable in O(1) per insert and overlap between two hash
 // histograms is computed bucket-wise, which is all the join-size estimate
 // needs.
@@ -42,9 +38,9 @@ type Histogram struct {
 	Total  uint64
 }
 
-// HistBucketOf returns the histogram bucket of value v: the 32-bit avalanche
-// mix of ShardOf reduced mod HistBuckets, so consecutive integer keys spread
-// evenly.
+// HistBucketOf returns the histogram bucket of value v: a 32-bit avalanche
+// mix (the murmur3 finalizer) reduced mod HistBuckets, so consecutive integer
+// keys spread evenly instead of striping.
 func HistBucketOf(v Value) int {
 	x := uint32(v)
 	x ^= x >> 16
@@ -81,10 +77,7 @@ func (h Histogram) Overlap(other Histogram) float64 {
 
 // BuildHistogram registers (and backfills) a value-distribution histogram on
 // column col. Like BuildIndex the registration survives Clear (counts are
-// reset, the histogram stays) and is propagated through every shard-layout
-// transition; on a physically sharded relation the counts live per bucket
-// sub-relation and the parent keeps an empty registration so HasHistogram
-// and mode transitions keep answering.
+// reset, the histogram stays).
 func (r *Relation) BuildHistogram(col int) {
 	if col < 0 || col >= r.arity {
 		panic("storage: histogram column out of range")
@@ -93,13 +86,6 @@ func (r *Relation) BuildHistogram(col int) {
 		r.histograms = make(map[int]*Histogram)
 	}
 	if _, ok := r.histograms[col]; ok {
-		return
-	}
-	if r.subs != nil {
-		for _, s := range r.subs {
-			s.BuildHistogram(col)
-		}
-		r.histograms[col] = &Histogram{}
 		return
 	}
 	h := &Histogram{}
@@ -117,25 +103,13 @@ func (r *Relation) HasHistogram(col int) bool {
 }
 
 // HistogramOf returns a copy of column col's histogram, or ok=false when
-// none is registered. On a physically sharded relation it sums the per-bucket
-// histograms, so Total equals Len() in every layout.
+// none is registered.
 func (r *Relation) HistogramOf(col int) (Histogram, bool) {
-	if _, ok := r.histograms[col]; !ok {
+	h, ok := r.histograms[col]
+	if !ok {
 		return Histogram{}, false
 	}
-	if r.subs != nil {
-		var sum Histogram
-		for _, s := range r.subs {
-			if sh, ok := s.histograms[col]; ok {
-				for b, c := range sh.Counts {
-					sum.Counts[b] += c
-				}
-				sum.Total += sh.Total
-			}
-		}
-		return sum, true
-	}
-	return *r.histograms[col], true
+	return *h, true
 }
 
 // histInsert counts a freshly inserted tuple in every registered histogram.

@@ -1,8 +1,8 @@
 package storage
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -45,25 +45,15 @@ func histCheck(t *testing.T, step string, r *Relation, cols ...int) {
 
 // TestHistogramInvariants drives an identical randomized operation sequence —
 // inserts, duplicate inserts, Clear, ClearRetain, TruncateTo — through a
-// flat and a physically sharded relation with
-// histograms registered on both columns, asserting after every step that each
+// relation with histograms registered on both columns, asserting after every step that each
 // histogram's Total equals the relation cardinality and its distribution
 // matches an exact recount. A histogram-free twin runs the same sequence to
 // pin the second invariant: maintenance never perturbs the mutation counter.
 func TestHistogramInvariants(t *testing.T) {
-	layouts := []struct {
-		name  string
-		setup func(r *Relation)
-	}{
-		{"flat", func(r *Relation) {}},
-		{"physical", func(r *Relation) { r.SetShardKeyPhysical(4, 0) }},
-	}
-	for _, lay := range layouts {
-		t.Run(lay.name, func(t *testing.T) {
+	for _, lay := range []string{"flat"} {
+		t.Run(lay, func(t *testing.T) {
 			r := NewRelation("p", 2)
 			bare := NewRelation("p", 2)
-			lay.setup(r)
-			lay.setup(bare)
 			r.BuildHistogram(0)
 			r.BuildHistogram(1)
 
@@ -102,19 +92,19 @@ func TestHistogramInvariants(t *testing.T) {
 				tp := tuple()
 				both(func(x *Relation) { x.Insert(tp) })
 			}
-			if lay.name == "flat" {
-				n := r.Len() / 2
-				both(func(x *Relation) { x.TruncateTo(n) })
-				step("TruncateTo")
-			}
+			n := r.Len() / 2
+			both(func(x *Relation) { x.TruncateTo(n) })
+			step("TruncateTo")
 			step("final")
 		})
 	}
 }
 
-// TestHistogramModeTransitions walks one relation through every shard-layout
-// transition — flat → physical → repartitioned → flat — with content
-// present, asserting the registration and the totals survive each move.
+// TestHistogramModeTransitions walks histograms through every move of rows
+// to another slab with content present — a pinned arena's copy-on-flip
+// under TruncateTo and DeleteRows, an AssertAt splice, and a δ′ borrowing
+// Derived's newest rows at SwapClear — asserting the registration and the
+// totals survive each move.
 func TestHistogramModeTransitions(t *testing.T) {
 	r := NewRelation("p", 2)
 	r.BuildHistogram(1)
@@ -122,24 +112,31 @@ func TestHistogramModeTransitions(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		r.Insert([]Value{Value(rng.Intn(50)), Value(rng.Intn(50))})
 	}
-	histCheck(t, "flat", r, 1)
-	r.SetShardKeyPhysical(4, 1)
-	histCheck(t, "physical", r, 1)
-	r.SetShardKeyPhysical(8, 0)
-	histCheck(t, "repartitioned", r, 1)
-	// Each bucket's histogram recounts that bucket alone, and the bucket
-	// totals sum to the whole.
-	var per uint64
-	for s, sub := range r.subs {
-		histCheck(t, fmt.Sprintf("bucket %d", s), sub, 1)
-		h, _ := sub.HistogramOf(1)
-		per += h.Total
+	histCheck(t, "loaded", r, 1)
+	r.PinRows()
+	r.TruncateTo(r.Len() / 2)
+	histCheck(t, "pinned truncate", r, 1)
+	r.PinRows()
+	doomed := [][]Value{slices.Clone(r.Row(0)), slices.Clone(r.Row(3))}
+	if removed, _ := r.DeleteRows(doomed, 0); removed != 2 {
+		t.Fatalf("DeleteRows removed %d rows, want 2", removed)
 	}
-	if int(per) != r.Len() {
-		t.Fatalf("shard totals sum %d, Len %d", per, r.Len())
+	histCheck(t, "pinned compaction", r, 1)
+	r.AssertAt([][]Value{{900, 1}, {901, 2}}, 5)
+	histCheck(t, "splice", r, 1)
+
+	cat := NewCatalog()
+	p := cat.Pred(cat.Declare("q", 2))
+	p.BuildHistograms([]int{1})
+	for i := 0; i < 120; i++ {
+		p.Emit([]Value{Value(i), Value(rng.Intn(50))})
 	}
-	r.SetShardKeyPhysical(0, 0)
-	histCheck(t, "dissolved", r, 1)
+	p.SwapClear()
+	if p.DeltaKnown.Len() != 120 || p.OldBound() != 0 {
+		t.Fatalf("δ holds %d rows with Old below %d, want a view of all 120", p.DeltaKnown.Len(), p.OldBound())
+	}
+	histCheck(t, "lent δ", p.DeltaKnown, 1)
+	histCheck(t, "lender", p.Derived, 1)
 }
 
 // TestHistogramSwapClear pins the delta-exchange path: PredicateDB.SwapClear

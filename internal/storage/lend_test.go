@@ -9,15 +9,31 @@ import (
 // over tc's own PredicateDB: the edges are tc's ground facts, seeded with
 // SeedAll, and each iteration joins δ with the edges through Emit. After
 // every rotation it calls rotated with the rows that rotation published, in
-// order, and observe between every step with a label.
-func tcRun(tc *PredicateDB, edges [][2]Value, rotated func(iter int, fresh [][]Value), observe func(label string)) {
+// order, and observe between every step with a label. copying replaces the
+// loans with the scheme they replaced: δ′ holds a copy of every seed and
+// every new fact.
+func tcRun(tc *PredicateDB, edges [][2]Value, copying bool, rotated func(iter int, fresh [][]Value), observe func(label string)) {
 	succ := map[Value][]Value{}
 	for _, e := range edges {
 		succ[e[0]] = append(succ[e[0]], e[1])
 		tc.AddFact([]Value{e[0], e[1]})
 	}
 	fresh := tc.Derived.Snapshot()
-	tc.SeedAll()
+	emit := tc.Emit
+	if copying {
+		for _, row := range fresh {
+			tc.Seed(row)
+		}
+		emit = func(t []Value) bool {
+			if !tc.Derived.stage(t) {
+				return false
+			}
+			tc.DeltaNew.AppendDistinct(t)
+			return true
+		}
+	} else {
+		tc.SeedAll()
+	}
 	observe("seeded")
 	for iter := 0; ; iter++ {
 		tc.SwapClear()
@@ -29,7 +45,7 @@ func tcRun(tc *PredicateDB, edges [][2]Value, rotated func(iter int, fresh [][]V
 		fresh = nil
 		tc.DeltaKnown.Each(func(row []Value) bool {
 			for _, z := range succ[row[1]] {
-				if t := []Value{row[0], z}; tc.Emit(t) {
+				if t := []Value{row[0], z}; emit(t) {
 					fresh = append(fresh, t)
 				}
 			}
@@ -55,7 +71,7 @@ func TestSwapClearLendsNewestRows(t *testing.T) {
 	tc := c.Pred(c.Declare("tc", 2))
 	tc.BuildIndexes([]int{0})
 	rotations := 0
-	tcRun(tc, chainEdges(40), func(iter int, fresh [][]Value) {
+	tcRun(tc, chainEdges(40), false, func(iter int, fresh [][]Value) {
 		rotations++
 		d := tc.DeltaKnown
 		if len(fresh) == 0 {
@@ -95,10 +111,9 @@ func TestSwapClearLendsNewestRows(t *testing.T) {
 	}
 }
 
-// TestSeededAndPhysicalDeltasOwnRows: a δ′ seeded row by row (the warm
-// starts) and the physical δ′ of a sharded run hold their rows themselves,
-// and Emit appends to them; neither borrows.
-func TestSeededAndPhysicalDeltasOwnRows(t *testing.T) {
+// TestSeededDeltasOwnRows: a δ′ seeded row by row (the warm starts) holds
+// its rows itself, and Emit appends to it; it does not borrow.
+func TestSeededDeltasOwnRows(t *testing.T) {
 	c := NewCatalog()
 	p := c.Pred(c.Declare("p", 2))
 	p.AddFact([]Value{1, 2})
@@ -112,41 +127,19 @@ func TestSeededAndPhysicalDeltasOwnRows(t *testing.T) {
 	if d := p.DeltaKnown; d.lender != nil || sharesRows(d, p.Derived) || fmt.Sprint(d.Snapshot()) != "[[2 3] [3 4]]" {
 		t.Fatalf("a seeded δ borrows or reads %v", d.Snapshot())
 	}
-
-	q := c.Pred(c.Declare("q", 2))
-	q.SetShardsPhysical(4, 0)
-	for i := Value(0); i < 20; i++ {
-		q.Emit([]Value{i, i})
-	}
-	if q.DeltaNew.Len() != 20 {
-		t.Fatalf("a physical δ′ holds %d rows, want 20", q.DeltaNew.Len())
-	}
-	q.SwapClear()
-	if d := q.DeltaKnown; d.lender != nil || d.subs == nil || d.Len() != 20 {
-		t.Fatalf("a physical δ: borrowed %v, physical %v, %d rows", d.lender != nil, d.subs != nil, d.Len())
-	}
-	for _, s := range q.DeltaKnown.subs {
-		if s.lender != nil {
-			t.Fatal("a physical δ's bucket borrows")
-		}
-	}
 }
 
 // TestLendingDriftMatchesCopying: the DriftCounter sequence of a flat TC
-// fixpoint, whose δ′ lends, equals the one of the copying scheme — a
-// physical δ′ appends every seed and every new fact, and the physical layout
-// reads the counters the flat one would — at every step, mid-iteration
+// fixpoint, whose δ′ lends, equals the one of the copying scheme — δ′
+// appends every seed and every new fact — at every step, mid-iteration
 // included.
 func TestLendingDriftMatchesCopying(t *testing.T) {
-	run := func(physical bool) []string {
+	run := func(copying bool) []string {
 		c := NewCatalog()
 		tc := c.Pred(c.Declare("tc", 2))
 		tc.BuildIndexes([]int{0})
-		if physical {
-			tc.SetShardsPhysical(4, 1)
-		}
 		var seq []string
-		tcRun(tc, chainEdges(30), func(int, [][]Value) {}, func(label string) {
+		tcRun(tc, chainEdges(30), copying, func(int, [][]Value) {}, func(label string) {
 			seq = append(seq, fmt.Sprintf("%s: %d", label, tc.DriftCounter()))
 		})
 		tc.DeltaKnown.Clear()
@@ -184,13 +177,13 @@ func TestDropStagedForgetsOwedRows(t *testing.T) {
 // TestOldBound: Old, Derived less δ, is Derived's rows before the view δ
 // borrows — none after SeedAll, every row but the newest iteration's later
 // on, so Old and δ always split Derived — and all of Derived (AllRows)
-// wherever δ is not such a view: a seeded δ, a physical one, a loan
-// recalled, or a Derived grown past the view.
+// wherever δ is not such a view: a seeded δ, a loan recalled, or a Derived
+// grown past the view.
 func TestOldBound(t *testing.T) {
 	c := NewCatalog()
 	tc := c.Pred(c.Declare("tc", 2))
 	tc.BuildIndexes([]int{0})
-	tcRun(tc, chainEdges(30), func(iter int, fresh [][]Value) {
+	tcRun(tc, chainEdges(30), false, func(iter int, fresh [][]Value) {
 		want := tc.Derived.Len() - len(fresh) // 0 after SeedAll: fresh is every row
 		if got := min(tc.OldBound(), tc.Derived.Len()); got != want || got+tc.DeltaKnown.Len() != tc.Derived.Len() {
 			t.Fatalf("rotation %d: Old is %d rows, want %d; δ %d of %d", iter, got, want, tc.DeltaKnown.Len(), tc.Derived.Len())
@@ -204,16 +197,6 @@ func TestOldBound(t *testing.T) {
 	p.SwapClear()
 	if got := p.OldBound(); got != AllRows {
 		t.Fatalf("a seeded δ: Old's bound is %d, want all rows", got)
-	}
-
-	q := c.Pred(c.Declare("q", 2))
-	q.SetShardsPhysical(4, 0)
-	for i := Value(0); i < 20; i++ {
-		q.Emit([]Value{i, i})
-	}
-	q.SwapClear()
-	if got := q.OldBound(); got != AllRows {
-		t.Fatalf("a physical δ: Old's bound is %d, want all rows", got)
 	}
 
 	r := c.Pred(c.Declare("r", 2))

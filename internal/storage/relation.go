@@ -20,7 +20,7 @@ import (
 // ClearRetain, TruncateTo, DeleteRows and AssertAt empty or rebuild it in
 // place, so a relation refilled every iteration or every Run allocates
 // nothing for dedup once warm. Lookups only load, which is why concurrent
-// Contains on a relation nobody is mutating is safe in every layout.
+// Contains on a relation nobody is mutating is safe.
 //
 // Join indexes have one structure too, over one column or several: the
 // chained hash index (chainindex.go, which also states which destructive
@@ -48,9 +48,8 @@ import (
 // it rewrites rows in place. Insert, Contains, RowOf, TruncateTo and Clear
 // panic on a relation in a state they would answer wrongly (misuse).
 //
-// A delta that holds rows of its own — a δ′ seeded row by row, the physical
-// δ′ of a sharded run, retraction's frontiers and candidates — is an
-// append-only list (AppendDistinct) whose arena its row table does not
+// A delta that holds rows of its own — a δ′ seeded row by row,
+// retraction's frontiers and candidates — is an append-only list (AppendDistinct) whose arena its row table does not
 // cover. AppendDistinct is also the one bulk load for rows a caller already
 // knows to be distinct — retraction's, deduplicated by its doomed bitset:
 // Reserve sizes the arena and the index links for a batch of known size
@@ -73,7 +72,7 @@ type Relation struct {
 	histograms map[int]*Histogram // column -> value-distribution histogram
 
 	// lazy marks a delta (δ, δ′): its indexes link rows only on EnsureIndex.
-	// It travels with the struct through SwapDeltas and into physical buckets.
+	// It travels with the struct through SwapDeltas.
 	lazy bool
 
 	// muts counts content-changing operations (successful inserts, Clear,
@@ -104,22 +103,9 @@ type Relation struct {
 	// EnableCounts, off everywhere else so the hot insert path pays one
 	// branch. counts[i] is row i's assertion count, found through the row
 	// table like everything else. Counts travel with rows through every
-	// layout transition and compaction.
+	// compaction.
 	countsOn bool
 	counts   []uint32
-
-	// Shard partition state (physshard.go): nil subs means the flat layout;
-	// otherwise the relation is physical, split into len(subs) independent
-	// sub-relations (each its own arena, row table, indexes, and mutation
-	// counter) by ShardOf(row[shardCol], len(subs)) — the delta pair of a
-	// sharded run, read bucket-locally (Scan, ScanKey). Within one physical
-	// configuration the sub-relations are emptied or kept in place, never
-	// reallocated, by Clear, ClearRetain and an idempotent re-registration
-	// of the identical layout, and the struct carries them through
-	// SwapClear's pointer exchange; a changed layout rebuilds them, which is
-	// why readers resolve the layout when they read, never when they compile.
-	shardCol int
-	subs     []*Relation
 }
 
 // NewRelation creates an empty relation with the given name and arity.
@@ -138,16 +124,7 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of distinct tuples currently stored.
-func (r *Relation) Len() int {
-	if r.subs != nil {
-		n := 0
-		for _, s := range r.subs {
-			n += len(s.arena)
-		}
-		return n / r.arity
-	}
-	return len(r.arena) / r.arity
-}
+func (r *Relation) Len() int { return len(r.arena) / r.arity }
 
 // Empty reports whether the relation holds no tuples.
 func (r *Relation) Empty() bool { return r.Len() == 0 }
@@ -157,11 +134,6 @@ func (r *Relation) Empty() bool { return r.Len() == 0 }
 func (r *Relation) Insert(t []Value) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: insert arity %d into %q/%d", len(t), r.name, r.arity))
-	}
-	if r.subs != nil {
-		// Physical mode: the bucket sub-relation owns the row outright (its
-		// own arena, row table, and counter — Mutations sums them back up).
-		return r.bucket(t).Insert(t)
 	}
 	if r.staged != 0 || r.owed != 0 || !r.covered() {
 		r.misuse("Insert")
@@ -186,9 +158,6 @@ func (r *Relation) Contains(t []Value) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	if r.subs != nil {
-		return r.bucket(t).Contains(t)
-	}
 	if r.owed != 0 {
 		r.misuse("Contains")
 	}
@@ -208,7 +177,7 @@ func (r *Relation) Contains(t []Value) bool {
 // spare capacity, leaving the arena's length alone; it reports whether t was
 // new. A table that grows re-enters the staged rows with the rest.
 func (r *Relation) stage(t []Value) bool {
-	if len(t) != r.arity || r.subs != nil || !r.covered() {
+	if len(t) != r.arity || !r.covered() {
 		r.misuse("stage")
 	}
 	n := len(r.arena)
@@ -262,10 +231,6 @@ func (r *Relation) unstage() {
 // its doomed bitset. It leaves the relation a list that only Clear, the
 // scans, the probes and Seal accept.
 func (r *Relation) AppendDistinct(t []Value) {
-	if r.subs != nil {
-		r.bucket(t).AppendDistinct(t)
-		return
-	}
 	if r.owed != 0 {
 		r.misuse("AppendDistinct")
 	}
@@ -344,10 +309,9 @@ func (r *Relation) recall() {
 
 // Reserve makes room for n more rows of a bulk load: the arena and every
 // index's links (a delta's wait for EnsureIndex) grow once, to size
-// (chainIndex.reserve), instead of by steps. A physical relation's buckets
-// grow as their rows arrive.
+// (chainIndex.reserve), instead of by steps.
 func (r *Relation) Reserve(n int) {
-	if r.subs != nil || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	if r.lazy {
@@ -364,15 +328,9 @@ func (r *Relation) Reserve(n int) {
 
 // Seal makes a list (AppendDistinct) a set: its row table is built over the
 // arena in one sized pass (rowTable.fill), after which Contains, Insert and
-// RowOf accept it. A physical relation seals per bucket; a set is left as
-// it is. Rows staged or a table covering only part of the rows panic.
+// RowOf accept it. A set is left as it is. Rows staged or a table covering
+// only part of the rows panic.
 func (r *Relation) Seal() {
-	if r.subs != nil {
-		for _, s := range r.subs {
-			s.Seal()
-		}
-		return
-	}
 	if r.staged != 0 || r.owed != 0 || (r.tab.used != 0 && !r.covered()) {
 		r.misuse("Seal")
 	}
@@ -409,9 +367,9 @@ func (r *Relation) misuse(op string) {
 		op, r.name, r.tab.used, r.Len(), r.staged))
 }
 
-// lends reports whether the relation, a delta, holds no rows of its own and
-// is flat: as δ′ it is owed its rows instead of copying them (Emit).
-func (r *Relation) lends() bool { return r.subs == nil && len(r.arena) == 0 }
+// lends reports whether the relation, a delta, holds no rows of its own: as
+// δ′ it is owed its rows instead of copying them (Emit).
+func (r *Relation) lends() bool { return len(r.arena) == 0 }
 
 // owe counts n more rows δ′ is owed, each a mutation as its copy would be.
 func (r *Relation) owe(n int) {
@@ -420,31 +378,15 @@ func (r *Relation) owe(n int) {
 }
 
 // Row returns a view of row i (valid until the next Insert reallocates the
-// arena; callers must not mutate it). In physical mode row ids are bucket-
-// major and the lookup walks the bucket lengths — readers avoid it by
-// reading through Scan and ScanKey, which visit the buckets' rows directly.
+// arena; callers must not mutate it).
 func (r *Relation) Row(i int32) []Value {
-	if r.subs != nil {
-		n := int(i)
-		for _, s := range r.subs {
-			if sl := len(s.arena) / s.arity; n < sl {
-				return s.Row(int32(n))
-			} else {
-				n -= sl
-			}
-		}
-		panic(fmt.Sprintf("storage: row %d out of range for physical %q", i, r.name))
-	}
 	off := int(i) * r.arity
 	_ = r.arena[off+r.arity-1] // a staged row is past the length, not a row
 	return r.arena[off : off+r.arity : off+r.arity]
 }
 
-// Each calls f for every tuple until f returns false. Order is insertion
-// order, except in physical mode where it is bucket-major (per-bucket
-// insertion order) — still deterministic, since every tuple's bucket is a
-// pure function of its shard-key column.
-func (r *Relation) Each(f func(row []Value) bool) { r.Scan(0, AllBuckets, AllRows, f) }
+// Each calls f for every tuple, in insertion order, until f returns false.
+func (r *Relation) Each(f func(row []Value) bool) { r.Scan(0, AllRows, f) }
 
 // AllRows is the row bound past every row (Scan, ScanKey).
 const AllRows = math.MaxInt32
@@ -455,6 +397,66 @@ func (r *Relation) below(n int) int {
 		return n * r.arity
 	}
 	return len(r.arena)
+}
+
+// Scan and ScanKey are the read surface of a plan step: every executor and
+// compiled backend reads a relation through them, so the row range and the
+// index-miss fallback live here once. Each visits the rows [from, to) in
+// insertion order: Old is [0, PredicateDB.OldBound), a pool task's share of
+// a δ of L rows is its morsel (Morsel), and all rows are [0, AllRows).
+
+// Morsel returns the row range [L·lo/n, L·hi/n) that task lo..hi of n reads
+// of a relation holding rows rows: the tasks 0..1, 1..2, …, n-1..n cover the
+// rows exactly once, in contiguous ranges whose sizes differ by at most one.
+func Morsel(rows, lo, hi, n int) (from, to int) {
+	return rows * lo / n, rows * hi / n
+}
+
+// Scan calls f for every row in [from, to), in insertion order, until f
+// returns false.
+func (r *Relation) Scan(from, to int, f func(row []Value) bool) {
+	for off, end := from*r.arity, r.below(to); off < end; off += r.arity {
+		if !f(r.arena[off : off+r.arity : off+r.arity]) {
+			return
+		}
+	}
+}
+
+// ScanKey is Scan over the rows whose columns cols (ascending) equal vals.
+// It walks the key's chain when an index over exactly cols is registered —
+// chains run in insertion order, so the walk skips the rows below from and
+// stops at to — and scans filtering otherwise (ProbeMisses counts it). Like
+// Probe, it panics on a registered index that has not caught up with the
+// rows (EnsureIndex).
+func (r *Relation) ScanKey(from, to int, cols []int, vals []Value, f func(row []Value) bool) {
+	if c, ok := r.ProbeComposite(cols, vals); ok {
+		row := c.First()
+		for row >= 0 && int(row) < from {
+			row = c.Next(row)
+		}
+		for ; row >= 0 && int(row) < to; row = c.Next(row) {
+			if !f(r.Row(row)) {
+				return
+			}
+		}
+		return
+	}
+	for off, end := from*r.arity, r.below(to); off < end; off += r.arity {
+		row := r.arena[off : off+r.arity : off+r.arity]
+		if coversKey(row, cols, vals) && !f(row) {
+			return
+		}
+	}
+}
+
+// coversKey reports whether row matches the composite equality key.
+func coversKey(row []Value, cols []int, vals []Value) bool {
+	for ci, c := range cols {
+		if row[c] != vals[ci] {
+			return false
+		}
+	}
+	return true
 }
 
 // BuildIndex registers (and, except on a delta, backfills) a hash index on
@@ -473,15 +475,6 @@ func (r *Relation) buildIndex(cols []int) {
 		return
 	}
 	r.indexes = append(r.indexes, newChainIndex(cols))
-	if r.subs != nil {
-		// Physical mode: rows and index entries live in the buckets; the
-		// parent's empty registration answers DistinctCount and survives
-		// transitions.
-		for _, s := range r.subs {
-			s.buildIndex(cols)
-		}
-		return
-	}
 	if !r.lazy {
 		r.catchUp(&r.indexes[len(r.indexes)-1])
 	}
@@ -489,14 +482,10 @@ func (r *Relation) buildIndex(cols []int) {
 
 // EnsureIndex links the rows the index over cols (ascending) lacks, in order,
 // into links sized once: its chains are then those of an index maintained on
-// every append. Physical relations ensure per bucket; a current index or no
-// registration costs nothing. Only the relation's mutating goroutine calls it.
+// every append. A current index or no registration costs nothing. Only the
+// relation's mutating goroutine calls it.
 func (r *Relation) EnsureIndex(cols []int) {
-	if r.subs != nil {
-		for _, s := range r.subs {
-			s.EnsureIndex(cols)
-		}
-	} else if ix := r.indexOn(cols); ix != nil {
+	if ix := r.indexOn(cols); ix != nil {
 		r.catchUp(ix)
 	}
 }
@@ -508,7 +497,7 @@ func (r *Relation) EnsureIndexes() {
 	}
 }
 
-// catchUp links the rows of a single-slab relation that ix does not link yet.
+// catchUp links the rows that ix does not link yet.
 func (r *Relation) catchUp(ix *chainIndex) {
 	n := r.Len()
 	if len(ix.next) == n {
@@ -520,7 +509,7 @@ func (r *Relation) catchUp(ix *chainIndex) {
 	}
 }
 
-// current reports whether ix links every row of the single-slab relation.
+// current reports whether ix links every row.
 func (r *Relation) current(ix *chainIndex) bool { return len(ix.next)*r.arity == len(r.arena) }
 
 // stale panics for a probe of an index that misses rows (EnsureIndex).
@@ -552,13 +541,12 @@ func (r *Relation) IndexedColumns() []int {
 }
 
 // Probe returns the chain of rows whose column col equals v. ok is false if no
-// index is registered on col — including on a physically sharded relation,
-// whose row ids are bucket-local: readers route to the buckets through
-// ScanKey there, and a caller that does not degrades to a filtered scan,
-// which stays correct (ProbeMisses counts them). A stale index panics (EnsureIndex).
+// index is registered on col, and the caller degrades to a filtered scan,
+// which stays correct (ProbeMisses counts them). A stale index panics
+// (EnsureIndex).
 func (r *Relation) Probe(col int, v Value) (Chain, bool) {
 	for i := range r.indexes {
-		if ix := &r.indexes[i]; len(ix.cols) == 1 && ix.cols[0] == col && r.subs == nil {
+		if ix := &r.indexes[i]; len(ix.cols) == 1 && ix.cols[0] == col {
 			if !r.current(ix) {
 				r.stale("Probe", ix)
 			}
@@ -583,23 +571,9 @@ func ProbeMisses() int64 { return probeMisses.Load() }
 // Mutations returns the relation's monotone mutation counter: it advances on
 // every successful Insert, Clear, and TruncateTo and is never reset, so two
 // equal observations bracket a window in which the content did not change.
-// In physical mode the counter is the parent's clear/truncate component plus
-// the sum of the per-bucket insert counters — the exact value the logical
-// layout would have reported for the same operation sequence, so drift
-// totals are byte-identical with and without physical sharding (mode
-// transitions preserve the total, see physshard.go).
-func (r *Relation) Mutations() uint64 {
-	if r.subs != nil {
-		m := r.muts
-		for _, s := range r.subs {
-			m += s.muts
-		}
-		return m
-	}
-	return r.muts
-}
+func (r *Relation) Mutations() uint64 { return r.muts }
 
-// Clear removes all tuples but keeps index and shard registrations, for a
+// Clear removes all tuples but keeps index registrations, for a
 // relation that stays empty for a while: Derived empties its arena in place
 // and gives the row table and the indexes' memory back to the collector, a
 // delta gives all three to the scratch pool.
@@ -615,19 +589,6 @@ func (r *Relation) clear(retain bool) {
 	if r.staged != 0 {
 		r.misuse("Clear")
 	}
-	if r.subs != nil {
-		// One logical content change, regardless of how many buckets held
-		// rows — mirrors the unsharded counter exactly.
-		cleared := false
-		for _, sub := range r.subs {
-			cleared = cleared || len(sub.arena) > 0
-			sub.resetContents(retain)
-		}
-		if cleared {
-			r.muts++
-		}
-		return
-	}
 	if len(r.arena) > 0 || r.owed > 0 {
 		r.muts++
 	}
@@ -635,18 +596,41 @@ func (r *Relation) clear(retain bool) {
 	r.resetContents(retain)
 }
 
+// resetContents drops all tuples and index entries without touching any
+// mutation counter — the caller owns the accounting. retain keeps the arena,
+// the row table and the indexes for a refill; otherwise Derived keeps its
+// arena and a delta gives all three to the scratch pool (the capacity rules
+// of rowTable and chainIndex). A pinned arena (an epoch view references it)
+// is detached to a fresh slab instead, so the refill never rewrites rows the
+// view still serves, and is never given back.
+func (r *Relation) resetContents(retain bool) {
+	r.recall()
+	r.repay()
+	if retain {
+		r.tab.reset(r.lazy)
+	} else {
+		r.tab.release(r.lazy)
+	}
+	switch {
+	case r.detachPinned(0):
+	case r.lazy && !retain:
+		valueSlabs.give(r.arena)
+		r.arena = nil
+	default:
+		r.arena = r.arena[:0]
+	}
+	r.histReset()
+	r.counts = r.counts[:0]
+	for i := range r.indexes {
+		r.indexes[i].reset(retain, r.lazy)
+	}
+}
+
 // TruncateTo discards all but the first n tuples, rebuilding the row table
 // and indexes. It supports resetting a relation to its ground-fact baseline
 // between repeated runs (ground facts are always inserted before any
 // derivation, so they occupy the arena prefix).
 func (r *Relation) TruncateTo(n int) {
-	if r.subs != nil {
-		// Physical mode does not track global insertion order, so a prefix
-		// truncation is undefined. Only Derived is ever truncated (ground-
-		// fact baseline rewind) and Derived is never physical, so reaching
-		// this is an engine-wiring bug, not a data-dependent condition.
-		panic(fmt.Sprintf("storage: TruncateTo on physically sharded %q", r.name))
-	}
 	if r.staged != 0 || r.owed != 0 || !r.covered() {
 		r.misuse("TruncateTo")
 	}
@@ -731,23 +715,16 @@ type Footprint struct {
 	Indexes  int // every index's slot table and links
 }
 
-// Footprint returns the bytes r holds in its arena, row table and indexes
-// (a physical relation's buckets included). Shared empty tables count
-// nothing.
+// Footprint returns the bytes r holds in its arena, row table and indexes.
+// Shared empty tables count nothing.
 func (r *Relation) Footprint() Footprint {
 	var f Footprint
-	for _, s := range r.subs {
-		sf := s.Footprint()
-		f.Arena += sf.Arena
-		f.RowTable += sf.RowTable
-		f.Indexes += sf.Indexes
-	}
 	const word, slot = 4, 8 // a Value, link or row-table slot; a chainSlot
 	if r.lender == nil {
-		f.Arena += word * cap(r.arena)
+		f.Arena = word * cap(r.arena)
 	}
 	if len(r.tab.slots) >= minTableSize {
-		f.RowTable += word * len(r.tab.slots)
+		f.RowTable = word * len(r.tab.slots)
 	}
 	for i := range r.indexes {
 		ix := &r.indexes[i]

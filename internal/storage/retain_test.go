@@ -149,32 +149,3 @@ func TestClearRetainKeepsCapacity(t *testing.T) {
 		}
 	}
 }
-
-// TestClearRetainShardedBuffer covers the recycling pattern under a physical
-// partition (δ′ of a sharded run): the buckets reset in place, and refills
-// repartition correctly.
-func TestClearRetainShardedBuffer(t *testing.T) {
-	r := NewRelation("sbuf", 2)
-	r.SetShardKeyPhysical(4, 0)
-	for i := 0; i < 256; i++ {
-		r.Insert([]Value{Value(i), Value(i + 1)})
-	}
-	perBucket := make([]int, 4)
-	for s := 0; s < 4; s++ {
-		perBucket[s] = r.ShardLen(s)
-	}
-	r.ClearRetain()
-	for s := 0; s < 4; s++ {
-		if r.ShardLen(s) != 0 {
-			t.Fatalf("bucket %d not empty after ClearRetain", s)
-		}
-	}
-	for i := 0; i < 256; i++ {
-		r.Insert([]Value{Value(i), Value(i + 1)})
-	}
-	for s := 0; s < 4; s++ {
-		if r.ShardLen(s) != perBucket[s] {
-			t.Fatalf("bucket %d holds %d rows after refill, want %d", s, r.ShardLen(s), perBucket[s])
-		}
-	}
-}

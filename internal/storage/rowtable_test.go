@@ -12,8 +12,8 @@ import (
 
 // tableModel is the oracle of the row-table tests: a map from a tuple's
 // printed form to its assertion count (presence = key present), the expected
-// row order, and the expected mutation total. It knows nothing of hashing,
-// slots or layouts, so every operation of the Relation is checked against
+// row order, and the expected mutation total. It knows nothing of hashing
+// or slots, so every operation of the Relation is checked against
 // plain map and slice semantics.
 type tableModel struct {
 	t       *testing.T
@@ -23,11 +23,7 @@ type tableModel struct {
 	cnt     map[string]uint32
 	rows    [][]Value // expected Snapshot(); trusted only while orderKnown
 	muts    uint64
-	// orderKnown is false from a transition into or out of the physical
-	// layout until the next check, which adopts the relation's bucket-major
-	// order after comparing contents as sets.
-	orderKnown bool
-	step       int
+	step    int
 	// sets lists the column sets the index model registered (chainindex_test.go);
 	// nil in the row-table tests, whose indexes are only carried along.
 	sets [][]int
@@ -35,13 +31,9 @@ type tableModel struct {
 
 func key(t []Value) string { return fmt.Sprint(t) }
 
-func (m *tableModel) physical() bool { return m.r.subs != nil }
-
 func (m *tableModel) fail(format string, args ...any) {
 	m.t.Helper()
-	shards, col := m.r.ShardConfig()
-	m.t.Fatalf("step %d (arity %d counted %v shards %d/%d physical %v): %s",
-		m.step, m.arity, m.counted, shards, col, m.physical(), fmt.Sprintf(format, args...))
+	m.t.Fatalf("step %d (arity %d counted %v): %s", m.step, m.arity, m.counted, fmt.Sprintf(format, args...))
 }
 
 // position returns t's index in the expected order, or -1.
@@ -99,21 +91,7 @@ func (m *tableModel) check() {
 	if r.Empty() != (len(m.cnt) == 0) {
 		m.fail("Empty = %v with %d tuples", r.Empty(), len(m.cnt))
 	}
-	snap := r.Snapshot()
-	if m.physical() || !m.orderKnown {
-		seen := map[string]bool{}
-		for _, row := range snap {
-			k := key(row)
-			if _, ok := m.cnt[k]; !ok || seen[k] {
-				m.fail("row %v is a phantom or a duplicate", row)
-			}
-			seen[k] = true
-		}
-		if len(seen) != len(m.cnt) {
-			m.fail("%d distinct rows, model has %d", len(seen), len(m.cnt))
-		}
-		m.rows, m.orderKnown = snap, true
-	} else if len(snap) != len(m.rows) || (len(snap) > 0 && !reflect.DeepEqual(snap, m.rows)) {
+	if snap := r.Snapshot(); len(snap) != len(m.rows) || (len(snap) > 0 && !reflect.DeepEqual(snap, m.rows)) {
 		m.fail("rows = %v\nwant   %v", snap, m.rows)
 	}
 	for i, row := range m.rows {
@@ -126,23 +104,14 @@ func (m *tableModel) check() {
 		if got, want := r.Count(row), m.cnt[key(row)]; got != want {
 			m.fail("Count(%v) = %d, want %d", row, got, want)
 		}
-		if id, ok := r.RowOf(row); ok != !m.physical() || (ok && int(id) != i) {
+		if id, ok := r.RowOf(row); !ok || int(id) != i {
 			m.fail("RowOf(%v) = %d,%v, want %d", row, id, ok, i)
 		}
 	}
 	if got := r.Mutations(); got != m.muts {
 		m.fail("Mutations = %d, want %d", got, m.muts)
 	}
-	if subs := r.subs; subs != nil {
-		for _, sub := range subs {
-			m.checkTable(sub)
-		}
-		if len(r.arena) != 0 || r.tab.used != 0 {
-			m.fail("physical parent holds %d values, %d table entries", len(r.arena), r.tab.used)
-		}
-	} else {
-		m.checkTable(r)
-	}
+	m.checkTable(r)
 	m.checkIndexes()
 }
 
@@ -194,9 +163,6 @@ func (m *tableModel) clear(retain bool) {
 }
 
 func (m *tableModel) truncate(n int) {
-	if m.physical() {
-		return // undefined there: panics by contract
-	}
 	m.r.TruncateTo(n)
 	if n < 0 || n >= len(m.rows) {
 		return
@@ -214,7 +180,7 @@ func (m *tableModel) deleteRows(batch [][]Value, boundary int) {
 	for _, t := range batch {
 		if _, has := m.cnt[key(t)]; has && !doomed[key(t)] {
 			doomed[key(t)] = true
-			if !m.physical() && m.position(t) < boundary {
+			if m.position(t) < boundary {
 				below++
 			}
 		}
@@ -258,12 +224,6 @@ func (m *tableModel) assertAt(batch [][]Value, boundary int) {
 		k := key(t)
 		c, has := m.cnt[k]
 		switch {
-		case m.physical() && has:
-			m.cnt[k] = c + mult[k]
-		case m.physical():
-			wantAdded = append(wantAdded, t)
-			m.appendRow(t, mult[k])
-			m.muts++ // routed per bucket as plain inserts: one bump a tuple
 		case has && m.position(t) < boundary:
 			m.cnt[k] = c + mult[k]
 		case has:
@@ -280,7 +240,7 @@ func (m *tableModel) assertAt(batch [][]Value, boundary int) {
 	if len(added) != len(wantAdded) || (len(added) > 0 && !reflect.DeepEqual(added, wantAdded)) || nPromoted != len(promoted) {
 		m.fail("AssertAt(%v, %d) = %v,%d, want %v,%d", batch, boundary, added, nPromoted, wantAdded, len(promoted))
 	}
-	if m.physical() || len(mid) == 0 {
+	if len(mid) == 0 {
 		return
 	}
 	if len(wantAdded) > 0 {
@@ -298,14 +258,20 @@ func (m *tableModel) assertAt(batch [][]Value, boundary int) {
 	m.rows = rows
 }
 
-func (m *tableModel) relayout(kind, shards, col int) {
-	wasPhysical := m.physical()
-	if kind == 0 {
-		shards = 0
+// morsels reads the relation as n morsel tasks would (Morsel): the tasks'
+// Scans, concatenated in task order, are every row exactly once, in order.
+func (m *tableModel) morsels(n int) {
+	m.t.Helper()
+	var got [][]Value
+	for i := range n {
+		from, to := Morsel(m.r.Len(), i, i+1, n)
+		m.r.Scan(from, to, func(row []Value) bool {
+			got = append(got, slices.Clone(row))
+			return true
+		})
 	}
-	m.r.SetShardKeyPhysical(shards, col)
-	if wasPhysical || m.physical() {
-		m.orderKnown = false
+	if len(got) != len(m.rows) || (len(got) > 0 && !reflect.DeepEqual(got, m.rows)) {
+		m.fail("%d morsels read %v, want %v", n, got, m.rows)
 	}
 }
 
@@ -317,7 +283,7 @@ func panics(f func()) (did bool) {
 }
 
 // emptyLike returns an empty relation with r's index, histogram and count
-// registrations and its layout.
+// registrations.
 func emptyLike(r *Relation) *Relation {
 	tw := NewRelation(r.name+"~twin", r.arity)
 	for i := range r.indexes {
@@ -329,12 +295,11 @@ func emptyLike(r *Relation) *Relation {
 	if r.countsOn {
 		tw.EnableCounts()
 	}
-	tw.SetShardKeyPhysical(r.ShardConfig())
 	return tw
 }
 
 // sameStructure fails unless a and b hold the same rows in the same order
-// with the same index chains, buckets and histograms.
+// with the same index chains and histograms.
 func (m *tableModel) sameStructure(a, b *Relation) {
 	m.t.Helper()
 	if sa, sb := a.Snapshot(), b.Snapshot(); !reflect.DeepEqual(sa, sb) {
@@ -347,30 +312,17 @@ func (m *tableModel) sameStructure(a, b *Relation) {
 			m.fail("%s and %s disagree on the histogram of column %d", a.name, b.name, c)
 		}
 	}
-	// A physical partition's rows live in the sub-relations compared below.
-	shards, _ := a.ShardConfig()
-	for s := 0; s < shards; s++ {
-		if a.ShardLen(s) != b.ShardLen(s) {
-			m.fail("bucket %d: %s holds %d rows, %s holds %d", s, a.name, a.ShardLen(s), b.name, b.ShardLen(s))
-		}
-	}
-	slabsA, slabsB := []*Relation{a}, []*Relation{b}
-	if a.subs != nil {
-		slabsA, slabsB = a.subs, b.subs
-	}
-	for i, x := range slabsA {
-		for ix := range x.indexes {
-			cols := x.indexes[ix].cols
-			x.Each(func(row []Value) bool {
-				k := project(row, cols)
-				ca, _ := probeCompositeRows(x, cols, k)
-				cb, _ := probeCompositeRows(slabsB[i], cols, k)
-				if !slices.Equal(ca, cb) {
-					m.fail("%s index %v chain of %v = %v, %s has %v", x.name, cols, k, ca, slabsB[i].name, cb)
-				}
-				return true
-			})
-		}
+	for ix := range a.indexes {
+		cols := a.indexes[ix].cols
+		a.Each(func(row []Value) bool {
+			k := project(row, cols)
+			ca, _ := probeCompositeRows(a, cols, k)
+			cb, _ := probeCompositeRows(b, cols, k)
+			if !slices.Equal(ca, cb) {
+				m.fail("%s index %v chain of %v = %v, %s has %v", a.name, cols, k, ca, b.name, cb)
+			}
+			return true
+		})
 	}
 }
 
@@ -384,12 +336,6 @@ func (m *tableModel) sameStructure(a, b *Relation) {
 func (m *tableModel) stageBatch(batch [][]Value, publish bool) {
 	m.t.Helper()
 	r := m.r
-	if m.physical() {
-		if len(batch) > 0 && !panics(func() { r.stage(batch[0]) }) {
-			m.fail("stage on a physical relation did not panic")
-		}
-		return
-	}
 	tw := emptyLike(r)
 	r.Each(func(row []Value) bool {
 		tw.Insert(row)
@@ -477,7 +423,7 @@ func (m *tableModel) stageBatch(batch [][]Value, publish bool) {
 }
 
 // appendList appends batch's distinct tuples to an empty relation of the
-// model's registrations and layout the way δ′ and a retraction frontier are
+// model's registrations the way δ′ and a retraction frontier are
 // written (AppendDistinct) and holds it to a twin fed by Insert. The list's
 // row table covers none of its rows, so Insert, Contains, RowOf and
 // TruncateTo refuse to run on it until Seal or a Clear makes it a set. It
@@ -509,11 +455,9 @@ func (m *tableModel) appendList(batch [][]Value) {
 		"Insert":   func() { list.Insert(t) },
 		"Contains": func() { list.Contains(t) },
 	}
-	if !m.physical() {
-		ops["TruncateTo"] = func() { list.TruncateTo(0) }
-		if m.counted {
-			ops["RowOf"] = func() { list.RowOf(t) }
-		}
+	ops["TruncateTo"] = func() { list.TruncateTo(0) }
+	if m.counted {
+		ops["RowOf"] = func() { list.RowOf(t) }
 	}
 	for name, op := range ops {
 		if !panics(op) {
@@ -543,19 +487,13 @@ func (m *tableModel) sealed(list, tw *Relation) {
 		m.fail("Seal advanced Mutations by %d", list.Mutations()-muts)
 	}
 	m.sameStructure(list, tw)
-	slabs := []*Relation{list}
-	if list.subs != nil {
-		slabs = list.subs
-	}
-	for _, s := range slabs {
-		m.checkTable(s)
-	}
+	m.checkTable(list)
 	var i int32
 	tw.Each(func(row []Value) bool {
 		if !list.Contains(row) {
 			m.fail("sealed list: Contains(%v) = false", row)
 		}
-		if id, ok := list.RowOf(row); m.counted && !m.physical() && (!ok || id != i) {
+		if id, ok := list.RowOf(row); m.counted && (!ok || id != i) {
 			m.fail("sealed list: RowOf(%v) = %d,%v, want %d", row, id, ok, i)
 		}
 		i++
@@ -601,13 +539,11 @@ func (m *tableModel) bulkLoad(batch [][]Value, retain bool) {
 }
 
 // driveRowTable decodes data into an operation sequence over one relation
-// and checks it against the model after every operation. layout picks the
-// starting layout (even flat, odd physical); later operations move the
-// relation between both with content loaded. With midStream the relation
+// and checks it against the model after every operation. With midStream the relation
 // starts without indexes, an extra operation registers them over loaded
 // content, and every check also holds each index to the model
 // (driveChainIndex).
-func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byte, midStream bool) {
+func driveRowTable(t *testing.T, arity int, counted bool, data []byte, midStream bool) {
 	t.Helper()
 	r := NewRelation("model", arity)
 	r.BuildHistogram(arity - 1)
@@ -620,11 +556,10 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 	if counted {
 		r.EnableCounts()
 	}
-	m := &tableModel{t: t, r: r, arity: arity, counted: counted, cnt: map[string]uint32{}, orderKnown: true}
+	m := &tableModel{t: t, r: r, arity: arity, counted: counted, cnt: map[string]uint32{}}
 	if midStream {
 		m.sets = [][]int{}
 	}
-	m.relayout(layout%2, 4, 0)
 
 	pos := 0
 	next := func() int {
@@ -711,8 +646,7 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 				m.deleteRows(batch(), 0)
 			}
 		case 14:
-			b := next()
-			m.relayout(b%2, 2+b%5, b%arity)
+			m.morsels(1 + next()%9)
 		case 15:
 			for i := 0; i < 8; i++ {
 				if tp := tuple(); r.Contains(tp) != (m.position(tp) >= 0) {
@@ -753,19 +687,18 @@ func driveRowTable(t *testing.T, arity int, counted bool, layout int, data []byt
 }
 
 // TestRowTableModel drives random operation sequences — Insert, Contains,
-// IncRef, DecRef, Clear, ClearRetain, TruncateTo, DeleteRows, AssertAt, the
-// layout transitions, staged batches published or dropped, appended lists
-// through their seal / ClearRetain cycle, and bulk loads — against the map
-// oracle for arity 1-5, counted and uncounted, starting from each of the
-// two layouts.
+// IncRef, DecRef, Clear, ClearRetain, TruncateTo, DeleteRows, AssertAt,
+// morsel reads, staged batches published or dropped, appended lists through
+// their seal / ClearRetain cycle, and bulk loads — against the map oracle
+// for arity 1-5, counted and uncounted.
 func TestRowTableModel(t *testing.T) {
 	for arity := 1; arity <= 5; arity++ {
 		for _, counted := range []bool{false, true} {
-			for layout := 0; layout < 2; layout++ {
-				rng := rand.New(rand.NewSource(int64(100*arity + 10*layout + len(fmt.Sprint(counted)))))
+			for seed := 0; seed < 2; seed++ {
+				rng := rand.New(rand.NewSource(int64(100*arity + 10*seed + len(fmt.Sprint(counted)))))
 				data := make([]byte, 1500)
 				rng.Read(data)
-				driveRowTable(t, arity, counted, layout, data, false)
+				driveRowTable(t, arity, counted, data, false)
 			}
 		}
 	}
@@ -774,51 +707,46 @@ func TestRowTableModel(t *testing.T) {
 // FuzzRowTable is TestRowTableModel over fuzzer-chosen sequences. Short-fuzz
 // CI job: go test -fuzz=FuzzRowTable -fuzztime=20s ./internal/storage/
 func FuzzRowTable(f *testing.F) {
-	f.Add(uint8(2), true, uint8(0), []byte{0, 1, 2, 0, 1, 2, 6, 1, 12, 2, 1, 1, 3, 3, 0, 13, 3, 5, 0, 0, 9, 9})
-	f.Add(uint8(3), false, uint8(1), []byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3})
-	f.Add(uint8(1), true, uint8(1), []byte{8, 8, 8, 8, 9, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
-	f.Add(uint8(5), true, uint8(0), []byte{0, 233, 234, 235, 236, 237, 0, 233, 234, 235, 236, 238, 13, 2, 1, 1, 1, 0})
-	f.Fuzz(func(t *testing.T, arity uint8, counted bool, layout uint8, data []byte) {
-		driveRowTable(t, 1+int(arity)%5, counted, int(layout), data, false)
+	f.Add(uint8(2), true, []byte{0, 1, 2, 0, 1, 2, 6, 1, 12, 2, 1, 1, 3, 3, 0, 13, 3, 5, 0, 0, 9, 9})
+	f.Add(uint8(3), false, []byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 1, 11, 7, 10, 0, 1, 2, 3})
+	f.Add(uint8(1), true, []byte{8, 8, 8, 8, 9, 8, 250, 240, 7, 1, 7, 1, 12, 3, 1, 1, 1, 2, 14, 2})
+	f.Add(uint8(5), true, []byte{0, 233, 234, 235, 236, 237, 0, 233, 234, 235, 236, 238, 13, 2, 1, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, arity uint8, counted bool, data []byte) {
+		driveRowTable(t, 1+int(arity)%5, counted, data, false)
 	})
 }
 
 // TestConcurrentContainsFrozen: any number of goroutines may probe a relation
-// nobody mutates, in every layout — the parallel executor's set difference
-// against the iteration-frozen Derived. Meaningful under -race.
+// nobody mutates — the parallel executor's set difference against the
+// iteration-frozen Derived. Meaningful under -race.
 func TestConcurrentContainsFrozen(t *testing.T) {
 	for _, arity := range []int{2, 3} {
-		for layout := 0; layout < 2; layout++ {
-			r := NewRelation("frozen", arity)
-			if layout == 1 {
-				r.SetShardKeyPhysical(4, 0)
-			}
-			const rows = 5000
-			tp := make([]Value, arity)
-			for i := 0; i < rows; i++ {
-				tp[0], tp[arity-1] = Value(i%97), Value(i)
-				r.Insert(tp)
-			}
-			var wg sync.WaitGroup
-			bad := make([]int, 4)
-			for g := range bad {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					tp := make([]Value, arity)
-					for i := 0; i < 2*rows; i++ {
-						tp[0], tp[arity-1] = Value(i%97), Value(i)
-						if r.Contains(tp) != (i < rows) {
-							bad[g]++
-						}
+		r := NewRelation("frozen", arity)
+		const rows = 5000
+		tp := make([]Value, arity)
+		for i := 0; i < rows; i++ {
+			tp[0], tp[arity-1] = Value(i%97), Value(i)
+			r.Insert(tp)
+		}
+		var wg sync.WaitGroup
+		bad := make([]int, 4)
+		for g := range bad {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tp := make([]Value, arity)
+				for i := 0; i < 2*rows; i++ {
+					tp[0], tp[arity-1] = Value(i%97), Value(i)
+					if r.Contains(tp) != (i < rows) {
+						bad[g]++
 					}
-				}()
-			}
-			wg.Wait()
-			for g, n := range bad {
-				if n != 0 {
-					t.Fatalf("arity %d layout %d: goroutine %d saw %d wrong answers", arity, layout, g, n)
 				}
+			}()
+		}
+		wg.Wait()
+		for g, n := range bad {
+			if n != 0 {
+				t.Fatalf("arity %d: goroutine %d saw %d wrong answers", arity, g, n)
 			}
 		}
 	}

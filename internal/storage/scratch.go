@@ -8,7 +8,7 @@ import (
 	"weak"
 )
 
-// Scratch memory. A delta relation (δ, δ′ and their physical buckets) holds
+// Scratch memory. A delta relation (δ, δ′) holds
 // its memory only until its next Clear: semi-naive evaluation empties and
 // refills the deltas every iteration, and retraction borrows them for one
 // Apply. So every slab a delta holds of its own — its arena, its row table's

@@ -150,12 +150,10 @@ func TransitiveClosure(form analysis.Formulation, nodes, edges, seed int) *analy
 // SkewedGraph builds the transitive-closure rules over a deliberately skewed
 // graph: hubs form a small ring, every other node points a spoke at one hub
 // (node i → hub i%hubs), and a power-law background of extra edges piles onto
-// the low-numbered nodes. The derived tc facts concentrate on the hubs'
-// delta buckets — tc is sharded on its join column z in tc(x,z), edge(z,y) —
-// so the contiguous bucket span containing a hub bucket serializes the
-// iteration behind one straggler task, while the hub ring plus background
-// edges keep several buckets occupied. BenchmarkSkewedSpeedup measures the
-// sharded fan-out's crossover on it.
+// the low-numbered nodes. The derived tc facts concentrate on the hubs, so
+// the δ rows joining through a hub cost far more than the others, and a task
+// whose morsel holds more of them makes the iteration wait on a straggler.
+// BenchmarkSkewedSpeedup measures the pooled fan-out's crossover on it.
 func SkewedGraph(form analysis.Formulation, nodes, edges, hubs, seed int) *analysis.Built {
 	p := core.NewProgram()
 	edge := p.Relation("edge", 2)
@@ -174,8 +172,8 @@ func SkewedGraph(form analysis.Formulation, nodes, edges, hubs, seed int) *analy
 	if nodes <= hubs {
 		nodes = hubs + 1
 	}
-	// Hub ring: keeps the hubs mutually reachable so hub-bucket deltas renew
-	// every iteration instead of draining after one.
+	// Hub ring: keeps the hubs mutually reachable so the hubs' delta rows
+	// renew every iteration instead of draining after one.
 	for h := 0; h < hubs; h++ {
 		edge.MustFact(h, (h+1)%hubs)
 	}
