@@ -231,11 +231,10 @@ func runCmd(args []string) error {
 		}
 		if *sharedPlans {
 			// The store outlives runs, so its totals accumulate across every
-			// -repeat iteration; misses fold cold+band+stale.
+			// -repeat iteration; misses fold cold+stale.
 			units := p.PlanStore().ClassStats(pcache.ClassUnits)
-			fmt.Fprintf(os.Stderr, "plan-store: unit-reuses=%d (cross-run=%d) misses=%d widens=%d evictions=%d unit-recompiles=%d\n",
-				units.Hits, units.CrossRunHits, units.ColdMisses+units.BandMisses+units.StaleDrops,
-				units.Widens, units.Evictions, totalRecompiles)
+			fmt.Fprintf(os.Stderr, "plan-store: unit-reuses=%d (cross-run=%d) misses=%d unit-recompiles=%d\n",
+				units.Hits, units.CrossRunHits, units.ColdMisses+units.StaleDrops, totalRecompiles)
 		}
 	}
 	return nil

@@ -58,10 +58,10 @@
 //     (interp.Plan.EstRows, totalled in Stats.EstimatedRows).
 //
 //   - internal/plancache is the JIT's freshness test: compilation units
-//     are cached keyed by (structural fingerprint, cardinality band) and
-//     served while observed cardinality drift stays under the JIT's
-//     threshold; a drift-driven miss reorders the join with live statistics
-//     and recompiles (paper §V-B2). The interpreter caches nothing: an
+//     are cached under their structural fingerprint, one entry per
+//     cardinality regime, and served while observed cardinality drift stays
+//     under the JIT's threshold; a drift-driven miss reorders the join with
+//     live statistics and recompiles (paper §V-B2). The interpreter caches nothing: an
 //     interpreted subquery builds its access plan at every execution, the
 //     overhead compiled units avoid, and the adaptive join ordering of a
 //     run without compiled code is the irgen fixture's in-place reorder.
@@ -94,13 +94,10 @@
 //     A subquery without a δ atom is whole-relation work the first task
 //     runs alone.
 //
-//   - internal/plancache segments the cache into LockShards independently
-//     locked shards keyed by the cache-key hash, so pool workers no longer
-//     funnel their plan lookups through a single mutex. Keys that band-hop
-//     repeatedly (cardinality climbing every early iteration, the CSPA
-//     shape) get per-key band hysteresis: after HysteresisHops consecutive
-//     hops the key's band quantization widens a step, so one plan rides the
-//     climb instead of re-planning per band.
+//   - Pool workers never touch the unit store: the coordinator resolves
+//     each rule's compiled task unit once per iteration, at the sequential
+//     fan-out point, and hands it to the tasks. The store's one mutex is
+//     taken by interpreter goroutines and the JIT's compile worker only.
 //
 // # The delta merge and adaptive fan-out
 //
@@ -226,11 +223,12 @@
 //     — exactly the fold interpretation uses. A sequential unit is the same
 //     chain invoked unrestricted;
 //
-//   - task units live in the Program-lifetime store under rule-subtree
-//     fingerprints tagged with the Shards count: warm reruns at one count
-//     recompile nothing, and the unit stays valid across ClearRetain and
-//     SwapClear because it resolves relations and δ's length at invocation
-//     time.
+//   - task units live in the Program-lifetime store under shard-tagged
+//     rule-subtree fingerprints without the Shards count, since a unit
+//     reads whatever morsel lo..hi of n it is invoked with: warm reruns at
+//     any count recompile nothing, and the unit stays valid across
+//     ClearRetain and SwapClear because it resolves relations and δ's
+//     length at invocation time.
 //
 // Under core.Options.Shards with the lambda backend the engine therefore
 // keeps the pool and its merge barrier (Stats.MergeTasks) and the fan-out
@@ -243,14 +241,19 @@
 // batch, which triggers a fresh Run — recompile from cold. One Program-owned
 // store keeps the units instead:
 //
-//   - internal/plancache owns a Store: one shard-locked key space with LRU
-//     bounding (plancache.DefaultStoreLimit, approximate per-lock-shard
-//     eviction) accessed through typed Cache views — the JIT's sequential
-//     and task-unit views. Unit keys (plancache.KeyForOp) fingerprint the
-//     IR subtree with concrete predicates, stable across re-lowerings, so a
-//     later Run resolves to the units an earlier Run compiled instead of
-//     recompiling, and band return reuses old units (the unit view's
-//     cross-band lookup serves any policy-fresh band).
+//   - internal/plancache owns a Store: one map behind one mutex, from a
+//     unit key to the entries compiled for it — each a unit, the
+//     cardinalities it was compiled at, its drift counters and its store
+//     generation — read through typed Cache views, the JIT's sequential and
+//     task-unit views. A lookup serves the entry whose drift counters equal
+//     the live ones without computing drift, else the entry of least drift
+//     within the threshold; a store replaces the entry compiled at equal
+//     cardinalities or appends one, so returning to an earlier cardinality
+//     regime reuses the unit built for it. A store holding
+//     plancache.DefaultStoreLimit entries stores no new one and the unit
+//     still runs. Unit keys (plancache.KeyForOp) fingerprint the IR subtree
+//     with concrete predicates, stable across re-lowerings, so a later Run
+//     resolves to the units an earlier Run compiled instead of recompiling.
 //
 //   - core.Options.SharedPlans keys a Run's unit cache into the store
 //     hanging off the Program (Program.PlanStore): repeated runs and

@@ -81,7 +81,7 @@ type Program struct {
 	// the first Apply or IngestTx and sticky from then on.
 	countsReady bool
 	// planStore is the program-lifetime unit store (Options.SharedPlans):
-	// the shard-locked key space behind the JIT's compiled-unit views,
+	// the one-map key space behind the JIT's compiled-unit views,
 	// created at the first shared Run and kept for the Program's life so
 	// later runs and incremental fact batches start warm. Drift counters
 	// are storage-resident and monotone, so the freshness state the store
@@ -510,7 +510,7 @@ type Options struct {
 	// Program-lifetime store (Program.PlanStore) instead of a per-Run cache:
 	// repeated runs and incremental fact batches start warm (cross-run hits
 	// reported in Result.Units), and re-entering a previously compiled
-	// cardinality band reuses the stored unit instead of recompiling. The
+	// cardinality regime reuses the stored unit instead of recompiling. The
 	// interpreter caches no plans: without a JIT an interpreted subquery
 	// plans at every execution, shared store or not.
 	SharedPlans bool

@@ -186,10 +186,8 @@ type compiledShardUnit struct {
 }
 
 // shardUnitTag prefixes the KeyForOp fingerprint of morsel-parameterized
-// task units, followed by the run's Shards count (little-endian), so they
-// never collide with sequential units' backend/snippet tags and a run at
-// another Shards count keys its units apart. 0xfd is outside the Backend
-// range.
+// task units, so they never collide with sequential units' backend/snippet
+// tags. 0xfd is outside the Backend range.
 const shardUnitTag = 0xfd
 
 // inflight guards one unit key against duplicate compile requests: set by
@@ -231,19 +229,18 @@ type Controller struct {
 
 	// units is the compiled-unit view of the plan store: entries are keyed
 	// by structural subtree fingerprint (plancache.KeyForOp) instead of op
-	// identity, banded by cardinality regime, and gated by policy. With
-	// NewShared the view
-	// windows the Program-lifetime store, so a later Run resolves to this
-	// run's units without recompiling.
+	// identity, one per cardinality regime, and gated by policy. With
+	// NewShared the view windows the Program-lifetime store, so a later Run
+	// resolves to this run's units without recompiling.
 	units *plancache.Cache[*compiledUnit]
 	// sunits is the morsel-parameterized task-unit view over the same store
-	// and key class: entries are keyed by rule-subtree fingerprint tagged
-	// with the Shards count, so warm reruns at one count reuse task units
-	// while a run at another count compiles its own.
+	// and key class: entries are keyed by the shard-tagged rule-subtree
+	// fingerprint. A task unit reads any morsel of any task count, so warm
+	// reruns reuse task units whatever their Shards count.
 	sunits *plancache.Cache[*compiledShardUnit]
 	// keys memoizes each op's structural unit key for this run (op identity
 	// is stable within one run's IR tree); shardKeys is the task-unit
-	// analogue (the Shards count is fixed for one run).
+	// analogue.
 	keys      map[ir.Op]plancache.Key
 	shardKeys map[ir.Op]plancache.Key
 	// pending tracks in-flight compilations per unit key. Only the
@@ -297,15 +294,12 @@ func NewShared(cat *storage.Catalog, root ir.Op, cfg Config, store *plancache.St
 	}
 	pol := plancache.Policy{Threshold: cfg.FreshnessThreshold}
 	c := &Controller{
-		cfg:      cfg,
-		cat:      cat,
-		granKind: cfg.Granularity.OpKind(),
-		policy:   pol,
-		// CrossBand keeps the original unit semantics under the banded key
-		// space: a band hop serves any policy-fresh unit (band return
-		// without recompiling) rather than forcing one compile per band.
-		units:        plancache.View[*compiledUnit](store, plancache.ViewConfig{Class: plancache.ClassUnits, Policy: pol, CrossBand: true}),
-		sunits:       plancache.View[*compiledShardUnit](store, plancache.ViewConfig{Class: plancache.ClassUnits, Policy: pol, CrossBand: true}),
+		cfg:          cfg,
+		cat:          cat,
+		granKind:     cfg.Granularity.OpKind(),
+		policy:       pol,
+		units:        plancache.View[*compiledUnit](store, plancache.ViewConfig{Class: plancache.ClassUnits, Policy: pol}),
+		sunits:       plancache.View[*compiledShardUnit](store, plancache.ViewConfig{Class: plancache.ClassUnits, Policy: pol}),
 		keys:         make(map[ir.Op]plancache.Key),
 		shardKeys:    make(map[ir.Op]plancache.Key),
 		pending:      make(map[plancache.Key]*inflight),
@@ -443,9 +437,9 @@ func (c *Controller) Enter(op ir.Op, in *interp.Interp) func() error {
 	}
 	cards := c.cardsFor(op)
 	counters := c.countersFor(op)
-	// Unit lookup through the shared store: a hit is the old freshness pass
-	// (any policy-fresh band, CrossBand) — including units stored by an
-	// earlier Run of the same Program when the store is shared; a stale
+	// Unit lookup through the shared store: a hit is the freshness pass (the
+	// least-drift policy-fresh unit of any regime) — including units stored
+	// by an earlier Run of the same Program when the store is shared; a stale
 	// return is the old deoptimize-and-regenerate cue; failed entries are
 	// remembered so a broken subquery is retried only once its statistics
 	// drift enough that a different (possibly legal) plan would result.
@@ -612,7 +606,7 @@ func (c *Controller) accountCompile(req compileReq, failed bool, dt time.Duratio
 
 // runCompile reorders the cloned subtree with the frozen statistics and
 // hands it to the backend, publishing the result (success or failure marker)
-// into the shared unit store under the request's cardinality band.
+// into the shared unit store under the request's cardinalities.
 func (c *Controller) runCompile(req compileReq) *compiledUnit {
 	t0 := time.Now()
 	if c.cfg.CompileLatency > 0 {
@@ -659,26 +653,26 @@ func (c *Controller) runShardCompile(req compileReq) *compiledShardUnit {
 }
 
 // shardKeyFor memoizes the rule's task-unit key: the subtree fingerprint
-// under the shard tag plus the run's Shards count. KeyForOp itself is
-// unchanged — the same fingerprint scheme sequential units use — so task
-// units stored by one run resolve in the next (warm reruns recompile 0)
-// while a different Shards count lands on fresh keys.
-func (c *Controller) shardKeyFor(rule *ir.UnionRuleOp, layout int) plancache.Key {
+// under the shard tag — the same fingerprint scheme sequential units use —
+// so task units stored by one run resolve in the next (warm reruns
+// recompile 0). The Shards count is not part of the key: a unit is invoked
+// with its task's lo..hi of n.
+func (c *Controller) shardKeyFor(rule *ir.UnionRuleOp) plancache.Key {
 	if k, ok := c.shardKeys[rule]; ok {
 		return k
 	}
-	k := plancache.KeyForOp(rule, shardUnitTag, byte(layout), byte(layout>>8))
+	k := plancache.KeyForOp(rule, shardUnitTag)
 	c.shardKeys[rule] = k
 	return k
 }
 
 // ResolveShardUnit implements interp.ShardCompiler: at each iteration's
 // sequential fan-out point the parallel driver asks for a compiled task body
-// per rule. A policy-fresh unit (any band, CrossBand — including one stored
-// by an earlier Run over a shared store) is returned for the pool workers to
-// invoke with their morsels; a miss triggers compilation — blocking
-// here, or queued to the async worker with interpretation covering the
-// meantime — and a failure marker keeps unsupported rules (aggregations)
+// per rule. A policy-fresh unit (the least-drift one of any regime,
+// including one stored by an earlier Run over a shared store, at any Shards
+// count) is returned for the pool workers to invoke with their morsels; a
+// miss triggers compilation — blocking here, or queued to the async worker
+// with interpretation covering the meantime — and a failure marker keeps unsupported rules (aggregations)
 // interpreted without re-feeding the compiler every iteration. Only the
 // lambda target compiles task units: the fixture targets never run under a
 // pool (core.Options.JIT), so they decline and the tasks stay interpreted.
@@ -686,7 +680,7 @@ func (c *Controller) ResolveShardUnit(rule *ir.UnionRuleOp, in *interp.Interp) i
 	if c.cfg.Backend != BackendLambda {
 		return nil
 	}
-	key := c.shardKeyFor(rule, in.Shards)
+	key := c.shardKeyFor(rule)
 	fl := c.inflightFor(key)
 	if fl.compiling.Load() {
 		return nil // async compile in flight: tasks stay interpreted

@@ -2,12 +2,12 @@
 // Program-lifetime store. No engine path uses it (core's CacheDir holds a
 // fixpoint checkpoint); it stays only because perf/'s plancache.flush_ms,
 // load_ms, disk_hits and disk_bytes probes call it, until the benchmark
-// retires them. Structural fingerprints are already content-addressed, so each (class, key) pair maps to exactly one file in
-// the cache directory — named by the SHA-256 of the fingerprint signature —
-// holding every band entry of that key plus the bucket's quantization state.
-// The profile-statistics snapshot the entries were built against rides along
-// in its own file, so a restarted process can re-optimize incrementally
-// instead of from zero.
+// retires them. Structural fingerprints are already content-addressed, so
+// each (class, key) pair maps to exactly one file in the cache directory —
+// named by the SHA-256 of the fingerprint signature — holding every entry of
+// that key. The profile-statistics snapshot the entries were built against
+// rides along in its own file, so a restarted process can re-optimize
+// incrementally instead of from zero.
 //
 // Robustness contract: a cache file is advisory. Truncated, garbage, or
 // version-mismatched files load as silent misses (counted in
@@ -15,11 +15,11 @@
 // error, never a partial entry. Writes go through a temp file in the same
 // directory plus os.Rename, so a reader or a concurrently flushing second
 // process only ever observes a complete old file or a complete new one.
-// Flush never deletes files: an entry the in-memory LRU evicted survives on
-// disk and reloads on the next open. Directory hygiene happens at Load
-// instead: files that fail validation are removed (they could never load
-// again — the next flush would just orphan them under a new tag), and
-// temp files old enough that no live flusher can still own them are swept.
+// Flush never deletes files: an entry a full store refused survives on disk
+// and reloads on the next open. Directory hygiene happens at Load instead:
+// files that fail validation are removed (they could never load again — the
+// next flush would just orphan them under a new tag), and temp files old
+// enough that no live flusher can still own them are swept.
 package plancache
 
 import (
@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -39,7 +40,7 @@ import (
 // persistFormatVersion tags the container layout below; bump on any change.
 // Payload layouts are additionally guarded by the tag string callers build
 // from the engine version and per-codec versions.
-const persistFormatVersion = 1
+const persistFormatVersion = 2
 
 const (
 	entryExt    = ".cce" // cache container entry
@@ -51,93 +52,50 @@ var (
 	profileMagic = [4]byte{'C', 'R', 'P', 'S'}
 )
 
-// Entry is one band entry of the store in exportable form: its class and
-// fingerprint key, the bucket's band-quantization shift, and the freshness
-// vectors (build-time cardinalities, last-seen drift counters) the lookup
-// gate needs to decide whether the live world still matches.
+// Entry is one store entry in exportable form: its class and fingerprint
+// key, and the freshness vectors (build-time cardinalities, last-seen drift
+// counters) the lookup gate needs to decide whether the live world still
+// matches.
 type Entry struct {
 	Class    Class
 	Key      Key
-	Widen    uint8
 	Counters []uint64
 	Cards    []int
 	Val      any
 }
 
-// Export snapshots every entry of the given classes. Shards are locked one
-// at a time, so Export is safe against concurrent lookups and stores and
-// never blocks the whole store.
+// Export snapshots every entry of the given classes.
 func (s *Store) Export(classes ...Class) []Entry {
-	want := [numClasses]bool{}
-	for _, c := range classes {
-		if int(c) < int(numClasses) {
-			want[c] = true
-		}
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []Entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for vk, bucket := range sh.buckets {
-			if !want[vk.class] {
-				continue
-			}
-			for _, e := range bucket.bands {
-				out = append(out, Entry{
-					Class:    vk.class,
-					Key:      vk.key,
-					Widen:    bucket.widen,
-					Counters: append([]uint64(nil), e.counters...),
-					Cards:    append([]int(nil), e.cards...),
-					Val:      e.val,
-				})
-			}
+	for vk, list := range s.entries {
+		if !slices.Contains(classes, vk.class) {
+			continue
 		}
-		sh.mu.Unlock()
+		for _, e := range list {
+			out = append(out, Entry{Class: vk.class, Key: vk.key, Counters: slices.Clone(e.counters), Cards: slices.Clone(e.cards), Val: e.val})
+		}
 	}
 	return out
 }
 
-// Inject inserts a loaded entry. The entry's generation is set to zero —
-// strictly before any generation a live run can observe — so its first hit
-// counts as a cross-run hit, same as an entry surviving from a previous Run.
-// An already-occupied band (the process built its own entry first) wins over
-// the disk copy; Inject reports whether the entry was installed. Statistics
-// counters are untouched: disk traffic is accounted in DiskStats, not in the
-// store's hit/miss ledger.
+// Inject inserts a loaded entry under the store's limit. The entry's
+// generation is set to zero — strictly before any generation a live run can
+// observe — so its first hit counts as a cross-run hit, same as an entry
+// surviving from a previous Run. An entry already compiled at the same
+// cardinalities (the process built its own first) wins over the disk copy;
+// Inject reports whether the entry was installed. Statistics counters are
+// untouched: disk traffic is accounted in DiskStats, not in the store's
+// hit/miss ledger.
 func (s *Store) Inject(e Entry) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	vk := viewKey{class: e.Class, key: e.Key}
-	sh := s.shardFor(vk)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	bucket := sh.buckets[vk]
-	if bucket == nil {
-		bucket = &keyBucket{bands: make(map[string]*entry), widen: e.Widen}
-		sh.buckets[vk] = bucket
-	}
-	band := bandSig(e.Cards, bucket.widen)
-	if bucket.bands[band] != nil {
+	if s.indexOf(vk, e.Cards) >= 0 {
 		return false
 	}
-	ne := &entry{
-		val:      e.Val,
-		cards:    append([]int(nil), e.Cards...),
-		counters: append([]uint64(nil), e.Counters...),
-		gen:      0,
-		vk:       vk,
-		band:     band,
-	}
-	bucket.bands[band] = ne
-	sh.pushFront(ne)
-	sh.entries++
-	if lim := s.perShard; lim > 0 {
-		for sh.entries > lim && sh.tail != nil && sh.tail != ne {
-			victim := sh.tail
-			sh.stats[victim.vk.class].Evictions++
-			sh.evict(victim)
-		}
-	}
-	return true
+	return s.add(vk, entry{val: e.Val, cards: slices.Clone(e.Cards), counters: slices.Clone(e.Counters)})
 }
 
 // EntryCodec translates one class's cached values to and from persistable
@@ -304,7 +262,6 @@ func (p *Persister) loadEntryFileLocked(s *Store, path string) (drop bool) {
 	class := Class(r.U8())
 	codec, hasCodec := p.codecs[class]
 	sig := r.String()
-	widen := r.U8()
 	n := r.Count(1)
 	if r.Err() != nil || n < 0 {
 		p.stats.Invalidations++
@@ -347,7 +304,7 @@ func (p *Persister) loadEntryFileLocked(s *Store, path string) (drop bool) {
 			p.stats.Invalidations++
 			return true
 		}
-		if s.Inject(Entry{Class: class, Key: Key{Sig: sig}, Widen: widen, Counters: counters, Cards: cards, Val: val}) {
+		if s.Inject(Entry{Class: class, Key: Key{Sig: sig}, Counters: counters, Cards: cards, Val: val}) {
 			hits++
 		}
 	}
@@ -389,8 +346,8 @@ func seal(b []byte) []byte { return wire.AppendU32(b, crc32.ChecksumIEEE(b)) }
 // Flush writes every persistable entry of the store's codec-bearing classes
 // to the cache directory, one file per (class, key), plus the profile
 // snapshot when non-nil. Existing files are replaced atomically; files for
-// keys no longer in the store are left in place (the in-memory LRU forgets,
-// the disk does not). The returned error reports only directory-level
+// keys not in the store are left in place (a full store refuses entries,
+// the disk keeps them). The returned error reports only directory-level
 // failures; callers treat it as advisory.
 func (p *Persister) Flush(s *Store, snap *stats.Snapshot) error {
 	p.mu.Lock()
@@ -402,31 +359,21 @@ func (p *Persister) Flush(s *Store, snap *stats.Snapshot) error {
 	for c := range p.codecs {
 		classes = append(classes, c)
 	}
-	type group struct {
-		widen   uint8
-		entries []Entry
-	}
-	groups := make(map[viewKey]*group)
+	groups := make(map[viewKey][]Entry)
 	for _, e := range s.Export(classes...) {
 		vk := viewKey{class: e.Class, key: e.Key}
-		g := groups[vk]
-		if g == nil {
-			g = &group{widen: e.Widen}
-			groups[vk] = g
-		}
-		g.entries = append(g.entries, e)
+		groups[vk] = append(groups[vk], e)
 	}
 	var firstErr error
-	for vk, g := range groups {
+	for vk, ents := range groups {
 		codec := p.codecs[vk.class]
 		b := p.envelope(entryMagic)
 		b = wire.AppendU8(b, uint8(vk.class))
 		b = wire.AppendString(b, vk.key.Sig)
-		b = wire.AppendU8(b, g.widen)
 		countAt := len(b)
 		b = wire.AppendU32(b, 0)
 		written := 0
-		for _, e := range g.entries {
+		for _, e := range ents {
 			payload, persist := codec.Encode(e.Val)
 			if !persist {
 				continue

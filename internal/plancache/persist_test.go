@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"carac/internal/stats"
+	"carac/internal/wire"
 )
 
 // strCodec persists string values verbatim; the value "hint" becomes a
@@ -46,6 +47,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	cards := []int{16, 4}
 	counters := []uint64{7, 9}
 	v1.Store(Key{Sig: "alpha"}, counters, cards, "plan-alpha")
+	v1.Store(Key{Sig: "alpha"}, []uint64{8, 9}, []int{1024, 4}, "plan-alpha-big") // second regime, same file
 	v1.Store(Key{Sig: "beta"}, counters, []int{1024, 2}, "plan-beta")
 	snap := &stats.Snapshot{CapturedEpoch: 3}
 
@@ -53,16 +55,16 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err := p1.Flush(s1, snap); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if st := p1.Stats(); st.Flushes != 2 {
-		t.Fatalf("flushes = %d, want 2: %+v", st.Flushes, st)
+	if st := p1.Stats(); st.Flushes != 3 {
+		t.Fatalf("flushes = %d, want 3: %+v", st.Flushes, st)
 	}
 
 	s2 := NewStore(0)
 	p2 := NewPersister(dir, "tag-1", testCodecs())
 	p2.Load(s2)
 	st := p2.Stats()
-	if st.Hits != 2 || st.Invalidations != 0 || st.Misses != 0 {
-		t.Fatalf("load stats %+v, want 2 hits", st)
+	if st.Hits != 3 || st.Invalidations != 0 || st.Misses != 0 {
+		t.Fatalf("load stats %+v, want 3 hits", st)
 	}
 	if prof := p2.Profile(); prof == nil || prof.CapturedEpoch != 3 {
 		t.Fatalf("profile snapshot not restored: %+v", prof)
@@ -81,6 +83,9 @@ func TestPersistRoundTrip(t *testing.T) {
 	// Drifted-but-fresh counters (cards within policy) must also hit.
 	if _, ok, _ := planView(s2).Lookup(Key{Sig: "alpha"}, []uint64{8, 10}, cards); !ok {
 		t.Fatal("drift-gate lookup after load missed")
+	}
+	if got, ok, _ := planView(s2).Lookup(Key{Sig: "alpha"}, []uint64{9, 11}, []int{1000, 4}); !ok || got != "plan-alpha-big" {
+		t.Fatalf("second regime after load: ok=%v val=%q", ok, got)
 	}
 }
 
@@ -207,19 +212,35 @@ func TestPersistVersionMismatch(t *testing.T) {
 	if err := neu.Flush(s2, nil); err != nil {
 		t.Fatal(err)
 	}
+	// A file in the previous container layout (version 1, whose entries
+	// carried a band-widening byte) under the current tag is rejected by its
+	// version and swept.
+	b := append([]byte(nil), entryMagic[:]...)
+	b = wire.AppendU32(b, persistFormatVersion-1)
+	b = wire.AppendString(b, "engine-0.1.0")
+	b = wire.AppendU8(b, uint8(ClassPlans))
+	b = wire.AppendString(b, "v1")
+	b = wire.AppendU8(b, 0) // widen
+	b = wire.AppendU32(b, 0)
+	if err := os.WriteFile(filepath.Join(dir, entryFileName(ClassPlans, Key{Sig: "v1"})), seal(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s3 := NewStore(0)
 	p3 := NewPersister(dir, "engine-0.1.0", testCodecs())
 	p3.Load(s3)
 	if got, ok, _ := planView(s3).Lookup(Key{Sig: "k"}, []uint64{1}, []int{4}); !ok || got != "new-layout" {
 		t.Fatalf("tag-repaired entry: ok=%v val=%q", ok, got)
 	}
+	if st := p3.Stats(); st.Hits != 1 || st.Invalidations != 1 || st.Swept != 1 {
+		t.Fatalf("load stats %+v, want 1 hit and the version-1 file invalidated and swept", st)
+	}
 }
 
-// TestPersistEvictedThenReloaded pins the disk-outlives-LRU contract: a
-// flushed entry whose in-memory copy is later evicted (and which a
-// subsequent flush therefore does NOT contain) still reloads from its
-// surviving file in the next process.
-func TestPersistEvictedThenReloaded(t *testing.T) {
+// TestPersistRefusedThenReloaded pins the disk-outlives-the-limit contract:
+// a flushed entry that a full store refuses at load (and which a subsequent
+// flush therefore does NOT contain) still reloads from its surviving file
+// in the next process.
+func TestPersistRefusedThenReloaded(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewStore(0)
 	planView(s1).Store(Key{Sig: "precious"}, []uint64{1}, []int{8}, "kept-on-disk")
@@ -228,20 +249,21 @@ func TestPersistEvictedThenReloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A tiny second store: loading and then storing fresh keys evicts the
-	// loaded entry, and the follow-up flush writes only the survivors.
-	s2 := NewStore(LockShards) // one entry per lock shard
-	p2 := NewPersister(dir, "t", testCodecs())
-	p2.Load(s2)
+	// A small second store, full before the load: the loaded entry is
+	// refused, and the follow-up flush writes only the fillers.
+	const limit = 8
+	s2 := NewStore(limit)
 	v2 := planView(s2)
-	for i := 0; i < 8*LockShards; i++ {
+	for i := 0; i < limit; i++ {
 		v2.Store(Key{Sig: fmt.Sprintf("filler-%d", i)}, []uint64{1}, []int{8}, "f")
 	}
-	if _, ok, _ := v2.Lookup(Key{Sig: "precious"}, []uint64{1}, []int{8}); ok {
-		t.Fatal("filler stores should have evicted the loaded entry")
+	p2 := NewPersister(dir, "t", testCodecs())
+	p2.Load(s2)
+	if st := p2.Stats(); st.Hits != 0 {
+		t.Fatalf("a full store installed a loaded entry: %+v", st)
 	}
-	if s2.Stats().Evictions == 0 {
-		t.Fatal("no evictions recorded")
+	if _, ok, _ := v2.Lookup(Key{Sig: "precious"}, []uint64{1}, []int{8}); ok {
+		t.Fatal("a full store served the loaded entry")
 	}
 	if err := p2.Flush(s2, nil); err != nil {
 		t.Fatal(err)
@@ -252,7 +274,10 @@ func TestPersistEvictedThenReloaded(t *testing.T) {
 	p3.Load(s3)
 	got, ok, _ := planView(s3).Lookup(Key{Sig: "precious"}, []uint64{1}, []int{8})
 	if !ok || got != "kept-on-disk" {
-		t.Fatalf("evicted entry lost from disk: ok=%v val=%q", ok, got)
+		t.Fatalf("refused entry lost from disk: ok=%v val=%q", ok, got)
+	}
+	if st := p3.Stats(); st.Hits != limit+1 {
+		t.Fatalf("reload stats %+v, want %d hits", st, limit+1)
 	}
 }
 
@@ -395,13 +420,16 @@ func TestLoadSweepsPollutedDirectory(t *testing.T) {
 }
 
 // TestExportInject round-trips entries through the in-memory half of the
-// persistence path, including the band-quantization (widen) state.
+// persistence path, including a key's entries for two regimes.
 func TestExportInject(t *testing.T) {
 	s1 := NewStore(0)
 	v1 := planView(s1)
 	v1.Store(Key{Sig: "a"}, []uint64{1}, []int{4, 4}, "va")
-	v1.Store(Key{Sig: "a"}, []uint64{2}, []int{512, 4}, "va-big") // second band, same key
+	v1.Store(Key{Sig: "a"}, []uint64{2}, []int{512, 4}, "va-big") // second regime, same key
 	v1.Store(Key{Sig: "b"}, []uint64{3}, []int{16}, "vb")
+	if ents := s1.Export(ClassUnits); len(ents) != 0 {
+		t.Fatalf("exported %d entries of an empty class", len(ents))
+	}
 	ents := s1.Export(ClassPlans)
 	if len(ents) != 3 {
 		t.Fatalf("exported %d entries, want 3", len(ents))
@@ -413,17 +441,25 @@ func TestExportInject(t *testing.T) {
 			t.Fatalf("inject %q rejected", e.Key.Sig)
 		}
 	}
-	// Re-injecting the same band must be refused (live entry wins).
+	// Re-injecting an entry at the same cardinalities must be refused (the
+	// live entry wins).
 	if s2.Inject(ents[0]) {
 		t.Fatal("duplicate inject accepted")
 	}
 	if got, ok, _ := planView(s2).Lookup(Key{Sig: "a"}, []uint64{1}, []int{4, 4}); !ok || got != "va" {
-		t.Fatalf("band 1: ok=%v val=%q", ok, got)
+		t.Fatalf("regime 1: ok=%v val=%q", ok, got)
 	}
 	if got, ok, _ := planView(s2).Lookup(Key{Sig: "a"}, []uint64{2}, []int{512, 4}); !ok || got != "va-big" {
-		t.Fatalf("band 2: ok=%v val=%q", ok, got)
+		t.Fatalf("regime 2: ok=%v val=%q", ok, got)
 	}
 	if s2.Len() != 3 {
 		t.Fatalf("store len %d, want 3", s2.Len())
+	}
+	// A full store refuses an injected entry.
+	s3 := NewStore(2)
+	for i, e := range ents {
+		if got, want := s3.Inject(e), i < 2; got != want {
+			t.Fatalf("inject %d into a store of limit 2: %v, want %v", i, got, want)
+		}
 	}
 }

@@ -10,20 +10,6 @@ import (
 	"carac/internal/storage"
 )
 
-func TestBand(t *testing.T) {
-	cases := []struct{ card, band int }{
-		{0, 0}, {-3, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4}, {1 << 20, 21},
-	}
-	for _, c := range cases {
-		if got := Band(c.card); got != c.band {
-			t.Fatalf("Band(%d) = %d, want %d", c.card, got, c.band)
-		}
-	}
-	if BandSig([]int{0, 1, 4}) != string([]byte{0, 1, 3}) {
-		t.Fatalf("BandSig = %q", BandSig([]int{0, 1, 4}))
-	}
-}
-
 func TestPolicyDefaults(t *testing.T) {
 	p := Policy{}
 	if !p.Fresh([]int{100}, []int{150}) {
@@ -142,62 +128,57 @@ func TestCacheLifecycle(t *testing.T) {
 	}
 	c.Store(k, []uint64{1}, []int{10}, "plan-a")
 
-	// Fast hit: identical counters skip the drift test.
+	// Counters-equal hit: nothing the artifact reads has changed.
 	v, ok, _ := c.Lookup(k, []uint64{1}, []int{10})
 	if !ok || v != "plan-a" {
-		t.Fatalf("fast hit failed: %v %v", v, ok)
+		t.Fatalf("counters-equal hit failed: %v %v", v, ok)
 	}
-	// Drift hit: counters moved but cards within threshold and band.
+	// Drift hit: counters moved but cards within the threshold.
 	v, ok, _ = c.Lookup(k, []uint64{2}, []int{14})
 	if !ok || v != "plan-a" {
-		t.Fatalf("in-band drift hit failed: %v %v", v, ok)
+		t.Fatalf("drift hit failed: %v %v", v, ok)
 	}
-	// Band miss: cards jumped to another power-of-two band.
+	// Regime change: cards drifted past the threshold.
 	if _, ok, stale := c.Lookup(k, []uint64{3}, []int{160}); ok || !stale {
-		t.Fatalf("band change should be a stale miss, ok=%v stale=%v", ok, stale)
+		t.Fatalf("regime change should be a stale miss, ok=%v stale=%v", ok, stale)
 	}
 	c.Store(k, []uint64{3}, []int{160}, "plan-b")
-	// Returning to the original band reuses the plan built for it.
+	// Returning to the original regime reuses the plan built for it.
 	v, ok, _ = c.Lookup(k, []uint64{4}, []int{11})
 	if !ok || v != "plan-a" {
-		t.Fatalf("band return should reuse plan-a: %v %v", v, ok)
+		t.Fatalf("regime return should reuse plan-a: %v %v", v, ok)
 	}
 
 	st := c.Stats()
-	if st.Hits != 3 || st.FastHits != 1 || st.ColdMisses != 1 || st.BandMisses != 1 || st.Stores != 2 {
+	if st.Hits != 3 || st.ColdMisses != 1 || st.StaleDrops != 1 || st.BandMisses != 0 || st.Stores != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.HitRate() <= 0.5 || st.HitRate() >= 1 {
-		t.Fatalf("hit rate = %v", st.HitRate())
+	if n := c.store.Len(); n != 2 {
+		t.Fatalf("Len = %d, want 2", n)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if c.Keys() != 1 {
-		t.Fatalf("Keys = %d, want 1", c.Keys())
+	if n := c.store.Keys(ClassPlans); n != 1 {
+		t.Fatalf("Keys = %d, want 1", n)
 	}
 }
 
+// TestCacheStaleDrop: a lookup past the threshold of every entry reports
+// stale and counts a StaleDrop, and the entry stays for its own regime.
 func TestCacheStaleDrop(t *testing.T) {
 	c := New[int](Policy{Threshold: 0.1})
 	k := Key{Sig: "x"}
 	c.Store(k, []uint64{1}, []int{1000}, 42)
-	// Same band (1024-band? 1000 -> band 10; 1300 -> band 11) — choose values
-	// in one band: 1000 and 1023 share band 10, drift 0.023 <= 0.1 -> hit.
 	if _, ok, _ := c.Lookup(k, []uint64{2}, []int{1023}); !ok {
-		t.Fatal("in-band small drift should hit")
+		t.Fatal("small drift should hit")
 	}
-	// 700 is band 10 too (512..1023)? 700 -> bits.Len(700)=10. Drift 0.3 > 0.1.
+	// Drift 0.3 > 0.1.
 	if _, ok, stale := c.Lookup(k, []uint64{3}, []int{700}); ok || !stale {
-		t.Fatalf("over-threshold drift should drop: ok=%v stale=%v", ok, stale)
+		t.Fatalf("over-threshold drift should miss stale: ok=%v stale=%v", ok, stale)
 	}
 	if st := c.Stats(); st.StaleDrops != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Entry was evicted: next lookup in that band is a band miss (bucket
-	// still known).
-	if _, ok, stale := c.Lookup(k, []uint64{4}, []int{700}); ok || !stale {
-		t.Fatal("evicted entry should stay gone")
+	if v, ok, _ := c.Lookup(k, []uint64{4}, []int{1000}); !ok || v != 42 {
+		t.Fatalf("entry lost after a stale miss: ok=%v v=%d", ok, v)
 	}
 }
 
@@ -219,61 +200,8 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() == 0 {
+	if c.store.Len() == 0 {
 		t.Fatal("nothing cached")
-	}
-}
-
-func TestBandHysteresisWidens(t *testing.T) {
-	c := New[int](Policy{})
-	k := Key{Sig: "climb"}
-	// A climbing cardinality regime: every lookup lands one band above the
-	// previous store, the CSPA early-iteration shape.
-	cards := []int{1, 2, 4, 8}
-	for i, card := range cards {
-		_, ok, _ := c.Lookup(k, []uint64{uint64(i)}, []int{card})
-		if ok {
-			t.Fatalf("lookup %d (card %d) unexpectedly hit", i, card)
-		}
-		c.Store(k, []uint64{uint64(i)}, []int{card}, card)
-	}
-	st := c.Stats()
-	if st.BandMisses != int64(len(cards)-1) {
-		t.Fatalf("band misses = %d, want %d", st.BandMisses, len(cards)-1)
-	}
-	if st.Widens != 1 {
-		t.Fatalf("widens = %d, want 1 after %d consecutive hops", st.Widens, HysteresisHops)
-	}
-	// Post-widening, 12 shares the merged band of the entry stored at 8
-	// (native bands 4 and the widened gate admit drift 0.5): a hit where
-	// the un-widened cache would have band-hopped again.
-	if v, ok, _ := c.Lookup(k, []uint64{9}, []int{12}); !ok || v != 8 {
-		t.Fatalf("widened band should serve the climbing regime: ok=%v v=%d", ok, v)
-	}
-}
-
-func TestBandHysteresisResetsOnHit(t *testing.T) {
-	c := New[int](Policy{})
-	k := Key{Sig: "stable"}
-	// Two hops, then an exact in-band hit, then two more hops: never three
-	// consecutive, so the quantization must stay native.
-	seq := []struct {
-		card int
-		hit  bool
-	}{
-		{1, false}, {2, false}, {4, false}, {4, true}, {16, false}, {64, false},
-	}
-	for i, s := range seq {
-		_, ok, _ := c.Lookup(k, []uint64{uint64(i)}, []int{s.card})
-		if ok != s.hit {
-			t.Fatalf("step %d (card %d): hit=%v, want %v", i, s.card, ok, s.hit)
-		}
-		if !ok {
-			c.Store(k, []uint64{uint64(i)}, []int{s.card}, s.card)
-		}
-	}
-	if st := c.Stats(); st.Widens != 0 {
-		t.Fatalf("widens = %d, want 0 (hops never consecutive)", st.Widens)
 	}
 }
 
@@ -302,49 +230,113 @@ func TestStoreViewsIsolateClasses(t *testing.T) {
 	}
 }
 
-// TestStoreLRUBound: with a bound configured, the store evicts
-// least-recently-used entries instead of growing without limit, and the
-// freshly stored entry always survives.
-func TestStoreLRUBound(t *testing.T) {
-	const limit = LockShards // 1 entry per lock shard
+// TestStoreLimit: a store holding limit entries stores no new one — neither
+// a new key nor a new regime of a known key — while a replacement of an
+// entry compiled at equal cardinalities still lands.
+func TestStoreLimit(t *testing.T) {
+	const limit = 4
 	s := NewStore(limit)
-	c := View[int](s, ViewConfig{Class: ClassPlans, Policy: Policy{}})
-	for i := 0; i < 40*limit; i++ {
-		k := Key{Sig: fmt.Sprintf("k%d", i)}
-		c.Store(k, []uint64{uint64(i)}, []int{10}, i)
-		if _, ok, _ := c.Lookup(k, []uint64{uint64(i)}, []int{10}); !ok {
-			t.Fatalf("entry %d evicted immediately after its own store", i)
-		}
+	c := View[int](s, ViewConfig{Class: ClassUnits})
+	for i := 0; i < 2*limit; i++ {
+		c.Store(Key{Sig: fmt.Sprintf("k%d", i)}, []uint64{1}, []int{10}, i)
 	}
-	if got := s.Len(); got > limit {
-		t.Fatalf("store grew to %d entries, bound %d", got, limit)
+	if got := s.Len(); got != limit {
+		t.Fatalf("store holds %d entries, limit %d", got, limit)
 	}
-	if st := s.Stats(); st.Evictions == 0 {
-		t.Fatalf("no evictions recorded despite the bound: %+v", st)
+	if _, ok, stale := c.Lookup(Key{Sig: fmt.Sprintf("k%d", limit)}, []uint64{1}, []int{10}); ok || stale {
+		t.Fatalf("an entry past the limit was stored: ok=%v stale=%v", ok, stale)
+	}
+	k0 := Key{Sig: "k0"}
+	c.Store(k0, []uint64{2}, []int{1000}, -1)
+	if _, ok, stale := c.Lookup(k0, []uint64{2}, []int{1000}); ok || !stale {
+		t.Fatalf("a new regime past the limit was stored: ok=%v stale=%v", ok, stale)
+	}
+	c.Store(k0, []uint64{3}, []int{10}, 100)
+	if v, ok, _ := c.Lookup(k0, []uint64{3}, []int{10}); !ok || v != 100 {
+		t.Fatalf("replacement at the limit: ok=%v v=%d", ok, v)
+	}
+	if st := c.Stats(); st.Stores != limit+1 || s.Len() != limit {
+		t.Fatalf("stores=%d len=%d, want %d and %d", st.Stores, s.Len(), limit+1, limit)
 	}
 }
 
-// TestCrossBandView: the unit-view semantics — a band hop serves any
-// policy-fresh entry instead of forcing a rebuild, and a strict policy still
-// misses.
-func TestCrossBandView(t *testing.T) {
-	s := NewStore(0)
-	loose := View[int](s, ViewConfig{Class: ClassUnits, Policy: Policy{Threshold: 1e18}, CrossBand: true})
+// TestRegimeReturn: units stored at two cardinality regimes are each served
+// in their own regime, the least-drift entry wins where both are fresh, and
+// a third regime reports stale.
+func TestRegimeReturn(t *testing.T) {
+	c := View[int](NewStore(0), ViewConfig{Class: ClassUnits})
 	k := Key{Sig: "unit"}
-	loose.Store(k, []uint64{1}, []int{10}, 7)
-	// 160 is several bands above 10; cross-band with a loose gate serves it.
-	if v, ok, _ := loose.Lookup(k, []uint64{2}, []int{160}); !ok || v != 7 {
-		t.Fatalf("cross-band hit failed: v=%d ok=%v", v, ok)
+	c1, c2 := []int{10, 50}, []int{160, 50} // drift 15 > 0.5
+	c.Store(k, []uint64{1}, c1, 1)
+	c.Store(k, []uint64{2}, c2, 2)
+	for i, tc := range []struct {
+		cards []int
+		want  int
+	}{{c1, 1}, {c2, 2}, {[]int{12, 50}, 1}, {[]int{150, 60}, 2}, {c1, 1}} {
+		if v, ok, _ := c.Lookup(k, []uint64{uint64(10 + i)}, tc.cards); !ok || v != tc.want {
+			t.Fatalf("lookup %d at %v: ok=%v v=%d, want %d", i, tc.cards, ok, v, tc.want)
+		}
+		if v, ok := c.Peek(k, tc.cards); !ok || v != tc.want {
+			t.Fatalf("peek at %v: ok=%v v=%d, want %d", tc.cards, ok, v, tc.want)
+		}
 	}
-	if v, ok := loose.Peek(k, []int{320}); !ok || v != 7 {
-		t.Fatalf("cross-band peek failed: v=%d ok=%v", v, ok)
+	c3 := []int{4000, 50}
+	if _, ok, stale := c.Lookup(k, []uint64{99}, c3); ok || !stale {
+		t.Fatalf("third regime: ok=%v stale=%v, want a stale miss", ok, stale)
 	}
-	strict := View[int](s, ViewConfig{Class: ClassUnits, Policy: Policy{Threshold: 0.1}, CrossBand: true})
-	if _, ok, stale := strict.Lookup(k, []uint64{3}, []int{160}); ok || !stale {
-		t.Fatalf("strict cross-band must miss: ok=%v stale=%v", ok, stale)
+	if _, ok := c.Peek(k, c3); ok {
+		t.Fatal("peek served a third regime")
 	}
-	if !loose.Contains(k) || loose.Contains(Key{Sig: "absent"}) {
-		t.Fatal("Contains wrong")
+	// Both entries fresh: the one of least drift serves.
+	c.Store(k, []uint64{3}, []int{100, 50}, 3)
+	c.Store(k, []uint64{4}, []int{140, 50}, 4)
+	if v, ok, _ := c.Lookup(k, []uint64{5}, []int{130, 50}); !ok || v != 4 {
+		t.Fatalf("least-drift entry: ok=%v v=%d, want 4", ok, v)
+	}
+	if st := c.Stats(); st.StaleDrops != 1 || st.Hits != 6 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestHitAllocs: a hitting Lookup (on the counters-equal path and on the
+// drift scan), Peek and Contains allocate nothing.
+func TestHitAllocs(t *testing.T) {
+	c := View[*int](NewStore(0), ViewConfig{Class: ClassUnits})
+	k := Key{Sig: "hot"}
+	one, two := 1, 2
+	c.Store(k, []uint64{1, 1}, []int{10, 20}, &one)
+	c.Store(k, []uint64{2, 2}, []int{1000, 20}, &two)
+	same, moved := []uint64{1, 1}, []uint64{3, 3}
+	near := []int{11, 21}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"lookup counters-equal", func() {
+			if _, ok, _ := c.Lookup(k, same, near); !ok {
+				t.Fatal("miss")
+			}
+		}},
+		{"lookup drift", func() {
+			moved[0]++ // never equal to the refreshed counters
+			if _, ok, _ := c.Lookup(k, moved, near); !ok {
+				t.Fatal("miss")
+			}
+		}},
+		{"peek", func() {
+			if _, ok := c.Peek(k, near); !ok {
+				t.Fatal("miss")
+			}
+		}},
+		{"contains", func() {
+			if !c.Contains(k) {
+				t.Fatal("miss")
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, tc.f); n != 0 {
+			t.Errorf("%s allocates %.1f per call", tc.name, n)
+		}
 	}
 }
 
@@ -378,8 +370,8 @@ func TestCrossRunGeneration(t *testing.T) {
 	}
 }
 
-// TestPeekHasNoSideEffects: Peek must leave statistics, hysteresis, and
-// entries untouched.
+// TestPeekHasNoSideEffects: Peek must leave statistics and entries
+// untouched.
 func TestPeekHasNoSideEffects(t *testing.T) {
 	c := New[int](Policy{})
 	k := Key{Sig: "peek"}
@@ -390,7 +382,7 @@ func TestPeekHasNoSideEffects(t *testing.T) {
 			t.Fatalf("peek failed: v=%d ok=%v", v, ok)
 		}
 		if _, ok := c.Peek(k, []int{1 << 20}); ok {
-			t.Fatal("peek served a stale band without cross-band")
+			t.Fatal("peek served a stale regime")
 		}
 	}
 	if after := c.Stats(); after != before {
@@ -399,11 +391,10 @@ func TestPeekHasNoSideEffects(t *testing.T) {
 }
 
 func TestStatsSub(t *testing.T) {
-	a := Stats{Hits: 10, FastHits: 4, CrossRunHits: 2, ColdMisses: 3, BandMisses: 2, StaleDrops: 1, Stores: 6, Widens: 1, Evictions: 5}
-	b := Stats{Hits: 4, FastHits: 1, CrossRunHits: 1, ColdMisses: 2, BandMisses: 1, StaleDrops: 0, Stores: 3, Widens: 0, Evictions: 2}
-	d := a.Sub(b)
-	want := Stats{Hits: 6, FastHits: 3, CrossRunHits: 1, ColdMisses: 1, BandMisses: 1, StaleDrops: 1, Stores: 3, Widens: 1, Evictions: 3}
-	if d != want {
+	a := Stats{Hits: 10, CrossRunHits: 2, ColdMisses: 3, StaleDrops: 1, Stores: 6}
+	b := Stats{Hits: 4, CrossRunHits: 1, ColdMisses: 2, StaleDrops: 0, Stores: 3}
+	want := Stats{Hits: 6, CrossRunHits: 1, ColdMisses: 1, StaleDrops: 1, Stores: 3}
+	if d := a.Sub(b); d != want {
 		t.Fatalf("Sub = %+v, want %+v", d, want)
 	}
 }

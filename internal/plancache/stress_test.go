@@ -8,13 +8,12 @@ import (
 	"testing"
 )
 
-// TestShardedCacheConcurrentStress hammers the lock-sharded cache from
-// GOMAXPROCS goroutines with the full mix of outcomes the parallel rule
-// executor produces — fast hits (unchanged counters), drift hits, cold
-// misses, band hops (cardinality regime changes), and drift-driven stale
-// drops — and then cross-checks the aggregated statistics against the
-// ground-truth operation counts. Run under -race (the CI race step covers
-// this package) it is the regression net for the per-shard locking.
+// TestShardedCacheConcurrentStress hammers one store from GOMAXPROCS
+// goroutines with the full mix of lookup outcomes — counters-equal hits,
+// drift hits, cold misses, and stale misses on regime changes — and then
+// cross-checks the statistics against the ground-truth operation counts.
+// Run under -race (the CI race step covers this package) it is the
+// regression net for the store's locking.
 func TestShardedCacheConcurrentStress(t *testing.T) {
 	c := New[int](Policy{})
 	workers := runtime.GOMAXPROCS(0)
@@ -23,7 +22,7 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 	}
 	const (
 		iters = 4000
-		nkeys = 48 // spans (and collides within) the LockShards segments
+		nkeys = 48
 	)
 	keys := make([]Key, nkeys)
 	for i := range keys {
@@ -47,9 +46,9 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				k := keys[next()%nkeys]
 				// Phase-shifted cardinalities: within a phase counters and
-				// cards repeat (fast hits); across phases cards drift inside
-				// the band (drift hits), hop bands (band misses), or blow
-				// past the threshold in-band (stale drops).
+				// cards repeat (counters-equal hits); across phases cards
+				// drift a little (drift hits) or past the threshold (stale
+				// misses).
 				phase := i / 500
 				var cards [2]int
 				var counters [2]uint64
@@ -60,10 +59,10 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 				case 1: // small in-band drift with fresh counters
 					cards = [2]int{100 + int(next()%40), 200}
 					counters = [2]uint64{next(), next()}
-				case 2: // band hop: doubled cardinality regime
+				case 2: // regime change: doubled cardinality
 					cards = [2]int{100 << (phase%3 + 1), 200}
 					counters = [2]uint64{next(), next()}
-				case 3: // in-band blowup past the 0.5 drift threshold
+				case 3: // blowup past the 0.5 drift threshold
 					cards = [2]int{100, 200 + int(next()%200)}
 					counters = [2]uint64{next(), next()}
 				}
@@ -85,34 +84,12 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 	if s.Stores != stores.Load() {
 		t.Fatalf("stats lost stores under contention: %d accounted, %d performed", s.Stores, stores.Load())
 	}
-	if s.FastHits > s.Hits {
-		t.Fatalf("fast hits %d exceed hits %d", s.FastHits, s.Hits)
-	}
 	// The mix must actually have exercised every outcome, or the stress is
 	// not covering the code paths it claims to.
-	if s.Hits == 0 || s.ColdMisses == 0 || s.BandMisses == 0 || s.StaleDrops == 0 {
+	if s.Hits == 0 || s.ColdMisses == 0 || s.StaleDrops == 0 {
 		t.Fatalf("stress mix degenerate: %+v", s)
 	}
-	if c.Len() == 0 {
+	if c.store.Len() == 0 {
 		t.Fatal("cache empty after stress")
-	}
-}
-
-// TestShardForStability pins that key routing is deterministic and spreads
-// across segments: the same key always lands on one shard, and distinct keys
-// cover a healthy fraction of the LockShards segments.
-func TestShardForStability(t *testing.T) {
-	s := NewStore(0)
-	seen := map[*storeShard]bool{}
-	for i := 0; i < 256; i++ {
-		vk := viewKey{class: ClassPlans, key: Key{Sig: fmt.Sprintf("s%d", i)}}
-		a, b := s.shardFor(vk), s.shardFor(vk)
-		if a != b {
-			t.Fatalf("key %v routed to two shards", vk)
-		}
-		seen[a] = true
-	}
-	if len(seen) < LockShards/2 {
-		t.Fatalf("256 keys hit only %d of %d lock shards", len(seen), LockShards)
 	}
 }
