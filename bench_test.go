@@ -385,7 +385,8 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"Sequential", core.Options{Indexed: true}},
+		{"Sequential", core.Options{Indexed: true, Workers: 1}},
+		{"Default", core.Options{Indexed: true}},
 		{"Parallel", core.Options{Indexed: true, ParallelUnions: true}},
 		{"Parallel2", core.Options{Indexed: true, ParallelUnions: true, Workers: 2}},
 		{"Sharded8", core.Options{Indexed: true, Shards: 8}},
@@ -417,7 +418,7 @@ func BenchmarkShardedSpeedup(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"Sequential", core.Options{Indexed: true}},
+		{"Sequential", core.Options{Indexed: true, Workers: 1}},
 		{"Parallel/W2", core.Options{Indexed: true, ParallelUnions: true, Workers: 2}},
 		{"Parallel/W4", core.Options{Indexed: true, ParallelUnions: true, Workers: 4}},
 		{"Sharded8/W1", core.Options{Indexed: true, Shards: 8, Workers: 1}},
@@ -447,7 +448,7 @@ func BenchmarkSkewedSpeedup(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"Sequential", core.Options{Indexed: true}},
+		{"Sequential", core.Options{Indexed: true, Workers: 1}},
 		{"Sharded8/W2", core.Options{Indexed: true, Shards: 8, Workers: 2}},
 		{"Sharded8/W4", core.Options{Indexed: true, Shards: 8, Workers: 4}},
 	}

@@ -108,8 +108,8 @@ func runCmd(args []string) error {
 	aot := fs.String("aot", "none", "ahead-of-time sort: none|rules|facts")
 	printRels := fs.String("print", "", "comma-separated relations to print")
 	stats := fs.Bool("stats", true, "print execution statistics")
-	parallel := fs.Bool("parallel", false, "evaluate independent rules on a bounded worker pool")
-	workers := fs.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
+	parallel := fs.Bool("parallel", false, "let every iteration with a large enough delta fan out on the worker pool (without it, only the iterations after one that matched 16 rows per delta row do)")
+	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS; 1 runs every iteration sequentially)")
 	shards := fs.Int("shards", 0, "split each rule of a pooled iteration into up to this many tasks, each reading a row range of its delta (implies -parallel)")
 	fanoutThreshold := fs.Int("fanout-threshold", 0, "delta size below which an iteration of a parallel run (-parallel or -shards) runs sequentially (0 = default 256; 1 fans out every iteration)")
 	histograms := fs.Bool("histograms", false, "maintain per-column histograms on join columns and order atoms by estimated join-output size (histogram overlap) instead of cardinality alone")
@@ -217,9 +217,11 @@ func runCmd(args []string) error {
 			fmt.Fprintf(os.Stderr, "memory %s: rows=%d arena=%dB row-table=%dB indexes=%dB\n",
 				pd.Name, pd.Derived.Len(), f.Arena, f.RowTable, f.Indexes)
 		}
-		if *parallel || *shards > 1 {
-			fmt.Fprintf(os.Stderr, "fanout: sequential-iterations=%d/%d workers-folded=%d\n",
-				res.Interp.SeqIters, res.Interp.Iterations, res.Interp.MergeTasks)
+		// A Run with no parallel flag pools the iterations whose work pays
+		// for it (core.Options.ParallelUnions): the line shows when one did.
+		if *parallel || *shards > 1 || res.Interp.PooledIters > 0 {
+			fmt.Fprintf(os.Stderr, "fanout: pooled-iterations=%d sequential-iterations=%d/%d workers-folded=%d\n",
+				res.Interp.PooledIters, res.Interp.SeqIters, res.Interp.Iterations, res.Interp.MergeTasks)
 		}
 		if *histograms {
 			fmt.Fprintf(os.Stderr, "histograms: estimated-rows=%d\n", res.Interp.EstimatedRows)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -248,5 +249,48 @@ func TestServeErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestRunStatsShowsPooledIterations: a Run with no parallel flag pools the
+// iterations whose previous one matched at least 16 rows per δ row, and
+// -stats then prints the fanout line with the number it pooled. Every node
+// of the graph has 30 out-edges, so every iteration matches 30 rows per δ
+// row and, on two workers, all but the first of the four pool; on one
+// worker none does, and the line is absent.
+func TestRunStatsShowsPooledIterations(t *testing.T) {
+	dir := t.TempDir()
+	prog := writeFile(t, dir, "tc.dl", tcProg)
+	var edges strings.Builder
+	for i := range 100 {
+		for k := range 30 {
+			fmt.Fprintf(&edges, "%d\t%d\n", i, (i+3*k+1)%100)
+		}
+	}
+	writeFile(t, dir, "edge.facts", edges.String())
+	stats := func(workers string) string {
+		f, err := os.Create(filepath.Join(dir, "stderr"+workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		stderr := os.Stderr
+		os.Stderr = f
+		err = run([]string{"run", prog, "-facts", dir, "-workers", workers})
+		os.Stderr = stderr
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	if out := stats("2"); !strings.Contains(out, "fanout: pooled-iterations=3 sequential-iterations=1/4 ") {
+		t.Errorf("two workers: no fanout line for three pooled iterations in\n%s", out)
+	}
+	if out := stats("1"); strings.Contains(out, "fanout:") {
+		t.Errorf("one worker: a fanout line in\n%s", out)
 	}
 }

@@ -66,12 +66,13 @@
 //     overhead compiled units avoid, and the adaptive join ordering of a
 //     run without compiled code is the irgen fixture's in-place reorder.
 //
-//   - The semi-naive fixpoint driver evaluates the independent rules of
-//     each iteration concurrently on a bounded, GOMAXPROCS-aware worker
-//     pool (core.Options.ParallelUnions / Workers): workers share the
-//     iteration-frozen catalog read-only, append derivations to private
-//     append-only lists, and the barrier folds the lists through the sinks'
-//     Emit. ParallelUnions=false is the sequential fallback.
+//   - The semi-naive fixpoint driver evaluates the rules of an iteration
+//     concurrently on a bounded, GOMAXPROCS-aware worker pool when the work
+//     pays for it: workers share the iteration-frozen catalog read-only,
+//     append derivations to private append-only lists, and the barrier
+//     folds the lists through the sinks' Emit. The engine picks the
+//     iterations (the default fan-out policy, below); core.Options.Workers
+//     caps the pool, and Workers 1 runs every iteration sequentially.
 //
 // # Morsel tasks
 //
@@ -91,8 +92,10 @@
 //     morsels cover δ exactly once (FuzzShardRouting), so the fan-out
 //     derives the same fixpoint — a differential harness in internal/core
 //     checks every engine configuration against the sequential baseline.
-//     A subquery without a δ atom is whole-relation work the first task
-//     runs alone.
+//     Only a subquery whose outermost loop reads δ is split
+//     (interp.Plan.DeltaStep); one that reads δ deeper down, inside a loop
+//     over Full or Old rows every task would repeat, or has no δ atom, is
+//     whole work the first task runs alone.
 //
 //   - Pool workers never touch the unit store: the coordinator resolves
 //     each rule's compiled task unit once per iteration, at the sequential
@@ -186,28 +189,51 @@
 //     tasks in task order. Retraction's pooled over-delete rounds write the
 //     same lists, unfiltered, and commit them in plan order.
 //
-//   - One fan-out policy decides every parallel iteration, whether the run
-//     is parallel through core.Options.ParallelUnions or Shards > 1: the
+//   - One fan-out decision sizes every iteration that may pool: the
 //     fixpoint driver reads the live delta cardinalities (O(1) lengths) and
 //     runs an iteration whose total delta is under
 //     core.Options.FanoutThreshold (default 256) on the sequential path —
 //     no tasks, no lists, no merge, the small-delta tail every recursive
 //     query ends in — while a larger one gets one task per ~threshold/4
 //     delta rows, capped at 4x the worker count and Shards, each task a
-//     morsel (Stats.SeqIters counts the sequential iterations). The
-//     threshold is the one escape hatch, for tests and ablations: at 1
-//     every non-empty iteration fans out to min(total delta rows, Shards)
-//     tasks whenever Shards <= 4 x the worker count — the static fan-out of
-//     earlier engines, as a setting. BenchmarkShardedSpeedup and
+//     morsel (Stats.SeqIters counts the sequential iterations,
+//     Stats.PooledIters the pooled ones). The threshold is the one escape
+//     hatch, for tests and ablations: at 1 every non-empty iteration of a
+//     parallel run fans out to min(total delta rows, Shards) tasks whenever
+//     Shards <= 4 x the worker count — the static fan-out of earlier
+//     engines, as a setting. BenchmarkShardedSpeedup and
 //     BenchmarkSkewedSpeedup (the hub-and-spoke workloads.SkewedGraph,
 //     whose hubs make some morsels far costlier than others) measure the
-//     policy end to end.
+//     decision end to end.
+//
+//   - Which iterations may pool is the default fan-out policy's call
+//     (interp.Interp.Auto), taken when no parallel setting is given
+//     (ParallelUnions, Shards > 1, AdaptiveFanout): every loop's first
+//     iteration runs sequentially, and a later one may fan out, 8 morsel
+//     tasks per rule, only when the loop's previous iteration matched at
+//     least interp.PoolMatchRatio (16) rows per δ row it read
+//     (Stats.Matches over δ's length) — the work per δ row that keeps two
+//     workers busy past the barrier's sequential fold. CSPA's heavy
+//     iterations match 23 to 331 rows per δ row and pool; transitive
+//     closure's match about 3 and never do. Retraction rounds stay
+//     sequential, a serving query holds one pool token and so never pools,
+//     and asynchronous compilation, the paper's fixtures and Naive runs
+//     never pool. An explicit parallel setting lets every iteration over
+//     the threshold fan out, as before. The pool's state — per worker a
+//     sub-interpreter with its plan, unit frame, lists and segments — lives
+//     on the Program across Runs and Applies (interp.Pool), the
+//     interpreter's goroutine is the first worker, and an interpreted plan
+//     is built into one reused Plan, so a warm pooled Run allocates about
+//     what a sequential one does (TestPooledRunAlloc). In a loop that has
+//     pooled, a sequential iteration runs each rule's task unit unrestricted
+//     instead of compiling a sequential unit.
 //
 // # The morsel-native JIT
 //
 // Lambda, the production backend, runs under the pool, so the fan-out and
-// compilation compose (the irgen, bytecode and quotes fixtures never run
-// under a pool):
+// compilation compose (the irgen, bytecode and quotes fixtures, and
+// asynchronous compilation under the default policy, never run under a
+// pool):
 //
 //   - lambda's combinators read through storage's one read surface
 //     (storage.Relation.Scan, ScanKey), as Plan.Execute does: a row range
@@ -230,9 +256,10 @@
 //     ClearRetain and SwapClear because it resolves relations and δ's
 //     length at invocation time.
 //
-// Under core.Options.Shards with the lambda backend the engine therefore
-// keeps the pool and its merge barrier (Stats.MergeTasks) and the fan-out
-// policy — benchmarked end to end by BenchmarkShardedSpeedup's *JIT
+// With the lambda backend the engine therefore keeps the pool and its merge
+// barrier (Stats.MergeTasks) and the fan-out decision, under the default
+// policy and under core.Options.Shards — benchmarked end to end by the
+// benchmark's cspa_order workload and BenchmarkShardedSpeedup's *JIT
 // entries.
 //
 // # The program-lifetime unit store

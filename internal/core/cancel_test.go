@@ -56,7 +56,7 @@ func TestCancelledRunThenRunApplyServe(t *testing.T) {
 		prefix string
 		opts   Options
 	}{
-		{"", Options{Indexed: true}},
+		{"", Options{Indexed: true, Workers: 1}},
 		{"Pooled", Options{Indexed: true, Shards: 8, Workers: 2, FanoutThreshold: 1}},
 	} {
 		cancelledRunThenRunApplyServe(t, leg.prefix, leg.opts)

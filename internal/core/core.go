@@ -87,6 +87,10 @@ type Program struct {
 	// are storage-resident and monotone, so the freshness state the store
 	// gates on carries across runs by construction.
 	planStore *plancache.Store
+	// pool is the worker pool's state, which every Run and Apply hands its
+	// interpreter (runMu serializes them), so that a warm pooled Run
+	// allocates no pool state.
+	pool interp.Pool
 	// retractOrder, when non-nil, replaces the optimizer as the order of
 	// Apply's retraction subqueries, and loadHook sees every relation a
 	// checkpoint restore loads rows into. Tests set them; nothing else does.
@@ -429,9 +433,10 @@ type Options struct {
 	// the pure interpreter. Production runs off or lambda. The other
 	// backends (irgen, bytecode, quotes) are the fixtures of the paper's
 	// code-generation comparison (§V-C, Figs 5–9): only Run accepts them,
-	// and only without a worker pool (Shards > 1, ParallelUnions,
+	// and only without a parallel setting (Shards > 1, ParallelUnions,
 	// AdaptiveFanout); Serve, Apply and those Runs return an error naming
-	// the backend and the setting.
+	// the backend and the setting. The default fan-out policy never pools
+	// their Runs.
 	JIT jit.Config
 	// Indexed builds hash indexes on every join/filter column before
 	// execution (paper §IV, Index selection). Registration is permanent for
@@ -455,19 +460,30 @@ type Options struct {
 	// interp.ErrCancelled (benchmarks report the configuration as DNF).
 	// Zero means no limit.
 	Timeout time.Duration
-	// ParallelUnions evaluates each iteration's independent rules
-	// concurrently on a bounded worker pool with per-worker append-only lists
-	// merged at iteration barriers — the parallelization the Known/New delta
-	// split enables (§V-D). Each iteration decides its own fan-out from the
-	// live delta statistics: one whose total delta is under FanoutThreshold
+	// ParallelUnions lets every iteration fan out on the worker pool when
+	// its total delta reaches FanoutThreshold: the iteration's rules run
+	// concurrently with per-worker append-only lists merged at iteration
+	// barriers — the parallelization the Known/New delta split enables
+	// (§V-D) — each rule as up to Shards morsel tasks. A smaller iteration
 	// runs on the sequential path (no task spawn, no list merge — the
-	// small-delta tail every recursive query ends in), a larger one sizes its
-	// task count to the delta volume, the worker count and Shards. With a
-	// JIT backend attached the pool's tasks run morsel-parameterized
-	// compiled units where the controller has one ready and interpret
-	// otherwise; false is the sequential fallback.
+	// small-delta tail every recursive query ends in). With a JIT backend
+	// attached the pool's tasks run morsel-parameterized compiled units
+	// where the controller has one ready and interpret otherwise.
+	//
+	// Without ParallelUnions, Shards > 1 or AdaptiveFanout the engine picks
+	// the iterations itself (the default fan-out policy): a loop's first
+	// iteration runs sequentially, and a later one fans out, 8 morsel tasks
+	// per rule, only when the loop's previous iteration matched at least 16
+	// rows per δ row it read (interp.PoolMatchRatio) and the delta holds at
+	// least FanoutThreshold (default 256) rows. CSPA's heavy iterations pool
+	// under it; transitive closure's, at about 3 matches per δ row, do not.
+	// Retraction rounds stay sequential, a Serve query holds one pool token
+	// and so runs sequentially, and asynchronous compilation (JIT.Async),
+	// the fixture backends and Naive runs never pool.
 	ParallelUnions bool
-	// Workers bounds the parallel pool; <= 0 selects GOMAXPROCS.
+	// Workers caps the worker pool, of every Run and Apply and of a Serve
+	// with a parallel setting; <= 0 selects GOMAXPROCS. Workers 1 runs
+	// every iteration sequentially, under the default policy too.
 	Workers int
 	// Shards is the most tasks each rule of a parallel iteration fans out
 	// as: each task reads a morsel of the rule's δ, a contiguous row range
@@ -475,8 +491,12 @@ type Options struct {
 	// tasks split the work, never the data. Rule-granular parallelism is
 	// bounded by rule count; with Shards > 1 a single huge recursive rule
 	// (the transitive-closure shape) also saturates the worker pool —
-	// parallelism bounded by data size. Implies ParallelUnions, and with it
-	// the per-iteration fan-out decision; <= 1 fans out by rule only.
+	// parallelism bounded by data size. Shards > 1 implies ParallelUnions;
+	// <= 1 fans out by rule only under ParallelUnions, and leaves the
+	// default policy its 8 tasks per rule otherwise. Only a subquery whose
+	// outermost loop reads δ is split; one that reads δ deeper down runs
+	// whole, in the first task, since every task would repeat its outer
+	// loop.
 	//
 	// Storage has one layout: δ stays flat, a view of Derived's newest rows
 	// (so Old, Derived less δ, stays exact), and the workers only test
@@ -489,14 +509,16 @@ type Options struct {
 	// deduplication.
 	Shards int
 	// AdaptiveFanout's one remaining effect is to select 8 tasks per rule
-	// (and with it a parallel run) when Shards is unset: every parallel run
-	// takes the per-iteration fan-out decision. Prefer Shards: 8.
+	// and a parallel run (ParallelUnions) when Shards is unset, in place of
+	// the default policy. Prefer Shards: 8.
 	AdaptiveFanout bool
 	// FanoutThreshold is the sequential-path delta bound of the fan-out
-	// decision every parallel run takes; <= 0 selects the interpreter
-	// default (256). It is the escape hatch for tests and ablations: at 1
-	// every non-empty iteration fans out, to min(total delta rows, Shards)
-	// tasks per rule whenever Shards <= 4 x the worker count.
+	// decision, under the default policy and a parallel setting alike;
+	// <= 0 selects the interpreter default (256). It is the escape hatch
+	// for tests and ablations: at 1 every non-empty iteration of a parallel
+	// run fans out, to min(total delta rows, Shards) tasks per rule
+	// whenever Shards <= 4 x the worker count. It never lifts the default
+	// policy's first-iteration and 16-matches-per-δ-row gates.
 	FanoutThreshold int
 	// Histograms maintains per-column value-distribution histograms on every
 	// planned join column (incrementally, inside the storage mutation paths,
@@ -627,6 +649,7 @@ func (p *Program) runLocked(prog *ast.Program, root *ir.ProgramOp, opts Options)
 		return nil, err
 	}
 	defer eng.close()
+	eng.in.Pool = &p.pool
 	defer eng.arm(opts.Timeout)()
 	res, err := eng.query(true)
 	if err == nil {

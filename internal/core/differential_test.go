@@ -33,7 +33,10 @@ type execMode struct {
 }
 
 var execModes = []execMode{
-	{"sequential", func(*core.Options) {}, false},
+	{"sequential", func(o *core.Options) { o.Workers = 1 }, false},
+	// The default policy on two workers: it pools an iteration only after
+	// one that matched 16 rows per δ row.
+	{"policy", func(o *core.Options) { o.Workers = 2 }, false},
 	// The production fan-out policy at its default threshold: the toy
 	// workloads run mostly on the sequential path.
 	{"parallel", func(o *core.Options) { o.ParallelUnions = true }, false},
@@ -151,7 +154,7 @@ func TestDifferentialMatrix(t *testing.T) {
 			t.Parallel()
 			built := w.build()
 			ground := built.P.Catalog().TotalDerived()
-			res, err := built.P.Run(core.Options{Indexed: true})
+			res, err := built.P.Run(core.Options{Indexed: true, Workers: 1})
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -164,7 +167,7 @@ func TestDifferentialMatrix(t *testing.T) {
 			// fingerprint every matrix cell must reproduce (the first run
 			// starts from a never-run Program and is not comparable).
 			preBase := driftTotals(built.P)
-			res, err = built.P.Run(core.Options{Indexed: true})
+			res, err = built.P.Run(core.Options{Indexed: true, Workers: 1})
 			if err != nil {
 				t.Fatalf("baseline rerun: %v", err)
 			}
@@ -206,7 +209,7 @@ func TestDifferentialMatrix(t *testing.T) {
 // on any machine regardless of core count.
 func TestShardFanoutEngages(t *testing.T) {
 	seq := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
-	rs, err := seq.P.Run(core.Options{Indexed: true})
+	rs, err := seq.P.Run(core.Options{Indexed: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

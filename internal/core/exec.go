@@ -126,8 +126,22 @@ func newExecEngine(cat *storage.Catalog, prog *ast.Program, root *ir.ProgramOp, 
 		// and compilation compose.
 		in.Parallel = true
 		in.Shards = shards
+	} else if !opts.ParallelUnions && poolable(opts) {
+		// No parallel setting: the default policy pools the iterations
+		// whose work pays for it (interp.Interp.Auto), 8 tasks per rule.
+		in.Auto = true
+		in.Shards = 8
 	}
 	return &execEngine{cat: cat, root: root, opts: opts, store: store, ctrl: ctrl, in: in}, nil
+}
+
+// poolable reports whether the default fan-out policy may pool opts' runs:
+// not a Naive run, whose loops read no δ, nor a paper fixture backend, nor
+// an asynchronous compile — pool tasks interpret while a compile is in
+// flight and never yield to its unit.
+func poolable(opts Options) bool {
+	b := opts.JIT.Backend
+	return !opts.Naive && !b.Fixture() && !(b != jit.BackendOff && opts.JIT.Async)
 }
 
 // arm clears a stale cancellation (sessions reuse one interpreter, and a

@@ -153,7 +153,11 @@ func TestDistinctStatsOptimizer(t *testing.T) {
 func TestExecutorsAgreeOnAnalysisWorkload(t *testing.T) {
 	mk := func(parallel bool) int {
 		p, out := buildMultiKey(t)
-		if _, err := p.Run(Options{Indexed: true, ParallelUnions: parallel, Workers: 4, FanoutThreshold: 1}); err != nil {
+		workers := 1
+		if parallel {
+			workers = 4
+		}
+		if _, err := p.Run(Options{Indexed: true, ParallelUnions: parallel, Workers: workers, FanoutThreshold: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return out.Len()

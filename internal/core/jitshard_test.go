@@ -73,7 +73,7 @@ func TestShardWiring(t *testing.T) {
 			cat := built.P.Catalog()
 			want := derivedRows(cat)
 
-			flat, err := built.P.Run(core.Options{Indexed: true, JIT: jc})
+			flat, err := built.P.Run(core.Options{Indexed: true, Workers: 1, JIT: jc})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestShardWiring(t *testing.T) {
 // and with lambda units running the pool's tasks.
 func TestNaivePoolRunsWholeRelationWorkOnce(t *testing.T) {
 	for name, jc := range map[string]jit.Config{"interp": {}, "lambda": lambdaSPJ} {
-		seq := runJITTC(t, core.Options{Indexed: true, Naive: true, JIT: jc})
+		seq := runJITTC(t, core.Options{Indexed: true, Naive: true, Workers: 1, JIT: jc})
 		res := runJITTC(t, core.Options{Indexed: true, Naive: true, Shards: 8, Workers: 2, FanoutThreshold: 1, JIT: jc})
 		if res.Interp.MergeTasks == 0 {
 			t.Fatalf("%s: the naive Run never reached the pool", name)
@@ -122,7 +122,7 @@ func derivedRows(cat *storage.Catalog) map[string][]string {
 // Compilations recorded), and the facts, derivations, iteration schedule
 // and matches equal the sequential oracle's exactly.
 func TestJITShardedReadsMorsels(t *testing.T) {
-	seq := runJITTC(t, core.Options{Indexed: true})
+	seq := runJITTC(t, core.Options{Indexed: true, Workers: 1})
 	res := runJITTC(t, core.Options{
 		Indexed: true, Shards: 4, Workers: 4,
 		FanoutThreshold: 1, // every iteration fans out
@@ -149,7 +149,7 @@ func TestJITShardedReadsMorsels(t *testing.T) {
 // without changing what the run evaluates: facts, derivations, iterations
 // and matches equal the sequential oracle's.
 func TestJITShardedAdaptiveFanout(t *testing.T) {
-	seq := runJITTC(t, core.Options{Indexed: true})
+	seq := runJITTC(t, core.Options{Indexed: true, Workers: 1})
 	res := runJITTC(t, core.Options{
 		Indexed: true, Shards: 4, Workers: 4,
 		// High enough that this workload's tail iterations dip under it
@@ -177,7 +177,7 @@ func TestJITShardedAdaptiveFanout(t *testing.T) {
 // sequential loop (regression: the in-place path once bypassed Enter), and
 // evaluate exactly what it does.
 func TestJITDegeneratePoolStillCompiles(t *testing.T) {
-	seq := runJITTC(t, core.Options{Indexed: true})
+	seq := runJITTC(t, core.Options{Indexed: true, Workers: 1})
 	res := runJITTC(t, core.Options{
 		Indexed: true, Shards: 4, Workers: 1,
 		JIT: jit.Config{Backend: jit.BackendLambda, Granularity: jit.GranUnionRule},
@@ -303,7 +303,7 @@ func TestJITShardCountChangeReuses(t *testing.T) {
 // the pool, and folds their buffers; repeated Programs and reruns stress the
 // loans and the scratch pool underneath. Run under -race by the CI core job.
 func TestJITShardMergeStress(t *testing.T) {
-	seq := runJITTC(t, core.Options{Indexed: true})
+	seq := runJITTC(t, core.Options{Indexed: true, Workers: 1})
 	for round := 0; round < 3; round++ {
 		built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
 		for rerun := 0; rerun < 2; rerun++ {
@@ -336,7 +336,7 @@ func TestJITShardMergeStress(t *testing.T) {
 // its unit becomes ready yields to it, and the unit matches the scanned rows
 // again.
 func TestJITShardedAsyncAndBackends(t *testing.T) {
-	seq := runJITTC(t, core.Options{Indexed: true})
+	seq := runJITTC(t, core.Options{Indexed: true, Workers: 1})
 	for _, async := range []bool{false, true} {
 		name := fmt.Sprintf("lambda/async=%v", async)
 		res := runJITTC(t, core.Options{
@@ -384,7 +384,7 @@ func FuzzJITShardRouting(f *testing.F) {
 			return p
 		}
 		sp := build()
-		sres, err := sp.Run(core.Options{Indexed: true})
+		sres, err := sp.Run(core.Options{Indexed: true, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

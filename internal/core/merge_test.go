@@ -54,7 +54,7 @@ func derivedOrder(t *testing.T, p *core.Program) []storage.Value {
 // rows in one order: the barrier folds in task order, whichever worker ran
 // a task.
 func TestMergeDerivationsDeterminism(t *testing.T) {
-	seq := runTC(t, core.Options{Indexed: true})
+	seq := runTC(t, core.Options{Indexed: true, Workers: 1})
 	configs := []struct {
 		name string
 		opts core.Options
@@ -110,7 +110,7 @@ func TestMergeDerivationsDeterminism(t *testing.T) {
 // huge threshold every iteration takes the sequential fast path — no buffer
 // folded, zero parallelism tax, and exactly the sequential SPJ schedule.
 func TestAdaptiveFanoutEngages(t *testing.T) {
-	seq := runTC(t, core.Options{Indexed: true})
+	seq := runTC(t, core.Options{Indexed: true, Workers: 1})
 
 	fanned := runTC(t, core.Options{Indexed: true, Shards: 4, Workers: 4, FanoutThreshold: 1})
 	if fanned.Interp.SeqIters != 0 {
@@ -146,7 +146,7 @@ func TestAdaptiveFanoutEngages(t *testing.T) {
 // small-delta tail of TC runs on the sequential path at the default
 // threshold — a sharded run used to fan out every iteration, tails included.
 func TestShardedRunTakesSequentialPath(t *testing.T) {
-	seq := runTC(t, core.Options{Indexed: true})
+	seq := runTC(t, core.Options{Indexed: true, Workers: 1})
 	res := runTC(t, core.Options{Indexed: true, Shards: 4, Workers: 4})
 	if res.Interp.SeqIters == 0 {
 		t.Errorf("no iteration of %d took the sequential path", res.Interp.Iterations)
@@ -161,7 +161,7 @@ func TestShardedRunTakesSequentialPath(t *testing.T) {
 // every iteration — including one-tuple tails — goes through task fan-out
 // and the buffer fold. Run under -race by the CI core job.
 func TestParallelMergeStress(t *testing.T) {
-	seq := runTC(t, core.Options{Indexed: true})
+	seq := runTC(t, core.Options{Indexed: true, Workers: 1})
 	for round := 0; round < 3; round++ {
 		built := workloads.TransitiveClosure(analysis.HandOptimized, 80, 200, 42)
 		// Repeated runs of one Program rewind to the ground baseline,
@@ -303,7 +303,7 @@ func TestWarmShardedRunAllocations(t *testing.T) {
 func TestRunKeepsScratchThroughCollections(t *testing.T) {
 	flat := workloads.TransitiveClosure(analysis.HandOptimized, 700, 2100, 42)
 	sharded := workloads.TransitiveClosure(analysis.HandOptimized, 700, 2100, 42)
-	flatOpts := core.Options{Indexed: true}
+	flatOpts := core.Options{Indexed: true, Workers: 1}
 	shardOpts := core.Options{Indexed: true, Shards: 8, Workers: 2}
 	if _, err := flat.P.Run(flatOpts); err != nil {
 		t.Fatal(err)

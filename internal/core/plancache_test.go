@@ -41,7 +41,7 @@ func snapshotRel(r *Relation) map[[2]int32]bool {
 // sequential fallback agrees.
 func TestParallelWorkerPool(t *testing.T) {
 	seq, seqReach := buildRandomGraph(t, 40, 120, 99)
-	seqRes, err := seq.Run(Options{Indexed: true})
+	seqRes, err := seq.Run(Options{Indexed: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

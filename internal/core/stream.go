@@ -240,6 +240,7 @@ func (p *Program) applyWarmLocked(tx *Tx, prog *ast.Program, warmRoot *ir.Progra
 		return nil, err
 	}
 	defer eng.close()
+	eng.in.Pool = &p.pool
 	if p.retractOrder != nil {
 		eng.in.Reorder = p.retractOrder
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -83,6 +84,7 @@ type Stats struct {
 	Reopts        int64 // always 0: the interpreter re-optimizes no order; kept because perf/ reads it
 	Compiled      int64 // subtrees executed via a Controller thunk
 	SeqIters      int64 // parallel-run iterations the fan-out decision ran on the sequential path
+	PooledIters   int64 // iterations whose rules ran on the pool: at least one barrier folded worker lists
 	MergeTasks    int64 // workers whose lists a merge barrier folded: the pool size, per pooled barrier
 	EstimatedRows int64 // summed histogram-based join-size estimates recorded at plan builds
 	Retracted     int64 // rows physically removed by retraction batches (seeds + over-deletes that stayed dead)
@@ -111,10 +113,19 @@ type Interp struct {
 	// implementing ShardCompiler (the JIT's controller does: pool tasks then
 	// run morsel-parameterized compiled units where one is ready,
 	// interpretation otherwise); any other Controller forces the sequential
-	// loop. Parallel=false is the sequential fallback.
+	// loop. Retraction rounds fan out only under Parallel.
 	Parallel bool
 	// Workers bounds the pool; <= 0 selects GOMAXPROCS.
 	Workers int
+	// Auto runs every loop under the default fan-out policy, the pool gated
+	// on the work the loop has shown: an iteration fans out only when the
+	// loop's previous iteration matched at least PoolMatchRatio rows per δ
+	// row it read, and chooseFanout would fan it out; a loop's first
+	// iteration, and every iteration with fewer than two workers, runs
+	// sequentially. Retraction rounds stay sequential. Parallel, when also
+	// set, takes precedence: every iteration then takes chooseFanout's
+	// decision alone. With neither set every loop runs sequentially.
+	Auto bool
 
 	// Shards > 1 is the most tasks each rule of a parallel iteration fans
 	// out as. Each task reads a morsel of the rule's flat δ — a contiguous
@@ -122,7 +133,7 @@ type Interp struct {
 	// so a single huge recursive rule, the common shape in
 	// transitive-closure-style workloads, no longer serializes the
 	// iteration: parallelism becomes bounded by data size, not rule count.
-	// Only honored together with Parallel.
+	// Only honored together with Parallel or Auto.
 	Shards int
 
 	// FanoutThreshold is the sequential-path delta bound of the fan-out
@@ -164,10 +175,17 @@ type Interp struct {
 	// every pool worker's sub-interpreter keeps its own.
 	Frame any
 
+	// Pool holds the worker pool's state; nil until a pooled barrier first
+	// needs it, or the caller's Pool shared across runs.
+	Pool *Pool
+
 	cancel atomic.Bool
-	// cancelHook chains a parent interpreter's cancellation into workers
-	// spawned by parallel rule evaluation.
-	cancelHook func() bool
+	// cancelled is Cancelled as a func value, made once: every interpreted
+	// plan polls it.
+	cancelled func() bool
+	// parent is the interpreter a pool worker's sub-interpreter runs tasks
+	// for, during a barrier: its cancellation stops the worker too.
+	parent *Interp
 	// bufSink, when non-nil, redirects subquery derivations into a private
 	// per-worker list instead of the sink's Emit (parallel rule evaluation;
 	// folded at the iteration barrier).
@@ -177,12 +195,26 @@ type Interp struct {
 	// <= 1 means unrestricted. Set per task by the pool's fan-out.
 	task  int
 	tasks int
-	// workers holds the lazily built pool state of runLoopParallel and
-	// runRetractPlans.
+	// plan is the Plan every interpreted subquery execution builds into.
+	plan Plan
+}
+
+// Pool is the state of the worker pool between barriers: per worker a
+// sub-interpreter, with the plan, compiled-unit frame and derivation lists
+// it writes into, and the rules a pooled iteration fans out. An interpreter
+// makes its own on first use. A caller that runs fixpoint after fixpoint
+// hands each run's interpreter the same Pool — core's Program does, across
+// its Runs and Applies — so that a warm pooled run allocates no pool state.
+// A Pool serves one interpreter at a time.
+type Pool struct {
 	workers []*workerState
-	// taskSegs holds, per task of the running batch, the segments of the
-	// workers' lists it wrote: the barrier folds them in task order.
-	taskSegs [][]segment
+	pending []ruleTask
+
+	// The running batch: per tasks per rule of pending (tasks 0: one
+	// unrestricted task each), total in all, handed out by next.
+	per, tasks, total int
+	next              atomic.Int64
+	wg                sync.WaitGroup
 }
 
 // Cancel aborts the run at the next safe point (callable from any
@@ -191,7 +223,7 @@ func (in *Interp) Cancel() { in.cancel.Store(true) }
 
 // Cancelled reports whether Cancel was called (here or on the parent).
 func (in *Interp) Cancelled() bool {
-	return in.cancel.Load() || (in.cancelHook != nil && in.cancelHook())
+	return in.cancel.Load() || (in.parent != nil && in.parent.Cancelled())
 }
 
 // ResetCancel clears a pending cancellation so a reused interpreter can run
@@ -288,7 +320,7 @@ func (in *Interp) interpret(op ir.Op) error {
 		return nil
 
 	case *ir.DoWhileOp:
-		if in.Parallel && (in.Ctrl == nil || in.shardCtrl() != nil) {
+		if (in.Parallel || in.Auto) && (in.Ctrl == nil || in.shardCtrl() != nil) {
 			return in.runLoopParallel(n)
 		}
 		for {
@@ -360,12 +392,17 @@ func DeltasEmpty(cat *storage.Catalog, preds []storage.PredID) bool {
 
 // planFor builds the access plan for the subquery's current atom order: an
 // interpreted subquery plans at every execution, the interpretation overhead
-// compiled backends avoid. The histogram-based join-output estimate, when the
-// caller supplies one, is stamped onto the plan and totalled.
+// compiled backends avoid. Every plan is built into the interpreter's one
+// Plan (Plan.build), valid until the next planFor. The histogram-based
+// join-output estimate, when the caller supplies one, is stamped onto the
+// plan and totalled.
 func (in *Interp) planFor(spj *ir.SPJOp) (*Plan, error) {
 	in.Stats.PlanBuilds++
-	p, err := BuildPlan(spj, in.Cat)
-	if err != nil {
+	p := &in.plan
+	if p.buf == nil {
+		p.buf = &planBuf{}
+	}
+	if err := p.build(spj, in.Cat); err != nil {
 		return nil, err
 	}
 	if in.Estimate != nil {
@@ -375,37 +412,54 @@ func (in *Interp) planFor(spj *ir.SPJOp) (*Plan, error) {
 	return p, nil
 }
 
-// applyMorsel restricts the plan's delta read — the first relational step
-// reading SrcDelta — to the task's morsel of δ (storage.Morsel).
+// applyMorsel restricts the plan's delta read (Plan.DeltaStep) to the
+// task's morsel of δ (storage.Morsel).
 func (in *Interp) applyMorsel(plan *Plan) {
-	for i := range plan.Steps {
-		st := &plan.Steps[i]
-		if st.Src == ir.SrcDelta && (st.Kind == StepScan || st.Kind == StepProbe || st.Kind == StepProbeN) {
-			rows := in.Cat.Pred(st.Pred).DeltaKnown.Len()
-			plan.Morsel, plan.MorselStep = true, i
-			plan.MorselFrom, plan.MorselTo = storage.Morsel(rows, in.task, in.task+1, in.tasks)
-			return
+	i := plan.DeltaStep()
+	rows := in.Cat.Pred(plan.Steps[i].Pred).DeltaKnown.Len()
+	plan.Morsel, plan.MorselStep = true, i
+	plan.MorselFrom, plan.MorselTo = storage.Morsel(rows, in.task, in.task+1, in.tasks)
+}
+
+// splits is Plan.Split over the subquery's atoms, which a task decides
+// before it builds a plan: a plan has a step per atom, in atom order.
+func splits(spj *ir.SPJOp, cat *storage.Catalog, tasks int) bool {
+	outer := 0
+	for _, a := range spj.Atoms {
+		if a.Kind != ast.AtomRelation {
+			continue
 		}
+		if a.Src == ir.SrcDelta {
+			return morselSplits(outer, cat.Pred(a.Pred).DeltaKnown.Len(), tasks)
+		}
+		outer += readRows(cat, a.Pred, a.Src)
 	}
+	return false
 }
 
 // execSPJ interprets one subquery: it resolves an access plan for the
 // current atom order and streams matches into the
-// sink through Plan.Execute. Under a morsel task a subquery without a delta
-// atom is whole-relation work that the first task runs alone, so the
-// fan-out neither duplicates nor drops it.
+// sink through Plan.Execute. Under a morsel task a subquery the tasks do
+// not split (Plan.Split) — one without a delta atom, or one whose loops
+// around the delta read would cost more repeated than δ holds — is whole
+// work that the first task runs alone, so the fan-out neither repeats nor
+// drops it.
 func (in *Interp) execSPJ(spj *ir.SPJOp) error {
-	if in.tasks > 1 && spj.DeltaAtom() < 0 && in.task != 0 {
+	split := in.tasks > 1 && splits(spj, in.Cat, in.tasks)
+	if in.tasks > 1 && !split && in.task != 0 {
 		return nil
 	}
 	plan, err := in.planFor(spj)
 	if err != nil {
 		return err
 	}
-	if in.tasks > 1 {
+	if split {
 		in.applyMorsel(plan)
 	}
-	plan.Cancel = in.Cancelled
+	if in.cancelled == nil {
+		in.cancelled = in.Cancelled
+	}
+	plan.Cancel = in.cancelled
 	if y, ok := in.Ctrl.(Yielder); ok {
 		plan.Yield = func() bool { return y.ShouldYield(spj, in) }
 	}
@@ -462,50 +516,54 @@ func (in *Interp) poolSize(tasks int) int {
 	return w
 }
 
-// ensureWorkers sizes the persistent pool state.
-func (in *Interp) ensureWorkers(n int) {
-	for len(in.workers) < n {
-		ws := &workerState{
-			sub: &Interp{Cat: in.Cat, Estimate: in.Estimate, cancelHook: in.Cancelled},
-		}
-		ws.sub.bufSink = func(pid storage.PredID) *RowList {
-			return ws.out.sink(pid, in.Cat.Pred(pid).Arity)
-		}
-		in.workers = append(in.workers, ws)
+// pool returns the interpreter's Pool, making one on first use.
+func (in *Interp) pool() *Pool {
+	if in.Pool == nil {
+		in.Pool = &Pool{}
 	}
+	return in.Pool
 }
 
-// startTasks readies the per-task segment slots for a batch of n tasks.
-func (in *Interp) startTasks(n int) [][]segment {
-	for len(in.taskSegs) < n {
-		in.taskSegs = append(in.taskSegs, nil)
+// startWorkers readies n of the pool's workers for a barrier: their
+// sub-interpreters read this interpreter's catalog, estimate their plans
+// with its hook and stop when it is cancelled.
+func (in *Interp) startWorkers(n int) []*workerState {
+	pl := in.pool()
+	for len(pl.workers) < n {
+		ws := &workerState{sub: &Interp{}}
+		ws.sub.bufSink = func(pid storage.PredID) *RowList {
+			return ws.out.sink(pid, ws.sub.Cat.Pred(pid).Arity)
+		}
+		pl.workers = append(pl.workers, ws)
 	}
-	for i := range n {
-		in.taskSegs[i] = in.taskSegs[i][:0]
+	workers := pl.workers[:n]
+	for _, ws := range workers {
+		ws.err = nil
+		ws.sub.Cat, ws.sub.Estimate, ws.sub.parent = in.Cat, in.Estimate, in
 	}
-	return in.taskSegs[:n]
+	return workers
 }
 
 // endTasks folds the batch's rows through f in task order and gives every
-// one of the w workers' chunks back to the scratch pool: the barrier.
-func (in *Interp) endTasks(segs [][]segment, w int, f func(pred storage.PredID, row []storage.Value)) {
+// one of the workers' chunks back to the scratch pool: the barrier. The
+// workers let go of this interpreter, so that a Pool kept across runs holds
+// no run's state.
+func endTasks(workers []*workerState, f func(pred storage.PredID, row []storage.Value)) {
 	if f != nil {
-		foldSegments(segs, f)
+		foldSegments(workers, f)
 	}
-	for _, ws := range in.workers[:w] {
+	for _, ws := range workers {
 		ws.out.release()
+		ws.sub.Cat, ws.sub.Estimate, ws.sub.parent = nil, nil, nil
 	}
 }
 
-// shardTask is one unit of parallel work: a rule, restricted to morsel task
-// of tasks of its delta reads (tasks 0 = the unrestricted rule-granular
-// task), optionally carrying the compiled morsel-parameterized body the
-// controller resolved for the rule this iteration (nil = interpret).
-type shardTask struct {
-	rule  *ir.UnionRuleOp
-	task  int
-	tasks int
-	unit  ShardUnit
+// ruleTask is one rule of a pooled batch, evaluated as the batch's tasks per
+// rule morsel tasks, carrying the compiled morsel-parameterized body the
+// controller resolved for it this iteration (nil = interpret).
+type ruleTask struct {
+	rule *ir.UnionRuleOp
+	unit ShardUnit
 }
 
 // DefaultFanoutThreshold is the sequential-path delta bound of the fan-out
@@ -513,6 +571,24 @@ type shardTask struct {
 // since at that size the per-task scheduling plus list-merge overhead
 // exceeds the join work itself on every workload measured.
 const DefaultFanoutThreshold = 256
+
+// PoolMatchRatio is the work gate of the default fan-out policy (Auto): an
+// iteration may fan out only when the loop's previous iteration matched at
+// least this many rows per δ row it read. CSPA's heavy iterations match 23
+// to 331 rows per δ row, and the pool pays there on two cores; transitive
+// closure matches 2.4 to 3.2, too few to keep the workers busy past the
+// barrier's sequential fold.
+const PoolMatchRatio = 16
+
+// deltaRows returns the total δ rows of the loop's predicates: what the
+// iteration about to run reads.
+func (in *Interp) deltaRows(n *ir.DoWhileOp) int {
+	total := 0
+	for _, pid := range n.Preds {
+		total += in.Cat.Pred(pid).DeltaKnown.Len()
+	}
+	return total
+}
 
 // chooseFanout picks the iteration's strategy from the live delta
 // cardinalities of the loop's predicates and returns the number of tasks
@@ -524,10 +600,7 @@ const DefaultFanoutThreshold = 256
 // at FanoutThreshold 1 every non-empty iteration fans out to min(total
 // delta rows, Shards) tasks whenever Shards <= 4 x workers.
 func (in *Interp) chooseFanout(n *ir.DoWhileOp) int {
-	total := 0
-	for _, pid := range n.Preds {
-		total += in.Cat.Pred(pid).DeltaKnown.Len()
-	}
+	total := in.deltaRows(n)
 	threshold := in.FanoutThreshold
 	if threshold <= 0 {
 		threshold = DefaultFanoutThreshold
@@ -551,21 +624,31 @@ func (in *Interp) chooseFanout(n *ir.DoWhileOp) int {
 // there.
 //
 // The task count is re-decided every iteration from the live delta
-// cardinalities (chooseFanout), and small-delta iterations bypass the
-// machinery entirely: they interpret the body in place exactly like the
-// sequential driver, spawning no tasks and touching no lists.
+// cardinalities (chooseFanout) and, under Auto, from the matches per δ row
+// of the iteration before; small-delta iterations bypass the machinery
+// entirely: they run the body in place like the sequential driver,
+// spawning no tasks and touching no lists (runIteration).
 func (in *Interp) runLoopParallel(n *ir.DoWhileOp) error {
-	var pending []shardTask
+	gated := in.Auto && !in.Parallel
+	dense := false  // the previous iteration reached PoolMatchRatio
+	pooled := false // an iteration of this loop ran on the pool
 	for {
-		if tasks := in.chooseFanout(n); tasks == 0 {
+		rows, matches := in.deltaRows(n), in.Stats.Matches
+		tasks := 0
+		if !gated || dense && in.workerCount() > 1 {
+			tasks = in.chooseFanout(n)
+		}
+		if tasks == 0 {
 			in.Stats.SeqIters++
-			for _, c := range n.Body {
-				if err := in.Exec(c); err != nil {
-					return err
-				}
+			if err := in.runIteration(n, pooled); err != nil {
+				return err
 			}
-		} else if err := in.runIterationTasks(n, tasks, &pending); err != nil {
-			return err
+		} else {
+			before := in.Stats.PooledIters
+			if err := in.runIterationTasks(n, tasks); err != nil {
+				return err
+			}
+			pooled = pooled || in.Stats.PooledIters > before
 		}
 		in.Stats.Iterations++
 		if in.Cancelled() {
@@ -574,118 +657,166 @@ func (in *Interp) runLoopParallel(n *ir.DoWhileOp) error {
 		if DeltasEmpty(in.Cat, n.Preds) {
 			return nil
 		}
+		dense = rows > 0 && in.Stats.Matches-matches >= PoolMatchRatio*int64(rows)
 	}
+}
+
+// runIteration runs one iteration's body in place, as the sequential
+// driver does. In a loop that has pooled, each rule instead runs the task
+// unit the controller resolves for it, unrestricted: a task unit and a
+// sequential unit are one chain (ShardUnit), so the loop's sequential
+// iterations compile nothing its pooled ones did not. A rule without a task
+// unit runs through Exec.
+func (in *Interp) runIteration(n *ir.DoWhileOp, pooled bool) error {
+	sc := in.shardCtrl()
+	if pooled && sc != nil {
+		// Task units probe δ's indexes but never build them.
+		for _, pid := range n.Preds {
+			in.Cat.Pred(pid).DeltaKnown.EnsureIndexes()
+		}
+	}
+	for _, c := range n.Body {
+		ua, ok := c.(*ir.UnionAllOp)
+		if !ok || !pooled || sc == nil {
+			if err := in.Exec(c); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, r := range ua.Rules {
+			var err error
+			if u := sc.ResolveShardUnit(r, in); u != nil {
+				in.Stats.Compiled++
+				err = u(in, 0, 1, 1)
+			} else {
+				err = in.Exec(r)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // runIterationTasks executes one iteration's body with rule evaluation
 // fanned out over the pool, tasks morsel tasks per rule (tasks < 2: one
 // rule-granular task each), flushed at every non-union op so cross-rule
 // ordering is preserved.
-func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shardTask) error {
+func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int) error {
 	if tasks < 2 {
 		tasks = 0
 	}
-	flush := func() error {
-		if len(*pending) == 0 {
-			return nil
-		}
-		defer func() { *pending = (*pending)[:0] }()
-		w := in.poolSize(len(*pending))
-		if w <= 1 {
-			// Degenerate pool: evaluate each rule once, unrestricted and in
-			// place, writing DeltaNew directly like the sequential path —
-			// through Exec, so a Controller's safe point still fires at the
-			// rule node and sequential compiled units run exactly as they
-			// did under the pre-shard-native sequential loop. Tasks of one
-			// rule are contiguous; run the rule at its first task only.
-			var last *ir.UnionRuleOp
-			for _, t := range *pending {
-				if t.rule == last {
-					continue
-				}
-				last = t.rule
-				if err := in.Exec(t.rule); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Compiled task bodies: only now is it known that a pool will
-		// actually run, so resolve a unit per rule here — still on the
-		// interpreter goroutine, before the workers spawn (the controller's
-		// resolution state is single-threaded) — and stamp every task of
-		// the rule (tasks of one rule are contiguous in pending).
-		if sc := in.shardCtrl(); sc != nil {
-			var lastRule *ir.UnionRuleOp
-			var lastUnit ShardUnit
-			for i := range *pending {
-				t := &(*pending)[i]
-				if t.rule != lastRule {
-					lastRule = t.rule
-					lastUnit = sc.ResolveShardUnit(t.rule, in)
-				}
-				t.unit = lastUnit
-			}
-		}
-		// Tasks build their plans but never an index: ensure every delta's.
-		for _, pid := range n.Preds {
-			in.Cat.Pred(pid).DeltaKnown.EnsureIndexes()
-		}
-		in.ensureWorkers(w)
-		segs := in.startTasks(len(*pending))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			ws := in.workers[i]
-			ws.err = nil
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ti := int(next.Add(1) - 1)
-					if ti >= len(*pending) || ws.sub.Cancelled() {
-						return
-					}
-					t := (*pending)[ti]
-					var err error
-					if t.unit != nil {
-						// Compiled task body: the unit applies the task's
-						// morsel itself and emits through the worker's
-						// DerivationSink lists.
-						ws.sub.Stats.Compiled++
-						err = t.unit(ws.sub, t.task, t.task+1, t.tasks)
-					} else {
-						ws.sub.task, ws.sub.tasks = t.task, t.tasks
-						err = ws.sub.interpret(t.rule)
-					}
-					if err != nil {
-						ws.err = err
-						return
-					}
-					segs[ti] = ws.out.endTask(segs[ti])
-				}
-			}()
-		}
-		wg.Wait()
-		return in.mergeWorkers(segs, w)
-	}
+	merged := in.Stats.MergeTasks
+	pl := in.pool()
 	for _, c := range n.Body {
 		if ua, ok := c.(*ir.UnionAllOp); ok {
+			pl.pending = slices.Grow(pl.pending, len(ua.Rules))
 			for _, r := range ua.Rules {
-				for i := range max(tasks, 1) {
-					*pending = append(*pending, shardTask{rule: r, task: i, tasks: tasks})
-				}
+				pl.pending = append(pl.pending, ruleTask{rule: r})
 			}
 			continue
 		}
-		if err := flush(); err != nil {
+		if err := in.flushTasks(n, tasks); err != nil {
 			return err
 		}
 		if err := in.Exec(c); err != nil {
 			return err
 		}
 	}
-	return flush()
+	if err := in.flushTasks(n, tasks); err != nil {
+		return err
+	}
+	if in.Stats.MergeTasks > merged {
+		in.Stats.PooledIters++
+	}
+	return nil
+}
+
+// flushTasks runs the pending rules of the loop n's iteration, tasks morsel
+// tasks each (0: one unrestricted task), and empties the batch.
+func (in *Interp) flushTasks(n *ir.DoWhileOp, tasks int) error {
+	pl := in.pool()
+	pending := pl.pending
+	if len(pending) == 0 {
+		return nil
+	}
+	defer func() {
+		clear(pending) // drop the rule and unit references
+		pl.pending = pending[:0]
+	}()
+	per := max(tasks, 1)
+	total := len(pending) * per
+	w := in.poolSize(total)
+	if w <= 1 {
+		// Degenerate pool: evaluate each rule once, unrestricted and in
+		// place, writing DeltaNew directly like the sequential path —
+		// through Exec, so a Controller's safe point still fires at the
+		// rule node and sequential compiled units run exactly as they
+		// did under the pre-shard-native sequential loop.
+		for _, t := range pending {
+			if err := in.Exec(t.rule); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Compiled task bodies: only now is it known that a pool will
+	// actually run, so resolve a unit per rule here — still on the
+	// interpreter goroutine, before the workers spawn (the controller's
+	// resolution state is single-threaded).
+	if sc := in.shardCtrl(); sc != nil {
+		for i := range pending {
+			pending[i].unit = sc.ResolveShardUnit(pending[i].rule, in)
+		}
+	}
+	// Tasks build their plans, and task units probe, but never build an
+	// index: ensure every delta's.
+	for _, pid := range n.Preds {
+		in.Cat.Pred(pid).DeltaKnown.EnsureIndexes()
+	}
+	// The interpreter's goroutine is the first worker: a barrier starts one
+	// goroutine fewer than it has workers.
+	workers := in.startWorkers(w)
+	pl.per, pl.tasks, pl.total = per, tasks, total
+	pl.next.Store(0)
+	pl.wg.Add(len(workers) - 1)
+	for _, ws := range workers[1:] {
+		go func() {
+			defer pl.wg.Done()
+			pl.runTasks(ws)
+		}()
+	}
+	pl.runTasks(workers[0])
+	pl.wg.Wait()
+	return in.mergeWorkers(workers)
+}
+
+// runTasks runs the batch's tasks on ws, taking them from the pool's
+// counter, until none is left, a task fails or the run is cancelled.
+func (pl *Pool) runTasks(ws *workerState) {
+	for {
+		ti := int(pl.next.Add(1) - 1)
+		if ti >= pl.total || ws.sub.Cancelled() {
+			return
+		}
+		r, task := pl.pending[ti/pl.per], ti%pl.per
+		var err error
+		if r.unit != nil {
+			// Compiled task body: the unit applies the task's morsel itself
+			// and emits through the worker's DerivationSink lists.
+			ws.sub.Stats.Compiled++
+			err = r.unit(ws.sub, task, task+1, pl.tasks)
+		} else {
+			ws.sub.task, ws.sub.tasks = task, pl.tasks
+			err = ws.sub.interpret(r.rule)
+		}
+		if err != nil {
+			ws.err = err
+			return
+		}
+		ws.out.endTask(ti)
+	}
 }
 
 // mergeWorkers folds the rows the tasks wrote into the workers' lists into
@@ -695,9 +826,9 @@ func (in *Interp) runIterationTasks(n *ir.DoWhileOp, tasks int, pending *[]shard
 // execution counters. Runs at the iteration barrier and folds in task order,
 // whichever worker ran a task, so δ′'s row order does not depend on
 // scheduling; every chunk returns to the scratch pool.
-func (in *Interp) mergeWorkers(segs [][]segment, w int) error {
+func (in *Interp) mergeWorkers(workers []*workerState) error {
 	var firstErr error
-	for _, ws := range in.workers[:w] {
+	for _, ws := range workers {
 		if ws.err != nil && firstErr == nil {
 			firstErr = ws.err
 		}
@@ -711,14 +842,14 @@ func (in *Interp) mergeWorkers(segs [][]segment, w int) error {
 	}
 	var emit func(storage.PredID, []storage.Value)
 	if firstErr == nil {
-		in.Stats.MergeTasks += int64(w)
+		in.Stats.MergeTasks += int64(len(workers))
 		emit = func(pred storage.PredID, row []storage.Value) {
 			if in.Cat.Pred(pred).Emit(row) {
 				in.Stats.Derivations++
 			}
 		}
 	}
-	in.endTasks(segs, w, emit)
+	endTasks(workers, emit)
 	return firstErr
 }
 

@@ -259,3 +259,57 @@ tc(x,y) :- tc(x,z), edge(z,y).
 		t.Fatalf("edge holds %d rows", edge.Derived.Len())
 	}
 }
+
+// TestMorselSplitRule: morsel tasks split a subquery whose δ read is its
+// outermost loop always, and one whose δ read sits under a loop over other
+// rows only while the tasks' repeats of that loop read no more rows than δ
+// holds; the interpreter's decision from the atoms and lambda's from the
+// plan agree.
+func TestMorselSplitRule(t *testing.T) {
+	cat := storage.NewCatalog()
+	res, err := parser.Parse(`
+.decl edge(x:number, y:number)
+.decl tc(x:number, y:number)
+edge(1,2). edge(2,3). edge(3,4).
+tc(x,y) :- edge(x,y).
+tc(x,y) :- tc(x,z), edge(z,y).
+`, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := ir.Lower(res.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, _ := cat.PredByName("tc")
+	for i := range storage.Value(40) {
+		tc.DeltaKnown.Insert([]storage.Value{i % 7, i % 5})
+	}
+	var rec *ir.SPJOp
+	ir.Walk(root, func(o ir.Op) {
+		if s, ok := o.(*ir.SPJOp); ok && s.DeltaAtom() >= 0 {
+			rec = s
+		}
+	})
+	for _, deltaFirst := range []bool{true, false} {
+		if (rec.Atoms[0].Src == ir.SrcDelta) != deltaFirst {
+			rec.Atoms[0], rec.Atoms[1] = rec.Atoms[1], rec.Atoms[0]
+			rec.DeltaIdx = rec.DeltaAtom()
+		}
+		plan, err := BuildPlan(rec, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// δ holds 35 distinct rows. Under the 3 edge rows, 11 tasks repeat
+		// 33 rows, 12 repeat 36: more than δ holds.
+		for _, tasks := range []int{2, 8, 11, 12, 60} {
+			want := deltaFirst || tasks <= 11
+			if got := plan.Split(cat, tasks); got != want {
+				t.Errorf("δ first %v, %d tasks: Plan.Split = %v, want %v", deltaFirst, tasks, got, want)
+			}
+			if got := splits(rec, cat, tasks); got != want {
+				t.Errorf("δ first %v, %d tasks: splits = %v, want %v", deltaFirst, tasks, got, want)
+			}
+		}
+	}
+}

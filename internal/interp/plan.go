@@ -13,6 +13,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"carac/internal/ast"
 	"carac/internal/eval"
@@ -141,6 +142,75 @@ type Plan struct {
 	MorselStep int
 	MorselFrom int
 	MorselTo   int
+
+	// buf, when set, is the memory a rebuilt plan keeps (Plan.build); a
+	// plan from BuildPlan has none.
+	buf *planBuf
+}
+
+// planBuf is what the interpreter's one Plan keeps from build to build and
+// from Execute to Execute: build's bound variables, and Execute's bindings,
+// head tuple and the steps' tuples.
+type planBuf struct {
+	bound               []bool
+	bind, head, scratch []storage.Value
+}
+
+// grown returns s resized to n elements, reallocated only to grow.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// DeltaStep returns the index of the plan's delta read, the step a morsel
+// task restricts to its morsel of δ: the first relational step reading δ
+// (semi-naive lowering gives a subquery at most one), or -1.
+func (p *Plan) DeltaStep() int {
+	for i := range p.Steps {
+		if st := &p.Steps[i]; st.Src == ir.SrcDelta && st.relational() {
+			return i
+		}
+	}
+	return -1
+}
+
+// Split reports whether tasks morsel tasks split the plan at its delta read
+// in cat's current state (morselSplits); otherwise a pool runs it whole, in
+// its first task.
+func (p *Plan) Split(cat *storage.Catalog, tasks int) bool {
+	d := p.DeltaStep()
+	if d < 0 {
+		return false
+	}
+	outer := 0
+	for i := range p.Steps[:d] {
+		if st := &p.Steps[i]; st.relational() {
+			outer += readRows(cat, st.Pred, st.Src)
+		}
+	}
+	return morselSplits(outer, cat.Pred(p.Steps[d].Pred).DeltaKnown.Len(), tasks)
+}
+
+// morselSplits is the pool's rule for splitting a subquery whose delta read
+// holds delta rows and sits inside loops over relations of outer rows in
+// all: each of the tasks reads its morsel of δ but repeats those loops, so
+// the subquery is split only while the repeated loops read no more rows
+// than δ holds — always when δ is the outermost read. Transitive closure's
+// join under a small edge relation splits; a join inside a loop over a
+// large Old relation runs whole.
+func morselSplits(outer, delta, tasks int) bool { return outer*tasks <= delta }
+
+// readRows is the number of rows a read of pred's src visits.
+func readRows(cat *storage.Catalog, pred storage.PredID, src ir.Source) int {
+	rel, bound := SourceRel(cat, pred, src)
+	return min(rel.Len(), bound)
+}
+
+// relational reports whether the step reads a relation's rows.
+func (st *Step) relational() bool {
+	return st.Kind == StepScan || st.Kind == StepProbe || st.Kind == StepProbeN
 }
 
 // SourceRel resolves the relation a relational step reads right now and its
@@ -183,29 +253,58 @@ func EnsureDeltaIndexes(p *Plan, cat *storage.Catalog) {
 // atoms unbound when reached) — compiled backends rely on this as their
 // soundness check, and the optimizer never produces illegal orders.
 func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
-	p := &Plan{
-		Steps:   make([]Step, 0, len(spj.Atoms)), // one per atom
-		Head:    spj.Head,
-		Sink:    spj.Sink,
-		NumVars: spj.NumVars,
-		Agg:     spj.Agg,
+	p := &Plan{Steps: make([]Step, 0, len(spj.Atoms))} // one step per atom
+	if err := p.build(spj, cat); err != nil {
+		return nil, err
 	}
-	bound := make([]bool, spj.NumVars)
+	return p, nil
+}
+
+// build makes p the plan of the SPJ's current atom order, as BuildPlan does,
+// in p's own memory: its steps, and each step's checks, binds and
+// templates, are rewritten in place, and a p with a planBuf keeps it. The
+// interpreter builds every plan it runs into one Plan this way, so building
+// allocates only while that Plan grows. Nothing may hold a step of p across
+// a build: compiled units keep BuildPlan's plans, never a rebuilt one.
+func (p *Plan) build(spj *ir.SPJOp, cat *storage.Catalog) error {
+	steps, buf := p.Steps[:0], p.buf
+	*p = Plan{Head: spj.Head, Sink: spj.Sink, NumVars: spj.NumVars, Agg: spj.Agg, buf: buf}
+	var bound []bool
+	if buf != nil {
+		buf.bound = grown(buf.bound, spj.NumVars)
+		bound = buf.bound
+		clear(bound)
+	} else {
+		bound = make([]bool, spj.NumVars)
+	}
+	// next appends a step of kind k, reusing the slot's slices when the
+	// step array already reaches that far. ProbeCols is never reused: it is
+	// the registration's own column set (selectProbe).
+	next := func(k StepKind) *Step {
+		if len(steps) < cap(steps) {
+			steps = steps[:len(steps)+1]
+		} else {
+			steps = append(steps, Step{})
+		}
+		st := &steps[len(steps)-1]
+		*st = Step{Kind: k, Checks: st.Checks[:0], Binds: st.Binds[:0], Tmpl: st.Tmpl[:0], Args: st.Args[:0]}
+		return st
+	}
+	defer func() { p.Steps = steps }()
 	for ai, a := range spj.Atoms {
 		switch a.Kind {
 		case ast.AtomRelation:
-			st := Step{Kind: StepScan, Pred: a.Pred, Src: a.Src, ProbeCol: -1}
-			firstOcc := map[ast.VarID]int{}
+			st := next(StepScan)
+			st.Pred, st.Src, st.ProbeCol = a.Pred, a.Src, -1
 			for col, t := range a.Terms {
 				switch t.Kind {
 				case ast.TermConst:
 					st.Checks = append(st.Checks, ColCheck{Col: col, Mode: CheckConst, Const: t.Val})
 				case ast.TermVar:
-					if prev, ok := firstOcc[t.Var]; ok {
+					if prev := slices.IndexFunc(a.Terms[:col], func(u ast.Term) bool { return u.Kind == ast.TermVar && u.Var == t.Var }); prev >= 0 {
 						st.Checks = append(st.Checks, ColCheck{Col: col, Mode: CheckSameRow, Other: prev})
 						continue
 					}
-					firstOcc[t.Var] = col
 					if bound[t.Var] {
 						st.Checks = append(st.Checks, ColCheck{Col: col, Mode: CheckVar, Var: t.Var})
 					} else {
@@ -219,33 +318,33 @@ func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
 			// on the PredicateDB, which SwapClear never swaps, so plan
 			// building is safe on the asynchronous compile thread while the
 			// interpreter runs.
-			selectProbe(&st, cat.Pred(a.Pred))
+			selectProbe(st, cat.Pred(a.Pred))
 			for _, b := range st.Binds {
 				bound[b.Var] = true
 			}
-			p.Steps = append(p.Steps, st)
 
 		case ast.AtomNegated:
-			st := Step{Kind: StepNegCheck, Pred: a.Pred, Src: a.Src}
+			st := next(StepNegCheck)
+			st.Pred, st.Src = a.Pred, a.Src
 			for _, t := range a.Terms {
 				switch t.Kind {
 				case ast.TermConst:
 					st.Tmpl = append(st.Tmpl, TmplElem{IsConst: true, Const: t.Val})
 				case ast.TermVar:
 					if !bound[t.Var] {
-						return nil, fmt.Errorf("interp: negated atom %d reached with unbound variable v%d", ai, t.Var)
+						return fmt.Errorf("interp: negated atom %d reached with unbound variable v%d", ai, t.Var)
 					}
 					st.Tmpl = append(st.Tmpl, TmplElem{Var: t.Var})
 				}
 			}
-			p.Steps = append(p.Steps, st)
 
 		case ast.AtomBuiltin:
 			outs, ok := ast.BuiltinBindable(ir2astAtom(a), func(v ast.VarID) bool { return bound[v] })
 			if !ok {
-				return nil, fmt.Errorf("interp: builtin %v at atom %d has unbound inputs", a.Builtin, ai)
+				return fmt.Errorf("interp: builtin %v at atom %d has unbound inputs", a.Builtin, ai)
 			}
-			st := Step{Kind: StepBuiltin, Builtin: a.Builtin, Out: -1}
+			st := next(StepBuiltin)
+			st.Builtin, st.Out = a.Builtin, -1
 			for _, t := range a.Terms {
 				if t.Kind == ast.TermConst {
 					st.Args = append(st.Args, TmplElem{IsConst: true, Const: t.Val})
@@ -259,9 +358,8 @@ func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
 				st.OutVar = t.Var
 				bound[t.Var] = true
 			} else if len(outs) > 1 {
-				return nil, fmt.Errorf("interp: builtin %v at atom %d has %d unbound outputs", a.Builtin, ai, len(outs))
+				return fmt.Errorf("interp: builtin %v at atom %d has %d unbound outputs", a.Builtin, ai, len(outs))
 			}
-			p.Steps = append(p.Steps, st)
 		}
 	}
 	// Head safety (belt and braces; ast.CheckRule already enforced this).
@@ -270,10 +368,10 @@ func BuildPlan(spj *ir.SPJOp, cat *storage.Catalog) (*Plan, error) {
 			if p.Agg.Kind != ast.AggNone && i == p.Agg.HeadPos {
 				continue
 			}
-			return nil, fmt.Errorf("interp: head position %d unbound after body", i)
+			return fmt.Errorf("interp: head position %d unbound after body", i)
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // selectProbe upgrades a scan step to the best probe registered on the
@@ -306,10 +404,7 @@ func selectProbe(st *Step, pd *storage.PredicateDB) {
 		} else {
 			st.ProbeKey = TmplElem{Var: ck.Var}
 		}
-		rest := make([]ColCheck, 0, len(st.Checks)-1)
-		rest = append(rest, st.Checks[:ci]...)
-		rest = append(rest, st.Checks[ci+1:]...)
-		st.Checks = rest
+		st.Checks = slices.Delete(st.Checks, ci, ci+1)
 		return
 	}
 }
@@ -410,10 +505,10 @@ func (t TmplElem) resolve(bind []storage.Value) storage.Value {
 // Execute runs the plan against the catalog, invoking emit for every body
 // match with the projected head tuple and the full variable bindings (the
 // latter lets aggregation sinks read the aggregated variable). Both slices
-// are reused across calls; emit must copy what it keeps.
+// are reused across calls; emit must copy what it keeps. A plan with a
+// planBuf executes in it, allocating nothing once it has run; one plan runs
+// one Execute at a time.
 func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Value)) {
-	bind := make([]storage.Value, p.NumVars)
-	head := make([]storage.Value, len(p.Head))
 	// One scratch holds every step's key, argument or membership tuple,
 	// used as a stack by step depth: step i's buffer starts at off and the
 	// steps below it use what follows, so no row allocates one.
@@ -421,114 +516,133 @@ func (p *Plan) Execute(cat *storage.Catalog, emit func(head, bind []storage.Valu
 	for i := range p.Steps {
 		need += p.Steps[i].scratchLen()
 	}
-	scratch := make([]storage.Value, need)
-	var rec func(i, off int)
-	rec = func(i, off int) {
-		if i == len(p.Steps) {
-			for hi, h := range p.Head {
-				if h.IsConst {
-					head[hi] = h.Const
-				} else {
-					head[hi] = bind[h.Var]
-				}
+	x := execution{p: p, cat: cat}
+	if b := p.buf; b != nil {
+		b.bind, b.head, b.scratch = grown(b.bind, p.NumVars), grown(b.head, len(p.Head)), grown(b.scratch, need)
+		x.bind, x.head, x.scratch = b.bind, b.head, b.scratch
+	} else {
+		x.bind, x.head, x.scratch = make([]storage.Value, p.NumVars), make([]storage.Value, len(p.Head)), make([]storage.Value, need)
+	}
+	x.rec(emit, 0, 0)
+}
+
+// execution is one Execute of a plan, and the memory it binds into.
+type execution struct {
+	p                   *Plan
+	cat                 *storage.Catalog
+	bind, head, scratch []storage.Value
+}
+
+// rec runs the plan's steps from i on under the bindings so far, emitting
+// the matches; off is where step i's buffer starts in the scratch.
+func (x *execution) rec(emit func(head, bind []storage.Value), i, off int) {
+	p, bind := x.p, x.bind
+	if i == len(p.Steps) {
+		head := x.head
+		for hi, h := range p.Head {
+			if h.IsConst {
+				head[hi] = h.Const
+			} else {
+				head[hi] = bind[h.Var]
 			}
-			emit(head, bind)
-			return
 		}
-		st := &p.Steps[i]
-		next := off + st.scratchLen()
-		switch st.Kind {
-		case StepScan, StepProbe, StepProbeN:
-			rel, to := SourceRel(cat, st.Pred, st.Src)
-			from := 0
-			if p.Morsel && i == p.MorselStep {
-				from, to = p.MorselFrom, p.MorselTo
+		emit(head, bind)
+		return
+	}
+	st := &p.Steps[i]
+	next := off + st.scratchLen()
+	switch st.Kind {
+	case StepScan, StepProbe, StepProbeN:
+		rel, to := SourceRel(x.cat, st.Pred, st.Src)
+		from := 0
+		if p.Morsel && i == p.MorselStep {
+			from, to = p.MorselFrom, p.MorselTo
+		}
+		// Poll cancellation/yield in the two outermost loops: the outer
+		// one alone is not enough when a tiny delta drives a huge inner
+		// cartesian product.
+		checkCancel := i <= 1 && p.Cancel != nil
+		checkYield := i <= 1 && p.Yield != nil
+		visit := func(row []storage.Value) bool {
+			if p.Yielded || (checkCancel && p.Cancel()) {
+				return false
 			}
-			// Poll cancellation/yield in the two outermost loops: the outer
-			// one alone is not enough when a tiny delta drives a huge inner
-			// cartesian product.
-			checkCancel := i <= 1 && p.Cancel != nil
-			checkYield := i <= 1 && p.Yield != nil
-			visit := func(row []storage.Value) bool {
-				if p.Yielded || (checkCancel && p.Cancel()) {
-					return false
-				}
-				if checkYield && p.Yield() {
-					p.Yielded = true
-					return false
-				}
-				for _, ck := range st.Checks {
-					switch ck.Mode {
-					case CheckConst:
-						if row[ck.Col] != ck.Const {
-							return true
-						}
-					case CheckVar:
-						if row[ck.Col] != bind[ck.Var] {
-							return true
-						}
-					case CheckSameRow:
-						if row[ck.Col] != row[ck.Other] {
-							return true
-						}
+			if checkYield && p.Yield() {
+				p.Yielded = true
+				return false
+			}
+			for _, ck := range st.Checks {
+				switch ck.Mode {
+				case CheckConst:
+					if row[ck.Col] != ck.Const {
+						return true
+					}
+				case CheckVar:
+					if row[ck.Col] != bind[ck.Var] {
+						return true
+					}
+				case CheckSameRow:
+					if row[ck.Col] != row[ck.Other] {
+						return true
 					}
 				}
-				for _, b := range st.Binds {
-					bind[b.Var] = row[b.Col]
-				}
-				rec(i+1, next)
-				return true
 			}
-			// Storage owns the access path: the row range, the key's chain
-			// and the filtered scan where no index answers.
-			switch st.Kind {
-			case StepProbe:
-				rel.ScanKey(from, to, []int{st.ProbeCol}, []storage.Value{st.ProbeKey.resolve(bind)}, visit)
-			case StepProbeN:
-				vals := scratch[off:next]
-				for ki, k := range st.ProbeKeys {
-					vals[ki] = k.resolve(bind)
-				}
-				rel.ScanKey(from, to, st.ProbeCols, vals, visit)
-			default:
-				rel.Scan(from, to, visit)
+			for _, b := range st.Binds {
+				bind[b.Var] = row[b.Col]
 			}
-
-		case StepNegCheck, StepMember:
-			// Never Old: a negated atom is in a lower stratum, and a
-			// membership step reads δ or Full (retraction's lowerings).
-			rel, _ := SourceRel(cat, st.Pred, st.Src)
-			t := scratch[off:next]
-			for ti, tm := range st.Tmpl {
-				t[ti] = tm.resolve(bind)
-			}
-			if rel.Contains(t) == (st.Kind == StepMember) {
-				rec(i+1, next)
-			}
-
-		case StepBuiltin:
-			vals := scratch[off:next]
-			for vi, a := range st.Args {
-				if st.Out == vi {
-					continue
-				}
-				vals[vi] = a.resolve(bind)
-			}
-			if st.Out < 0 {
-				if eval.Check(st.Builtin, vals) {
-					rec(i+1, next)
-				}
-				return
-			}
-			v, ok := eval.Solve(st.Builtin, vals, st.Out)
-			if !ok {
-				return
-			}
-			bind[st.OutVar] = v
-			rec(i+1, next)
+			x.rec(emit, i+1, next)
+			return true
 		}
+		// Storage owns the access path: the row range, the key's chain
+		// and the filtered scan where no index answers.
+		switch st.Kind {
+		case StepProbe:
+			key := [1]storage.Value{st.ProbeKey.resolve(bind)}
+			col := [1]int{st.ProbeCol}
+			rel.ScanKey(from, to, col[:], key[:], visit)
+		case StepProbeN:
+			vals := x.scratch[off:next]
+			for ki, k := range st.ProbeKeys {
+				vals[ki] = k.resolve(bind)
+			}
+			rel.ScanKey(from, to, st.ProbeCols, vals, visit)
+		default:
+			rel.Scan(from, to, visit)
+		}
+
+	case StepNegCheck, StepMember:
+		// Never Old: a negated atom is in a lower stratum, and a
+		// membership step reads δ or Full (retraction's lowerings).
+		rel, _ := SourceRel(x.cat, st.Pred, st.Src)
+		t := x.scratch[off:next]
+		for ti, tm := range st.Tmpl {
+			t[ti] = tm.resolve(bind)
+		}
+		if rel.Contains(t) == (st.Kind == StepMember) {
+			x.rec(emit, i+1, next)
+		}
+
+	case StepBuiltin:
+		vals := x.scratch[off:next]
+		for vi, a := range st.Args {
+			if st.Out == vi {
+				continue
+			}
+			vals[vi] = a.resolve(bind)
+		}
+		if st.Out < 0 {
+			if eval.Check(st.Builtin, vals) {
+				x.rec(emit, i+1, next)
+			}
+			return
+		}
+		v, ok := eval.Solve(st.Builtin, vals, st.Out)
+		if !ok {
+			return
+		}
+		bind[st.OutVar] = v
+		x.rec(emit, i+1, next)
 	}
-	rec(0, 0)
 }
 
 // scratchLen is how many values the step's key, builtin arguments or

@@ -251,11 +251,10 @@ func (in *Interp) runRetractPlans(plans []*Plan, keep func(storage.PredID, []sto
 			p.Execute(in.Cat, func(head, _ []storage.Value) { commit(p.Sink, head) })
 		}
 	} else {
-		in.ensureWorkers(workers)
-		segs := in.startTasks(len(plans))
+		pool := in.startWorkers(workers)
 		var next atomic.Int32
 		var wg sync.WaitGroup
-		for _, ws := range in.workers[:workers] {
+		for _, ws := range pool {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -267,12 +266,12 @@ func (in *Interp) runRetractPlans(plans []*Plan, keep func(storage.PredID, []sto
 							out.Append(head)
 						}
 					})
-					segs[i] = ws.out.endTask(segs[i])
+					ws.out.endTask(i)
 				}
 			}()
 		}
 		wg.Wait()
-		in.endTasks(segs, workers, commit)
+		endTasks(pool, commit)
 	}
 	if in.Cancelled() {
 		return ErrCancelled

@@ -131,8 +131,9 @@ func (l *RowList) release() {
 	l.tail, l.used, l.n = nil, 0, 0
 }
 
-// segment is the rows [lo, hi) one task appended to a worker's list.
+// segment is the rows [lo, hi) task appended to a worker's list.
 type segment struct {
+	task   int
 	pred   storage.PredID
 	list   *RowList
 	lo, hi int
@@ -147,6 +148,8 @@ type segment struct {
 // and the fold stages the same first occurrences whatever the scheduling.
 type workerOut struct {
 	lists []outList
+	segs  []segment // every task's segments since the last release, in the order the tasks ran
+	next  int       // the fold's cursor in segs
 }
 
 type outList struct {
@@ -169,37 +172,49 @@ func (o *workerOut) sink(pred storage.PredID, arity int) *RowList {
 	return l
 }
 
-// endTask credits the rows appended since the previous endTask to the task
-// that just ran, appending them to segs.
-func (o *workerOut) endTask(segs []segment) []segment {
+// endTask credits the rows appended since the previous endTask to task, the
+// task that just ran.
+func (o *workerOut) endTask(task int) {
 	for i := range o.lists {
 		e := &o.lists[i]
 		if n := e.list.Len(); n > e.mark {
-			segs = append(segs, segment{pred: e.pred, list: e.list, lo: e.mark, hi: n})
+			o.segs = append(o.segs, segment{task: task, pred: e.pred, list: e.list, lo: e.mark, hi: n})
 			e.mark = n
 		}
 	}
-	return segs
 }
 
-// release gives every list's chunks back to the scratch pool; the lists stay, empty,
-// for the next barrier's tasks.
+// release gives every list's chunks back to the scratch pool; the lists and
+// the segment buffer stay, empty, for the next barrier's tasks.
 func (o *workerOut) release() {
 	for i := range o.lists {
 		o.lists[i].list.release()
 		o.lists[i].mark = 0
 	}
+	clear(o.segs)
+	o.segs, o.next = o.segs[:0], 0
 }
 
-// foldSegments passes every row the tasks wrote to f, task by task in task
-// order, each task's segments in predicate order.
-func foldSegments(tasks [][]segment, f func(pred storage.PredID, row []storage.Value)) {
-	for _, segs := range tasks {
-		for _, s := range segs {
-			s.list.each(s.lo, s.hi, func(row []storage.Value) bool {
-				f(s.pred, row)
-				return true
-			})
+// foldSegments passes every row the workers' tasks wrote to f, task by task
+// in task order, each task's segments in predicate order. Each worker ran
+// its tasks in increasing task order — the pool hands them out from one
+// counter — so the fold merges the workers' segment lists.
+func foldSegments(workers []*workerState, f func(pred storage.PredID, row []storage.Value)) {
+	for {
+		var o *workerOut
+		for _, ws := range workers {
+			if w := &ws.out; w.next < len(w.segs) && (o == nil || w.segs[w.next].task < o.segs[o.next].task) {
+				o = w
+			}
 		}
+		if o == nil {
+			return
+		}
+		s := o.segs[o.next]
+		o.next++
+		s.list.each(s.lo, s.hi, func(row []storage.Value) bool {
+			f(s.pred, row)
+			return true
+		})
 	}
 }

@@ -50,7 +50,8 @@ func TestRowListChunks(t *testing.T) {
 			}
 			return r
 		}
-		var out workerOut
+		ws := &workerState{}
+		out := &ws.out
 		for fill := 0; fill < 2; fill++ {
 			l := out.sink(storage.PredID(arity), arity)
 			for i := 0; i < n; i++ {
@@ -73,14 +74,14 @@ func TestRowListChunks(t *testing.T) {
 				t.Fatalf("arity %d: Each visited %d rows, want %d", arity, i, n)
 			}
 			// Two tasks' segments, split inside the second chunk.
-			seg := out.endTask(nil)
-			if len(seg) != 1 || seg[0].lo != 0 || seg[0].hi != n {
+			out.endTask(0)
+			if seg := out.segs; len(seg) != 1 || seg[0].lo != 0 || seg[0].hi != n {
 				t.Fatalf("arity %d: segment %+v, want [0, %d)", arity, seg, n)
 			}
-			seg[0].hi = per + 3
-			rest := segment{pred: seg[0].pred, list: l, lo: per + 3, hi: n}
+			out.segs[0].hi = per + 3
+			out.segs = append(out.segs, segment{task: 1, pred: out.segs[0].pred, list: l, lo: per + 3, hi: n})
 			i = 0
-			foldSegments([][]segment{seg, {rest}}, func(_ storage.PredID, r []storage.Value) {
+			foldSegments([]*workerState{ws}, func(_ storage.PredID, r []storage.Value) {
 				if r[0] != row(i)[0] {
 					t.Fatalf("arity %d: fold row %d reads %v, want %v", arity, i, r, row(i))
 				}
@@ -109,23 +110,23 @@ func TestRowListChunks(t *testing.T) {
 // TestRowListTaskOrder: segments credit each task with the rows it appended,
 // so tasks that two workers interleave fold in task order.
 func TestRowListTaskOrder(t *testing.T) {
-	var a, b workerOut
-	segs := make([][]segment, 4)
-	// Worker a runs tasks 3 and 0, worker b tasks 1 and 2 (task 2 derives
-	// nothing).
+	a, b := &workerState{}, &workerState{}
+	// Worker a runs tasks 0, 3 and 4, worker b tasks 1 and 2 (task 2
+	// derives nothing), finishing in the order listed; each worker takes its
+	// tasks in increasing order, as the pool's counter hands them out.
 	for _, task := range []struct {
-		w  *workerOut
+		w  *workerState
 		ti int
-	}{{&a, 3}, {&b, 1}, {&a, 0}, {&b, 2}} {
+	}{{b, 1}, {a, 0}, {b, 2}, {a, 3}, {a, 4}} {
 		if task.ti != 2 {
-			task.w.sink(0, 1).Append([]storage.Value{storage.Value(task.ti)})
-			task.w.sink(0, 1).Append([]storage.Value{storage.Value(task.ti)})
+			task.w.out.sink(0, 1).Append([]storage.Value{storage.Value(task.ti)})
+			task.w.out.sink(0, 1).Append([]storage.Value{storage.Value(task.ti)})
 		}
-		segs[task.ti] = task.w.endTask(segs[task.ti])
+		task.w.out.endTask(task.ti)
 	}
 	var got []storage.Value
-	foldSegments(segs, func(_ storage.PredID, r []storage.Value) { got = append(got, r[0]) })
-	want := []storage.Value{0, 0, 1, 1, 3, 3}
+	foldSegments([]*workerState{a, b}, func(_ storage.PredID, r []storage.Value) { got = append(got, r[0]) })
+	want := []storage.Value{0, 0, 1, 1, 3, 3, 4, 4}
 	if len(got) != len(want) {
 		t.Fatalf("folded %v, want %v", got, want)
 	}

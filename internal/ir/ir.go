@@ -233,8 +233,25 @@ func (s *SPJOp) DeltaAtom() int {
 // Walk visits op and all descendants in pre-order.
 func Walk(op Op, f func(Op)) {
 	f(op)
-	for _, c := range op.Children() {
-		Walk(c, f)
+	EachChild(op, func(c Op) { Walk(c, f) })
+}
+
+// EachChild calls f with each of op's children in order, without the copy
+// Children makes of a union op's typed child slice.
+func EachChild(op Op, f func(Op)) {
+	switch n := op.(type) {
+	case *UnionAllOp:
+		for _, r := range n.Rules {
+			f(r)
+		}
+	case *UnionRuleOp:
+		for _, s := range n.Subqueries {
+			f(s)
+		}
+	default:
+		for _, c := range op.Children() {
+			f(c)
+		}
 	}
 }
 

@@ -327,9 +327,7 @@ func indexParents(op ir.Op, parent ir.Op, idx map[ir.Op]ir.Op) {
 	if parent != nil {
 		idx[op] = parent
 	}
-	for _, ch := range op.Children() {
-		indexParents(ch, op, idx)
-	}
+	ir.EachChild(op, func(ch ir.Op) { indexParents(ch, op, idx) })
 }
 
 // Close shuts the compile worker down. Safe to call once per controller.

@@ -139,9 +139,7 @@ type chain struct {
 	plan  *interp.Plan
 	first step
 	// delta is the step index of the subquery's delta read, the one a task's
-	// morsel restricts: the first relational step sourcing SrcDelta (semi-naive
-	// lowering gives each subquery at most one), mirroring the interpreter's
-	// applyMorsel; -1 when there is none.
+	// morsel restricts (interp.Plan.DeltaStep); -1 when there is none.
 	delta int
 }
 
@@ -149,14 +147,7 @@ type chain struct {
 // paper's "stitching" of higher-order functions — ending in the emit, or in
 // the collecting emit of an aggregating plan.
 func stitch(plan *interp.Plan) *chain {
-	c := &chain{plan: plan, delta: -1}
-	for i := range plan.Steps {
-		st := &plan.Steps[i]
-		if st.Src == ir.SrcDelta && (st.Kind == interp.StepScan || st.Kind == interp.StepProbe || st.Kind == interp.StepProbeN) {
-			c.delta = i
-			break
-		}
-	}
+	c := &chain{plan: plan, delta: plan.DeltaStep()}
 	if plan.Agg.Kind == ast.AggNone {
 		c.first = func(f *frame) { f.emit(f.project(plan.Head)) }
 	} else {
@@ -181,10 +172,10 @@ func (c *chain) run(in *interp.Interp, lo, hi, n int) error {
 	f := frameOf(in, c.plan.NumVars)
 	f.from, f.to = 0, storage.AllRows
 	if n > 1 {
-		if c.delta < 0 {
-			// Whole-relation subqueries are not morsel-divisible; the first
-			// task runs them alone so the fan-out neither duplicates nor
-			// drops them (the interpreter's rule in execSPJ).
+		if !c.plan.Split(in.Cat, n) {
+			// A subquery the tasks do not split is whole work; the first
+			// task runs it alone so the fan-out neither repeats nor drops
+			// it (the interpreter's rule in execSPJ).
 			if lo != 0 {
 				return nil
 			}

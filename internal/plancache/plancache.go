@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -61,11 +62,15 @@ type Key struct {
 // numbering (preds non-nil) each distinct predicate maps to a dense index in
 // first-occurrence order, keeping the equality pattern, not the identity.
 type fp struct {
-	b     []byte
+	b     strings.Builder
 	preds map[storage.PredID]uint32
 }
 
-func (f *fp) put32(v uint32) { f.b = binary.LittleEndian.AppendUint32(f.b, v) }
+func (f *fp) put32(v uint32) {
+	var w [4]byte
+	binary.LittleEndian.PutUint32(w[:], v)
+	f.b.Write(w[:])
+}
 
 func (f *fp) pred(p storage.PredID) uint32 {
 	if f.preds == nil {
@@ -86,34 +91,46 @@ func (f *fp) pred(p storage.PredID) uint32 {
 func (f *fp) spj(spj *ir.SPJOp) {
 	f.put32(f.pred(spj.Sink))
 	f.put32(uint32(spj.NumVars))
-	f.b = append(f.b, byte(spj.Agg.Kind))
+	f.b.WriteByte(byte(spj.Agg.Kind))
 	f.put32(uint32(spj.Agg.HeadPos))
 	f.put32(uint32(spj.Agg.OverVar))
 	for _, h := range spj.Head {
 		if h.IsConst {
-			f.b = append(f.b, 'c')
+			f.b.WriteByte('c')
 			f.put32(uint32(h.Const))
 		} else {
-			f.b = append(f.b, 'v')
+			f.b.WriteByte('v')
 			f.put32(uint32(h.Var))
 		}
 	}
-	f.b = append(f.b, 0xfe)
+	f.b.WriteByte(0xfe)
 	for _, a := range spj.Atoms {
-		f.b = append(f.b, byte(a.Kind), byte(a.Src), byte(a.Builtin))
+		f.b.Write([]byte{byte(a.Kind), byte(a.Src), byte(a.Builtin)})
 		if a.IsRelational() {
 			f.put32(f.pred(a.Pred))
 		}
 		for _, t := range a.Terms {
-			f.b = append(f.b, byte(t.Kind))
+			f.b.WriteByte(byte(t.Kind))
 			if t.Kind == ast.TermConst {
 				f.put32(uint32(t.Val))
 			} else {
 				f.put32(uint32(t.Var))
 			}
 		}
-		f.b = append(f.b, 0xff)
+		f.b.WriteByte(0xff)
 	}
+}
+
+// spjLen is the length of what spj appends.
+func spjLen(spj *ir.SPJOp) int {
+	n := 17 + 5*len(spj.Head) + 1
+	for _, a := range spj.Atoms {
+		n += 4 + 5*len(a.Terms)
+		if a.IsRelational() {
+			n += 4
+		}
+	}
+	return n
 }
 
 func (f *fp) preds32(ps []storage.PredID) {
@@ -129,8 +146,9 @@ func (f *fp) preds32(ps []storage.PredID) {
 // Kept because perf/ measures lookups under it.
 func KeyFor(spj *ir.SPJOp) Key {
 	f := fp{preds: make(map[storage.PredID]uint32, 4)}
+	f.b.Grow(spjLen(spj))
 	f.spj(spj)
-	return Key{Sig: string(f.b)}
+	return Key{Sig: f.b.String()}
 }
 
 // KeyForOp fingerprints an IR subtree with *concrete* predicate identity,
@@ -140,10 +158,30 @@ func KeyFor(spj *ir.SPJOp) Key {
 // and snippet mode) prefix the signature so differently produced units
 // never collide.
 func KeyForOp(op ir.Op, tag ...byte) Key {
-	var f fp
-	f.b = append(f.b, tag...)
+	// Size the signature first, so that it takes one allocation.
+	n := len(tag)
 	ir.Walk(op, func(o ir.Op) {
-		f.b = append(f.b, byte(o.Kind()))
+		n++
+		switch o := o.(type) {
+		case *ir.ProgramOp, *ir.UnionRuleOp:
+			n += 4
+		case *ir.DoWhileOp:
+			n += 8 + 4*len(o.Preds)
+		case *ir.ScanOp:
+			n += 4 + 4*len(o.Preds)
+		case *ir.SwapClearOp:
+			n += 4 + 4*len(o.Preds)
+		case *ir.UnionAllOp:
+			n += 8
+		case *ir.SPJOp:
+			n += spjLen(o)
+		}
+	})
+	var f fp
+	f.b.Grow(n)
+	f.b.Write(tag)
+	ir.Walk(op, func(o ir.Op) {
+		f.b.WriteByte(byte(o.Kind()))
 		switch n := o.(type) {
 		case *ir.ProgramOp:
 			f.put32(uint32(len(n.Body)))
@@ -163,7 +201,7 @@ func KeyForOp(op ir.Op, tag ...byte) Key {
 			f.spj(n)
 		}
 	})
-	return Key{Sig: string(f.b)}
+	return Key{Sig: f.b.String()}
 }
 
 // Class partitions the store's key space between artifact kinds, so equal
